@@ -11,10 +11,8 @@ harness.  The `mrtcat` command exposes the same surface on files.
 
 from .data import (
     CsvSchema,
-    DecisionRecord,
     MrtDataset,
     NumeratorPolicy,
-    SubjectTrajectory,
     ValidationReport,
     fit_numerator_probs,
     load_csv,
@@ -59,9 +57,7 @@ from .numerics import (
     SpdSolveReport,
     f_cdf,
     f_quantile,
-    kron,
     noncentral_f_cdf,
-    reg_inc_beta,
     solve_spd,
 )
 from .simulate import (
@@ -75,23 +71,17 @@ from .simulate import (
     simulate_trial,
 )
 from .wcls import (
-    DesignRow,
     FitResult,
     ModelSpec,
-    SandwichResult,
-    build_design_rows,
     fit_wcls,
-    sandwich_variance,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CsvSchema",
-    "DecisionRecord",
     "MrtDataset",
     "NumeratorPolicy",
-    "SubjectTrajectory",
     "ValidationReport",
     "fit_numerator_probs",
     "load_csv",
@@ -128,9 +118,7 @@ __all__ = [
     "SpdSolveReport",
     "f_cdf",
     "f_quantile",
-    "kron",
     "noncentral_f_cdf",
-    "reg_inc_beta",
     "solve_spd",
     "GenerativeConfig",
     "McSummary",
@@ -140,12 +128,8 @@ __all__ = [
     "run_monte_carlo",
     "scenario_from_config",
     "simulate_trial",
-    "DesignRow",
     "FitResult",
     "ModelSpec",
-    "SandwichResult",
-    "build_design_rows",
     "fit_wcls",
-    "sandwich_variance",
     "__version__",
 ]

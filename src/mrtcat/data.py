@@ -14,15 +14,14 @@ dataset can be shared freely across threads.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataValidationError, DegenerateArmError, PositivityError
 
 __all__ = [
-    "DecisionRecord",
-    "SubjectTrajectory",
     "MrtDataset",
     "NumeratorPolicy",
     "CsvSchema",
@@ -42,24 +41,6 @@ NUMERATOR_KINDS = (
     "empirical_pooled",
     "user_supplied",
 )
-
-
-@dataclass(frozen=True)
-class DecisionRecord:
-    """One subject-decision-point observation."""
-
-    t: int
-    availability: int
-    treatment: int
-    rand_probs: tuple[float, ...]
-    outcome: float
-    features: dict[str, float] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class SubjectTrajectory:
-    subject_id: str
-    records: tuple[DecisionRecord, ...]
 
 
 @dataclass(frozen=True)
@@ -111,11 +92,12 @@ class MrtDataset:
         k_arms: int,
     ) -> None:
         self.subject_ids = tuple(str(s) for s in subject_ids)
-        self.avail = np.asarray(avail, dtype=np.int64)
-        self.trt = np.asarray(trt, dtype=np.int64)
-        self.probs = np.asarray(probs, dtype=float)
-        self.outcome = np.asarray(outcome, dtype=float)
-        self.features = {k: np.asarray(v, dtype=float) for k, v in features.items()}
+        # Copies, so that freezing below leaves the caller's arrays writable.
+        self.avail = np.array(avail, dtype=np.int64)
+        self.trt = np.array(trt, dtype=np.int64)
+        self.probs = np.array(probs, dtype=float)
+        self.outcome = np.array(outcome, dtype=float)
+        self.features = {k: np.array(v, dtype=float) for k, v in features.items()}
         self.k_arms = int(k_arms)
         self.n, self.t_points = self.avail.shape
         if self.trt.shape != (self.n, self.t_points):
@@ -133,67 +115,6 @@ class MrtDataset:
     @property
     def feature_names(self) -> tuple[str, ...]:
         return tuple(self.features.keys())
-
-    @property
-    def subjects(self) -> list[SubjectTrajectory]:
-        """Materialize per-subject record views (primarily for inspection)."""
-        out = []
-        for i, sid in enumerate(self.subject_ids):
-            recs = tuple(
-                DecisionRecord(
-                    t=t + 1,
-                    availability=int(self.avail[i, t]),
-                    treatment=int(self.trt[i, t]),
-                    rand_probs=tuple(float(x) for x in self.probs[i, t]),
-                    outcome=float(self.outcome[i, t]),
-                    features={k: float(v[i, t]) for k, v in self.features.items()},
-                )
-                for t in range(self.t_points)
-            )
-            out.append(SubjectTrajectory(subject_id=sid, records=recs))
-        return out
-
-    @classmethod
-    def from_subjects(cls, subjects: list[SubjectTrajectory], k_arms: int) -> "MrtDataset":
-        if not subjects:
-            raise DataValidationError("dataset requires at least one subject")
-        t_points = len(subjects[0].records)
-        n = len(subjects)
-        feature_names = list(subjects[0].records[0].features.keys()) if t_points else []
-        avail = np.zeros((n, t_points), dtype=np.int64)
-        trt = np.zeros((n, t_points), dtype=np.int64)
-        probs = np.zeros((n, t_points, k_arms + 1), dtype=float)
-        outcome = np.zeros((n, t_points), dtype=float)
-        features = {name: np.zeros((n, t_points), dtype=float) for name in feature_names}
-        for i, subj in enumerate(subjects):
-            if len(subj.records) != t_points:
-                raise DataValidationError(
-                    f"subject {subj.subject_id!r} has {len(subj.records)} records, expected {t_points}"
-                )
-            for j, rec in enumerate(subj.records):
-                if rec.t != j + 1:
-                    raise DataValidationError(
-                        f"subject {subj.subject_id!r} records are not t = 1..T in order"
-                    )
-                avail[i, j] = rec.availability
-                trt[i, j] = rec.treatment
-                if len(rec.rand_probs) != k_arms + 1:
-                    raise DataValidationError(
-                        f"subject {subj.subject_id!r} t={rec.t}: expected {k_arms + 1} probabilities"
-                    )
-                probs[i, j] = rec.rand_probs
-                outcome[i, j] = rec.outcome
-                for name in feature_names:
-                    features[name][i, j] = rec.features[name]
-        return cls(
-            subject_ids=tuple(s.subject_id for s in subjects),
-            avail=avail,
-            trt=trt,
-            probs=probs,
-            outcome=outcome,
-            features=features,
-            k_arms=k_arms,
-        )
 
 
 @dataclass(frozen=True)
@@ -261,7 +182,14 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> MrtDataset:
         except StopIteration:
             raise DataValidationError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        rows = []
+        # File line of each kept row; a compact array, not per-row tuples,
+        # because large panels hold hundreds of thousands of rows.
+        lines = array("q")
+        for row in reader:
+            if row and any(cell.strip() for cell in row):
+                rows.append(row)
+                lines.append(reader.line_num)
 
     col_index = {name: i for i, name in enumerate(header)}
     if len(col_index) != len(header):
@@ -308,9 +236,10 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> MrtDataset:
         feature_columns = tuple(name for name in header if name not in claimed)
 
     # Group rows by subject, preserving first-appearance order of ids.
-    by_subject: dict[str, dict[int, list[str]]] = {}
+    by_subject: dict[str, dict[int, int]] = {}
     order: list[str] = []
-    for lineno, row in enumerate(rows, start=2):
+    for index, row in enumerate(rows):
+        lineno = lines[index]
         if len(row) != len(header):
             raise DataValidationError(
                 f"{path}: line {lineno} has {len(row)} cells, header has {len(header)}"
@@ -322,7 +251,7 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> MrtDataset:
             order.append(sid)
         if t in by_subject[sid]:
             raise DataValidationError(f"{path}: duplicate (id, t) = ({sid!r}, {t})")
-        by_subject[sid][t] = row
+        by_subject[sid][t] = index
 
     if not order:
         raise DataValidationError(f"{path}: no data rows")
@@ -348,19 +277,23 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> MrtDataset:
 
     for i, sid in enumerate(order):
         for t in range(1, t_points + 1):
-            row = by_subject[sid][t]
+            index = by_subject[sid][t]
+            row, lineno = rows[index], lines[index]
             j = t - 1
-            avail[i, j] = _parse_int(row[col_index[schema.avail]], schema.avail, 0)
-            trt[i, j] = _parse_int(row[col_index[schema.trt]], schema.trt, 0)
-            outcome[i, j] = _parse_float(row[col_index[schema.outcome]], schema.outcome, 0)
+            avail[i, j] = _parse_int(row[col_index[schema.avail]], schema.avail, lineno)
+            trt[i, j] = _parse_int(row[col_index[schema.trt]], schema.trt, lineno)
+            outcome[i, j] = _parse_float(
+                row[col_index[schema.outcome]], schema.outcome, lineno
+            )
             if schema.const_probs is not None:
                 probs[i, j] = schema.const_probs
             else:
                 for k, name in enumerate(prob_columns):
-                    probs[i, j, k] = _parse_float(row[col_index[name]], name, 0)
+                    probs[i, j, k] = _parse_float(row[col_index[name]], name, lineno)
             for name in feature_columns:
-                features[name][i, j] = _parse_float(row[col_index[name]], name, 0)
+                features[name][i, j] = _parse_float(row[col_index[name]], name, lineno)
 
+    del rows, by_subject  # free the parsed text before the dataset copies the arrays
     data = MrtDataset(
         subject_ids=tuple(order),
         avail=avail,

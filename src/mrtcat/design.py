@@ -36,8 +36,8 @@ from .errors import (
     NumericalError,
     SingularSystemError,
 )
-from .inference import parse_contrast_text
-from .numerics import f_quantile, kron, noncentral_f_cdf, solve_spd
+from .inference import _row_space_basis, build_contrast, parse_contrast_text
+from .numerics import f_quantile, noncentral_f_cdf, solve_spd
 from ._kvconfig import get_float, get_int, get_floats
 
 __all__ = [
@@ -131,8 +131,7 @@ class DesignInputs:
 
     @property
     def rank_l(self) -> int:
-        svals = np.linalg.svd(self.l_matrix, compute_uv=False)
-        return int(np.sum(svals > 1e-10 * svals[0]))
+        return build_contrast(self.l_matrix, self.p).rank_l
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ def build_v(inputs: DesignInputs) -> np.ndarray:
     v = np.zeros((kp, kp))
     for t in range(inputs.t_points):
         ft = inputs.f[t][:, None]
-        v += inputs.tau[t] * kron(build_pt(inputs.rand_probs[t]), ft @ ft.T)
+        v += inputs.tau[t] * np.kron(build_pt(inputs.rand_probs[t]), ft @ ft.T)
     try:
         solve_spd(v, np.eye(kp))
     except SingularSystemError as exc:
@@ -179,12 +178,7 @@ def build_v(inputs: DesignInputs) -> np.ndarray:
 
 def _lambda_rate(inputs: DesignInputs, v: np.ndarray) -> float:
     """lambda(n) / n for the configured contrast and alternative."""
-    l_tilde = kron(inputs.l_matrix, np.eye(inputs.p))
-    u, s, vt = np.linalg.svd(l_tilde, full_matrices=False)
-    rank = int(np.sum(s > 1e-10 * s[0])) if s.size and s[0] > 0 else 0
-    if rank == 0:
-        raise NullContrastError("contrast matrix is zero")
-    reduced = s[:rank, None] * vt[:rank]
+    reduced = _row_space_basis(build_contrast(inputs.l_matrix, inputs.p).l_tilde)
     lg = reduced @ inputs.gamma
     if float(np.linalg.norm(lg)) <= 1e-12 * max(1.0, float(np.linalg.norm(inputs.gamma))):
         raise NullContrastError("contrast of target alternative is null")

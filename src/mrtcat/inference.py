@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataValidationError, NullContrastError, SingularSystemError
-from .numerics import f_cdf, f_quantile, kron, solve_spd
+from .numerics import f_cdf, f_quantile, solve_spd
 from .wcls import FitResult
 
 __all__ = [
@@ -83,7 +83,7 @@ def build_contrast(l_matrix: np.ndarray, p: int) -> ContrastSpec:
     return ContrastSpec(
         l_matrix=l_matrix,
         p=int(p),
-        l_tilde=kron(l_matrix, np.eye(p)),
+        l_tilde=np.kron(l_matrix, np.eye(p)),
         rank_l=rank,
     )
 

@@ -34,12 +34,8 @@ from .numerics import solve_spd
 
 __all__ = [
     "ModelSpec",
-    "DesignRow",
     "FitResult",
-    "SandwichResult",
-    "build_design_rows",
     "fit_wcls",
-    "sandwich_variance",
 ]
 
 CORRECTIONS = ("none", "mancl_derouen")
@@ -94,18 +90,6 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class DesignRow:
-    """One weighted regression row: d_full = (g; C_1 f; ...; C_K f)."""
-
-    subject: str
-    t: int
-    weight: float
-    d_full: np.ndarray
-    d_beta: np.ndarray
-    outcome: float
-
-
-@dataclass(frozen=True)
 class FitResult:
     alpha_hat: np.ndarray
     beta_hat: np.ndarray
@@ -128,12 +112,6 @@ class FitResult:
         return tuple(
             f"arm{k}:{name}" for k in range(1, self.k_arms + 1) for name in self.f_names
         )
-
-
-@dataclass(frozen=True)
-class SandwichResult:
-    cov_beta: np.ndarray
-    md_fallbacks: int
 
 
 def _basis_matrix(
@@ -203,30 +181,6 @@ def _build_arrays(data: MrtDataset, spec: ModelSpec):
     return weights, d_full, data.outcome[:, :t_used].copy(), t_used, ptilde
 
 
-def build_design_rows(data: MrtDataset, spec: ModelSpec) -> list[DesignRow]:
-    """Materialize the per-(subject, t) weighted design rows.
-
-    Rows at unavailable points are retained with weight zero; decision
-    points whose excursion window runs past the panel are excluded.
-    """
-    weights, d_full, outcome, t_used, _ = _build_arrays(data, spec)
-    rows = []
-    for i, sid in enumerate(data.subject_ids):
-        for t in range(t_used):
-            full = d_full[i, t].copy()
-            rows.append(
-                DesignRow(
-                    subject=sid,
-                    t=t + 1,
-                    weight=float(weights[i, t]),
-                    d_full=full,
-                    d_beta=full[spec.q :],
-                    outcome=float(outcome[i, t]),
-                )
-            )
-    return rows
-
-
 def _check_arms_observed(data: MrtDataset, t_used: int) -> None:
     seen = np.unique(data.trt[:, :t_used][data.avail[:, :t_used] == 1])
     missing = [k for k in range(1, data.k_arms + 1) if k not in seen]
@@ -243,13 +197,14 @@ def _sandwich_core(
     resid: np.ndarray,
     q: int,
     correction: str,
-) -> SandwichResult:
+) -> tuple[np.ndarray, int]:
     """Robust covariance of beta_hat from per-subject score sums.
 
     d_full is (n, rows, q + Kp); the beta block is everything past q.
     With the hat-matrix correction, each subject's residual vector e_i
     is replaced by (I - H_i)^{-1} e_i where H_i is that subject's block
     of the weighted hat matrix on the full (alpha, beta) design.
+    Returns (cov_beta, number of subjects whose I - H_i was singular).
     """
     n = d_full.shape[0]
     dim = d_full.shape[2]
@@ -280,46 +235,7 @@ def _sandwich_core(
     left = solve_spd(m_sum, sigma_sum).solution
     cov = solve_spd(m_sum, left.T).solution.T
     cov = 0.5 * (cov + cov.T)
-    return SandwichResult(cov_beta=cov, md_fallbacks=fallbacks)
-
-
-def sandwich_variance(
-    rows: list[DesignRow], residuals: np.ndarray, correction: str = "none"
-) -> SandwichResult:
-    """Sandwich covariance of beta_hat from explicit design rows.
-
-    residuals must align with rows.  Rows are grouped by subject in
-    first-appearance order; every subject must contribute the same
-    number of rows (rectangular panels).
-    """
-    if correction not in CORRECTIONS:
-        raise DataValidationError(f"unknown correction {correction!r}")
-    residuals = np.asarray(residuals, dtype=float)
-    if residuals.shape != (len(rows),):
-        raise DataValidationError("residuals must align one-to-one with rows")
-    order: list[str] = []
-    grouped: dict[str, list[int]] = {}
-    for idx, row in enumerate(rows):
-        if row.subject not in grouped:
-            grouped[row.subject] = []
-            order.append(row.subject)
-        grouped[row.subject].append(idx)
-    counts = {len(v) for v in grouped.values()}
-    if len(counts) != 1:
-        raise DataValidationError("subjects contribute unequal row counts")
-    rows_per = counts.pop()
-    n = len(order)
-    dim = rows[0].d_full.shape[0]
-    q = dim - rows[0].d_beta.shape[0]
-    d_full = np.empty((n, rows_per, dim))
-    weights = np.empty((n, rows_per))
-    resid = np.empty((n, rows_per))
-    for i, sid in enumerate(order):
-        for j, idx in enumerate(grouped[sid]):
-            d_full[i, j] = rows[idx].d_full
-            weights[i, j] = rows[idx].weight
-            resid[i, j] = residuals[idx]
-    return _sandwich_core(d_full, weights, resid, q, correction)
+    return cov, fallbacks
 
 
 def fit_wcls(data: MrtDataset, spec: ModelSpec) -> FitResult:
@@ -354,12 +270,12 @@ def fit_wcls(data: MrtDataset, spec: ModelSpec) -> FitResult:
         raise SingularSystemError(f"normal matrix is singular: {exc}") from exc
 
     resid = outcome - d_full @ theta
-    sandwich = _sandwich_core(d_full, weights, resid, spec.q, spec.correction)
+    cov_beta, md_fallbacks = _sandwich_core(d_full, weights, resid, spec.q, spec.correction)
 
     return FitResult(
         alpha_hat=theta[: spec.q].copy(),
         beta_hat=theta[spec.q :].copy(),
-        cov_beta=sandwich.cov_beta,
+        cov_beta=cov_beta,
         n=data.n,
         t_points=data.t_points,
         k_arms=data.k_arms,
@@ -368,7 +284,7 @@ def fit_wcls(data: MrtDataset, spec: ModelSpec) -> FitResult:
         residuals=resid,
         delta=spec.delta,
         correction=spec.correction,
-        md_fallbacks=sandwich.md_fallbacks,
+        md_fallbacks=md_fallbacks,
         numerator_table=ptilde,
         f_names=spec.f_names,
         g_names=spec.g_names,

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mrtcat
 from mrtcat.cli import main
 
 from _factories import write_toy_csv
@@ -369,3 +374,20 @@ class TestSimulate:
         )
         assert code == 3
         assert "failed" in capsys.readouterr().err
+
+
+def test_cli_import_loads_only_scipy_special():
+    # Start-up time and memory of every command grow with each scipy
+    # subpackage the import pulls in; only the F kernels are needed.
+    src = str(Path(mrtcat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, mrtcat.cli; "
+        "print(sorted(m for m in ('scipy.special', 'scipy.linalg', 'scipy.stats') "
+        "if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['scipy.special']"

@@ -111,6 +111,18 @@ class TestLoadCsv:
         with pytest.raises(DataValidationError, match="non-numeric"):
             load_csv(str(path))
 
+    def test_bad_cell_reports_its_file_line(self, tmp_path):
+        rows = [list(r) for r in TOY_ROWS]
+        rows[1][7] = "oops"
+        path = tmp_path / "nn.csv"
+        write_toy_csv(path, rows)
+        with pytest.raises(DataValidationError, match="line 3:"):
+            load_csv(str(path))
+        # a skipped blank line above the bad row still counts
+        path.write_text(path.read_text().replace("\n", "\n\n", 1))
+        with pytest.raises(DataValidationError, match="line 4:"):
+            load_csv(str(path))
+
     def test_out_of_order_probability_columns(self, tmp_path):
         rows = [[r[0], r[1], r[2], r[3], r[5], r[4], r[6], r[7]] for r in TOY_ROWS]
         path = tmp_path / "p.csv"
@@ -169,24 +181,28 @@ class TestValidate:
         assert any("0 or 1" in v for v in validate(data).violations)
 
 
-class TestSubjectViews:
-    def test_round_trip_through_records(self):
-        rng = np.random.default_rng(9)
-        data = make_dataset(
-            trt=rng.integers(0, 3, size=(3, 4)),
-            outcome=rng.normal(size=(3, 4)),
-            features={"z": rng.normal(size=(3, 4))},
-        )
-        back = MrtDataset.from_subjects(data.subjects, k_arms=data.k_arms)
-        np.testing.assert_array_equal(back.trt, data.trt)
-        np.testing.assert_array_equal(back.outcome, data.outcome)
-        np.testing.assert_array_equal(back.features["z"], data.features["z"])
-        assert back.subject_ids == data.subject_ids
-
+class TestDatasetArrays:
     def test_arrays_are_frozen(self):
         data = make_dataset(trt=[[0, 1]], outcome=[[0.0, 1.0]])
         with pytest.raises(ValueError):
             data.trt[0, 0] = 1
+
+    def test_callers_arrays_stay_writable(self):
+        trt = np.array([[0, 1]], dtype=np.int64)
+        outcome = np.array([[0.0, 1.0]])
+        data = MrtDataset(
+            subject_ids=("s1",),
+            avail=np.ones((1, 2), dtype=np.int64),
+            trt=trt,
+            probs=np.full((1, 2, 2), 0.5),
+            outcome=outcome,
+            features={},
+            k_arms=1,
+        )
+        trt[0, 0] = 1
+        outcome[0, 0] = 5.0
+        assert data.trt[0, 0] == 0
+        assert data.outcome[0, 0] == 0.0
 
 
 class TestNumeratorProbs:

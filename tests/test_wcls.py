@@ -9,10 +9,9 @@ from mrtcat import (
     ModelSpec,
     NumeratorPolicy,
     SingularSystemError,
-    build_design_rows,
     fit_wcls,
-    sandwich_variance,
 )
+from mrtcat.wcls import _build_arrays
 
 from _factories import make_dataset
 from _oracles import (
@@ -82,6 +81,8 @@ class TestFitToy:
 
 
 class TestDesignRows:
+    """Weights and stacked design blocks from wcls._build_arrays."""
+
     def test_matched_numerator_gives_unit_weights(self):
         rng = np.random.default_rng(0)
         data = make_dataset(
@@ -89,9 +90,10 @@ class TestDesignRows:
             outcome=rng.normal(size=(5, 4)),
             probs=(0.4, 0.3, 0.3),
         )
-        rows = build_design_rows(data, ModelSpec())
-        assert len(rows) == 5 * 4
-        np.testing.assert_allclose([r.weight for r in rows], 1.0, atol=1e-12)
+        weights, d_full, _, _, _ = _build_arrays(data, ModelSpec())
+        assert weights.shape == (5, 4)
+        assert d_full.shape[:2] == (5, 4)
+        np.testing.assert_allclose(weights, 1.0, atol=1e-12)
 
     def test_unavailable_rows_retained_with_zero_weight(self):
         data = make_dataset(
@@ -99,10 +101,9 @@ class TestDesignRows:
             outcome=np.zeros((2, 2)),
             avail=[[1, 0], [1, 1]],
         )
-        rows = build_design_rows(data, ModelSpec())
-        assert len(rows) == 4
-        off = [r for r in rows if r.subject == "s1" and r.t == 2]
-        assert off[0].weight == 0.0
+        weights, _, _, _, _ = _build_arrays(data, ModelSpec())
+        assert weights.shape == (2, 2)
+        assert weights[0, 1] == 0.0
 
     def test_window_excludes_trailing_points(self):
         data = make_dataset(
@@ -110,9 +111,10 @@ class TestDesignRows:
             outcome=np.zeros((3, 5)),
             probs=(0.6, 0.4),
         )
-        rows = build_design_rows(data, ModelSpec(delta=2))
-        assert len(rows) == 3 * 4
-        assert max(r.t for r in rows) == 4
+        weights, d_full, outcome, t_used, _ = _build_arrays(data, ModelSpec(delta=2))
+        assert t_used == 4
+        assert weights.shape == outcome.shape == (3, 4)
+        assert d_full.shape[:2] == (3, 4)
 
     def test_window_weight_factors(self):
         probs = (0.6, 0.4)
@@ -122,14 +124,13 @@ class TestDesignRows:
             avail=[[1, 1, 1], [1, 1, 1], [1, 0, 1]],
             probs=probs,
         )
-        rows = build_design_rows(data, ModelSpec(delta=2))
-        by_key = {(r.subject, r.t): r.weight for r in rows}
+        weights, _, _, _, _ = _build_arrays(data, ModelSpec(delta=2))
         # reference arm held at an available interim point: divide by p_0
-        assert by_key[("s1", 1)] == pytest.approx(1.0 / 0.6, abs=1e-12)
+        assert weights[0, 0] == pytest.approx(1.0 / 0.6, abs=1e-12)
         # active arm inside the window kills the weight
-        assert by_key[("s2", 1)] == 0.0
+        assert weights[1, 0] == 0.0
         # unavailable interim point delivers arm 0 with probability one
-        assert by_key[("s3", 1)] == pytest.approx(1.0, abs=1e-12)
+        assert weights[2, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_weights_match_loop_oracle(self):
         rng = np.random.default_rng(13)
@@ -137,23 +138,23 @@ class TestDesignRows:
         trt = rng.integers(0, 3, size=(6, 5)) * avail
         data = make_dataset(trt=trt, outcome=rng.normal(size=(6, 5)), avail=avail)
         for delta in (1, 2, 3):
-            rows = build_design_rows(data, ModelSpec(delta=delta))
-            got = np.array([r.weight for r in rows]).reshape(6, 5 - delta + 1)
+            weights, _, _, _, _ = _build_arrays(data, ModelSpec(delta=delta))
+            assert weights.shape == (6, 5 - delta + 1)
             table = numerator_table_loops(data, "match_randomization")
-            np.testing.assert_allclose(got, weight_loops(data, table, delta), atol=1e-12)
+            np.testing.assert_allclose(weights, weight_loops(data, table, delta), atol=1e-12)
 
     def test_row_blocks_are_control_then_centered_arms(self):
         data = make_dataset(
             trt=[[2]], outcome=[[1.0]], probs=(0.4, 0.3, 0.3),
             features={"z": [[5.0]]},
         )
-        rows = build_design_rows(data, ModelSpec(f_columns=("z",), g_columns=("z",)))
-        d = rows[0].d_full
+        _, d_full, _, _, _ = _build_arrays(data, ModelSpec(f_columns=("z",), g_columns=("z",)))
+        d = d_full[0, 0]
         # g block (1, z), then C_1 * (1, z), then C_2 * (1, z)
         np.testing.assert_allclose(d[:2], [1.0, 5.0], atol=1e-12)
         np.testing.assert_allclose(d[2:4], [-0.3, -1.5], atol=1e-12)
         np.testing.assert_allclose(d[4:6], [0.7, 3.5], atol=1e-12)
-        np.testing.assert_allclose(rows[0].d_beta, d[2:], atol=1e-12)
+        assert d.shape == (6,)
 
 
 def random_panel(seed, n=8, t_points=5, with_features=True):
@@ -203,8 +204,8 @@ class TestInvariants:
         trt = np.array([[0, 0, 1, 2, 0, 1, 0, 2]]).T.repeat(3, axis=1)
         data = make_dataset(trt=trt, outcome=np.zeros((8, 3)), probs=(0.5, 0.25, 0.25))
         spec = ModelSpec(numerator=NumeratorPolicy("empirical_per_t"))
-        rows = build_design_rows(data, spec)
-        total = sum(r.weight * r.d_beta for r in rows)
+        weights, d_full, _, _, _ = _build_arrays(data, spec)
+        total = np.einsum("it,itr->r", weights, d_full[:, :, spec.q :])
         np.testing.assert_allclose(total, np.zeros(2), atol=1e-10)
 
     def test_outcome_scale_equivariance(self):
@@ -262,22 +263,16 @@ class TestInvariants:
 class TestSandwichVariance:
     def test_matches_fit_covariance(self):
         data = toy_four_subjects()
-        rows = build_design_rows(data, EMPIRICAL)
         fit = fit_wcls(data, EMPIRICAL)
-        res = sandwich_variance(rows, fit.residuals.ravel(), correction="none")
-        np.testing.assert_allclose(res.cov_beta, [[1.0]], atol=1e-12)
-        res_md = sandwich_variance(rows, fit.residuals.ravel(), correction="mancl_derouen")
-        np.testing.assert_allclose(res_md.cov_beta, [[4.0]], atol=1e-12)
-
-    def test_misaligned_residuals(self):
-        rows = build_design_rows(toy_four_subjects(), EMPIRICAL)
-        with pytest.raises(DataValidationError, match="align"):
-            sandwich_variance(rows, np.zeros(3))
+        np.testing.assert_allclose(fit.cov_beta, [[1.0]], atol=1e-12)
+        spec_md = ModelSpec(
+            numerator=NumeratorPolicy("empirical_per_t"), correction="mancl_derouen"
+        )
+        np.testing.assert_allclose(fit_wcls(data, spec_md).cov_beta, [[4.0]], atol=1e-12)
 
     def test_unknown_correction(self):
-        rows = build_design_rows(toy_four_subjects(), EMPIRICAL)
         with pytest.raises(DataValidationError, match="correction"):
-            sandwich_variance(rows, np.zeros(4), correction="jackknife")
+            ModelSpec(numerator=NumeratorPolicy("empirical_per_t"), correction="jackknife")
 
 
 class TestErrors:
