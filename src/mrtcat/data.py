@@ -147,32 +147,54 @@ class ValidationReport:
         return not self.violations
 
 
-def _parse_float(raw: str, column: str, line: int) -> float:
+def _column(cells: list[str], integer: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Convert one CSV column to floats; return (values, indices of bad cells).
+
+    A cell is bad when float() rejects it or, in an integer column, when
+    its value is not a finite integer.  Cells float() rejects read as
+    NaN.  The cell-by-cell pass runs only when converting the whole
+    column at once fails.
+    """
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+        bad = np.zeros(len(cells), dtype=bool)
+    except ValueError:
+        values = np.empty(len(cells))
+        bad = np.zeros(len(cells), dtype=bool)
+        for index, raw in enumerate(cells):
+            try:
+                values[index] = float(raw)
+            except ValueError:
+                values[index] = np.nan
+                bad[index] = True
+    if integer:
+        bad |= ~(np.isfinite(values) & (values == np.trunc(values)))
+    return values, np.flatnonzero(bad)
+
+
+def _cell_message(raw: str, column: str, line: int) -> str:
+    """Why _column rejected the cell raw, found on file line `line`."""
     raw = raw.strip()
     if raw == "":
-        raise DataValidationError(f"line {line}: empty value in column {column!r}")
+        return f"line {line}: empty value in column {column!r}"
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise DataValidationError(
-            f"line {line}: non-numeric value {raw!r} in column {column!r}"
-        ) from exc
-
-
-def _parse_int(raw: str, column: str, line: int) -> int:
-    value = _parse_float(raw, column, line)
-    if value != int(value):
-        raise DataValidationError(f"line {line}: column {column!r} must be an integer")
-    return int(value)
+        float(raw)
+    except ValueError:
+        return f"line {line}: non-numeric value {raw!r} in column {column!r}"
+    return f"line {line}: column {column!r} must be an integer"
 
 
 def load_csv(path: str, schema: CsvSchema | None = None) -> MrtDataset:
     """Read a rectangular MRT panel from CSV and validate it.
 
     The canonical header is id,t,avail,trt,prob_0..prob_K,outcome plus
-    any number of feature columns; t is 1-based in files.  Raises
-    DataValidationError on structural problems (missing columns, ragged
-    panels, duplicate rows) and on any dataset invariant violation.
+    any number of feature columns; t is 1-based in files.  Rows may come
+    in any order; subjects keep the order in which their ids first
+    appear.  Raises DataValidationError on structural problems (missing
+    columns, ragged panels, duplicate rows) and on any dataset invariant
+    violation.  A message about one cell names its file line; when
+    several cells are bad, the first in (subject, t, column) order is
+    reported.
     """
     schema = schema or CsvSchema()
     with open(path, newline="", encoding="utf-8") as handle:
@@ -182,13 +204,16 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> MrtDataset:
         except StopIteration:
             raise DataValidationError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
-        rows = []
-        # File line of each kept row; a compact array, not per-row tuples,
+        # Every kept cell in one flat list, row after row, and per row its
+        # cell count and file line: no per-row objects outlive the loop,
         # because large panels hold hundreds of thousands of rows.
+        cells: list[str] = []
+        widths = array("q")
         lines = array("q")
         for row in reader:
-            if row and any(cell.strip() for cell in row):
-                rows.append(row)
+            if any(map(str.strip, row)):
+                cells.extend(row)
+                widths.append(len(row))
                 lines.append(reader.line_num)
 
     col_index = {name: i for i, name in enumerate(header)}
@@ -235,72 +260,91 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> MrtDataset:
     else:
         feature_columns = tuple(name for name in header if name not in claimed)
 
-    # Group rows by subject, preserving first-appearance order of ids.
-    by_subject: dict[str, dict[int, int]] = {}
-    order: list[str] = []
-    for index, row in enumerate(rows):
-        lineno = lines[index]
-        if len(row) != len(header):
+    # Row checks, in file order: cell count, then t, then (id, t) seen
+    # before.  The earliest failing row decides the message, so each check
+    # looks only at the rows before the first failure of the ones above.
+    width = len(header)
+    uneven = np.flatnonzero(np.frombuffer(widths, dtype=np.int64) != width)
+    stop = int(uneven[0]) if uneven.size else len(widths)
+    error = None
+    if uneven.size:
+        error = f"{path}: line {lines[stop]} has {widths[stop]} cells, header has {width}"
+    if stop == 0:
+        raise DataValidationError(error or f"{path}: no data rows")
+    # Every row before the first uneven one has `width` cells, so column
+    # j is every width-th cell from j.
+    columns = {name: cells[j : stop * width : width] for j, name in enumerate(header)}
+    del cells
+
+    t_values, bad = _column(columns[schema.t], integer=True)
+    if bad.size:
+        stop = int(bad[0])
+        error = _cell_message(columns[schema.t][stop], schema.t, lines[stop])
+    id_cells = list(map(str.strip, columns[schema.id][:stop]))
+    # id -> subject index, in order of first appearance
+    ids = {sid: i for i, sid in enumerate(dict.fromkeys(id_cells))}
+    subject = np.fromiter(map(ids.__getitem__, id_cells), np.int64, stop)
+    t_values = t_values[:stop]
+    order = np.lexsort((t_values, subject))  # panel order: subject, then t
+    repeat = (np.diff(subject[order]) == 0) & (np.diff(t_values[order]) == 0)
+    if repeat.any():
+        row = int(order[1:][repeat].min())
+        error = f"{path}: duplicate (id, t) = ({id_cells[row]!r}, {int(t_values[row])})"
+    if error is not None:
+        raise DataValidationError(error)
+
+    subject_ids = tuple(ids)
+    n = len(subject_ids)
+    counts = np.bincount(subject, minlength=n)
+    t_points = int(counts[0])
+    sorted_t = t_values[order]
+    starts = np.cumsum(counts) - counts
+    expected_t = np.arange(stop) - np.repeat(starts, counts) + 1
+    gapped = np.bincount(subject[order], weights=sorted_t != expected_t, minlength=n) > 0
+    bad_subjects = np.flatnonzero((counts != t_points) | gapped)
+    if bad_subjects.size:
+        i = int(bad_subjects[0])
+        sid = subject_ids[i]
+        if counts[i] != t_points:
             raise DataValidationError(
-                f"{path}: line {lineno} has {len(row)} cells, header has {len(header)}"
+                f"{path}: ragged panel; subject {sid!r} has {counts[i]} points, "
+                f"subject {subject_ids[0]!r} has {t_points}"
             )
-        sid = row[col_index[schema.id]].strip()
-        t = _parse_int(row[col_index[schema.t]], schema.t, lineno)
-        if sid not in by_subject:
-            by_subject[sid] = {}
-            order.append(sid)
-        if t in by_subject[sid]:
-            raise DataValidationError(f"{path}: duplicate (id, t) = ({sid!r}, {t})")
-        by_subject[sid][t] = index
+        points = [int(t) for t in sorted_t[starts[i] : starts[i] + counts[i]][:5]]
+        raise DataValidationError(
+            f"{path}: subject {sid!r} decision points are not 1..T (got {points}...)"
+        )
 
-    if not order:
-        raise DataValidationError(f"{path}: no data rows")
-    t_points = len(by_subject[order[0]])
-    for sid in order:
-        points = sorted(by_subject[sid])
-        if len(points) != t_points:
-            raise DataValidationError(
-                f"{path}: ragged panel; subject {sid!r} has {len(points)} points, "
-                f"subject {order[0]!r} has {t_points}"
-            )
-        if points != list(range(1, t_points + 1)):
-            raise DataValidationError(
-                f"{path}: subject {sid!r} decision points are not 1..T (got {points[:5]}...)"
-            )
+    # Every row now has its panel slot; convert the value columns and
+    # report the bad cell a reader going subject by subject, t by t and
+    # column by column would meet first.
+    position = np.empty(stop, dtype=np.int64)
+    position[order] = np.arange(stop)
+    value_columns = (schema.avail, schema.trt, schema.outcome, *prob_columns, *feature_columns)
+    panel = {}
+    failures = []
+    for rank, name in enumerate(value_columns):
+        values, bad = _column(columns[name], integer=name in (schema.avail, schema.trt))
+        if bad.size:
+            row = int(bad[np.argmin(position[bad])])
+            failures.append((position[row], rank, row, name))
+        panel[name] = values[order].reshape(n, t_points)
+    if failures:
+        _, _, row, name = min(failures)
+        raise DataValidationError(_cell_message(columns[name][row], name, lines[row]))
 
-    n = len(order)
-    avail = np.zeros((n, t_points), dtype=np.int64)
-    trt = np.zeros((n, t_points), dtype=np.int64)
-    probs = np.zeros((n, t_points, k_arms + 1), dtype=float)
-    outcome = np.zeros((n, t_points), dtype=float)
-    features = {name: np.zeros((n, t_points), dtype=float) for name in feature_columns}
-
-    for i, sid in enumerate(order):
-        for t in range(1, t_points + 1):
-            index = by_subject[sid][t]
-            row, lineno = rows[index], lines[index]
-            j = t - 1
-            avail[i, j] = _parse_int(row[col_index[schema.avail]], schema.avail, lineno)
-            trt[i, j] = _parse_int(row[col_index[schema.trt]], schema.trt, lineno)
-            outcome[i, j] = _parse_float(
-                row[col_index[schema.outcome]], schema.outcome, lineno
-            )
-            if schema.const_probs is not None:
-                probs[i, j] = schema.const_probs
-            else:
-                for k, name in enumerate(prob_columns):
-                    probs[i, j, k] = _parse_float(row[col_index[name]], name, lineno)
-            for name in feature_columns:
-                features[name][i, j] = _parse_float(row[col_index[name]], name, lineno)
-
-    del rows, by_subject  # free the parsed text before the dataset copies the arrays
+    del columns  # free the parsed text before the dataset copies the arrays
+    if schema.const_probs is not None:
+        probs = np.broadcast_to(schema.const_probs, (n, t_points, k_arms + 1))
+    else:
+        probs = np.stack([panel[name] for name in prob_columns], axis=2)
     data = MrtDataset(
-        subject_ids=tuple(order),
-        avail=avail,
-        trt=trt,
+        subject_ids=subject_ids,
+        avail=panel[schema.avail],
+        trt=panel[schema.trt],
         probs=probs,
-        outcome=outcome,
-        features=features,
+        outcome=panel[schema.outcome],
+        features={name: panel[name] for name in feature_columns},
         k_arms=k_arms,
     )
     report = validate(data)
@@ -409,15 +453,14 @@ def fit_numerator_probs(data: MrtDataset, policy: NumeratorPolicy) -> np.ndarray
     t_points, width = data.t_points, data.k_arms + 1
 
     if policy.kind == "match_randomization":
-        table = np.empty((t_points, width))
-        for t in range(t_points):
-            block = data.probs[:, t, :]
-            if not np.allclose(block, block[0], rtol=0.0, atol=1e-9):
-                raise DataValidationError(
-                    f"match_randomization requires probabilities constant across subjects; "
-                    f"they vary at t={t + 1}"
-                )
-            table[t] = block[0]
+        same = np.isclose(data.probs, data.probs[:1], rtol=0.0, atol=1e-9)
+        varies = ~same.all(axis=(0, 2))
+        if varies.any():
+            raise DataValidationError(
+                f"match_randomization requires probabilities constant across subjects; "
+                f"they vary at t={int(np.argmax(varies)) + 1}"
+            )
+        table = data.probs[0]
     elif policy.kind == "empirical_per_t":
         table = np.empty((t_points, width))
         for t in range(t_points):

@@ -254,11 +254,13 @@ def derive_replicate_seed(master: int, index: int) -> int:
 def simulate_trial(config: GenerativeConfig, n: int, seed: int) -> MrtDataset:
     """Generate one synthetic trial of n subjects.
 
-    The returned dataset carries feature columns 't', 't2' and (when a
-    Z basis is in play) 'Z', so fitted models can use polynomial or
-    covariate bases.  The count of availability probabilities clipped
-    into [0, 1] (possible under gm_ea) is exposed as the dataset's
-    clipped_availability attribute.
+    The returned dataset carries feature columns 'time' (the decision
+    point t), 'time2' (t squared) and, when a Z basis is in play, 'Z', so
+    fitted models can use polynomial or covariate bases.  The time
+    features are not named 't', which is the CSV index column, so
+    write_csv output loads back.  The count of availability
+    probabilities clipped into [0, 1] (possible under gm_ea) is exposed
+    as the dataset's clipped_availability attribute.
     """
     if n < 1:
         raise DataValidationError("n must be >= 1")
@@ -325,7 +327,7 @@ def simulate_trial(config: GenerativeConfig, n: int, seed: int) -> MrtDataset:
         outcome[:, j] = base + (a_t == 1) * eff1 + (a_t == 2) * eff2 + noise
 
     t_grid = np.tile(np.arange(1, t_points + 1, dtype=float), (n, 1))
-    features = {"t": t_grid, "t2": t_grid * t_grid}
+    features = {"time": t_grid, "time2": t_grid * t_grid}
     if z is not None:
         features["Z"] = z
 
@@ -489,8 +491,13 @@ class Scenario:
     true_beta: np.ndarray | None
 
 
-_FIT_F_COLUMNS = {"constant": (), "linear": ("t",), "z": ("Z",)}
-_FIT_G_COLUMNS = {"constant": (), "linear": ("t",), "quadratic": ("t", "t2"), "z": ("Z",)}
+_FIT_F_COLUMNS = {"constant": (), "linear": ("time",), "z": ("Z",)}
+_FIT_G_COLUMNS = {
+    "constant": (),
+    "linear": ("time",),
+    "quadratic": ("time", "time2"),
+    "z": ("Z",),
+}
 
 
 def _derive_true_beta(config: GenerativeConfig, fit_f: str) -> np.ndarray | None:

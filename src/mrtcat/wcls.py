@@ -40,6 +40,11 @@ __all__ = [
 
 CORRECTIONS = ("none", "mancl_derouen")
 
+#: A subject leverage h with 1 - h at or below this counts as one: the
+#: hat-matrix correction then uses a pseudo-inverse for that subject and
+#: counts it in FitResult.md_fallbacks.
+LEVERAGE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -192,44 +197,49 @@ def _check_arms_observed(data: MrtDataset, t_used: int) -> None:
 
 
 def _sandwich_core(
-    d_full: np.ndarray,
-    weights: np.ndarray,
+    design: np.ndarray,
     resid: np.ndarray,
+    gram: np.ndarray,
     q: int,
     correction: str,
 ) -> tuple[np.ndarray, int]:
     """Robust covariance of beta_hat from per-subject score sums.
 
-    d_full is (n, rows, q + Kp); the beta block is everything past q.
-    With the hat-matrix correction, each subject's residual vector e_i
-    is replaced by (I - H_i)^{-1} e_i where H_i is that subject's block
-    of the weighted hat matrix on the full (alpha, beta) design.
-    Returns (cov_beta, number of subjects whose I - H_i was singular).
-    """
-    n = d_full.shape[0]
-    dim = d_full.shape[2]
-    kp = dim - q
-    d_beta = d_full[:, :, q:]
+    design is the (n, rows, q + Kp) design D and resid the (n, rows)
+    residuals e, both scaled by sqrt(w); gram = sum_i D_i' W_i D_i is
+    the normal matrix B.  The beta block is everything past q.
 
-    m_sum = np.einsum("itr,it,its->rs", d_beta, weights, d_beta)
+    With the hat-matrix correction each subject's residual vector e_i is
+    replaced by (I - H_i)^{-1} e_i, where H_i = D_i B^{-1} D_i' W_i is
+    that subject's block of the weighted hat matrix on the full
+    (alpha, beta) design.  Only the score D_i' W_i (I - H_i)^{-1} e_i is
+    needed, and the Woodbury identity turns it into a q + Kp system:
+    with B = L L', M_i = D_i' W_i D_i and g_i = D_i' W_i e_i it equals
+    L (I - S_i)^{-1} L^{-1} g_i, where S_i = L^{-1} M_i L^{-T}.  The
+    eigenvalues of S_i are the subject's leverages, in [0, 1].  A
+    leverage with 1 - h <= LEVERAGE_TOL makes I - H_i numerically
+    singular; its eigenvector is dropped from (I - S_i)^{-1}, which is
+    the pseudo-inverse of the symmetric I - W_i^{1/2} D_i B^{-1} D_i'
+    W_i^{1/2} on that subspace.  Returns (cov_beta, number of subjects
+    with such a leverage).
+    """
+    scores = np.einsum("itr,it->ir", design, resid)
     fallbacks = 0
     if correction == "mancl_derouen":
-        b_full = np.einsum("itr,it,its->rs", d_full, weights, d_full)
-        b_report = solve_spd(b_full, np.eye(dim))
-        b_inv = b_report.solution
-        scores = np.empty((n, kp))
-        for i in range(n):
-            hat = (d_full[i] @ b_inv @ d_full[i].T) * weights[i][None, :]
-            try:
-                adjusted = np.linalg.solve(np.eye(hat.shape[0]) - hat, resid[i])
-            except np.linalg.LinAlgError:
-                fallbacks += 1
-                adjusted = resid[i]
-            scores[i] = (weights[i] * adjusted) @ d_beta[i]
-    else:
-        scores = np.einsum("it,itr->ir", weights * resid, d_beta)
+        factor = np.linalg.cholesky(gram)
+        factor_inv = np.linalg.inv(factor)
+        per_subject = np.matmul(design.transpose(0, 2, 1), design)
+        leverage, basis = np.linalg.eigh(factor_inv @ per_subject @ factor_inv.T)
+        singular = 1.0 - leverage <= LEVERAGE_TOL
+        fallbacks = int(singular.any(axis=1).sum())
+        gain = 1.0 / np.where(singular, np.inf, 1.0 - leverage)
+        # g_i -> L Q_i diag(gain_i) Q_i' L^{-1} g_i, with S_i = Q_i diag(leverage_i) Q_i'
+        coords = np.einsum("irk,ir->ik", basis, scores @ factor_inv.T) * gain
+        scores = np.einsum("irk,ik->ir", basis, coords) @ factor.T
 
-    sigma_sum = scores.T @ scores
+    beta_scores = scores[:, q:]
+    sigma_sum = beta_scores.T @ beta_scores
+    m_sum = gram[q:, q:]
     # cov = M^{-1} Sigma M^{-1}; the 1/n factors of the per-subject
     # averages cancel when raw sums are used throughout.
     left = solve_spd(m_sum, sigma_sum).solution
@@ -262,15 +272,20 @@ def fit_wcls(data: MrtDataset, spec: ModelSpec) -> FitResult:
             f"q + K*p = {dim} coefficients; need n > {dim}"
         )
 
-    normal = np.einsum("itr,it,its->rs", d_full, weights, d_full)
-    rhs = np.einsum("itr,it->r", d_full, weights * outcome)
+    root_w = np.sqrt(weights)
+    design = d_full * root_w[:, :, None]
+    rows = design.reshape(-1, dim)
+    normal = rows.T @ rows
+    rhs = rows.T @ (root_w * outcome).ravel()
     try:
         theta = solve_spd(normal, rhs).solution
     except SingularSystemError as exc:
         raise SingularSystemError(f"normal matrix is singular: {exc}") from exc
 
     resid = outcome - d_full @ theta
-    cov_beta, md_fallbacks = _sandwich_core(d_full, weights, resid, spec.q, spec.correction)
+    cov_beta, md_fallbacks = _sandwich_core(
+        design, root_w * resid, normal, spec.q, spec.correction
+    )
 
     return FitResult(
         alpha_hat=theta[: spec.q].copy(),

@@ -201,6 +201,43 @@ def sandwich_loops(fit: dict, correction: str) -> np.ndarray:
     return m_inv @ sigma @ m_inv.T
 
 
+def max_leverage_loops(fit: dict) -> float:
+    """Largest eigenvalue of any subject's block of the weighted hat matrix."""
+    x, w = fit["x"], fit["w"]
+    b_inv = np.linalg.inv(sum(x[i].T @ np.diag(w[i]) @ x[i] for i in range(x.shape[0])))
+    return max(
+        np.linalg.eigvals(x[i] @ b_inv @ x[i].T @ np.diag(w[i])).real.max()
+        for i in range(x.shape[0])
+    )
+
+
+def pinv_sandwich_loops(fit: dict, tol: float) -> tuple[np.ndarray, int]:
+    """Mancl-DeRouen sandwich with a per-subject pseudo-inverse, by loops.
+
+    Each subject's score is X_i' W_i^{1/2} (I - P_i)^+ W_i^{1/2} e_i with
+    the symmetric P_i = W_i^{1/2} X_i B^{-1} X_i' W_i^{1/2}; eigenvalues
+    of I - P_i at or below tol are dropped from the inverse.  Returns
+    (cov_beta, number of subjects with a dropped eigenvalue).
+    """
+    x, w, resid, q = fit["x"], fit["w"], fit["resid"], fit["q"]
+    n, t_used, dim = x.shape
+    b = sum(x[i].T @ np.diag(w[i]) @ x[i] for i in range(n))
+    b_inv = np.linalg.inv(b)
+    sigma = np.zeros((dim - q, dim - q))
+    dropped = 0
+    for i in range(n):
+        root = np.diag(np.sqrt(w[i]))
+        a = root @ x[i]
+        vals, vecs = np.linalg.eigh(np.eye(t_used) - a @ b_inv @ a.T)
+        keep = vals > tol
+        dropped += int(not keep.all())
+        inverse = (vecs[:, keep] / vals[keep]) @ vecs[:, keep].T
+        u = (a.T @ inverse @ root @ resid[i])[q:]
+        sigma += np.outer(u, u)
+    m_inv = np.linalg.inv(b[q:, q:])
+    return m_inv @ sigma @ m_inv.T, dropped
+
+
 def estimating_equation_norm(fit: dict) -> float:
     """Max-norm of the mean estimating function at the fitted parameters."""
     x, w, resid = fit["x"], fit["w"], fit["resid"]

@@ -108,7 +108,7 @@ def test_criterion_4_type_one_error(capsys):
     tau = np.full(t_points, 0.8)
     probs = np.array([0.4, 0.3])
     eo_lin, _ = eo_pattern("linear", 0.3, 0.4, tau)
-    g_lin = ModelSpec(g_columns=("t",))
+    g_lin = ModelSpec(g_columns=("time",))
     g_const = ModelSpec()
     settings = [
         ("all working assumptions", GenerativeConfig(

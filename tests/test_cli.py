@@ -97,6 +97,28 @@ class TestEstimate:
         assert payload["alpha_terms"][0]["estimate"] == pytest.approx(2.5, abs=1e-10)
         assert payload["contrast"] is None
 
+    def test_simulated_trial_round_trip(self, tmp_path):
+        config = mrtcat.GenerativeConfig(
+            family="gm0", t_points=10, rand_probs=np.array([0.3, 0.3]),
+            tau_curve=np.full(10, 0.8), eo_basis="linear", eo_coeffs=(0.2, 0.01),
+            mee_basis="constant", mee_coeffs=((0.25,), (0.1,)),
+        )
+        data = tmp_path / "sim.csv"
+        out = tmp_path / "fit.json"
+        mrtcat.write_csv(mrtcat.simulate_trial(config, n=30, seed=4), str(data))
+        code = main(
+            [
+                "estimate",
+                "--data", str(data),
+                "--f-cols", "intercept",
+                "--g-cols", "time",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert [t["term"] for t in payload["alpha_terms"]] == ["intercept", "time"]
+
     def test_missing_required_flag_exits_two(self, tmp_path, capsys):
         data = tmp_path / "toy.csv"
         write_k1_csv(data)

@@ -155,6 +155,125 @@ class TestLoadCsv:
         assert first.read_bytes() == second.read_bytes()
 
 
+def load_error(path) -> str:
+    with pytest.raises(DataValidationError) as err:
+        load_csv(str(path))
+    return str(err.value)
+
+
+class TestLoadCsvMessages:
+    """Exact messages and line numbers for malformed files."""
+
+    @pytest.mark.parametrize(
+        "row,col,raw,message",
+        [
+            (1, 7, "", "line 3: empty value in column 'outcome'"),
+            (1, 7, "  ", "line 3: empty value in column 'outcome'"),
+            (1, 7, "oops", "line 3: non-numeric value 'oops' in column 'outcome'"),
+            (4, 5, " 0.3x ", "line 6: non-numeric value '0.3x' in column 'prob_1'"),
+            (1, 1, "2.5", "line 3: column 't' must be an integer"),
+            (1, 1, "two", "line 3: non-numeric value 'two' in column 't'"),
+            (0, 2, "0.5", "line 2: column 'avail' must be an integer"),
+            (3, 3, "1.5", "line 5: column 'trt' must be an integer"),
+        ],
+    )
+    def test_bad_cell(self, tmp_path, row, col, raw, message):
+        rows = [list(r) for r in TOY_ROWS]
+        rows[row][col] = raw
+        path = tmp_path / "bad.csv"
+        write_toy_csv(path, rows)
+        assert load_error(path) == message
+
+    def test_short_row(self, tmp_path):
+        rows = [list(r) for r in TOY_ROWS]
+        rows[2] = rows[2][:-1]
+        path = tmp_path / "short.csv"
+        write_toy_csv(path, rows)
+        assert load_error(path) == f"{path}: line 4 has 7 cells, header has 8"
+
+    def test_duplicate_point(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        write_toy_csv(path, [list(r) for r in TOY_ROWS] + [list(TOY_ROWS[0])])
+        assert load_error(path) == f"{path}: duplicate (id, t) = ('a', 1)"
+
+    def test_ragged_panel(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        write_toy_csv(path, TOY_ROWS[:5])
+        assert load_error(path) == (
+            f"{path}: ragged panel; subject 'b' has 2 points, subject 'a' has 3"
+        )
+
+    def test_gap_in_t(self, tmp_path):
+        rows = [list(r) for r in TOY_ROWS]
+        rows[2][1] = 4
+        path = tmp_path / "gap.csv"
+        write_toy_csv(path, rows)
+        assert load_error(path) == (
+            f"{path}: subject 'a' decision points are not 1..T (got [1, 2, 4]...)"
+        )
+
+    def test_earliest_failing_row_decides(self, tmp_path):
+        # a bad t on line 3 comes before the short row on line 5
+        rows = [list(r) for r in TOY_ROWS]
+        rows[1][1] = "x"
+        rows[3] = rows[3][:-1]
+        path = tmp_path / "two.csv"
+        write_toy_csv(path, rows)
+        assert load_error(path) == "line 3: non-numeric value 'x' in column 't'"
+        # values are read in panel order (subject, then t, then column),
+        # whatever the file order of the rows
+        rows = [list(r) for r in TOY_ROWS]
+        rows[2][7] = "late"
+        rows[0][4] = "early"
+        write_toy_csv(path, [rows[2], rows[0], rows[1]] + rows[3:])
+        assert load_error(path) == "line 3: non-numeric value 'early' in column 'prob_0'"
+
+    def test_quoted_id_with_comma(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        rows = [[f'"{r[0]},x"'] + list(r[1:]) for r in TOY_ROWS]
+        write_toy_csv(path, rows)
+        data = load_csv(str(path))
+        assert data.subject_ids == ("a,x", "b,x")
+        np.testing.assert_array_equal(data.trt, [[1, 0, 0], [2, 1, 0]])
+
+    def test_crlf_line_endings(self, tmp_path):
+        lf = tmp_path / "lf.csv"
+        crlf = tmp_path / "crlf.csv"
+        write_toy_csv(lf, TOY_ROWS)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        a, b = load_csv(str(lf)), load_csv(str(crlf))
+        np.testing.assert_array_equal(a.outcome, b.outcome)
+        np.testing.assert_array_equal(a.probs, b.probs)
+        rows = [list(r) for r in TOY_ROWS]
+        rows[2][7] = "oops"
+        write_toy_csv(lf, rows)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_error(crlf) == "line 4: non-numeric value 'oops' in column 'outcome'"
+
+    def test_whitespace_only_line_counts(self, tmp_path):
+        rows = [list(r) for r in TOY_ROWS]
+        rows[1][7] = "oops"
+        path = tmp_path / "ws.csv"
+        write_toy_csv(path, rows)
+        head, rest = path.read_text().split("\n", 1)
+        path.write_text(f"{head}\n   \n , \n{rest}")
+        assert load_error(path) == "line 5: non-numeric value 'oops' in column 'outcome'"
+
+    def test_row_order_is_free(self, tmp_path):
+        rows = [r + [float(i)] for i, r in enumerate(TOY_ROWS)]
+        header = "id,t,avail,trt,prob_0,prob_1,prob_2,outcome,mood"
+        ordered = tmp_path / "ordered.csv"
+        shuffled = tmp_path / "shuffled.csv"
+        write_toy_csv(ordered, rows, header=header)
+        write_toy_csv(shuffled, [rows[i] for i in (4, 2, 0, 5, 1, 3)], header=header)
+        a, b = load_csv(str(ordered)), load_csv(str(shuffled))
+        # subjects keep their order of first appearance: b, then a
+        assert b.subject_ids == ("b", "a")
+        for name in ("avail", "trt", "probs", "outcome"):
+            np.testing.assert_array_equal(getattr(b, name)[::-1], getattr(a, name))
+        np.testing.assert_array_equal(b.features["mood"][::-1], a.features["mood"])
+
+
 class TestValidate:
     def test_clean_dataset(self):
         data = make_dataset(trt=[[0, 1], [2, 0]], outcome=[[0.0, 1.0], [2.0, 3.0]])
@@ -217,6 +336,25 @@ class TestNumeratorProbs:
         data = make_dataset(trt=np.zeros((2, 2), dtype=int), outcome=np.zeros((2, 2)), probs=probs)
         with pytest.raises(DataValidationError, match="vary"):
             fit_numerator_probs(data, NumeratorPolicy("match_randomization"))
+
+    @pytest.mark.parametrize("t,gap", [(0, 0.1), (1, 0.1), (1, 2e-9)])
+    def test_match_randomization_names_first_varying_t(self, t, gap):
+        probs = np.broadcast_to([0.4, 0.3, 0.3], (3, 2, 3)).copy()
+        probs[2, t] = [0.4 - gap, 0.3 + gap, 0.3]
+        data = make_dataset(trt=np.zeros((3, 2), dtype=int), outcome=np.zeros((3, 2)), probs=probs)
+        with pytest.raises(DataValidationError) as err:
+            fit_numerator_probs(data, NumeratorPolicy("match_randomization"))
+        assert str(err.value) == (
+            "match_randomization requires probabilities constant across subjects; "
+            f"they vary at t={t + 1}"
+        )
+
+    def test_match_randomization_tolerates_rounding(self):
+        probs = np.broadcast_to([0.4, 0.3, 0.3], (3, 2, 3)).copy()
+        probs[2, 1] = [0.4 - 5e-10, 0.3 + 5e-10, 0.3]
+        data = make_dataset(trt=np.zeros((3, 2), dtype=int), outcome=np.zeros((3, 2)), probs=probs)
+        table = fit_numerator_probs(data, NumeratorPolicy("match_randomization"))
+        np.testing.assert_allclose(table, probs[0], atol=1e-12)
 
     def test_empirical_per_t_counts(self):
         trt = [[0, 1], [1, 2], [1, 0], [2, 1]]

@@ -95,7 +95,7 @@ class TestSimulateTrial:
         data = simulate_trial(config, n=25, seed=3)
         assert (data.n, data.t_points, data.k_arms) == (25, 8, 2)
         assert validate(data).ok
-        assert set(data.feature_names) == {"t", "t2"}
+        assert set(data.feature_names) == {"time", "time2"}
         assert data.clipped_availability == 0
 
     def test_unavailable_points_carry_reference_arm(self):

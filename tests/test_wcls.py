@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mrtcat import (
@@ -11,12 +11,14 @@ from mrtcat import (
     SingularSystemError,
     fit_wcls,
 )
-from mrtcat.wcls import _build_arrays
+from mrtcat.wcls import CORRECTIONS, LEVERAGE_TOL, _build_arrays
 
 from _factories import make_dataset
 from _oracles import (
     estimating_equation_norm,
+    max_leverage_loops,
     numerator_table_loops,
+    pinv_sandwich_loops,
     sandwich_loops,
     wcls_fit_loops,
     weight_loops,
@@ -273,6 +275,57 @@ class TestSandwichVariance:
     def test_unknown_correction(self):
         with pytest.raises(DataValidationError, match="correction"):
             ModelSpec(numerator=NumeratorPolicy("empirical_per_t"), correction="jackknife")
+
+
+class TestHatMatrixCorrection:
+    def test_unit_leverage_subject_falls_back(self):
+        # s0 is nonzero for subject 1 only, so that subject alone fixes
+        # the s0 coefficient: one of its leverages is exactly one and
+        # I - H_1 is singular, though an LU solve need not notice.
+        rng = np.random.default_rng(2)
+        n, t_points = 12, 6
+        s0 = np.zeros((n, t_points))
+        s0[0] = rng.normal(size=t_points)
+        data = make_dataset(
+            trt=rng.integers(0, 3, size=(n, t_points)),
+            outcome=rng.normal(size=(n, t_points)),
+            probs=(0.4, 0.3, 0.3),
+            features={"s0": s0},
+        )
+        fit = fit_wcls(data, ModelSpec(g_columns=("s0",)))
+        assert fit.md_fallbacks == 1
+        assert np.isfinite(np.sqrt(np.diag(fit.cov_beta))).all()
+        table = numerator_table_loops(data, "match_randomization")
+        oracle = wcls_fit_loops(data, table, (), ("s0",), delta=1)
+        expected, dropped = pinv_sandwich_loops(oracle, LEVERAGE_TOL)
+        assert dropped == 1
+        np.testing.assert_allclose(fit.cov_beta, expected, rtol=1e-10, atol=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from((1, 2)),
+        st.sampled_from(CORRECTIONS),
+    )
+    def test_matches_loop_oracle(self, seed, delta, correction):
+        data = random_panel(seed, n=14, t_points=5)
+        spec = ModelSpec(
+            f_columns=("z",),
+            g_columns=("z",),
+            delta=delta,
+            numerator=NumeratorPolicy("empirical_per_t"),
+            correction=correction,
+        )
+        table = numerator_table_loops(data, "empirical_per_t")
+        oracle = wcls_fit_loops(data, table, ("z",), ("z",), delta)
+        # non-degenerate: every leverage at most 0.95
+        assume(max_leverage_loops(oracle) <= 0.95)
+        fit = fit_wcls(data, spec)
+        assert fit.md_fallbacks == 0
+        expected = sandwich_loops(oracle, correction)
+        np.testing.assert_allclose(
+            fit.cov_beta, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max()
+        )
 
 
 class TestErrors:
