@@ -151,9 +151,9 @@ def _column(cells: list[str], integer: bool) -> tuple[np.ndarray, np.ndarray]:
     """Convert one CSV column to floats; return (values, indices of bad cells).
 
     A cell is bad when float() rejects it or, in an integer column, when
-    its value is not a finite integer.  Cells float() rejects read as
-    NaN.  The cell-by-cell pass runs only when converting the whole
-    column at once fails.
+    its value is not an integer in the int64 range.  Cells float()
+    rejects read as NaN.  The cell-by-cell pass runs only when
+    converting the whole column at once fails.
     """
     try:
         values = np.fromiter(map(float, cells), float, len(cells))
@@ -168,7 +168,7 @@ def _column(cells: list[str], integer: bool) -> tuple[np.ndarray, np.ndarray]:
                 values[index] = np.nan
                 bad[index] = True
     if integer:
-        bad |= ~(np.isfinite(values) & (values == np.trunc(values)))
+        bad |= ~((values == np.trunc(values)) & (values >= -(2.0**63)) & (values < 2.0**63))
     return values, np.flatnonzero(bad)
 
 
@@ -178,9 +178,11 @@ def _cell_message(raw: str, column: str, line: int) -> str:
     if raw == "":
         return f"line {line}: empty value in column {column!r}"
     try:
-        float(raw)
+        value = float(raw)
     except ValueError:
         return f"line {line}: non-numeric value {raw!r} in column {column!r}"
+    if value.is_integer():
+        return f"line {line}: integer value {raw!r} in column {column!r} is out of range"
     return f"line {line}: column {column!r} must be an integer"
 
 
@@ -382,66 +384,119 @@ def validate(data: MrtDataset) -> ValidationReport:
     realized arm always has positive probability at available points,
     and all outcomes and features are finite.
     """
-    bad: list[str] = []
-    if data.n < 1:
-        bad.append("dataset has no subjects")
+    violations = validate_stack(
+        data.avail[None],
+        data.trt[None],
+        data.probs[None],
+        data.outcome[None],
+        {name: arr[None] for name, arr in data.features.items()},
+        data.k_arms,
+        data.subject_ids,
+    )
+    return ValidationReport(violations=violations[0])
 
-    ok_avail = np.isin(data.avail, (0, 1))
-    if not ok_avail.all():
-        i, t = np.argwhere(~ok_avail)[0]
-        bad.append(f"availability must be 0 or 1 (subject {data.subject_ids[i]!r}, t={t + 1})")
 
-    in_range = (data.trt >= 0) & (data.trt <= data.k_arms)
-    if not in_range.all():
-        i, t = np.argwhere(~in_range)[0]
-        bad.append(
-            f"treatment {int(data.trt[i, t])} outside 0..{data.k_arms} "
-            f"(subject {data.subject_ids[i]!r}, t={t + 1})"
-        )
+def validate_stack(
+    avail: np.ndarray,
+    trt: np.ndarray,
+    probs: np.ndarray,
+    outcome: np.ndarray,
+    features: dict[str, np.ndarray],
+    k_arms: int,
+    subject_ids: tuple[str, ...],
+) -> list[tuple[str, ...]]:
+    """validate's checks on R panels at once: one tuple of violations each.
 
-    forced = (data.avail == 0) & (data.trt != 0)
-    if forced.any():
-        i, t = np.argwhere(forced)[0]
-        bad.append(
-            f"unavailable point carries active treatment "
-            f"(subject {data.subject_ids[i]!r}, t={t + 1})"
-        )
+    avail, trt and outcome are (R, n, T); probs broadcasts to
+    (R, n, T, K+1) and each feature to (R, n, T), so values shared by
+    every panel are checked once.  Messages are built only for the
+    panels that fail.
+    """
+    shape = avail.shape
+    count = shape[0]
 
-    if not np.isfinite(data.probs).all():
-        bad.append("non-finite randomization probability")
-    else:
-        if (data.probs < 0).any():
-            bad.append("negative randomization probability")
-        sums = data.probs.sum(axis=2)
+    def first(mask: np.ndarray, r: int) -> tuple[int, str, int]:
+        """Subject index, subject id and 1-based t of panel r's first hit."""
+        i, t = np.argwhere(np.broadcast_to(mask, shape)[r])[0]
+        return i, subject_ids[i], t + 1
+
+    bad_avail = (avail != 0) & (avail != 1)
+    in_range = (trt >= 0) & (trt <= k_arms)
+    forced = (avail == 0) & (trt != 0)
+    finite_probs = np.broadcast_to(np.isfinite(probs).all(axis=(1, 2, 3)), (count,))
+    with np.errstate(invalid="ignore"):
+        sums = probs.sum(axis=3)
+        negative = np.broadcast_to((probs < 0).any(axis=(1, 2, 3)), (count,))
         off = np.abs(sums - 1.0) > PROB_SUM_TOL
-        if off.any():
-            i, t = np.argwhere(off)[0]
+        if (probs > 0.0).all():
+            zero_prob = np.zeros((1, 1, 1), dtype=bool)
+        else:
+            realized = np.take_along_axis(probs, np.clip(trt, 0, k_arms)[..., None], axis=3)
+            zero_prob = (avail == 1) & (realized[..., 0] <= 0.0)
+    in_range_all = in_range.all(axis=(1, 2))
+    finite_outcome = np.isfinite(outcome).all(axis=(1, 2))
+    finite_features = {
+        name: np.broadcast_to(np.isfinite(arr).all(axis=(1, 2)), (count,))
+        for name, arr in features.items()
+    }
+    broken = (
+        bad_avail.any(axis=(1, 2))
+        | ~in_range_all
+        | forced.any(axis=(1, 2))
+        | ~finite_probs
+        | negative
+        | off.any(axis=(1, 2))
+        | zero_prob.any(axis=(1, 2))
+        | ~finite_outcome
+    )
+    for ok in finite_features.values():
+        broken |= ~ok
+
+    result: list[tuple[str, ...]] = [()] * count
+    for r in np.flatnonzero(broken | (shape[1] < 1)):
+        bad: list[str] = []
+        if shape[1] < 1:
+            bad.append("dataset has no subjects")
+        if bad_avail[r].any():
+            _, sid, t = first(bad_avail, r)
+            bad.append(f"availability must be 0 or 1 (subject {sid!r}, t={t})")
+        if not in_range_all[r]:
+            i, sid, t = first(~in_range, r)
             bad.append(
-                f"probabilities do not sum to 1 (subject {data.subject_ids[i]!r}, "
-                f"t={t + 1}, sum={sums[i, t]!r})"
+                f"treatment {int(trt[r, i, t - 1])} outside 0..{k_arms} (subject {sid!r}, t={t})"
             )
-        if in_range.all():
-            realized = np.take_along_axis(data.probs, data.trt[:, :, None], axis=2)[:, :, 0]
-            viol = (data.avail == 1) & (realized <= 0.0)
-            if viol.any():
-                i, t = np.argwhere(viol)[0]
+        if forced[r].any():
+            _, sid, t = first(forced, r)
+            bad.append(f"unavailable point carries active treatment (subject {sid!r}, t={t})")
+        if not finite_probs[r]:
+            bad.append("non-finite randomization probability")
+        else:
+            if negative[r]:
+                bad.append("negative randomization probability")
+            if np.broadcast_to(off, shape)[r].any():
+                i, sid, t = first(off, r)
+                total = np.broadcast_to(sums, shape)[r, i, t - 1]
+                bad.append(
+                    f"probabilities do not sum to 1 (subject {sid!r}, t={t}, sum={total!r})"
+                )
+            if in_range_all[r] and np.broadcast_to(zero_prob, shape)[r].any():
+                i, sid, t = first(zero_prob, r)
                 bad.append(
                     f"realized arm has zero probability "
-                    f"(subject {data.subject_ids[i]!r}, t={t + 1}, arm {int(data.trt[i, t])})"
+                    f"(subject {sid!r}, t={t}, arm {int(trt[r, i, t - 1])})"
                 )
-
-    if not np.isfinite(data.outcome).all():
-        bad.append("missing or non-finite outcome value")
-    for name, arr in data.features.items():
-        if not np.isfinite(arr).all():
-            bad.append(f"non-finite value in feature {name!r}")
-
-    return ValidationReport(violations=tuple(bad))
+        if not finite_outcome[r]:
+            bad.append("missing or non-finite outcome value")
+        for name, ok in finite_features.items():
+            if not ok[r]:
+                bad.append(f"non-finite value in feature {name!r}")
+        result[r] = tuple(bad)
+    return result
 
 
 def _clip_renormalize(table: np.ndarray) -> np.ndarray:
     clipped = np.clip(table, PROB_CLIP, 1.0 - PROB_CLIP)
-    return clipped / clipped.sum(axis=1, keepdims=True)
+    return clipped / clipped.sum(axis=-1, keepdims=True)
 
 
 def fit_numerator_probs(data: MrtDataset, policy: NumeratorPolicy) -> np.ndarray:
@@ -450,46 +505,76 @@ def fit_numerator_probs(data: MrtDataset, policy: NumeratorPolicy) -> np.ndarray
     All rows are clipped to [1e-6, 1 - 1e-6] and renormalized so weights
     stay finite even when empirical frequencies hit the boundary.
     """
-    t_points, width = data.t_points, data.k_arms + 1
+    tables, errors = numerator_tables(
+        data.avail[None], data.trt[None], data.probs[None], policy, data.k_arms
+    )
+    if errors[0] is not None:
+        raise errors[0]
+    return tables[0]
+
+
+def numerator_tables(
+    avail: np.ndarray | None,
+    trt: np.ndarray | None,
+    probs: np.ndarray,
+    policy: NumeratorPolicy,
+    k_arms: int,
+) -> tuple[np.ndarray, list]:
+    """fit_numerator_probs for R panels at once.
+
+    avail and trt are (R, n, T) and probs is (R, n, T, K+1); the
+    match_randomization and user_supplied tables need only probs (its
+    T axis), so avail and trt may then be None.  Returns the (R, T,
+    K+1) tables, or one (1, T, K+1) table for user_supplied, and per
+    panel the exception fit_numerator_probs raises on it, or None.
+    """
+    t_points, width = probs.shape[2], k_arms + 1
+    count = probs.shape[0] if avail is None else avail.shape[0]
+    errors: list = [None] * count
 
     if policy.kind == "match_randomization":
-        same = np.isclose(data.probs, data.probs[:1], rtol=0.0, atol=1e-9)
-        varies = ~same.all(axis=(0, 2))
-        if varies.any():
-            raise DataValidationError(
+        same = np.isclose(probs, probs[:, :1], rtol=0.0, atol=1e-9)
+        varies = ~same.all(axis=(1, 3))
+        for r in np.flatnonzero(varies.any(axis=1)):
+            errors[r] = DataValidationError(
                 f"match_randomization requires probabilities constant across subjects; "
-                f"they vary at t={int(np.argmax(varies)) + 1}"
+                f"they vary at t={int(np.argmax(varies[r])) + 1}"
             )
-        table = data.probs[0]
-    elif policy.kind == "empirical_per_t":
-        table = np.empty((t_points, width))
-        for t in range(t_points):
-            mask = data.avail[:, t] == 1
-            if not mask.any():
-                raise DegenerateArmError(f"no available records at t={t + 1}")
-            counts = np.bincount(data.trt[mask, t], minlength=width).astype(float)
-            if (counts == 0).any():
-                arm = int(np.flatnonzero(counts == 0)[0])
-                raise DegenerateArmError(
-                    f"arm {arm} never observed among available records at t={t + 1}"
+        table = probs[:, 0]
+    elif policy.kind in ("empirical_per_t", "empirical_pooled"):
+        chosen = (trt[..., None] == np.arange(width)) & (avail[..., None] == 1)
+        if policy.kind == "empirical_per_t":
+            counts = chosen.sum(axis=1).astype(float)  # (R, T, K+1)
+        else:
+            counts = chosen.sum(axis=(1, 2)).astype(float)[:, None, :]
+        totals = counts.sum(axis=2, keepdims=True)
+        for r in np.flatnonzero((counts == 0).any(axis=(1, 2))):
+            if policy.kind == "empirical_per_t":
+                t = int(np.argmax((counts[r] == 0).any(axis=1)))
+                where = f" at t={t + 1}"
+                empty = f"no available records{where}"
+            else:
+                t, where, empty = 0, "", "no available records in the dataset"
+            if totals[r, t, 0] == 0:
+                errors[r] = DegenerateArmError(empty)
+            else:
+                arm = int(np.flatnonzero(counts[r, t] == 0)[0])
+                errors[r] = DegenerateArmError(
+                    f"arm {arm} never observed among available records{where}"
                 )
-            table[t] = counts / counts.sum()
-    elif policy.kind == "empirical_pooled":
-        mask = data.avail == 1
-        if not mask.any():
-            raise DegenerateArmError("no available records in the dataset")
-        counts = np.bincount(data.trt[mask], minlength=width).astype(float)
-        if (counts == 0).any():
-            arm = int(np.flatnonzero(counts == 0)[0])
-            raise DegenerateArmError(f"arm {arm} never observed among available records")
-        table = np.tile(counts / counts.sum(), (t_points, 1))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            table = np.broadcast_to(counts / totals, (count, t_points, width))
     else:  # user_supplied; kind already validated by NumeratorPolicy
         table = np.asarray(policy.table, dtype=float)
+        error = None
         if table.shape != (t_points, width):
-            raise DataValidationError(
+            error = DataValidationError(
                 f"numerator table shape {table.shape} does not match (T, K+1) = {(t_points, width)}"
             )
-        if not np.isfinite(table).all() or (table <= 0).any():
-            raise PositivityError("numerator table entries must be finite and positive")
+        elif not np.isfinite(table).all() or (table <= 0).any():
+            error = PositivityError("numerator table entries must be finite and positive")
+        if error is not None:
+            return np.ones((1, t_points, width)) / width, [error] * count
+        table = table[None]
 
-    return _clip_renormalize(table)
+    return _clip_renormalize(table), errors

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataValidationError, NullContrastError, SingularSystemError
-from .numerics import f_cdf, f_quantile, solve_spd
+from .numerics import f_cdf, f_quantile, solve_spd_stack
 from .wcls import FitResult
 
 __all__ = [
@@ -138,38 +138,69 @@ def _row_space_basis(l_tilde: np.ndarray) -> np.ndarray:
     return s[:rank, None] * vt[:rank]
 
 
-def wald_test(
-    fit: FitResult, contrast: ContrastSpec, eta: float = 0.05, scaling: str = "printed"
-) -> TestResult:
-    """Scaled-F Wald test of H0: L_tilde beta = 0 at level eta."""
+def check_wald(
+    n: int, q: int, contrast: ContrastSpec, n_coeffs: int, eta: float, scaling: str
+) -> None:
+    """Raise unless wald_test can run: known scaling, eta in (0, 1),
+    matching dimensions and enough subjects for the F reference."""
     if scaling not in SCALINGS:
         raise DataValidationError(f"unknown scaling {scaling!r}; expected one of {SCALINGS}")
     if not (0.0 < eta < 1.0):
         raise DataValidationError("eta must lie in (0, 1)")
-    if contrast.l_tilde.shape[1] != fit.beta_hat.shape[0]:
+    if contrast.l_tilde.shape[1] != n_coeffs:
         raise DataValidationError(
             f"contrast expects {contrast.l_tilde.shape[1]} coefficients, "
-            f"fit has {fit.beta_hat.shape[0]}"
+            f"fit has {n_coeffs}"
         )
-    n, q, l = fit.n, fit.q, contrast.rank_l
+    l = contrast.rank_l
     if n <= q + l + 1:
         raise DataValidationError(
             f"need n > q + l + 1 for the scaled-F test (n={n}, q={q}, l={l})"
         )
-    reduced = _row_space_basis(contrast.l_tilde)
-    v = reduced @ fit.beta_hat
-    gram = reduced @ fit.cov_beta @ reduced.T
-    try:
-        statistic = float(v @ solve_spd(gram, v).solution)
-    except SingularSystemError as exc:
-        raise SingularSystemError(f"contrasted covariance is singular: {exc}") from exc
-    statistic = max(statistic, 0.0)
 
-    df2 = n - q - l
+
+def scale_statistic(statistic, n: int, q: int, l: int, scaling: str = "printed"):
+    """The small-sample scaling of the Wald statistic (scalar or array)."""
     if scaling == "printed":
-        scaled = statistic * (n - q - l) / (l * (n - q - l))
-    else:
-        scaled = statistic * (n - q - l) / (l * (n - q - 1))
+        return statistic * (n - q - l) / (l * (n - q - l))
+    return statistic * (n - q - l) / (l * (n - q - 1))
+
+
+def wald_stack(
+    beta: np.ndarray, cov_beta: np.ndarray, reduced: np.ndarray
+) -> tuple[np.ndarray, list]:
+    """Wald statistics of R fits against one full-row-rank contrast.
+
+    beta is (R, Kp), cov_beta (R, Kp, Kp) and reduced the
+    _row_space_basis of the lifted contrast.  Returns the (R,)
+    statistics and, per fit, the exception wald_test raises or None.
+    """
+    v = beta @ reduced.T
+    gram = reduced @ cov_beta @ reduced.T
+    solve = solve_spd_stack(gram, v)
+    statistic = np.maximum(np.einsum("rl,rl->r", v, solve.solution), 0.0)
+    errors = [
+        SingularSystemError(f"contrasted covariance is singular: {exc}")
+        if isinstance(exc, SingularSystemError)
+        else exc
+        for exc in solve.errors
+    ]
+    return statistic, errors
+
+
+def wald_test(
+    fit: FitResult, contrast: ContrastSpec, eta: float = 0.05, scaling: str = "printed"
+) -> TestResult:
+    """Scaled-F Wald test of H0: L_tilde beta = 0 at level eta."""
+    check_wald(fit.n, fit.q, contrast, fit.beta_hat.shape[0], eta, scaling)
+    n, q, l = fit.n, fit.q, contrast.rank_l
+    reduced = _row_space_basis(contrast.l_tilde)
+    statistics, errors = wald_stack(fit.beta_hat[None], fit.cov_beta[None], reduced)
+    if errors[0] is not None:
+        raise errors[0]
+    statistic = float(statistics[0])
+    scaled = scale_statistic(statistic, n, q, l, scaling)
+    df2 = n - q - l
     critical = f_quantile(l, df2, 1.0 - eta)
     p_value = 1.0 - f_cdf(l, df2, scaled)
     return TestResult(
@@ -183,6 +214,32 @@ def wald_test(
     )
 
 
+def check_intervals(n: int, q: int, rows: np.ndarray, n_coeffs: int, level: float) -> None:
+    """Raise unless confidence_intervals can run on these rows."""
+    if rows.shape[1] != n_coeffs:
+        raise DataValidationError(f"contrast rows must have {n_coeffs} entries")
+    if not (0.0 < level < 1.0):
+        raise DataValidationError("confidence level must lie in (0, 1)")
+    if n <= q + 2:
+        raise DataValidationError(f"need n > q + 2 for intervals (n={n}, q={q})")
+    if not rows.any(axis=1).all():
+        raise NullContrastError("zero contrast row")
+
+
+def interval_stack(
+    beta: np.ndarray, cov_beta: np.ndarray, rows: np.ndarray, quant: float
+) -> tuple[np.ndarray, ...]:
+    """(estimate, se, lower, upper) of every row c' beta for R fits, each (R, rows)."""
+    estimate = beta @ rows.T
+    se = np.sqrt(np.maximum(np.einsum("mi,rij,mj->rm", rows, cov_beta, rows), 0.0))
+    return estimate, se, estimate - quant * se, estimate + quant * se
+
+
+def interval_quantile(n: int, q: int, level: float) -> float:
+    """The t-like interval quantile: sqrt of the (1, n - q - 1) F quantile."""
+    return float(np.sqrt(f_quantile(1, n - q - 1, level)))
+
+
 def confidence_intervals(
     fit: FitResult, rows: np.ndarray, level: float = 0.95
 ) -> list[CiRow]:
@@ -190,37 +247,19 @@ def confidence_intervals(
 
     rows is a sequence of Kp-vectors.  The interval half-width uses the
     t-like quantile sqrt of the (1, n - q - 1) F quantile at the given
-    confidence level, matching the single-row Wald test.
+    confidence level, matching the single-row Wald test.  Every field
+    is a plain float.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.shape[1] != fit.beta_hat.shape[0]:
-        raise DataValidationError(
-            f"contrast rows must have {fit.beta_hat.shape[0]} entries"
-        )
-    if not (0.0 < level < 1.0):
-        raise DataValidationError("confidence level must lie in (0, 1)")
-    n, q = fit.n, fit.q
-    if n <= q + 2:
-        raise DataValidationError(f"need n > q + 2 for intervals (n={n}, q={q})")
-    df2 = n - q - 1
-    quant = np.sqrt(f_quantile(1, df2, level))
+    check_intervals(fit.n, fit.q, rows, fit.beta_hat.shape[0], level)
+    df2 = fit.n - fit.q - 1
+    quant = interval_quantile(fit.n, fit.q, level)
+    stacked = interval_stack(fit.beta_hat[None], fit.cov_beta[None], rows, quant)
     out = []
-    for c in rows:
-        if not c.any():
-            raise NullContrastError("zero contrast row")
-        estimate = float(c @ fit.beta_hat)
-        se = float(np.sqrt(max(c @ fit.cov_beta @ c, 0.0)))
+    for estimate, se, lower, upper in zip(*(a[0].tolist() for a in stacked)):
         if se > 0.0:
             p_value = 1.0 - f_cdf(1, df2, (estimate / se) ** 2)
         else:
             p_value = 1.0 if estimate == 0.0 else 0.0
-        out.append(
-            CiRow(
-                estimate=estimate,
-                se=se,
-                lower=estimate - quant * se,
-                upper=estimate + quant * se,
-                p_value=p_value,
-            )
-        )
+        out.append(CiRow(estimate=estimate, se=se, lower=lower, upper=upper, p_value=p_value))
     return out

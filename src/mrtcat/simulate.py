@@ -17,8 +17,12 @@ per-arm effect coefficients, each evaluated in a small basis (constant,
 polynomial in t, or the categorical covariate Z_t).
 
 Monte Carlo replicates are embarrassingly parallel: every replicate
-derives its own seed from (master seed, index) with an avalanche mix,
-so summaries are byte-identical for any thread count.
+derives its own seed from (master seed, index) with an avalanche mix.
+The engine simulates and fits fixed chunks of consecutive replicates
+as stacked arrays, one chunk per task, so summaries are byte-identical
+for any thread count.  The generator draws each replicate's random
+numbers in a fixed order and is elementwise over decision points except
+for gm_ea's availability recursion.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,12 +46,18 @@ from .design import (
 from .errors import DataValidationError, NumericalError
 from .inference import (
     ContrastSpec,
+    _row_space_basis,
     build_contrast,
-    confidence_intervals,
+    check_intervals,
+    check_wald,
+    interval_quantile,
+    interval_stack,
     parse_contrast_text,
-    wald_test,
+    scale_statistic,
+    wald_stack,
 )
-from .wcls import ModelSpec, fit_wcls
+from .numerics import f_quantile
+from .wcls import ModelSpec, fit_stack, keep_first_errors
 from ._kvconfig import get_float, get_int, get_floats
 
 __all__ = [
@@ -222,17 +233,19 @@ def gm_ev_scales(
     return r, s
 
 
-def _basis_values(kind: str, coeffs: np.ndarray, t: int, z: np.ndarray | None, n: int):
+def _basis_values(kind: str, coeffs: np.ndarray, t: np.ndarray, z: np.ndarray | None):
+    """A basis evaluated at every decision point: (T,) for the polynomial
+    bases, (R, n, T) for the Z bases; t holds 1..T as floats."""
     if kind == "constant":
-        return np.full(n, coeffs[0])
+        return np.full(t.shape, coeffs[0])
     if kind == "linear":
-        return np.full(n, coeffs[0] + coeffs[1] * t)
+        return coeffs[0] + coeffs[1] * t
     if kind == "quadratic":
-        return np.full(n, coeffs[0] + coeffs[1] * t + coeffs[2] * t * t)
+        return coeffs[0] + coeffs[1] * t + coeffs[2] * t * t
     if kind == "z":
-        return coeffs[0] + coeffs[1] * z[:, t - 1]
+        return coeffs[0] + coeffs[1] * z
     # zcat: one level per Z value
-    return coeffs[z[:, t - 1].astype(int)]
+    return coeffs[z.astype(int)]
 
 
 def derive_replicate_seed(master: int, index: int) -> int:
@@ -251,6 +264,126 @@ def derive_replicate_seed(master: int, index: int) -> int:
     return x
 
 
+class _GeneratorTables(NamedTuple):
+    """What the generator needs of a config beyond its fields, per t."""
+
+    probs_full: np.ndarray  # (T, 3): reference arm, then the active arms
+    cum: np.ndarray  # (T, 3) cumulative arm probabilities
+    t_grid: np.ndarray  # (T,) the decision points 1..T as floats
+    noise_r: np.ndarray | None  # gm_ev time factors r(t), (T,)
+    noise_s: np.ndarray | None  # gm_ev arm factors s(t, arm), (T, 3)
+
+
+def _generator_tables(config: GenerativeConfig) -> _GeneratorTables:
+    """The config's per-t tables; replicate-invariant, so built once per run."""
+    probs_active = config.rand_probs
+    p0 = 1.0 - probs_active.sum(axis=1)
+    probs_full = np.column_stack([p0, probs_active])
+    t_points = config.t_points
+    noise_r = noise_s = None
+    if config.family == "gm_ev":
+        scales = [
+            gm_ev_scales(config.theta_r, config.theta_s, probs_active[t - 1], t, t_points)
+            for t in range(1, t_points + 1)
+        ]
+        noise_r = np.array([r for r, _ in scales])
+        noise_s = np.array([s for _, s in scales])
+    return _GeneratorTables(
+        probs_full,
+        np.cumsum(probs_full, axis=1),
+        np.arange(1, t_points + 1, dtype=float),
+        noise_r,
+        noise_s,
+    )
+
+
+def _draw_buffers(config: GenerativeConfig, count: int, n: int):
+    """Empty (eps, z, u) buffers for `count` replicates; z is None without a Z basis."""
+    t_points = config.t_points
+    z = np.empty((count, n, t_points)) if config.needs_z else None
+    return np.empty((count, n, t_points + 1)), z, np.empty((count, t_points, 2, n))
+
+
+def _draw(config: GenerativeConfig, seed: int, eps, z, u) -> None:
+    """Fill one replicate's buffers from its own stream.
+
+    The order is the generator's contract: the noise innovations
+    eps (n, T+1), then Z (n, T) when a Z basis is in play, then per
+    decision point n availability uniforms and n arm uniforms; u is
+    (T, 2, n), so one call reads them in that order.
+    """
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(out=eps)
+    if z is not None:
+        z[...] = rng.integers(0, config.z_levels, size=z.shape)
+    rng.random(out=u)
+
+
+def _generate(config: GenerativeConfig, tables: _GeneratorTables, eps, z, u):
+    """Turn R replicates' draws into (avail, trt, outcome, clipped).
+
+    eps is (R, n, T+1), z (R, n, T) or None and u (R, T, 2, n).  Every
+    step is elementwise over t except gm_ea's availability, which
+    depends on the previous treatment and so loops over t.  clipped
+    counts, per replicate, the gm_ea availability probabilities clipped
+    into [0, 1].
+    """
+    count, n, _ = eps.shape
+    t_points = config.t_points
+    u_avail = u[:, :, 0, :].transpose(0, 2, 1)
+    u_arm = u[:, :, 1, :].transpose(0, 2, 1)
+    # min(searchsorted(cum_t, u, side="right"), K): how many of the first
+    # K cumulative probabilities lie at or below u
+    arm = (u_arm >= tables.cum[:, 0]).astype(np.int64)
+    for k in range(1, config.k_arms):
+        arm += u_arm >= tables.cum[:, k]
+
+    clipped = np.zeros(count, dtype=np.int64)
+    if config.family == "gm_ea":
+        avail = np.empty((count, n, t_points), dtype=np.int64)
+        trt = np.empty((count, n, t_points), dtype=np.int64)
+        for j in range(t_points):
+            if j == 0:
+                pi = config.tau_curve[0]
+            else:
+                a_prev = trt[..., j - 1]
+                p_prev = config.rand_probs[j - 1]
+                drift = (a_prev == 1).astype(float) - p_prev[0]
+                drift += (a_prev == 2).astype(float) - p_prev[1]
+                pi = (
+                    config.tau_curve[j - 1]
+                    + config.nu2 * drift
+                    + config.nu3 * np.clip(eps[..., j], -1.0, 1.0)
+                )
+                bad = (pi < 0.0) | (pi > 1.0)
+                clipped += bad.sum(axis=1)
+                pi = np.clip(pi, 0.0, 1.0)
+            avail[..., j] = u_avail[..., j] < pi
+            trt[..., j] = arm[..., j] * avail[..., j]
+    else:
+        avail = (u_avail < config.tau_curve).astype(np.int64)
+        trt = arm * avail
+
+    t = tables.t_grid
+    base = _basis_values(config.eo_basis, config.eo_coeffs, t, z)
+    eff1 = _basis_values(config.mee_basis, config.mee_coeffs[0], t, z)
+    eff2 = _basis_values(config.mee_basis, config.mee_coeffs[1], t, z)
+    if config.family == "gm_ev":
+        noise = tables.noise_r * tables.noise_s[np.arange(t_points), trt] * eps[..., 1:]
+    elif config.family == "gm_sc":
+        nu0 = sqrt(1.0 - config.nu1 * config.nu1)
+        noise = config.nu1 * eps[..., :-1] + nu0 * eps[..., 1:]
+    else:
+        noise = eps[..., 1:]
+    outcome = base + (trt == 1) * eff1 + (trt == 2) * eff2 + noise
+    return avail, trt, outcome, clipped
+
+
+def _time_features(n: int, tables: _GeneratorTables) -> dict[str, np.ndarray]:
+    t_grid = np.tile(tables.t_grid, (n, 1))
+    return {"time": t_grid, "time2": t_grid * t_grid}
+
+
 def simulate_trial(config: GenerativeConfig, n: int, seed: int) -> MrtDataset:
     """Generate one synthetic trial of n subjects.
 
@@ -266,81 +399,24 @@ def simulate_trial(config: GenerativeConfig, n: int, seed: int) -> MrtDataset:
         raise DataValidationError("n must be >= 1")
     if not (0 <= int(seed) < 2**64):
         raise DataValidationError("seed must be a 64-bit unsigned integer")
-    rng = np.random.default_rng(int(seed))
-    t_points = config.t_points
-    probs_active = config.rand_probs
-    p0 = 1.0 - probs_active.sum(axis=1)
-    probs_full = np.column_stack([p0, probs_active])
-
-    eps = rng.standard_normal((n, t_points + 1))
-    z = None
-    if config.needs_z:
-        z = rng.integers(0, config.z_levels, size=(n, t_points)).astype(float)
-
-    nu0 = sqrt(1.0 - config.nu1 * config.nu1)
-    avail = np.zeros((n, t_points), dtype=np.int64)
-    trt = np.zeros((n, t_points), dtype=np.int64)
-    outcome = np.zeros((n, t_points))
-    clipped = 0
-
-    for t in range(1, t_points + 1):
-        j = t - 1
-        if config.family == "gm_ea" and t >= 2:
-            a_prev = trt[:, j - 1]
-            p_prev = probs_active[j - 1]
-            drift = (a_prev == 1).astype(float) - p_prev[0]
-            drift += (a_prev == 2).astype(float) - p_prev[1]
-            pi = (
-                config.tau_curve[j - 1]
-                + config.nu2 * drift
-                + config.nu3 * np.clip(eps[:, j], -1.0, 1.0)
-            )
-            bad = (pi < 0.0) | (pi > 1.0)
-            clipped += int(bad.sum())
-            pi = np.clip(pi, 0.0, 1.0)
-        else:
-            pi = np.full(n, config.tau_curve[j])
-
-        avail_t = (rng.random(n) < pi).astype(np.int64)
-        cum = np.cumsum(probs_full[j])
-        arm = np.minimum(
-            np.searchsorted(cum, rng.random(n), side="right"), config.k_arms
-        )
-        a_t = np.where(avail_t == 1, arm, 0)
-
-        base = _basis_values(config.eo_basis, config.eo_coeffs, t, z, n)
-        eff1 = _basis_values(config.mee_basis, config.mee_coeffs[0], t, z, n)
-        eff2 = _basis_values(config.mee_basis, config.mee_coeffs[1], t, z, n)
-
-        if config.family == "gm_ev":
-            r_t, s_arms = gm_ev_scales(
-                config.theta_r, config.theta_s, probs_active[j], t, t_points
-            )
-            noise = r_t * s_arms[a_t] * eps[:, t]
-        elif config.family == "gm_sc":
-            noise = config.nu1 * eps[:, t - 1] + nu0 * eps[:, t]
-        else:
-            noise = eps[:, t]
-
-        avail[:, j] = avail_t
-        trt[:, j] = a_t
-        outcome[:, j] = base + (a_t == 1) * eff1 + (a_t == 2) * eff2 + noise
-
-    t_grid = np.tile(np.arange(1, t_points + 1, dtype=float), (n, 1))
-    features = {"time": t_grid, "time2": t_grid * t_grid}
+    tables = _generator_tables(config)
+    eps, z, u = _draw_buffers(config, 1, n)
+    _draw(config, int(seed), eps[0], None if z is None else z[0], u[0])
+    avail, trt, outcome, clipped = _generate(config, tables, eps, z, u)
+    features = _time_features(n, tables)
     if z is not None:
-        features["Z"] = z
+        features["Z"] = z[0]
 
     data = MrtDataset(
         subject_ids=tuple(str(i + 1) for i in range(n)),
-        avail=avail,
-        trt=trt,
-        probs=np.broadcast_to(probs_full[None, :, :], (n, t_points, 3)).copy(),
-        outcome=outcome,
+        avail=avail[0],
+        trt=trt[0],
+        probs=np.broadcast_to(tables.probs_full, (n, config.t_points, 3)),
+        outcome=outcome[0],
         features=features,
         k_arms=2,
     )
-    data.clipped_availability = clipped
+    data.clipped_availability = int(clipped[0])
     return data
 
 
@@ -354,6 +430,113 @@ def _resolve_threads(threads: int | None) -> int:
     if threads < 1:
         raise DataValidationError("threads must be >= 1")
     return threads
+
+
+#: Replicates are fitted in chunks of about this many decision points
+#: (R * n * T): enough to amortize numpy's per-call cost over several
+#: replicates, few enough that a chunk's arrays stay a few MB.
+_CHUNK_POINTS = 20_000
+
+
+@dataclass
+class _Chunk:
+    """Per-replicate results of one chunk of replicates; errors[i] is the
+    exception replicate i's public calls raise, or None."""
+
+    seeds: list[int]
+    ok: np.ndarray
+    beta: np.ndarray
+    se: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    reject: np.ndarray
+    clipped: np.ndarray
+    errors: list
+
+
+class _MonteCarlo:
+    """One run_monte_carlo call: its replicate-invariant pieces, built once,
+    and the stacked simulate-and-fit pass over one chunk of replicates.
+
+    Each replicate ends with the values, or the first error, of
+    simulate_trial -> fit_wcls -> wald_test -> confidence_intervals on
+    its own seed: fit_stack is fit_wcls's own routine, and the checks
+    that every replicate shares are made once here, in those calls'
+    order.
+    """
+
+    def __init__(
+        self,
+        config: GenerativeConfig,
+        n: int,
+        spec: ModelSpec,
+        contrast: ContrastSpec,
+        eta: float,
+        seed: int,
+    ) -> None:
+        self.config, self.n, self.spec, self.seed = config, n, spec, seed
+        self.kp = config.k_arms * spec.p
+        self.eye = np.eye(self.kp)
+        self.tables = _generator_tables(config)
+        self.probs = self.tables.probs_full[None, None]
+        self.subject_ids = tuple(str(i + 1) for i in range(n))
+        self.time_features = {
+            k: v[None] for k, v in _time_features(max(n, 0), self.tables).items()
+        }
+        self.reduced = _row_space_basis(contrast.l_tilde)
+        self.rank = contrast.rank_l
+        self.n_error = DataValidationError("n must be >= 1") if n < 1 else None
+        self.wald_error = self.interval_error = None
+        try:
+            check_wald(n, spec.q, contrast, self.kp, eta, "printed")
+            self.critical = f_quantile(self.rank, n - spec.q - self.rank, 1.0 - eta)
+        except (DataValidationError, NumericalError) as exc:
+            self.wald_error = exc
+        try:
+            check_intervals(n, spec.q, self.eye, self.kp, 1.0 - eta)
+            self.quant = interval_quantile(n, spec.q, 1.0 - eta)
+        except (DataValidationError, NumericalError) as exc:
+            self.interval_error = exc
+
+    def run_chunk(self, bounds: tuple[int, int]) -> _Chunk:
+        lo, hi = bounds
+        count, kp, q = hi - lo, self.kp, self.spec.q
+        seeds = [derive_replicate_seed(self.seed, r) for r in range(lo, hi)]
+        if self.n_error is not None:
+            zeros = np.zeros((count, kp))
+            return _Chunk(
+                seeds, np.zeros(count, dtype=bool), zeros, zeros, zeros, zeros,
+                np.zeros(count, dtype=bool), np.zeros(count, dtype=np.int64),
+                [self.n_error] * count,
+            )
+        eps, z, u = _draw_buffers(self.config, count, self.n)
+        for i, seed in enumerate(seeds):
+            _draw(self.config, seed, eps[i], None if z is None else z[i], u[i])
+        avail, trt, outcome, clipped = _generate(self.config, self.tables, eps, z, u)
+        del eps, u  # the draws are spent; keep the chunk's footprint small
+        features = dict(self.time_features)
+        if z is not None:
+            features["Z"] = z
+        fit = fit_stack(
+            avail, trt, self.probs, outcome, features, self.config.k_arms,
+            self.subject_ids, self.spec,
+        )
+        errors = fit.errors
+        beta, cov = fit.theta[:, q:], fit.cov_beta
+        reject = np.zeros(count, dtype=bool)
+        keep_first_errors(errors, self.wald_error)
+        if self.wald_error is None:
+            statistic, wald_errors = wald_stack(beta, cov, self.reduced)
+            keep_first_errors(errors, wald_errors)
+            scaled = scale_statistic(statistic, self.n, q, self.rank)
+            reject = scaled > self.critical
+        keep_first_errors(errors, self.interval_error)
+        ok = np.array([exc is None for exc in errors])
+        if self.interval_error is None:
+            _, se, lower, upper = interval_stack(beta, cov, self.eye, self.quant)
+        else:
+            se = lower = upper = np.zeros((count, kp))
+        return _Chunk(seeds, ok, beta, se, lower, upper, reject, clipped, errors)
 
 
 def run_monte_carlo(
@@ -374,9 +557,14 @@ def run_monte_carlo(
     (NaN otherwise); rejection_rate is the fraction of completed
     replicates rejecting the contrast null at level eta.  Replicates
     that fail to fit are excluded and counted; more than 1% failures
-    aborts the run.  Results are independent of the thread count.
+    aborts the run, with the failures counted by exception class.
     With collect_replicates, per-replicate estimates are kept on the
     summary's records field (they do not enter to_dict()).
+
+    Replicates run in fixed chunks of consecutive indices, each
+    simulated and fitted as one stack of arrays; the threads map over
+    chunks.  Replicate r always draws from derive_replicate_seed(seed,
+    r), so results are independent of the thread count.
     """
     if replicates < 1:
         raise DataValidationError("replicates must be >= 1")
@@ -385,61 +573,49 @@ def run_monte_carlo(
     else:
         contrast_spec = build_contrast(np.asarray(contrast, dtype=float), spec.p)
     kp = config.k_arms * spec.p
-    eye = np.eye(kp)
-    level = 1.0 - eta
     if true_beta is not None:
         true_beta = np.asarray(true_beta, dtype=float)
         if true_beta.shape != (kp,):
             raise DataValidationError(f"true_beta must have length K*p = {kp}")
 
-    def worker(r: int) -> dict:
-        rep_seed = derive_replicate_seed(seed, r)
-        try:
-            data = simulate_trial(config, n, rep_seed)
-            fit = fit_wcls(data, spec)
-            test = wald_test(fit, contrast_spec, eta)
-            cis = confidence_intervals(fit, eye, level)
-        except (DataValidationError, NumericalError) as exc:
-            return {"ok": False, "replicate": r, "seed": rep_seed, "error": str(exc)}
-        return {
-            "ok": True,
-            "replicate": r,
-            "seed": rep_seed,
-            "beta": fit.beta_hat,
-            "se": np.array([c.se for c in cis]),
-            "lower": np.array([c.lower for c in cis]),
-            "upper": np.array([c.upper for c in cis]),
-            "reject": test.reject,
-            "clipped": data.clipped_availability,
-        }
-
+    engine = _MonteCarlo(config, n, spec, contrast_spec, eta, seed)
+    size = max(1, round(_CHUNK_POINTS / max(1, n * config.t_points)))
+    bounds = [(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
     workers = _resolve_threads(threads)
     if workers == 1:
-        results = [worker(r) for r in range(replicates)]
+        chunks = [engine.run_chunk(b) for b in bounds]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, range(replicates)))
+            chunks = list(pool.map(engine.run_chunk, bounds))
 
-    good = [r for r in results if r["ok"]]
-    failures = replicates - len(good)
+    ok = np.concatenate([c.ok for c in chunks])
+    errors = [exc for c in chunks for exc in c.errors if exc is not None]
+    failures = replicates - int(ok.sum())
     if failures > 0.01 * replicates:
-        first = next(r["error"] for r in results if not r["ok"])
-        raise NumericalError(
-            f"{failures}/{replicates} replicates failed (budget 1%); first error: {first}"
+        counts: dict[str, int] = {}
+        for exc in errors:
+            name = type(exc).__name__
+            counts[name] = counts.get(name, 0) + 1
+        grouped = ", ".join(
+            f"{name}×{count}"
+            for name, count in sorted(counts.items(), key=lambda item: (-item[1], item[0]))
         )
-    if not good:
+        raise NumericalError(
+            f"{failures}/{replicates} replicates failed (budget 1%): {grouped}; "
+            f"first error: {errors[0]}"
+        )
+    if not ok.any():
         raise NumericalError("all replicates failed")
 
-    betas = np.array([r["beta"] for r in good])
-    ses = np.array([r["se"] for r in good])
-    rejections = np.array([r["reject"] for r in good], dtype=float)
+    betas = np.concatenate([c.beta for c in chunks])[ok]
+    ses = np.concatenate([c.se for c in chunks])[ok]
+    rejections = np.concatenate([c.reject for c in chunks])[ok].astype(float)
     if true_beta is not None:
         bias = betas.mean(axis=0) - true_beta
         rmse = np.sqrt(((betas - true_beta) ** 2).mean(axis=0))
-        covered = (np.array([r["lower"] for r in good]) <= true_beta) & (
-            true_beta <= np.array([r["upper"] for r in good])
-        )
-        coverage = covered.mean(axis=0)
+        lower = np.concatenate([c.lower for c in chunks])[ok]
+        upper = np.concatenate([c.upper for c in chunks])[ok]
+        coverage = ((lower <= true_beta) & (true_beta <= upper)).mean(axis=0)
     else:
         bias = np.full(kp, np.nan)
         rmse = np.full(kp, np.nan)
@@ -451,19 +627,20 @@ def run_monte_carlo(
     if collect_replicates:
         records = tuple(
             {
-                "replicate": r["replicate"],
-                "seed": r["seed"],
-                "ok": r["ok"],
-                "beta": [float(b) for b in r["beta"]] if r["ok"] else None,
-                "se": [float(s) for s in r["se"]] if r["ok"] else None,
-                "reject": bool(r["reject"]) if r["ok"] else None,
-                "error": None if r["ok"] else r["error"],
+                "replicate": lo + i,
+                "seed": c.seeds[i],
+                "ok": bool(c.ok[i]),
+                "beta": c.beta[i].tolist() if c.ok[i] else None,
+                "se": c.se[i].tolist() if c.ok[i] else None,
+                "reject": bool(c.reject[i]) if c.ok[i] else None,
+                "error": None if c.ok[i] else str(c.errors[i]),
             }
-            for r in results
+            for (lo, _), c in zip(bounds, chunks)
+            for i in range(len(c.seeds))
         )
     return McSummary(
         replicates=replicates,
-        completed=len(good),
+        completed=int(ok.sum()),
         failures=failures,
         seed=int(seed),
         param_names=names,
@@ -472,7 +649,7 @@ def run_monte_carlo(
         mean_se=tuple(float(v) for v in ses.mean(axis=0)),
         coverage=tuple(float(c) for c in coverage),
         rejection_rate=float(rejections.mean()),
-        clipped_availability=int(sum(r["clipped"] for r in good)),
+        clipped_availability=int(np.concatenate([c.clipped for c in chunks])[ok].sum()),
         records=records,
     )
 

@@ -247,3 +247,87 @@ def estimating_equation_norm(fit: dict) -> float:
         for t in range(x.shape[1]):
             total += w[i, t] * resid[i, t] * x[i, t]
     return float(np.max(np.abs(total / n)))
+
+
+def _basis_values_loops(kind, coeffs, t, z, n):
+    if kind == "constant":
+        return np.full(n, coeffs[0])
+    if kind == "linear":
+        return np.full(n, coeffs[0] + coeffs[1] * t)
+    if kind == "quadratic":
+        return np.full(n, coeffs[0] + coeffs[1] * t + coeffs[2] * t * t)
+    if kind == "z":
+        return coeffs[0] + coeffs[1] * z[:, t - 1]
+    # zcat: one level per Z value
+    return coeffs[z[:, t - 1].astype(int)]
+
+
+def simulate_trial_loops(config, n: int, seed: int) -> dict:
+    """The trial generator one decision point at a time, as a dict of arrays.
+
+    Draw order: eps (n, T+1), then Z when a Z basis is in play, then per
+    t the availability uniforms and the arm uniforms.  Returns avail,
+    trt, outcome, Z (or None) and clipped.  The gm_ev scale factors come
+    from mrtcat.gm_ev_scales, a closed form with its own tests.
+    """
+    from mrtcat import gm_ev_scales
+
+    rng = np.random.default_rng(int(seed))
+    t_points = config.t_points
+    probs_active = config.rand_probs
+    p0 = 1.0 - probs_active.sum(axis=1)
+    probs_full = np.column_stack([p0, probs_active])
+
+    eps = rng.standard_normal((n, t_points + 1))
+    z = None
+    if config.needs_z:
+        z = rng.integers(0, config.z_levels, size=(n, t_points)).astype(float)
+
+    nu0 = math.sqrt(1.0 - config.nu1 * config.nu1)
+    avail = np.zeros((n, t_points), dtype=np.int64)
+    trt = np.zeros((n, t_points), dtype=np.int64)
+    outcome = np.zeros((n, t_points))
+    clipped = 0
+
+    for t in range(1, t_points + 1):
+        j = t - 1
+        if config.family == "gm_ea" and t >= 2:
+            a_prev = trt[:, j - 1]
+            p_prev = probs_active[j - 1]
+            drift = (a_prev == 1).astype(float) - p_prev[0]
+            drift += (a_prev == 2).astype(float) - p_prev[1]
+            pi = (
+                config.tau_curve[j - 1]
+                + config.nu2 * drift
+                + config.nu3 * np.clip(eps[:, j], -1.0, 1.0)
+            )
+            bad = (pi < 0.0) | (pi > 1.0)
+            clipped += int(bad.sum())
+            pi = np.clip(pi, 0.0, 1.0)
+        else:
+            pi = np.full(n, config.tau_curve[j])
+
+        avail_t = (rng.random(n) < pi).astype(np.int64)
+        cum = np.cumsum(probs_full[j])
+        arm = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), config.k_arms)
+        a_t = np.where(avail_t == 1, arm, 0)
+
+        base = _basis_values_loops(config.eo_basis, config.eo_coeffs, t, z, n)
+        eff1 = _basis_values_loops(config.mee_basis, config.mee_coeffs[0], t, z, n)
+        eff2 = _basis_values_loops(config.mee_basis, config.mee_coeffs[1], t, z, n)
+
+        if config.family == "gm_ev":
+            r_t, s_arms = gm_ev_scales(
+                config.theta_r, config.theta_s, probs_active[j], t, t_points
+            )
+            noise = r_t * s_arms[a_t] * eps[:, t]
+        elif config.family == "gm_sc":
+            noise = config.nu1 * eps[:, t - 1] + nu0 * eps[:, t]
+        else:
+            noise = eps[:, t]
+
+        avail[:, j] = avail_t
+        trt[:, j] = a_t
+        outcome[:, j] = base + (a_t == 1) * eff1 + (a_t == 2) * eff2 + noise
+
+    return {"avail": avail, "trt": trt, "outcome": outcome, "Z": z, "clipped": clipped}

@@ -195,6 +195,26 @@ class TestEstimate:
         by_term = {r[0]: r for r in rows[1:]}
         assert float(by_term["arm1:intercept"][1]) == pytest.approx(1.0, abs=1e-10)
 
+    def test_csv_cells_are_plain_numbers(self, tmp_path):
+        data = tmp_path / "panel.csv"
+        out = tmp_path / "fit.csv"
+        write_k2_csv(data)
+        code = main(
+            [
+                "estimate", "--data", str(data), "--f-cols", "intercept",
+                "--g-cols", "intercept", "--contrast", "pairwise(1,2)",
+                "--format", "csv", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert len(rows) == 1 + 1 + 2 + 1  # header, alpha, two arms, one contrast row
+        for row in rows[1:]:
+            cells = [cell for cell in row[1:] if cell]
+            assert len(cells) in (1, 5)
+            for cell in cells:
+                float(cell)  # raises on e.g. 'np.float64(-0.66)'
+
     def test_invalid_data_exits_two(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         rows = [list(r) for r in TOY_K1_ROWS]

@@ -184,6 +184,25 @@ class TestLoadCsvMessages:
         write_toy_csv(path, rows)
         assert load_error(path) == message
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "row,col,raw,message",
+        [
+            (1, 3, "1e300", "line 3: integer value '1e300' in column 'trt' is out of range"),
+            (0, 2, "-1e19", "line 2: integer value '-1e19' in column 'avail' is out of range"),
+            (2, 3, "9223372036854775808", "line 4: integer value "
+             "'9223372036854775808' in column 'trt' is out of range"),
+            (1, 3, "inf", "line 3: column 'trt' must be an integer"),
+        ],
+    )
+    def test_integer_beyond_int64_names_its_cell(self, tmp_path, row, col, raw, message):
+        # Warnings are errors here: the value must never reach an int64 cast.
+        rows = [list(r) for r in TOY_ROWS]
+        rows[row][col] = raw
+        path = tmp_path / "huge.csv"
+        write_toy_csv(path, rows)
+        assert load_error(path) == message
+
     def test_short_row(self, tmp_path):
         rows = [list(r) for r in TOY_ROWS]
         rows[2] = rows[2][:-1]
@@ -387,6 +406,25 @@ class TestNumeratorProbs:
         data = make_dataset(trt=[[0, 0], [1, 1]], outcome=np.zeros((2, 2)))
         with pytest.raises(DegenerateArmError, match="arm 2"):
             fit_numerator_probs(data, NumeratorPolicy("empirical_per_t"))
+
+    @pytest.mark.parametrize(
+        "kind,trt,avail,message",
+        [
+            ("empirical_per_t", [[0, 0], [1, 0], [2, 0]], [[1, 0], [1, 0], [1, 0]],
+             "no available records at t=2"),
+            ("empirical_per_t", [[1, 0], [0, 0], [0, 0]], [[1, 1], [1, 1], [1, 1]],
+             "arm 2 never observed among available records at t=1"),
+            ("empirical_pooled", [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]],
+             "no available records in the dataset"),
+            ("empirical_pooled", [[0, 2], [0, 0], [0, 0]], [[1, 1], [1, 1], [1, 1]],
+             "arm 1 never observed among available records"),
+        ],
+    )
+    def test_degenerate_messages(self, kind, trt, avail, message):
+        data = make_dataset(trt=trt, outcome=np.zeros((3, 2)), avail=avail)
+        with pytest.raises(DegenerateArmError) as err:
+            fit_numerator_probs(data, NumeratorPolicy(kind))
+        assert str(err.value) == message
 
     def test_user_supplied_table_checked(self):
         data = make_dataset(trt=[[0, 1], [2, 0]], outcome=np.zeros((2, 2)))

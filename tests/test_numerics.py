@@ -14,6 +14,7 @@ from mrtcat import (
     noncentral_f_cdf,
     solve_spd,
 )
+from mrtcat.numerics import solve_spd_stack
 
 from _oracles import kron_loops, quad_reg_inc_beta
 
@@ -97,6 +98,47 @@ class TestSolveSpd:
     def test_indefinite_raises(self):
         with pytest.raises(NumericalError):
             solve_spd(np.array([[1.0, 0.0], [0.0, -1.0]]), np.ones(2))
+
+
+class TestSolveSpdStack:
+    """solve_spd_stack: one error slot per slice, failures kept to their slice."""
+
+    def test_each_slice_matches_solve_spd(self):
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(3, 3))
+        good = m @ m.T + 3 * np.eye(3)
+        nan = np.eye(3)
+        nan[1, 1] = np.nan
+        stack = np.stack(
+            [
+                good,
+                np.ones((3, 3)),  # not positive definite
+                nan,
+                np.diag([1.0, 1.0, 1e-15]),  # ill-conditioned
+                good + np.eye(3),
+            ]
+        )
+        rhs = rng.normal(size=(5, 3))
+        result = solve_spd_stack(stack, rhs)
+        for i in range(5):
+            try:
+                want = solve_spd(stack[i], rhs[i]).solution
+            except NumericalError as exc:
+                assert type(result.errors[i]) is type(exc)
+                assert str(result.errors[i]) == str(exc)
+            else:
+                assert result.errors[i] is None
+                np.testing.assert_allclose(result.solution[i], want, rtol=1e-14)
+        assert [e is None for e in result.errors] == [True, False, False, False, True]
+
+    def test_matrix_right_hand_sides(self):
+        rng = np.random.default_rng(6)
+        m = rng.normal(size=(2, 4, 4))
+        a = m @ m.transpose(0, 2, 1) + 4 * np.eye(4)
+        rhs = rng.normal(size=(2, 4, 3))
+        result = solve_spd_stack(a, rhs)
+        np.testing.assert_allclose(a @ result.solution, rhs, atol=1e-12)
+        np.testing.assert_allclose(result.inverse, np.linalg.inv(a), rtol=1e-12)
 
 
 def _f_point(a: float, b: float, y: float) -> tuple[float, float, float]:

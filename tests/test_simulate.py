@@ -1,28 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrtcat import (
     DataValidationError,
+    DegenerateArmError,
     GenerativeConfig,
     ModelSpec,
     NumeratorPolicy,
     NumericalError,
+    build_contrast,
+    confidence_intervals,
     derive_replicate_seed,
+    fit_wcls,
     gm_ev_scales,
     required_sample_size,
     run_monte_carlo,
     scenario_from_config,
     simulate_trial,
     validate,
+    wald_test,
 )
 from mrtcat.simulate import _resolve_threads
 
+from _oracles import simulate_trial_loops
 
-def null_config(family="gm0", t_points=8, tau=0.8, **kwargs):
+
+def null_config(family="gm0", t_points=8, tau=0.8, rand_probs=(0.5, 0.3), **kwargs):
     return GenerativeConfig(
         family=family,
         t_points=t_points,
-        rand_probs=np.array([0.5, 0.3]),
+        rand_probs=np.array(rand_probs),
         tau_curve=np.full(t_points, tau),
         **kwargs,
     )
@@ -442,3 +451,168 @@ class TestScenarioFromConfig:
         del cfg["eo_coeffs"]
         with pytest.raises(DataValidationError, match="eo_coeffs"):
             scenario_from_config(cfg)
+
+
+def _draw_config(draw, family, eo_basis, mee_basis, t_points):
+    """A valid GenerativeConfig for the given family and bases."""
+    unit = st.floats(0.0, 1.0)
+    p1, p2 = draw(st.floats(0.1, 0.45)), draw(st.floats(0.1, 0.45))
+    eo_dim = {"constant": 1, "linear": 2, "quadratic": 3, "z": 2, "zcat": 3}[eo_basis]
+    mee_dim = {"constant": 1, "linear": 2, "z": 2}[mee_basis]
+    coeff = st.floats(-2.0, 2.0)
+    knobs = {}
+    if family == "gm_ev":
+        knobs["theta_r"] = 0.0 if t_points == 1 else draw(st.floats(-0.5, 0.5))
+        knobs["theta_s"] = draw(st.floats(-0.3, 0.3))
+    elif family == "gm_sc":
+        knobs["nu1"] = draw(st.floats(-0.9, 0.9))
+    elif family == "gm_ea":
+        knobs["nu2"] = draw(st.floats(-0.2, 0.2))
+        knobs["nu3"] = draw(st.floats(-0.2, 0.2))
+    return GenerativeConfig(
+        family=family,
+        t_points=t_points,
+        rand_probs=np.array([p1, p2]),
+        tau_curve=np.array([0.05 + 0.95 * draw(unit) for _ in range(t_points)]),
+        eo_basis=eo_basis,
+        eo_coeffs=[draw(coeff) for _ in range(eo_dim)],
+        mee_basis=mee_basis,
+        mee_coeffs=[[draw(coeff) for _ in range(mee_dim)] for _ in range(2)],
+        z_levels=3,
+        **knobs,
+    )
+
+
+class TestGeneratorMatchesLoops:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
+        family=st.sampled_from(["gm0", "gm_ev", "gm_sc", "gm_ea"]),
+        eo_basis=st.sampled_from(["z", "zcat", "quadratic"]),
+        mee_basis=st.sampled_from(["constant", "linear", "z"]),
+        t_points=st.integers(1, 12),
+        n=st.integers(1, 9),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_bitwise_equal_to_per_t_loop(
+        self, data, family, eo_basis, mee_basis, t_points, n, seed
+    ):
+        config = _draw_config(data.draw, family, eo_basis, mee_basis, t_points)
+        got = simulate_trial(config, n, seed)
+        want = simulate_trial_loops(config, n, seed)
+        np.testing.assert_array_equal(got.avail, want["avail"])
+        np.testing.assert_array_equal(got.trt, want["trt"])
+        assert got.outcome.tobytes() == want["outcome"].tobytes()
+        assert got.clipped_availability == want["clipped"]
+        if want["Z"] is not None:
+            np.testing.assert_array_equal(got.features["Z"], want["Z"])
+
+
+def per_replicate_values(config, n, spec, contrast, seed, index, eta=0.05):
+    """One replicate through the public calls: (beta, se, reject)."""
+    data = simulate_trial(config, n, derive_replicate_seed(seed, index))
+    fit = fit_wcls(data, spec)
+    test = wald_test(fit, build_contrast(contrast, spec.p), eta)
+    cis = confidence_intervals(fit, np.eye(len(fit.beta_hat)), 1.0 - eta)
+    return fit.beta_hat, np.array([c.se for c in cis]), test.reject
+
+
+class TestChunkedEngine:
+    """run_monte_carlo fits chunks of replicates as stacked arrays; every
+    replicate must match the public per-dataset calls on its own seed."""
+
+    CASES = [
+        # gm_ea with a two-point window and a per-t empirical numerator;
+        # 37 replicates of 30 x 12 points fill part of one 56-replicate chunk
+        (
+            null_config(family="gm_ea", t_points=12, tau=0.9, nu2=0.15, nu3=0.15,
+                        eo_basis="linear", eo_coeffs=(0.2, 0.01)),
+            30,
+            ModelSpec(g_columns=("time",), delta=2,
+                      numerator=NumeratorPolicy("empirical_per_t")),
+            np.array([[1.0, -1.0]]),
+        ),
+        # 250 replicates at n=168, T=30: chunks of 4, the last one partial
+        (
+            GenerativeConfig(family="gm0", t_points=30, rand_probs=np.array([0.3, 0.3]),
+                             tau_curve=np.full(30, 0.8), eo_coeffs=(0.2,),
+                             mee_coeffs=((0.12,), (0.06,))),
+            168,
+            ModelSpec(),
+            np.eye(2),
+        ),
+        (
+            null_config(family="gm_ev", t_points=10, theta_r=0.3, theta_s=0.2,
+                        eo_basis="zcat", eo_coeffs=(0.1, 0.2, 0.3),
+                        mee_basis="z", mee_coeffs=((0.1, 0.2), (0.0, 0.1))),
+            25,
+            ModelSpec(f_columns=("Z",), g_columns=("Z",), correction="none",
+                      numerator=NumeratorPolicy("empirical_pooled")),
+            np.array([[1.0, -1.0]]),
+        ),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_records_match_per_replicate_calls(self, case):
+        config, n, spec, contrast = self.CASES[case]
+        replicates = 250 if n == 168 else 37
+        summary = run_monte_carlo(
+            config, n, replicates, spec, contrast, seed=11, collect_replicates=True
+        )
+        assert summary.failures == 0
+        for rec in summary.records:
+            beta, se, reject = per_replicate_values(
+                config, n, spec, contrast, 11, rec["replicate"]
+            )
+            assert rec["seed"] == derive_replicate_seed(11, rec["replicate"])
+            np.testing.assert_allclose(rec["beta"], beta, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(rec["se"], se, rtol=1e-12, atol=0)
+            assert rec["reject"] == reject
+
+    def test_threads_give_identical_results(self):
+        # 60 x 20 points: chunks of 17, so 200 replicates make 12 chunks
+        config = null_config(family="gm_ea", t_points=20, tau=0.9, nu2=0.15, nu3=0.15)
+        runs = [
+            run_monte_carlo(
+                config, 60, 200, ModelSpec(g_columns=("time",)), np.eye(2), seed=3,
+                threads=threads, true_beta=np.zeros(2), collect_replicates=True,
+            )
+            for threads in (1, 2, 3)
+        ]
+        assert runs[0].failures == 0
+        for other in runs[1:]:
+            assert other.to_dict() == runs[0].to_dict()
+            assert other.records == runs[0].records
+
+    def test_failing_replicate_leaves_chunk_neighbours_alone(self):
+        # 100 replicates of 30 x 2 points share one chunk; with seed 6,
+        # replicate 12 never observes one arm at some t and fails.
+        config = null_config(t_points=2, tau=1.0, rand_probs=np.array([0.15, 0.15]))
+        spec = ModelSpec(numerator=NumeratorPolicy("empirical_per_t"))
+        contrast = np.array([[1.0, -1.0]])
+        summary = run_monte_carlo(config, 30, 100, spec, contrast, seed=6,
+                                  collect_replicates=True)
+        failed = [rec for rec in summary.records if not rec["ok"]]
+        assert [rec["replicate"] for rec in failed] == [12]
+        with pytest.raises(DegenerateArmError) as err:
+            per_replicate_values(config, 30, spec, contrast, 6, 12)
+        assert failed[0]["error"] == str(err.value)
+        for rec in summary.records:
+            if rec["ok"]:
+                beta, se, reject = per_replicate_values(
+                    config, 30, spec, contrast, 6, rec["replicate"]
+                )
+                np.testing.assert_allclose(rec["beta"], beta, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(rec["se"], se, rtol=1e-12, atol=0)
+                assert rec["reject"] == reject
+
+    def test_budget_abort_counts_failures_by_class(self):
+        with pytest.raises(NumericalError) as err:
+            run_monte_carlo(
+                null_config(), n=3, replicates=10, spec=MARGINAL_SPEC,
+                contrast=np.array([[1.0, -1.0]]), seed=1,
+            )
+        assert str(err.value).startswith(
+            "10/10 replicates failed (budget 1%): DataValidationError×10; "
+            "first error: n=3 subjects cannot support"
+        )

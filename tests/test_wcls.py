@@ -11,7 +11,7 @@ from mrtcat import (
     SingularSystemError,
     fit_wcls,
 )
-from mrtcat.wcls import CORRECTIONS, LEVERAGE_TOL, _build_arrays
+from mrtcat.wcls import CORRECTIONS, LEVERAGE_TOL, _build_arrays, fit_stack
 
 from _factories import make_dataset
 from _oracles import (
@@ -326,6 +326,101 @@ class TestHatMatrixCorrection:
         np.testing.assert_allclose(
             fit.cov_beta, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max()
         )
+
+
+def fit_panels(datasets, spec):
+    """fit_stack on datasets of one shape, stacked along a new first axis."""
+    first = datasets[0]
+    return fit_stack(
+        np.stack([d.avail for d in datasets]),
+        np.stack([d.trt for d in datasets]),
+        np.stack([d.probs for d in datasets]),
+        np.stack([d.outcome for d in datasets]),
+        {name: np.stack([d.features[name] for d in datasets]) for name in first.features},
+        first.k_arms,
+        first.subject_ids,
+        spec,
+    )
+
+
+def altered(data, **changes):
+    """A copy of a random_panel dataset with some of its arrays replaced."""
+    fields = dict(
+        trt=data.trt, outcome=data.outcome, avail=data.avail,
+        probs=np.array(data.probs), features=data.features,
+    )
+    fields.update(changes)
+    return make_dataset(**fields)
+
+
+class TestFitStack:
+    """fit_stack fits a stack of panels and keeps, per panel, the error
+    fit_wcls raises on it; fit_wcls is it on a stack of one."""
+
+    def assert_matches_alone(self, fit, r, data, spec):
+        alone = fit_wcls(data, spec)
+        assert fit.errors[r] is None
+        np.testing.assert_allclose(fit.theta[r, spec.q :], alone.beta_hat, rtol=1e-12)
+        np.testing.assert_allclose(fit.cov_beta[r], alone.cov_beta, rtol=1e-12)
+        assert fit.md_fallbacks[r] == alone.md_fallbacks
+
+    @pytest.mark.parametrize("correction", CORRECTIONS)
+    def test_failed_slice_leaves_neighbours_alone(self, correction):
+        datasets = [random_panel(seed, n=14, t_points=5) for seed in (1, 2, 3)]
+        # z equal to the intercept makes panel 1's normal matrix singular
+        datasets[1] = altered(datasets[1], features={"z": np.ones((14, 5))})
+        spec = ModelSpec(f_columns=("z",), g_columns=("z",), correction=correction)
+        fit = fit_panels(datasets, spec)
+        assert isinstance(fit.errors[1], SingularSystemError)
+        assert str(fit.errors[1]).startswith("normal matrix is singular: ")
+        with pytest.raises(SingularSystemError) as alone:
+            fit_wcls(datasets[1], spec)
+        assert str(fit.errors[1]) == str(alone.value)
+        for r in (0, 2):
+            self.assert_matches_alone(fit, r, datasets[r], spec)
+
+    def test_each_panel_keeps_the_error_fit_wcls_raises(self):
+        regular = [random_panel(seed, n=14, t_points=5) for seed in (4, 5)]
+        outcome = regular[0].outcome.copy()
+        outcome[2, 3] = np.nan
+        invalid = altered(regular[0], outcome=outcome)
+        one_arm = altered(regular[1], trt=np.minimum(regular[1].trt, 1))
+        datasets = [regular[0], invalid, one_arm, regular[1]]
+        spec = ModelSpec(f_columns=("z",), g_columns=("z",))
+        fit = fit_panels(datasets, spec)
+        for r, kind in ((1, DataValidationError), (2, DegenerateArmError)):
+            with pytest.raises(kind) as alone:
+                fit_wcls(datasets[r], spec)
+            assert type(fit.errors[r]) is type(alone.value)
+            assert str(fit.errors[r]) == str(alone.value)
+        self.assert_matches_alone(fit, 0, datasets[0], spec)
+        self.assert_matches_alone(fit, 3, datasets[3], spec)
+
+    def test_unit_leverage_subject_in_a_stack(self):
+        # The fallback subject of TestHatMatrixCorrection next to a regular
+        # panel: only its own panel counts a fallback.
+        rng = np.random.default_rng(2)
+        n, t_points = 12, 6
+        s0 = np.zeros((n, t_points))
+        s0[0] = rng.normal(size=t_points)
+        degenerate = make_dataset(
+            trt=rng.integers(0, 3, size=(n, t_points)),
+            outcome=rng.normal(size=(n, t_points)),
+            probs=(0.4, 0.3, 0.3),
+            features={"s0": s0},
+        )
+        regular = make_dataset(
+            trt=rng.integers(0, 3, size=(n, t_points)),
+            outcome=rng.normal(size=(n, t_points)),
+            probs=(0.4, 0.3, 0.3),
+            features={"s0": rng.normal(size=(n, t_points))},
+        )
+        spec = ModelSpec(g_columns=("s0",))
+        fit = fit_panels([regular, degenerate], spec)
+        assert fit.errors == [None, None]
+        assert fit.md_fallbacks.tolist() == [0, 1]
+        for r, data in enumerate((regular, degenerate)):
+            np.testing.assert_allclose(fit.cov_beta[r], fit_wcls(data, spec).cov_beta, rtol=1e-12)
 
 
 class TestErrors:
