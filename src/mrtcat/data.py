@@ -8,7 +8,8 @@ outcome, and arbitrary named real-valued features usable as moderator
 or control columns.
 
 Arrays are stored subject-major and are frozen after construction, so a
-dataset can be shared freely across threads.
+dataset can be shared freely across threads.  Construction validates the
+panel, so a dataset that exists satisfies every invariant.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 from array import array
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -69,6 +71,10 @@ class NumeratorPolicy:
 class MrtDataset:
     """Rectangular MRT panel backed by dense arrays.
 
+    Construction checks every invariant validate() checks and raises
+    DataValidationError listing all the violations, so a dataset is
+    analysis-ready by type.
+
     Attributes
     ----------
     n, t_points, k_arms : panel dimensions (subjects, decision points,
@@ -77,7 +83,7 @@ class MrtDataset:
     trt : (n, T) int array of treatment categories in {0..K}.
     probs : (n, T, K+1) array of randomization probabilities.
     outcome : (n, T) float array of proximal outcomes.
-    features : dict of name -> (n, T) float array.
+    features : read-only mapping of name -> (n, T) float array.
     subject_ids : tuple of n identifiers, in file order.
     """
 
@@ -97,7 +103,9 @@ class MrtDataset:
         self.trt = np.array(trt, dtype=np.int64)
         self.probs = np.array(probs, dtype=float)
         self.outcome = np.array(outcome, dtype=float)
-        self.features = {k: np.array(v, dtype=float) for k, v in features.items()}
+        self.features = MappingProxyType(
+            {k: np.array(v, dtype=float) for k, v in features.items()}
+        )
         self.k_arms = int(k_arms)
         self.n, self.t_points = self.avail.shape
         if self.trt.shape != (self.n, self.t_points):
@@ -111,6 +119,9 @@ class MrtDataset:
                 raise DataValidationError(f"feature {name!r} shape mismatch")
         for arr in (self.avail, self.trt, self.probs, self.outcome, *self.features.values()):
             arr.flags.writeable = False
+        report = validate(self)
+        if not report.ok:
+            raise DataValidationError("; ".join(report.violations))
 
     @property
     def feature_names(self) -> tuple[str, ...]:
@@ -340,19 +351,18 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> MrtDataset:
         probs = np.broadcast_to(schema.const_probs, (n, t_points, k_arms + 1))
     else:
         probs = np.stack([panel[name] for name in prob_columns], axis=2)
-    data = MrtDataset(
-        subject_ids=subject_ids,
-        avail=panel[schema.avail],
-        trt=panel[schema.trt],
-        probs=probs,
-        outcome=panel[schema.outcome],
-        features={name: panel[name] for name in feature_columns},
-        k_arms=k_arms,
-    )
-    report = validate(data)
-    if not report.ok:
-        raise DataValidationError(f"{path}: " + "; ".join(report.violations))
-    return data
+    try:
+        return MrtDataset(
+            subject_ids=subject_ids,
+            avail=panel[schema.avail],
+            trt=panel[schema.trt],
+            probs=probs,
+            outcome=panel[schema.outcome],
+            features={name: panel[name] for name in feature_columns},
+            k_arms=k_arms,
+        )
+    except DataValidationError as exc:
+        raise DataValidationError(f"{path}: {exc}") from None
 
 
 def write_csv(data: MrtDataset, path: str) -> None:
@@ -382,116 +392,58 @@ def validate(data: MrtDataset) -> ValidationReport:
     binary, unavailable points carry the reference arm, treatments lie
     in {0..K}, probability vectors are nonnegative and sum to one, the
     realized arm always has positive probability at available points,
-    and all outcomes and features are finite.
+    and all outcomes and features are finite.  MrtDataset runs it on
+    construction, so every dataset in hand has an empty report.
     """
-    violations = validate_stack(
-        data.avail[None],
-        data.trt[None],
-        data.probs[None],
-        data.outcome[None],
-        {name: arr[None] for name, arr in data.features.items()},
-        data.k_arms,
-        data.subject_ids,
-    )
-    return ValidationReport(violations=violations[0])
+    avail, trt, probs, k_arms = data.avail, data.trt, data.probs, data.k_arms
 
+    def first(mask: np.ndarray) -> tuple[int, str, int]:
+        """Subject index, subject id and 1-based t of the first hit."""
+        i, t = np.argwhere(mask)[0]
+        return i, data.subject_ids[i], t + 1
 
-def validate_stack(
-    avail: np.ndarray,
-    trt: np.ndarray,
-    probs: np.ndarray,
-    outcome: np.ndarray,
-    features: dict[str, np.ndarray],
-    k_arms: int,
-    subject_ids: tuple[str, ...],
-) -> list[tuple[str, ...]]:
-    """validate's checks on R panels at once: one tuple of violations each.
-
-    avail, trt and outcome are (R, n, T); probs broadcasts to
-    (R, n, T, K+1) and each feature to (R, n, T), so values shared by
-    every panel are checked once.  Messages are built only for the
-    panels that fail.
-    """
-    shape = avail.shape
-    count = shape[0]
-
-    def first(mask: np.ndarray, r: int) -> tuple[int, str, int]:
-        """Subject index, subject id and 1-based t of panel r's first hit."""
-        i, t = np.argwhere(np.broadcast_to(mask, shape)[r])[0]
-        return i, subject_ids[i], t + 1
-
+    bad: list[str] = []
+    if data.n < 1:
+        bad.append("dataset has no subjects")
     bad_avail = (avail != 0) & (avail != 1)
-    in_range = (trt >= 0) & (trt <= k_arms)
+    if bad_avail.any():
+        _, sid, t = first(bad_avail)
+        bad.append(f"availability must be 0 or 1 (subject {sid!r}, t={t})")
+    in_range = ((trt >= 0) & (trt <= k_arms)).all()
+    if not in_range:
+        i, sid, t = first((trt < 0) | (trt > k_arms))
+        bad.append(f"treatment {int(trt[i, t - 1])} outside 0..{k_arms} (subject {sid!r}, t={t})")
     forced = (avail == 0) & (trt != 0)
-    finite_probs = np.broadcast_to(np.isfinite(probs).all(axis=(1, 2, 3)), (count,))
-    with np.errstate(invalid="ignore"):
-        sums = probs.sum(axis=3)
-        negative = np.broadcast_to((probs < 0).any(axis=(1, 2, 3)), (count,))
+    if forced.any():
+        _, sid, t = first(forced)
+        bad.append(f"unavailable point carries active treatment (subject {sid!r}, t={t})")
+    if not np.isfinite(probs).all():
+        bad.append("non-finite randomization probability")
+    else:
+        if (probs < 0).any():
+            bad.append("negative randomization probability")
+        sums = probs.sum(axis=2)
         off = np.abs(sums - 1.0) > PROB_SUM_TOL
-        if (probs > 0.0).all():
-            zero_prob = np.zeros((1, 1, 1), dtype=bool)
-        else:
-            realized = np.take_along_axis(probs, np.clip(trt, 0, k_arms)[..., None], axis=3)
-            zero_prob = (avail == 1) & (realized[..., 0] <= 0.0)
-    in_range_all = in_range.all(axis=(1, 2))
-    finite_outcome = np.isfinite(outcome).all(axis=(1, 2))
-    finite_features = {
-        name: np.broadcast_to(np.isfinite(arr).all(axis=(1, 2)), (count,))
-        for name, arr in features.items()
-    }
-    broken = (
-        bad_avail.any(axis=(1, 2))
-        | ~in_range_all
-        | forced.any(axis=(1, 2))
-        | ~finite_probs
-        | negative
-        | off.any(axis=(1, 2))
-        | zero_prob.any(axis=(1, 2))
-        | ~finite_outcome
-    )
-    for ok in finite_features.values():
-        broken |= ~ok
-
-    result: list[tuple[str, ...]] = [()] * count
-    for r in np.flatnonzero(broken | (shape[1] < 1)):
-        bad: list[str] = []
-        if shape[1] < 1:
-            bad.append("dataset has no subjects")
-        if bad_avail[r].any():
-            _, sid, t = first(bad_avail, r)
-            bad.append(f"availability must be 0 or 1 (subject {sid!r}, t={t})")
-        if not in_range_all[r]:
-            i, sid, t = first(~in_range, r)
+        if off.any():
+            i, sid, t = first(off)
             bad.append(
-                f"treatment {int(trt[r, i, t - 1])} outside 0..{k_arms} (subject {sid!r}, t={t})"
+                f"probabilities do not sum to 1 (subject {sid!r}, t={t}, sum={sums[i, t - 1]!r})"
             )
-        if forced[r].any():
-            _, sid, t = first(forced, r)
-            bad.append(f"unavailable point carries active treatment (subject {sid!r}, t={t})")
-        if not finite_probs[r]:
-            bad.append("non-finite randomization probability")
-        else:
-            if negative[r]:
-                bad.append("negative randomization probability")
-            if np.broadcast_to(off, shape)[r].any():
-                i, sid, t = first(off, r)
-                total = np.broadcast_to(sums, shape)[r, i, t - 1]
-                bad.append(
-                    f"probabilities do not sum to 1 (subject {sid!r}, t={t}, sum={total!r})"
-                )
-            if in_range_all[r] and np.broadcast_to(zero_prob, shape)[r].any():
-                i, sid, t = first(zero_prob, r)
+        if in_range:
+            realized = np.take_along_axis(probs, trt[..., None], axis=2)[..., 0]
+            zero_prob = (avail == 1) & (realized <= 0.0)
+            if zero_prob.any():
+                i, sid, t = first(zero_prob)
                 bad.append(
                     f"realized arm has zero probability "
-                    f"(subject {sid!r}, t={t}, arm {int(trt[r, i, t - 1])})"
+                    f"(subject {sid!r}, t={t}, arm {int(trt[i, t - 1])})"
                 )
-        if not finite_outcome[r]:
-            bad.append("missing or non-finite outcome value")
-        for name, ok in finite_features.items():
-            if not ok[r]:
-                bad.append(f"non-finite value in feature {name!r}")
-        result[r] = tuple(bad)
-    return result
+    if not np.isfinite(data.outcome).all():
+        bad.append("missing or non-finite outcome value")
+    for name, arr in data.features.items():
+        if not np.isfinite(arr).all():
+            bad.append(f"non-finite value in feature {name!r}")
+    return ValidationReport(violations=tuple(bad))
 
 
 def _clip_renormalize(table: np.ndarray) -> np.ndarray:
@@ -514,22 +466,22 @@ def fit_numerator_probs(data: MrtDataset, policy: NumeratorPolicy) -> np.ndarray
 
 
 def numerator_tables(
-    avail: np.ndarray | None,
-    trt: np.ndarray | None,
+    avail: np.ndarray,
+    trt: np.ndarray,
     probs: np.ndarray,
     policy: NumeratorPolicy,
     k_arms: int,
 ) -> tuple[np.ndarray, list]:
     """fit_numerator_probs for R panels at once.
 
-    avail and trt are (R, n, T) and probs is (R, n, T, K+1); the
-    match_randomization and user_supplied tables need only probs (its
-    T axis), so avail and trt may then be None.  Returns the (R, T,
-    K+1) tables, or one (1, T, K+1) table for user_supplied, and per
-    panel the exception fit_numerator_probs raises on it, or None.
+    avail and trt are (R, n, T); probs broadcasts to (R, n, T, K+1).
+    Returns the (R, T, K+1) tables, or one (1, T, K+1) table when it is
+    the same for every panel (user_supplied, or match_randomization on
+    shared probs), and per panel the exception fit_numerator_probs
+    raises on it, or None.
     """
     t_points, width = probs.shape[2], k_arms + 1
-    count = probs.shape[0] if avail is None else avail.shape[0]
+    count = avail.shape[0]
     errors: list = [None] * count
 
     if policy.kind == "match_randomization":

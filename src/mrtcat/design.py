@@ -26,7 +26,7 @@ they are solved in cross-multiplied linear form so flat shapes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .errors import (
     NumericalError,
     SingularSystemError,
 )
-from .inference import _row_space_basis, build_contrast, parse_contrast_text
+from .inference import ContrastSpec, build_contrast, parse_contrast_text
 from .numerics import f_quantile, noncentral_f_cdf, solve_spd
 from ._kvconfig import get_float, get_int, get_floats
 
@@ -67,7 +67,8 @@ class DesignInputs:
     point (the reference-arm probability is implied); a single K-vector
     is broadcast over t.  gamma stacks the K per-arm coefficient vectors
     in the f basis.  q is the dimension of the control basis the
-    analysis will use.
+    analysis will use.  contrast is l_matrix lifted to the f basis,
+    built once on construction.
     """
 
     k_arms: int
@@ -80,6 +81,7 @@ class DesignInputs:
     l_matrix: np.ndarray
     eta: float = 0.05
     power_target: float = 0.8
+    contrast: ContrastSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k_arms < 1:
@@ -124,6 +126,7 @@ class DesignInputs:
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "l_matrix", l_matrix)
+        object.__setattr__(self, "contrast", build_contrast(l_matrix, f.shape[1]))
 
     @property
     def p(self) -> int:
@@ -131,7 +134,7 @@ class DesignInputs:
 
     @property
     def rank_l(self) -> int:
-        return build_contrast(self.l_matrix, self.p).rank_l
+        return self.contrast.rank_l
 
 
 @dataclass(frozen=True)
@@ -178,7 +181,7 @@ def build_v(inputs: DesignInputs) -> np.ndarray:
 
 def _lambda_rate(inputs: DesignInputs, v: np.ndarray) -> float:
     """lambda(n) / n for the configured contrast and alternative."""
-    reduced = _row_space_basis(build_contrast(inputs.l_matrix, inputs.p).l_tilde)
+    reduced = inputs.contrast.row_basis
     lg = reduced @ inputs.gamma
     if float(np.linalg.norm(lg)) <= 1e-12 * max(1.0, float(np.linalg.norm(inputs.gamma))):
         raise NullContrastError("contrast of target alternative is null")

@@ -42,10 +42,15 @@ _RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ContrastSpec:
+    """A contrast L, its lift L_tilde = L kron I_p, rank(L), and row_basis:
+    a full-row-rank matrix with L_tilde's row space, which gives the
+    same Wald statistic."""
+
     l_matrix: np.ndarray
     p: int
     l_tilde: np.ndarray
     rank_l: int
+    row_basis: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -80,11 +85,13 @@ def build_contrast(l_matrix: np.ndarray, p: int) -> ContrastSpec:
     if scale == 0.0:
         raise NullContrastError("contrast matrix is zero")
     rank = int(np.sum(svals > _RANK_TOL * scale))
+    l_tilde = np.kron(l_matrix, np.eye(p))
     return ContrastSpec(
         l_matrix=l_matrix,
         p=int(p),
-        l_tilde=np.kron(l_matrix, np.eye(p)),
+        l_tilde=l_tilde,
         rank_l=rank,
+        row_basis=_row_space_basis(l_tilde),
     )
 
 
@@ -171,9 +178,9 @@ def wald_stack(
 ) -> tuple[np.ndarray, list]:
     """Wald statistics of R fits against one full-row-rank contrast.
 
-    beta is (R, Kp), cov_beta (R, Kp, Kp) and reduced the
-    _row_space_basis of the lifted contrast.  Returns the (R,)
-    statistics and, per fit, the exception wald_test raises or None.
+    beta is (R, Kp), cov_beta (R, Kp, Kp) and reduced the contrast's
+    row_basis.  Returns the (R,) statistics and, per fit, the exception
+    wald_test raises or None.
     """
     v = beta @ reduced.T
     gram = reduced @ cov_beta @ reduced.T
@@ -194,8 +201,7 @@ def wald_test(
     """Scaled-F Wald test of H0: L_tilde beta = 0 at level eta."""
     check_wald(fit.n, fit.q, contrast, fit.beta_hat.shape[0], eta, scaling)
     n, q, l = fit.n, fit.q, contrast.rank_l
-    reduced = _row_space_basis(contrast.l_tilde)
-    statistics, errors = wald_stack(fit.beta_hat[None], fit.cov_beta[None], reduced)
+    statistics, errors = wald_stack(fit.beta_hat[None], fit.cov_beta[None], contrast.row_basis)
     if errors[0] is not None:
         raise errors[0]
     statistic = float(statistics[0])

@@ -46,7 +46,6 @@ from .design import (
 from .errors import DataValidationError, NumericalError
 from .inference import (
     ContrastSpec,
-    _row_space_basis,
     build_contrast,
     check_intervals,
     check_wald,
@@ -117,12 +116,12 @@ class GenerativeConfig:
             probs = np.tile(probs, (self.t_points, 1))
         if probs.shape != (self.t_points, 2):
             raise DataValidationError("rand_probs must be (T, 2) active-arm probabilities")
-        if (probs <= 0).any() or (probs.sum(axis=1) >= 1.0).any():
+        if not ((probs > 0).all() and (probs.sum(axis=1) < 1.0).all()):
             raise DataValidationError("active-arm probabilities must be positive, sums < 1")
         tau = np.asarray(self.tau_curve, dtype=float)
         if tau.shape != (self.t_points,):
             raise DataValidationError(f"tau_curve must have length T={self.t_points}")
-        if (tau <= 0).any() or (tau > 1).any():
+        if not ((tau > 0) & (tau <= 1)).all():
             raise DataValidationError("tau_curve values must lie in (0, 1]")
         if self.eo_basis not in _EO_BASES:
             raise DataValidationError(f"unknown eo_basis {self.eo_basis!r}")
@@ -142,6 +141,12 @@ class GenerativeConfig:
             raise DataValidationError(
                 f"mee_coeffs must be 2 x {mee_dim} for basis {self.mee_basis!r}"
             )
+        for name, value in (
+            ("eo_coeffs", eo), ("mee_coeffs", mee), ("theta_r", self.theta_r),
+            ("theta_s", self.theta_s), ("nu2", self.nu2), ("nu3", self.nu3),
+        ):
+            if not np.isfinite(value).all():
+                raise DataValidationError(f"{name} must be finite")
         if not (-1.0 < self.nu1 < 1.0):
             raise DataValidationError("nu1 must lie in (-1, 1)")
         for name, value in (("nu2", self.nu2), ("nu3", self.nu3)):
@@ -479,11 +484,10 @@ class _MonteCarlo:
         self.eye = np.eye(self.kp)
         self.tables = _generator_tables(config)
         self.probs = self.tables.probs_full[None, None]
-        self.subject_ids = tuple(str(i + 1) for i in range(n))
         self.time_features = {
             k: v[None] for k, v in _time_features(max(n, 0), self.tables).items()
         }
-        self.reduced = _row_space_basis(contrast.l_tilde)
+        self.reduced = contrast.row_basis
         self.rank = contrast.rank_l
         self.n_error = DataValidationError("n must be >= 1") if n < 1 else None
         self.wald_error = self.interval_error = None
@@ -514,14 +518,22 @@ class _MonteCarlo:
             _draw(self.config, seed, eps[i], None if z is None else z[i], u[i])
         avail, trt, outcome, clipped = _generate(self.config, self.tables, eps, z, u)
         del eps, u  # the draws are spent; keep the chunk's footprint small
+        # A generated panel meets every dataset invariant unless its
+        # outcome overflows, which is what simulate_trial then rejects.
+        # Zeroed, such a replicate cannot spread non-finite values.
+        finite = np.isfinite(outcome).all(axis=(1, 2))
+        outcome[~finite] = 0.0
+        errors = [
+            None if ok else DataValidationError("missing or non-finite outcome value")
+            for ok in finite
+        ]
         features = dict(self.time_features)
         if z is not None:
             features["Z"] = z
         fit = fit_stack(
-            avail, trt, self.probs, outcome, features, self.config.k_arms,
-            self.subject_ids, self.spec,
+            avail, trt, self.probs, outcome, features, self.config.k_arms, self.spec
         )
-        errors = fit.errors
+        keep_first_errors(errors, fit.errors)
         beta, cov = fit.theta[:, q:], fit.cov_beta
         reject = np.zeros(count, dtype=bool)
         keep_first_errors(errors, self.wald_error)

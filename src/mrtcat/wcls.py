@@ -24,19 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import (
-    MrtDataset,
-    NumeratorPolicy,
-    fit_numerator_probs,
-    numerator_tables,
-    validate_stack,
-)
-from .errors import (
-    DataValidationError,
-    DegenerateArmError,
-    PositivityError,
-    SingularSystemError,
-)
+from .data import MrtDataset, NumeratorPolicy, fit_numerator_probs, numerator_tables
+from .errors import DataValidationError, DegenerateArmError, SingularSystemError
 from .numerics import SpdStack, solve_spd_stack
 
 __all__ = [
@@ -184,18 +173,13 @@ def design_stack(
     K+1), each feature to (R, n, T) and ptilde to (R, T, K+1).  Returns
     (W, Dfull, Y, t_used) with W and Y (R, n, t_used) and Dfull
     column-major, (R, q + Kp, n, t_used), so that each design column is
-    one contiguous panel.  Raises PositivityError if any panel realizes
-    an arm of zero probability.
+    one contiguous panel.
     """
     count, n, big_t = avail.shape
     t_used = usable_points(big_t, spec.delta)
     trt_used = trt[..., :t_used]
     avail_used = avail[..., :t_used]
     probs_used = probs[..., :t_used, :]
-    if (probs_used <= 0.0).any():
-        realized = np.take_along_axis(probs_used, trt_used[..., None], axis=3)[..., 0]
-        if ((avail_used == 1) & (realized <= 0.0)).any():
-            raise PositivityError("realized arm has zero randomization probability")
 
     # ptilde_t(A_t) / p_t(A_t), divided per table entry and then looked up
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -290,17 +274,19 @@ def fit_stack(
     outcome: np.ndarray,
     features: dict[str, np.ndarray],
     k_arms: int,
-    subject_ids: tuple[str, ...],
     spec: ModelSpec,
 ) -> FitStack:
     """fit_wcls on R panels at once, with fit_wcls's error for each panel.
 
     avail, trt and outcome are (R, n, T); probs broadcasts to (R, n, T,
     K+1) and each feature to (R, n, T), so arrays every panel shares
-    are passed once.  The checks run in fit_wcls's order (validation,
-    window, numerator table, design columns, arms observed, subject
-    count, solves) and each panel keeps the first error it meets, so
-    a failing panel never changes another panel's values.
+    are passed once.  Every panel must satisfy the MrtDataset
+    invariants.  The checks run in fit_wcls's order (window, numerator
+    table, design columns, arms observed, subject count, solves) and
+    each panel keeps the first error it meets.  A failed panel is still
+    fitted, but its values stay in its own slices: the solves and the
+    sandwich set aside a slice that is not finite or not positive
+    definite.
 
     The normal matrix of each panel is the sum of its subjects' blocks
     D_i' W_i D_i, which the hat-matrix correction needs too.  Every
@@ -308,75 +294,48 @@ def fit_stack(
     design is made.
     """
     count, n, big_t = avail.shape
-    violations = validate_stack(avail, trt, probs, outcome, features, k_arms, subject_ids)
-    errors = [DataValidationError("; ".join(v)) if v else None for v in violations]
-    tables, table_errors = numerator_tables(avail, trt, probs, spec.numerator, k_arms)
-    try:
-        t_used = usable_points(big_t, spec.delta)
-    except DataValidationError as exc:
-        keep_first_errors(errors, exc)
-        t_used = 0
-    keep_first_errors(errors, table_errors)
-
     dim = spec.q + k_arms * spec.p
-    theta = np.zeros((count, dim))
-    resid = np.zeros((count, n, t_used))
-    cov_beta = np.zeros((count, dim - spec.q, dim - spec.q))
-    md_fallbacks = np.zeros(count, dtype=np.int64)
-    live = np.flatnonzero([exc is None for exc in errors])
-    if live.size == 0:
-        return FitStack(theta, resid, cov_beta, md_fallbacks, tables, errors)
-    live_tables = tables
-    if live.size < count:  # a failed panel may hold values the design cannot take
-
-        def pick(a: np.ndarray) -> np.ndarray:
-            return a[live] if a.shape[0] > 1 else a
-
-        avail, trt, probs, outcome, live_tables = map(pick, (avail, trt, probs, outcome, tables))
-        features = {name: pick(arr) for name, arr in features.items()}
-
-    live_errors: list = [None] * live.size
+    tables, table_errors = numerator_tables(avail, trt, probs, spec.numerator, k_arms)
+    errors: list = [None] * count
     try:
-        weights, d_full, y, _ = design_stack(
-            avail, trt, probs, outcome, features, k_arms, spec, live_tables
+        usable_points(big_t, spec.delta)  # its error precedes the tables
+        keep_first_errors(errors, table_errors)
+        weights, d_full, y, t_used = design_stack(
+            avail, trt, probs, outcome, features, k_arms, spec, tables
         )
         keep_first_errors(
-            live_errors, [_degenerate_arms(m) for m in missing_arms(avail, trt, t_used, k_arms)]
+            errors, [_degenerate_arms(m) for m in missing_arms(avail, trt, t_used, k_arms)]
         )
         check_dims(n, spec, k_arms)
     except DataValidationError as exc:  # a check every panel shares
-        keep_first_errors(live_errors, exc)
-    if any(exc is None for exc in live_errors):
-        per_subject = np.einsum("rait,rit,rbit->riab", d_full, weights, d_full)
-        normal = per_subject.sum(axis=1)
-        rows = d_full.reshape(live.size, dim, -1)
-        rhs = np.einsum("rai,ri->ra", rows, (weights * y).reshape(live.size, -1))
-        solve = solve_spd_stack(normal, rhs)
-        keep_first_errors(
-            live_errors,
-            [
-                SingularSystemError(f"normal matrix is singular: {exc}")
-                if isinstance(exc, SingularSystemError)
-                else exc
-                for exc in solve.errors
-            ],
+        keep_first_errors(errors, exc)
+    if all(exc is not None for exc in errors):
+        zeros = np.zeros((count, dim - spec.q, dim - spec.q))
+        return FitStack(
+            np.zeros((count, dim)), np.zeros((count, n, 0)), zeros,
+            np.zeros(count, dtype=np.int64), tables, errors,
         )
-        live_resid = (solve.solution[:, None, :] @ rows).reshape(y.shape)
-        np.subtract(y, live_resid, out=live_resid)
-        live_cov, live_fallbacks = _sandwich_core(
-            d_full, weights * live_resid, per_subject, normal, solve, spec.q,
-            spec.correction, live_errors,
-        )
-        if live.size == count:
-            theta, resid, cov_beta, md_fallbacks = (
-                solve.solution, live_resid, live_cov, live_fallbacks
-            )
-        else:
-            theta[live], resid[live], cov_beta[live] = solve.solution, live_resid, live_cov
-            md_fallbacks[live] = live_fallbacks
-    for r, exc in zip(live, live_errors):
-        errors[r] = exc
-    return FitStack(theta, resid, cov_beta, md_fallbacks, tables, errors)
+
+    per_subject = np.einsum("rait,rit,rbit->riab", d_full, weights, d_full)
+    normal = per_subject.sum(axis=1)
+    rows = d_full.reshape(count, dim, -1)
+    rhs = np.einsum("rai,ri->ra", rows, (weights * y).reshape(count, -1))
+    solve = solve_spd_stack(normal, rhs)
+    keep_first_errors(
+        errors,
+        [
+            SingularSystemError(f"normal matrix is singular: {exc}")
+            if isinstance(exc, SingularSystemError)
+            else exc
+            for exc in solve.errors
+        ],
+    )
+    resid = (solve.solution[:, None, :] @ rows).reshape(y.shape)
+    np.subtract(y, resid, out=resid)
+    cov_beta, md_fallbacks = _sandwich_core(
+        d_full, weights * resid, per_subject, normal, solve, spec.q, spec.correction, errors
+    )
+    return FitStack(solve.solution, resid, cov_beta, md_fallbacks, tables, errors)
 
 
 def _sandwich_core(
@@ -461,7 +420,6 @@ def fit_wcls(data: MrtDataset, spec: ModelSpec) -> FitResult:
         data.outcome[None],
         {name: arr[None] for name, arr in data.features.items()},
         data.k_arms,
-        data.subject_ids,
         spec,
     )
     if fit.errors[0] is not None:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,30 +295,76 @@ class TestLoadCsvMessages:
         np.testing.assert_array_equal(b.features["mood"][::-1], a.features["mood"])
 
 
+class TestValidationMessages:
+    """Every dataset-invariant message a CSV can reach, in full, through
+    load_csv: the file path, then the violations joined by '; '."""
+
+    @pytest.mark.parametrize(
+        "cells,message",
+        [
+            ({(4, 2): 2}, "availability must be 0 or 1 (subject 'b', t=2)"),
+            ({(4, 3): 3}, "treatment 3 outside 0..2 (subject 'b', t=2)"),
+            ({(2, 3): 1}, "unavailable point carries active treatment (subject 'a', t=3)"),
+            ({(3, 6): "nan"}, "non-finite randomization probability"),
+            ({(2, 4): -0.2, (2, 5): 0.3, (2, 6): 0.9}, "negative randomization probability"),
+            (
+                {(0, 4): 0.5},
+                "probabilities do not sum to 1 (subject 'a', t=1, sum=np.float64(1.1))",
+            ),
+            (
+                {(0, 4): 0.7, (0, 5): 0.0},
+                "realized arm has zero probability (subject 'a', t=1, arm 1)",
+            ),
+            ({(5, 7): "inf"}, "missing or non-finite outcome value"),
+            ({(1, 8): "nan"}, "non-finite value in feature 'mood'"),
+            (
+                {(4, 2): 2, (5, 7): "nan"},
+                "availability must be 0 or 1 (subject 'b', t=2); "
+                "missing or non-finite outcome value",
+            ),
+        ],
+    )
+    def test_full_message(self, tmp_path, cells, message):
+        rows = [list(r) + [0.0] for r in TOY_ROWS]
+        for (row, col), raw in cells.items():
+            rows[row][col] = raw
+        path = tmp_path / "invalid.csv"
+        write_toy_csv(path, rows, header="id,t,avail,trt,prob_0,prob_1,prob_2,outcome,mood")
+        assert load_error(path) == f"{path}: {message}"
+
+
+def exactly(message: str) -> str:
+    """A pytest.raises match pattern for the whole of message."""
+    return f"^{re.escape(message)}$"
+
+
 class TestValidate:
+    """A dataset validates itself on construction, so only valid ones exist."""
+
     def test_clean_dataset(self):
         data = make_dataset(trt=[[0, 1], [2, 0]], outcome=[[0.0, 1.0], [2.0, 3.0]])
         assert validate(data).ok
 
     def test_zero_probability_realized_arm(self):
         probs = np.broadcast_to([0.5, 0.5, 0.0], (2, 2, 3)).copy()
-        data = make_dataset(trt=[[0, 2], [1, 0]], outcome=np.zeros((2, 2)), probs=probs)
-        report = validate(data)
-        assert not report.ok
-        assert any("zero probability" in v for v in report.violations)
+        message = "realized arm has zero probability (subject 's1', t=2, arm 2)"
+        with pytest.raises(DataValidationError, match=exactly(message)):
+            make_dataset(trt=[[0, 2], [1, 0]], outcome=np.zeros((2, 2)), probs=probs)
 
     def test_treatment_outside_declared_range(self):
-        data = make_dataset(trt=[[0, 3], [1, 0]], outcome=np.zeros((2, 2)))
-        report = validate(data)
-        assert any("outside" in v for v in report.violations)
+        message = "treatment 3 outside 0..2 (subject 's1', t=2)"
+        with pytest.raises(DataValidationError, match=exactly(message)):
+            make_dataset(trt=[[0, 3], [1, 0]], outcome=np.zeros((2, 2)))
 
     def test_non_finite_outcome(self):
-        data = make_dataset(trt=[[0, 0]], outcome=[[np.nan, 0.0]])
-        assert any("outcome" in v for v in validate(data).violations)
+        message = "missing or non-finite outcome value"
+        with pytest.raises(DataValidationError, match=exactly(message)):
+            make_dataset(trt=[[0, 0]], outcome=[[np.nan, 0.0]])
 
     def test_non_binary_availability(self):
-        data = make_dataset(trt=[[0, 0]], outcome=[[0.0, 0.0]], avail=[[2, 1]])
-        assert any("0 or 1" in v for v in validate(data).violations)
+        message = "availability must be 0 or 1 (subject 's1', t=1)"
+        with pytest.raises(DataValidationError, match=exactly(message)):
+            make_dataset(trt=[[0, 0]], outcome=[[0.0, 0.0]], avail=[[2, 1]])
 
 
 class TestDatasetArrays:
@@ -324,6 +372,13 @@ class TestDatasetArrays:
         data = make_dataset(trt=[[0, 1]], outcome=[[0.0, 1.0]])
         with pytest.raises(ValueError):
             data.trt[0, 0] = 1
+
+    def test_features_are_read_only(self):
+        data = make_dataset(trt=[[0, 1]], outcome=[[0.0, 1.0]], features={"z": [[1.0, 2.0]]})
+        with pytest.raises(TypeError):
+            data.features["z"] = np.array([[np.nan, 0.0]])
+        with pytest.raises(ValueError):
+            data.features["z"][0, 0] = np.nan
 
     def test_callers_arrays_stay_writable(self):
         trt = np.array([[0, 1]], dtype=np.int64)

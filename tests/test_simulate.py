@@ -201,6 +201,27 @@ class TestGenerativeConfigValidation:
         with pytest.raises(DataValidationError, match="nu1"):
             null_config(family="gm_sc", nu1=1.0)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("eo_coeffs", (np.inf,)),
+            ("mee_coeffs", ((0.1,), (np.nan,))),
+            ("nu2", np.nan),
+            ("nu3", np.nan),
+            ("theta_r", np.nan),
+            ("theta_s", np.nan),
+        ],
+    )
+    def test_non_finite_parameter_rejected(self, name, value):
+        with pytest.raises(DataValidationError, match=f"^{name} must be finite$"):
+            null_config(**{name: value})
+
+    def test_nan_probability_or_availability_rejected(self):
+        with pytest.raises(DataValidationError, match="active-arm probabilities"):
+            null_config(rand_probs=(np.nan, 0.3))
+        with pytest.raises(DataValidationError, match="tau_curve"):
+            null_config(tau=np.nan)
+
     def test_gm_ev_scale_probe_at_construction(self):
         with pytest.raises(DataValidationError, match="radicand"):
             null_config(family="gm_ev", theta_s=1.5)
@@ -605,6 +626,45 @@ class TestChunkedEngine:
                 np.testing.assert_allclose(rec["beta"], beta, rtol=1e-12, atol=0)
                 np.testing.assert_allclose(rec["se"], se, rtol=1e-12, atol=0)
                 assert rec["reject"] == reject
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_outcome_fails_like_simulate_trial(self):
+        # every treated point overflows, so every replicate fails
+        config = null_config(tau=1.0, eo_coeffs=(1e308,), mee_coeffs=((1e308,), (1e308,)))
+        with pytest.raises(DataValidationError) as alone:
+            simulate_trial(config, 20, derive_replicate_seed(4, 0))
+        assert str(alone.value) == "missing or non-finite outcome value"
+        with pytest.raises(NumericalError) as err:
+            run_monte_carlo(config, 20, 30, MARGINAL_SPEC, np.array([[1.0, -1.0]]), seed=4)
+        assert str(err.value) == (
+            "30/30 replicates failed (budget 1%): DataValidationError×30; "
+            "first error: missing or non-finite outcome value"
+        )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_and_finite_replicates_fail_like_public_calls(self):
+        # Arm 1 overflows; a replicate that never gives arm 1 stays finite
+        # and fails later, in fit_wcls.  One chunk holds both kinds, and
+        # the finite ones' values near 1e308 overflow in the fit as well.
+        config = null_config(t_points=3, tau=0.5, rand_probs=(0.05, 0.4),
+                             eo_coeffs=(1e308,), mee_coeffs=((1e308,), (-1e308,)))
+        counts: dict[str, int] = {}
+        errors = []
+        for r in range(40):
+            try:
+                fit_wcls(simulate_trial(config, 12, derive_replicate_seed(5, r)), MARGINAL_SPEC)
+            except (DataValidationError, NumericalError) as exc:
+                counts[type(exc).__name__] = counts.get(type(exc).__name__, 0) + 1
+                errors.append(exc)
+        assert sorted(counts) == ["DataValidationError", "DegenerateArmError"]
+        grouped = ", ".join(
+            f"{name}×{count}" for name, count in sorted(counts.items(), key=lambda i: -i[1])
+        )
+        with pytest.raises(NumericalError) as err:
+            run_monte_carlo(config, 12, 40, MARGINAL_SPEC, np.array([[1.0, -1.0]]), seed=5)
+        assert str(err.value) == (
+            f"40/40 replicates failed (budget 1%): {grouped}; first error: {errors[0]}"
+        )
 
     def test_budget_abort_counts_failures_by_class(self):
         with pytest.raises(NumericalError) as err:
