@@ -15,9 +15,10 @@ panel, so a dataset that exists satisfies every invariant.
 from __future__ import annotations
 
 import csv
-from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import TextIO
 
 import numpy as np
 
@@ -158,28 +159,27 @@ class ValidationReport:
         return not self.violations
 
 
+def _integral(values: np.ndarray) -> np.ndarray:
+    """Which values are integers in the int64 range."""
+    return (values == np.trunc(values)) & (values >= -(2.0**63)) & (values < 2.0**63)
+
+
 def _column(cells: list[str], integer: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Convert one CSV column to floats; return (values, indices of bad cells).
+    """Convert one CSV column with float(); return (values, indices of bad cells).
 
     A cell is bad when float() rejects it or, in an integer column, when
     its value is not an integer in the int64 range.  Cells float()
-    rejects read as NaN.  The cell-by-cell pass runs only when
-    converting the whole column at once fails.
+    rejects read as NaN.
     """
-    try:
-        values = np.fromiter(map(float, cells), float, len(cells))
-        bad = np.zeros(len(cells), dtype=bool)
-    except ValueError:
-        values = np.empty(len(cells))
-        bad = np.zeros(len(cells), dtype=bool)
-        for index, raw in enumerate(cells):
-            try:
-                values[index] = float(raw)
-            except ValueError:
-                values[index] = np.nan
-                bad[index] = True
+    values = np.full(len(cells), np.nan)
+    bad = np.zeros(len(cells), dtype=bool)
+    for index, raw in enumerate(cells):
+        try:
+            values[index] = float(raw)
+        except ValueError:
+            bad[index] = True
     if integer:
-        bad |= ~((values == np.trunc(values)) & (values >= -(2.0**63)) & (values < 2.0**63))
+        bad |= ~_integral(values)
     return values, np.flatnonzero(bad)
 
 
@@ -197,38 +197,33 @@ def _cell_message(raw: str, column: str, line: int) -> str:
     return f"line {line}: column {column!r} must be an integer"
 
 
-def load_csv(path: str, schema: CsvSchema | None = None) -> MrtDataset:
-    """Read a rectangular MRT panel from CSV and validate it.
+@dataclass(frozen=True)
+class _Columns:
+    """Where load_csv finds each field, resolved once from the header and schema."""
 
-    The canonical header is id,t,avail,trt,prob_0..prob_K,outcome plus
-    any number of feature columns; t is 1-based in files.  Rows may come
-    in any order; subjects keep the order in which their ids first
-    appear.  Raises DataValidationError on structural problems (missing
-    columns, ragged panels, duplicate rows) and on any dataset invariant
-    violation.  A message about one cell names its file line; when
-    several cells are bad, the first in (subject, t, column) order is
-    reported.
+    header: tuple[str, ...]
+    schema: CsvSchema
+    prob: tuple[str, ...]
+    features: tuple[str, ...]
+    k_arms: int
+
+    @property
+    def values(self) -> tuple[str, ...]:
+        """The columns read as panel values, in the order bad cells are reported."""
+        s = self.schema
+        return (s.avail, s.trt, s.outcome, *self.prob, *self.features)
+
+
+def _read_header(path: str, reader: Iterator[list[str]], schema: CsvSchema) -> _Columns:
+    """Read the header row from reader and resolve the schema's columns in it.
+
+    Raises DataValidationError on an empty file or a header that does
+    not fit the schema.
     """
-    schema = schema or CsvSchema()
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataValidationError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        # Every kept cell in one flat list, row after row, and per row its
-        # cell count and file line: no per-row objects outlive the loop,
-        # because large panels hold hundreds of thousands of rows.
-        cells: list[str] = []
-        widths = array("q")
-        lines = array("q")
-        for row in reader:
-            if any(map(str.strip, row)):
-                cells.extend(row)
-                widths.append(len(row))
-                lines.append(reader.line_num)
-
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise DataValidationError(f"{path}: file is empty") from None
     col_index = {name: i for i, name in enumerate(header)}
     if len(col_index) != len(header):
         raise DataValidationError(f"{path}: duplicate column names in header")
@@ -272,32 +267,148 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> MrtDataset:
                 raise DataValidationError(f"{path}: missing feature column {name!r}")
     else:
         feature_columns = tuple(name for name in header if name not in claimed)
+    return _Columns(tuple(header), schema, tuple(prob_columns), tuple(feature_columns), k_arms)
+
+
+def load_csv(path: str, schema: CsvSchema | None = None) -> MrtDataset:
+    """Read a rectangular MRT panel from CSV and validate it.
+
+    The canonical header is id,t,avail,trt,prob_0..prob_K,outcome plus
+    any number of feature columns; t is 1-based in files.  Rows may come
+    in any order; subjects keep the order in which their ids first
+    appear.  Raises DataValidationError on structural problems (missing
+    columns, ragged panels, duplicate rows) and on any dataset invariant
+    violation.  A message about one cell names its file line; when
+    several cells are bad, the first in (subject, t, column) order is
+    reported.
+
+    The header is read with csv.reader, and every row after it in one
+    np.loadtxt call (numpy's C parser).  When that call cannot decide on
+    its own (a cell its parser rejects, a row of the wrong width, a
+    whitespace-only line, no data rows, or a t/avail/trt value that is
+    not an integer in the int64 range), the rows are read again by a
+    csv.reader scanner that converts each cell with float() and words
+    the error.  Both give the same dataset or the same message: the
+    scanner also loads what float() accepts and numpy does not, such as
+    digit separators (1_0).
+    """
+    schema = schema or CsvSchema()
+    with open(path, newline="", encoding="utf-8") as handle:
+        # readline, not iteration, so that tell() can mark where the rows start
+        reader = csv.reader(iter(handle.readline, ""))
+        columns = _read_header(path, reader, schema)
+        start = handle.tell()
+        rows = None
+        # loadtxt warns on a file without data rows; the scanner words that case
+        if any(any(map(str.strip, row)) for row in reader):
+            handle.seek(start)
+            rows = _parse_rows(handle, columns)
+    if rows is None:
+        return _scan_csv(path, schema)
+    id_cells, t_values, values = rows
+    subject_ids, order = _subjects(path, id_cells, t_values)
+    return _to_dataset(path, columns, subject_ids, order, values)
+
+
+def _parse_rows(
+    handle: TextIO, columns: _Columns
+) -> tuple[list[str], np.ndarray, dict[str, np.ndarray]] | None:
+    """Every data row from handle in one np.loadtxt call.
+
+    Returns (stripped ids, t values, {value column: values}) in file
+    order, or None when the scanner must read the file instead.
+    """
+    schema = columns.schema
+    numeric = {schema.t, *columns.values}
+    if schema.id in numeric:  # one column cannot be read both as text and as numbers
+        return None
+    dtype = np.dtype(
+        [(f"f{j}", "f8" if name in numeric else object) for j, name in enumerate(columns.header)]
+    )
+    try:
+        rows = np.loadtxt(
+            handle, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+        )
+    except ValueError:
+        return None
+    field = {name: rows[f"f{j}"] for j, name in enumerate(columns.header)}
+    if not all(_integral(field[name]).all() for name in (schema.t, schema.avail, schema.trt)):
+        return None
+    id_cells = list(map(str.strip, field[schema.id]))
+    return id_cells, field[schema.t], {name: field[name] for name in columns.values}
+
+
+def _scan_csv(path: str, schema: CsvSchema) -> MrtDataset:
+    """load_csv's fallback, a complete loader on csv.reader and float().
+
+    It loads the file or raises the error a reader going through it
+    meets first, naming the file line of a bad cell.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        columns = _read_header(path, reader, schema)
+        rows: list[list[str]] = []
+        lines: list[int] = []
+        for row in reader:
+            if any(map(str.strip, row)):
+                rows.append(row)
+                lines.append(reader.line_num)
 
     # Row checks, in file order: cell count, then t, then (id, t) seen
     # before.  The earliest failing row decides the message, so each check
     # looks only at the rows before the first failure of the ones above.
-    width = len(header)
-    uneven = np.flatnonzero(np.frombuffer(widths, dtype=np.int64) != width)
-    stop = int(uneven[0]) if uneven.size else len(widths)
+    width = len(columns.header)
+    stop = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
     error = None
-    if uneven.size:
-        error = f"{path}: line {lines[stop]} has {widths[stop]} cells, header has {width}"
+    if stop < len(rows):
+        error = f"{path}: line {lines[stop]} has {len(rows[stop])} cells, header has {width}"
     if stop == 0:
         raise DataValidationError(error or f"{path}: no data rows")
-    # Every row before the first uneven one has `width` cells, so column
-    # j is every width-th cell from j.
-    columns = {name: cells[j : stop * width : width] for j, name in enumerate(header)}
-    del cells
+    index = {name: j for j, name in enumerate(columns.header)}
+    text = {
+        name: [row[index[name]] for row in rows[:stop]]
+        for name in (schema.id, schema.t, *columns.values)
+    }
+    del rows  # free the parsed rows; the columns keep only the cells needed
 
-    t_values, bad = _column(columns[schema.t], integer=True)
+    t_values, bad = _column(text[schema.t], integer=True)
     if bad.size:
         stop = int(bad[0])
-        error = _cell_message(columns[schema.t][stop], schema.t, lines[stop])
-    id_cells = list(map(str.strip, columns[schema.id][:stop]))
+        error = _cell_message(text[schema.t][stop], schema.t, lines[stop])
+    id_cells = list(map(str.strip, text[schema.id][:stop]))
+    subject_ids, order = _subjects(path, id_cells, t_values[:stop], error)
+
+    # No error so far, so every row is in the panel: convert the value
+    # columns and report the bad cell a reader going subject by subject,
+    # t by t and column by column would meet first.
+    position = np.empty(stop, dtype=np.int64)
+    position[order] = np.arange(stop)
+    values = {}
+    failures = []
+    for rank, name in enumerate(columns.values):
+        values[name], bad = _column(text[name], integer=name in (schema.avail, schema.trt))
+        if bad.size:
+            row = int(bad[np.argmin(position[bad])])
+            message = _cell_message(text[name][row], name, lines[row])
+            failures.append((position[row], rank, message))
+    if failures:
+        raise DataValidationError(min(failures)[2])
+    return _to_dataset(path, columns, subject_ids, order, values)
+
+
+def _subjects(
+    path: str, id_cells: list[str], t_values: np.ndarray, error: str | None = None
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """Group rows by subject and check that they form a complete panel.
+
+    Returns the subject ids in order of first appearance and the row
+    order that sorts the rows by subject, then t.  error, a message
+    about the row just past the ones given, is raised unless one of
+    them repeats an earlier (id, t).
+    """
     # id -> subject index, in order of first appearance
     ids = {sid: i for i, sid in enumerate(dict.fromkeys(id_cells))}
-    subject = np.fromiter(map(ids.__getitem__, id_cells), np.int64, stop)
-    t_values = t_values[:stop]
+    subject = np.fromiter(map(ids.__getitem__, id_cells), np.int64, len(id_cells))
     order = np.lexsort((t_values, subject))  # panel order: subject, then t
     repeat = (np.diff(subject[order]) == 0) & (np.diff(t_values[order]) == 0)
     if repeat.any():
@@ -312,7 +423,7 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> MrtDataset:
     t_points = int(counts[0])
     sorted_t = t_values[order]
     starts = np.cumsum(counts) - counts
-    expected_t = np.arange(stop) - np.repeat(starts, counts) + 1
+    expected_t = np.arange(len(id_cells)) - np.repeat(starts, counts) + 1
     gapped = np.bincount(subject[order], weights=sorted_t != expected_t, minlength=n) > 0
     bad_subjects = np.flatnonzero((counts != t_points) | gapped)
     if bad_subjects.size:
@@ -327,30 +438,24 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> MrtDataset:
         raise DataValidationError(
             f"{path}: subject {sid!r} decision points are not 1..T (got {points}...)"
         )
+    return subject_ids, order
 
-    # Every row now has its panel slot; convert the value columns and
-    # report the bad cell a reader going subject by subject, t by t and
-    # column by column would meet first.
-    position = np.empty(stop, dtype=np.int64)
-    position[order] = np.arange(stop)
-    value_columns = (schema.avail, schema.trt, schema.outcome, *prob_columns, *feature_columns)
-    panel = {}
-    failures = []
-    for rank, name in enumerate(value_columns):
-        values, bad = _column(columns[name], integer=name in (schema.avail, schema.trt))
-        if bad.size:
-            row = int(bad[np.argmin(position[bad])])
-            failures.append((position[row], rank, row, name))
-        panel[name] = values[order].reshape(n, t_points)
-    if failures:
-        _, _, row, name = min(failures)
-        raise DataValidationError(_cell_message(columns[name][row], name, lines[row]))
 
-    del columns  # free the parsed text before the dataset copies the arrays
+def _to_dataset(
+    path: str,
+    columns: _Columns,
+    subject_ids: tuple[str, ...],
+    order: np.ndarray,
+    values: dict[str, np.ndarray],
+) -> MrtDataset:
+    """Arrange the value columns, in file row order, into the validated panel."""
+    shape = (len(subject_ids), len(order) // len(subject_ids))
+    panel = {name: values[name][order].reshape(shape) for name in columns.values}
+    schema = columns.schema
     if schema.const_probs is not None:
-        probs = np.broadcast_to(schema.const_probs, (n, t_points, k_arms + 1))
+        probs = np.broadcast_to(schema.const_probs, (*shape, columns.k_arms + 1))
     else:
-        probs = np.stack([panel[name] for name in prob_columns], axis=2)
+        probs = np.stack([panel[name] for name in columns.prob], axis=2)
     try:
         return MrtDataset(
             subject_ids=subject_ids,
@@ -358,8 +463,8 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> MrtDataset:
             trt=panel[schema.trt],
             probs=probs,
             outcome=panel[schema.outcome],
-            features={name: panel[name] for name in feature_columns},
-            k_arms=k_arms,
+            features={name: panel[name] for name in columns.features},
+            k_arms=columns.k_arms,
         )
     except DataValidationError as exc:
         raise DataValidationError(f"{path}: {exc}") from None
@@ -427,7 +532,8 @@ def validate(data: MrtDataset) -> ValidationReport:
         if off.any():
             i, sid, t = first(off)
             bad.append(
-                f"probabilities do not sum to 1 (subject {sid!r}, t={t}, sum={sums[i, t - 1]!r})"
+                "probabilities do not sum to 1 "
+                f"(subject {sid!r}, t={t}, sum={float(sums[i, t - 1])!r})"
             )
         if in_range:
             realized = np.take_along_axis(probs, trt[..., None], axis=2)[..., 0]

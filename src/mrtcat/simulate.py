@@ -516,7 +516,10 @@ class _MonteCarlo:
         eps, z, u = _draw_buffers(self.config, count, self.n)
         for i, seed in enumerate(seeds):
             _draw(self.config, seed, eps[i], None if z is None else z[i], u[i])
-        avail, trt, outcome, clipped = _generate(self.config, self.tables, eps, z, u)
+        # Huge but finite coefficients overflow in the generator and then in
+        # the fit; the per-replicate checks below report it, so numpy need not.
+        with np.errstate(over="ignore", invalid="ignore"):
+            avail, trt, outcome, clipped = _generate(self.config, self.tables, eps, z, u)
         del eps, u  # the draws are spent; keep the chunk's footprint small
         # A generated panel meets every dataset invariant unless its
         # outcome overflows, which is what simulate_trial then rejects.
@@ -530,9 +533,10 @@ class _MonteCarlo:
         features = dict(self.time_features)
         if z is not None:
             features["Z"] = z
-        fit = fit_stack(
-            avail, trt, self.probs, outcome, features, self.config.k_arms, self.spec
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            fit = fit_stack(
+                avail, trt, self.probs, outcome, features, self.config.k_arms, self.spec
+            )
         keep_first_errors(errors, fit.errors)
         beta, cov = fit.theta[:, q:], fit.cov_beta
         reject = np.zeros(count, dtype=bool)

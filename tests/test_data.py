@@ -1,10 +1,13 @@
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mrtcat.data
 from mrtcat import (
     CsvSchema,
     DataValidationError,
@@ -14,9 +17,11 @@ from mrtcat import (
     PositivityError,
     fit_numerator_probs,
     load_csv,
+    simulate_trial,
     validate,
     write_csv,
 )
+from mrtcat.simulate import GenerativeConfig
 
 from _factories import make_dataset, write_toy_csv
 from _oracles import numerator_table_loops
@@ -295,6 +300,225 @@ class TestLoadCsvMessages:
         np.testing.assert_array_equal(b.features["mood"][::-1], a.features["mood"])
 
 
+def load_result(loader, path, schema=None):
+    """What loader makes of path: its DataValidationError message, or the
+    dataset's ids and the bytes of every array."""
+    try:
+        data = loader(str(path), schema or CsvSchema())
+    except DataValidationError as exc:
+        return str(exc)
+    arrays = [data.avail, data.trt, data.probs, data.outcome, *data.features.values()]
+    return (
+        data.subject_ids,
+        data.feature_names,
+        [(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
+    )
+
+
+scan_csv = mrtcat.data._scan_csv  # load_csv's fallback, a complete loader
+
+
+def agree(path, schema=None):
+    """load_csv's result on path, after checking that the scanner's is the same."""
+    result = load_result(load_csv, path, schema)
+    assert result == load_result(scan_csv, path, schema)
+    return result
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The paths load_csv hands to its fallback scanner during a test."""
+    calls = []
+
+    def spy(path, schema):
+        calls.append(path)
+        return scan_csv(path, schema)
+
+    monkeypatch.setattr(mrtcat.data, "_scan_csv", spy)
+    return calls
+
+
+TOY_HEADER = "id,t,avail,trt,prob_0,prob_1,prob_2,outcome"
+
+
+def toy_text(rows=TOY_ROWS, eol="\n", header=TOY_HEADER) -> str:
+    return eol.join([header] + [",".join(str(c) for c in row) for row in rows]) + eol
+
+
+class TestFastPath:
+    """load_csv reads regular files with np.loadtxt and agrees with its
+    csv.reader scanner on every file, loaded or rejected."""
+
+    def test_regular_file_skips_the_scanner(self, tmp_path, scans):
+        path = tmp_path / "toy.csv"
+        path.write_text(toy_text())
+        assert agree(path)[0] == ("a", "b")
+        assert scans == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "header.csv"
+        for text in (TOY_HEADER + "\n", TOY_HEADER + "\r\n\r\n  \n", TOY_HEADER):
+            path.write_text(text, newline="")
+            assert agree(path) == f"{path}: no data rows"
+
+    @pytest.mark.parametrize("blank", ["", "   ", "\t", " , ,"])
+    def test_blank_and_whitespace_lines(self, tmp_path, blank):
+        plain, gappy = tmp_path / "plain.csv", tmp_path / "gappy.csv"
+        plain.write_text(toy_text())
+        lines = toy_text().splitlines()
+        gappy.write_text("\n".join(lines[:3] + [blank, blank] + lines[3:] + [blank]) + "\n")
+        assert agree(gappy) == agree(plain)
+
+    @pytest.mark.parametrize("tail", ["", "\r\n\r\n"])
+    def test_crlf_line_endings(self, tmp_path, scans, tail):
+        plain, crlf = tmp_path / "plain.csv", tmp_path / "crlf.csv"
+        plain.write_text(toy_text())
+        crlf.write_bytes(toy_text(eol="\r\n").encode() + tail.encode())
+        assert agree(crlf) == agree(plain)
+        assert scans == []
+
+    @pytest.mark.parametrize(
+        "cell,sid",
+        [
+            ('"a,1"', "a,1"),
+            ('"a""1"', 'a"1'),
+            ('"a\n1"', "a\n1"),
+            ('"a\r\n1"', "a\r\n1"),
+            (" a ", "a"),
+            ('" a "', "a"),
+        ],
+    )
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_quoted_and_padded_ids(self, tmp_path, scans, cell, sid, eol):
+        rows = [[cell if r[0] == "a" else r[0]] + list(r[1:]) for r in TOY_ROWS]
+        path = tmp_path / "ids.csv"
+        path.write_bytes(toy_text(rows, eol=eol).encode())
+        assert agree(path)[0] == (sid, "b")
+        assert scans == []
+
+    def test_digit_separator_loads_through_the_scanner(self, tmp_path, scans):
+        rows = [list(r) for r in TOY_ROWS]
+        rows[4][7] = "1_0"
+        path = tmp_path / "underscore.csv"
+        path.write_text(toy_text(rows))
+        data = load_csv(str(path))
+        assert scans == [str(path)]
+        assert data.outcome[1, 1] == 10.0
+        agree(path)
+
+    @pytest.mark.parametrize(
+        "col,raw,message",
+        [
+            (7, "+Infinity", "missing or non-finite outcome value"),
+            (7, "nan", "missing or non-finite outcome value"),
+            (5, "NaN", "non-finite randomization probability"),
+            (6, "-inf", "non-finite randomization probability"),
+        ],
+    )
+    def test_non_finite_cells(self, tmp_path, scans, col, raw, message):
+        rows = [list(r) for r in TOY_ROWS]
+        rows[3][col] = raw
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(toy_text(rows))
+        assert agree(path) == f"{path}: {message}"
+        assert scans == []
+
+    def test_id_column_read_as_a_feature_too(self, tmp_path, scans):
+        rows = [[1 if r[0] == "a" else 2] + list(r[1:]) for r in TOY_ROWS]
+        path = tmp_path / "numeric_ids.csv"
+        path.write_text(toy_text(rows))
+        schema = CsvSchema(feature_columns=("id",))
+        ids, names, arrays = agree(path, schema)
+        assert (ids, names) == (("1", "2"), ("id",))
+        assert arrays[-1][2] == np.array([[1.0] * 3, [2.0] * 3]).tobytes()
+        assert scans == [str(path)]
+
+    def test_simulated_panel_round_trip(self, tmp_path, scans):
+        config = GenerativeConfig(
+            family="gm0", t_points=6, rand_probs=np.array([0.4, 0.3]),
+            tau_curve=np.full(6, 0.7),
+        )
+        data = simulate_trial(config, 9, seed=21)
+        path = tmp_path / "sim.csv"
+        write_csv(data, str(path))
+        ids, names, arrays = agree(path)
+        assert scans == []
+        assert (ids, names) == (data.subject_ids, data.feature_names)
+        expected = [data.avail, data.trt, data.probs, data.outcome, *data.features.values()]
+        assert arrays == [(a.dtype.str, a.shape, a.tobytes()) for a in expected]
+
+
+ID_CHARS = "ab ,\"\n\r\t"
+ODD_CELLS = (
+    "", "  ", "oops", "1_0", "+Infinity", "nan", "-inf", "1e300", "2.5", " 0.5 ",
+    "-0", "1e0", "\u0661", "\xa01", '"1"', "0x1",
+)
+
+
+def quote_id(sid: str, style: str) -> str:
+    """sid as a CSV cell: raw, quoted, padded, or (plain) quoted only if it must be."""
+    quoted = '"' + sid.replace('"', '""') + '"'
+    if style == "plain":
+        style = "quoted" if set(sid) & set(',"\r\n') else "raw"
+    return {"raw": sid, "quoted": quoted, "padded": f" {quoted} "}[style]
+
+
+@st.composite
+def csv_texts(draw):
+    """A small panel file, with awkward ids and a few of the irregularities
+    that make a file load differently or fail."""
+    n, t_points = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    sid = st.text(ID_CHARS, min_size=1, max_size=3)
+    ids = draw(st.lists(sid, min_size=n, max_size=n, unique_by=str.strip))
+    style = st.sampled_from(["plain", "plain", "plain", "quoted", "padded", "raw"])
+    styles = draw(st.lists(style, min_size=n, max_size=n))
+    value = st.floats(-1e3, 1e3, allow_nan=False).map(repr)
+    rows = []
+    for i in range(n):
+        for t in range(1, t_points + 1):
+            avail = draw(st.integers(0, 1))
+            trt = avail * draw(st.integers(0, 2))
+            rows.append(
+                [quote_id(ids[i], styles[i]), str(t), str(avail), str(trt),
+                 "0.5", "0.25", "0.25", draw(value), draw(value)]
+            )
+    rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.integers(0, len(rows) - 1))
+        col = draw(st.integers(1, 8))
+        kind = draw(st.sampled_from(["odd", "short", "long", "duplicate", "gap", "t", "trt"]))
+        if kind == "odd":
+            rows[row][col] = draw(st.sampled_from(ODD_CELLS))
+        elif kind == "short":
+            rows[row] = rows[row][:-1]
+        elif kind == "long":
+            rows[row] = rows[row] + ["0"]
+        elif kind == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[row]))
+        elif kind == "gap":
+            rows[row][1] = str(t_points + 1)
+        else:
+            cell = draw(st.sampled_from(["1.5", "0.5", "2.0", "1e0"]))
+            rows[row][1 if kind == "t" else 3] = cell
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t", " , "])))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    tail = draw(st.sampled_from(["", "", eol, eol * 2]))
+    return eol.join([TOY_HEADER + ",x"] + lines) + eol + tail
+
+
+class TestLoaderDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(csv_texts())
+    def test_load_csv_agrees_with_scanner(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "panel.csv"
+            path.write_bytes(text.encode())
+            agree(path)
+
+
 class TestValidationMessages:
     """Every dataset-invariant message a CSV can reach, in full, through
     load_csv: the file path, then the violations joined by '; '."""
@@ -309,7 +533,7 @@ class TestValidationMessages:
             ({(2, 4): -0.2, (2, 5): 0.3, (2, 6): 0.9}, "negative randomization probability"),
             (
                 {(0, 4): 0.5},
-                "probabilities do not sum to 1 (subject 'a', t=1, sum=np.float64(1.1))",
+                "probabilities do not sum to 1 (subject 'a', t=1, sum=1.1)",
             ),
             (
                 {(0, 4): 0.7, (0, 5): 0.0},

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -664,6 +666,22 @@ class TestChunkedEngine:
             run_monte_carlo(config, 12, 40, MARGINAL_SPEC, np.array([[1.0, -1.0]]), seed=5)
         assert str(err.value) == (
             f"40/40 replicates failed (budget 1%): {grouped}; first error: {errors[0]}"
+        )
+
+    def test_overflow_aborts_without_warnings(self):
+        # The config of the test above: the generator and the chunk fit
+        # overflow without a numpy warning, and the run fails as before.
+        config = null_config(t_points=3, tau=0.5, rand_probs=(0.05, 0.4),
+                             eo_coeffs=(1e308,), mee_coeffs=((1e308,), (-1e308,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as err:
+                run_monte_carlo(
+                    config, 12, 40, MARGINAL_SPEC, np.array([[1.0, -1.0]]), seed=5
+                )
+        assert str(err.value) == (
+            "40/40 replicates failed (budget 1%): DataValidationError×26, "
+            "DegenerateArmError×14; first error: missing or non-finite outcome value"
         )
 
     def test_budget_abort_counts_failures_by_class(self):
