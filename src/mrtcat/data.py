@@ -214,14 +214,23 @@ class _Columns:
         return (s.avail, s.trt, s.outcome, *self.prob, *self.features)
 
 
-def _read_header(path: str, reader: Iterator[list[str]], schema: CsvSchema) -> _Columns:
+def _csv_rows(path: str, reader) -> Iterator[list[str]]:
+    """The rows of a csv.reader, with csv's own errors (such as a cell over
+    its field size limit) raised as DataValidationError naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataValidationError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _read_header(path: str, reader, schema: CsvSchema) -> _Columns:
     """Read the header row from reader and resolve the schema's columns in it.
 
     Raises DataValidationError on an empty file or a header that does
     not fit the schema.
     """
     try:
-        header = [h.strip() for h in next(reader)]
+        header = [h.strip() for h in next(_csv_rows(path, reader))]
     except StopIteration:
         raise DataValidationError(f"{path}: file is empty") from None
     col_index = {name: i for i, name in enumerate(header)}
@@ -295,12 +304,13 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> MrtDataset:
     schema = schema or CsvSchema()
     with open(path, newline="", encoding="utf-8") as handle:
         # readline, not iteration, so that tell() can mark where the rows start
-        reader = csv.reader(iter(handle.readline, ""))
-        columns = _read_header(path, reader, schema)
+        lines = iter(handle.readline, "")
+        columns = _read_header(path, csv.reader(lines), schema)
         start = handle.tell()
         rows = None
-        # loadtxt warns on a file without data rows; the scanner words that case
-        if any(any(map(str.strip, row)) for row in reader):
+        # loadtxt warns on a file without data rows; the scanner words that
+        # case.  Lines, not csv rows: csv has a limit on the size of a cell.
+        if any(map(str.strip, lines)):
             handle.seek(start)
             rows = _parse_rows(handle, columns)
     if rows is None:
@@ -349,7 +359,7 @@ def _scan_csv(path: str, schema: CsvSchema) -> MrtDataset:
         columns = _read_header(path, reader, schema)
         rows: list[list[str]] = []
         lines: list[int] = []
-        for row in reader:
+        for row in _csv_rows(path, reader):
             if any(map(str.strip, row)):
                 rows.append(row)
                 lines.append(reader.line_num)

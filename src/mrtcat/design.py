@@ -17,6 +17,10 @@ taken at the denominator degrees of freedom n - q - l rather than n,
 which matches the small-sample behavior the critical value is
 calibrated to.
 
+DesignInputs builds V (one einsum over t), checks it and computes
+lambda(n) / n once, on construction, so a singular V or a null contrast
+fails there; the functions below read the stored values.
+
 The pattern builders translate interpretable knobs (time-averaged
 levels plus a shape parameter) into availability, expected-outcome, and
 effect curves.  Each shape constraint is an endpoint or midpoint ratio;
@@ -67,8 +71,11 @@ class DesignInputs:
     point (the reference-arm probability is implied); a single K-vector
     is broadcast over t.  gamma stacks the K per-arm coefficient vectors
     in the f basis.  q is the dimension of the control basis the
-    analysis will use.  contrast is l_matrix lifted to the f basis,
-    built once on construction.
+    analysis will use.  The arrays are copied.  Construction also builds
+    contrast (l_matrix lifted to the f basis), V with its 1-norm
+    condition number, and lambda_rate = lambda(n) / n; it raises
+    SingularSystemError for a singular V and NullContrastError for a
+    null contrast of gamma.
     """
 
     k_arms: int
@@ -82,13 +89,16 @@ class DesignInputs:
     eta: float = 0.05
     power_target: float = 0.8
     contrast: ContrastSpec = field(init=False, repr=False, compare=False)
+    v_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    v_condition: float = field(init=False, repr=False, compare=False)
+    lambda_rate: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k_arms < 1:
             raise DataValidationError("k_arms must be >= 1")
         if self.t_points < 1:
             raise DataValidationError("t_points must be >= 1")
-        probs = np.asarray(self.rand_probs, dtype=float)
+        probs = np.array(self.rand_probs, dtype=float)
         if probs.ndim == 1:
             probs = np.tile(probs, (self.t_points, 1))
         if probs.shape != (self.t_points, self.k_arms):
@@ -99,20 +109,20 @@ class DesignInputs:
             raise DataValidationError(
                 "active-arm probabilities must be positive with row sums < 1"
             )
-        tau = np.asarray(self.tau, dtype=float)
+        tau = np.array(self.tau, dtype=float)
         if tau.shape != (self.t_points,):
             raise DataValidationError(f"tau must have length T={self.t_points}")
         if (tau <= 0).any() or (tau > 1).any():
             raise DataValidationError("tau values must lie in (0, 1]")
-        f = np.atleast_2d(np.asarray(self.f, dtype=float))
+        f = np.array(self.f, dtype=float, ndmin=2)
         if f.shape[0] != self.t_points:
             raise DataValidationError(f"f must be (T, p) with T={self.t_points}")
-        gamma = np.asarray(self.gamma, dtype=float)
+        gamma = np.array(self.gamma, dtype=float)
         if gamma.shape != (self.k_arms * f.shape[1],):
             raise DataValidationError(
                 f"gamma must have length K*p = {self.k_arms * f.shape[1]}"
             )
-        l_matrix = np.atleast_2d(np.asarray(self.l_matrix, dtype=float))
+        l_matrix = np.array(self.l_matrix, dtype=float, ndmin=2)
         if l_matrix.shape[1] != self.k_arms:
             raise DataValidationError(f"l_matrix must have K={self.k_arms} columns")
         if self.q < 1:
@@ -121,12 +131,26 @@ class DesignInputs:
             raise DataValidationError("eta must lie in (0, 1)")
         if not (0.0 <= self.power_target < 1.0):
             raise DataValidationError("power_target must lie in [0, 1)")
-        object.__setattr__(self, "rand_probs", probs)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "l_matrix", l_matrix)
-        object.__setattr__(self, "contrast", build_contrast(l_matrix, f.shape[1]))
+        contrast = build_contrast(l_matrix, f.shape[1])
+        v = _v_matrix(probs, tau, f)
+        reduced = contrast.row_basis
+        try:
+            solved = solve_spd(v, reduced.T)
+        except SingularSystemError as exc:
+            raise SingularSystemError(
+                f"design matrix V is singular; the f basis is likely rank deficient: {exc}"
+            ) from exc
+        lg = reduced @ gamma
+        if float(np.linalg.norm(lg)) <= 1e-12 * max(1.0, float(np.linalg.norm(gamma))):
+            raise NullContrastError("contrast of target alternative is null")
+        gram = reduced @ solved.solution
+        for name, value in (
+            ("rand_probs", probs), ("tau", tau), ("f", f), ("gamma", gamma),
+            ("l_matrix", l_matrix), ("contrast", contrast), ("v_matrix", v),
+            ("v_condition", solved.condition_estimate),
+            ("lambda_rate", float(lg @ solve_spd(gram, lg).solution)),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def p(self) -> int:
@@ -147,10 +171,14 @@ class EffectSummary:
 
 @dataclass(frozen=True)
 class SampleSizeResult:
+    """A sizing, with V's condition number and the search's power evaluations."""
+
     n: int
     achieved_power: float
     lambda_per_n: float
     v_matrix: np.ndarray
+    v_condition: float
+    power_evals: int
 
 
 def build_pt(probs: np.ndarray) -> np.ndarray:
@@ -163,56 +191,37 @@ def build_pt(probs: np.ndarray) -> np.ndarray:
     return np.diag(p) - np.outer(p, p)
 
 
+def _v_matrix(probs: np.ndarray, tau: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """V = sum_t tau(t) kron(P_t, f_t f_t') for (T, K) probs and (T, p) f.
+
+    Without einsum's optimize, the sum over t runs in the order of a loop
+    over t, so V is bitwise the loop's when f is all ones.
+    """
+    k_arms, p = probs.shape[1], f.shape[1]
+    pt = np.eye(k_arms) * probs[:, None, :] - probs[:, :, None] * probs[:, None, :]
+    return np.einsum("t,tkl,ti,tj->kilj", tau, pt, f, f).reshape(k_arms * p, k_arms * p)
+
+
 def build_v(inputs: DesignInputs) -> np.ndarray:
-    """V = sum_t tau(t) kron(P_t, f_t f_t'), checked to be nonsingular."""
-    kp = inputs.k_arms * inputs.p
-    v = np.zeros((kp, kp))
-    for t in range(inputs.t_points):
-        ft = inputs.f[t][:, None]
-        v += inputs.tau[t] * np.kron(build_pt(inputs.rand_probs[t]), ft @ ft.T)
-    try:
-        solve_spd(v, np.eye(kp))
-    except SingularSystemError as exc:
-        raise SingularSystemError(
-            f"design matrix V is singular; the f basis is likely rank deficient: {exc}"
-        ) from exc
-    return v
-
-
-def _lambda_rate(inputs: DesignInputs, v: np.ndarray) -> float:
-    """lambda(n) / n for the configured contrast and alternative."""
-    reduced = inputs.contrast.row_basis
-    lg = reduced @ inputs.gamma
-    if float(np.linalg.norm(lg)) <= 1e-12 * max(1.0, float(np.linalg.norm(inputs.gamma))):
-        raise NullContrastError("contrast of target alternative is null")
-    vinv_lt = solve_spd(v, reduced.T).solution
-    gram = reduced @ vinv_lt
-    return float(lg @ solve_spd(gram, lg).solution)
+    """V = sum_t tau(t) kron(P_t, f_t f_t'), checked on construction to be nonsingular."""
+    return inputs.v_matrix
 
 
 def noncentrality(n: int, inputs: DesignInputs) -> float:
     """lambda(n) = n (Lt g)' (Lt V^{-1} Lt')^{-1} (Lt g)."""
     if n < 1:
         raise DataValidationError("n must be >= 1")
-    return n * _lambda_rate(inputs, build_v(inputs))
-
-
-def _power(rate: float, n: int, q: int, l: int, eta: float) -> float:
-    df2 = n - q - l
-    lam = df2 * rate
-    critical = f_quantile(l, df2, 1.0 - eta)
-    return 1.0 - noncentral_f_cdf(l, df2, lam, critical)
+    return n * inputs.lambda_rate
 
 
 def power_at_n(inputs: DesignInputs, n: int) -> float:
     """Power of the scaled-F test with n subjects under the alternative."""
-    l = inputs.rank_l
-    if n <= inputs.q + l + 1:
-        raise DataValidationError(
-            f"need n > q + l + 1 (n={n}, q={inputs.q}, l={l})"
-        )
-    rate = _lambda_rate(inputs, build_v(inputs))
-    return _power(rate, n, inputs.q, l, inputs.eta)
+    q, l = inputs.q, inputs.rank_l
+    if n <= q + l + 1:
+        raise DataValidationError(f"need n > q + l + 1 (n={n}, q={q}, l={l})")
+    df2 = n - q - l
+    critical = f_quantile(l, df2, 1.0 - inputs.eta)
+    return 1.0 - noncentral_f_cdf(l, df2, df2 * inputs.lambda_rate, critical)
 
 
 def required_sample_size(
@@ -225,19 +234,22 @@ def required_sample_size(
     the power curve has a local flat spot.  Exceeding the cap raises
     NumericalError (the effect is too small to power within the cap).
     """
-    v = build_v(inputs)
-    rate = _lambda_rate(inputs, v)
-    l = inputs.rank_l
-    q = inputs.q
-    start = max(10, q + l + 2)
+    start = max(10, inputs.q + inputs.rank_l + 2)
+    evals = 0
 
     def power(n: int) -> float:
-        return _power(rate, n, q, l, inputs.eta)
+        nonlocal evals
+        evals += 1
+        return power_at_n(inputs, n)
+
+    def result(n: int) -> SampleSizeResult:
+        achieved = power(n)
+        return SampleSizeResult(
+            n, achieved, inputs.lambda_rate, inputs.v_matrix, inputs.v_condition, evals
+        )
 
     if inputs.power_target == 0.0:
-        return SampleSizeResult(
-            n=start, achieved_power=power(start), lambda_per_n=rate, v_matrix=v
-        )
+        return result(start)
 
     hi = start
     while power(hi) < inputs.power_target:
@@ -259,9 +271,7 @@ def required_sample_size(
         n -= 1
     if n > cap:
         raise NumericalError(f"effect too small: required sample size exceeds cap {cap}")
-    return SampleSizeResult(
-        n=n, achieved_power=power(n), lambda_per_n=rate, v_matrix=v
-    )
+    return result(n)
 
 
 def tau_pattern(kind: str, aa: float, theta_tau: float, t_points: int) -> np.ndarray:
@@ -433,12 +443,28 @@ def inputs_from_config(cfg: dict[str, str]) -> DesignInputs:
             "config-driven sample sizing supports K=2 (the pattern builders are two-arm); "
             "build DesignInputs directly for other K"
         )
+    probs, tau = _config_probs_tau(
+        cfg, f"key 'p' must list K+1={k_arms + 1} probabilities including the reference arm"
+    )
+    f_kind = cfg.get("f_kind", "constant")
+    gamma = _config_gamma(cfg, f_kind, tau)
+    l_matrix = parse_contrast_text(cfg.get("L", "pairwise(1,2)"), k_arms)
+    return _config_inputs(
+        cfg, probs, tau, f_kind, gamma, get_int(cfg, "q", 1), l_matrix, get_float(cfg, "eta", 0.05)
+    )
+
+
+# The parts of a config that sample sizing and n = auto simulation share.
+
+
+def _config_probs_tau(cfg: dict[str, str], count_message: str) -> tuple[np.ndarray, np.ndarray]:
+    """The active-arm probabilities of key 'p' (three, reference arm first;
+    count_message words any other count) and the curve of keys T, tau_kind,
+    AA and theta_tau."""
     t_points = get_int(cfg, "T")
     probs_full = get_floats(cfg, "p")
-    if len(probs_full) != k_arms + 1:
-        raise DataValidationError(
-            f"key 'p' must list K+1={k_arms + 1} probabilities including the reference arm"
-        )
+    if len(probs_full) != 3:
+        raise DataValidationError(count_message)
     if abs(sum(probs_full) - 1.0) > 1e-8:
         raise DataValidationError("key 'p' probabilities must sum to 1")
     tau = tau_pattern(
@@ -447,31 +473,27 @@ def inputs_from_config(cfg: dict[str, str]) -> DesignInputs:
         get_float(cfg, "theta_tau", 0.0),
         t_points,
     )
-    f_kind = cfg.get("f_kind", "constant")
-    gamma, _ = mee_pattern(
-        f_kind,
-        get_float(cfg, "theta_f1", 0.0),
-        get_float(cfg, "theta_f2", 0.0),
-        (get_float(cfg, "sate1"), get_float(cfg, "sate2")),
-        tau,
-    )
-    t = np.arange(1, t_points + 1, dtype=float)
-    if f_kind == "constant":
-        f = np.ones((t_points, 1))
-    elif f_kind == "linear":
-        f = np.column_stack([np.ones(t_points), t])
-    else:
-        raise DataValidationError(f"unknown f_kind {cfg.get('f_kind')!r}")
-    l_matrix = parse_contrast_text(cfg.get("L", "pairwise(1,2)"), k_arms)
+    return np.array(probs_full[1:]), tau
+
+
+def _config_gamma(cfg: dict[str, str], f_kind: str, tau: np.ndarray) -> np.ndarray:
+    """gamma of the two-arm effect pattern f_kind, from keys theta_f1,
+    theta_f2, sate1 and sate2."""
+    thetas = get_float(cfg, "theta_f1", 0.0), get_float(cfg, "theta_f2", 0.0)
+    return mee_pattern(f_kind, *thetas, (get_float(cfg, "sate1"), get_float(cfg, "sate2")), tau)[0]
+
+
+def _config_inputs(
+    cfg: dict[str, str], probs: np.ndarray, tau: np.ndarray, f_kind: str,
+    gamma: np.ndarray, q: int, l_matrix: np.ndarray, eta: float,
+) -> DesignInputs:
+    """Two-arm DesignInputs in the f basis of a constant or linear f_kind,
+    (1) or (1, t), with the power target of key 'power'."""
+    t_points = tau.shape[0]
+    f = np.ones((t_points, 1))
+    if f_kind == "linear":
+        f = np.column_stack([f, np.arange(1, t_points + 1, dtype=float)])
     return DesignInputs(
-        k_arms=k_arms,
-        t_points=t_points,
-        rand_probs=np.array(probs_full[1:]),
-        tau=tau,
-        f=f,
-        gamma=gamma,
-        q=get_int(cfg, "q", 1),
-        l_matrix=l_matrix,
-        eta=get_float(cfg, "eta", 0.05),
-        power_target=get_float(cfg, "power", 0.8),
+        k_arms=2, t_points=t_points, rand_probs=probs, tau=tau, f=f, gamma=gamma, q=q,
+        l_matrix=l_matrix, eta=eta, power_target=get_float(cfg, "power", 0.8),
     )

@@ -37,11 +37,11 @@ import numpy as np
 
 from .data import MrtDataset, NumeratorPolicy
 from .design import (
-    DesignInputs,
+    _config_gamma,
+    _config_inputs,
+    _config_probs_tau,
     eo_pattern,
-    mee_pattern,
     required_sample_size,
-    tau_pattern,
 )
 from .errors import DataValidationError, NumericalError
 from .inference import (
@@ -324,6 +324,8 @@ def _draw(config: GenerativeConfig, seed: int, eps, z, u) -> None:
     rng.random(out=u)
 
 
+# Huge finite coefficients overflow here; the finiteness checks report it.
+@np.errstate(over="ignore", invalid="ignore")
 def _generate(config: GenerativeConfig, tables: _GeneratorTables, eps, z, u):
     """Turn R replicates' draws into (avail, trt, outcome, clipped).
 
@@ -516,10 +518,7 @@ class _MonteCarlo:
         eps, z, u = _draw_buffers(self.config, count, self.n)
         for i, seed in enumerate(seeds):
             _draw(self.config, seed, eps[i], None if z is None else z[i], u[i])
-        # Huge but finite coefficients overflow in the generator and then in
-        # the fit; the per-replicate checks below report it, so numpy need not.
-        with np.errstate(over="ignore", invalid="ignore"):
-            avail, trt, outcome, clipped = _generate(self.config, self.tables, eps, z, u)
+        avail, trt, outcome, clipped = _generate(self.config, self.tables, eps, z, u)
         del eps, u  # the draws are spent; keep the chunk's footprint small
         # A generated panel meets every dataset invariant unless its
         # outcome overflows, which is what simulate_trial then rejects.
@@ -533,10 +532,7 @@ class _MonteCarlo:
         features = dict(self.time_features)
         if z is not None:
             features["Z"] = z
-        with np.errstate(over="ignore", invalid="ignore"):
-            fit = fit_stack(
-                avail, trt, self.probs, outcome, features, self.config.k_arms, self.spec
-            )
+        fit = fit_stack(avail, trt, self.probs, outcome, features, self.config.k_arms, self.spec)
         keep_first_errors(errors, fit.errors)
         beta, cov = fit.theta[:, q:], fit.cov_beta
         reject = np.zeros(count, dtype=bool)
@@ -727,19 +723,10 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
     Bookkeeping: replicates, seed, true_beta, power (for n = 'auto').
     """
     family = cfg.get("family", "gm0")
-    t_points = get_int(cfg, "T")
-    probs_full = get_floats(cfg, "p")
-    if len(probs_full) != 3:
-        raise DataValidationError("key 'p' must list 3 probabilities (reference arm first)")
-    if abs(sum(probs_full) - 1.0) > 1e-8:
-        raise DataValidationError("key 'p' probabilities must sum to 1")
-    probs_active = np.array(probs_full[1:])
-    tau = tau_pattern(
-        cfg.get("tau_kind", "constant"),
-        get_float(cfg, "AA"),
-        get_float(cfg, "theta_tau", 0.0),
-        t_points,
+    probs_active, tau = _config_probs_tau(
+        cfg, "key 'p' must list 3 probabilities (reference arm first)"
     )
+    t_points = tau.shape[0]
 
     eo_kind = cfg.get("eo_kind", "constant")
     if "eo_coeffs" in cfg:
@@ -759,14 +746,7 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
         ]
         mee_coeffs = np.array(rows)
     elif mee_kind in ("constant", "linear"):
-        gamma, _ = mee_pattern(
-            mee_kind,
-            get_float(cfg, "theta_f1", 0.0),
-            get_float(cfg, "theta_f2", 0.0),
-            (get_float(cfg, "sate1"), get_float(cfg, "sate2")),
-            tau,
-        )
-        mee_coeffs = gamma.reshape(2, -1)
+        mee_coeffs = _config_gamma(cfg, mee_kind, tau).reshape(2, -1)
     else:
         raise DataValidationError(f"f_kind {mee_kind!r} requires explicit mee_coeffs")
 
@@ -807,23 +787,8 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
     if raw_n == "auto":
         if mee_kind not in ("constant", "linear"):
             raise DataValidationError("n='auto' requires a constant or linear effect basis")
-        t_grid = np.arange(1, t_points + 1, dtype=float)
-        f = (
-            np.ones((t_points, 1))
-            if mee_kind == "constant"
-            else np.column_stack([np.ones(t_points), t_grid])
-        )
-        inputs = DesignInputs(
-            k_arms=2,
-            t_points=t_points,
-            rand_probs=probs_active,
-            tau=tau,
-            f=f,
-            gamma=mee_coeffs.ravel(),
-            q=spec.q,
-            l_matrix=l_matrix,
-            eta=eta,
-            power_target=get_float(cfg, "power", 0.8),
+        inputs = _config_inputs(
+            cfg, probs_active, tau, mee_kind, mee_coeffs.ravel(), spec.q, l_matrix, eta
         )
         n = required_sample_size(inputs).n
     else:

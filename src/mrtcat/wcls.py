@@ -267,6 +267,8 @@ class FitStack(NamedTuple):
     errors: list
 
 
+# Outcomes near the float limit overflow here; the per-panel checks report it.
+@np.errstate(over="ignore", invalid="ignore")
 def fit_stack(
     avail: np.ndarray,
     trt: np.ndarray,

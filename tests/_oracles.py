@@ -26,6 +26,17 @@ def kron_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def design_v_loops(probs: np.ndarray, tau: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """V = sum_t tau(t) kron(diag(p_t) - p_t p_t', f_t f_t'), one t at a time."""
+    kp = probs.shape[1] * f.shape[1]
+    v = np.zeros((kp, kp))
+    for t in range(tau.shape[0]):
+        pt = np.diag(probs[t]) - np.outer(probs[t], probs[t])
+        ft = f[t][:, None]
+        v += tau[t] * np.kron(pt, ft @ ft.T)
+    return v
+
+
 def _simpson(f, lo, hi):
     mid = 0.5 * (lo + hi)
     return (hi - lo) / 6.0 * (f(lo) + 4.0 * f(mid) + f(hi)), mid

@@ -278,6 +278,7 @@ class TestSamplesize:
         code = main(["samplesize", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
+        assert sorted(payload) == ["achieved_power", "lambda_per_n", "n", "v_matrix"]
         assert payload["n"] == 93
         assert payload["achieved_power"] >= 0.8
         assert payload["lambda_per_n"] == pytest.approx(0.0884835, abs=1e-9)

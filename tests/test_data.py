@@ -1,3 +1,4 @@
+import csv
 import re
 import tempfile
 from pathlib import Path
@@ -447,6 +448,48 @@ class TestFastPath:
         assert (ids, names) == (data.subject_ids, data.feature_names)
         expected = [data.avail, data.trt, data.probs, data.outcome, *data.features.values()]
         assert arrays == [(a.dtype.str, a.shape, a.tobytes()) for a in expected]
+
+    # csv.reader refuses a cell over csv.field_size_limit() characters;
+    # numpy's parser has no such limit.
+    HUGE_ID = "a" * 140_000
+
+    def test_cell_over_csv_field_limit_loads(self, tmp_path, scans):
+        limit = csv.field_size_limit()
+        rows = [[self.HUGE_ID if r[0] == "a" else r[0]] + list(r[1:]) for r in TOY_ROWS]
+        path, plain = tmp_path / "huge_id.csv", tmp_path / "plain.csv"
+        path.write_text(toy_text(rows))
+        plain.write_text(toy_text())
+        ids, names, arrays = load_result(load_csv, path)
+        assert ids == (self.HUGE_ID, "b")
+        assert (names, arrays) == load_result(load_csv, plain)[1:]
+        assert scans == []
+        assert csv.field_size_limit() == limit
+
+    @pytest.mark.parametrize(
+        "row,line", [(0, 2), (4, 6)], ids=["first_data_row", "after_a_bad_cell"]
+    )
+    def test_cell_over_csv_field_limit_in_a_bad_file(self, tmp_path, scans, row, line):
+        # The scanner cannot read past such a cell, so it names that cell's
+        # line even when a bad cell (line 3) comes first.
+        rows = [list(r) for r in TOY_ROWS]
+        rows[1][7] = "oops"
+        rows[row][0] = self.HUGE_ID
+        path = tmp_path / "huge_bad.csv"
+        path.write_text(toy_text(rows))
+        message = f"{path}: line {line}: field larger than field limit ({csv.field_size_limit()})"
+        with pytest.raises(DataValidationError) as err:
+            load_csv(str(path))
+        assert str(err.value) == message
+        assert scans == [str(path)]
+
+    def test_header_cell_over_csv_field_limit(self, tmp_path):
+        path = tmp_path / "huge_header.csv"
+        path.write_text(toy_text(header=TOY_HEADER + "," + self.HUGE_ID))
+        with pytest.raises(DataValidationError) as err:
+            load_csv(str(path))
+        assert str(err.value) == (
+            f"{path}: line 1: field larger than field limit ({csv.field_size_limit()})"
+        )
 
 
 ID_CHARS = "ab ,\"\n\r\t"

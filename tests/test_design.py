@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mrtcat.design
+
 from mrtcat import (
     DataValidationError,
     DesignInputs,
@@ -20,6 +22,10 @@ from mrtcat import (
     summarize_effects,
     tau_pattern,
 )
+from mrtcat.design import _v_matrix
+from mrtcat.numerics import noncentral_f_cdf
+
+from _oracles import design_v_loops
 
 
 def golden_inputs(**overrides):
@@ -94,18 +100,72 @@ class TestBuildV:
     def test_rank_deficient_f_basis_rejected(self):
         t_points = 10
         f = np.column_stack([np.ones(t_points), 2.0 * np.ones(t_points)])
-        inputs = DesignInputs(
-            k_arms=2,
-            t_points=t_points,
-            rand_probs=np.array([0.3, 0.3]),
-            tau=np.ones(t_points),
-            f=f,
-            gamma=np.zeros(4) + 0.1,
-            q=1,
-            l_matrix=np.eye(2),
-        )
         with pytest.raises(SingularSystemError, match="singular"):
-            build_v(inputs)
+            DesignInputs(
+                k_arms=2,
+                t_points=t_points,
+                rand_probs=np.array([0.3, 0.3]),
+                tau=np.ones(t_points),
+                f=f,
+                gamma=np.zeros(4) + 0.1,
+                q=1,
+                l_matrix=np.eye(2),
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4), st.integers(1, 3), st.integers(1, 40), st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_einsum_matches_kron_loop(self, k_arms, p, t_points, constant_f, seed):
+        # With f >= 0 every term of an entry of V has the same sign, so the
+        # two summation orders agree to a few ulps per term.
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(k_arms + 1), size=t_points)[:, 1:]
+        tau = rng.uniform(0.01, 1.0, t_points)
+        if constant_f:
+            f = np.ones((t_points, p))
+        else:
+            f = rng.uniform(0.0, 10.0, (t_points, p)) * 10.0 ** rng.integers(-3, 4, p)
+        v = _v_matrix(probs, tau, f)
+        expected = design_v_loops(probs, tau, f)
+        if constant_f:
+            assert v.tobytes() == expected.tobytes()
+        else:
+            np.testing.assert_allclose(v, expected, rtol=1e-13, atol=0)
+
+    def test_built_once_per_inputs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            mrtcat.design, "_v_matrix", lambda *args: calls.append(1) or _v_matrix(*args)
+        )
+        inputs = golden_inputs()
+        assert calls == [1]
+        required_sample_size(inputs)
+        power_at_n(inputs, 93)
+        noncentrality(93, inputs)
+        assert build_v(inputs) is inputs.v_matrix
+        assert calls == [1]
+
+    def test_caller_arrays_neither_mutated_nor_shared(self):
+        t_points = 12
+        arrays = dict(
+            rand_probs=np.array([0.3, 0.2]),
+            tau=np.linspace(0.5, 1.0, t_points),
+            f=np.column_stack([np.ones(t_points), np.arange(1.0, t_points + 1)]),
+            gamma=np.array([0.05, 0.01, 0.02, 0.0]),
+            l_matrix=np.array([[1.0, -1.0]]),
+        )
+        before = {name: a.copy() for name, a in arrays.items()}
+        inputs = DesignInputs(k_arms=2, t_points=t_points, q=1, **arrays)
+        v, rate = inputs.v_matrix.copy(), inputs.lambda_rate
+        for name, a in arrays.items():
+            np.testing.assert_array_equal(a, before[name])
+            assert not np.shares_memory(a, getattr(inputs, name))
+            a *= 0.5
+        assert inputs.v_matrix.tobytes() == v.tobytes()
+        assert inputs.lambda_rate == rate
+        assert noncentrality(10, inputs) == 10 * rate
 
 
 class TestNoncentrality:
@@ -130,9 +190,8 @@ class TestNoncentrality:
         )
 
     def test_null_alternative_rejected(self):
-        inputs = golden_inputs(gamma=np.array([0.05, 0.05]))
         with pytest.raises(NullContrastError):
-            noncentrality(50, inputs)
+            golden_inputs(gamma=np.array([0.05, 0.05]))
 
     def test_invariant_to_contrast_row_scaling(self):
         a = noncentrality(40, golden_inputs())
@@ -158,6 +217,19 @@ class TestSampleSize:
         np.testing.assert_allclose(
             result.v_matrix, [[44.1, -18.9], [-18.9, 44.1]], atol=1e-9
         )
+
+    def test_diagnostics(self, monkeypatch):
+        evals = []
+        monkeypatch.setattr(
+            mrtcat.design, "noncentral_f_cdf",
+            lambda *args: evals.append(1) or noncentral_f_cdf(*args),
+        )
+        inputs = golden_inputs()
+        result = required_sample_size(inputs)
+        # ||V||_1 ||V^-1||_1 with V = [[44.1, -18.9], [-18.9, 44.1]]
+        assert result.v_condition == pytest.approx(63.0**2 / (44.1**2 - 18.9**2), rel=1e-12)
+        assert result.v_condition == inputs.v_condition
+        assert result.power_evals == len(evals) > 0
 
     def test_power_boundary(self):
         inputs = golden_inputs()

@@ -629,7 +629,6 @@ class TestChunkedEngine:
                 np.testing.assert_allclose(rec["se"], se, rtol=1e-12, atol=0)
                 assert rec["reject"] == reject
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_outcome_fails_like_simulate_trial(self):
         # every treated point overflows, so every replicate fails
         config = null_config(tau=1.0, eo_coeffs=(1e308,), mee_coeffs=((1e308,), (1e308,)))
@@ -643,7 +642,6 @@ class TestChunkedEngine:
             "first error: missing or non-finite outcome value"
         )
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_and_finite_replicates_fail_like_public_calls(self):
         # Arm 1 overflows; a replicate that never gives arm 1 stays finite
         # and fails later, in fit_wcls.  One chunk holds both kinds, and
