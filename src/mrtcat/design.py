@@ -63,7 +63,7 @@ __all__ = [
 SEARCH_CAP_DEFAULT = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignInputs:
     """Inputs of the sample-size calculation.
 
@@ -88,10 +88,10 @@ class DesignInputs:
     l_matrix: np.ndarray
     eta: float = 0.05
     power_target: float = 0.8
-    contrast: ContrastSpec = field(init=False, repr=False, compare=False)
-    v_matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    v_condition: float = field(init=False, repr=False, compare=False)
-    lambda_rate: float = field(init=False, repr=False, compare=False)
+    contrast: ContrastSpec = field(init=False, repr=False)
+    v_matrix: np.ndarray = field(init=False, repr=False)
+    v_condition: float = field(init=False, repr=False)
+    lambda_rate: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.k_arms < 1:
@@ -161,7 +161,7 @@ class DesignInputs:
         return self.contrast.rank_l
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectSummary:
     sate: np.ndarray
     delta_sate: np.ndarray
@@ -169,7 +169,7 @@ class EffectSummary:
     aa: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSizeResult:
     """A sizing, with V's condition number and the search's power evaluations."""
 

@@ -40,7 +40,7 @@ SCALINGS = ("printed", "alternative")
 _RANK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContrastSpec:
     """A contrast L, its lift L_tilde = L kron I_p, rank(L), and row_basis:
     a full-row-rank matrix with L_tilde's row space, which gives the

@@ -11,6 +11,8 @@ factor once; that inverse yields both the solution and the exact 1-norm
 condition number.  solve_spd_stack does the same over a leading stack
 axis, with one error slot per slice, for the stacked fits of the Monte
 Carlo engine; solve_spd is that function on a stack of one.
+apply_spd_inverse solves a further right-hand side with a stack's
+factor, under solve_spd's rules.
 
 The F functions are thin wrappers over the scipy.special kernels fdtr
 (central CDF), fdtri (its inverse in p) and ncfdtr (noncentral CDF).  The wrappers own the domain checks, the
@@ -42,7 +44,7 @@ __all__ = [
 CONDITION_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpdSolveReport:
     """Result of a symmetric positive definite solve.
 
@@ -103,14 +105,10 @@ def solve_spd_stack(a: np.ndarray, rhs: np.ndarray) -> SpdStack:
     the slices are factored one by one to find the failures.
     """
     count, dim = a.shape[0], a.shape[-1]
-    errors: list = [None] * count
-    finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(rhs.reshape(count, -1)).all(axis=1)
+    finite, rhs, errors = _set_aside_nonfinite(rhs, np.isfinite(a).all(axis=(1, 2)))
     eye = np.eye(dim)
     if not finite.all():
-        for i in np.flatnonzero(~finite):
-            errors[i] = NumericalError("solve_spd requires finite entries")
         a = np.where(finite[:, None, None], a, eye)
-        rhs = np.where(finite.reshape((count,) + (1,) * (rhs.ndim - 1)), rhs, 0.0)
     try:
         factor = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -135,10 +133,39 @@ def solve_spd_stack(a: np.ndarray, rhs: np.ndarray) -> SpdStack:
             errors[i] = SingularSystemError(
                 f"matrix condition number {condition[i]:.3e} exceeds {CONDITION_LIMIT:.1e}"
             )
+    return SpdStack(_apply(factor_inv, rhs), factor, factor_inv, a_inv, condition, errors)
+
+
+def apply_spd_inverse(stack: SpdStack, rhs: np.ndarray) -> tuple[np.ndarray, list]:
+    """Solve a[i] @ x[i] = rhs[i] with the factors of an SpdStack.
+
+    This is solve_spd_stack(a, rhs) without factoring a again: the
+    solution is bitwise that call's for every slice it does not fail,
+    and errors[i] is the NumericalError it raises for a non-finite
+    rhs[i] (that slice solves as zero), or None.  Errors of the
+    factorization stay in stack.errors.
+    """
+    _, rhs, errors = _set_aside_nonfinite(rhs)
+    return _apply(stack.factor_inv, rhs), errors
+
+
+def _set_aside_nonfinite(rhs: np.ndarray, finite=True) -> tuple[np.ndarray, np.ndarray, list]:
+    """solve_spd's rule for a slice with a non-finite entry in rhs (or
+    one where finite is False): it gets a NumericalError and its
+    right-hand side is zeroed.  Returns (finite, rhs, errors)."""
+    finite = finite & np.isfinite(rhs.reshape(len(rhs), -1)).all(axis=1)
+    errors = [None if ok else NumericalError("solve_spd requires finite entries") for ok in finite]
+    if not finite.all():
+        rhs = np.where(finite.reshape((len(finite),) + (1,) * (rhs.ndim - 1)), rhs, 0.0)
+    return finite, rhs, errors
+
+
+def _apply(factor_inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """a^{-1} rhs = L^{-T} (L^{-1} rhs) for (R, d) or (R, d, m) rhs."""
     vector = rhs.ndim == 2
     columns = rhs[:, :, None] if vector else rhs
-    x = factor_inv_t @ (factor_inv @ columns)
-    return SpdStack(x[:, :, 0] if vector else x, factor, factor_inv, a_inv, condition, errors)
+    x = factor_inv.transpose(0, 2, 1) @ (factor_inv @ columns)
+    return x[:, :, 0] if vector else x
 
 
 def _norm1(a: np.ndarray) -> np.ndarray:

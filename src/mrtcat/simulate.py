@@ -79,7 +79,7 @@ _MASK64 = (1 << 64) - 1
 THREADS_ENV = "MRTCAT_THREADS"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenerativeConfig:
     """Complete parameterization of one synthetic trial family (K = 2).
 
@@ -169,7 +169,7 @@ class GenerativeConfig:
         return self.eo_basis in ("z", "zcat") or self.mee_basis == "z"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McSummary:
     """Aggregate of a Monte Carlo run; per-parameter vectors follow the
     stacked beta order (arm 1 block, then arm 2)."""
@@ -666,7 +666,7 @@ def run_monte_carlo(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """A fully resolved simulate run: generator, analysis, and bookkeeping."""
 

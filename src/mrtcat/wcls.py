@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import MrtDataset, NumeratorPolicy, fit_numerator_probs, numerator_tables
 from .errors import DataValidationError, DegenerateArmError, SingularSystemError
-from .numerics import SpdStack, solve_spd_stack
+from .numerics import SpdStack, apply_spd_inverse, solve_spd_stack
 
 __all__ = [
     "ModelSpec",
@@ -90,7 +90,7 @@ class ModelSpec:
         return (("intercept",) if self.g_intercept else ()) + self.g_columns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     alpha_hat: np.ndarray
     beta_hat: np.ndarray
@@ -340,6 +340,26 @@ def fit_stack(
     return FitStack(solve.solution, resid, cov_beta, md_fallbacks, tables, errors)
 
 
+def _gershgorin_certified(hat: np.ndarray) -> np.ndarray:
+    """Flags over the leading axes of a (..., d, d) stack S: Gershgorin's
+    theorem puts every eigenvalue of I - S above 2 * LEVERAGE_TOL.
+
+    Each eigenvalue of I - S lies in a disc around some 1 - s_jj with
+    radius sum_{k != j} |s_jk|, so min_j (1 - s_jj - radius_j) bounds
+    them all from below.  A matrix with a non-finite entry is never
+    certified.
+    """
+    diag = np.diagonal(hat, axis1=-2, axis2=-1)
+    radius = np.abs(hat).sum(axis=-1) - np.abs(diag)
+    return (1.0 - diag - radius).min(axis=-1) > 2.0 * LEVERAGE_TOL
+
+
+def _subset(mask: np.ndarray):
+    """mask as an index, or Ellipsis when it selects everything, so that
+    a whole stack is used in place instead of gathered and scattered."""
+    return ... if mask.all() else mask
+
+
 def _sandwich_core(
     design: np.ndarray,
     weighted_resid: np.ndarray,
@@ -369,9 +389,20 @@ def _sandwich_core(
     leverage with 1 - h <= LEVERAGE_TOL makes I - H_i numerically
     singular; its eigenvector is dropped from (I - S_i)^{-1}, which is
     the pseudo-inverse of the symmetric I - W_i^{1/2} D_i B^{-1} D_i'
-    W_i^{1/2} on that subspace.  Returns (cov_beta, number of subjects
-    with such a leverage), per replicate; the first error of a
-    replicate not already failed goes into errors.
+    W_i^{1/2} on that subspace.
+
+    When Gershgorin's theorem proves every eigenvalue of I - S_i above
+    2 * LEVERAGE_TOL, no leverage of the subject can reach the
+    tolerance, and (I - S_i)^{-1} L^{-1} g_i is one batched solve over
+    all such subjects.  The margin of two covers the rounding of the
+    bound and of eigh, so the subjects the screen cannot clear, which
+    include every one with a non-finite entry, take the
+    eigendecomposition above and every fallback decision is the one
+    eigh makes.  A path that takes every subject works on the stack in
+    place, so a stack with no certified subject costs the screen and
+    nothing else.  Returns (cov_beta, number of subjects with a dropped
+    leverage), per replicate; the first error of a replicate not
+    already failed goes into errors.
     """
     scores = np.einsum("rait,rit->ria", design, weighted_resid)
     fallbacks = np.zeros(len(errors), dtype=np.int64)
@@ -384,23 +415,36 @@ def _sandwich_core(
             lower_inv = np.where(failed[:, None, None], eye, lower_inv)
             per_subject = np.where(failed[:, None, None, None], 0.0, per_subject)
         lower, lower_inv = lower[:, None], lower_inv[:, None]
-        leverage, basis = np.linalg.eigh(lower_inv @ per_subject @ lower_inv.swapaxes(-1, -2))
-        singular = 1.0 - leverage <= LEVERAGE_TOL
-        fallbacks = singular.any(axis=2).sum(axis=1)
-        gain = 1.0 / np.where(singular, np.inf, 1.0 - leverage)
-        # g_i -> L Q_i diag(gain_i) Q_i' L^{-1} g_i, with S_i = Q_i diag(leverage_i) Q_i'
-        coords = basis.swapaxes(-1, -2) @ (lower_inv @ scores[..., None])
-        scores = (lower @ (basis @ (coords * gain[..., None])))[..., 0]
+        hat = lower_inv @ per_subject @ lower_inv.swapaxes(-1, -2)
+        coords = lower_inv @ scores[..., None]
+        certified = _gershgorin_certified(hat)
+        if certified.any():
+            pick = _subset(certified)
+            gap = np.eye(gram.shape[1]) - hat[pick]
+            coords[pick] = np.linalg.solve(gap, coords[pick])
+        if not certified.all():
+            pick = _subset(~certified)
+            leverage, basis = np.linalg.eigh(hat[pick])
+            singular = 1.0 - leverage <= LEVERAGE_TOL
+            dropped = np.zeros_like(certified)
+            dropped[pick] = singular.any(axis=-1)
+            fallbacks = dropped.sum(axis=1)
+            gain = 1.0 / np.where(singular, np.inf, 1.0 - leverage)
+            # with S_i = Q_i diag(leverage_i) Q_i', apply Q_i diag(gain_i) Q_i'
+            rotated = basis.swapaxes(-1, -2) @ coords[pick]
+            coords[pick] = basis @ (rotated * gain[..., None])
+        scores = (lower @ coords)[..., 0]
 
     beta_scores = scores[..., q:]
     sigma_sum = beta_scores.transpose(0, 2, 1) @ beta_scores
     m_sum = gram[:, q:, q:]
     # cov = M^{-1} Sigma M^{-1}; the 1/n factors of the per-subject
-    # averages cancel when raw sums are used throughout.
+    # averages cancel when raw sums are used throughout.  The second
+    # product reuses the first solve's factor of M.
     left = solve_spd_stack(m_sum, sigma_sum)
-    right = solve_spd_stack(m_sum, left.solution.transpose(0, 2, 1))
-    keep_first_errors(errors, [a or b for a, b in zip(left.errors, right.errors)])
-    cov = right.solution.transpose(0, 2, 1)
+    right, right_errors = apply_spd_inverse(left, left.solution.transpose(0, 2, 1))
+    keep_first_errors(errors, [a or b for a, b in zip(left.errors, right_errors)])
+    cov = right.transpose(0, 2, 1)
     cov = 0.5 * (cov + cov.transpose(0, 2, 1))
     return cov, fallbacks
 

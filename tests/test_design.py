@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -527,3 +529,42 @@ class TestInputsFromConfig:
         assert inputs.f.shape == (30, 2)
         result = required_sample_size(inputs)
         assert result.n > inputs.q + inputs.rank_l + 1
+
+
+class TestArrayDataclassesCompareByIdentity:
+    """Frozen dataclasses with array fields compare and hash by identity;
+    generated value equality would raise on the arrays."""
+
+    def test_compare_and_hash_do_not_raise(self):
+        from mrtcat import (
+            fit_wcls,
+            run_monte_carlo,
+            scenario_from_config,
+            simulate_trial,
+            solve_spd,
+        )
+
+        inputs = inputs_from_config(GOLDEN_CFG)
+        scenario = scenario_from_config(
+            {"family": "gm0", "n": "20", "T": "5", "p": "0.4, 0.3, 0.3", "AA": "1.0",
+             "sate1": "0.3", "sate2": "0.1"}
+        )
+        objects = [
+            inputs,
+            inputs.contrast,
+            required_sample_size(inputs),
+            summarize_effects(np.ones((4, 2)), np.zeros(4), np.ones(4), np.array([[1.0, -1.0]])),
+            scenario,
+            scenario.config,
+            run_monte_carlo(
+                scenario.config, n=20, replicates=2, spec=scenario.model_spec,
+                contrast=scenario.l_matrix,
+            ),
+            fit_wcls(simulate_trial(scenario.config, n=20, seed=1), scenario.model_spec),
+            solve_spd(np.eye(2), np.ones(2)),
+        ]
+        for obj in objects:
+            assert obj == obj
+            assert obj != copy.copy(obj)
+            assert isinstance(hash(obj), int)
+        assert inputs_from_config(GOLDEN_CFG) != inputs_from_config(GOLDEN_CFG)

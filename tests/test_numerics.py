@@ -14,7 +14,7 @@ from mrtcat import (
     noncentral_f_cdf,
     solve_spd,
 )
-from mrtcat.numerics import solve_spd_stack
+from mrtcat.numerics import apply_spd_inverse, solve_spd_stack
 
 from _oracles import kron_loops, quad_reg_inc_beta
 
@@ -139,6 +139,23 @@ class TestSolveSpdStack:
         result = solve_spd_stack(a, rhs)
         np.testing.assert_allclose(a @ result.solution, rhs, atol=1e-12)
         np.testing.assert_allclose(result.inverse, np.linalg.inv(a), rtol=1e-12)
+
+    @pytest.mark.parametrize("vector", [True, False])
+    def test_apply_inverse_is_a_second_solve(self, vector):
+        # bitwise solve_spd_stack on the same matrices, error for error,
+        # for a finite, an infinite and a NaN right-hand side
+        rng = np.random.default_rng(7)
+        m = rng.normal(size=(3, 4, 4))
+        a = m @ m.transpose(0, 2, 1) + 4 * np.eye(4)
+        rhs = rng.normal(size=(3, 4) if vector else (3, 4, 2))
+        rhs[1, 0], rhs[2, 3] = np.inf, np.nan
+        stack = solve_spd_stack(a, rng.normal(size=(3, 4)))
+        solution, errors = apply_spd_inverse(stack, rhs)
+        expected = solve_spd_stack(a, rhs)
+        assert [str(e) for e in errors] == [str(e) for e in expected.errors]
+        assert errors[0] is None and isinstance(errors[1], NumericalError)
+        assert np.array_equal(solution[0], expected.solution[0])
+        assert solution.shape == rhs.shape and not solution[1:].any()
 
 
 def _f_point(a: float, b: float, y: float) -> tuple[float, float, float]:

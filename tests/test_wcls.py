@@ -8,10 +8,19 @@ from mrtcat import (
     DegenerateArmError,
     ModelSpec,
     NumeratorPolicy,
+    NumericalError,
     SingularSystemError,
     fit_wcls,
 )
-from mrtcat.wcls import CORRECTIONS, LEVERAGE_TOL, _build_arrays, fit_stack
+from mrtcat.numerics import solve_spd_stack
+from mrtcat.wcls import (
+    CORRECTIONS,
+    LEVERAGE_TOL,
+    _build_arrays,
+    _gershgorin_certified,
+    _sandwich_core,
+    fit_stack,
+)
 
 from _factories import make_dataset
 from _oracles import (
@@ -277,6 +286,133 @@ class TestSandwichVariance:
             ModelSpec(numerator=NumeratorPolicy("empirical_per_t"), correction="jackknife")
 
 
+class TestCovarianceProduct:
+    """cov = M^{-1} Sigma M^{-1} from one factorization of M, as two
+    solve_spd_stack calls would give it, error for error."""
+
+    @staticmethod
+    def core(scores, m_sum):
+        # one row per subject with unit weighted residual: the design
+        # entries are the scores, and q = 0 makes M the whole gram matrix
+        count, n, _ = scores.shape
+        errors = [None] * count
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov, _ = _sandwich_core(
+                scores.transpose(0, 2, 1)[..., None], np.ones((count, n, 1)),
+                None, m_sum, None, 0, "none", errors,
+            )
+        return cov, errors
+
+    @staticmethod
+    def two_solves(scores, m_sum):
+        with np.errstate(over="ignore", invalid="ignore"):
+            left = solve_spd_stack(m_sum, scores.transpose(0, 2, 1) @ scores)
+            right = solve_spd_stack(m_sum, left.solution.transpose(0, 2, 1))
+        cov = right.solution.transpose(0, 2, 1)
+        errors = [a or b for a, b in zip(left.errors, right.errors)]
+        return 0.5 * (cov + cov.transpose(0, 2, 1)), errors
+
+    def test_bitwise_equal_to_two_solves(self):
+        rng = np.random.default_rng(8)
+        scores = rng.normal(size=(3, 9, 3))
+        blocks = rng.normal(size=(3, 5, 3))
+        m_sum = blocks.transpose(0, 2, 1) @ blocks
+        cov, errors = self.core(scores, m_sum)
+        expected, expected_errors = self.two_solves(scores, m_sum)
+        assert errors == expected_errors == [None] * 3
+        assert np.array_equal(cov, expected)
+
+    def test_overflowing_first_solve_fails_its_replicate(self):
+        # Sigma = 2e300 I is finite, M^{-1} Sigma = 2e310 is not: a second
+        # solve_spd would reject it, and replicate 1 keeps that error.
+        rng = np.random.default_rng(9)
+        scores = rng.normal(size=(3, 4, 2))
+        scores[1] = 1e150 * np.eye(2)[[0, 1, 0, 1]]
+        m_sum = np.stack([np.eye(2) + 0.1, 1e-10 * np.eye(2), np.eye(2)])
+        cov, errors = self.core(scores, m_sum)
+        expected, expected_errors = self.two_solves(scores, m_sum)
+        assert isinstance(errors[1], NumericalError)
+        assert str(errors[1]) == str(expected_errors[1]) == "solve_spd requires finite entries"
+        assert errors[0] is errors[2] is None
+        assert np.array_equal(cov, expected)
+
+
+def screen_flags(oracle):
+    """_gershgorin_certified for every subject of a loop-oracle fit."""
+    x, w = oracle["x"], oracle["w"]
+    per_subject = np.einsum("ita,it,itb->iab", x, w, x)
+    lower_inv = np.linalg.inv(np.linalg.cholesky(per_subject.sum(axis=0)))
+    return _gershgorin_certified(lower_inv @ per_subject @ lower_inv.T)
+
+
+class TestScreenPaths:
+    """_sandwich_core against the eigendecomposition of every subject, on
+    stacks the screen certifies whole, not at all, and in part."""
+
+    @staticmethod
+    def stack(replicates, n, dim, rows):
+        rng = np.random.default_rng(11)
+        design = rng.normal(size=(replicates, dim, n, rows))
+        per_subject = np.einsum("rait,rbit->riab", design, design)
+        gram = per_subject.sum(axis=1)
+        normal_solve = solve_spd_stack(gram, np.zeros((replicates, dim)))
+        return design, rng.normal(size=(replicates, n, rows)), per_subject, gram, normal_solve
+
+    @staticmethod
+    def eigh_everywhere(design, weighted_resid, per_subject, gram, normal_solve, q):
+        lower, lower_inv = normal_solve.factor[:, None], normal_solve.factor_inv[:, None]
+        leverage, basis = np.linalg.eigh(lower_inv @ per_subject @ lower_inv.swapaxes(-1, -2))
+        singular = 1.0 - leverage <= LEVERAGE_TOL
+        gain = 1.0 / np.where(singular, np.inf, 1.0 - leverage)
+        scores = np.einsum("rait,rit->ria", design, weighted_resid)
+        coords = basis.swapaxes(-1, -2) @ (lower_inv @ scores[..., None])
+        beta_scores = (lower @ (basis @ (coords * gain[..., None])))[..., 0][..., q:]
+        m_sum = gram[:, q:, q:]
+        left = solve_spd_stack(m_sum, beta_scores.transpose(0, 2, 1) @ beta_scores)
+        cov = solve_spd_stack(m_sum, left.solution.transpose(0, 2, 1)).solution
+        cov = cov.transpose(0, 2, 1)
+        return 0.5 * (cov + cov.transpose(0, 2, 1)), singular.any(axis=2).sum(axis=1)
+
+    @pytest.mark.parametrize(
+        "n, dim, rows, share",
+        [(20, 4, 30, "all"), (5, 5, 1, "none"), (7, 6, 1, "some")],
+    )
+    def test_matches_eigh_everywhere(self, n, dim, rows, share):
+        # one row per subject and n = dim puts every leverage at one
+        args = self.stack(8, n, dim, rows)
+        lower_inv = args[4].factor_inv[:, None]
+        certified = _gershgorin_certified(lower_inv @ args[2] @ lower_inv.swapaxes(-1, -2))
+        assert {"all": certified.all(), "none": not certified.any()}.get(
+            share, certified.any() and not certified.all()
+        )
+        errors = [None] * 8
+        cov, fallbacks = _sandwich_core(*args, 2, "mancl_derouen", errors)
+        expected, expected_fallbacks = self.eigh_everywhere(*args, 2)
+        assert errors == [None] * 8
+        assert np.array_equal(fallbacks, expected_fallbacks)
+        if share == "none":
+            assert np.array_equal(cov, expected)
+        else:
+            np.testing.assert_allclose(cov, expected, rtol=1e-12, atol=0.0)
+
+
+def near_unit_leverage_panel(scale):
+    """A 12 x 6 panel whose subject 0 nearly fixes the s0 coefficient
+    alone: the other subjects' s0 is scale times noise, so that subject's
+    largest leverage is 1 - O(scale^2).  Its s0 is W-orthogonal to its
+    intercept and arm columns, which keeps that direction out of the
+    beta scores and the covariance well conditioned."""
+    rng = np.random.default_rng(2)
+    n, t_points = 12, 6
+    trt = rng.integers(0, 3, size=(n, t_points))
+    outcome = rng.normal(size=(n, t_points))
+    s0 = scale * rng.normal(size=(n, t_points))
+    # unit weights and ptilde = (0.4, 0.3, 0.3) under match_randomization
+    columns = np.vstack([np.ones(t_points), (trt[0] == 1) - 0.3, (trt[0] == 2) - 0.3])
+    s0[0] = np.linalg.svd(columns)[2][-1]
+    return make_dataset(trt=trt, outcome=outcome, probs=(0.4, 0.3, 0.3), features={"s0": s0})
+
+
 class TestHatMatrixCorrection:
     def test_unit_leverage_subject_falls_back(self):
         # s0 is nonzero for subject 1 only, so that subject alone fixes
@@ -300,6 +436,44 @@ class TestHatMatrixCorrection:
         expected, dropped = pinv_sandwich_loops(oracle, LEVERAGE_TOL)
         assert dropped == 1
         np.testing.assert_allclose(fit.cov_beta, expected, rtol=1e-10, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.floats(0.0, 5.0))
+    def test_screen_certifies_no_leverage_near_one(self, seed, dim, spread):
+        # subjects whose blocks differ in scale by up to 1e10 have
+        # leverages from about 0 to within 1e-10 of one
+        rng = np.random.default_rng(seed)
+        n = dim + 2
+        blocks = rng.normal(size=(n, 3, dim)) * 10.0 ** rng.uniform(-spread, spread, (n, 1, 1))
+        per_subject = blocks.transpose(0, 2, 1) @ blocks
+        lower_inv = np.linalg.inv(np.linalg.cholesky(per_subject.sum(axis=0)))
+        hat = lower_inv @ per_subject @ lower_inv.T
+        for certified, matrix in zip(_gershgorin_certified(hat), hat):
+            if certified:
+                assert np.linalg.eigvalsh(np.eye(dim) - matrix).min() > LEVERAGE_TOL
+
+    def test_leverage_just_below_tolerance_margin_takes_eigh(self):
+        data = near_unit_leverage_panel(1.72e-5)
+        table = numerator_table_loops(data, "match_randomization")
+        oracle = wcls_fit_loops(data, table, (), ("s0",), delta=1)
+        gap = 1.0 - max_leverage_loops(oracle)
+        assert LEVERAGE_TOL < gap < 2.0 * LEVERAGE_TOL
+        flags = screen_flags(oracle)
+        assert not flags[0] and flags[1:].any()
+        fit = fit_wcls(data, ModelSpec(g_columns=("s0",)))
+        assert fit.md_fallbacks == 0
+        expected, dropped = pinv_sandwich_loops(oracle, LEVERAGE_TOL)
+        assert dropped == 0
+        direct = sandwich_loops(oracle, "mancl_derouen")
+        np.testing.assert_allclose(
+            fit.cov_beta, direct, rtol=0.0, atol=1e-10 * np.abs(direct).max()
+        )
+        # The pseudo-inverse oracle eigen-solves the 6 x 6 I - P_0, whose
+        # smallest eigenvalue 1 - h it resolves to about eps / (1 - h).
+        np.testing.assert_allclose(
+            fit.cov_beta, expected, rtol=0.0,
+            atol=np.finfo(float).eps / gap * np.abs(expected).max(),
+        )
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -392,8 +566,10 @@ class TestFitStack:
         self.assert_matches_alone(fit, 2, datasets[2], spec)
 
     def test_unit_leverage_subject_in_a_stack(self):
-        # The fallback subject of TestHatMatrixCorrection next to a regular
-        # panel: only its own panel counts a fallback.
+        # The fallback subject of TestHatMatrixCorrection next to a panel
+        # the screen certifies whole, one whose subject 0 it leaves to eigh
+        # with 1 - h within twice the tolerance, and a singular panel: only
+        # the fallback's own panel counts one.
         rng = np.random.default_rng(2)
         n, t_points = 12, 6
         s0 = np.zeros((n, t_points))
@@ -410,12 +586,21 @@ class TestFitStack:
             probs=(0.4, 0.3, 0.3),
             features={"s0": rng.normal(size=(n, t_points))},
         )
+        near = near_unit_leverage_panel(1.72e-5)
+        singular = altered(regular, features={"s0": np.ones((n, t_points))})
         spec = ModelSpec(g_columns=("s0",))
-        fit = fit_panels([regular, degenerate], spec)
-        assert fit.errors == [None, None]
-        assert fit.md_fallbacks.tolist() == [0, 1]
-        for r, data in enumerate((regular, degenerate)):
-            np.testing.assert_allclose(fit.cov_beta[r], fit_wcls(data, spec).cov_beta, rtol=1e-12)
+        for data, certified in ((regular, True), (near, False)):
+            table = numerator_table_loops(data, "match_randomization")
+            flags = screen_flags(wcls_fit_loops(data, table, (), ("s0",), delta=1))
+            assert flags[1:].all() and flags[0] == certified
+        datasets = [regular, near, singular, degenerate]
+        fit = fit_panels(datasets, spec)
+        with pytest.raises(SingularSystemError) as alone:
+            fit_wcls(singular, spec)
+        assert str(fit.errors[2]) == str(alone.value)
+        assert fit.md_fallbacks[[0, 1, 3]].tolist() == [0, 0, 1]
+        for r in (0, 1, 3):
+            self.assert_matches_alone(fit, r, datasets[r], spec)
 
 
 class TestErrors:
