@@ -10,7 +10,6 @@ harness.  The `mrtcat` command exposes the same surface on files.
 """
 
 from .data import (
-    CsvSchema,
     MrtDataset,
     NumeratorPolicy,
     ValidationReport,
@@ -79,7 +78,6 @@ from .wcls import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CsvSchema",
     "MrtDataset",
     "NumeratorPolicy",
     "ValidationReport",

@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from .data import CsvSchema, NumeratorPolicy, load_csv
-from .design import inputs_from_config, required_sample_size
+from .data import NumeratorPolicy, load_csv
+from .design import SEARCH_CAP_DEFAULT, inputs_from_config, required_sample_size
 from .errors import DataValidationError, NumericalError
 from .inference import build_contrast, confidence_intervals, parse_contrast_text, wald_test
 from .simulate import THREADS_ENV, run_monte_carlo, scenario_from_config
@@ -72,8 +72,7 @@ def _load_contrast(raw: str, k_arms: int) -> np.ndarray:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    schema = CsvSchema()
-    data = load_csv(args.data, schema)
+    data = load_csv(args.data)
     if args.numerator == "user_supplied":
         if not args.numerator_table:
             raise DataValidationError("--numerator user_supplied requires --numerator-table")
@@ -319,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     size = sub.add_parser("samplesize", help="required sample size from a design config")
     size.add_argument("--config", required=True, help="key=value design file")
     size.add_argument("--sweep", default=None, help="key=lo:hi:step grid; emits CSV of (value, n)")
-    size.add_argument("--cap", type=int, default=1_000_000, help="search cap")
+    size.add_argument("--cap", type=int, default=SEARCH_CAP_DEFAULT, help="search cap")
     size.add_argument("--out", default="-")
     size.add_argument("--format", default="json", choices=["json", "csv"])
     size.set_defaults(func=cmd_samplesize)

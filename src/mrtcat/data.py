@@ -27,7 +27,6 @@ from .errors import DataValidationError, DegenerateArmError, PositivityError
 __all__ = [
     "MrtDataset",
     "NumeratorPolicy",
-    "CsvSchema",
     "ValidationReport",
     "load_csv",
     "write_csv",
@@ -55,10 +54,13 @@ class NumeratorPolicy:
     decision point), empirical_per_t (arm frequencies among available
     records at each t), empirical_pooled (arm frequencies pooled over
     all t), or user_supplied (an explicit T x (K+1) table).
+
+    table may be given as any array-like.  It is stored as nested tuples
+    of floats, a copy, so that policies compare and hash by value.
     """
 
     kind: str = "match_randomization"
-    table: np.ndarray | None = None
+    table: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in NUMERATOR_KINDS:
@@ -67,6 +69,14 @@ class NumeratorPolicy:
             )
         if self.kind == "user_supplied" and self.table is None:
             raise DataValidationError("user_supplied numerator policy requires a table")
+        if self.table is not None:
+            table = np.asarray(self.table, dtype=float).tolist()
+            object.__setattr__(self, "table", _tuples(table))
+
+
+def _tuples(value):
+    """value, a result of ndarray.tolist(), with every list made a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 class MrtDataset:
@@ -130,27 +140,6 @@ class MrtDataset:
 
 
 @dataclass(frozen=True)
-class CsvSchema:
-    """Column-name mapping for load_csv.
-
-    prob_columns lists the K+1 probability column names in arm order; as
-    an alternative, const_probs supplies one fixed probability vector
-    applied to every row (for constant-randomization trials whose files
-    omit probability columns).  feature_columns defaults to every column
-    not otherwise claimed.
-    """
-
-    id: str = "id"
-    t: str = "t"
-    avail: str = "avail"
-    trt: str = "trt"
-    outcome: str = "outcome"
-    prob_columns: tuple[str, ...] | None = None
-    const_probs: tuple[float, ...] | None = None
-    feature_columns: tuple[str, ...] | None = None
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     violations: tuple[str, ...]
 
@@ -199,19 +188,18 @@ def _cell_message(raw: str, column: str, line: int) -> str:
 
 @dataclass(frozen=True)
 class _Columns:
-    """Where load_csv finds each field, resolved once from the header and schema."""
+    """The columns of one file's header: the header itself, the
+    probability columns prob_0..prob_K and the feature columns, which
+    are all the columns the layout does not otherwise name."""
 
     header: tuple[str, ...]
-    schema: CsvSchema
     prob: tuple[str, ...]
     features: tuple[str, ...]
-    k_arms: int
 
     @property
     def values(self) -> tuple[str, ...]:
         """The columns read as panel values, in the order bad cells are reported."""
-        s = self.schema
-        return (s.avail, s.trt, s.outcome, *self.prob, *self.features)
+        return ("avail", "trt", "outcome", *self.prob, *self.features)
 
 
 def _csv_rows(path: str, reader) -> Iterator[list[str]]:
@@ -223,11 +211,11 @@ def _csv_rows(path: str, reader) -> Iterator[list[str]]:
         raise DataValidationError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _read_header(path: str, reader, schema: CsvSchema) -> _Columns:
-    """Read the header row from reader and resolve the schema's columns in it.
+def _read_header(path: str, reader) -> _Columns:
+    """Read the header row from reader and resolve its columns.
 
     Raises DataValidationError on an empty file or a header that does
-    not fit the schema.
+    not fit the layout.
     """
     try:
         header = [h.strip() for h in next(_csv_rows(path, reader))]
@@ -237,59 +225,37 @@ def _read_header(path: str, reader, schema: CsvSchema) -> _Columns:
     if len(col_index) != len(header):
         raise DataValidationError(f"{path}: duplicate column names in header")
 
-    required = [schema.id, schema.t, schema.avail, schema.trt, schema.outcome]
+    required = ("id", "t", "avail", "trt", "outcome")
     for name in required:
         if name not in col_index:
             raise DataValidationError(f"{path}: missing required column {name!r}")
 
-    if schema.prob_columns is not None and schema.const_probs is not None:
-        raise DataValidationError("schema cannot set both prob_columns and const_probs")
-    if schema.const_probs is not None:
-        prob_columns: tuple[str, ...] = ()
-        k_arms = len(schema.const_probs) - 1
-        if k_arms < 1:
-            raise DataValidationError("const_probs must list at least two arms")
-    else:
-        if schema.prob_columns is not None:
-            prob_columns = schema.prob_columns
-        else:
-            prob_columns = tuple(
-                name for name in header if name.startswith("prob_")
-            )
-            expected = tuple(f"prob_{k}" for k in range(len(prob_columns)))
-            if prob_columns != expected:
-                raise DataValidationError(
-                    f"{path}: probability columns must be prob_0..prob_K in order, found {prob_columns}"
-                )
-        if len(prob_columns) < 2:
-            raise DataValidationError(f"{path}: need at least prob_0 and prob_1 columns")
-        for name in prob_columns:
-            if name not in col_index:
-                raise DataValidationError(f"{path}: missing probability column {name!r}")
-        k_arms = len(prob_columns) - 1
+    prob_columns = tuple(name for name in header if name.startswith("prob_"))
+    expected = tuple(f"prob_{k}" for k in range(len(prob_columns)))
+    if prob_columns != expected:
+        raise DataValidationError(
+            f"{path}: probability columns must be prob_0..prob_K in order, found {prob_columns}"
+        )
+    if len(prob_columns) < 2:
+        raise DataValidationError(f"{path}: need at least prob_0 and prob_1 columns")
 
     claimed = set(required) | set(prob_columns)
-    if schema.feature_columns is not None:
-        feature_columns = schema.feature_columns
-        for name in feature_columns:
-            if name not in col_index:
-                raise DataValidationError(f"{path}: missing feature column {name!r}")
-    else:
-        feature_columns = tuple(name for name in header if name not in claimed)
-    return _Columns(tuple(header), schema, tuple(prob_columns), tuple(feature_columns), k_arms)
+    feature_columns = tuple(name for name in header if name not in claimed)
+    return _Columns(tuple(header), prob_columns, feature_columns)
 
 
-def load_csv(path: str, schema: CsvSchema | None = None) -> MrtDataset:
+def load_csv(path: str) -> MrtDataset:
     """Read a rectangular MRT panel from CSV and validate it.
 
-    The canonical header is id,t,avail,trt,prob_0..prob_K,outcome plus
-    any number of feature columns; t is 1-based in files.  Rows may come
-    in any order; subjects keep the order in which their ids first
-    appear.  Raises DataValidationError on structural problems (missing
-    columns, ragged panels, duplicate rows) and on any dataset invariant
-    violation.  A message about one cell names its file line; when
-    several cells are bad, the first in (subject, t, column) order is
-    reported.
+    The header names the columns id, t, avail, trt, prob_0..prob_K (in
+    that order among themselves) and outcome, and every other column is
+    a feature; this is the one layout load_csv reads.  t is 1-based in
+    files.  Rows may come in any order; subjects keep the order in which
+    their ids first appear.  Raises DataValidationError on structural
+    problems (missing columns, ragged panels, duplicate rows) and on any
+    dataset invariant violation.  A message about one cell names its
+    file line; when several cells are bad, the first in (subject, t,
+    column) order is reported.
 
     The header is read with csv.reader, and every row after it in one
     np.loadtxt call (numpy's C parser).  When that call cannot decide on
@@ -301,11 +267,10 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> MrtDataset:
     scanner also loads what float() accepts and numpy does not, such as
     digit separators (1_0).
     """
-    schema = schema or CsvSchema()
     with open(path, newline="", encoding="utf-8") as handle:
         # readline, not iteration, so that tell() can mark where the rows start
         lines = iter(handle.readline, "")
-        columns = _read_header(path, csv.reader(lines), schema)
+        columns = _read_header(path, csv.reader(lines))
         start = handle.tell()
         rows = None
         # loadtxt warns on a file without data rows; the scanner words that
@@ -314,7 +279,7 @@ def load_csv(path: str, schema: CsvSchema | None = None) -> MrtDataset:
             handle.seek(start)
             rows = _parse_rows(handle, columns)
     if rows is None:
-        return _scan_csv(path, schema)
+        return _scan_csv(path)
     id_cells, t_values, values = rows
     subject_ids, order = _subjects(path, id_cells, t_values)
     return _to_dataset(path, columns, subject_ids, order, values)
@@ -328,10 +293,7 @@ def _parse_rows(
     Returns (stripped ids, t values, {value column: values}) in file
     order, or None when the scanner must read the file instead.
     """
-    schema = columns.schema
-    numeric = {schema.t, *columns.values}
-    if schema.id in numeric:  # one column cannot be read both as text and as numbers
-        return None
+    numeric = {"t", *columns.values}
     dtype = np.dtype(
         [(f"f{j}", "f8" if name in numeric else object) for j, name in enumerate(columns.header)]
     )
@@ -342,13 +304,13 @@ def _parse_rows(
     except ValueError:
         return None
     field = {name: rows[f"f{j}"] for j, name in enumerate(columns.header)}
-    if not all(_integral(field[name]).all() for name in (schema.t, schema.avail, schema.trt)):
+    if not all(_integral(field[name]).all() for name in ("t", "avail", "trt")):
         return None
-    id_cells = list(map(str.strip, field[schema.id]))
-    return id_cells, field[schema.t], {name: field[name] for name in columns.values}
+    id_cells = list(map(str.strip, field["id"]))
+    return id_cells, field["t"], {name: field[name] for name in columns.values}
 
 
-def _scan_csv(path: str, schema: CsvSchema) -> MrtDataset:
+def _scan_csv(path: str) -> MrtDataset:
     """load_csv's fallback, a complete loader on csv.reader and float().
 
     It loads the file or raises the error a reader going through it
@@ -356,7 +318,7 @@ def _scan_csv(path: str, schema: CsvSchema) -> MrtDataset:
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        columns = _read_header(path, reader, schema)
+        columns = _read_header(path, reader)
         rows: list[list[str]] = []
         lines: list[int] = []
         for row in _csv_rows(path, reader):
@@ -377,15 +339,15 @@ def _scan_csv(path: str, schema: CsvSchema) -> MrtDataset:
     index = {name: j for j, name in enumerate(columns.header)}
     text = {
         name: [row[index[name]] for row in rows[:stop]]
-        for name in (schema.id, schema.t, *columns.values)
+        for name in ("id", "t", *columns.values)
     }
     del rows  # free the parsed rows; the columns keep only the cells needed
 
-    t_values, bad = _column(text[schema.t], integer=True)
+    t_values, bad = _column(text["t"], integer=True)
     if bad.size:
         stop = int(bad[0])
-        error = _cell_message(text[schema.t][stop], schema.t, lines[stop])
-    id_cells = list(map(str.strip, text[schema.id][:stop]))
+        error = _cell_message(text["t"][stop], "t", lines[stop])
+    id_cells = list(map(str.strip, text["id"][:stop]))
     subject_ids, order = _subjects(path, id_cells, t_values[:stop], error)
 
     # No error so far, so every row is in the panel: convert the value
@@ -396,7 +358,7 @@ def _scan_csv(path: str, schema: CsvSchema) -> MrtDataset:
     values = {}
     failures = []
     for rank, name in enumerate(columns.values):
-        values[name], bad = _column(text[name], integer=name in (schema.avail, schema.trt))
+        values[name], bad = _column(text[name], integer=name in ("avail", "trt"))
         if bad.size:
             row = int(bad[np.argmin(position[bad])])
             message = _cell_message(text[name][row], name, lines[row])
@@ -461,20 +423,15 @@ def _to_dataset(
     """Arrange the value columns, in file row order, into the validated panel."""
     shape = (len(subject_ids), len(order) // len(subject_ids))
     panel = {name: values[name][order].reshape(shape) for name in columns.values}
-    schema = columns.schema
-    if schema.const_probs is not None:
-        probs = np.broadcast_to(schema.const_probs, (*shape, columns.k_arms + 1))
-    else:
-        probs = np.stack([panel[name] for name in columns.prob], axis=2)
     try:
         return MrtDataset(
             subject_ids=subject_ids,
-            avail=panel[schema.avail],
-            trt=panel[schema.trt],
-            probs=probs,
-            outcome=panel[schema.outcome],
+            avail=panel["avail"],
+            trt=panel["trt"],
+            probs=np.stack([panel[name] for name in columns.prob], axis=2),
+            outcome=panel["outcome"],
             features={name: panel[name] for name in columns.features},
-            k_arms=columns.k_arms,
+            k_arms=len(columns.prob) - 1,
         )
     except DataValidationError as exc:
         raise DataValidationError(f"{path}: {exc}") from None

@@ -7,10 +7,9 @@ statistic
     T = (L_tilde b)' (L_tilde C L_tilde')^{-1} (L_tilde b)
 
 is compared, after the small-sample scaling, against an F distribution
-with (l, n - q - l) degrees of freedom, where l = rank(L).  The printed
-scaling factor (n - q - l) / (l (n - q - l)) reduces to 1/l; an
-alternative factor (n - q - l) / (l (n - q - 1)) is available behind
-the scaling switch.  The two coincide when l = 1.
+with (l, n - q - l) degrees of freedom, where l = rank(L).  The scaling
+factor (n - q - l) / (l (n - q - l)) reduces to 1/l, but the code keeps
+the paper's expression, which fixes every statistic's rounding.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ __all__ = [
     "wald_test",
     "confidence_intervals",
 ]
-
-SCALINGS = ("printed", "alternative")
 
 _RANK_TOL = 1e-10
 
@@ -145,13 +142,9 @@ def _row_space_basis(l_tilde: np.ndarray) -> np.ndarray:
     return s[:rank, None] * vt[:rank]
 
 
-def check_wald(
-    n: int, q: int, contrast: ContrastSpec, n_coeffs: int, eta: float, scaling: str
-) -> None:
-    """Raise unless wald_test can run: known scaling, eta in (0, 1),
-    matching dimensions and enough subjects for the F reference."""
-    if scaling not in SCALINGS:
-        raise DataValidationError(f"unknown scaling {scaling!r}; expected one of {SCALINGS}")
+def check_wald(n: int, q: int, contrast: ContrastSpec, n_coeffs: int, eta: float) -> None:
+    """Raise unless wald_test can run: eta in (0, 1), matching
+    dimensions and enough subjects for the F reference."""
     if not (0.0 < eta < 1.0):
         raise DataValidationError("eta must lie in (0, 1)")
     if contrast.l_tilde.shape[1] != n_coeffs:
@@ -166,11 +159,9 @@ def check_wald(
         )
 
 
-def scale_statistic(statistic, n: int, q: int, l: int, scaling: str = "printed"):
+def scale_statistic(statistic, n: int, q: int, l: int):
     """The small-sample scaling of the Wald statistic (scalar or array)."""
-    if scaling == "printed":
-        return statistic * (n - q - l) / (l * (n - q - l))
-    return statistic * (n - q - l) / (l * (n - q - 1))
+    return statistic * (n - q - l) / (l * (n - q - l))
 
 
 def wald_stack(
@@ -195,17 +186,16 @@ def wald_stack(
     return statistic, errors
 
 
-def wald_test(
-    fit: FitResult, contrast: ContrastSpec, eta: float = 0.05, scaling: str = "printed"
-) -> TestResult:
-    """Scaled-F Wald test of H0: L_tilde beta = 0 at level eta."""
-    check_wald(fit.n, fit.q, contrast, fit.beta_hat.shape[0], eta, scaling)
+def wald_test(fit: FitResult, contrast: ContrastSpec, eta: float = 0.05) -> TestResult:
+    """Scaled-F Wald test of H0: L_tilde beta = 0 at level eta, against
+    an F reference with (l, n - q - l) degrees of freedom."""
+    check_wald(fit.n, fit.q, contrast, fit.beta_hat.shape[0], eta)
     n, q, l = fit.n, fit.q, contrast.rank_l
     statistics, errors = wald_stack(fit.beta_hat[None], fit.cov_beta[None], contrast.row_basis)
     if errors[0] is not None:
         raise errors[0]
     statistic = float(statistics[0])
-    scaled = scale_statistic(statistic, n, q, l, scaling)
+    scaled = scale_statistic(statistic, n, q, l)
     df2 = n - q - l
     critical = f_quantile(l, df2, 1.0 - eta)
     p_value = 1.0 - f_cdf(l, df2, scaled)

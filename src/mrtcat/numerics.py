@@ -127,7 +127,8 @@ def solve_spd_stack(a: np.ndarray, rhs: np.ndarray) -> SpdStack:
         factor_inv = np.linalg.inv(factor)
         factor_inv_t = factor_inv.transpose(0, 2, 1)
         a_inv = factor_inv_t @ factor_inv
-        condition = _norm1(a) * _norm1(a_inv)
+        slices = (-2, -1)
+        condition = np.linalg.norm(a, 1, slices) * np.linalg.norm(a_inv, 1, slices)
     for i in np.flatnonzero(~(condition <= CONDITION_LIMIT)):
         if errors[i] is None:
             errors[i] = SingularSystemError(
@@ -166,11 +167,6 @@ def _apply(factor_inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     columns = rhs[:, :, None] if vector else rhs
     x = factor_inv.transpose(0, 2, 1) @ (factor_inv @ columns)
     return x[:, :, 0] if vector else x
-
-
-def _norm1(a: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(a[i], 1) for every slice: the largest column sum of |a|."""
-    return np.abs(a).sum(axis=-2).max(axis=-1)
 
 
 def _check_dfs(d1: float, d2: float) -> tuple[float, float]:

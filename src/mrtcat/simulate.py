@@ -494,7 +494,7 @@ class _MonteCarlo:
         self.n_error = DataValidationError("n must be >= 1") if n < 1 else None
         self.wald_error = self.interval_error = None
         try:
-            check_wald(n, spec.q, contrast, self.kp, eta, "printed")
+            check_wald(n, spec.q, contrast, self.kp, eta)
             self.critical = f_quantile(self.rank, n - spec.q - self.rank, 1.0 - eta)
         except (DataValidationError, NumericalError) as exc:
             self.wald_error = exc
@@ -633,8 +633,7 @@ def run_monte_carlo(
         rmse = np.full(kp, np.nan)
         coverage = np.full(kp, np.nan)
 
-    f_names = (("intercept",) if spec.f_intercept else ()) + spec.f_columns
-    names = tuple(f"arm{k}:{nm}" for k in (1, 2) for nm in f_names)
+    names = tuple(f"arm{k}:{nm}" for k in (1, 2) for nm in spec.f_names)
     records: tuple[dict, ...] | None = None
     if collect_replicates:
         records = tuple(

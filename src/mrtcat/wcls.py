@@ -46,17 +46,15 @@ LEVERAGE_TOL = 1e-8
 class ModelSpec:
     """Analysis model: moderator basis f, control basis g, window, weights.
 
-    f_columns and g_columns name feature columns of the dataset; an
-    intercept is prepended to each basis unless the corresponding toggle
-    is off.  delta is the excursion window length (proximal outcome
-    horizon).  correction selects the small-sample residual adjustment
-    applied inside the sandwich covariance.
+    f_columns and g_columns name feature columns of the dataset; each
+    basis is an intercept followed by its columns.  delta is the
+    excursion window length (proximal outcome horizon).  correction
+    selects the small-sample residual adjustment applied inside the
+    sandwich covariance.
     """
 
     f_columns: tuple[str, ...] = ()
     g_columns: tuple[str, ...] = ()
-    f_intercept: bool = True
-    g_intercept: bool = True
     delta: int = 1
     numerator: NumeratorPolicy = field(default_factory=NumeratorPolicy)
     correction: str = "mancl_derouen"
@@ -68,26 +66,22 @@ class ModelSpec:
             raise DataValidationError(
                 f"unknown correction {self.correction!r}; expected one of {CORRECTIONS}"
             )
-        if self.p == 0:
-            raise DataValidationError("moderator basis f is empty")
-        if self.q == 0:
-            raise DataValidationError("control basis g is empty")
 
     @property
     def p(self) -> int:
-        return int(self.f_intercept) + len(self.f_columns)
+        return 1 + len(self.f_columns)
 
     @property
     def q(self) -> int:
-        return int(self.g_intercept) + len(self.g_columns)
+        return 1 + len(self.g_columns)
 
     @property
     def f_names(self) -> tuple[str, ...]:
-        return (("intercept",) if self.f_intercept else ()) + self.f_columns
+        return ("intercept", *self.f_columns)
 
     @property
     def g_names(self) -> tuple[str, ...]:
-        return (("intercept",) if self.g_intercept else ()) + self.g_columns
+        return ("intercept", *self.g_columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +191,8 @@ def design_stack(
         factor = np.where(a_j == 0, np.where(i_j == 1, 1.0 / np.maximum(p0_j, 1e-300), 1.0), 0.0)
         weights = weights * factor
 
-    def basis(columns: tuple[str, ...], intercept: bool, label: str) -> list:
-        parts: list = [1.0] if intercept else []
+    def basis(columns: tuple[str, ...], label: str) -> list:
+        parts: list = [1.0]
         for name in columns:
             if name not in features:
                 raise DataValidationError(
@@ -207,8 +201,8 @@ def design_stack(
             parts.append(features[name][..., :t_used])
         return parts
 
-    f_parts = basis(spec.f_columns, spec.f_intercept, "moderator")
-    g_parts = basis(spec.g_columns, spec.g_intercept, "control")
+    f_parts = basis(spec.f_columns, "moderator")
+    g_parts = basis(spec.g_columns, "control")
     d_full = np.empty((count, spec.q + k_arms * spec.p, n, t_used))
     for j, part in enumerate(g_parts):
         d_full[:, j] = part

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import mrtcat.data
 from mrtcat import (
-    CsvSchema,
     DataValidationError,
     DegenerateArmError,
+    ModelSpec,
     MrtDataset,
     NumeratorPolicy,
     PositivityError,
@@ -58,14 +58,6 @@ class TestLoadCsv:
         data = load_csv(str(path))
         assert data.feature_names == ("mood",)
         assert data.features["mood"][0, 1] == 1.0
-
-    def test_const_probs_schema(self, tmp_path):
-        path = tmp_path / "c.csv"
-        rows = [[r[0], r[1], r[2], r[3], r[7]] for r in TOY_ROWS]
-        write_toy_csv(path, rows, header="id,t,avail,trt,outcome")
-        data = load_csv(str(path), CsvSchema(const_probs=(0.4, 0.3, 0.3)))
-        assert data.k_arms == 2
-        np.testing.assert_allclose(data.probs[0, 0], [0.4, 0.3, 0.3])
 
     def test_active_treatment_while_unavailable_rejected(self, tmp_path):
         rows = [list(r) for r in TOY_ROWS]
@@ -301,11 +293,11 @@ class TestLoadCsvMessages:
         np.testing.assert_array_equal(b.features["mood"][::-1], a.features["mood"])
 
 
-def load_result(loader, path, schema=None):
+def load_result(loader, path):
     """What loader makes of path: its DataValidationError message, or the
     dataset's ids and the bytes of every array."""
     try:
-        data = loader(str(path), schema or CsvSchema())
+        data = loader(str(path))
     except DataValidationError as exc:
         return str(exc)
     arrays = [data.avail, data.trt, data.probs, data.outcome, *data.features.values()]
@@ -319,10 +311,10 @@ def load_result(loader, path, schema=None):
 scan_csv = mrtcat.data._scan_csv  # load_csv's fallback, a complete loader
 
 
-def agree(path, schema=None):
+def agree(path):
     """load_csv's result on path, after checking that the scanner's is the same."""
-    result = load_result(load_csv, path, schema)
-    assert result == load_result(scan_csv, path, schema)
+    result = load_result(load_csv, path)
+    assert result == load_result(scan_csv, path)
     return result
 
 
@@ -331,9 +323,9 @@ def scans(monkeypatch):
     """The paths load_csv hands to its fallback scanner during a test."""
     calls = []
 
-    def spy(path, schema):
+    def spy(path):
         calls.append(path)
-        return scan_csv(path, schema)
+        return scan_csv(path)
 
     monkeypatch.setattr(mrtcat.data, "_scan_csv", spy)
     return calls
@@ -424,16 +416,6 @@ class TestFastPath:
         path.write_text(toy_text(rows))
         assert agree(path) == f"{path}: {message}"
         assert scans == []
-
-    def test_id_column_read_as_a_feature_too(self, tmp_path, scans):
-        rows = [[1 if r[0] == "a" else 2] + list(r[1:]) for r in TOY_ROWS]
-        path = tmp_path / "numeric_ids.csv"
-        path.write_text(toy_text(rows))
-        schema = CsvSchema(feature_columns=("id",))
-        ids, names, arrays = agree(path, schema)
-        assert (ids, names) == (("1", "2"), ("id",))
-        assert arrays[-1][2] == np.array([[1.0] * 3, [2.0] * 3]).tobytes()
-        assert scans == [str(path)]
 
     def test_simulated_panel_round_trip(self, tmp_path, scans):
         config = GenerativeConfig(
@@ -759,6 +741,22 @@ class TestNumeratorProbs:
         bad[0, 1] = 0.0
         with pytest.raises(PositivityError):
             fit_numerator_probs(data, NumeratorPolicy("user_supplied", table=bad))
+
+    def test_table_policy_compares_and_hashes_by_value(self):
+        table = np.array([[0.5, 0.25, 0.25], [0.4, 0.3, 0.3]])
+        policy = NumeratorPolicy("user_supplied", table=table)
+        same = NumeratorPolicy("user_supplied", table=table.tolist())
+        assert policy == same and hash(policy) == hash(same)
+        assert policy != NumeratorPolicy("user_supplied", table=table[::-1])
+        spec = ModelSpec(numerator=policy)
+        assert spec == ModelSpec(numerator=same) and hash(spec) == hash(ModelSpec(numerator=same))
+        assert ModelSpec() == ModelSpec()
+        table[0] = [0.2, 0.4, 0.4]  # the policy keeps its own copy
+        assert policy == same
+        data = make_dataset(trt=[[0, 1], [2, 0]], outcome=np.zeros((2, 2)))
+        np.testing.assert_allclose(
+            fit_numerator_probs(data, policy), [[0.5, 0.25, 0.25], [0.4, 0.3, 0.3]], atol=1e-9
+        )
 
     def test_unknown_policy_kind(self):
         with pytest.raises(DataValidationError, match="unknown numerator"):

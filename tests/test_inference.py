@@ -147,23 +147,15 @@ class TestWaldTest:
         assert doubled.statistic == pytest.approx(single.statistic, rel=1e-10)
         assert doubled.p_value == pytest.approx(single.p_value, rel=1e-10)
 
-    def test_scalings_coincide_for_rank_one(self):
-        fit = fake_fit([0.9, 0.4], [[0.04, 0.01], [0.01, 0.05]])
-        c = build_contrast(np.array([[1.0, -1.0]]), p=1)
-        a = wald_test(fit, c, scaling="printed")
-        b = wald_test(fit, c, scaling="alternative")
-        assert a.scaled_statistic == pytest.approx(b.scaled_statistic, rel=1e-12)
-
-    def test_alternative_scaling_ratio_for_rank_two(self):
-        fit = fake_fit([0.9, 0.4], [[0.04, 0.01], [0.01, 0.05]], n=25, q=2)
-        c = build_contrast(np.eye(2), p=1)
-        a = wald_test(fit, c, scaling="printed")
-        b = wald_test(fit, c, scaling="alternative")
-        n, q, l = 25, 2, 2
-        assert b.scaled_statistic / a.scaled_statistic == pytest.approx(
-            (n - q - l) / (n - q - 1), rel=1e-12
-        )
-        assert b.p_value > a.p_value
+    def test_rank_two_scaling_and_degrees_of_freedom(self):
+        beta, cov = np.array([0.9, 0.4]), np.array([[0.04, 0.01], [0.01, 0.05]])
+        n, q = 25, 2
+        res = wald_test(fake_fit(beta, cov, n=n, q=q), build_contrast(np.eye(2), p=1))
+        assert res.statistic == pytest.approx(beta @ np.linalg.solve(cov, beta), rel=1e-12)
+        assert res.scaled_statistic == pytest.approx(res.statistic / 2, rel=1e-15)
+        assert (res.df1, res.df2) == (2, n - q - 2)
+        expected = float(scipy.stats.f.sf(res.scaled_statistic, 2, n - q - 2))
+        assert res.p_value == pytest.approx(expected, rel=1e-10)
 
     def test_reject_agrees_with_p_value(self):
         for shift in (0.1, 0.5, 0.9, 1.4):
@@ -191,8 +183,6 @@ class TestWaldTest:
     def test_errors(self):
         fit = fake_fit([0.5, 0.2], np.eye(2))
         c = build_contrast(np.eye(2), p=1)
-        with pytest.raises(DataValidationError, match="scaling"):
-            wald_test(fit, c, scaling="welch")
         with pytest.raises(DataValidationError, match="eta"):
             wald_test(fit, c, eta=1.5)
         small = fake_fit([0.5, 0.2], np.eye(2), n=5, q=2)
