@@ -54,10 +54,10 @@ def _write_csv_rows(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _parse_columns(raw: str) -> tuple[str, ...]:
-    raw = raw.strip()
-    if raw == "intercept":
-        return ()
-    return tuple(name.strip() for name in raw.split(",") if name.strip())
+    """The feature columns a --f-cols/--g-cols value lists.  Every basis
+    starts with an intercept, so an 'intercept' entry adds nothing."""
+    names = (name.strip() for name in raw.split(","))
+    return tuple(name for name in names if name and name != "intercept")
 
 
 def _load_contrast(raw: str, k_arms: int) -> np.ndarray:

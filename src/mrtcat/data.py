@@ -15,8 +15,10 @@ panel, so a dataset that exists satisfies every invariant.
 from __future__ import annotations
 
 import csv
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 from types import MappingProxyType
 from typing import TextIO
 
@@ -36,6 +38,18 @@ __all__ = [
 
 PROB_CLIP = 1e-6
 PROB_SUM_TOL = 1e-8
+
+# load_csv reads probability cells as bytes this wide.  repr() and numpy's
+# default "%.18e" spell a probability in at most 24 characters; a cell
+# that fills the field may have been cut.
+_PROB_WIDTH = 25
+# The rows load_csv reads first to guess which probability columns repeat.
+_SAMPLE_ROWS = 4096
+# csv.field_size_limit while the scanner reads rows: the largest value a
+# 32-bit C long holds.  The limit is process-wide, so it is set and
+# restored under the lock, which header reads also take.
+_SCAN_FIELD_LIMIT = 2**31 - 1
+_field_limit_lock = threading.Lock()
 
 NUMERATOR_KINDS = (
     "match_randomization",
@@ -218,7 +232,8 @@ def _read_header(path: str, reader) -> _Columns:
     not fit the layout.
     """
     try:
-        header = [h.strip() for h in next(_csv_rows(path, reader))]
+        with _field_limit_lock:
+            header = [h.strip() for h in next(_csv_rows(path, reader))]
     except StopIteration:
         raise DataValidationError(f"{path}: file is empty") from None
     col_index = {name: i for i, name in enumerate(header)}
@@ -258,56 +273,172 @@ def load_csv(path: str) -> MrtDataset:
     column) order is reported.
 
     The header is read with csv.reader, and every row after it in one
-    np.loadtxt call (numpy's C parser).  When that call cannot decide on
-    its own (a cell its parser rejects, a row of the wrong width, a
-    whitespace-only line, no data rows, or a t/avail/trt value that is
+    np.loadtxt call (numpy's C parser).  That call reads as bytes the
+    probability columns whose cells repeat at each t in the first rows
+    of the file, and parses the other columns.  When every cell of a
+    bytes column is byte for byte the first subject's cell at the same
+    t, only those T cells are converted, with float(), and spread by t;
+    otherwise each cell is.  float() and numpy's parser round alike, so
+    the values are the same either way.  When the bytes cannot decide (a
+    cell that fills the field or that float() rejects, a NUL in the
+    file, or a cell numpy cannot store as bytes), the rows are read
+    again with every value column parsed by numpy.  When that cannot
+    decide either (a cell its parser rejects, a row of the wrong width,
+    a whitespace-only line, no data rows, or a t/avail/trt value that is
     not an integer in the int64 range), the rows are read again by a
     csv.reader scanner that converts each cell with float() and words
-    the error.  Both give the same dataset or the same message: the
-    scanner also loads what float() accepts and numpy does not, such as
-    digit separators (1_0).
+    the error.  Every route gives the same dataset or the same message:
+    the scanner also loads what float() accepts and numpy does not, such
+    as digit separators (1_0).
     """
     with open(path, newline="", encoding="utf-8") as handle:
         # readline, not iteration, so that tell() can mark where the rows start
         lines = iter(handle.readline, "")
         columns = _read_header(path, csv.reader(lines))
         start = handle.tell()
-        rows = None
+        panel = None
         # loadtxt warns on a file without data rows; the scanner words that
         # case.  Lines, not csv rows: csv has a limit on the size of a cell.
         if any(map(str.strip, lines)):
-            handle.seek(start)
-            rows = _parse_rows(handle, columns)
-    if rows is None:
+            panel = _read_panel(path, handle, start, columns)
+    if panel is None:
         return _scan_csv(path)
-    id_cells, t_values, values = rows
-    subject_ids, order = _subjects(path, id_cells, t_values)
-    return _to_dataset(path, columns, subject_ids, order, values)
+    return _to_dataset(path, columns, *panel)
+
+
+def _read_panel(
+    path: str, handle: TextIO, start: int, columns: _Columns
+) -> tuple[tuple[str, ...], np.ndarray, dict[str, np.ndarray]] | None:
+    """The rows from file position start on, read by np.loadtxt.
+
+    Returns what _parse_rows returns, reading as bytes the probability
+    columns that look worth it, and reading again without bytes when
+    they cannot decide.
+    """
+    handle.seek(start)
+    as_bytes = _repeating_columns(handle, columns)
+    if as_bytes and _has_nul(path):
+        as_bytes = ()  # a bytes cell would lose a NUL at its end
+    handle.seek(start)
+    panel = _parse_rows(path, handle, columns, as_bytes)
+    if panel is None and as_bytes:
+        handle.seek(start)
+        panel = _parse_rows(path, handle, columns, ())
+    return panel
+
+
+def _loadtxt(source, columns: _Columns, as_bytes: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """The cells of source (a file handle or a list of lines) by header
+    column, from one np.loadtxt call: the id as str objects, the columns
+    in as_bytes as fixed-width bytes, every other column as f8.  The
+    columns are fields of one record array."""
+
+    def cell(name: str):
+        if name == "id":
+            return object
+        return f"S{_PROB_WIDTH}" if name in as_bytes else "f8"
+
+    dtype = np.dtype([(f"f{j}", cell(name)) for j, name in enumerate(columns.header)])
+    rows = np.loadtxt(source, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    return {name: rows[f"f{j}"] for j, name in enumerate(columns.header)}
+
+
+def _repeating_columns(handle: TextIO, columns: _Columns) -> tuple[str, ...]:
+    """The probability columns whose cells, in the first rows from handle,
+    are the same at each t and none fills the field.
+
+    A guess that only speed depends on: reading a column whose cells
+    vary as bytes costs more than parsing it.  _parse_rows checks every
+    cell.
+    """
+    try:
+        sample = list(islice(filter(str.strip, iter(handle.readline, "")), _SAMPLE_ROWS))
+        cells = _loadtxt(sample, columns, columns.prob)
+    except ValueError:  # including UnicodeDecodeError: the scanner words it
+        return ()
+    _, first, group = np.unique(cells["t"], return_index=True, return_inverse=True)
+    return tuple(
+        name
+        for name in columns.prob
+        if not _fills(cells[name]) and (cells[name] == cells[name][first][group]).all()
+    )
+
+
+def _has_nul(path: str) -> bool:
+    """Whether the file holds a NUL character."""
+    with open(path, "rb") as raw:
+        return any(b"\0" in block for block in iter(lambda: raw.read(1 << 20), b""))
+
+
+def _fills(cells: np.ndarray) -> bool:
+    """Whether a cell of a bytes column fills the field."""
+    return bool((np.char.str_len(cells) >= _PROB_WIDTH).any())
 
 
 def _parse_rows(
-    handle: TextIO, columns: _Columns
-) -> tuple[list[str], np.ndarray, dict[str, np.ndarray]] | None:
-    """Every data row from handle in one np.loadtxt call.
+    path: str, handle: TextIO, columns: _Columns, as_bytes: tuple[str, ...]
+) -> tuple[tuple[str, ...], np.ndarray, dict[str, np.ndarray]] | None:
+    """Every data row from handle in one np.loadtxt call, grouped into
+    subjects by _subjects, which raises on a row set that is no panel.
 
-    Returns (stripped ids, t values, {value column: values}) in file
-    order, or None when the scanner must read the file instead.
+    Returns (subject ids, panel order, {value column: values in file
+    order}), or None when the cells cannot decide: see load_csv.
     """
-    numeric = {"t", *columns.values}
-    dtype = np.dtype(
-        [(f"f{j}", "f8" if name in numeric else object) for j, name in enumerate(columns.header)]
-    )
     try:
-        rows = np.loadtxt(
-            handle, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
-        )
+        cells = _loadtxt(handle, columns, as_bytes)
     except ValueError:
         return None
-    field = {name: rows[f"f{j}"] for j, name in enumerate(columns.header)}
-    if not all(_integral(field[name]).all() for name in ("t", "avail", "trt")):
+    # Copies, so that the record array is freed on return.
+    values = {
+        name: np.ascontiguousarray(cells[name])
+        for name in ("t", *columns.values)
+        if name not in as_bytes
+    }
+    if not all(_integral(values[name]).all() for name in ("t", "avail", "trt")):
         return None
-    id_cells = list(map(str.strip, field["id"]))
-    return id_cells, field["t"], {name: field[name] for name in columns.values}
+    t_values = values.pop("t")
+    subject_ids, order = _subjects(path, list(map(str.strip, cells["id"])), t_values)
+    t_index = t_values.astype(np.intp) - 1  # _subjects checked that t is 1..T
+    first = order[: len(order) // len(subject_ids)]  # the first subject's rows, t = 1..T
+    for name in as_bytes:
+        floats = _prob_values(cells[name], first, t_index)
+        if floats is None:
+            return None
+        values[name] = floats
+    return subject_ids, order, values
+
+
+def _prob_values(cells: np.ndarray, first: np.ndarray, t_index: np.ndarray) -> np.ndarray | None:
+    """float() of each cell of a probability column read as bytes, or
+    None when a cell may have been cut or float() rejects one.
+
+    When every cell is byte for byte the cell of row first[t] at its t,
+    only those T cells are converted.
+    """
+    head = cells[first]
+    step = 1 << 14
+    if all(
+        (cells[s : s + step] == head[t_index[s : s + step]]).all()
+        for s in range(0, len(cells), step)
+    ):
+        floats = None if _fills(head) else _floats(head)
+        return None if floats is None else floats[t_index]
+    return None if _fills(cells) else _floats(cells)
+
+
+def _floats(cells: np.ndarray) -> np.ndarray | None:
+    """float() of each bytes cell, or None when it rejects one.
+
+    float() of bytes strips only ASCII whitespace, which numpy's parser
+    strips too, and rejects every other byte outside the number, so it
+    takes no cell that numpy's parser reads otherwise.  What it takes
+    and numpy's parser does not, digit separators (1_0), the scanner
+    takes too.
+    """
+    try:
+        return np.array([float(cell) for cell in cells.tolist()])
+    except ValueError:
+        return None
 
 
 def _scan_csv(path: str) -> MrtDataset:
@@ -321,10 +452,15 @@ def _scan_csv(path: str) -> MrtDataset:
         columns = _read_header(path, reader)
         rows: list[list[str]] = []
         lines: list[int] = []
-        for row in _csv_rows(path, reader):
-            if any(map(str.strip, row)):
-                rows.append(row)
-                lines.append(reader.line_num)
+        with _field_limit_lock:
+            limit = csv.field_size_limit(_SCAN_FIELD_LIMIT)
+            try:
+                for row in _csv_rows(path, reader):
+                    if any(map(str.strip, row)):
+                        rows.append(row)
+                        lines.append(reader.line_num)
+            finally:
+                csv.field_size_limit(limit)
 
     # Row checks, in file order: cell count, then t, then (id, t) seen
     # before.  The earliest failing row decides the message, so each check
@@ -422,7 +558,9 @@ def _to_dataset(
 ) -> MrtDataset:
     """Arrange the value columns, in file row order, into the validated panel."""
     shape = (len(subject_ids), len(order) // len(subject_ids))
-    panel = {name: values[name][order].reshape(shape) for name in columns.values}
+    if not np.array_equal(order, np.arange(len(order))):
+        values = {name: values[name][order] for name in columns.values}
+    panel = {name: values[name].reshape(shape) for name in columns.values}
     try:
         return MrtDataset(
             subject_ids=subject_ids,

@@ -119,6 +119,24 @@ class TestEstimate:
         payload = json.loads(out.read_text())
         assert [t["term"] for t in payload["alpha_terms"]] == ["intercept", "time"]
 
+    def test_intercept_listed_with_other_columns(self, tmp_path):
+        config = mrtcat.GenerativeConfig(
+            family="gm0", t_points=8, rand_probs=np.array([0.4, 0.3]),
+            tau_curve=np.full(8, 0.8),
+        )
+        data = tmp_path / "sim.csv"
+        mrtcat.write_csv(mrtcat.simulate_trial(config, n=25, seed=6), str(data))
+        texts = []
+        for f_cols in ("intercept,time", "time"):
+            out = tmp_path / f"fit_{len(texts)}.json"
+            argv = ["estimate", "--data", str(data), "--f-cols", f_cols,
+                    "--g-cols", "intercept, time", "--out", str(out)]
+            assert main(argv) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        payload = json.loads(texts[0])
+        assert [t["term"] for t in payload["beta_terms"]][:2] == ["arm1:intercept", "arm1:time"]
+
     def test_missing_required_flag_exits_two(self, tmp_path, capsys):
         data = tmp_path / "toy.csv"
         write_k1_csv(data)

@@ -2,6 +2,7 @@ import csv
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -431,6 +432,121 @@ class TestFastPath:
         expected = [data.avail, data.trt, data.probs, data.outcome, *data.features.values()]
         assert arrays == [(a.dtype.str, a.shape, a.tobytes()) for a in expected]
 
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        """The lengths of the bytes columns load_csv converts with float()."""
+        lengths = []
+        floats = mrtcat.data._floats
+
+        def spy(cells):
+            lengths.append(len(cells))
+            return floats(cells)
+
+        monkeypatch.setattr(mrtcat.data, "_floats", spy)
+        return lengths
+
+    def test_repeated_probability_cells_are_converted_once(self, tmp_path, scans, conversions):
+        path = tmp_path / "toy.csv"
+        path.write_text(toy_text())
+        agree(path)
+        assert scans == []
+        assert conversions == [3, 3, 3]  # T cells per probability column
+
+    def test_per_subject_probabilities(self, tmp_path, scans):
+        rows = [list(r) for r in TOY_ROWS]
+        rows[4][4:7] = ["0.5", "0.25", "0.25"]
+        path = tmp_path / "varying.csv"
+        path.write_text(toy_text(rows))
+        assert agree(path)[0] == ("a", "b")
+        assert scans == []
+        np.testing.assert_array_equal(load_csv(str(path)).probs[1, 1], [0.5, 0.25, 0.25])
+
+    @pytest.mark.parametrize(
+        "spell",
+        [
+            lambda x: f"{x:.18e}",  # numpy's default savetxt format, 24 characters
+            lambda x: f"{x:.40f}",  # longer than the bytes field
+            lambda x: f" {x!r} ",
+            lambda x: f'"{x!r}"',
+        ],
+        ids=["e18", "longer_than_the_field", "padded", "quoted"],
+    )
+    def test_probability_spellings(self, tmp_path, scans, spell):
+        rows = [r[:4] + [spell(x) for x in r[4:7]] + r[7:] for r in TOY_ROWS]
+        path, plain = tmp_path / "spelled.csv", tmp_path / "plain.csv"
+        path.write_text(toy_text(rows))
+        plain.write_text(toy_text())
+        assert agree(path) == agree(plain)
+        assert scans == []
+
+    def test_shuffled_rows(self, tmp_path, scans):
+        order = (4, 2, 0, 5, 1, 3)
+        path, plain = tmp_path / "shuffled.csv", tmp_path / "plain.csv"
+        path.write_text(toy_text([TOY_ROWS[i] for i in order]))
+        plain.write_text(toy_text([TOY_ROWS[i] for i in (3, 4, 5, 0, 1, 2)]))
+        assert agree(path) == agree(plain)
+        assert scans == []
+
+    @staticmethod
+    def long_panel(cell=None) -> list[list]:
+        """A panel with more rows than load_csv samples, probabilities repeated
+        at each t; cell=(subject, t, column, text) replaces one cell."""
+        t_points = 100
+        n = mrtcat.data._SAMPLE_ROWS // t_points + 2
+        rows = [
+            [f"s{i}", t, 1, (i + t) % 3, "0.4", "0.3", "0.3", repr(0.01 * t - i)]
+            for i in range(n)
+            for t in range(1, t_points + 1)
+        ]
+        if cell is not None:
+            i, t, col, text = cell
+            rows[i * t_points + t - 1][col] = text
+        return rows
+
+    @pytest.mark.parametrize(
+        "text,converted",
+        [
+            ("0.30", ["T", "all", "T"]),
+            ("3e-1", ["T", "all", "T"]),
+            ("0.3" + "0" * 30, ["T"]),
+            ("0.3\xa0", ["T", "all"]),
+        ],
+        ids=["respelled", "exponent", "longer_than_the_field", "nbsp_padded"],
+    )
+    def test_cell_past_the_sample(self, tmp_path, scans, conversions, text, converted):
+        # The sample says that prob_1 repeats; the rest of the file decides.
+        # prob_1 is converted cell by cell, unless a cell fills the field;
+        # when that or float() fails, the rows are read again, all as f8.
+        rows = self.long_panel()
+        path, plain = tmp_path / "late.csv", tmp_path / "plain.csv"
+        path.write_text(toy_text(self.long_panel((len(rows) // 100 - 1, 7, 5, text))))
+        plain.write_text(toy_text(rows))
+        expected = agree(plain)
+        conversions.clear()
+        assert agree(path) == expected
+        assert conversions == [{"T": 100, "all": len(rows)}[c] for c in converted]
+        assert scans == []
+
+    def test_probability_varying_past_the_sample(self, tmp_path, scans):
+        n = len(self.long_panel()) // 100
+        path = tmp_path / "late.csv"
+        path.write_text(toy_text(self.long_panel((n - 1, 7, 5, "0.35"))))
+        with pytest.raises(DataValidationError, match="do not sum to 1"):
+            load_csv(str(path))
+        agree(path)
+        assert scans == []
+
+    @pytest.mark.parametrize("text", ["0.3\x00", "0.3\u2003", "\u2003"])
+    def test_cells_bytes_cannot_hold(self, tmp_path, scans, text):
+        # A NUL would be lost at the end of a bytes cell, and a character
+        # past U+00FF does not fit one; numpy's parser or the scanner decides.
+        rows = [list(r) for r in TOY_ROWS]
+        rows[4][5] = text
+        path = tmp_path / "odd.csv"
+        path.write_text(toy_text(rows))
+        agree(path)
+        assert scans == ([] if text == "0.3\u2003" else [str(path)])
+
     # csv.reader refuses a cell over csv.field_size_limit() characters;
     # numpy's parser has no such limit.
     HUGE_ID = "a" * 140_000
@@ -447,22 +563,24 @@ class TestFastPath:
         assert scans == []
         assert csv.field_size_limit() == limit
 
-    @pytest.mark.parametrize(
-        "row,line", [(0, 2), (4, 6)], ids=["first_data_row", "after_a_bad_cell"]
-    )
-    def test_cell_over_csv_field_limit_in_a_bad_file(self, tmp_path, scans, row, line):
-        # The scanner cannot read past such a cell, so it names that cell's
-        # line even when a bad cell (line 3) comes first.
+    @pytest.mark.parametrize("row", [0, 4], ids=["first_data_row", "after_a_bad_cell"])
+    def test_cell_over_csv_field_limit_in_a_bad_file(self, tmp_path, scans, row):
+        # The scanner reads past such a cell (the subject of `row`, whose
+        # first row is line 2 or 5) to the bad cell on line 3.
+        limit = csv.field_size_limit()
         rows = [list(r) for r in TOY_ROWS]
         rows[1][7] = "oops"
-        rows[row][0] = self.HUGE_ID
+        renamed = rows[row][0]
+        for r in rows:
+            if r[0] == renamed:
+                r[0] = self.HUGE_ID
         path = tmp_path / "huge_bad.csv"
         path.write_text(toy_text(rows))
-        message = f"{path}: line {line}: field larger than field limit ({csv.field_size_limit()})"
         with pytest.raises(DataValidationError) as err:
             load_csv(str(path))
-        assert str(err.value) == message
+        assert str(err.value) == "line 3: non-numeric value 'oops' in column 'outcome'"
         assert scans == [str(path)]
+        assert csv.field_size_limit() == limit
 
     def test_header_cell_over_csv_field_limit(self, tmp_path):
         path = tmp_path / "huge_header.csv"
@@ -489,24 +607,51 @@ def quote_id(sid: str, style: str) -> str:
     return {"raw": sid, "quoted": quoted, "padded": f" {quoted} "}[style]
 
 
+PROB_VECTORS = (("0.5", "0.25", "0.25"), ("0.4", "0.3", "0.3"))
+
+
+def spellings(value: str) -> list[str]:
+    """CSV cells for the probability value: as given, with a trailing
+    zero, padded, in exponent form, quoted, in numpy's default %.18e (24
+    characters) and too long for load_csv's bytes field."""
+    x = float(value)
+    return [
+        value, value + "0", f" {value} ", f"{x * 10:g}e-1", f'"{value}"', f"{x:.18e}",
+        value + "0" * 30,
+    ]
+
+
+@st.composite
+def prob_cells(draw, vector: tuple[str, ...]) -> list[str]:
+    return [draw(st.sampled_from(spellings(value))) for value in vector]
+
+
 @st.composite
 def csv_texts(draw):
-    """A small panel file, with awkward ids and a few of the irregularities
-    that make a file load differently or fail."""
+    """A small panel file, with awkward ids, probabilities spelled alike or
+    not (and varying across subjects or not) at each t, and a few of the
+    irregularities that make a file load differently or fail."""
     n, t_points = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     sid = st.text(ID_CHARS, min_size=1, max_size=3)
     ids = draw(st.lists(sid, min_size=n, max_size=n, unique_by=str.strip))
     style = st.sampled_from(["plain", "plain", "plain", "quoted", "padded", "raw"])
     styles = draw(st.lists(style, min_size=n, max_size=n))
     value = st.floats(-1e3, 1e3, allow_nan=False).map(repr)
+    vectors = [draw(st.sampled_from(PROB_VECTORS)) for _ in range(t_points)]
+    shared = [draw(prob_cells(vector)) for vector in vectors]
+    vary = draw(st.sampled_from(["none", "spelling", "value"]))
     rows = []
     for i in range(n):
         for t in range(1, t_points + 1):
             avail = draw(st.integers(0, 1))
             trt = avail * draw(st.integers(0, 2))
+            probs = shared[t - 1]
+            if vary != "none" and draw(st.booleans()):
+                vector = draw(st.sampled_from(PROB_VECTORS)) if vary == "value" else vectors[t - 1]
+                probs = draw(prob_cells(vector))
             rows.append(
                 [quote_id(ids[i], styles[i]), str(t), str(avail), str(trt),
-                 "0.5", "0.25", "0.25", draw(value), draw(value)]
+                 *probs, draw(value), draw(value)]
             )
     rows = draw(st.permutations(rows))
     for _ in range(draw(st.integers(0, 2))):
@@ -536,9 +681,13 @@ def csv_texts(draw):
 
 class TestLoaderDifferential:
     @settings(max_examples=300, deadline=None)
-    @given(csv_texts())
-    def test_load_csv_agrees_with_scanner(self, text):
-        with tempfile.TemporaryDirectory() as tmp:
+    @given(csv_texts(), st.sampled_from([1, 2, 5, mrtcat.data._SAMPLE_ROWS]))
+    def test_load_csv_agrees_with_scanner(self, text, sample_rows):
+        # A short sample leaves rows past it for the full read to decide.
+        with (
+            tempfile.TemporaryDirectory() as tmp,
+            mock.patch.object(mrtcat.data, "_SAMPLE_ROWS", sample_rows),
+        ):
             path = Path(tmp) / "panel.csv"
             path.write_bytes(text.encode())
             agree(path)
