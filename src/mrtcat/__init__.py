@@ -12,25 +12,19 @@ harness.  The `mrtcat` command exposes the same surface on files.
 from .data import (
     MrtDataset,
     NumeratorPolicy,
-    ValidationReport,
     fit_numerator_probs,
     load_csv,
-    validate,
     write_csv,
 )
 from .design import (
     DesignInputs,
-    EffectSummary,
     SampleSizeResult,
-    build_pt,
     build_v,
     eo_pattern,
     inputs_from_config,
     mee_pattern,
-    noncentrality,
     power_at_n,
     required_sample_size,
-    summarize_effects,
     tau_pattern,
 )
 from .errors import (
@@ -80,23 +74,17 @@ __version__ = "0.1.0"
 __all__ = [
     "MrtDataset",
     "NumeratorPolicy",
-    "ValidationReport",
     "fit_numerator_probs",
     "load_csv",
-    "validate",
     "write_csv",
     "DesignInputs",
-    "EffectSummary",
     "SampleSizeResult",
-    "build_pt",
     "build_v",
     "eo_pattern",
     "inputs_from_config",
     "mee_pattern",
-    "noncentrality",
     "power_at_n",
     "required_sample_size",
-    "summarize_effects",
     "tau_pattern",
     "ConvergenceError",
     "DataValidationError",

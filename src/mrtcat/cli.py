@@ -18,7 +18,7 @@ import numpy as np
 from .data import NumeratorPolicy, load_csv
 from .design import SEARCH_CAP_DEFAULT, inputs_from_config, required_sample_size
 from .errors import DataValidationError, NumericalError
-from .inference import build_contrast, confidence_intervals, parse_contrast_text, wald_test
+from .inference import CiRow, build_contrast, confidence_intervals, parse_contrast_text, wald_test
 from .simulate import THREADS_ENV, run_monte_carlo, scenario_from_config
 from .wcls import ModelSpec, fit_wcls
 from ._kvconfig import parse_kv_file
@@ -26,6 +26,8 @@ from ._kvconfig import parse_kv_file
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
+
+CI_COLUMNS = ("term", "estimate", "se", "ci_lower", "ci_upper", "p_value")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -71,6 +73,17 @@ def _load_contrast(raw: str, k_arms: int) -> np.ndarray:
     return parse_contrast_text(raw, k_arms)
 
 
+def _ci_row(term: str, ci: CiRow) -> dict:
+    """One row of the estimate output: the term and its interval."""
+    return dict(zip(CI_COLUMNS, (term, ci.estimate, ci.se, ci.lower, ci.upper, ci.p_value)))
+
+
+def _csv_cells(row: dict) -> list[str]:
+    """A _ci_row as CSV cells: the term, then repr() of each number."""
+    term, *numbers = row.values()
+    return [term, *map(repr, numbers)]
+
+
 def cmd_estimate(args: argparse.Namespace) -> int:
     data = load_csv(args.data)
     if args.numerator == "user_supplied":
@@ -91,6 +104,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     level = 1.0 - args.alpha
     cis = confidence_intervals(fit, np.eye(len(fit.beta_hat)), level)
 
+    rows = [_ci_row(name, ci) for name, ci in zip(fit.beta_names, cis)]
     payload: dict = {
         "n": fit.n,
         "t_points": fit.t_points,
@@ -105,54 +119,21 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             {"term": name, "estimate": float(est)}
             for name, est in zip(fit.g_names, fit.alpha_hat)
         ],
-        "beta_terms": [
-            {
-                "term": name,
-                "estimate": ci.estimate,
-                "se": ci.se,
-                "ci_lower": ci.lower,
-                "ci_upper": ci.upper,
-                "p_value": ci.p_value,
-            }
-            for name, ci in zip(fit.beta_names, cis)
-        ],
+        "beta_terms": rows,
         "contrast": None,
     }
-
-    csv_rows = [
-        [name, repr(float(est)), "", "", "", ""]
-        for name, est in zip(fit.g_names, fit.alpha_hat)
-    ]
-    csv_rows += [
-        [
-            name,
-            repr(ci.estimate),
-            repr(ci.se),
-            repr(ci.lower),
-            repr(ci.upper),
-            repr(ci.p_value),
-        ]
-        for name, ci in zip(fit.beta_names, cis)
-    ]
 
     if args.contrast:
         l_matrix = _load_contrast(args.contrast, fit.k_arms)
         contrast = build_contrast(l_matrix, fit.p)
         test = wald_test(fit, contrast, args.alpha)
-        rows = confidence_intervals(fit, contrast.l_tilde, level)
+        contrast_rows = [
+            _ci_row(f"contrast[{i + 1}]", ci)
+            for i, ci in enumerate(confidence_intervals(fit, contrast.l_tilde, level))
+        ]
         payload["contrast"] = {
             "l_matrix": l_matrix.tolist(),
-            "rows": [
-                {
-                    "term": f"contrast[{i + 1}]",
-                    "estimate": ci.estimate,
-                    "se": ci.se,
-                    "ci_lower": ci.lower,
-                    "ci_upper": ci.upper,
-                    "p_value": ci.p_value,
-                }
-                for i, ci in enumerate(rows)
-            ],
+            "rows": contrast_rows,
             "test": {
                 "statistic": test.statistic,
                 "scaled_statistic": test.scaled_statistic,
@@ -163,23 +144,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 "reject": test.reject,
             },
         }
-        csv_rows += [
-            [
-                f"contrast[{i + 1}]",
-                repr(ci.estimate),
-                repr(ci.se),
-                repr(ci.lower),
-                repr(ci.upper),
-                repr(ci.p_value),
-            ]
-            for i, ci in enumerate(rows)
-        ]
+        rows = rows + contrast_rows
 
     if args.format == "json":
         _dump_json(args.out, payload)
     else:
-        header = ["term", "estimate", "se", "ci_lower", "ci_upper", "p_value"]
-        _write_csv_rows(args.out, header, csv_rows)
+        alpha_rows = [
+            [name, repr(float(est)), "", "", "", ""]
+            for name, est in zip(fit.g_names, fit.alpha_hat)
+        ]
+        _write_csv_rows(
+            args.out, list(CI_COLUMNS), alpha_rows + [_csv_cells(row) for row in rows]
+        )
     return EXIT_OK
 
 

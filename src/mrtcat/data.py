@@ -29,10 +29,8 @@ from .errors import DataValidationError, DegenerateArmError, PositivityError
 __all__ = [
     "MrtDataset",
     "NumeratorPolicy",
-    "ValidationReport",
     "load_csv",
     "write_csv",
-    "validate",
     "fit_numerator_probs",
 ]
 
@@ -96,7 +94,7 @@ def _tuples(value):
 class MrtDataset:
     """Rectangular MRT panel backed by dense arrays.
 
-    Construction checks every invariant validate() checks and raises
+    Construction checks every dataset invariant and raises
     DataValidationError listing all the violations, so a dataset is
     analysis-ready by type.
 
@@ -144,22 +142,13 @@ class MrtDataset:
                 raise DataValidationError(f"feature {name!r} shape mismatch")
         for arr in (self.avail, self.trt, self.probs, self.outcome, *self.features.values()):
             arr.flags.writeable = False
-        report = validate(self)
-        if not report.ok:
-            raise DataValidationError("; ".join(report.violations))
+        violations = validate(self)
+        if violations:
+            raise DataValidationError("; ".join(violations))
 
     @property
     def feature_names(self) -> tuple[str, ...]:
         return tuple(self.features.keys())
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def _integral(values: np.ndarray) -> np.ndarray:
@@ -170,15 +159,17 @@ def _integral(values: np.ndarray) -> np.ndarray:
 def _column(cells: list[str], integer: bool) -> tuple[np.ndarray, np.ndarray]:
     """Convert one CSV column with float(); return (values, indices of bad cells).
 
-    A cell is bad when float() rejects it or, in an integer column, when
-    its value is not an integer in the int64 range.  Cells float()
-    rejects read as NaN.
+    Each cell is stripped with str.strip first, which, like numpy's
+    parser and unlike float(), also strips U+001C..U+001F.  A cell is
+    bad when float() rejects it or, in an integer column, when its value
+    is not an integer in the int64 range.  Cells float() rejects read as
+    NaN.
     """
     values = np.full(len(cells), np.nan)
     bad = np.zeros(len(cells), dtype=bool)
     for index, raw in enumerate(cells):
         try:
-            values[index] = float(raw)
+            values[index] = float(raw.strip())
         except ValueError:
             bad[index] = True
     if integer:
@@ -186,18 +177,19 @@ def _column(cells: list[str], integer: bool) -> tuple[np.ndarray, np.ndarray]:
     return values, np.flatnonzero(bad)
 
 
-def _cell_message(raw: str, column: str, line: int) -> str:
-    """Why _column rejected the cell raw, found on file line `line`."""
+def _cell_message(path: str, raw: str, column: str, line: int) -> str:
+    """Why _column rejected the cell raw, found on line `line` of path."""
     raw = raw.strip()
+    where = f"{path}: line {line}"
     if raw == "":
-        return f"line {line}: empty value in column {column!r}"
+        return f"{where}: empty value in column {column!r}"
     try:
         value = float(raw)
     except ValueError:
-        return f"line {line}: non-numeric value {raw!r} in column {column!r}"
+        return f"{where}: non-numeric value {raw!r} in column {column!r}"
     if value.is_integer():
-        return f"line {line}: integer value {raw!r} in column {column!r} is out of range"
-    return f"line {line}: column {column!r} must be an integer"
+        return f"{where}: integer value {raw!r} in column {column!r} is out of range"
+    return f"{where}: column {column!r} must be an integer"
 
 
 @dataclass(frozen=True)
@@ -482,7 +474,7 @@ def _scan_csv(path: str) -> MrtDataset:
     t_values, bad = _column(text["t"], integer=True)
     if bad.size:
         stop = int(bad[0])
-        error = _cell_message(text["t"][stop], "t", lines[stop])
+        error = _cell_message(path, text["t"][stop], "t", lines[stop])
     id_cells = list(map(str.strip, text["id"][:stop]))
     subject_ids, order = _subjects(path, id_cells, t_values[:stop], error)
 
@@ -497,7 +489,7 @@ def _scan_csv(path: str) -> MrtDataset:
         values[name], bad = _column(text[name], integer=name in ("avail", "trt"))
         if bad.size:
             row = int(bad[np.argmin(position[bad])])
-            message = _cell_message(text[name][row], name, lines[row])
+            message = _cell_message(path, text[name][row], name, lines[row])
             failures.append((position[row], rank, message))
     if failures:
         raise DataValidationError(min(failures)[2])
@@ -595,15 +587,15 @@ def write_csv(data: MrtDataset, path: str) -> None:
                 writer.writerow(row)
 
 
-def validate(data: MrtDataset) -> ValidationReport:
-    """Check every dataset invariant; returns a report, never raises.
+def validate(data: MrtDataset) -> tuple[str, ...]:
+    """MrtDataset's checker: the dataset invariants data violates, worded.
 
-    An empty report means the dataset is analysis-ready: availability is
+    An empty tuple means the dataset is analysis-ready: availability is
     binary, unavailable points carry the reference arm, treatments lie
     in {0..K}, probability vectors are nonnegative and sum to one, the
     realized arm always has positive probability at available points,
-    and all outcomes and features are finite.  MrtDataset runs it on
-    construction, so every dataset in hand has an empty report.
+    and all outcomes and features are finite.  The benchmark's traced
+    mode times it under this name.
     """
     avail, trt, probs, k_arms = data.avail, data.trt, data.probs, data.k_arms
 
@@ -654,7 +646,7 @@ def validate(data: MrtDataset) -> ValidationReport:
     for name, arr in data.features.items():
         if not np.isfinite(arr).all():
             bad.append(f"non-finite value in feature {name!r}")
-    return ValidationReport(violations=tuple(bad))
+    return tuple(bad)
 
 
 def _clip_renormalize(table: np.ndarray) -> np.ndarray:

@@ -46,17 +46,13 @@ from ._kvconfig import get_float, get_int, get_floats
 
 __all__ = [
     "DesignInputs",
-    "EffectSummary",
     "SampleSizeResult",
-    "build_pt",
     "build_v",
-    "noncentrality",
     "power_at_n",
     "required_sample_size",
     "tau_pattern",
     "eo_pattern",
     "mee_pattern",
-    "summarize_effects",
     "inputs_from_config",
 ]
 
@@ -162,14 +158,6 @@ class DesignInputs:
 
 
 @dataclass(frozen=True, eq=False)
-class EffectSummary:
-    sate: np.ndarray
-    delta_sate: np.ndarray
-    aeo: float
-    aa: float
-
-
-@dataclass(frozen=True, eq=False)
 class SampleSizeResult:
     """A sizing, with V's condition number and the search's power evaluations."""
 
@@ -179,16 +167,6 @@ class SampleSizeResult:
     v_matrix: np.ndarray
     v_condition: float
     power_evals: int
-
-
-def build_pt(probs: np.ndarray) -> np.ndarray:
-    """Randomization covariance block diag(p) - p p' for the active arms."""
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or p.size < 1:
-        raise DataValidationError("build_pt expects a K-vector of probabilities")
-    if (p <= 0).any() or p.sum() >= 1.0:
-        raise DataValidationError("active-arm probabilities must be positive, summing < 1")
-    return np.diag(p) - np.outer(p, p)
 
 
 def _v_matrix(probs: np.ndarray, tau: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -205,13 +183,6 @@ def _v_matrix(probs: np.ndarray, tau: np.ndarray, f: np.ndarray) -> np.ndarray:
 def build_v(inputs: DesignInputs) -> np.ndarray:
     """V = sum_t tau(t) kron(P_t, f_t f_t'), checked on construction to be nonsingular."""
     return inputs.v_matrix
-
-
-def noncentrality(n: int, inputs: DesignInputs) -> float:
-    """lambda(n) = n (Lt g)' (Lt V^{-1} Lt')^{-1} (Lt g)."""
-    if n < 1:
-        raise DataValidationError("n must be >= 1")
-    return n * inputs.lambda_rate
 
 
 def power_at_n(inputs: DesignInputs, n: int) -> float:
@@ -406,26 +377,6 @@ def mee_pattern(
     curve2 = curve1 + b34[0] + b34[1] * t
     gamma = np.array([b12[0], b12[1], b12[0] + b34[0], b12[1] + b34[1]])
     return gamma, np.column_stack([curve1, curve2])
-
-
-def summarize_effects(
-    smee: np.ndarray, eo: np.ndarray, tau: np.ndarray, l_matrix: np.ndarray
-) -> EffectSummary:
-    """Availability-weighted averages: sATE per arm, their contrast, AEO, AA."""
-    smee = np.atleast_2d(np.asarray(smee, dtype=float))
-    eo = np.asarray(eo, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    l_matrix = np.atleast_2d(np.asarray(l_matrix, dtype=float))
-    t_points = tau.shape[0]
-    if smee.shape[0] != t_points or eo.shape != (t_points,):
-        raise DataValidationError("smee and eo must have T rows")
-    if l_matrix.shape[1] != smee.shape[1]:
-        raise DataValidationError("l_matrix columns must match the number of arms")
-    wsum = float(tau.sum())
-    sate = (smee * tau[:, None]).sum(axis=0) / wsum
-    aeo = float((eo * tau).sum() / wsum)
-    aa = float(tau.mean())
-    return EffectSummary(sate=sate, delta_sate=l_matrix @ sate, aeo=aeo, aa=aa)
 
 
 def inputs_from_config(cfg: dict[str, str]) -> DesignInputs:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import MrtDataset, NumeratorPolicy, fit_numerator_probs, numerator_tables
+from .data import MrtDataset, NumeratorPolicy, numerator_tables
 from .errors import DataValidationError, DegenerateArmError, SingularSystemError
 from .numerics import SpdStack, apply_spd_inverse, solve_spd_stack
 
@@ -129,28 +129,6 @@ def check_dims(n: int, spec: ModelSpec, k_arms: int) -> None:
         )
 
 
-def _build_arrays(data: MrtDataset, spec: ModelSpec):
-    """Assemble weights, centered indicators, and stacked design blocks.
-
-    Returns (W, Dfull, Y, t_used, ptilde) where W is (n, t_used),
-    Dfull is (n, t_used, q + K p) and Y is (n, t_used).  Decision
-    points with t + delta - 1 > T are dropped because their proximal
-    outcome window extends past the panel.
-    """
-    ptilde = fit_numerator_probs(data, spec.numerator)
-    weights, d_full, outcome, t_used = design_stack(
-        data.avail[None],
-        data.trt[None],
-        data.probs[None],
-        data.outcome[None],
-        {name: arr[None] for name, arr in data.features.items()},
-        data.k_arms,
-        spec,
-        ptilde[None],
-    )
-    return weights[0], np.moveaxis(d_full[0], 0, -1), outcome[0], t_used, ptilde
-
-
 def design_stack(
     avail: np.ndarray,
     trt: np.ndarray,
@@ -161,13 +139,16 @@ def design_stack(
     spec: ModelSpec,
     ptilde: np.ndarray,
 ):
-    """_build_arrays for R panels at once, with the numerator tables given.
+    """Weights, centered indicators and stacked design blocks of R panels,
+    with the numerator tables given.
 
     avail, trt and outcome are (R, n, T); probs broadcasts to (R, n, T,
     K+1), each feature to (R, n, T) and ptilde to (R, T, K+1).  Returns
     (W, Dfull, Y, t_used) with W and Y (R, n, t_used) and Dfull
     column-major, (R, q + Kp, n, t_used), so that each design column is
-    one contiguous panel.
+    one contiguous panel.  Decision points with t + delta - 1 > T are
+    dropped because their proximal outcome window extends past the
+    panel.
     """
     count, n, big_t = avail.shape
     t_used = usable_points(big_t, spec.delta)

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way: explicit
 loops, textbook formulas, numpy.linalg solves.  None of it shares code
-with the package under test.
+with the package under test, except design_arrays at the end, which
+only unpacks the package's own design arrays for one panel so that
+tests can hold them to the loops.
 """
 
 from __future__ import annotations
@@ -10,6 +12,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from mrtcat.data import numerator_tables
+from mrtcat.wcls import design_stack
 
 
 def kron_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -342,3 +347,22 @@ def simulate_trial_loops(config, n: int, seed: int) -> dict:
         outcome[:, j] = base + (a_t == 1) * eff1 + (a_t == 2) * eff2 + noise
 
     return {"avail": avail, "trt": trt, "outcome": outcome, "Z": z, "clipped": clipped}
+
+
+def design_arrays(data, spec):
+    """The package's weights, design rows, outcomes and t_used for one panel.
+
+    wcls.design_stack with R = 1, on the numerator table of spec's policy:
+    W and Y are (n, t_used) and Dfull is (n, t_used, q + Kp), one row of
+    (g; C_1 f; ...; C_K f) per decision point.
+    """
+    tables, errors = numerator_tables(
+        data.avail[None], data.trt[None], data.probs[None], spec.numerator, data.k_arms
+    )
+    if errors[0] is not None:
+        raise errors[0]
+    weights, d_full, outcome, t_used = design_stack(
+        data.avail[None], data.trt[None], data.probs[None], data.outcome[None],
+        {name: arr[None] for name, arr in data.features.items()}, data.k_arms, spec, tables,
+    )
+    return weights[0], np.moveaxis(d_full[0], 0, -1), outcome[0], t_used

@@ -32,10 +32,9 @@ from mrtcat import (
 )
 from mrtcat.cli import main
 from mrtcat.numerics import f_cdf, f_quantile, noncentral_f_cdf
-from mrtcat.wcls import _build_arrays
 
 from _factories import make_dataset
-from _oracles import numerator_table_loops, sandwich_loops, wcls_fit_loops
+from _oracles import design_arrays, numerator_table_loops, sandwich_loops, wcls_fit_loops
 
 
 GOLDEN_CFG = {
@@ -279,7 +278,7 @@ def test_criterion_8_invariance_suite(capsys):
     balanced = make_dataset(trt=pattern, outcome=np.zeros((8, 3)),
                             probs=(0.5, 0.25, 0.25))
     center_spec = ModelSpec(numerator=NumeratorPolicy("empirical_per_t"))
-    weights, d_full, _, _, _ = _build_arrays(balanced, center_spec)
+    weights, d_full, _, _ = design_arrays(balanced, center_spec)
     center_sum = np.einsum("it,itr->r", weights, d_full[:, :, center_spec.q :])
     center_gap = float(np.max(np.abs(center_sum)))
 

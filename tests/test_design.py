@@ -13,15 +13,11 @@ from mrtcat import (
     NullContrastError,
     NumericalError,
     SingularSystemError,
-    build_pt,
-    build_v,
     eo_pattern,
     inputs_from_config,
     mee_pattern,
-    noncentrality,
     power_at_n,
     required_sample_size,
-    summarize_effects,
     tau_pattern,
 )
 from mrtcat.design import _v_matrix
@@ -48,22 +44,35 @@ def golden_inputs(**overrides):
     return DesignInputs(**base)
 
 
+def randomization_block(probs) -> np.ndarray:
+    """P = diag(p) - p p' for the active-arm probabilities p: V of a
+    one-point design with tau = 1 and f = 1."""
+    k_arms = len(probs)
+    inputs = DesignInputs(
+        k_arms=k_arms,
+        t_points=1,
+        rand_probs=np.array(probs),
+        tau=np.ones(1),
+        f=np.ones((1, 1)),
+        gamma=np.full(k_arms, 0.1),
+        q=1,
+        l_matrix=np.eye(k_arms),
+    )
+    return inputs.v_matrix
+
+
 class TestBuildPt:
+    """The randomization covariance block P_t that V is built from."""
+
     def test_two_arm_value(self):
         np.testing.assert_allclose(
-            build_pt(np.array([0.3, 0.3])),
+            randomization_block([0.3, 0.3]),
             [[0.21, -0.09], [-0.09, 0.21]],
             atol=1e-12,
         )
 
     def test_single_arm_value(self):
-        np.testing.assert_allclose(build_pt(np.array([0.4])), [[0.24]], atol=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(DataValidationError):
-            build_pt(np.array([0.5, 0.5]))
-        with pytest.raises(DataValidationError):
-            build_pt(np.array([0.0, 0.3]))
+        np.testing.assert_allclose(randomization_block([0.4]), [[0.24]], atol=1e-12)
 
     @settings(max_examples=60)
     @given(
@@ -72,14 +81,14 @@ class TestBuildPt:
         )
     )
     def test_positive_definite(self, probs):
-        eigs = np.linalg.eigvalsh(build_pt(np.array(probs)))
+        eigs = np.linalg.eigvalsh(randomization_block(probs))
         assert eigs.min() > 0.0
 
 
 class TestBuildV:
     def test_golden_value(self):
         np.testing.assert_allclose(
-            build_v(golden_inputs()),
+            golden_inputs().v_matrix,
             [[44.1, -18.9], [-18.9, 44.1]],
             atol=1e-9,
         )
@@ -96,7 +105,7 @@ class TestBuildV:
             l_matrix=np.array([[1.0, -1.0]]),
         )
         np.testing.assert_allclose(
-            build_v(inputs), 0.6 * build_pt(np.array([0.25, 0.25])), atol=1e-12
+            inputs.v_matrix, 0.6 * randomization_block([0.25, 0.25]), atol=1e-12
         )
 
     def test_rank_deficient_f_basis_rejected(self):
@@ -145,8 +154,6 @@ class TestBuildV:
         assert calls == [1]
         required_sample_size(inputs)
         power_at_n(inputs, 93)
-        noncentrality(93, inputs)
-        assert build_v(inputs) is inputs.v_matrix
         assert calls == [1]
 
     def test_caller_arrays_neither_mutated_nor_shared(self):
@@ -167,27 +174,28 @@ class TestBuildV:
             a *= 0.5
         assert inputs.v_matrix.tobytes() == v.tobytes()
         assert inputs.lambda_rate == rate
-        assert noncentrality(10, inputs) == 10 * rate
 
 
 class TestNoncentrality:
+    """lambda(n) = n * lambda_rate, the rate DesignInputs stores."""
+
     def test_golden_rate(self):
-        lam = noncentrality(93, golden_inputs())
+        lam = 93 * golden_inputs().lambda_rate
         assert lam / 93 == pytest.approx(0.0884835, abs=1e-10)
         assert lam == pytest.approx(8.2289655, abs=1e-6)
 
     def test_linear_in_n_quadratic_in_gamma(self):
         inputs = golden_inputs()
-        lam50 = noncentrality(50, inputs)
-        assert noncentrality(100, inputs) == pytest.approx(2 * lam50, rel=1e-12)
+        lam50 = 50 * inputs.lambda_rate
+        assert 100 * inputs.lambda_rate == pytest.approx(2 * lam50, rel=1e-12)
         doubled = golden_inputs(gamma=np.array([0.106, 0.0]))
-        assert noncentrality(50, doubled) == pytest.approx(4 * lam50, rel=1e-10)
+        assert 50 * doubled.lambda_rate == pytest.approx(4 * lam50, rel=1e-10)
 
     def test_identity_contrast_reduces_to_quadratic_form(self):
         gamma = np.array([0.07, -0.04])
         inputs = golden_inputs(gamma=gamma, l_matrix=np.eye(2))
-        v = build_v(inputs)
-        assert noncentrality(60, inputs) == pytest.approx(
+        v = inputs.v_matrix
+        assert 60 * inputs.lambda_rate == pytest.approx(
             60 * float(gamma @ v @ gamma), rel=1e-10
         )
 
@@ -196,8 +204,8 @@ class TestNoncentrality:
             golden_inputs(gamma=np.array([0.05, 0.05]))
 
     def test_invariant_to_contrast_row_scaling(self):
-        a = noncentrality(40, golden_inputs())
-        b = noncentrality(40, golden_inputs(l_matrix=np.array([[3.0, -3.0]])))
+        a = golden_inputs().lambda_rate
+        b = golden_inputs(l_matrix=np.array([[3.0, -3.0]])).lambda_rate
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_invariant_to_invertible_row_mixing(self):
@@ -205,8 +213,8 @@ class TestNoncentrality:
         gamma = np.array([0.08, -0.03])
         l = np.eye(2)
         r = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
-        a = noncentrality(40, golden_inputs(gamma=gamma, l_matrix=l))
-        b = noncentrality(40, golden_inputs(gamma=gamma, l_matrix=r @ l))
+        a = golden_inputs(gamma=gamma, l_matrix=l).lambda_rate
+        b = golden_inputs(gamma=gamma, l_matrix=r @ l).lambda_rate
         assert a == pytest.approx(b, rel=1e-8)
 
 
@@ -434,35 +442,6 @@ class TestMeePattern:
             mee_pattern("spline", 0.0, 0.0, (0.1, 0.2), np.ones(5))
 
 
-class TestSummarizeEffects:
-    def test_flat_curves(self):
-        t_points = 6
-        smee = np.column_stack([np.full(t_points, 0.1), np.full(t_points, 0.3)])
-        eo = np.full(t_points, 0.4)
-        tau = np.full(t_points, 0.7)
-        summary = summarize_effects(smee, eo, tau, np.array([[1.0, -1.0]]))
-        np.testing.assert_allclose(summary.sate, [0.1, 0.3], atol=1e-12)
-        np.testing.assert_allclose(summary.delta_sate, [-0.2], atol=1e-12)
-        assert summary.aeo == pytest.approx(0.4)
-        assert summary.aa == pytest.approx(0.7)
-
-    def test_weighted_average_small_example(self):
-        tau = np.array([1.0, 0.5, 0.5])
-        smee = np.array([[0.2, 0.0], [0.0, 0.4], [0.4, 0.0]])
-        eo = np.array([1.0, 2.0, 3.0])
-        summary = summarize_effects(smee, eo, tau, np.eye(2))
-        assert summary.sate[0] == pytest.approx((0.2 + 0.2) / 2.0)
-        assert summary.sate[1] == pytest.approx(0.2 / 2.0)
-        assert summary.aeo == pytest.approx((1.0 + 1.0 + 1.5) / 2.0)
-        assert summary.aa == pytest.approx(2.0 / 3.0)
-
-    def test_shape_errors(self):
-        with pytest.raises(DataValidationError):
-            summarize_effects(np.zeros((4, 2)), np.zeros(5), np.ones(5), np.eye(2))
-        with pytest.raises(DataValidationError):
-            summarize_effects(np.zeros((5, 2)), np.zeros(5), np.ones(5), np.eye(3))
-
-
 GOLDEN_CFG = {
     "K": "2",
     "T": "210",
@@ -553,7 +532,6 @@ class TestArrayDataclassesCompareByIdentity:
             inputs,
             inputs.contrast,
             required_sample_size(inputs),
-            summarize_effects(np.ones((4, 2)), np.zeros(4), np.ones(4), np.array([[1.0, -1.0]])),
             scenario,
             scenario.config,
             run_monte_carlo(

@@ -16,7 +16,6 @@ from mrtcat.numerics import solve_spd_stack
 from mrtcat.wcls import (
     CORRECTIONS,
     LEVERAGE_TOL,
-    _build_arrays,
     _gershgorin_certified,
     _sandwich_core,
     fit_stack,
@@ -24,6 +23,7 @@ from mrtcat.wcls import (
 
 from _factories import make_dataset
 from _oracles import (
+    design_arrays,
     estimating_equation_norm,
     max_leverage_loops,
     numerator_table_loops,
@@ -92,7 +92,7 @@ class TestFitToy:
 
 
 class TestDesignRows:
-    """Weights and stacked design blocks from wcls._build_arrays."""
+    """Weights and stacked design blocks from wcls.design_stack."""
 
     def test_matched_numerator_gives_unit_weights(self):
         rng = np.random.default_rng(0)
@@ -101,7 +101,7 @@ class TestDesignRows:
             outcome=rng.normal(size=(5, 4)),
             probs=(0.4, 0.3, 0.3),
         )
-        weights, d_full, _, _, _ = _build_arrays(data, ModelSpec())
+        weights, d_full, _, _ = design_arrays(data, ModelSpec())
         assert weights.shape == (5, 4)
         assert d_full.shape[:2] == (5, 4)
         np.testing.assert_allclose(weights, 1.0, atol=1e-12)
@@ -112,7 +112,7 @@ class TestDesignRows:
             outcome=np.zeros((2, 2)),
             avail=[[1, 0], [1, 1]],
         )
-        weights, _, _, _, _ = _build_arrays(data, ModelSpec())
+        weights, _, _, _ = design_arrays(data, ModelSpec())
         assert weights.shape == (2, 2)
         assert weights[0, 1] == 0.0
 
@@ -122,7 +122,7 @@ class TestDesignRows:
             outcome=np.zeros((3, 5)),
             probs=(0.6, 0.4),
         )
-        weights, d_full, outcome, t_used, _ = _build_arrays(data, ModelSpec(delta=2))
+        weights, d_full, outcome, t_used = design_arrays(data, ModelSpec(delta=2))
         assert t_used == 4
         assert weights.shape == outcome.shape == (3, 4)
         assert d_full.shape[:2] == (3, 4)
@@ -135,7 +135,7 @@ class TestDesignRows:
             avail=[[1, 1, 1], [1, 1, 1], [1, 0, 1]],
             probs=probs,
         )
-        weights, _, _, _, _ = _build_arrays(data, ModelSpec(delta=2))
+        weights, _, _, _ = design_arrays(data, ModelSpec(delta=2))
         # reference arm held at an available interim point: divide by p_0
         assert weights[0, 0] == pytest.approx(1.0 / 0.6, abs=1e-12)
         # active arm inside the window kills the weight
@@ -149,7 +149,7 @@ class TestDesignRows:
         trt = rng.integers(0, 3, size=(6, 5)) * avail
         data = make_dataset(trt=trt, outcome=rng.normal(size=(6, 5)), avail=avail)
         for delta in (1, 2, 3):
-            weights, _, _, _, _ = _build_arrays(data, ModelSpec(delta=delta))
+            weights, _, _, _ = design_arrays(data, ModelSpec(delta=delta))
             assert weights.shape == (6, 5 - delta + 1)
             table = numerator_table_loops(data, "match_randomization")
             np.testing.assert_allclose(weights, weight_loops(data, table, delta), atol=1e-12)
@@ -159,7 +159,7 @@ class TestDesignRows:
             trt=[[2]], outcome=[[1.0]], probs=(0.4, 0.3, 0.3),
             features={"z": [[5.0]]},
         )
-        _, d_full, _, _, _ = _build_arrays(data, ModelSpec(f_columns=("z",), g_columns=("z",)))
+        _, d_full, _, _ = design_arrays(data, ModelSpec(f_columns=("z",), g_columns=("z",)))
         d = d_full[0, 0]
         # g block (1, z), then C_1 * (1, z), then C_2 * (1, z)
         np.testing.assert_allclose(d[:2], [1.0, 5.0], atol=1e-12)
@@ -215,7 +215,7 @@ class TestInvariants:
         trt = np.array([[0, 0, 1, 2, 0, 1, 0, 2]]).T.repeat(3, axis=1)
         data = make_dataset(trt=trt, outcome=np.zeros((8, 3)), probs=(0.5, 0.25, 0.25))
         spec = ModelSpec(numerator=NumeratorPolicy("empirical_per_t"))
-        weights, d_full, _, _, _ = _build_arrays(data, spec)
+        weights, d_full, _, _ = design_arrays(data, spec)
         total = np.einsum("it,itr->r", weights, d_full[:, :, spec.q :])
         np.testing.assert_allclose(total, np.zeros(2), atol=1e-10)
 
