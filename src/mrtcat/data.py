@@ -506,6 +506,12 @@ def _subjects(
     about the row just past the ones given, is raised unless one of
     them repeats an earlier (id, t).
     """
+    subject_ids = _ordered_subjects(id_cells, t_values)
+    if subject_ids is not None:  # a panel already, and no (id, t) repeats
+        if error is not None:
+            raise DataValidationError(error)
+        return subject_ids, np.arange(len(id_cells))
+
     # id -> subject index, in order of first appearance
     ids = {sid: i for i, sid in enumerate(dict.fromkeys(id_cells))}
     subject = np.fromiter(map(ids.__getitem__, id_cells), np.int64, len(id_cells))
@@ -539,6 +545,31 @@ def _subjects(
             f"{path}: subject {sid!r} decision points are not 1..T (got {points}...)"
         )
     return subject_ids, order
+
+
+def _ordered_subjects(id_cells: list[str], t_values: np.ndarray) -> tuple[str, ...] | None:
+    """The subject ids when the rows are in panel order already, else None.
+
+    Panel order is blocks of T rows with one id each and t = 1..T in
+    each, no id heading two blocks, which is how write_csv writes a
+    file.  Such rows form a complete panel with no (id, t) repeated.
+    The t test runs first and costs one pass over t; a failed test
+    ends the check.
+    """
+    if not id_cells:
+        return None
+    t_points = int(t_values[-1])  # the last row is t = T
+    if t_points < 1 or len(id_cells) % t_points:
+        return None
+    if not (t_values.reshape(-1, t_points) == np.arange(1, t_points + 1)).all():
+        return None
+    heads = id_cells[::t_points]
+    if len(set(heads)) < len(heads):
+        return None
+    ids = np.array(id_cells, dtype=object).reshape(-1, t_points)
+    if not (ids == np.array(heads, dtype=object)[:, None]).all():
+        return None
+    return tuple(heads)
 
 
 def _to_dataset(

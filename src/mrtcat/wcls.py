@@ -146,9 +146,10 @@ def design_stack(
     K+1), each feature to (R, n, T) and ptilde to (R, T, K+1).  Returns
     (W, Dfull, Y, t_used) with W and Y (R, n, t_used) and Dfull
     column-major, (R, q + Kp, n, t_used), so that each design column is
-    one contiguous panel.  Decision points with t + delta - 1 > T are
-    dropped because their proximal outcome window extends past the
-    panel.
+    one contiguous panel, and W is C-ordered like those panels, whatever
+    the layout of trt, so that products of the two run at unit stride.
+    Decision points with t + delta - 1 > T are dropped because their
+    proximal outcome window extends past the panel.
     """
     count, n, big_t = avail.shape
     t_used = usable_points(big_t, spec.delta)
@@ -194,7 +195,7 @@ def design_stack(
         for j, part in enumerate(f_parts):
             d_full[:, lo + j] = centered * part
 
-    return weights, d_full, outcome[..., :t_used], t_used
+    return np.ascontiguousarray(weights), d_full, outcome[..., :t_used], t_used
 
 
 def missing_arms(avail: np.ndarray, trt: np.ndarray, t_used: int, k_arms: int) -> np.ndarray:
@@ -266,9 +267,10 @@ def fit_stack(
     definite.
 
     The normal matrix of each panel is the sum of its subjects' blocks
-    D_i' W_i D_i, which the hat-matrix correction needs too.  Every
-    product with W is one einsum pass, so no weighted copy of the
-    design is made.
+    D_i' W_i D_i, which the hat-matrix correction needs too.  They are
+    one einsum pass over the design and one weighted copy W D, which
+    also gives the right-hand side D' W y, as one matmul over the long
+    point axis, and the sandwich's score sums.
     """
     count, n, big_t = avail.shape
     dim = spec.q + k_arms * spec.p
@@ -293,10 +295,11 @@ def fit_stack(
             np.zeros(count, dtype=np.int64), tables, errors,
         )
 
-    per_subject = np.einsum("rait,rit,rbit->riab", d_full, weights, d_full)
+    weighted = d_full * weights[:, None]
+    per_subject = np.einsum("rait,rbit->riab", weighted, d_full)
     normal = per_subject.sum(axis=1)
     rows = d_full.reshape(count, dim, -1)
-    rhs = np.einsum("rai,ri->ra", rows, (weights * y).reshape(count, -1))
+    rhs = (weighted.reshape(count, dim, -1) @ y.reshape(count, -1, 1))[..., 0]
     solve = solve_spd_stack(normal, rhs)
     keep_first_errors(
         errors,
@@ -310,7 +313,7 @@ def fit_stack(
     resid = (solve.solution[:, None, :] @ rows).reshape(y.shape)
     np.subtract(y, resid, out=resid)
     cov_beta, md_fallbacks = _sandwich_core(
-        d_full, weights * resid, per_subject, normal, solve, spec.q, spec.correction, errors
+        weighted, resid, per_subject, normal, solve, spec.q, spec.correction, errors
     )
     return FitStack(solve.solution, resid, cov_beta, md_fallbacks, tables, errors)
 
@@ -336,8 +339,8 @@ def _subset(mask: np.ndarray):
 
 
 def _sandwich_core(
-    design: np.ndarray,
-    weighted_resid: np.ndarray,
+    weighted_design: np.ndarray,
+    resid: np.ndarray,
     per_subject: np.ndarray,
     gram: np.ndarray,
     normal_solve: SpdStack,
@@ -347,11 +350,11 @@ def _sandwich_core(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Robust covariance of beta_hat from per-subject score sums.
 
-    design is the column-major (R, q + Kp, n, rows) design D and
-    weighted_resid the (R, n, rows) weighted residuals W e; per_subject
-    holds the (R, n) blocks M_i = D_i' W_i D_i, gram = sum_i M_i is the
-    normal matrix B, and normal_solve its factorization.  The beta block
-    is everything past q.
+    weighted_design is the column-major (R, q + Kp, n, rows) product
+    W D of the weights and the design and resid the (R, n, rows)
+    residuals e; per_subject holds the (R, n) blocks M_i = D_i' W_i D_i,
+    gram = sum_i M_i is the normal matrix B, and normal_solve its
+    factorization.  The beta block is everything past q.
 
     With the hat-matrix correction each subject's residual vector e_i is
     replaced by (I - H_i)^{-1} e_i, where H_i = D_i B^{-1} D_i' W_i is
@@ -375,11 +378,21 @@ def _sandwich_core(
     eigendecomposition above and every fallback decision is the one
     eigh makes.  A path that takes every subject works on the stack in
     place, so a stack with no certified subject costs the screen and
-    nothing else.  Returns (cov_beta, number of subjects with a dropped
-    leverage), per replicate; the first error of a replicate not
-    already failed goes into errors.
+    nothing else.
+
+    Kernels: numpy's matmul on stacked float64 operands calls BLAS once
+    per d x d slice, one call per subject, while einsum makes one pass
+    over the whole (R, n) stack.  So S_i, L^{-1} g_i and the
+    back-transform L x are einsum passes.  The subjects the screen does
+    not clear form S_i, L^{-1} g_i and L x with matmul, as the
+    eigendecomposition reference in the tests does: a stack with no
+    certified subject gives bitwise that reference's covariance.
+
+    Returns (cov_beta, number of subjects with a dropped leverage), per
+    replicate; the first error of a replicate not already failed goes
+    into errors.
     """
-    scores = np.einsum("rait,rit->ria", design, weighted_resid)
+    scores = np.einsum("rait,rit->ria", weighted_design, resid)
     fallbacks = np.zeros(len(errors), dtype=np.int64)
     if correction == "mancl_derouen":
         lower, lower_inv = normal_solve.factor, normal_solve.factor_inv
@@ -389,26 +402,34 @@ def _sandwich_core(
             lower = np.where(failed[:, None, None], eye, lower)
             lower_inv = np.where(failed[:, None, None], eye, lower_inv)
             per_subject = np.where(failed[:, None, None, None], 0.0, per_subject)
-        lower, lower_inv = lower[:, None], lower_inv[:, None]
-        hat = lower_inv @ per_subject @ lower_inv.swapaxes(-1, -2)
-        coords = lower_inv @ scores[..., None]
+        hat = np.einsum("rax,rixb->riab", lower_inv, per_subject)
+        hat = np.einsum("riab,rdb->riad", hat, lower_inv)
         certified = _gershgorin_certified(hat)
+        corrected = np.empty_like(scores)
         if certified.any():
             pick = _subset(certified)
+            coords = np.einsum("rab,rib->ria", lower_inv, scores)[..., None]
             gap = np.eye(gram.shape[1]) - hat[pick]
             coords[pick] = np.linalg.solve(gap, coords[pick])
+            np.einsum("rab,rib->ria", lower, coords[..., 0], out=corrected)
         if not certified.all():
             pick = _subset(~certified)
-            leverage, basis = np.linalg.eigh(hat[pick])
+            lower, lower_inv = (
+                np.broadcast_to(factor[:, None], per_subject.shape)[pick]
+                for factor in (lower, lower_inv)
+            )
+            leverage, basis = np.linalg.eigh(
+                lower_inv @ per_subject[pick] @ lower_inv.swapaxes(-1, -2)
+            )
             singular = 1.0 - leverage <= LEVERAGE_TOL
             dropped = np.zeros_like(certified)
             dropped[pick] = singular.any(axis=-1)
             fallbacks = dropped.sum(axis=1)
             gain = 1.0 / np.where(singular, np.inf, 1.0 - leverage)
             # with S_i = Q_i diag(leverage_i) Q_i', apply Q_i diag(gain_i) Q_i'
-            rotated = basis.swapaxes(-1, -2) @ coords[pick]
-            coords[pick] = basis @ (rotated * gain[..., None])
-        scores = (lower @ coords)[..., 0]
+            rotated = basis.swapaxes(-1, -2) @ (lower_inv @ scores[pick][..., None])
+            corrected[pick] = (lower @ (basis @ (rotated * gain[..., None])))[..., 0]
+        scores = corrected
 
     beta_scores = scores[..., q:]
     sigma_sum = beta_scores.transpose(0, 2, 1) @ beta_scores

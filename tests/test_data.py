@@ -320,6 +320,13 @@ def agree(path):
     return result
 
 
+def sorted_result(path):
+    """agree(path) with the check for rows in panel order turned off, so
+    that every file's rows are grouped by the sort."""
+    with mock.patch.object(mrtcat.data, "_ordered_subjects", lambda *args: None):
+        return agree(path)
+
+
 @pytest.fixture
 def scans(monkeypatch):
     """The paths load_csv hands to its fallback scanner during a test."""
@@ -446,6 +453,43 @@ class TestFastPath:
         assert (ids, names) == (data.subject_ids, data.feature_names)
         expected = [data.avail, data.trt, data.probs, data.outcome, *data.features.values()]
         assert arrays == [(a.dtype.str, a.shape, a.tobytes()) for a in expected]
+
+    @pytest.mark.parametrize(
+        "points,ordered,message",
+        [
+            ("a1 a2 a3 b1 b2 b3", True, None),
+            ("a1 b2 a3 b1 a2 b3", False, None),  # t in panel order, ids not
+            ("a1 a2 a3 b1 b2 b3 a1 a2 a3", False, "duplicate (id, t) = ('a', 1)"),
+            ("a1 a2 a3 b1 b2", False, "ragged panel; subject 'b' has 2 points, subject 'a' has 3"),
+            ("a1 a2 b1 b2 b3", False, "ragged panel; subject 'b' has 3 points, subject 'a' has 2"),
+            ("a1 a2 a3 a4 b1 b2", False, "ragged panel; subject 'b' has 2 points, subject 'a' has 4"),
+            ("a1 a2 a4 b1 b2 b3", False, "subject 'a' decision points are not 1..T (got [1, 2, 4]...)"),
+            ("a1 a2 a3 b1 b2 b3 short", True, "line 8 has 7 cells, header has 8"),
+        ],
+    )
+    def test_rows_in_panel_order(self, tmp_path, monkeypatch, points, ordered, message):
+        # Rows in panel order skip the sort; every file gets the sort's result.
+        cells = [1, 0, 0.4, 0.3, 0.3, 0.5]  # avail, trt, prob_0..prob_2, outcome
+        lines = [
+            ["c", 1, *cells[:-1]] if point == "short" else [point[0], int(point[1:]), *cells]
+            for point in points.split()
+        ]
+        path = tmp_path / "order.csv"
+        path.write_text(toy_text(lines))
+        check, seen = mrtcat.data._ordered_subjects, []
+
+        def spy(*args):
+            seen.append(check(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(mrtcat.data, "_ordered_subjects", spy)
+        result = agree(path)
+        assert seen and all((ids is not None) == ordered for ids in seen)
+        if message is None:
+            assert result[0] == ("a", "b")
+        else:
+            assert result == f"{path}: {message}"
+        assert result == sorted_result(path)
 
     @pytest.fixture
     def conversions(self, monkeypatch):
@@ -644,8 +688,9 @@ def prob_cells(draw, vector: tuple[str, ...]) -> list[str]:
 @st.composite
 def csv_texts(draw):
     """A small panel file, with awkward ids, probabilities spelled alike or
-    not (and varying across subjects or not) at each t, and a few of the
-    irregularities that make a file load differently or fail."""
+    not (and varying across subjects or not) at each t, rows in panel
+    order or shuffled, and a few of the irregularities that make a file
+    load differently or fail."""
     n, t_points = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     sid = st.text(ID_CHARS, min_size=1, max_size=3)
     ids = draw(st.lists(sid, min_size=n, max_size=n, unique_by=str.strip))
@@ -668,11 +713,17 @@ def csv_texts(draw):
                 [quote_id(ids[i], styles[i]), str(t), str(avail), str(trt),
                  *probs, draw(value), draw(value)]
             )
-    rows = draw(st.permutations(rows))
-    for _ in range(draw(st.integers(0, 2))):
+    if draw(st.booleans()):  # else the rows stay in (subject, t) order
+        rows = draw(st.permutations(rows))
+    # One odd cell alone, so that no other irregularity decides the result
+    # first, or up to two irregularities of any kind.
+    kinds = ["odd"] if draw(st.integers(0, 3)) == 0 else [
+        draw(st.sampled_from(["odd", "short", "long", "duplicate", "gap", "t", "trt"]))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    for kind in kinds:
         row = draw(st.integers(0, len(rows) - 1))
-        col = draw(st.integers(1, 8))
-        kind = draw(st.sampled_from(["odd", "short", "long", "duplicate", "gap", "t", "trt"]))
+        col = draw(st.integers(1, len(rows[row]) - 1))
         if kind == "odd":
             rows[row][col] = draw(st.sampled_from(ODD_CELLS))
         elif kind == "short":
@@ -706,6 +757,14 @@ class TestLoaderDifferential:
             path = Path(tmp) / "panel.csv"
             path.write_bytes(text.encode())
             agree(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(csv_texts())
+    def test_rows_in_panel_order_load_as_sorted(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "panel.csv"
+            path.write_bytes(text.encode())
+            assert agree(path) == sorted_result(path)
 
 
 class TestValidationMessages:

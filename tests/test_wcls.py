@@ -452,6 +452,18 @@ class TestHatMatrixCorrection:
             if certified:
                 assert np.linalg.eigvalsh(np.eye(dim) - matrix).min() > LEVERAGE_TOL
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (2, 2), (0, 1), (2, 0)])
+    def test_screen_never_certifies_a_non_finite_block(self, value, entry):
+        # An (R, n) stack of certified blocks 0.1 I with one non-finite
+        # entry in subject (1, 1): that subject alone is not certified.
+        hat = np.tile(0.1 * np.eye(3), (2, 3, 1, 1))
+        hat[1, 1][entry] = value
+        expected = np.ones((2, 3), dtype=bool)
+        expected[1, 1] = False
+        with np.errstate(invalid="ignore"):  # inf - inf, as inside fit_stack
+            assert np.array_equal(_gershgorin_certified(hat), expected)
+
     def test_leverage_just_below_tolerance_margin_takes_eigh(self):
         data = near_unit_leverage_panel(1.72e-5)
         table = numerator_table_loops(data, "match_randomization")
