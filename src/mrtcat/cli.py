@@ -21,7 +21,7 @@ from .errors import DataValidationError, NumericalError
 from .inference import CiRow, build_contrast, confidence_intervals, parse_contrast_text, wald_test
 from .simulate import THREADS_ENV, run_monte_carlo, scenario_from_config
 from .wcls import ModelSpec, fit_wcls
-from ._kvconfig import parse_kv_file
+from ._kvconfig import parse_kv_file, parse_rows
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -62,9 +62,15 @@ def _parse_columns(raw: str) -> tuple[str, ...]:
     return tuple(name for name in names if name and name != "intercept")
 
 
+def _read_rows(path: str, what: str) -> np.ndarray:
+    """The numeric rows of a CSV file (see parse_rows) as a 2-D array."""
+    with open(path, encoding="utf-8") as handle:
+        return np.array(parse_rows(handle, f"{what} {path!r}"), dtype=float, ndmin=2)
+
+
 def _load_contrast(raw: str, k_arms: int) -> np.ndarray:
     if os.path.exists(raw):
-        mat = np.atleast_2d(np.loadtxt(raw, delimiter=",", dtype=float))
+        mat = _read_rows(raw, "contrast file")
         if mat.shape[1] != k_arms:
             raise DataValidationError(
                 f"contrast file {raw!r} must have {k_arms} columns, got {mat.shape[1]}"
@@ -89,7 +95,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if args.numerator == "user_supplied":
         if not args.numerator_table:
             raise DataValidationError("--numerator user_supplied requires --numerator-table")
-        table = np.atleast_2d(np.loadtxt(args.numerator_table, delimiter=",", dtype=float))
+        table = _read_rows(args.numerator_table, "numerator table")
         policy = NumeratorPolicy(kind="user_supplied", table=table)
     else:
         policy = NumeratorPolicy(kind=args.numerator)

@@ -279,6 +279,16 @@ def _solve_pattern(system: np.ndarray, rhs: np.ndarray, label: str) -> np.ndarra
         raise SingularSystemError(f"{label} pattern system is singular: {exc}") from exc
 
 
+def _ratio_line(
+    theta: float, level: float, s0: float, s1: float, t_points: int, label: str
+) -> np.ndarray:
+    """(a, b) of the line a + b t with endpoint ratio (a + b) / (a + b T) =
+    (1 + theta) / (1 - theta) and tau-weighted average level, where s0 and
+    s1 are sum(tau) and sum(tau t)."""
+    system = np.array([[-2.0 * theta, (1.0 - theta) - t_points * (1.0 + theta)], [s0, s1]])
+    return _solve_pattern(system, np.array([0.0, level * s0]), label)
+
+
 def eo_pattern(
     kind: str, theta_g: float, aeo: float, tau: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -301,13 +311,7 @@ def eo_pattern(
         coeffs = np.array([float(aeo)])
         return coeffs, np.full(t_points, float(aeo))
     if kind == "linear":
-        system = np.array(
-            [
-                [-2.0 * theta_g, (1.0 - theta_g) - t_points * (1.0 + theta_g)],
-                [s0, s1],
-            ]
-        )
-        coeffs = _solve_pattern(system, np.array([0.0, aeo * s0]), "expected-outcome")
+        coeffs = _ratio_line(theta_g, aeo, s0, s1, t_points, "expected-outcome")
         return coeffs, coeffs[0] + coeffs[1] * t
     if kind == "quadratic":
         mid = (t_points + 1.0) / 2.0
@@ -359,20 +363,8 @@ def mee_pattern(
     for name, theta in (("theta_f1", theta_f1), ("theta_f2", theta_f2)):
         if not (-1.0 < theta < 1.0):
             raise DataValidationError(f"{name} must lie in (-1, 1)")
-
-    def ratio_row(theta: float) -> list[float]:
-        return [-2.0 * theta, (1.0 - theta) - t_points * (1.0 + theta)]
-
-    b12 = _solve_pattern(
-        np.array([ratio_row(theta_f1), [s0, s1]]),
-        np.array([0.0, sate1 * s0]),
-        "effect",
-    )
-    b34 = _solve_pattern(
-        np.array([ratio_row(theta_f2), [s0, s1]]),
-        np.array([0.0, (sate2 - sate1) * s0]),
-        "effect",
-    )
+    b12 = _ratio_line(theta_f1, sate1, s0, s1, t_points, "effect")
+    b34 = _ratio_line(theta_f2, sate2 - sate1, s0, s1, t_points, "effect")
     curve1 = b12[0] + b12[1] * t
     curve2 = curve1 + b34[0] + b34[1] * t
     gamma = np.array([b12[0], b12[1], b12[0] + b34[0], b12[1] + b34[1]])

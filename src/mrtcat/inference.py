@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DataValidationError, NullContrastError, SingularSystemError
 from .numerics import f_cdf, f_quantile, solve_spd_stack
 from .wcls import FitResult
+from ._kvconfig import parse_rows
 
 __all__ = [
     "ContrastSpec",
@@ -117,15 +118,7 @@ def parse_contrast_text(text: str, k_arms: int) -> np.ndarray:
     text = text.strip()
     if text == "all-null" or text.startswith("pairwise"):
         return contrast_preset(text, k_arms)
-    try:
-        rows = [
-            [float(cell) for cell in row.split(",")]
-            for row in text.split(";")
-            if row.strip()
-        ]
-    except ValueError as exc:
-        raise DataValidationError(f"cannot parse contrast {text!r}: {exc}") from exc
-    mat = np.array(rows, dtype=float)
+    mat = np.array(parse_rows(text.split(";"), f"contrast {text!r}"), dtype=float)
     if mat.ndim != 2 or mat.shape[1] != k_arms:
         raise DataValidationError(
             f"contrast rows must have {k_arms} entries, got shape {mat.shape}"

@@ -28,10 +28,10 @@ for gm_ea's availability recursion.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import sqrt
-from typing import NamedTuple
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from .inference import (
 )
 from .numerics import f_quantile
 from .wcls import ModelSpec, fit_stack, keep_first_errors
-from ._kvconfig import get_float, get_int, get_floats
+from ._kvconfig import get_float, get_int, get_floats, parse_rows
 
 __all__ = [
     "GenerativeConfig",
@@ -89,6 +89,11 @@ class GenerativeConfig:
     of effect coefficients per arm in the mee_basis.  Basis 'z' means
     (1, Z_t) with Z_t uniform on {0..z_levels-1}; 'zcat' means one
     level per Z value.
+
+    The arrays are read-only copies.  Construction also builds the
+    generator's per-t tables: probs_full (T, 3) with the reference arm
+    first, its row-wise cumsum cum, t_grid = 1..T as floats, and the
+    gm_ev_scales factors noise_r (T,) and noise_s (T, 3) (None unless gm_ev).
     """
 
     family: str
@@ -105,20 +110,25 @@ class GenerativeConfig:
     nu2: float = 0.0
     nu3: float = 0.0
     z_levels: int = 3
+    probs_full: np.ndarray = field(init=False, repr=False)
+    cum: np.ndarray = field(init=False, repr=False)
+    t_grid: np.ndarray = field(init=False, repr=False)
+    noise_r: np.ndarray | None = field(init=False, repr=False)
+    noise_s: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise DataValidationError(f"unknown family {self.family!r}; expected {FAMILIES}")
         if self.t_points < 1:
             raise DataValidationError("t_points must be >= 1")
-        probs = np.asarray(self.rand_probs, dtype=float)
+        probs = np.array(self.rand_probs, dtype=float)
         if probs.ndim == 1:
             probs = np.tile(probs, (self.t_points, 1))
         if probs.shape != (self.t_points, 2):
             raise DataValidationError("rand_probs must be (T, 2) active-arm probabilities")
         if not ((probs > 0).all() and (probs.sum(axis=1) < 1.0).all()):
             raise DataValidationError("active-arm probabilities must be positive, sums < 1")
-        tau = np.asarray(self.tau_curve, dtype=float)
+        tau = np.array(self.tau_curve, dtype=float)
         if tau.shape != (self.t_points,):
             raise DataValidationError(f"tau_curve must have length T={self.t_points}")
         if not ((tau > 0) & (tau <= 1)).all():
@@ -129,13 +139,13 @@ class GenerativeConfig:
             raise DataValidationError(f"unknown mee_basis {self.mee_basis!r}")
         if self.z_levels < 2:
             raise DataValidationError("z_levels must be >= 2")
-        eo = np.asarray(self.eo_coeffs, dtype=float).ravel()
+        eo = np.array(self.eo_coeffs, dtype=float).ravel()
         eo_dim = _EO_BASES[self.eo_basis] or self.z_levels
         if eo.shape != (eo_dim,):
             raise DataValidationError(
                 f"eo_coeffs must have {eo_dim} entries for basis {self.eo_basis!r}"
             )
-        mee = np.atleast_2d(np.asarray(self.mee_coeffs, dtype=float))
+        mee = np.array(self.mee_coeffs, dtype=float, ndmin=2)
         mee_dim = _MEE_BASES[self.mee_basis]
         if mee.shape != (2, mee_dim):
             raise DataValidationError(
@@ -152,13 +162,23 @@ class GenerativeConfig:
         for name, value in (("nu2", self.nu2), ("nu3", self.nu3)):
             if abs(value) > 0.2:
                 raise DataValidationError(f"{name} must lie in [-0.2, 0.2]")
+        noise_r = noise_s = None
         if self.family == "gm_ev":
-            for t in range(1, self.t_points + 1):
+            r, s = zip(*(
                 gm_ev_scales(self.theta_r, self.theta_s, probs[t - 1], t, self.t_points)
-        object.__setattr__(self, "rand_probs", probs)
-        object.__setattr__(self, "tau_curve", tau)
-        object.__setattr__(self, "eo_coeffs", eo)
-        object.__setattr__(self, "mee_coeffs", mee)
+                for t in range(1, self.t_points + 1)
+            ))
+            noise_r, noise_s = np.array(r), np.array(s)
+        probs_full = np.column_stack([1.0 - probs.sum(axis=1), probs])
+        for name, value in (
+            ("rand_probs", probs), ("tau_curve", tau), ("eo_coeffs", eo), ("mee_coeffs", mee),
+            ("probs_full", probs_full), ("cum", np.cumsum(probs_full, axis=1)),
+            ("t_grid", np.arange(1, self.t_points + 1, dtype=float)),
+            ("noise_r", noise_r), ("noise_s", noise_s),
+        ):
+            if value is not None:
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def k_arms(self) -> int:
@@ -269,64 +289,31 @@ def derive_replicate_seed(master: int, index: int) -> int:
     return x
 
 
-class _GeneratorTables(NamedTuple):
-    """What the generator needs of a config beyond its fields, per t."""
+def _draws(config: GenerativeConfig, seeds: list[int], n: int):
+    """(eps, z, u) for one replicate per seed, each from its own stream.
 
-    probs_full: np.ndarray  # (T, 3): reference arm, then the active arms
-    cum: np.ndarray  # (T, 3) cumulative arm probabilities
-    t_grid: np.ndarray  # (T,) the decision points 1..T as floats
-    noise_r: np.ndarray | None  # gm_ev time factors r(t), (T,)
-    noise_s: np.ndarray | None  # gm_ev arm factors s(t, arm), (T, 3)
-
-
-def _generator_tables(config: GenerativeConfig) -> _GeneratorTables:
-    """The config's per-t tables; replicate-invariant, so built once per run."""
-    probs_active = config.rand_probs
-    p0 = 1.0 - probs_active.sum(axis=1)
-    probs_full = np.column_stack([p0, probs_active])
-    t_points = config.t_points
-    noise_r = noise_s = None
-    if config.family == "gm_ev":
-        scales = [
-            gm_ev_scales(config.theta_r, config.theta_s, probs_active[t - 1], t, t_points)
-            for t in range(1, t_points + 1)
-        ]
-        noise_r = np.array([r for r, _ in scales])
-        noise_s = np.array([s for _, s in scales])
-    return _GeneratorTables(
-        probs_full,
-        np.cumsum(probs_full, axis=1),
-        np.arange(1, t_points + 1, dtype=float),
-        noise_r,
-        noise_s,
-    )
-
-
-def _draw_buffers(config: GenerativeConfig, count: int, n: int):
-    """Empty (eps, z, u) buffers for `count` replicates; z is None without a Z basis."""
-    t_points = config.t_points
-    z = np.empty((count, n, t_points)) if config.needs_z else None
-    return np.empty((count, n, t_points + 1)), z, np.empty((count, t_points, 2, n))
-
-
-def _draw(config: GenerativeConfig, seed: int, eps, z, u) -> None:
-    """Fill one replicate's buffers from its own stream.
-
-    The order is the generator's contract: the noise innovations
-    eps (n, T+1), then Z (n, T) when a Z basis is in play, then per
-    decision point n availability uniforms and n arm uniforms; u is
-    (T, 2, n), so one call reads them in that order.
+    The order is the generator's contract: per replicate, the noise
+    innovations eps (n, T+1), then Z (n, T) when a Z basis is in play
+    (z is None otherwise), then per decision point n availability
+    uniforms and n arm uniforms; u is (T, 2, n), so one call reads them
+    in that order.
     """
-    rng = np.random.default_rng(seed)
-    rng.standard_normal(out=eps)
-    if z is not None:
-        z[...] = rng.integers(0, config.z_levels, size=z.shape)
-    rng.random(out=u)
+    count, t_points = len(seeds), config.t_points
+    eps = np.empty((count, n, t_points + 1))
+    z = np.empty((count, n, t_points)) if config.needs_z else None
+    u = np.empty((count, t_points, 2, n))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(out=eps[i])
+        if z is not None:
+            z[i] = rng.integers(0, config.z_levels, size=(n, t_points))
+        rng.random(out=u[i])
+    return eps, z, u
 
 
 # Huge finite coefficients overflow here; the finiteness checks report it.
 @np.errstate(over="ignore", invalid="ignore")
-def _generate(config: GenerativeConfig, tables: _GeneratorTables, eps, z, u):
+def _generate(config: GenerativeConfig, eps, z, u):
     """Turn R replicates' draws into (avail, trt, outcome, clipped).
 
     eps is (R, n, T+1), z (R, n, T) or None and u (R, T, 2, n).  Every
@@ -341,9 +328,9 @@ def _generate(config: GenerativeConfig, tables: _GeneratorTables, eps, z, u):
     u_arm = u[:, :, 1, :].transpose(0, 2, 1)
     # min(searchsorted(cum_t, u, side="right"), K): how many of the first
     # K cumulative probabilities lie at or below u
-    arm = (u_arm >= tables.cum[:, 0]).astype(np.int64)
+    arm = (u_arm >= config.cum[:, 0]).astype(np.int64)
     for k in range(1, config.k_arms):
-        arm += u_arm >= tables.cum[:, k]
+        arm += u_arm >= config.cum[:, k]
 
     clipped = np.zeros(count, dtype=np.int64)
     if config.family == "gm_ea":
@@ -371,12 +358,12 @@ def _generate(config: GenerativeConfig, tables: _GeneratorTables, eps, z, u):
         avail = (u_avail < config.tau_curve).astype(np.int64)
         trt = arm * avail
 
-    t = tables.t_grid
+    t = config.t_grid
     base = _basis_values(config.eo_basis, config.eo_coeffs, t, z)
     eff1 = _basis_values(config.mee_basis, config.mee_coeffs[0], t, z)
     eff2 = _basis_values(config.mee_basis, config.mee_coeffs[1], t, z)
     if config.family == "gm_ev":
-        noise = tables.noise_r * tables.noise_s[np.arange(t_points), trt] * eps[..., 1:]
+        noise = config.noise_r * config.noise_s[np.arange(t_points), trt] * eps[..., 1:]
     elif config.family == "gm_sc":
         nu0 = sqrt(1.0 - config.nu1 * config.nu1)
         noise = config.nu1 * eps[..., :-1] + nu0 * eps[..., 1:]
@@ -384,11 +371,6 @@ def _generate(config: GenerativeConfig, tables: _GeneratorTables, eps, z, u):
         noise = eps[..., 1:]
     outcome = base + (trt == 1) * eff1 + (trt == 2) * eff2 + noise
     return avail, trt, outcome, clipped
-
-
-def _time_features(n: int, tables: _GeneratorTables) -> dict[str, np.ndarray]:
-    t_grid = np.tile(tables.t_grid, (n, 1))
-    return {"time": t_grid, "time2": t_grid * t_grid}
 
 
 def simulate_trial(config: GenerativeConfig, n: int, seed: int) -> MrtDataset:
@@ -406,11 +388,10 @@ def simulate_trial(config: GenerativeConfig, n: int, seed: int) -> MrtDataset:
         raise DataValidationError("n must be >= 1")
     if not (0 <= int(seed) < 2**64):
         raise DataValidationError("seed must be a 64-bit unsigned integer")
-    tables = _generator_tables(config)
-    eps, z, u = _draw_buffers(config, 1, n)
-    _draw(config, int(seed), eps[0], None if z is None else z[0], u[0])
-    avail, trt, outcome, clipped = _generate(config, tables, eps, z, u)
-    features = _time_features(n, tables)
+    eps, z, u = _draws(config, [int(seed)], n)
+    avail, trt, outcome, clipped = _generate(config, eps, z, u)
+    time = np.broadcast_to(config.t_grid, (n, config.t_points))
+    features = {"time": time, "time2": time * time}
     if z is not None:
         features["Z"] = z[0]
 
@@ -418,7 +399,7 @@ def simulate_trial(config: GenerativeConfig, n: int, seed: int) -> MrtDataset:
         subject_ids=tuple(str(i + 1) for i in range(n)),
         avail=avail[0],
         trt=trt[0],
-        probs=np.broadcast_to(tables.probs_full, (n, config.t_points, 3)),
+        probs=np.broadcast_to(config.probs_full, (n, config.t_points, 3)),
         outcome=outcome[0],
         features=features,
         k_arms=2,
@@ -484,11 +465,8 @@ class _MonteCarlo:
         self.config, self.n, self.spec, self.seed = config, n, spec, seed
         self.kp = config.k_arms * spec.p
         self.eye = np.eye(self.kp)
-        self.tables = _generator_tables(config)
-        self.probs = self.tables.probs_full[None, None]
-        self.time_features = {
-            k: v[None] for k, v in _time_features(max(n, 0), self.tables).items()
-        }
+        self.probs = config.probs_full[None, None]
+        self.time_features = {"time": config.t_grid, "time2": config.t_grid * config.t_grid}
         self.reduced = contrast.row_basis
         self.rank = contrast.rank_l
         self.n_error = DataValidationError("n must be >= 1") if n < 1 else None
@@ -515,10 +493,8 @@ class _MonteCarlo:
                 np.zeros(count, dtype=bool), np.zeros(count, dtype=np.int64),
                 [self.n_error] * count,
             )
-        eps, z, u = _draw_buffers(self.config, count, self.n)
-        for i, seed in enumerate(seeds):
-            _draw(self.config, seed, eps[i], None if z is None else z[i], u[i])
-        avail, trt, outcome, clipped = _generate(self.config, self.tables, eps, z, u)
+        eps, z, u = _draws(self.config, seeds, self.n)
+        avail, trt, outcome, clipped = _generate(self.config, eps, z, u)
         del eps, u  # the draws are spent; keep the chunk's footprint small
         # A generated panel meets every dataset invariant unless its
         # outcome overflows, which is what simulate_trial then rejects.
@@ -604,10 +580,7 @@ def run_monte_carlo(
     errors = [exc for c in chunks for exc in c.errors if exc is not None]
     failures = replicates - int(ok.sum())
     if failures > 0.01 * replicates:
-        counts: dict[str, int] = {}
-        for exc in errors:
-            name = type(exc).__name__
-            counts[name] = counts.get(name, 0) + 1
+        counts = Counter(type(exc).__name__ for exc in errors)
         grouped = ", ".join(
             f"{name}×{count}"
             for name, count in sorted(counts.items(), key=lambda item: (-item[1], item[0]))
@@ -697,15 +670,9 @@ def _derive_true_beta(config: GenerativeConfig, fit_f: str) -> np.ndarray | None
     """
     if fit_f == config.mee_basis:
         return config.mee_coeffs.ravel().copy()
-    if fit_f == "constant":
-        if config.mee_basis == "z":
-            mean_z = (config.z_levels - 1) / 2.0
-            return np.array(
-                [
-                    config.mee_coeffs[0, 0] + config.mee_coeffs[0, 1] * mean_z,
-                    config.mee_coeffs[1, 0] + config.mee_coeffs[1, 1] * mean_z,
-                ]
-            )
+    if fit_f == "constant" and config.mee_basis == "z":
+        mean_z = (config.z_levels - 1) / 2.0
+        return config.mee_coeffs[:, 0] + config.mee_coeffs[:, 1] * mean_z
     return None
 
 
@@ -739,11 +706,7 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
 
     mee_kind = cfg.get("f_kind", "constant")
     if "mee_coeffs" in cfg:
-        rows = [
-            [float(cell) for cell in row.split(",")]
-            for row in cfg["mee_coeffs"].split(";")
-        ]
-        mee_coeffs = np.array(rows)
+        mee_coeffs = np.array(parse_rows(cfg["mee_coeffs"].split(";"), "config key 'mee_coeffs'"))
     elif mee_kind in ("constant", "linear"):
         mee_coeffs = _config_gamma(cfg, mee_kind, tau).reshape(2, -1)
     else:

@@ -437,6 +437,52 @@ class TestSimulate:
         assert "failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, text, named",
+    [
+        ("contrast", "1,0;1", "contrast '1,0;1': row 2 has 1 entries, expected 2"),
+        # the row of a file is its line, comments and blank lines included
+        ("contrast_file", "# arm 1 vs arm 2\n\n1,-1\n1,x\n", "row 4: could not convert"),
+        ("numerator_table", "0.4,0.3,0.3\n1,x\n", "row 2: could not convert"),
+        ("scenario", NULL_SCENARIO_TEXT + "mee_coeffs = 0.1, x; 0.2, 0.3\n",
+         "config key 'mee_coeffs': row 1: could not convert"),
+        ("scenario", NULL_SCENARIO_TEXT + "mee_coeffs = 0.1; 0.2, 0.3\n",
+         "config key 'mee_coeffs': row 2 has 2 entries, expected 1"),
+        ("scenario", NULL_SCENARIO_TEXT.replace("n = 40", "n = inf"),
+         "config key 'n' must be an integer, got 'inf'"),
+        ("scenario", NULL_SCENARIO_TEXT.replace("replicates = 1000", "replicates = nan"),
+         "config key 'replicates' must be an integer"),
+        ("scenario", NULL_SCENARIO_TEXT.replace("T = 20", "T = 1e400"),
+         "config key 'T' must be an integer"),
+    ],
+    ids=["inline-ragged", "contrast-file-cell", "numerator-table-cell", "mee-cell", "mee-ragged",
+         "n-inf", "replicates-nan", "T-overflow"],
+)
+def test_malformed_rows_and_integers_exit_two(tmp_path, capsys, kind, text, named):
+    if kind == "scenario":
+        scn = tmp_path / "scenario.cfg"
+        scn.write_text(text)
+        argv = ["simulate", "--scenario", str(scn), "--out", "-"]
+    else:
+        data = tmp_path / "panel.csv"
+        write_k2_csv(data)
+        argv = ["estimate", "--data", str(data), "--f-cols", "intercept",
+                "--g-cols", "intercept", "--out", "-"]
+        if kind == "contrast":
+            argv += ["--contrast", text]
+        else:
+            path = tmp_path / f"{kind}.csv"
+            path.write_text(text)
+            if kind == "contrast_file":
+                argv += ["--contrast", str(path)]
+            else:
+                argv += ["--numerator", "user_supplied", "--numerator-table", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert named in err
+
+
 def test_cli_import_loads_only_scipy_special():
     # Start-up time and memory of every command grow with each scipy
     # subpackage the import pulls in; only the F kernels are needed.

@@ -238,6 +238,48 @@ class TestGenerativeConfigValidation:
             )
 
 
+class TestGenerativeConfigTables:
+    def test_tables_match_their_definitions(self):
+        probs = np.array([[0.5, 0.3], [0.2, 0.6], [0.3, 0.3], [0.4, 0.1]])
+        config = GenerativeConfig(
+            family="gm_ev", t_points=4, rand_probs=probs, tau_curve=np.full(4, 0.8),
+            theta_r=0.4, theta_s=0.3,
+        )
+        full = np.column_stack([1.0 - probs.sum(axis=1), probs])
+        np.testing.assert_array_equal(config.probs_full, full)
+        np.testing.assert_array_equal(config.cum, np.cumsum(full, axis=1))
+        np.testing.assert_array_equal(config.t_grid, [1.0, 2.0, 3.0, 4.0])
+        for t in range(1, 5):
+            r, s = gm_ev_scales(0.4, 0.3, probs[t - 1], t, 4)
+            assert config.noise_r[t - 1] == r
+            np.testing.assert_array_equal(config.noise_s[t - 1], s)
+
+    def test_noise_tables_only_for_gm_ev(self):
+        config = null_config(family="gm_sc", nu1=0.3)
+        assert config.noise_r is None and config.noise_s is None
+
+    def test_arrays_are_read_only_copies(self):
+        t_points = 6
+        probs, tau = np.array([0.3, 0.4]), np.full(t_points, 0.7)
+        eo, mee = np.array([0.2, 0.05]), np.array([[0.1, 0.2], [0.3, 0.0]])
+        config = GenerativeConfig(
+            family="gm_ev", t_points=t_points, rand_probs=probs, tau_curve=tau,
+            eo_basis="linear", eo_coeffs=eo, mee_basis="z", mee_coeffs=mee, theta_s=0.2,
+        )
+        before = simulate_trial(config, n=7, seed=3)
+        probs[:] = 0.45
+        tau[:] = 2.0
+        eo[:] = 100.0
+        mee[:] = -5.0
+        after = simulate_trial(config, n=7, seed=3)
+        for name in ("avail", "trt", "probs", "outcome"):
+            np.testing.assert_array_equal(getattr(after, name), getattr(before, name))
+        for name in ("rand_probs", "tau_curve", "eo_coeffs", "mee_coeffs",
+                     "probs_full", "cum", "t_grid", "noise_r", "noise_s"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(config, name)[0] = 0.5
+
+
 MARGINAL_SPEC = ModelSpec(numerator=NumeratorPolicy("match_randomization"))
 
 
