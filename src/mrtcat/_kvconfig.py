@@ -54,12 +54,22 @@ def get_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
 
 
 def get_floats(cfg: dict[str, str], key: str) -> list[float]:
+    """The comma-separated numbers of a key.  An empty cell, a trailing
+    comma's included, raises DataValidationError naming the key and the
+    1-based cell, as a bad cell does."""
     if key not in cfg:
         raise DataValidationError(f"config is missing required key {key!r}")
-    try:
-        return [float(cell) for cell in cfg[key].split(",") if cell.strip()]
-    except ValueError as exc:
-        raise DataValidationError(f"config key {key!r} must be a comma list of numbers") from exc
+    values = []
+    for number, cell in enumerate(cfg[key].split(","), start=1):
+        if not cell.strip():
+            raise DataValidationError(f"config key {key!r}: cell {number} is empty")
+        try:
+            values.append(float(cell))
+        except ValueError as exc:
+            raise DataValidationError(
+                f"config key {key!r} must be a comma list of numbers; cell {number}: {exc}"
+            ) from None
+    return values
 
 
 def parse_rows(lines: Iterable[str], what: str) -> list[list[float]]:

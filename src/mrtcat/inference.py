@@ -42,7 +42,8 @@ _RANK_TOL = 1e-10
 class ContrastSpec:
     """A contrast L, its lift L_tilde = L kron I_p, rank(L), and row_basis:
     a full-row-rank matrix with L_tilde's row space, which gives the
-    same Wald statistic."""
+    same Wald statistic.  The arrays are read-only, and l_matrix is a
+    copy of the caller's L."""
 
     l_matrix: np.ndarray
     p: int
@@ -73,7 +74,7 @@ class CiRow:
 
 def build_contrast(l_matrix: np.ndarray, p: int) -> ContrastSpec:
     """Lift an arm-level contrast L to coefficient space via L kron I_p."""
-    l_matrix = np.atleast_2d(np.asarray(l_matrix, dtype=float))
+    l_matrix = np.array(l_matrix, dtype=float, ndmin=2)
     if p < 1:
         raise DataValidationError("moderator dimension p must be >= 1")
     if not np.isfinite(l_matrix).all():
@@ -84,12 +85,15 @@ def build_contrast(l_matrix: np.ndarray, p: int) -> ContrastSpec:
         raise NullContrastError("contrast matrix is zero")
     rank = int(np.sum(svals > _RANK_TOL * scale))
     l_tilde = np.kron(l_matrix, np.eye(p))
+    row_basis = _row_space_basis(l_tilde)
+    for array in (l_matrix, l_tilde, row_basis):
+        array.flags.writeable = False
     return ContrastSpec(
         l_matrix=l_matrix,
         p=int(p),
         l_tilde=l_tilde,
         rank_l=rank,
-        row_basis=_row_space_basis(l_tilde),
+        row_basis=row_basis,
     )
 
 

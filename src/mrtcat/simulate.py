@@ -28,6 +28,7 @@ for gm_ea's availability recursion.
 from __future__ import annotations
 
 import os
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -56,7 +57,7 @@ from .inference import (
     wald_stack,
 )
 from .numerics import f_quantile
-from .wcls import ModelSpec, fit_stack, keep_first_errors
+from .wcls import ModelSpec, fit_stack, keep_first_errors, scratch
 from ._kvconfig import get_float, get_int, get_floats, parse_rows
 
 __all__ = [
@@ -289,19 +290,19 @@ def derive_replicate_seed(master: int, index: int) -> int:
     return x
 
 
-def _draws(config: GenerativeConfig, seeds: list[int], n: int):
+def _draws(config: GenerativeConfig, seeds: list[int], n: int, workspace: dict | None = None):
     """(eps, z, u) for one replicate per seed, each from its own stream.
 
     The order is the generator's contract: per replicate, the noise
     innovations eps (n, T+1), then Z (n, T) when a Z basis is in play
     (z is None otherwise), then per decision point n availability
     uniforms and n arm uniforms; u is (T, 2, n), so one call reads them
-    in that order.
+    in that order.  The arrays are scratch arrays of the workspace.
     """
     count, t_points = len(seeds), config.t_points
-    eps = np.empty((count, n, t_points + 1))
-    z = np.empty((count, n, t_points)) if config.needs_z else None
-    u = np.empty((count, t_points, 2, n))
+    eps = scratch(workspace, "eps", (count, n, t_points + 1))
+    z = scratch(workspace, "z", (count, n, t_points)) if config.needs_z else None
+    u = scratch(workspace, "u", (count, t_points, 2, n))
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         rng.standard_normal(out=eps[i])
@@ -313,29 +314,32 @@ def _draws(config: GenerativeConfig, seeds: list[int], n: int):
 
 # Huge finite coefficients overflow here; the finiteness checks report it.
 @np.errstate(over="ignore", invalid="ignore")
-def _generate(config: GenerativeConfig, eps, z, u):
+def _generate(config: GenerativeConfig, eps, z, u, workspace: dict | None = None):
     """Turn R replicates' draws into (avail, trt, outcome, clipped).
 
     eps is (R, n, T+1), z (R, n, T) or None and u (R, T, 2, n).  Every
     step is elementwise over t except gm_ea's availability, which
     depends on the previous treatment and so loops over t.  clipped
     counts, per replicate, the gm_ea availability probabilities clipped
-    into [0, 1].
+    into [0, 1].  avail, trt and outcome are scratch arrays of the
+    workspace.
     """
     count, n, _ = eps.shape
     t_points = config.t_points
+    shape = (count, n, t_points)
     u_avail = u[:, :, 0, :].transpose(0, 2, 1)
     u_arm = u[:, :, 1, :].transpose(0, 2, 1)
     # min(searchsorted(cum_t, u, side="right"), K): how many of the first
     # K cumulative probabilities lie at or below u
-    arm = (u_arm >= config.cum[:, 0]).astype(np.int64)
+    arm = scratch(workspace, "arm", shape, np.int64)
+    np.greater_equal(u_arm, config.cum[:, 0], out=arm)
     for k in range(1, config.k_arms):
         arm += u_arm >= config.cum[:, k]
 
     clipped = np.zeros(count, dtype=np.int64)
+    avail = scratch(workspace, "avail", shape, np.int64)
+    trt = scratch(workspace, "trt", shape, np.int64)
     if config.family == "gm_ea":
-        avail = np.empty((count, n, t_points), dtype=np.int64)
-        trt = np.empty((count, n, t_points), dtype=np.int64)
         for j in range(t_points):
             if j == 0:
                 pi = config.tau_curve[0]
@@ -355,21 +359,31 @@ def _generate(config: GenerativeConfig, eps, z, u):
             avail[..., j] = u_avail[..., j] < pi
             trt[..., j] = arm[..., j] * avail[..., j]
     else:
-        avail = (u_avail < config.tau_curve).astype(np.int64)
-        trt = arm * avail
+        np.less(u_avail, config.tau_curve, out=avail)
+        np.multiply(arm, avail, out=trt)
 
     t = config.t_grid
     base = _basis_values(config.eo_basis, config.eo_coeffs, t, z)
     eff1 = _basis_values(config.mee_basis, config.mee_coeffs[0], t, z)
     eff2 = _basis_values(config.mee_basis, config.mee_coeffs[1], t, z)
+    # outcome = ((base + 1(A=1) e1) + 1(A=2) e2) + noise, in that order
+    outcome = scratch(workspace, "outcome", shape)
+    term = scratch(workspace, "term", shape)
+    np.multiply(trt == 1, eff1, out=outcome)
+    np.add(base, outcome, out=outcome)
+    np.multiply(trt == 2, eff2, out=term)
+    outcome += term
     if config.family == "gm_ev":
-        noise = config.noise_r * config.noise_s[np.arange(t_points), trt] * eps[..., 1:]
+        np.multiply(config.noise_r, config.noise_s[np.arange(t_points), trt], out=term)
+        term *= eps[..., 1:]
+        outcome += term
     elif config.family == "gm_sc":
         nu0 = sqrt(1.0 - config.nu1 * config.nu1)
-        noise = config.nu1 * eps[..., :-1] + nu0 * eps[..., 1:]
+        np.multiply(config.nu1, eps[..., :-1], out=term)
+        term += nu0 * eps[..., 1:]
+        outcome += term
     else:
-        noise = eps[..., 1:]
-    outcome = base + (trt == 1) * eff1 + (trt == 2) * eff2 + noise
+        outcome += eps[..., 1:]
     return avail, trt, outcome, clipped
 
 
@@ -422,7 +436,12 @@ def _resolve_threads(threads: int | None) -> int:
 
 #: Replicates are fitted in chunks of about this many decision points
 #: (R * n * T): enough to amortize numpy's per-call cost over several
-#: replicates, few enough that a chunk's arrays stay a few MB.
+#: replicates, few enough that a chunk's arrays stay a few MB.  Those
+#: arrays (the draws, the generated panels, the weights, design, W D and
+#: residuals) live in one workspace per worker thread, sized for a full
+#: chunk and reused by every chunk of the run: freed after each chunk,
+#: they would be handed back to the OS and page-faulted in again by the
+#: next one.
 _CHUNK_POINTS = 20_000
 
 
@@ -450,7 +469,8 @@ class _MonteCarlo:
     simulate_trial -> fit_wcls -> wald_test -> confidence_intervals on
     its own seed: fit_stack is fit_wcls's own routine, and the checks
     that every replicate shares are made once here, in those calls'
-    order.
+    order.  workspaces holds each worker thread's scratch arrays (see
+    wcls.scratch); they go with the engine when the run ends.
     """
 
     def __init__(
@@ -469,6 +489,7 @@ class _MonteCarlo:
         self.time_features = {"time": config.t_grid, "time2": config.t_grid * config.t_grid}
         self.reduced = contrast.row_basis
         self.rank = contrast.rank_l
+        self.workspaces = threading.local()
         self.n_error = DataValidationError("n must be >= 1") if n < 1 else None
         self.wald_error = self.interval_error = None
         try:
@@ -493,9 +514,11 @@ class _MonteCarlo:
                 np.zeros(count, dtype=bool), np.zeros(count, dtype=np.int64),
                 [self.n_error] * count,
             )
-        eps, z, u = _draws(self.config, seeds, self.n)
-        avail, trt, outcome, clipped = _generate(self.config, eps, z, u)
-        del eps, u  # the draws are spent; keep the chunk's footprint small
+        # a threading.local's attributes are per thread: this worker's arrays,
+        # overwritten by every chunk before they are read
+        workspace = vars(self.workspaces)
+        eps, z, u = _draws(self.config, seeds, self.n, workspace)
+        avail, trt, outcome, clipped = _generate(self.config, eps, z, u, workspace)
         # A generated panel meets every dataset invariant unless its
         # outcome overflows, which is what simulate_trial then rejects.
         # Zeroed, such a replicate cannot spread non-finite values.
@@ -508,7 +531,9 @@ class _MonteCarlo:
         features = dict(self.time_features)
         if z is not None:
             features["Z"] = z
-        fit = fit_stack(avail, trt, self.probs, outcome, features, self.config.k_arms, self.spec)
+        fit = fit_stack(
+            avail, trt, self.probs, outcome, features, self.config.k_arms, self.spec, workspace
+        )
         keep_first_errors(errors, fit.errors)
         beta, cov = fit.theta[:, q:], fit.cov_beta
         reject = np.zeros(count, dtype=bool)
@@ -559,7 +584,7 @@ def run_monte_carlo(
     if isinstance(contrast, ContrastSpec):
         contrast_spec = contrast
     else:
-        contrast_spec = build_contrast(np.asarray(contrast, dtype=float), spec.p)
+        contrast_spec = build_contrast(contrast, spec.p)
     kp = config.k_arms * spec.p
     if true_beta is not None:
         true_beta = np.asarray(true_beta, dtype=float)

@@ -129,6 +129,26 @@ def check_dims(n: int, spec: ModelSpec, k_arms: int) -> None:
         )
 
 
+def scratch(workspace: dict | None, name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """An uninitialized array of this shape and dtype.
+
+    Without a workspace it is np.empty.  A workspace is a dict that
+    keeps, under each name, an array whose leading (panel) axis is at
+    least as long as any asked for: the result is the leading slice of
+    that array, which is allocated again only when it is too short or
+    of another shape.  So the chunks of one Monte Carlo worker reuse the
+    same memory instead of freeing it and faulting it in again.  A
+    caller overwrites every element before reading it and keeps no
+    scratch array past its chunk.
+    """
+    if workspace is None:
+        return np.empty(shape, dtype)
+    array = workspace.get(name)
+    if array is None or array.shape[1:] != shape[1:] or len(array) < shape[0]:
+        array = workspace[name] = np.empty(shape, dtype)
+    return array[: shape[0]]
+
+
 def design_stack(
     avail: np.ndarray,
     trt: np.ndarray,
@@ -138,6 +158,7 @@ def design_stack(
     k_arms: int,
     spec: ModelSpec,
     ptilde: np.ndarray,
+    workspace: dict | None = None,
 ):
     """Weights, centered indicators and stacked design blocks of R panels,
     with the numerator tables given.
@@ -148,6 +169,7 @@ def design_stack(
     column-major, (R, q + Kp, n, t_used), so that each design column is
     one contiguous panel, and W is C-ordered like those panels, whatever
     the layout of trt, so that products of the two run at unit stride.
+    W and Dfull are scratch arrays of the workspace (see scratch).
     Decision points with t + delta - 1 > T are dropped because their
     proximal outcome window extends past the panel.
     """
@@ -157,10 +179,15 @@ def design_stack(
     avail_used = avail[..., :t_used]
     probs_used = probs[..., :t_used, :]
 
-    # ptilde_t(A_t) / p_t(A_t), divided per table entry and then looked up
+    # ptilde_t(A_t) / p_t(A_t), divided per table entry and then looked up:
+    # entry A_t of the point's row of the flattened quotient table
     with np.errstate(divide="ignore", invalid="ignore"):
         quotient = ptilde[:, None, :t_used, :] / np.where(probs_used > 0, probs_used, 1.0)
-    weights = np.take_along_axis(quotient, trt_used[..., None], axis=3)[..., 0]
+    row_starts = np.arange(0, quotient.size, quotient.shape[-1]).reshape(quotient.shape[:-1])
+    index = scratch(workspace, "index", (count, n, t_used), np.intp)
+    np.add(row_starts, trt_used, out=index)
+    weights = scratch(workspace, "weights", (count, n, t_used))
+    np.take(quotient.reshape(-1), index, out=weights, mode="clip")
     weights[avail_used != 1] = 0.0
     # Trailing excursion factor: reference arm held for delta - 1 points.
     # Unavailable interim points deliver arm 0 deterministically, so the
@@ -171,7 +198,7 @@ def design_stack(
         i_j = avail[..., idx]
         p0_j = probs[..., idx, 0]
         factor = np.where(a_j == 0, np.where(i_j == 1, 1.0 / np.maximum(p0_j, 1e-300), 1.0), 0.0)
-        weights = weights * factor
+        weights *= factor
 
     def basis(columns: tuple[str, ...], label: str) -> list:
         parts: list = [1.0]
@@ -185,17 +212,18 @@ def design_stack(
 
     f_parts = basis(spec.f_columns, "moderator")
     g_parts = basis(spec.g_columns, "control")
-    d_full = np.empty((count, spec.q + k_arms * spec.p, n, t_used))
+    d_full = scratch(workspace, "d_full", (count, spec.q + k_arms * spec.p, n, t_used))
     for j, part in enumerate(g_parts):
         d_full[:, j] = part
     for arm in range(k_arms):
-        centered = (trt_used == arm + 1).astype(float)
-        centered -= ptilde[:, None, :t_used, arm + 1]
         lo = spec.q + arm * spec.p
-        for j, part in enumerate(f_parts):
-            d_full[:, lo + j] = centered * part
+        # column lo is the centered indicator itself: its f part is the intercept
+        centered = d_full[:, lo]
+        np.subtract(trt_used == arm + 1, ptilde[:, None, :t_used, arm + 1], out=centered)
+        for j, part in enumerate(f_parts[1:], start=1):
+            np.multiply(centered, part, out=d_full[:, lo + j])
 
-    return np.ascontiguousarray(weights), d_full, outcome[..., :t_used], t_used
+    return weights, d_full, outcome[..., :t_used], t_used
 
 
 def missing_arms(avail: np.ndarray, trt: np.ndarray, t_used: int, k_arms: int) -> np.ndarray:
@@ -253,6 +281,7 @@ def fit_stack(
     features: dict[str, np.ndarray],
     k_arms: int,
     spec: ModelSpec,
+    workspace: dict | None = None,
 ) -> FitStack:
     """fit_wcls on R panels at once, with fit_wcls's error for each panel.
 
@@ -264,7 +293,9 @@ def fit_stack(
     each panel keeps the first error it meets.  A failed panel is still
     fitted, but its values stay in its own slices: the solves and the
     sandwich set aside a slice that is not finite or not positive
-    definite.
+    definite.  The design arrays and resid are scratch arrays of the
+    workspace (see scratch), so a caller that passes one must not keep
+    resid past its next call.
 
     The normal matrix of each panel is the sum of its subjects' blocks
     D_i' W_i D_i, which the hat-matrix correction needs too.  They are
@@ -280,7 +311,7 @@ def fit_stack(
         usable_points(big_t, spec.delta)  # its error precedes the tables
         keep_first_errors(errors, table_errors)
         weights, d_full, y, t_used = design_stack(
-            avail, trt, probs, outcome, features, k_arms, spec, tables
+            avail, trt, probs, outcome, features, k_arms, spec, tables, workspace
         )
         keep_first_errors(
             errors, [_degenerate_arms(m) for m in missing_arms(avail, trt, t_used, k_arms)]
@@ -295,7 +326,8 @@ def fit_stack(
             np.zeros(count, dtype=np.int64), tables, errors,
         )
 
-    weighted = d_full * weights[:, None]
+    weighted = scratch(workspace, "weighted", d_full.shape)
+    np.multiply(d_full, weights[:, None], out=weighted)
     per_subject = np.einsum("rait,rbit->riab", weighted, d_full)
     normal = per_subject.sum(axis=1)
     rows = d_full.reshape(count, dim, -1)
@@ -310,7 +342,8 @@ def fit_stack(
             for exc in solve.errors
         ],
     )
-    resid = (solve.solution[:, None, :] @ rows).reshape(y.shape)
+    resid = scratch(workspace, "resid", y.shape)
+    np.matmul(solve.solution[:, None, :], rows, out=resid.reshape(count, 1, -1))
     np.subtract(y, resid, out=resid)
     cov_beta, md_fallbacks = _sandwich_core(
         weighted, resid, per_subject, normal, solve, spec.q, spec.correction, errors

@@ -454,15 +454,28 @@ class TestSimulate:
          "config key 'replicates' must be an integer"),
         ("scenario", NULL_SCENARIO_TEXT.replace("T = 20", "T = 1e400"),
          "config key 'T' must be an integer"),
+        ("design", GOLDEN_CFG_TEXT.replace("p = 0.4, 0.3, 0.3", "p = 0.4,0.3,,0.3"),
+         "config key 'p': cell 3 is empty"),
+        ("scenario", NULL_SCENARIO_TEXT.replace("p = 0.4, 0.3, 0.3", "p = 0.4, 0.3, 0.3,"),
+         "config key 'p': cell 4 is empty"),
+        ("scenario", NULL_SCENARIO_TEXT + "eo_coeffs = 0.2,, 0.01\n",
+         "config key 'eo_coeffs': cell 2 is empty"),
+        ("scenario", NULL_SCENARIO_TEXT + "true_beta = , 0.1\n",
+         "config key 'true_beta': cell 1 is empty"),
     ],
     ids=["inline-ragged", "contrast-file-cell", "numerator-table-cell", "mee-cell", "mee-ragged",
-         "n-inf", "replicates-nan", "T-overflow"],
+         "n-inf", "replicates-nan", "T-overflow", "design-p-empty", "p-trailing-comma",
+         "eo-empty", "true-beta-empty"],
 )
 def test_malformed_rows_and_integers_exit_two(tmp_path, capsys, kind, text, named):
     if kind == "scenario":
         scn = tmp_path / "scenario.cfg"
         scn.write_text(text)
         argv = ["simulate", "--scenario", str(scn), "--out", "-"]
+    elif kind == "design":
+        cfg = tmp_path / "design.cfg"
+        cfg.write_text(text)
+        argv = ["samplesize", "--config", str(cfg), "--out", "-"]
     else:
         data = tmp_path / "panel.csv"
         write_k2_csv(data)

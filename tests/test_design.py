@@ -474,6 +474,13 @@ class TestInputsFromConfig:
         with pytest.raises(DataValidationError, match="K\\+1"):
             inputs_from_config(cfg)
 
+    @pytest.mark.parametrize(
+        "p, cell", [("0.4, 0.3,, 0.3", 3), ("0.4, 0.3, 0.3,", 4), (",0.4, 0.3, 0.3", 1)]
+    )
+    def test_empty_probability_cell_rejected(self, p, cell):
+        with pytest.raises(DataValidationError, match=f"^config key 'p': cell {cell} is empty$"):
+            inputs_from_config(dict(GOLDEN_CFG, p=p))
+
     def test_probability_sum_checked(self):
         cfg = dict(GOLDEN_CFG, p="0.4, 0.3, 0.2")
         with pytest.raises(DataValidationError, match="sum"):

@@ -61,6 +61,17 @@ class TestBuildContrast:
         assert spec.l_matrix.shape == (1, 2)
         assert spec.rank_l == 1
 
+    def test_arrays_are_read_only_copies(self):
+        l_matrix = np.array([[1.0, -1.0]])
+        spec = build_contrast(l_matrix, p=2)
+        assert not np.shares_memory(spec.l_matrix, l_matrix)
+        l_matrix[:] = [[1.0, 0.0]]
+        np.testing.assert_array_equal(spec.l_matrix, [[1.0, -1.0]])
+        assert spec.rank_l == 1
+        for name in ("l_matrix", "l_tilde", "row_basis"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(spec, name)[0, 0] = 2.0
+
     def test_redundant_rows_counted_once(self):
         l = np.array([[1.0, -1.0], [-1.0, 1.0], [2.0, -2.0]])
         assert build_contrast(l, p=1).rank_l == 1

@@ -1,4 +1,6 @@
+import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -24,7 +26,10 @@ from mrtcat import (
     simulate_trial,
     wald_test,
 )
-from mrtcat.simulate import _resolve_threads
+from mrtcat import simulate
+from mrtcat.data import numerator_tables
+from mrtcat.simulate import _draws, _generate, _resolve_threads
+from mrtcat.wcls import design_stack, fit_stack
 
 from _oracles import simulate_trial_loops
 
@@ -363,6 +368,17 @@ class TestRunMonteCarlo:
                 seed=1,
             )
 
+    def test_caller_contrast_changes_after_construction_do_not_matter(self):
+        l_matrix = np.array([[1.0, -1.0]])
+        contrast = build_contrast(l_matrix, MARGINAL_SPEC.p)
+        kwargs = dict(n=15, replicates=6, spec=MARGINAL_SPEC, seed=2, collect_replicates=True)
+        before = run_monte_carlo(null_config(), contrast=contrast, **kwargs)
+        l_matrix[:] = [[1.0, 0.0]]
+        np.testing.assert_array_equal(contrast.l_matrix, [[1.0, -1.0]])
+        after = run_monte_carlo(null_config(), contrast=contrast, **kwargs)
+        assert after.to_dict() == before.to_dict()
+        assert after.records == before.records
+
     def test_replicate_count_validated(self):
         with pytest.raises(DataValidationError):
             run_monte_carlo(
@@ -506,6 +522,18 @@ class TestScenarioFromConfig:
         del cfg["T"]
         with pytest.raises(DataValidationError, match="T"):
             scenario_from_config(cfg)
+
+    @pytest.mark.parametrize(
+        "key, value, cell",
+        [
+            ("p", "0.2, 0.5,, 0.3", 3),
+            ("eo_coeffs", "0.2,, 0.4", 2),
+            ("true_beta", "0.4, 0.55,", 3),
+        ],
+    )
+    def test_empty_cell_rejected(self, key, value, cell):
+        with pytest.raises(DataValidationError, match=f"^config key '{key}': cell {cell} is empty$"):
+            scenario_from_config(dict(BASE_SCENARIO, **{key: value}))
 
     def test_bad_fit_basis(self):
         with pytest.raises(DataValidationError, match="fit_f"):
@@ -734,3 +762,123 @@ class TestChunkedEngine:
             "10/10 replicates failed (budget 1%): DataValidationError×10; "
             "first error: n=3 subjects cannot support"
         )
+
+
+def _poison(workspace):
+    """Fill every workspace array with 0xFF bytes: NaN floats, -1 integers."""
+    for array in workspace.values():
+        array.view(np.uint8).fill(0xFF)
+
+
+def _assert_bytes_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestWorkspace:
+    """The Monte Carlo engine keeps each worker's chunk arrays in a
+    workspace reused by every chunk; the kernels' results must not
+    depend on it, and nothing in it may survive a chunk or the run."""
+
+    CASES = TestChunkedEngine.CASES + [
+        # a user_supplied table, a time moderator and a three-point window
+        (
+            null_config(family="gm_sc", nu1=0.3, eo_basis="linear", eo_coeffs=(0.1, 0.02)),
+            30,
+            ModelSpec(f_columns=("time",), g_columns=("time2",), delta=3,
+                      numerator=NumeratorPolicy("user_supplied", table=np.full((8, 3), 1 / 3))),
+            np.array([[1.0, -1.0]]),
+        ),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_kernels_match_without_workspace(self, case):
+        config, n, spec, _ = self.CASES[case]
+        probs = config.probs_full[None, None]
+        workspace: dict = {}
+        # the second, shorter chunk reads leading slices of poisoned arrays
+        for seeds in ([3, 1, 4, 1, 5], [9, 2, 6]):
+            _poison(workspace)
+            draws = _draws(config, seeds, n, workspace)
+            fresh = _draws(config, seeds, n)
+            for got, want in zip(draws, fresh):
+                if want is None:
+                    assert got is None
+                else:
+                    _assert_bytes_equal(got, want)
+            generated = _generate(config, *draws, workspace)
+            expected = _generate(config, *fresh)
+            for got, want in zip(generated, expected):
+                _assert_bytes_equal(got, want)
+            avail, trt, outcome, _ = expected
+            features = {"time": config.t_grid, "time2": config.t_grid * config.t_grid}
+            if fresh[1] is not None:
+                features["Z"] = fresh[1]
+            tables, _ = numerator_tables(avail, trt, probs, spec.numerator, 2)
+            args = (avail, trt, probs, outcome, features, 2, spec)
+            got = design_stack(*args, tables, workspace)
+            want = design_stack(*args, tables)
+            for a, b in zip(got[:3], want[:3]):
+                _assert_bytes_equal(a, b)
+            assert got[3] == want[3]
+            got, want = fit_stack(*args, workspace), fit_stack(*args)
+            for name in ("theta", "resid", "cov_beta", "md_fallbacks", "tables"):
+                _assert_bytes_equal(getattr(got, name), getattr(want, name))
+            assert [(type(e), str(e)) for e in got.errors] == [
+                (type(e), str(e)) for e in want.errors
+            ]
+
+    def test_failing_chunk_before_clean_ones(self):
+        # 60 x 30 points: chunks of 11, so 150 replicates make 14 chunks,
+        # the last one of 7.  Arms 1 and 2 are rare at t = 1, and with
+        # seed 393 replicate 1, in the first chunk, never observes arm 1
+        # there, so the first worker meets a failing chunk first.
+        t_points = 30
+        probs = np.tile([0.3, 0.3], (t_points, 1))
+        probs[0] = (0.1, 0.1)
+        config = GenerativeConfig(family="gm0", t_points=t_points, rand_probs=probs,
+                                  tau_curve=np.full(t_points, 1.0))
+        spec = ModelSpec(numerator=NumeratorPolicy("empirical_per_t"))
+        contrast = np.array([[1.0, -1.0]])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # workers that shared arrays would interleave often
+        try:
+            runs = [
+                run_monte_carlo(config, 60, 150, spec, contrast, seed=393, threads=threads,
+                                collect_replicates=True)
+                for threads in (1, 2, 3)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        records = runs[0].records
+        assert [rec["replicate"] for rec in records if not rec["ok"]] == [1]
+        for other in runs[1:]:
+            assert other.records == records
+        with pytest.raises(DegenerateArmError) as err:
+            per_replicate_values(config, 60, spec, contrast, 393, 1)
+        assert records[1]["error"] == str(err.value)
+        for rec in records:
+            if rec["ok"]:
+                beta, se, reject = per_replicate_values(
+                    config, 60, spec, contrast, 393, rec["replicate"]
+                )
+                assert rec["beta"] == beta.tolist()
+                assert rec["se"] == se.tolist()
+                assert rec["reject"] == reject
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_no_workspace_array_outlives_the_run(self, monkeypatch, threads):
+        refs = []
+
+        def spy(*args):
+            fit = fit_stack(*args)
+            workspace = args[-1]  # the engine passes its workspace last
+            refs.extend(weakref.ref(array) for array in workspace.values())
+            return fit
+
+        monkeypatch.setattr(simulate, "fit_stack", spy)
+        # 100 x 20 points: six chunks of 10 replicates
+        summary = run_monte_carlo(null_config(t_points=20), 100, 60, MARGINAL_SPEC,
+                                  np.array([[1.0, -1.0]]), threads=threads)
+        assert summary.completed == 60
+        assert refs and all(ref() is None for ref in refs)
