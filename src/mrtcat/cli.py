@@ -10,13 +10,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from .data import NumeratorPolicy, load_csv
-from .design import SEARCH_CAP_DEFAULT, inputs_from_config, required_sample_size
+from .design import (
+    SEARCH_CAP_DEFAULT,
+    _inputs_from_configs,
+    inputs_from_config,
+    required_sample_size,
+)
 from .errors import DataValidationError, NumericalError
 from .inference import CiRow, build_contrast, confidence_intervals, parse_contrast_text, wald_test
 from .simulate import THREADS_ENV, run_monte_carlo, scenario_from_config
@@ -166,6 +172,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _parse_sweep(raw: str) -> tuple[str, list[float]]:
+    """The key and grid of a key=lo:hi:step sweep.  Grid values are
+    lo + k * step rounded to 12 decimals, so the bounds must be finite
+    and the step must not round to 0."""
     if "=" not in raw:
         raise DataValidationError("--sweep must look like key=lo:hi:step")
     key, spec = raw.split("=", 1)
@@ -176,8 +185,10 @@ def _parse_sweep(raw: str) -> tuple[str, list[float]]:
         lo, hi, step = (float(x) for x in parts)
     except ValueError as exc:
         raise DataValidationError(f"bad sweep bounds {spec!r}") from exc
-    if step <= 0 or hi < lo:
-        raise DataValidationError("sweep requires step > 0 and hi >= lo")
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise DataValidationError(f"bad sweep bounds {spec!r}: they must be finite")
+    if not (round(step, 12) > 0 and hi >= lo):
+        raise DataValidationError("sweep requires step > 0 (at 12 decimals) and hi >= lo")
     values = []
     k = 0
     while True:
@@ -189,16 +200,23 @@ def _parse_sweep(raw: str) -> tuple[str, list[float]]:
     return key.strip(), values
 
 
+#: Sweep points built as one stack: a block holds every point's arrays
+#: until its search has run.
+_SWEEP_BLOCK = 256
+
+
 def cmd_samplesize(args: argparse.Namespace) -> int:
     cfg = parse_kv_file(args.config)
     if args.sweep:
         key, values = _parse_sweep(args.sweep)
         rows = []
-        for value in values:
-            swept = dict(cfg)
-            swept[key] = repr(value)
-            result = required_sample_size(inputs_from_config(swept), cap=args.cap)
-            rows.append([f"{value:g}", result.n])
+        for start in range(0, len(values), _SWEEP_BLOCK):
+            block = values[start : start + _SWEEP_BLOCK]
+            points = _inputs_from_configs([{**cfg, key: repr(value)} for value in block])
+            for value, point in zip(block, points):
+                if isinstance(point, Exception):
+                    raise point
+                rows.append([f"{value:g}", required_sample_size(point, cap=args.cap).n])
         _write_csv_rows(args.out, [key, "n"], rows)
         return EXIT_OK
     result = required_sample_size(inputs_from_config(cfg), cap=args.cap)

@@ -19,7 +19,11 @@ calibrated to.
 
 DesignInputs builds V (one einsum over t), checks it and computes
 lambda(n) / n once, on construction, so a singular V or a null contrast
-fails there; the functions below read the stored values.
+fails there; the functions below read the stored values.  The build
+(_prepare) works on a stack of design points: the points of a sample
+size sweep share one contrast and solve V and the contrast gram in two
+stacked solves, and a single DesignInputs is that build on a stack of
+one, so a sweep point is bitwise the point built alone.
 
 The pattern builders translate interpretable knobs (time-averaged
 levels plus a shape parameter) into availability, expected-outcome, and
@@ -41,7 +45,7 @@ from .errors import (
     SingularSystemError,
 )
 from .inference import ContrastSpec, build_contrast, parse_contrast_text
-from .numerics import f_quantile, noncentral_f_cdf, solve_spd
+from .numerics import f_quantile, noncentral_f_cdf, solve_spd_stack
 from ._kvconfig import get_float, get_int, get_floats
 
 __all__ = [
@@ -70,8 +74,9 @@ class DesignInputs:
     analysis will use.  The arrays are copied.  Construction also builds
     contrast (l_matrix lifted to the f basis), V with its 1-norm
     condition number, and lambda_rate = lambda(n) / n; it raises
-    SingularSystemError for a singular V and NullContrastError for a
-    null contrast of gamma.
+    DataValidationError for a field out of range (NaN and infinite
+    entries included), SingularSystemError for a singular V and
+    NullContrastError for a null contrast of gamma.
     """
 
     k_arms: int
@@ -90,6 +95,27 @@ class DesignInputs:
     lambda_rate: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        error = _prepare([self])[0]
+        if error is not None:
+            raise error
+
+    @classmethod
+    def _stack(cls, fields: list[dict]) -> tuple[list[DesignInputs], list]:
+        """DesignInputs(**kwargs) for every kwargs in fields (each naming
+        all ten constructor fields), built as one stack by _prepare.
+        Returns the instances and errors, where errors[i] is the exception
+        that constructing instance i alone raises (it is then unusable),
+        or None."""
+        points = [object.__new__(cls) for _ in fields]
+        for point, kwargs in zip(points, fields):
+            for name, value in kwargs.items():
+                object.__setattr__(point, name, value)
+        return points, _prepare(points)
+
+    def _checked_arrays(self) -> dict[str, np.ndarray]:
+        """Copies of rand_probs (as a (T, K) array), tau, f, gamma and
+        l_matrix by name; raises DataValidationError for the first field
+        out of range.  Every range test is written so that NaN fails it."""
         if self.k_arms < 1:
             raise DataValidationError("k_arms must be >= 1")
         if self.t_points < 1:
@@ -101,23 +127,27 @@ class DesignInputs:
             raise DataValidationError(
                 f"rand_probs must be (T, K) = {(self.t_points, self.k_arms)}, got {probs.shape}"
             )
-        if (probs <= 0).any() or (probs.sum(axis=1) >= 1.0).any():
+        if not ((probs > 0).all() and (probs.sum(axis=1) < 1.0).all()):
             raise DataValidationError(
                 "active-arm probabilities must be positive with row sums < 1"
             )
         tau = np.array(self.tau, dtype=float)
         if tau.shape != (self.t_points,):
             raise DataValidationError(f"tau must have length T={self.t_points}")
-        if (tau <= 0).any() or (tau > 1).any():
+        if not ((tau > 0) & (tau <= 1)).all():
             raise DataValidationError("tau values must lie in (0, 1]")
         f = np.array(self.f, dtype=float, ndmin=2)
         if f.shape[0] != self.t_points:
             raise DataValidationError(f"f must be (T, p) with T={self.t_points}")
+        if not np.isfinite(f).all():
+            raise DataValidationError("f must be finite")
         gamma = np.array(self.gamma, dtype=float)
         if gamma.shape != (self.k_arms * f.shape[1],):
             raise DataValidationError(
                 f"gamma must have length K*p = {self.k_arms * f.shape[1]}"
             )
+        if not np.isfinite(gamma).all():
+            raise DataValidationError("gamma must be finite")
         l_matrix = np.array(self.l_matrix, dtype=float, ndmin=2)
         if l_matrix.shape[1] != self.k_arms:
             raise DataValidationError(f"l_matrix must have K={self.k_arms} columns")
@@ -127,26 +157,7 @@ class DesignInputs:
             raise DataValidationError("eta must lie in (0, 1)")
         if not (0.0 <= self.power_target < 1.0):
             raise DataValidationError("power_target must lie in [0, 1)")
-        contrast = build_contrast(l_matrix, f.shape[1])
-        v = _v_matrix(probs, tau, f)
-        reduced = contrast.row_basis
-        try:
-            solved = solve_spd(v, reduced.T)
-        except SingularSystemError as exc:
-            raise SingularSystemError(
-                f"design matrix V is singular; the f basis is likely rank deficient: {exc}"
-            ) from exc
-        lg = reduced @ gamma
-        if float(np.linalg.norm(lg)) <= 1e-12 * max(1.0, float(np.linalg.norm(gamma))):
-            raise NullContrastError("contrast of target alternative is null")
-        gram = reduced @ solved.solution
-        for name, value in (
-            ("rand_probs", probs), ("tau", tau), ("f", f), ("gamma", gamma),
-            ("l_matrix", l_matrix), ("contrast", contrast), ("v_matrix", v),
-            ("v_condition", solved.condition_estimate),
-            ("lambda_rate", float(lg @ solve_spd(gram, lg).solution)),
-        ):
-            object.__setattr__(self, name, value)
+        return dict(rand_probs=probs, tau=tau, f=f, gamma=gamma, l_matrix=l_matrix)
 
     @property
     def p(self) -> int:
@@ -155,6 +166,76 @@ class DesignInputs:
     @property
     def rank_l(self) -> int:
         return self.contrast.rank_l
+
+
+def _prepare(points: list[DesignInputs]) -> list:
+    """Check and build DesignInputs in place, as one stack.
+
+    Returns errors, where errors[i] is the exception that building
+    points[i] alone raises, or None (then its copies and derived fields
+    are set).  The field checks, V and the null-contrast test run per
+    point.  Points with the same L and basis dimension p share one
+    ContrastSpec, one solve_spd_stack over their V matrices and one over
+    their contrast grams; every slice of a stack solves as a stack of
+    one, so each value is bitwise the one the point gets alone.
+    """
+    errors: list = [None] * len(points)
+    checked: dict[int, dict] = {}
+    groups: dict[tuple, list[int]] = {}
+    for i, point in enumerate(points):
+        try:
+            arrays = checked[i] = point._checked_arrays()
+        except DataValidationError as exc:
+            errors[i] = exc
+            continue
+        l_matrix, p = arrays["l_matrix"], arrays["f"].shape[1]
+        groups.setdefault((l_matrix.shape, l_matrix.tobytes(), p), []).append(i)
+    for (_, _, p), members in groups.items():
+        try:
+            contrast = build_contrast(checked[members[0]]["l_matrix"], p)
+        except DataValidationError as exc:
+            for i in members:
+                errors[i] = exc
+            continue
+        reduced = contrast.row_basis
+        vs = [
+            _v_matrix(checked[i]["rand_probs"], checked[i]["tau"], checked[i]["f"])
+            for i in members
+        ]
+        solved = solve_spd_stack(
+            np.stack(vs), np.broadcast_to(reduced.T, (len(vs), *reduced.T.shape))
+        )
+        ready, lgs = [], []
+        for j, i in enumerate(members):
+            gamma = checked[i]["gamma"]
+            lg = reduced @ gamma
+            error = solved.errors[j]
+            if isinstance(error, SingularSystemError):
+                errors[i] = SingularSystemError(
+                    f"design matrix V is singular; the f basis is likely rank deficient: {error}"
+                )
+                errors[i].__cause__ = error
+            elif error is not None:
+                errors[i] = error
+            elif float(np.linalg.norm(lg)) <= 1e-12 * max(1.0, float(np.linalg.norm(gamma))):
+                errors[i] = NullContrastError("contrast of target alternative is null")
+            else:
+                ready.append(j)
+                lgs.append(lg)
+        if not ready:
+            continue
+        rates = solve_spd_stack(reduced @ solved.solution[ready], np.stack(lgs))
+        for j, lg, x, error in zip(ready, lgs, rates.solution, rates.errors):
+            i = members[j]
+            errors[i] = error
+            if error is None:
+                for name, value in (
+                    *checked[i].items(), ("contrast", contrast), ("v_matrix", vs[j]),
+                    ("v_condition", float(solved.condition[j])),
+                    ("lambda_rate", float(lg @ x)),
+                ):
+                    object.__setattr__(points[i], name, value)
+    return errors
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,7 +346,7 @@ def tau_pattern(kind: str, aa: float, theta_tau: float, t_points: int) -> np.nda
             tau = aa + theta_tau * (t_points + 1.0 - 2.0 * t) / (t_points - 1.0)
     else:
         raise DataValidationError(f"unknown tau pattern kind {kind!r}")
-    if (tau <= 0).any() or (tau > 1).any():
+    if not ((tau > 0) & (tau <= 1)).all():
         raise DataValidationError(
             f"tau pattern leaves (0, 1]: range [{tau.min():.4g}, {tau.max():.4g}]"
         )
@@ -380,6 +461,33 @@ def inputs_from_config(cfg: dict[str, str]) -> DesignInputs:
     power.  The effect curves come from the two-arm pattern builder, so
     K must be 2.
     """
+    return DesignInputs(**_config_fields(cfg))
+
+
+def _inputs_from_configs(cfgs: list[dict[str, str]]) -> list:
+    """inputs_from_config over a list of configs, built as one stack.
+
+    Item i is inputs_from_config(cfgs[i]), or the DataValidationError or
+    NumericalError that call raises.
+    """
+    built: list = []
+    for cfg in cfgs:
+        try:
+            built.append(_config_fields(cfg))
+        except (DataValidationError, NumericalError) as exc:
+            built.append(exc)
+    parsed = [i for i, item in enumerate(built) if isinstance(item, dict)]
+    points, errors = DesignInputs._stack([built[i] for i in parsed])
+    for i, point, error in zip(parsed, points, errors):
+        built[i] = point if error is None else error
+    return built
+
+
+# The parts of a config that sample sizing and n = auto simulation share.
+
+
+def _config_fields(cfg: dict[str, str]) -> dict:
+    """The DesignInputs fields of inputs_from_config(cfg)."""
     k_arms = get_int(cfg, "K", 2)
     if k_arms != 2:
         raise DataValidationError(
@@ -392,12 +500,9 @@ def inputs_from_config(cfg: dict[str, str]) -> DesignInputs:
     f_kind = cfg.get("f_kind", "constant")
     gamma = _config_gamma(cfg, f_kind, tau)
     l_matrix = parse_contrast_text(cfg.get("L", "pairwise(1,2)"), k_arms)
-    return _config_inputs(
+    return _design_fields(
         cfg, probs, tau, f_kind, gamma, get_int(cfg, "q", 1), l_matrix, get_float(cfg, "eta", 0.05)
     )
-
-
-# The parts of a config that sample sizing and n = auto simulation share.
 
 
 def _config_probs_tau(cfg: dict[str, str], count_message: str) -> tuple[np.ndarray, np.ndarray]:
@@ -408,7 +513,7 @@ def _config_probs_tau(cfg: dict[str, str], count_message: str) -> tuple[np.ndarr
     probs_full = get_floats(cfg, "p")
     if len(probs_full) != 3:
         raise DataValidationError(count_message)
-    if abs(sum(probs_full) - 1.0) > 1e-8:
+    if not abs(sum(probs_full) - 1.0) <= 1e-8:
         raise DataValidationError("key 'p' probabilities must sum to 1")
     tau = tau_pattern(
         cfg.get("tau_kind", "constant"),
@@ -426,17 +531,17 @@ def _config_gamma(cfg: dict[str, str], f_kind: str, tau: np.ndarray) -> np.ndarr
     return mee_pattern(f_kind, *thetas, (get_float(cfg, "sate1"), get_float(cfg, "sate2")), tau)[0]
 
 
-def _config_inputs(
+def _design_fields(
     cfg: dict[str, str], probs: np.ndarray, tau: np.ndarray, f_kind: str,
     gamma: np.ndarray, q: int, l_matrix: np.ndarray, eta: float,
-) -> DesignInputs:
-    """Two-arm DesignInputs in the f basis of a constant or linear f_kind,
-    (1) or (1, t), with the power target of key 'power'."""
+) -> dict:
+    """The fields of a two-arm DesignInputs in the f basis of a constant
+    or linear f_kind, (1) or (1, t), with the power target of key 'power'."""
     t_points = tau.shape[0]
     f = np.ones((t_points, 1))
     if f_kind == "linear":
         f = np.column_stack([f, np.arange(1, t_points + 1, dtype=float)])
-    return DesignInputs(
+    return dict(
         k_arms=2, t_points=t_points, rand_probs=probs, tau=tau, f=f, gamma=gamma, q=q,
         l_matrix=l_matrix, eta=eta, power_target=get_float(cfg, "power", 0.8),
     )

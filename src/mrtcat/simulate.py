@@ -38,9 +38,10 @@ import numpy as np
 
 from .data import MrtDataset, NumeratorPolicy
 from .design import (
+    DesignInputs,
     _config_gamma,
-    _config_inputs,
     _config_probs_tau,
+    _design_fields,
     eo_pattern,
     required_sample_size,
 )
@@ -774,9 +775,9 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
     if raw_n == "auto":
         if mee_kind not in ("constant", "linear"):
             raise DataValidationError("n='auto' requires a constant or linear effect basis")
-        inputs = _config_inputs(
+        inputs = DesignInputs(**_design_fields(
             cfg, probs_active, tau, mee_kind, mee_coeffs.ravel(), spec.q, l_matrix, eta
-        )
+        ))
         n = required_sample_size(inputs).n
     else:
         n = get_int(cfg, "n")

@@ -350,6 +350,133 @@ class TestSamplesize:
         assert code == 2
 
 
+LINEAR_CFG_TEXT = (
+    GOLDEN_CFG_TEXT.replace("T = 210", "T = 30")
+    .replace("AA = 1.0", "AA = 0.7")
+    .replace("f_kind = constant", "f_kind = linear\ntheta_f1 = 0.2\ntheta_f2 = 0.1")
+    .replace("sate1 = 0.053", "sate1 = 0.15")
+    .replace("sate2 = 0.0", "sate2 = 0.05")
+)
+
+
+def run_sweep(tmp_path, text, sweep, *extra):
+    cfg = tmp_path / "design.cfg"
+    out = tmp_path / "sweep.csv"
+    cfg.write_text(text)
+    code = main(["samplesize", "--config", str(cfg), "--sweep", sweep, *extra, "--out", str(out)])
+    return code, out.read_text() if out.exists() else None
+
+
+class TestSweepStack:
+    """A sweep builds its points as one stack and walks them in grid
+    order; the CSV and the errors are those of a point-by-point loop."""
+
+    @pytest.mark.parametrize("text", [GOLDEN_CFG_TEXT, LINEAR_CFG_TEXT], ids=["constant", "linear"])
+    @pytest.mark.parametrize(
+        "sweep",
+        ["AA=0.3:0.9:0.2", "T=10:40:10", "sate1=0.1:0.35:0.125", "theta_tau=0:0.2:0.1",
+         "q=1:3:2", "eta=0.01:0.11:0.05", "power=0.5:0.9:0.2"],
+    )
+    def test_csv_matches_point_by_point_loop(self, tmp_path, text, sweep):
+        if sweep.startswith("theta_tau"):
+            text = text.replace("tau_kind = constant", "tau_kind = linear")
+            text = text.replace("AA = 1.0", "AA = 0.7")
+        code, csv_text = run_sweep(tmp_path, text, sweep)
+        assert code == 0
+        cfg = mrtcat._kvconfig.parse_kv_file(str(tmp_path / "design.cfg"))
+        key, values = mrtcat.cli._parse_sweep(sweep)
+        lines = [f"{key},n"]
+        for value in values:
+            inputs = mrtcat.inputs_from_config(dict(cfg, **{key: repr(value)}))
+            lines.append(f"{value:g},{mrtcat.required_sample_size(inputs).n}")
+        assert csv_text == "\n".join(lines) + "\n"
+
+    def test_middle_point_out_of_range_exits_two(self, tmp_path, capsys):
+        # AA = 1.1 is the first point outside (0, 1]; 1.2 fails too
+        code, csv_text = run_sweep(tmp_path, GOLDEN_CFG_TEXT, "AA=0.8:1.2:0.1")
+        assert code == 2
+        assert csv_text is None
+        assert capsys.readouterr().err == "error: tau pattern leaves (0, 1]: range [1.1, 1.1]\n"
+
+    def test_middle_point_past_cap_exits_three(self, tmp_path, capsys):
+        # sate2 = 0.05 leaves an arm gap of 0.003, which 1000 subjects cannot power
+        code, _ = run_sweep(tmp_path, GOLDEN_CFG_TEXT, "sate2=0:0.1:0.05", "--cap", "1000")
+        assert code == 3
+        assert "cap 1000" in capsys.readouterr().err
+
+    def test_earlier_search_failure_beats_later_build_failure(self, tmp_path, capsys):
+        # AA = 0.1 needs more than 500 subjects; AA = 1.1 fails its build
+        code, _ = run_sweep(tmp_path, GOLDEN_CFG_TEXT, "AA=0.1:1.1:0.5", "--cap", "500")
+        assert code == 3
+        assert "cap 500" in capsys.readouterr().err
+
+    def test_earlier_build_failure_beats_later_search_failure(self, tmp_path, capsys):
+        # sate2 = 0.053 makes the contrast null; 0.056 cannot be powered by 1000
+        code, _ = run_sweep(tmp_path, GOLDEN_CFG_TEXT, "sate2=0.053:0.056:0.003", "--cap", "1000")
+        assert code == 2
+        assert capsys.readouterr().err == "error: contrast of target alternative is null\n"
+
+    def test_blocks_keep_grid_order(self, tmp_path, monkeypatch):
+        code, whole = run_sweep(tmp_path, GOLDEN_CFG_TEXT, "AA=0.3:1.0:0.1")
+        assert code == 0
+        monkeypatch.setattr(mrtcat.cli, "_SWEEP_BLOCK", 3)
+        assert run_sweep(tmp_path, GOLDEN_CFG_TEXT, "AA=0.3:1.0:0.1") == (0, whole)
+
+    def test_one_contrast_and_two_stacked_solves(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("build_contrast", "solve_spd_stack"):
+            fn = getattr(mrtcat.design, name)
+            monkeypatch.setattr(
+                mrtcat.design, name, lambda *a, name=name, fn=fn: calls.append(name) or fn(*a)
+            )
+        code, _ = run_sweep(tmp_path, GOLDEN_CFG_TEXT, "AA=0.3:1.0:0.1")
+        assert code == 0
+        assert sorted(calls) == ["build_contrast", "solve_spd_stack", "solve_spd_stack"]
+
+    @pytest.mark.parametrize(
+        "replace, named",
+        [
+            (("AA = 1.0", "AA = nan"), "tau pattern"),
+            (("sate1 = 0.053", "sate1 = nan"), "gamma"),
+            (("sate1 = 0.053", "sate1 = inf"), "gamma"),
+            (("p = 0.4, 0.3, 0.3", "p = nan, 0.3, 0.3"), "key 'p'"),
+        ],
+    )
+    def test_nonfinite_input_exits_two_naming_it(self, tmp_path, capsys, replace, named):
+        cfg = tmp_path / "design.cfg"
+        cfg.write_text(GOLDEN_CFG_TEXT.replace(*replace))
+        assert main(["samplesize", "--config", str(cfg), "--out", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert named in err
+
+
+def test_unbounded_sweeps_exit_two(tmp_path):
+    # Each of these once made the grid loop run forever.  The probe runs in
+    # a child whose address space is capped, so a regression fails fast.
+    cfg = tmp_path / "design.cfg"
+    cfg.write_text(GOLDEN_CFG_TEXT)
+    sweeps = ["AA=0:nan:0.1", "AA=nan:1:0.1", "AA=0:1:nan", "AA=0:inf:0.1", "AA=-inf:1:0.1",
+              "AA=0.5:0.6:1e-13", "AA=0:1:inf"]
+    probe = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "from mrtcat.cli import main\n"
+        "for sweep in sys.argv[2:]:\n"
+        "    print(main(['samplesize', '--config', sys.argv[1], '--sweep', sweep, '--out', '-']))\n"
+    )
+    src = str(Path(mrtcat.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", probe, str(cfg), *sweeps], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["2"] * len(sweeps)
+    errors = result.stderr.splitlines()
+    assert len(errors) == len(sweeps)
+    assert all("bad sweep bounds" in line or "step > 0" in line for line in errors)
+
+
 class TestSimulate:
     def test_null_scenario_type_one_error(self, tmp_path):
         scn = tmp_path / "scenario.cfg"

@@ -20,7 +20,7 @@ from mrtcat import (
     required_sample_size,
     tau_pattern,
 )
-from mrtcat.design import _v_matrix
+from mrtcat.design import _inputs_from_configs, _v_matrix
 from mrtcat.numerics import noncentral_f_cdf
 
 from _oracles import design_v_loops
@@ -309,6 +309,20 @@ class TestDesignInputsValidation:
         with pytest.raises(DataValidationError, match="columns"):
             golden_inputs(l_matrix=np.array([[1.0, -1.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("rand_probs", np.array([np.nan, 0.3]), "active-arm probabilities"),
+            ("tau", np.full(210, np.nan), "tau values"),
+            ("f", np.full((210, 1), np.inf), "f must be finite"),
+            ("gamma", np.array([np.nan, 0.0]), "gamma must be finite"),
+            ("gamma", np.array([np.inf, 0.0]), "gamma must be finite"),
+        ],
+    )
+    def test_nonfinite_field_named(self, field, value, message):
+        with pytest.raises(DataValidationError, match=message):
+            golden_inputs(**{field: value})
+
     def test_broadcast_probs(self):
         inputs = golden_inputs()
         assert inputs.rand_probs.shape == (210, 2)
@@ -334,6 +348,11 @@ class TestTauPattern:
     def test_out_of_range_rejected(self):
         with pytest.raises(DataValidationError, match="leaves"):
             tau_pattern("linear", 0.9, 0.2, 10)
+
+    @pytest.mark.parametrize("kind, aa, theta", [("constant", np.nan, 0.0), ("linear", 0.5, np.nan)])
+    def test_nan_rejected(self, kind, aa, theta):
+        with pytest.raises(DataValidationError, match="leaves"):
+            tau_pattern(kind, aa, theta, 10)
 
     def test_unknown_kind(self):
         with pytest.raises(DataValidationError, match="kind"):
@@ -486,6 +505,11 @@ class TestInputsFromConfig:
         with pytest.raises(DataValidationError, match="sum"):
             inputs_from_config(cfg)
 
+    @pytest.mark.parametrize("p", ["nan, 0.3, 0.3", "0.4, nan, 0.3"])
+    def test_nan_probability_rejected(self, p):
+        with pytest.raises(DataValidationError, match="sum to 1"):
+            inputs_from_config(dict(GOLDEN_CFG, p=p))
+
     def test_only_two_arms_supported(self):
         cfg = dict(GOLDEN_CFG, K="3")
         with pytest.raises(DataValidationError, match="K=2"):
@@ -515,6 +539,96 @@ class TestInputsFromConfig:
         assert inputs.f.shape == (30, 2)
         result = required_sample_size(inputs)
         assert result.n > inputs.q + inputs.rank_l + 1
+
+
+LINEAR_CFG = dict(
+    GOLDEN_CFG, T="30", tau_kind="linear", AA="0.7", theta_tau="0.15", f_kind="linear",
+    theta_f1="0.2", theta_f2="0.1", sate1="0.15", sate2="0.05", q="2",
+)
+
+
+def single_or_error(cfg):
+    """inputs_from_config(cfg), or the exception it raises."""
+    try:
+        return inputs_from_config(cfg)
+    except (DataValidationError, NumericalError) as exc:
+        return exc
+
+
+class TestConfigStack:
+    """_inputs_from_configs builds many configs as one stack; every point
+    is bitwise the single construction, or fails as it does."""
+
+    def assert_same(self, stacked, single):
+        if isinstance(single, Exception):
+            assert type(stacked) is type(single)
+            assert str(stacked) == str(single)
+            return
+        assert stacked.v_matrix.tobytes() == single.v_matrix.tobytes()
+        assert stacked.v_condition == single.v_condition
+        assert stacked.lambda_rate == single.lambda_rate
+        for name in ("rand_probs", "tau", "f", "gamma", "l_matrix"):
+            assert getattr(stacked, name).tobytes() == getattr(single, name).tobytes()
+        assert stacked.contrast.row_basis.tobytes() == single.contrast.row_basis.tobytes()
+        assert (stacked.q, stacked.eta, stacked.power_target, stacked.rank_l) == (
+            single.q, single.eta, single.power_target, single.rank_l
+        )
+
+    @pytest.mark.parametrize("base", [GOLDEN_CFG, LINEAR_CFG], ids=["constant", "linear"])
+    @pytest.mark.parametrize(
+        "key, values",
+        [
+            ("AA", ["0.35", "0.5", "0.65", "0.8"]),
+            ("T", ["10", "31", "210"]),
+            ("sate1", ["0.02", "0.1", "0.3"]),
+            ("theta_tau", ["0.0", "0.1", "0.2"]),
+            ("q", ["1", "3"]),
+            ("eta", ["0.01", "0.1"]),
+            ("power", ["0.0", "0.9"]),
+        ],
+    )
+    def test_points_bitwise_equal_to_single_builds(self, base, key, values):
+        if key == "theta_tau":
+            base = dict(base, tau_kind="linear", AA="0.7")
+        cfgs = [dict(base, **{key: value}) for value in values]
+        for stacked, cfg in zip(_inputs_from_configs(cfgs), cfgs):
+            self.assert_same(stacked, inputs_from_config(cfg))
+
+    def test_each_point_keeps_its_own_error(self):
+        cfgs = [
+            GOLDEN_CFG,
+            dict(GOLDEN_CFG, AA="1.5"),                   # tau pattern out of range
+            dict(GOLDEN_CFG, sate1="0.0"),                # null contrast
+            dict(GOLDEN_CFG, sate1="nan"),                # gamma not finite
+            dict(GOLDEN_CFG, T="x"),                      # config parse error
+            dict(GOLDEN_CFG, L="0,0"),                    # zero contrast matrix
+            dict(LINEAR_CFG, T="2"),                      # fine, p = 2
+            dict(GOLDEN_CFG, L="1,0"),                    # second contrast group
+            dict(GOLDEN_CFG, AA="0.5"),
+        ]
+        built = _inputs_from_configs(cfgs)
+        assert [type(item).__name__ for item in built] == [
+            "DesignInputs", "DataValidationError", "NullContrastError", "DataValidationError",
+            "DataValidationError", "NullContrastError", "DesignInputs", "DesignInputs",
+            "DesignInputs",
+        ]
+        for stacked, cfg in zip(built, cfgs):
+            self.assert_same(stacked, single_or_error(cfg))
+
+    def test_singular_v_fails_only_its_point(self):
+        ok = dict(k_arms=2, t_points=4, rand_probs=np.array([0.3, 0.3]), tau=np.ones(4),
+                  gamma=np.array([0.1, 0.0, 0.2, 0.0]), q=1, l_matrix=np.array([[1.0, -1.0]]),
+                  eta=0.05, power_target=0.8)
+        good = dict(ok, f=np.column_stack([np.ones(4), np.arange(1.0, 5.0)]))
+        singular = dict(ok, f=np.ones((4, 2)))
+        points, errors = DesignInputs._stack([good, singular, good])
+        assert errors[0] is None and errors[2] is None
+        assert isinstance(errors[1], SingularSystemError)
+        with pytest.raises(SingularSystemError) as single:
+            DesignInputs(**singular)
+        assert str(errors[1]) == str(single.value)
+        assert "design matrix V is singular" in str(errors[1])
+        assert points[0].lambda_rate == DesignInputs(**good).lambda_rate
 
 
 class TestArrayDataclassesCompareByIdentity:
