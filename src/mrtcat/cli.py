@@ -171,10 +171,17 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: The most points a sweep grid may have: far more than a design study
+#: plots, few enough that a mistyped step fails at once instead of
+#: building a grid until memory runs out.
+_SWEEP_MAX_POINTS = 100_000
+
+
 def _parse_sweep(raw: str) -> tuple[str, list[float]]:
     """The key and grid of a key=lo:hi:step sweep.  Grid values are
-    lo + k * step rounded to 12 decimals, so the bounds must be finite
-    and the step must not round to 0."""
+    lo + k * step rounded to 12 decimals, so the bounds must be finite,
+    the step must not round to 0 and the grid must have at most
+    _SWEEP_MAX_POINTS points."""
     if "=" not in raw:
         raise DataValidationError("--sweep must look like key=lo:hi:step")
     key, spec = raw.split("=", 1)
@@ -189,6 +196,14 @@ def _parse_sweep(raw: str) -> tuple[str, list[float]]:
         raise DataValidationError(f"bad sweep bounds {spec!r}: they must be finite")
     if not (round(step, 12) > 0 and hi >= lo):
         raise DataValidationError("sweep requires step > 0 (at 12 decimals) and hi >= lo")
+    # the grid has floor(steps) + 1 points, up to the rounding below;
+    # steps is inf when hi - lo overflows
+    steps = (hi - lo) / step
+    if steps >= _SWEEP_MAX_POINTS:
+        count = math.floor(steps) + 1 if math.isfinite(steps) else steps
+        raise DataValidationError(
+            f"sweep grid {spec!r} has {count:.6g} points; the limit is {_SWEEP_MAX_POINTS}"
+        )
     values = []
     k = 0
     while True:

@@ -446,31 +446,20 @@ def _resolve_threads(threads: int | None) -> int:
 _CHUNK_POINTS = 20_000
 
 
-@dataclass
-class _Chunk:
-    """Per-replicate results of one chunk of replicates; errors[i] is the
-    exception replicate i's public calls raise, or None."""
-
-    seeds: list[int]
-    ok: np.ndarray
-    beta: np.ndarray
-    se: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    reject: np.ndarray
-    clipped: np.ndarray
-    errors: list
-
-
 class _MonteCarlo:
-    """One run_monte_carlo call: its replicate-invariant pieces, built once,
-    and the stacked simulate-and-fit pass over one chunk of replicates.
+    """One run_monte_carlo call: its replicate-invariant pieces and its
+    result table, built once, and the stacked simulate-and-fit pass over
+    one chunk of replicates.
 
     Each replicate ends with the values, or the first error, of
     simulate_trial -> fit_wcls -> wald_test -> confidence_intervals on
     its own seed: fit_stack is fit_wcls's own routine, and the checks
     that every replicate shares are made once here, in those calls'
-    order.  workspaces holds each worker thread's scratch arrays (see
+    order.  Row r of the table (beta, se, lower, upper, reject, clipped,
+    errors) is replicate r; errors[r] is the exception its public calls
+    raise, or None, and the rest of a failed row is meaningless.  Chunks
+    write disjoint rows, so pool threads share the table with no lock.
+    workspaces holds each worker thread's scratch arrays (see
     wcls.scratch); they go with the engine when the run ends.
     """
 
@@ -478,6 +467,7 @@ class _MonteCarlo:
         self,
         config: GenerativeConfig,
         n: int,
+        replicates: int,
         spec: ModelSpec,
         contrast: ContrastSpec,
         eta: float,
@@ -491,6 +481,10 @@ class _MonteCarlo:
         self.reduced = contrast.row_basis
         self.rank = contrast.rank_l
         self.workspaces = threading.local()
+        self.beta, self.se, self.lower, self.upper = np.zeros((4, replicates, self.kp))
+        self.reject = np.zeros(replicates, dtype=bool)
+        self.clipped = np.zeros(replicates, dtype=np.int64)
+        self.errors: list = [None] * replicates
         self.n_error = DataValidationError("n must be >= 1") if n < 1 else None
         self.wald_error = self.interval_error = None
         try:
@@ -504,22 +498,17 @@ class _MonteCarlo:
         except (DataValidationError, NumericalError) as exc:
             self.interval_error = exc
 
-    def run_chunk(self, bounds: tuple[int, int]) -> _Chunk:
+    def run_chunk(self, bounds: tuple[int, int]) -> None:
         lo, hi = bounds
-        count, kp, q = hi - lo, self.kp, self.spec.q
-        seeds = [derive_replicate_seed(self.seed, r) for r in range(lo, hi)]
         if self.n_error is not None:
-            zeros = np.zeros((count, kp))
-            return _Chunk(
-                seeds, np.zeros(count, dtype=bool), zeros, zeros, zeros, zeros,
-                np.zeros(count, dtype=bool), np.zeros(count, dtype=np.int64),
-                [self.n_error] * count,
-            )
+            self.errors[lo:hi] = [self.n_error] * (hi - lo)
+            return
+        seeds = [derive_replicate_seed(self.seed, r) for r in range(lo, hi)]
         # a threading.local's attributes are per thread: this worker's arrays,
         # overwritten by every chunk before they are read
         workspace = vars(self.workspaces)
         eps, z, u = _draws(self.config, seeds, self.n, workspace)
-        avail, trt, outcome, clipped = _generate(self.config, eps, z, u, workspace)
+        avail, trt, outcome, self.clipped[lo:hi] = _generate(self.config, eps, z, u, workspace)
         # A generated panel meets every dataset invariant unless its
         # outcome overflows, which is what simulate_trial then rejects.
         # Zeroed, such a replicate cannot spread non-finite values.
@@ -536,21 +525,20 @@ class _MonteCarlo:
             avail, trt, self.probs, outcome, features, self.config.k_arms, self.spec, workspace
         )
         keep_first_errors(errors, fit.errors)
-        beta, cov = fit.theta[:, q:], fit.cov_beta
-        reject = np.zeros(count, dtype=bool)
+        beta, cov = fit.theta[:, self.spec.q :], fit.cov_beta
+        self.beta[lo:hi] = beta
         keep_first_errors(errors, self.wald_error)
         if self.wald_error is None:
             statistic, wald_errors = wald_stack(beta, cov, self.reduced)
             keep_first_errors(errors, wald_errors)
-            scaled = scale_statistic(statistic, self.n, q, self.rank)
-            reject = scaled > self.critical
+            scaled = scale_statistic(statistic, self.n, self.spec.q, self.rank)
+            self.reject[lo:hi] = scaled > self.critical
         keep_first_errors(errors, self.interval_error)
-        ok = np.array([exc is None for exc in errors])
         if self.interval_error is None:
-            _, se, lower, upper = interval_stack(beta, cov, self.eye, self.quant)
-        else:
-            se = lower = upper = np.zeros((count, kp))
-        return _Chunk(seeds, ok, beta, se, lower, upper, reject, clipped, errors)
+            _, self.se[lo:hi], self.lower[lo:hi], self.upper[lo:hi] = interval_stack(
+                beta, cov, self.eye, self.quant
+            )
+        self.errors[lo:hi] = errors
 
 
 def run_monte_carlo(
@@ -592,18 +580,19 @@ def run_monte_carlo(
         if true_beta.shape != (kp,):
             raise DataValidationError(f"true_beta must have length K*p = {kp}")
 
-    engine = _MonteCarlo(config, n, spec, contrast_spec, eta, seed)
+    engine = _MonteCarlo(config, n, replicates, spec, contrast_spec, eta, seed)
     size = max(1, round(_CHUNK_POINTS / max(1, n * config.t_points)))
     bounds = [(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
     workers = _resolve_threads(threads)
     if workers == 1:
-        chunks = [engine.run_chunk(b) for b in bounds]
+        for chunk in bounds:
+            engine.run_chunk(chunk)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(engine.run_chunk, bounds))
+            list(pool.map(engine.run_chunk, bounds))
 
-    ok = np.concatenate([c.ok for c in chunks])
-    errors = [exc for c in chunks for exc in c.errors if exc is not None]
+    ok = np.array([exc is None for exc in engine.errors])
+    errors = [exc for exc in engine.errors if exc is not None]
     failures = replicates - int(ok.sum())
     if failures > 0.01 * replicates:
         counts = Counter(type(exc).__name__ for exc in errors)
@@ -618,14 +607,11 @@ def run_monte_carlo(
     if not ok.any():
         raise NumericalError("all replicates failed")
 
-    betas = np.concatenate([c.beta for c in chunks])[ok]
-    ses = np.concatenate([c.se for c in chunks])[ok]
-    rejections = np.concatenate([c.reject for c in chunks])[ok].astype(float)
+    betas = engine.beta[ok]
     if true_beta is not None:
         bias = betas.mean(axis=0) - true_beta
         rmse = np.sqrt(((betas - true_beta) ** 2).mean(axis=0))
-        lower = np.concatenate([c.lower for c in chunks])[ok]
-        upper = np.concatenate([c.upper for c in chunks])[ok]
+        lower, upper = engine.lower[ok], engine.upper[ok]
         coverage = ((lower <= true_beta) & (true_beta <= upper)).mean(axis=0)
     else:
         bias = np.full(kp, np.nan)
@@ -637,16 +623,15 @@ def run_monte_carlo(
     if collect_replicates:
         records = tuple(
             {
-                "replicate": lo + i,
-                "seed": c.seeds[i],
-                "ok": bool(c.ok[i]),
-                "beta": c.beta[i].tolist() if c.ok[i] else None,
-                "se": c.se[i].tolist() if c.ok[i] else None,
-                "reject": bool(c.reject[i]) if c.ok[i] else None,
-                "error": None if c.ok[i] else str(c.errors[i]),
+                "replicate": r,
+                "seed": derive_replicate_seed(seed, r),
+                "ok": bool(ok[r]),
+                "beta": engine.beta[r].tolist() if ok[r] else None,
+                "se": engine.se[r].tolist() if ok[r] else None,
+                "reject": bool(engine.reject[r]) if ok[r] else None,
+                "error": None if ok[r] else str(engine.errors[r]),
             }
-            for (lo, _), c in zip(bounds, chunks)
-            for i in range(len(c.seeds))
+            for r in range(replicates)
         )
     return McSummary(
         replicates=replicates,
@@ -656,10 +641,10 @@ def run_monte_carlo(
         param_names=names,
         bias=tuple(float(b) for b in bias),
         rmse=tuple(float(v) for v in rmse),
-        mean_se=tuple(float(v) for v in ses.mean(axis=0)),
+        mean_se=tuple(float(v) for v in engine.se[ok].mean(axis=0)),
         coverage=tuple(float(c) for c in coverage),
-        rejection_rate=float(rejections.mean()),
-        clipped_availability=int(np.concatenate([c.clipped for c in chunks])[ok].sum()),
+        rejection_rate=float(engine.reject[ok].astype(float).mean()),
+        clipped_availability=int(engine.clipped[ok].sum()),
         records=records,
     )
 

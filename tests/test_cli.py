@@ -451,13 +451,12 @@ class TestSweepStack:
         assert named in err
 
 
-def test_unbounded_sweeps_exit_two(tmp_path):
-    # Each of these once made the grid loop run forever.  The probe runs in
-    # a child whose address space is capped, so a regression fails fast.
+def probe_sweeps(tmp_path, sweeps):
+    """Run each sweep on the golden config in a child whose address space
+    is capped, so a grid that grows without bound fails fast; the child
+    prints one exit code per sweep."""
     cfg = tmp_path / "design.cfg"
     cfg.write_text(GOLDEN_CFG_TEXT)
-    sweeps = ["AA=0:nan:0.1", "AA=nan:1:0.1", "AA=0:1:nan", "AA=0:inf:0.1", "AA=-inf:1:0.1",
-              "AA=0.5:0.6:1e-13", "AA=0:1:inf"]
     probe = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
@@ -466,15 +465,45 @@ def test_unbounded_sweeps_exit_two(tmp_path):
         "    print(main(['samplesize', '--config', sys.argv[1], '--sweep', sweep, '--out', '-']))\n"
     )
     src = str(Path(mrtcat.__file__).resolve().parent.parent)
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", probe, str(cfg), *sweeps], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=src), timeout=120,
     )
+
+
+def test_unbounded_sweeps_exit_two(tmp_path):
+    # Each of these once made the grid loop run forever.
+    sweeps = ["AA=0:nan:0.1", "AA=nan:1:0.1", "AA=0:1:nan", "AA=0:inf:0.1", "AA=-inf:1:0.1",
+              "AA=0.5:0.6:1e-13", "AA=0:1:inf"]
+    result = probe_sweeps(tmp_path, sweeps)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["2"] * len(sweeps)
     errors = result.stderr.splitlines()
     assert len(errors) == len(sweeps)
     assert all("bad sweep bounds" in line or "step > 0" in line for line in errors)
+
+
+def test_oversized_sweep_grids_exit_two(tmp_path):
+    # Finite grids of 1e11 points and more once ran until memory ran out;
+    # the point count is now checked before any point is built.
+    sweeps = ["AA=0.5:0.6:6e-13", "AA=0:1e300:1", "AA=-1e308:1e308:1"]
+    result = probe_sweeps(tmp_path, sweeps)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["2"] * len(sweeps)
+    assert result.stderr.splitlines() == [
+        "error: sweep grid '0.5:0.6:6e-13' has 1.66667e+11 points; the limit is 100000",
+        "error: sweep grid '0:1e300:1' has 1e+300 points; the limit is 100000",
+        "error: sweep grid '-1e308:1e308:1' has inf points; the limit is 100000",
+    ]
+
+
+def test_sweep_grid_of_the_limit_parses_and_one_more_point_is_rejected():
+    limit = mrtcat.cli._SWEEP_MAX_POINTS
+    key, values = mrtcat.cli._parse_sweep(f"AA=0:{limit - 1}:1")
+    assert (key, len(values), values[-1]) == ("AA", limit, limit - 1)
+    with pytest.raises(mrtcat.DataValidationError) as err:
+        mrtcat.cli._parse_sweep(f"AA=0:{limit}:1")
+    assert str(err.value) == f"sweep grid '0:{limit}:1' has {limit + 1} points; the limit is {limit}"
 
 
 class TestSimulate:

@@ -1,5 +1,6 @@
 import copy
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from mrtcat import (
     tau_pattern,
 )
 from mrtcat.design import _inputs_from_configs, _v_matrix
-from mrtcat.numerics import noncentral_f_cdf
+from mrtcat.numerics import f_quantile, noncentral_f_cdf
 
 from _oracles import design_v_loops
 
@@ -477,10 +478,43 @@ GOLDEN_CFG = {
 }
 
 
+def extended_power(inputs: DesignInputs, n: int, digits: int = 40):
+    """power_at_n in `digits`-digit arithmetic, at its float64 critical value.
+
+    The noncentral F CDF is a Poisson(lambda / 2) mixture of regularized
+    incomplete betas I_y(l/2 + j, d2/2), y = l x / (l x + d2), so the
+    power is the same mixture of I_{1-y}(d2/2, l/2 + j).  The sum stops
+    past the Poisson mean once a weight is below 10^-(digits + 5).
+    """
+    l, df2 = inputs.rank_l, n - inputs.q - inputs.rank_l
+    critical = f_quantile(l, df2, 1.0 - inputs.eta)
+    with mpmath.workdps(digits):
+        half_lam = mpmath.mpf(df2) * inputs.lambda_rate / 2
+        upper = df2 / (l * mpmath.mpf(critical) + df2)
+        tiny = mpmath.mpf(10) ** -(digits + 5)
+        weight, power, j = mpmath.exp(-half_lam), mpmath.mpf(0), 0
+        while j <= half_lam or weight > tiny:
+            power += weight * mpmath.betainc(
+                mpmath.mpf(df2) / 2, mpmath.mpf(l) / 2 + j, 0, upper, regularized=True
+            )
+            j += 1
+            weight *= half_lam / j
+        return power
+
+
 class TestInputsFromConfig:
     def test_golden_config_reproduces_answer(self):
         inputs = inputs_from_config(GOLDEN_CFG)
         assert required_sample_size(inputs).n == 93
+
+    def test_golden_sizing_boundary_holds_in_extended_precision(self):
+        # power(92) and power(93) sit 2.8e-3 and 1.7e-3 from the 0.8 target;
+        # float64 power agrees with the 40-digit value to ~1e-16 on both
+        inputs = inputs_from_config(GOLDEN_CFG)
+        ref = {n: extended_power(inputs, n) for n in (92, 93)}
+        for n, value in ref.items():
+            assert abs(power_at_n(inputs, n) - value) <= 1e-13
+        assert ref[92] < 0.8 <= ref[93]
 
     def test_missing_required_key(self):
         cfg = dict(GOLDEN_CFG)

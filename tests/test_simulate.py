@@ -763,6 +763,57 @@ class TestChunkedEngine:
             "first error: n=3 subjects cannot support"
         )
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_fails_every_replicate(self, n):
+        with pytest.raises(NumericalError) as err:
+            run_monte_carlo(null_config(), n, 7, MARGINAL_SPEC, np.array([[1.0, -1.0]]), seed=1)
+        assert str(err.value) == (
+            "7/7 replicates failed (budget 1%): DataValidationError×7; "
+            "first error: n must be >= 1"
+        )
+
+    TABLE_CASES = [
+        # the seed-6 case above: replicate 12 fails, its neighbours do not
+        (
+            null_config(t_points=2, tau=1.0, rand_probs=np.array([0.15, 0.15])),
+            30, 100, ModelSpec(numerator=NumeratorPolicy("empirical_per_t")),
+            np.array([[1.0, -1.0]]), 6, 1,
+        ),
+        (
+            null_config(family="gm_ea", t_points=20, tau=0.9, nu2=0.15, nu3=0.15),
+            60, 50, ModelSpec(g_columns=("time",)), np.eye(2), 3, 0,
+        ),
+    ]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("per_chunk", [1, 7, None], ids=["one", "partial", "all"])
+    @pytest.mark.parametrize("case", range(len(TABLE_CASES)))
+    def test_results_do_not_depend_on_chunk_size(self, monkeypatch, case, per_chunk, threads):
+        # Every chunk writes its own rows of the run's result table: one
+        # replicate per chunk, chunks of 7 with a shorter last one, or one
+        # chunk for the run must all give the default run's results.  A
+        # short switch interval makes the pool threads interleave often.
+        config, n, replicates, spec, contrast, seed, failures = self.TABLE_CASES[case]
+
+        def run(**kwargs):
+            return run_monte_carlo(
+                config, n, replicates, spec, contrast, seed=seed, true_beta=np.zeros(2),
+                collect_replicates=True, **kwargs,
+            )
+
+        want = run()
+        assert want.failures == failures
+        points = 10**9 if per_chunk is None else per_chunk * n * config.t_points
+        monkeypatch.setattr(simulate, "_CHUNK_POINTS", points)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run(threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.to_dict() == want.to_dict()
+        assert got.records == want.records
+
 
 def _poison(workspace):
     """Fill every workspace array with 0xFF bytes: NaN floats, -1 integers."""
