@@ -15,6 +15,7 @@ panel, so a dataset that exists satisfies every invariant.
 from __future__ import annotations
 
 import csv
+import os
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -41,8 +42,15 @@ PROB_SUM_TOL = 1e-8
 # default "%.18e" spell a probability in at most 24 characters; a cell
 # that fills the field may have been cut.
 _PROB_WIDTH = 25
-# The rows load_csv reads first to guess which probability columns repeat.
+# load_csv reads ids as bytes when no id in the first rows is longer than
+# this, in a field twice as wide as the longest of them, plus 8 (80 for
+# 36-character UUIDs).  An id that fills the field may have been cut.
+_ID_LENGTH = 64
+# The rows load_csv reads first to guess which columns to read as bytes.
 _SAMPLE_ROWS = 4096
+# Suffixes np.loadtxt decompresses when it opens a path.  A file named so
+# is handed to it open, so that its bytes are read as they are.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 # csv.field_size_limit while the scanner reads rows: the largest value a
 # 32-bit C long holds.  The limit is process-wide, so it is set and
 # restored under the lock, which header reads also take.
@@ -265,79 +273,105 @@ def load_csv(path: str) -> MrtDataset:
     column) order is reported.
 
     The header is read with csv.reader, and every row after it in one
-    np.loadtxt call (numpy's C parser).  That call reads as bytes the
-    probability columns whose cells repeat at each t in the first rows
-    of the file, and parses the other columns.  When every cell of a
-    bytes column is byte for byte the first subject's cell at the same
-    t, only those T cells are converted, with float(), and spread by t;
-    otherwise each cell is.  float() and numpy's parser round alike, so
-    the values are the same either way.  When the bytes cannot decide (a
-    cell that fills the field or that float() rejects, a NUL in the
-    file, or a cell numpy cannot store as bytes), the rows are read
-    again with every value column parsed by numpy.  When that cannot
-    decide either (a cell its parser rejects, a row of the wrong width,
-    a whitespace-only line, no data rows, or a t/avail/trt value that is
-    not an integer in the int64 range), the rows are read again by a
-    csv.reader scanner that converts each cell with float() and words
-    the error.  Every route gives the same dataset or the same message:
-    the scanner also loads what float() accepts and numpy does not, such
-    as digit separators (1_0).
+    np.loadtxt call (numpy's C parser).  That call is given the path, so
+    that numpy reads the file in blocks, unless the file holds both a CR
+    and a double quote (numpy opens a path with universal newlines,
+    which would turn a CR inside a quoted cell into LF) or its name ends
+    in a suffix numpy decompresses (.gz, .bz2, .xz, .lzma); such a file
+    is handed to it open.  The call reads as bytes the probability
+    columns whose cells repeat at each t in the first rows of the file,
+    and the ids when the ids there are Latin-1 text of at most 64
+    characters; it parses the other columns.  Bytes ids are compared
+    subject block by subject block, and only the first id of each block
+    is decoded, unless the rows are out of panel order.  When every cell
+    of a bytes probability column is byte for byte the first subject's
+    cell at the same t, only those T cells are converted, with float(),
+    and spread by t; otherwise each cell is.  float() and numpy's parser
+    round alike, so the values are the same either way.  When the bytes
+    cannot decide (a cell that fills its field or that float() rejects,
+    a NUL in the file, or a cell numpy cannot store as bytes, such as an
+    id outside Latin-1 past the first rows), the rows are read again
+    with the ids as str and every value column parsed by numpy.  When
+    that cannot decide either (a cell its parser rejects, a row of the
+    wrong width, a whitespace-only line, no data rows, or a
+    t/avail/trt value that is not an integer in the int64 range), the
+    rows are read again by a csv.reader scanner that converts each cell
+    with float() and words the error.  Every route gives the same
+    dataset or the same message: the scanner also loads what float()
+    accepts and numpy does not, such as digit separators (1_0).  A UTF-8
+    byte order mark at the start of the file is skipped.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         # readline, not iteration, so that tell() can mark where the rows start
         lines = iter(handle.readline, "")
-        columns = _read_header(path, csv.reader(lines))
+        reader = csv.reader(lines)
+        columns = _read_header(path, reader)
         start = handle.tell()
         panel = None
         # loadtxt warns on a file without data rows; the scanner words that
         # case.  Lines, not csv rows: csv has a limit on the size of a cell.
         if any(map(str.strip, lines)):
-            panel = _read_panel(path, handle, start, columns)
+            panel = _read_panel(path, handle, start, reader.line_num, columns)
     if panel is None:
         return _scan_csv(path)
     return _to_dataset(path, columns, *panel)
 
 
 def _read_panel(
-    path: str, handle: TextIO, start: int, columns: _Columns
+    path: str, handle: TextIO, start: int, header_lines: int, columns: _Columns
 ) -> tuple[tuple[str, ...], np.ndarray, dict[str, np.ndarray]] | None:
-    """The rows from file position start on, read by np.loadtxt.
+    """The rows after the header, which spans header_lines lines and
+    ends at file position start, read by np.loadtxt from path or handle.
 
-    Returns what _parse_rows returns, reading as bytes the probability
-    columns that look worth it, and reading again without bytes when
-    they cannot decide.
+    Returns what _parse_rows returns, reading as bytes the columns that
+    look worth it, and reading again without bytes when they cannot
+    decide.
     """
     handle.seek(start)
     as_bytes = _repeating_columns(handle, columns)
-    if as_bytes and _has_nul(path):
-        as_bytes = ()  # a bytes cell would lose a NUL at its end
+    found = _special_bytes(path)
+    if b"\0" in found:
+        as_bytes = {}  # a bytes cell would lose a NUL at its end
+    if {b"\r", b'"'} <= found or os.path.splitext(path)[1] in _COMPRESSED:
+        source, skiprows = handle, 0
+    else:
+        # "./" before a relative path: numpy's opener never takes it for a URL
+        source, skiprows = os.path.join(os.curdir, path), header_lines
     handle.seek(start)
-    panel = _parse_rows(path, handle, columns, as_bytes)
+    panel = _parse_rows(path, source, skiprows, columns, as_bytes)
     if panel is None and as_bytes:
         handle.seek(start)
-        panel = _parse_rows(path, handle, columns, ())
+        panel = _parse_rows(path, source, skiprows, columns, {})
     return panel
 
 
-def _loadtxt(source, columns: _Columns, as_bytes: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """The cells of source (a file handle or a list of lines) by header
-    column, from one np.loadtxt call: the id as str objects, the columns
-    in as_bytes as fixed-width bytes, every other column as f8.  The
+def _loadtxt(
+    source, columns: _Columns, as_bytes: dict[str, int], skiprows: int = 0
+) -> dict[str, np.ndarray]:
+    """The cells of source (a path, a file handle or a list of lines) by
+    header column, from one np.loadtxt call that skips the first skiprows
+    lines: the columns in as_bytes as bytes fields of the width it gives,
+    the id otherwise as str objects, every other column as f8.  The
     columns are fields of one record array."""
 
     def cell(name: str):
-        if name == "id":
-            return object
-        return f"S{_PROB_WIDTH}" if name in as_bytes else "f8"
+        if name in as_bytes:
+            return f"S{as_bytes[name]}"
+        return object if name == "id" else "f8"
 
     dtype = np.dtype([(f"f{j}", cell(name)) for j, name in enumerate(columns.header)])
-    rows = np.loadtxt(source, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    rows = np.loadtxt(
+        source, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+        skiprows=skiprows, encoding="utf-8-sig", ndmin=1,
+    )
     return {name: rows[f"f{j}"] for j, name in enumerate(columns.header)}
 
 
-def _repeating_columns(handle: TextIO, columns: _Columns) -> tuple[str, ...]:
-    """The probability columns whose cells, in the first rows from handle,
-    are the same at each t and none fills the field.
+def _repeating_columns(handle: TextIO, columns: _Columns) -> dict[str, int]:
+    """The columns to read as bytes, with their field widths: the
+    probability columns whose cells, in the first rows from handle, are
+    the same at each t and none fills the field, and the id when every
+    id there is Latin-1 text of at most _ID_LENGTH characters.
 
     A guess that only speed depends on: reading a column whose cells
     vary as bytes costs more than parsing it.  _parse_rows checks every
@@ -345,39 +379,52 @@ def _repeating_columns(handle: TextIO, columns: _Columns) -> tuple[str, ...]:
     """
     try:
         sample = list(islice(filter(str.strip, iter(handle.readline, "")), _SAMPLE_ROWS))
-        cells = _loadtxt(sample, columns, columns.prob)
+        cells = _loadtxt(sample, columns, dict.fromkeys(columns.prob, _PROB_WIDTH))
     except ValueError:  # including UnicodeDecodeError: the scanner words it
-        return ()
+        return {}
     _, first, group = np.unique(cells["t"], return_index=True, return_inverse=True)
-    return tuple(
-        name
+    as_bytes = {
+        name: _PROB_WIDTH
         for name in columns.prob
         if not _fills(cells[name]) and (cells[name] == cells[name][first][group]).all()
-    )
+    }
+    longest = max(map(len, cells["id"]), default=0)
+    if longest <= _ID_LENGTH and max("".join(cells["id"]), default="") <= "\xff":
+        as_bytes["id"] = 2 * longest + 8
+    return as_bytes
 
 
-def _has_nul(path: str) -> bool:
-    """Whether the file holds a NUL character."""
+def _special_bytes(path: str) -> set[bytes]:
+    """Which of NUL, CR and the double quote the file holds."""
+    found = set()
     with open(path, "rb") as raw:
-        return any(b"\0" in block for block in iter(lambda: raw.read(1 << 20), b""))
+        for block in iter(lambda: raw.read(1 << 20), b""):
+            found.update(byte for byte in (b"\0", b"\r", b'"') if byte in block)
+    return found
 
 
 def _fills(cells: np.ndarray) -> bool:
-    """Whether a cell of a bytes column fills the field."""
-    return bool((np.char.str_len(cells) >= _PROB_WIDTH).any())
+    """Whether a cell of a bytes column fills its field."""
+    return bool((np.char.str_len(cells) >= cells.dtype.itemsize).any())
+
+
+def _byte_rows(cells: np.ndarray) -> np.ndarray:
+    """The bytes cells as rows of uint8, a view: comparing those costs
+    less than comparing the cells."""
+    return cells.view(np.dtype([("b", np.uint8, (cells.dtype.itemsize,))]))["b"]
 
 
 def _parse_rows(
-    path: str, handle: TextIO, columns: _Columns, as_bytes: tuple[str, ...]
+    path: str, source, skiprows: int, columns: _Columns, as_bytes: dict[str, int]
 ) -> tuple[tuple[str, ...], np.ndarray, dict[str, np.ndarray]] | None:
-    """Every data row from handle in one np.loadtxt call, grouped into
+    """Every data row from source in one np.loadtxt call, grouped into
     subjects by _subjects, which raises on a row set that is no panel.
 
     Returns (subject ids, panel order, {value column: values in file
     order}), or None when the cells cannot decide: see load_csv.
     """
     try:
-        cells = _loadtxt(handle, columns, as_bytes)
+        cells = _loadtxt(source, columns, as_bytes, skiprows)
     except ValueError:
         return None
     # Copies, so that the record array is freed on return.
@@ -388,15 +435,18 @@ def _parse_rows(
     }
     if not all(_integral(values[name]).all() for name in ("t", "avail", "trt")):
         return None
+    if "id" in as_bytes and _fills(cells["id"]):
+        return None
     t_values = values.pop("t")
-    subject_ids, order = _subjects(path, list(map(str.strip, cells["id"])), t_values)
+    subject_ids, order = _subjects(path, cells["id"], t_values)
     t_index = t_values.astype(np.intp) - 1  # _subjects checked that t is 1..T
     first = order[: len(order) // len(subject_ids)]  # the first subject's rows, t = 1..T
-    for name in as_bytes:
-        floats = _prob_values(cells[name], first, t_index)
-        if floats is None:
-            return None
-        values[name] = floats
+    for name in columns.prob:
+        if name in as_bytes:
+            floats = _prob_values(cells[name], first, t_index)
+            if floats is None:
+                return None
+            values[name] = floats
     return subject_ids, order, values
 
 
@@ -407,10 +457,10 @@ def _prob_values(cells: np.ndarray, first: np.ndarray, t_index: np.ndarray) -> n
     When every cell is byte for byte the cell of row first[t] at its t,
     only those T cells are converted.
     """
-    head = cells[first]
+    rows, head = _byte_rows(cells), cells[first]
     step = 1 << 14
     if all(
-        (cells[s : s + step] == head[t_index[s : s + step]]).all()
+        (rows[s : s + step] == _byte_rows(head[t_index[s : s + step]])).all()
         for s in range(0, len(cells), step)
     ):
         floats = None if _fills(head) else _floats(head)
@@ -439,7 +489,7 @@ def _scan_csv(path: str) -> MrtDataset:
     It loads the file or raises the error a reader going through it
     meets first, naming the file line of a bad cell.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         columns = _read_header(path, reader)
         rows: list[list[str]] = []
@@ -475,7 +525,7 @@ def _scan_csv(path: str) -> MrtDataset:
     if bad.size:
         stop = int(bad[0])
         error = _cell_message(path, text["t"][stop], "t", lines[stop])
-    id_cells = list(map(str.strip, text["id"][:stop]))
+    id_cells = np.array(text["id"][:stop], dtype=object)
     subject_ids, order = _subjects(path, id_cells, t_values[:stop], error)
 
     # No error so far, so every row is in the panel: convert the value
@@ -497,21 +547,22 @@ def _scan_csv(path: str) -> MrtDataset:
 
 
 def _subjects(
-    path: str, id_cells: list[str], t_values: np.ndarray, error: str | None = None
+    path: str, cells: np.ndarray, t_values: np.ndarray, error: str | None = None
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Group rows by subject and check that they form a complete panel.
 
-    Returns the subject ids in order of first appearance and the row
+    cells holds each row's id cell as read: see _id_text.  Returns the subject ids in order of first appearance and the row
     order that sorts the rows by subject, then t.  error, a message
     about the row just past the ones given, is raised unless one of
     them repeats an earlier (id, t).
     """
-    subject_ids = _ordered_subjects(id_cells, t_values)
+    subject_ids = _ordered_subjects(cells, t_values)
     if subject_ids is not None:  # a panel already, and no (id, t) repeats
         if error is not None:
             raise DataValidationError(error)
-        return subject_ids, np.arange(len(id_cells))
+        return subject_ids, np.arange(len(cells))
 
+    id_cells = _id_text(cells)
     # id -> subject index, in order of first appearance
     ids = {sid: i for i, sid in enumerate(dict.fromkeys(id_cells))}
     subject = np.fromiter(map(ids.__getitem__, id_cells), np.int64, len(id_cells))
@@ -547,29 +598,41 @@ def _subjects(
     return subject_ids, order
 
 
-def _ordered_subjects(id_cells: list[str], t_values: np.ndarray) -> tuple[str, ...] | None:
+def _ordered_subjects(cells: np.ndarray, t_values: np.ndarray) -> tuple[str, ...] | None:
     """The subject ids when the rows are in panel order already, else None.
 
     Panel order is blocks of T rows with one id each and t = 1..T in
     each, no id heading two blocks, which is how write_csv writes a
     file.  Such rows form a complete panel with no (id, t) repeated.
     The t test runs first and costs one pass over t; a failed test
-    ends the check.
+    ends the check.  Only the block heads are stripped: a block whose
+    cells differ in padding alone is not taken for one subject here,
+    and _subjects sorts its rows.
     """
-    if not id_cells:
+    if not len(cells):
         return None
     t_points = int(t_values[-1])  # the last row is t = T
-    if t_points < 1 or len(id_cells) % t_points:
+    if t_points < 1 or len(cells) % t_points:
         return None
     if not (t_values.reshape(-1, t_points) == np.arange(1, t_points + 1)).all():
         return None
-    heads = id_cells[::t_points]
+    blocks = cells.reshape(-1, t_points)
+    heads = _id_text(blocks[:, 0])
     if len(set(heads)) < len(heads):
         return None
-    ids = np.array(id_cells, dtype=object).reshape(-1, t_points)
-    if not (ids == np.array(heads, dtype=object)[:, None]).all():
+    if blocks.dtype.kind == "S":
+        blocks = _byte_rows(blocks)
+    if not (blocks == blocks[:, :1]).all():
         return None
     return tuple(heads)
+
+
+def _id_text(cells: np.ndarray) -> list[str]:
+    """The ids in an array of id cells, stripped: the cells are str, or
+    bytes holding Latin-1 text."""
+    if cells.dtype.kind == "S":
+        return [cell.decode("latin-1").strip() for cell in cells.tolist()]
+    return [cell.strip() for cell in cells.tolist()]
 
 
 def _to_dataset(

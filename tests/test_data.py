@@ -340,6 +340,24 @@ def scans(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def reads(monkeypatch):
+    """The full reads load_csv makes during a test, not its sample reads:
+    what np.loadtxt is given ("path" or "handle"), the lines it skips and
+    the columns it reads as bytes."""
+    calls = []
+    loadtxt = mrtcat.data._loadtxt
+
+    def spy(source, columns, as_bytes, skiprows=0):
+        if not isinstance(source, list):
+            kind = "path" if isinstance(source, str) else "handle"
+            calls.append((kind, skiprows, sorted(as_bytes)))
+        return loadtxt(source, columns, as_bytes, skiprows)
+
+    monkeypatch.setattr(mrtcat.data, "_loadtxt", spy)
+    return calls
+
+
 TOY_HEADER = "id,t,avail,trt,prob_0,prob_1,prob_2,outcome"
 
 
@@ -387,17 +405,23 @@ class TestFastPath:
             ('"a""1"', 'a"1'),
             ('"a\n1"', "a\n1"),
             ('"a\r\n1"', "a\r\n1"),
+            ('"a\r1"', "a\r1"),
             (" a ", "a"),
             ('" a "', "a"),
         ],
     )
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
-    def test_quoted_and_padded_ids(self, tmp_path, scans, cell, sid, eol):
+    def test_quoted_and_padded_ids(self, tmp_path, scans, reads, cell, sid, eol):
         rows = [[cell if r[0] == "a" else r[0]] + list(r[1:]) for r in TOY_ROWS]
         path = tmp_path / "ids.csv"
         path.write_bytes(toy_text(rows, eol=eol).encode())
         assert agree(path)[0] == (sid, "b")
         assert scans == []
+        # numpy opens a path with universal newlines, which would read a
+        # quoted "a\r\n1" as "a\n1": a file with a quote and a CR is
+        # handed to it open
+        route = "handle" if '"' in cell and "\r" in cell + eol else "path"
+        assert {kind for kind, *_ in reads} == {route}
 
     def test_digit_separator_loads_through_the_scanner(self, tmp_path, scans):
         rows = [list(r) for r in TOY_ROWS]
@@ -651,7 +675,119 @@ class TestFastPath:
         )
 
 
-ID_CHARS = "ab ,\"\n\r\t"
+ALL_BYTES = ["id", "prob_0", "prob_1", "prob_2"]
+BOM = b"\xef\xbb\xbf"
+
+
+def with_id(sid: str, rows=TOY_ROWS, subject: str = "a") -> list[list]:
+    """rows with the id cell of subject replaced by sid."""
+    return [[sid if r[0] == subject else r[0]] + list(r[1:]) for r in rows]
+
+
+class TestReadRoutes:
+    """np.loadtxt is given the path of a regular file and reads its ids
+    as bytes; other files take the open handle or the plain read, with
+    the same result."""
+
+    def test_plain_file_takes_the_path(self, tmp_path, reads):
+        path = tmp_path / "toy.csv"
+        path.write_text(toy_text())
+        assert agree(path)[0] == ("a", "b")
+        assert reads == [("path", 1, ALL_BYTES)]
+
+    def test_header_over_two_lines(self, tmp_path, reads):
+        rows = [list(r) + [float(i)] for i, r in enumerate(TOY_ROWS)]
+        path = tmp_path / "header.csv"
+        path.write_text(toy_text(rows, header=TOY_HEADER + ',"mo\nod"'))
+        ids, names, _ = agree(path)
+        assert (ids, names) == (("a", "b"), ("mo\nod",))
+        assert reads == [("path", 2, ALL_BYTES)]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_is_read_as_it_is(self, tmp_path, reads, suffix):
+        # numpy's opener would decompress a path with this suffix
+        plain = tmp_path / "panel.csv"
+        plain.write_text(toy_text())
+        named = tmp_path / f"panel.csv{suffix}"
+        named.write_bytes(plain.read_bytes())
+        assert agree(named) == load_result(load_csv, plain)
+        assert reads[0] == ("handle", 0, ALL_BYTES)
+
+    def test_relative_path_shaped_like_a_url_is_a_file(self, tmp_path, monkeypatch, reads):
+        # numpy's opener downloads a path it takes for a URL
+        def urlopen(*args, **kwargs):
+            raise AssertionError("load_csv tried to fetch a URL")
+
+        monkeypatch.setattr("urllib.request.urlopen", urlopen)
+        monkeypatch.chdir(tmp_path)
+        local = tmp_path / "http:" / "host" / "panel.csv"
+        local.parent.mkdir(parents=True)
+        local.write_text(toy_text())
+        assert agree("http://host/panel.csv")[0] == ("a", "b")
+        assert reads == [("path", 1, ALL_BYTES)]
+
+    @pytest.mark.parametrize("sid", ["é", "a\xa0é ", "0b3c9f1e-6a5d-4c2b-9e8f-7a6b5c4d3e2f"])
+    def test_latin1_ids_are_read_as_bytes(self, tmp_path, reads, sid):
+        path = tmp_path / "latin1.csv"
+        path.write_text(toy_text(with_id(sid)), encoding="utf-8")
+        assert agree(path)[0] == (sid.strip(), "b")
+        assert reads == [("path", 1, ALL_BYTES)]
+
+    @pytest.mark.parametrize("sample_rows", [mrtcat.data._SAMPLE_ROWS, 3])
+    def test_id_outside_latin1(self, tmp_path, reads, sample_rows):
+        # In the first rows, the id is not read as bytes; past them, the
+        # bytes read fails and the plain read decides.
+        path = tmp_path / "wide.csv"
+        path.write_text(toy_text(with_id("Ā", subject="b")), encoding="utf-8")
+        with mock.patch.object(mrtcat.data, "_SAMPLE_ROWS", sample_rows):
+            assert agree(path)[0] == ("a", "Ā")
+        if sample_rows > len(TOY_ROWS):
+            assert reads == [("path", 1, ALL_BYTES[1:])]
+        else:
+            assert reads == [("path", 1, ALL_BYTES), ("path", 1, [])]
+
+    @pytest.mark.parametrize("extra,fallback", [(0, False), (1, True)])
+    def test_id_that_fills_the_field_past_the_sample(self, tmp_path, reads, extra, fallback):
+        # The first 3 rows hold only the id "a", so the field is 2 + 8 wide.
+        sid = "b" * (2 * 1 + 8 - 1 + extra)
+        path = tmp_path / "long.csv"
+        path.write_text(toy_text(with_id(sid, subject="b")))
+        with mock.patch.object(mrtcat.data, "_SAMPLE_ROWS", 3):
+            assert agree(path)[0] == ("a", sid)
+        assert reads[0] == ("path", 1, ALL_BYTES)
+        assert reads[1:] == ([("path", 1, [])] if fallback else [])
+
+    def test_ids_that_differ_in_padding_alone_are_one_subject(self, tmp_path, reads):
+        path = tmp_path / "padded.csv"
+        path.write_text(toy_text(with_id(" a ", subject="b")))
+        assert agree(path) == f"{path}: duplicate (id, t) = ('a', 1)"
+        assert reads == [("path", 1, ALL_BYTES)]
+
+    @pytest.mark.parametrize(
+        "cell,eol", [("a", "\n"), ('"a"', "\r\n")], ids=["path", "handle"]
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, reads, cell, eol):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        text = toy_text(with_id(cell), eol=eol).encode()
+        plain.write_bytes(text)
+        marked.write_bytes(BOM + text)
+        assert agree(marked) == agree(plain)
+        assert reads[0][0] == reads[-1][0] == ("path" if eol == "\n" else "handle")
+
+    def test_byte_order_mark_elsewhere_is_text(self, tmp_path):
+        rows = [list(r) for r in TOY_ROWS]
+        rows[1][7] = "\ufeff-0.2"
+        path = tmp_path / "cell.csv"
+        for head in (b"", BOM):
+            path.write_bytes(head + toy_text(rows).encode())
+            assert agree(path) == (
+                f"{path}: line 3: non-numeric value '\\ufeff-0.2' in column 'outcome'"
+            )
+        path.write_bytes(BOM + BOM + toy_text().encode())
+        assert agree(path) == f"{path}: missing required column 'id'"
+
+
+ID_CHARS = "ab ,\"\n\r\téĀ"
 ODD_CELLS = (
     "", "  ", "oops", "1_0", "+Infinity", "nan", "-inf", "1e300", "2.5", " 0.5 ",
     "-0", "1e0", "\u0661", "\xa01", '"1"', "0x1", "\x1c1", "0\x1d", " \x1e0.5", "1e0\x1f",
@@ -687,12 +823,17 @@ def prob_cells(draw, vector: tuple[str, ...]) -> list[str]:
 
 @st.composite
 def csv_texts(draw):
-    """A small panel file, with awkward ids, probabilities spelled alike or
+    """A small panel file, with awkward ids (some outside Latin-1, some
+    long), probabilities spelled alike or
     not (and varying across subjects or not) at each t, rows in panel
     order or shuffled, and a few of the irregularities that make a file
     load differently or fail."""
     n, t_points = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    sid = st.text(ID_CHARS, min_size=1, max_size=3)
+    short = st.text(ID_CHARS, min_size=1, max_size=3)
+    # longer than load_csv's bytes field for the short ids, or than any
+    # id it reads as bytes
+    long = st.text(ID_CHARS, min_size=15, max_size=70)
+    sid = st.one_of(short, short, short, long)
     ids = draw(st.lists(sid, min_size=n, max_size=n, unique_by=str.strip))
     style = st.sampled_from(["plain", "plain", "plain", "quoted", "padded", "raw"])
     styles = draw(st.lists(style, min_size=n, max_size=n))
