@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import os
+import stat
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -300,7 +301,15 @@ def load_csv(path: str) -> MrtDataset:
     dataset or the same message: the scanner also loads what float()
     accepts and numpy does not, such as digit separators (1_0).  A UTF-8
     byte order mark at the start of the file is skipped.
+
+    The path must name a regular file, since the loader reads it more
+    than once: a pipe, a FIFO or a directory raises DataValidationError
+    before anything is opened, so a FIFO with no writer cannot block.
     """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise DataValidationError(
+            f"{path}: not a regular file; the input must be written to a file first"
+        )
     with open(path, newline="", encoding="utf-8-sig") as handle:
         # readline, not iteration, so that tell() can mark where the rows start
         lines = iter(handle.readline, "")

@@ -106,9 +106,8 @@ def solve_spd_stack(a: np.ndarray, rhs: np.ndarray) -> SpdStack:
     """
     count, dim = a.shape[0], a.shape[-1]
     finite, rhs, errors = _set_aside_nonfinite(rhs, np.isfinite(a).all(axis=(1, 2)))
-    eye = np.eye(dim)
     if not finite.all():
-        a = np.where(finite[:, None, None], a, eye)
+        a = np.where(finite[:, None, None], a, np.eye(dim))
     try:
         factor = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -120,15 +119,14 @@ def solve_spd_stack(a: np.ndarray, rhs: np.ndarray) -> SpdStack:
                 errors[i] = SingularSystemError(
                     f"matrix of size {dim} is not positive definite: {exc}"
                 )
-                factor[i] = eye
+                factor[i] = np.eye(dim)
     # a = L L' so a^{-1} = L^{-T} L^{-1}; overflow in the inverse shows
     # up as an infinite condition number.
     with np.errstate(over="ignore", invalid="ignore"):
         factor_inv = np.linalg.inv(factor)
         factor_inv_t = factor_inv.transpose(0, 2, 1)
         a_inv = factor_inv_t @ factor_inv
-        slices = (-2, -1)
-        condition = np.linalg.norm(a, 1, slices) * np.linalg.norm(a_inv, 1, slices)
+        condition = _norm_1(a) * _norm_1(a_inv)
     for i in np.flatnonzero(~(condition <= CONDITION_LIMIT)):
         if errors[i] is None:
             errors[i] = SingularSystemError(
@@ -148,6 +146,12 @@ def apply_spd_inverse(stack: SpdStack, rhs: np.ndarray) -> tuple[np.ndarray, lis
     """
     _, rhs, errors = _set_aside_nonfinite(rhs)
     return _apply(stack.factor_inv, rhs), errors
+
+
+def _norm_1(a: np.ndarray) -> np.ndarray:
+    """The 1-norm (largest absolute column sum) of each slice of a stack:
+    bitwise np.linalg.norm(a, 1, (-2, -1)), without its argument handling."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
 
 
 def _set_aside_nonfinite(rhs: np.ndarray, finite=True) -> tuple[np.ndarray, np.ndarray, list]:

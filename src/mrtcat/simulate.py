@@ -36,7 +36,7 @@ from math import sqrt
 
 import numpy as np
 
-from .data import MrtDataset, NumeratorPolicy
+from .data import MrtDataset, NumeratorPolicy, numerator_tables
 from .design import (
     DesignInputs,
     _config_gamma,
@@ -448,14 +448,17 @@ _CHUNK_POINTS = 20_000
 
 class _MonteCarlo:
     """One run_monte_carlo call: its replicate-invariant pieces and its
-    result table, built once, and the stacked simulate-and-fit pass over
-    one chunk of replicates.
+    result table, built once, the stacked simulate-and-fit pass over one
+    chunk of replicates, and the Wald tests and intervals of the whole
+    table once every chunk is done.
 
     Each replicate ends with the values, or the first error, of
     simulate_trial -> fit_wcls -> wald_test -> confidence_intervals on
     its own seed: fit_stack is fit_wcls's own routine, and the checks
     that every replicate shares are made once here, in those calls'
-    order.  Row r of the table (beta, se, lower, upper, reject, clipped,
+    order.  So is the numerator table when it cannot depend on the draws
+    (match_randomization on the shared probabilities, or user_supplied).
+    Row r of the table (beta, cov, se, lower, upper, reject, clipped,
     errors) is replicate r; errors[r] is the exception its public calls
     raise, or None, and the rest of a failed row is meaningless.  Chunks
     write disjoint rows, so pool threads share the table with no lock.
@@ -482,9 +485,18 @@ class _MonteCarlo:
         self.rank = contrast.rank_l
         self.workspaces = threading.local()
         self.beta, self.se, self.lower, self.upper = np.zeros((4, replicates, self.kp))
+        self.cov = np.zeros((replicates, self.kp, self.kp))
         self.reject = np.zeros(replicates, dtype=bool)
         self.clipped = np.zeros(replicates, dtype=np.int64)
         self.errors: list = [None] * replicates
+        self.tables = None
+        if spec.numerator.kind in ("match_randomization", "user_supplied"):
+            # one panel without subjects: these kinds read only the probabilities
+            empty = np.zeros((1, 0, config.t_points), dtype=np.int64)
+            table, (error,) = numerator_tables(
+                empty, empty, self.probs, spec.numerator, config.k_arms
+            )
+            self.tables = (table, error)
         self.n_error = DataValidationError("n must be >= 1") if n < 1 else None
         self.wald_error = self.interval_error = None
         try:
@@ -522,23 +534,31 @@ class _MonteCarlo:
         if z is not None:
             features["Z"] = z
         fit = fit_stack(
-            avail, trt, self.probs, outcome, features, self.config.k_arms, self.spec, workspace
+            avail, trt, self.probs, outcome, features, self.config.k_arms, self.spec,
+            workspace, self.tables,
         )
         keep_first_errors(errors, fit.errors)
-        beta, cov = fit.theta[:, self.spec.q :], fit.cov_beta
-        self.beta[lo:hi] = beta
-        keep_first_errors(errors, self.wald_error)
-        if self.wald_error is None:
-            statistic, wald_errors = wald_stack(beta, cov, self.reduced)
-            keep_first_errors(errors, wald_errors)
-            scaled = scale_statistic(statistic, self.n, self.spec.q, self.rank)
-            self.reject[lo:hi] = scaled > self.critical
-        keep_first_errors(errors, self.interval_error)
+        self.beta[lo:hi] = fit.theta[:, self.spec.q :]
+        self.cov[lo:hi] = fit.cov_beta
+        self.errors[lo:hi] = errors
+
+    def finish(self) -> None:
+        """Test and bound every replicate that has fitted, as one stack."""
+        keep_first_errors(self.errors, self.wald_error)
+        fitted = np.flatnonzero([exc is None for exc in self.errors])
+        if not fitted.size:  # a shared check failed, or every fit did
+            return
+        beta, cov = self.beta[fitted], self.cov[fitted]
+        statistic, wald_errors = wald_stack(beta, cov, self.reduced)
+        for r, exc in zip(fitted, wald_errors):
+            self.errors[r] = exc
+        scaled = scale_statistic(statistic, self.n, self.spec.q, self.rank)
+        self.reject[fitted] = scaled > self.critical
+        keep_first_errors(self.errors, self.interval_error)
         if self.interval_error is None:
-            _, self.se[lo:hi], self.lower[lo:hi], self.upper[lo:hi] = interval_stack(
+            _, self.se[fitted], self.lower[fitted], self.upper[fitted] = interval_stack(
                 beta, cov, self.eye, self.quant
             )
-        self.errors[lo:hi] = errors
 
 
 def run_monte_carlo(
@@ -590,6 +610,7 @@ def run_monte_carlo(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(engine.run_chunk, bounds))
+    engine.finish()
 
     ok = np.array([exc is None for exc in engine.errors])
     errors = [exc for exc in engine.errors if exc is not None]

@@ -282,20 +282,24 @@ def fit_stack(
     k_arms: int,
     spec: ModelSpec,
     workspace: dict | None = None,
+    tables: tuple | None = None,
 ) -> FitStack:
     """fit_wcls on R panels at once, with fit_wcls's error for each panel.
 
     avail, trt and outcome are (R, n, T); probs broadcasts to (R, n, T,
     K+1) and each feature to (R, n, T), so arrays every panel shares
-    are passed once.  Every panel must satisfy the MrtDataset
-    invariants.  The checks run in fit_wcls's order (window, numerator
-    table, design columns, arms observed, subject count, solves) and
-    each panel keeps the first error it meets.  A failed panel is still
-    fitted, but its values stay in its own slices: the solves and the
-    sandwich set aside a slice that is not finite or not positive
-    definite.  The design arrays and resid are scratch arrays of the
-    workspace (see scratch), so a caller that passes one must not keep
-    resid past its next call.
+    are passed once.  tables, when given, is the (table, error) pair of
+    a numerator table that cannot depend on the panels: one (1, T, K+1)
+    table from numerator_tables and the error it gives every panel, or
+    None; without it the tables are computed here.  Every panel must
+    satisfy the MrtDataset invariants.  The checks run in fit_wcls's
+    order (window, numerator table, design columns, arms observed,
+    subject count, solves) and each panel keeps the first error it
+    meets.  A failed panel is still fitted, but its values stay in its
+    own slices: the solves and the sandwich set aside a slice that is
+    not finite or not positive definite.  The design arrays and resid
+    are scratch arrays of the workspace (see scratch), so a caller that
+    passes one must not keep resid past its next call.
 
     The normal matrix of each panel is the sum of its subjects' blocks
     D_i' W_i D_i, which the hat-matrix correction needs too.  They are
@@ -305,7 +309,10 @@ def fit_stack(
     """
     count, n, big_t = avail.shape
     dim = spec.q + k_arms * spec.p
-    tables, table_errors = numerator_tables(avail, trt, probs, spec.numerator, k_arms)
+    if tables is None:
+        tables, table_errors = numerator_tables(avail, trt, probs, spec.numerator, k_arms)
+    else:
+        tables, table_errors = tables
     errors: list = [None] * count
     try:
         usable_points(big_t, spec.delta)  # its error precedes the tables
@@ -365,6 +372,30 @@ def _gershgorin_certified(hat: np.ndarray) -> np.ndarray:
     return (1.0 - diag - radius).min(axis=-1) > 2.0 * LEVERAGE_TOL
 
 
+def _solve_dominant(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b over the leading axes of a (..., d, d) stack a that is
+    strictly diagonally dominant by rows and a (..., d) stack b, by
+    Gaussian elimination without pivoting.
+
+    On such a matrix the elimination needs no pivoting: every pivot is
+    nonzero and the growth factor is at most 2, so it is backward stable
+    like a pivoted LU.  np.linalg.solve makes one LAPACK call per slice;
+    here each step is one numpy call over the whole stack, which is
+    moved to the last axis so that the step runs over contiguous rows.
+    """
+    shape, dim = b.shape, b.shape[-1]
+    a = np.moveaxis(a.reshape(-1, dim, dim), 0, -1).copy()
+    x = b.reshape(-1, dim).T.copy()
+    for k in range(dim - 1):
+        factor = a[k + 1 :, k] / a[k, k]
+        a[k + 1 :, k + 1 :] -= factor[:, None] * a[k, k + 1 :]
+        x[k + 1 :] -= factor * x[k]
+    for k in reversed(range(dim)):
+        x[k] -= (a[k, k + 1 :] * x[k + 1 :]).sum(axis=0)
+        x[k] /= a[k, k]
+    return x.T.reshape(shape)
+
+
 def _subset(mask: np.ndarray):
     """mask as an index, or Ellipsis when it selects everything, so that
     a whole stack is used in place instead of gathered and scattered."""
@@ -404,10 +435,12 @@ def _sandwich_core(
 
     When Gershgorin's theorem proves every eigenvalue of I - S_i above
     2 * LEVERAGE_TOL, no leverage of the subject can reach the
-    tolerance, and (I - S_i)^{-1} L^{-1} g_i is one batched solve over
-    all such subjects.  The margin of two covers the rounding of the
-    bound and of eigh, so the subjects the screen cannot clear, which
-    include every one with a non-finite entry, take the
+    tolerance, and (I - S_i)^{-1} L^{-1} g_i is solved for all such
+    subjects at once by _solve_dominant: the screen's bound is the
+    strict diagonal dominance by rows of I - S_i, on which elimination
+    without pivoting is stable.  The margin of two covers the rounding
+    of the bound and of eigh, so the subjects the screen cannot clear,
+    which include every one with a non-finite entry, take the
     eigendecomposition above and every fallback decision is the one
     eigh makes.  A path that takes every subject works on the stack in
     place, so a stack with no certified subject costs the screen and
@@ -441,10 +474,9 @@ def _sandwich_core(
         corrected = np.empty_like(scores)
         if certified.any():
             pick = _subset(certified)
-            coords = np.einsum("rab,rib->ria", lower_inv, scores)[..., None]
-            gap = np.eye(gram.shape[1]) - hat[pick]
-            coords[pick] = np.linalg.solve(gap, coords[pick])
-            np.einsum("rab,rib->ria", lower, coords[..., 0], out=corrected)
+            coords = np.einsum("rab,rib->ria", lower_inv, scores)
+            coords[pick] = _solve_dominant(np.eye(gram.shape[1]) - hat[pick], coords[pick])
+            np.einsum("rab,rib->ria", lower, coords, out=corrected)
         if not certified.all():
             pick = _subset(~certified)
             lower, lower_inv = (

@@ -1,4 +1,5 @@
 import csv
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -135,6 +136,33 @@ class TestLoadCsv:
         path.write_text("")
         with pytest.raises(DataValidationError, match="empty"):
             load_csv(str(path))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_fifo_is_rejected_before_it_is_opened(self, tmp_path):
+        # open() would block on a FIFO that no process writes to
+        path = tmp_path / "panel.csv"
+        os.mkfifo(path)
+        with mock.patch("builtins.open", side_effect=AssertionError("opened")):
+            message = load_error(path)
+        assert message == f"{path}: not a regular file; the input must be written to a file first"
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd on this platform")
+    def test_pipe_is_rejected(self):
+        # what a shell passes for --data /dev/stdin or <(...) on a pipe
+        read_end, write_end = os.pipe()
+        try:
+            with os.fdopen(write_end, "w") as writer:
+                writer.write(toy_text())
+            assert load_error(f"/dev/fd/{read_end}").endswith(
+                ": not a regular file; the input must be written to a file first"
+            )
+        finally:
+            os.close(read_end)
+
+    def test_directory_is_rejected(self, tmp_path):
+        assert load_error(tmp_path) == (
+            f"{tmp_path}: not a regular file; the input must be written to a file first"
+        )
 
     def test_round_trip_is_bitwise(self, tmp_path):
         rng = np.random.default_rng(5)

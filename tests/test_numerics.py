@@ -140,6 +140,31 @@ class TestSolveSpdStack:
         np.testing.assert_allclose(a @ result.solution, rhs, atol=1e-12)
         np.testing.assert_allclose(result.inverse, np.linalg.inv(a), rtol=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    def test_condition_is_the_norm_formula(self, seed, dim):
+        # bitwise ||a||_1 ||a^{-1}||_1 by np.linalg.norm, on a stack with a
+        # NaN, an infinite, an indefinite, a singular and a nearly singular
+        # slice among SPD ones of widely spread scale; a non-finite slice is
+        # factored as the identity.  Cholesky reads only the lower triangle,
+        # so a slice with a different upper one tells column sums from rows.
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(9, dim, dim)) * 10.0 ** rng.uniform(-8, 8, (9, 1, 1))
+        a = m @ m.transpose(0, 2, 1)
+        a[0, 0, -1] = np.nan
+        a[1, -1, 0] = np.inf
+        a[2] = -a[2]
+        a[3] = np.outer(m[3, 0], m[3, 0])
+        a[4, -1, -1] *= 1e-14
+        a[5] += np.triu(rng.normal(size=(dim, dim)), 1) * np.abs(a[5]).max()
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = solve_spd_stack(a, rng.normal(size=(9, dim)))
+        finite = np.isfinite(a).all(axis=(1, 2))
+        used = np.where(finite[:, None, None], a, np.eye(dim))
+        slices = (-2, -1)
+        expected = np.linalg.norm(used, 1, slices) * np.linalg.norm(stack.inverse, 1, slices)
+        assert stack.condition.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("vector", [True, False])
     def test_apply_inverse_is_a_second_solve(self, vector):
         # bitwise solve_spd_stack on the same matrices, error for error,

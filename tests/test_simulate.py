@@ -752,6 +752,49 @@ class TestChunkedEngine:
             "DegenerateArmError×14; first error: missing or non-finite outcome value"
         )
 
+    def test_user_supplied_table_built_once_per_run(self):
+        # the engine builds this table once, and its error, if any, is
+        # every replicate's error as fit_wcls raises it
+        config, contrast = null_config(), np.array([[1.0, -1.0]])
+        table = np.tile([0.4, 0.35, 0.25], (8, 1))
+        spec = ModelSpec(g_columns=("time",), numerator=NumeratorPolicy("user_supplied", table=table))
+        summary = run_monte_carlo(config, 30, 12, spec, contrast, seed=2, collect_replicates=True)
+        assert summary.failures == 0
+        for rec in summary.records:
+            beta, se, reject = per_replicate_values(config, 30, spec, contrast, 2, rec["replicate"])
+            np.testing.assert_allclose(rec["beta"], beta, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(rec["se"], se, rtol=1e-12, atol=0)
+            assert rec["reject"] == reject
+        bad = ModelSpec(numerator=NumeratorPolicy("user_supplied", table=table[:7]))
+        with pytest.raises(DataValidationError) as alone:
+            fit_wcls(simulate_trial(config, 30, derive_replicate_seed(2, 0)), bad)
+        with pytest.raises(NumericalError) as err:
+            run_monte_carlo(config, 30, 12, bad, contrast, seed=2)
+        assert str(err.value) == (
+            f"12/12 replicates failed (budget 1%): DataValidationError×12; first error: {alone.value}"
+        )
+
+    def test_fit_error_precedes_the_shared_wald_check(self):
+        # n = 4 = q + l + 1 fails wald_test's check on every replicate that
+        # fits; with seed 4, replicate 0 and four others never observe an
+        # arm and fail in fit_wcls first, and keep that error
+        config = null_config(t_points=3, rand_probs=(0.2, 0.2))
+        errors = []
+        for r in range(20):
+            data = simulate_trial(config, 4, derive_replicate_seed(4, r))
+            try:
+                wald_test(fit_wcls(data, MARGINAL_SPEC), build_contrast(np.eye(2), 1))
+            except (DataValidationError, NumericalError) as exc:
+                errors.append(exc)
+        assert isinstance(errors[0], DegenerateArmError)
+        assert [type(exc).__name__ for exc in errors].count("DegenerateArmError") == 5
+        with pytest.raises(NumericalError) as err:
+            run_monte_carlo(config, 4, 20, MARGINAL_SPEC, np.eye(2), seed=4)
+        assert str(err.value) == (
+            "20/20 replicates failed (budget 1%): DataValidationError×15, "
+            f"DegenerateArmError×5; first error: {errors[0]}"
+        )
+
     def test_budget_abort_counts_failures_by_class(self):
         with pytest.raises(NumericalError) as err:
             run_monte_carlo(
@@ -923,7 +966,7 @@ class TestWorkspace:
 
         def spy(*args):
             fit = fit_stack(*args)
-            workspace = args[-1]  # the engine passes its workspace last
+            workspace = args[7]  # the engine passes its workspace after the spec
             refs.extend(weakref.ref(array) for array in workspace.values())
             return fit
 

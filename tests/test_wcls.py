@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,12 +19,14 @@ from mrtcat.wcls import (
     LEVERAGE_TOL,
     _gershgorin_certified,
     _sandwich_core,
+    _solve_dominant,
     fit_stack,
 )
 
 from _factories import make_dataset
 from _oracles import (
     design_arrays,
+    design_matrices_loops,
     estimating_equation_norm,
     max_leverage_loops,
     numerator_table_loops,
@@ -396,21 +399,99 @@ class TestScreenPaths:
             np.testing.assert_allclose(cov, expected, rtol=1e-12, atol=0.0)
 
 
-def near_unit_leverage_panel(scale):
+class TestSolveDominant:
+    """_solve_dominant, the certified subjects' solve, against a pivoted
+    LU on stacks the Gershgorin screen certifies."""
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    @pytest.mark.parametrize("margin", [0.5, 1e-2, 1e-4, 1e-6, 2.2 * LEVERAGE_TOL])
+    def test_matches_pivoted_solve(self, dim, margin):
+        # I - S with symmetric off-diagonals and every row's Gershgorin
+        # margin at least margin, the first row's exactly; 1 - s_jj <= 1.
+        # The first row and column are scaled by margin as well, so that
+        # the smallest eigenvalue is of order margin and cond ~ 1 / margin.
+        rng = np.random.default_rng(dim)
+        off = rng.normal(size=(4, 5, dim, dim))
+        off = np.triu(off, 1) + np.triu(off, 1).swapaxes(-1, -2)
+        off[..., 0, :] *= margin
+        off[..., :, 0] *= margin
+        radius = np.abs(off).sum(axis=-1)
+        off *= (1.0 - margin) * rng.uniform(0.0, 1.0, (4, 5, 1, 1)) / np.maximum(
+            radius.max(axis=-1), 1e-300
+        )[..., None, None]
+        radius = np.abs(off).sum(axis=-1)
+        spare = (1.0 - margin - radius) * rng.uniform(0.0, 1.0, radius.shape)
+        spare[..., 0] = 0.0
+        gap = -off + (radius + margin + spare)[..., None] * np.eye(dim)
+        assert _gershgorin_certified(np.eye(dim) - gap).all()
+        rhs = rng.normal(size=(4, 5, dim))
+        got = _solve_dominant(gap.copy(), rhs.copy())
+        want = np.linalg.solve(gap, rhs[..., None])[..., 0]
+        cond = np.linalg.cond(gap, np.inf)
+        error = np.abs(got - want).max(axis=-1) / np.abs(want).max(axis=-1)
+        assert (error <= 4 * dim * np.finfo(float).eps * cond).all()
+
+
+def near_unit_leverage_panel(scale, decoupled=False):
     """A 12 x 6 panel whose subject 0 nearly fixes the s0 coefficient
     alone: the other subjects' s0 is scale times noise, so that subject's
     largest leverage is 1 - O(scale^2).  Its s0 is W-orthogonal to its
     intercept and arm columns, which keeps that direction out of the
-    beta scores and the covariance well conditioned."""
+    beta scores and the covariance well conditioned.
+
+    Without decoupled, the s0 row of subject 0's S_0 holds entries of
+    order scale against a margin of order scale^2, so the Gershgorin
+    screen certifies that subject at 1 - h = 2.0e-2 (scale 0.02) but not
+    at 5.0e-3 (scale 0.01).  With it, every subject's s0 is
+    W-orthogonal to its own intercept and arm columns: the s0 direction
+    is then apart from the others in B and in every S_i, and the screen
+    certifies subject 0 down to 1 - h of about 2.1e-8."""
     rng = np.random.default_rng(2)
     n, t_points = 12, 6
     trt = rng.integers(0, 3, size=(n, t_points))
     outcome = rng.normal(size=(n, t_points))
     s0 = scale * rng.normal(size=(n, t_points))
     # unit weights and ptilde = (0.4, 0.3, 0.3) under match_randomization
-    columns = np.vstack([np.ones(t_points), (trt[0] == 1) - 0.3, (trt[0] == 2) - 0.3])
-    s0[0] = np.linalg.svd(columns)[2][-1]
+    complements = [
+        np.linalg.svd(np.vstack([np.ones(t_points), (arms == 1) - 0.3, (arms == 2) - 0.3]))[2][3:]
+        for arms in trt
+    ]
+    if decoupled:
+        for i in range(1, n):
+            s0[i] = complements[i].T @ (complements[i] @ s0[i])
+    s0[0] = complements[0][-1]
     return make_dataset(trt=trt, outcome=outcome, probs=(0.4, 0.3, 0.3), features={"s0": s0})
+
+
+def extended_md_covariance(data, digits=50):
+    """The Mancl-DeRouen sandwich of ModelSpec(g_columns=("s0",)) on
+    data, in digits-digit arithmetic from the float64 panel: the fit,
+    the residuals, each subject's (I - H_i)^{-1} e_i by an LU solve of
+    the T x T system, and M^{-1} Sigma M^{-1}."""
+    table = numerator_table_loops(data, "match_randomization")
+    x, y, _, q = design_matrices_loops(data, table, (), ("s0",), 1)
+    w = weight_loops(data, table, 1)
+    n, t_used, dim = x.shape
+    with mpmath.workdps(digits):
+        xs = [mpmath.matrix(x[i].tolist()) for i in range(n)]
+        ws = [mpmath.diag(w[i].tolist()) for i in range(n)]
+        ys = [mpmath.matrix(y[i].tolist()) for i in range(n)]
+        normal, rhs = mpmath.zeros(dim, dim), mpmath.zeros(dim, 1)
+        for x_i, w_i, y_i in zip(xs, ws, ys):
+            normal += x_i.T * w_i * x_i
+            rhs += x_i.T * w_i * y_i
+        theta = mpmath.lu_solve(normal, rhs)
+        normal_inv = mpmath.inverse(normal)
+        sigma, m_sum = mpmath.zeros(dim - q, dim - q), mpmath.zeros(dim - q, dim - q)
+        for x_i, w_i, y_i in zip(xs, ws, ys):
+            gap = mpmath.eye(t_used) - x_i * normal_inv * x_i.T * w_i
+            adjusted = mpmath.lu_solve(gap, y_i - x_i * theta)
+            d_beta = x_i[:, q:]
+            score = d_beta.T * w_i * adjusted
+            sigma += score * score.T
+            m_sum += d_beta.T * w_i * d_beta
+        m_inv = mpmath.inverse(m_sum)
+        return np.array((m_inv * sigma * m_inv).tolist(), dtype=float)
 
 
 class TestHatMatrixCorrection:
@@ -482,6 +563,26 @@ class TestHatMatrixCorrection:
         )
         # The pseudo-inverse oracle eigen-solves the 6 x 6 I - P_0, whose
         # smallest eigenvalue 1 - h it resolves to about eps / (1 - h).
+        np.testing.assert_allclose(
+            fit.cov_beta, expected, rtol=0.0,
+            atol=np.finfo(float).eps / gap * np.abs(expected).max(),
+        )
+
+    @pytest.mark.parametrize("scale", [1.8e-3, 1e-4, 2.6e-5])
+    def test_certified_subject_near_unit_leverage_in_extended_precision(self, scale):
+        # 1 - h is about 1e-4, 3.2e-7 and 2.1e-8; at scale 2.5e-5 (1 - h =
+        # 2.0e-8) the screen no longer certifies subject 0.  The amplified
+        # s0 direction leaves the beta scores in exact arithmetic, so what
+        # remains of it is rounding of relative size eps / (1 - h) at most.
+        data = near_unit_leverage_panel(scale, decoupled=True)
+        table = numerator_table_loops(data, "match_randomization")
+        oracle = wcls_fit_loops(data, table, (), ("s0",), delta=1)
+        gap = 1.0 - max_leverage_loops(oracle)
+        assert 2.0 * LEVERAGE_TOL < gap < 2e-4
+        assert screen_flags(oracle).all()
+        fit = fit_wcls(data, ModelSpec(g_columns=("s0",)))
+        assert fit.md_fallbacks == 0
+        expected = extended_md_covariance(data)
         np.testing.assert_allclose(
             fit.cov_beta, expected, rtol=0.0,
             atol=np.finfo(float).eps / gap * np.abs(expected).max(),
