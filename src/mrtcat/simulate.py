@@ -58,7 +58,7 @@ from .inference import (
     wald_stack,
 )
 from .numerics import f_quantile
-from .wcls import ModelSpec, fit_stack, keep_first_errors, scratch
+from .wcls import ModelSpec, covariance_stack, fit_stack, keep_first_errors, scratch
 from ._kvconfig import get_float, get_int, get_floats, parse_rows
 
 __all__ = [
@@ -323,7 +323,8 @@ def _generate(config: GenerativeConfig, eps, z, u, workspace: dict | None = None
     depends on the previous treatment and so loops over t.  clipped
     counts, per replicate, the gm_ea availability probabilities clipped
     into [0, 1].  avail, trt and outcome are scratch arrays of the
-    workspace.
+    workspace; avail and trt are uint8, which every comparison writes
+    through a bool view of the same bytes, so no step casts a flag.
     """
     count, n, _ = eps.shape
     t_points = config.t_points
@@ -332,14 +333,16 @@ def _generate(config: GenerativeConfig, eps, z, u, workspace: dict | None = None
     u_arm = u[:, :, 1, :].transpose(0, 2, 1)
     # min(searchsorted(cum_t, u, side="right"), K): how many of the first
     # K cumulative probabilities lie at or below u
-    arm = scratch(workspace, "arm", shape, np.int64)
-    np.greater_equal(u_arm, config.cum[:, 0], out=arm)
+    arm = scratch(workspace, "arm", shape, np.uint8)
+    np.greater_equal(u_arm, config.cum[:, 0], out=arm.view(bool))
+    flag = scratch(workspace, "flag", shape, np.uint8)
     for k in range(1, config.k_arms):
-        arm += u_arm >= config.cum[:, k]
+        np.greater_equal(u_arm, config.cum[:, k], out=flag.view(bool))
+        arm += flag
 
     clipped = np.zeros(count, dtype=np.int64)
-    avail = scratch(workspace, "avail", shape, np.int64)
-    trt = scratch(workspace, "trt", shape, np.int64)
+    avail = scratch(workspace, "avail", shape, np.uint8)
+    trt = scratch(workspace, "trt", shape, np.uint8)
     if config.family == "gm_ea":
         for j in range(t_points):
             if j == 0:
@@ -357,10 +360,10 @@ def _generate(config: GenerativeConfig, eps, z, u, workspace: dict | None = None
                 bad = (pi < 0.0) | (pi > 1.0)
                 clipped += bad.sum(axis=1)
                 pi = np.clip(pi, 0.0, 1.0)
-            avail[..., j] = u_avail[..., j] < pi
-            trt[..., j] = arm[..., j] * avail[..., j]
+            np.less(u_avail[..., j], pi, out=avail[..., j].view(bool))
+            np.multiply(arm[..., j], avail[..., j], out=trt[..., j])
     else:
-        np.less(u_avail, config.tau_curve, out=avail)
+        np.less(u_avail, config.tau_curve, out=avail.view(bool))
         np.multiply(arm, avail, out=trt)
 
     t = config.t_grid
@@ -449,8 +452,9 @@ _CHUNK_POINTS = 20_000
 class _MonteCarlo:
     """One run_monte_carlo call: its replicate-invariant pieces and its
     result table, built once, the stacked simulate-and-fit pass over one
-    chunk of replicates, and the Wald tests and intervals of the whole
-    table once every chunk is done.
+    chunk of replicates, which stops at each replicate's sandwich sums
+    (M, Sigma), and the covariance solves, Wald tests and intervals of
+    the whole table once every chunk is done.
 
     Each replicate ends with the values, or the first error, of
     simulate_trial -> fit_wcls -> wald_test -> confidence_intervals on
@@ -458,12 +462,12 @@ class _MonteCarlo:
     that every replicate shares are made once here, in those calls'
     order.  So is the numerator table when it cannot depend on the draws
     (match_randomization on the shared probabilities, or user_supplied).
-    Row r of the table (beta, cov, se, lower, upper, reject, clipped,
-    errors) is replicate r; errors[r] is the exception its public calls
-    raise, or None, and the rest of a failed row is meaningless.  Chunks
-    write disjoint rows, so pool threads share the table with no lock.
-    workspaces holds each worker thread's scratch arrays (see
-    wcls.scratch); they go with the engine when the run ends.
+    Row r of the table (beta, m, sigma, se, lower, upper, reject,
+    clipped, errors) is replicate r; errors[r] is the exception its
+    public calls raise, or None, and the rest of a failed row is
+    meaningless.  Chunks write disjoint rows, so pool threads share the
+    table with no lock.  workspaces holds each worker thread's scratch
+    arrays (see wcls.scratch); they go with the engine when the run ends.
     """
 
     def __init__(
@@ -485,7 +489,7 @@ class _MonteCarlo:
         self.rank = contrast.rank_l
         self.workspaces = threading.local()
         self.beta, self.se, self.lower, self.upper = np.zeros((4, replicates, self.kp))
-        self.cov = np.zeros((replicates, self.kp, self.kp))
+        self.m, self.sigma = np.zeros((2, replicates, self.kp, self.kp))
         self.reject = np.zeros(replicates, dtype=bool)
         self.clipped = np.zeros(replicates, dtype=np.int64)
         self.errors: list = [None] * replicates
@@ -535,20 +539,30 @@ class _MonteCarlo:
             features["Z"] = z
         fit = fit_stack(
             avail, trt, self.probs, outcome, features, self.config.k_arms, self.spec,
-            workspace, self.tables,
+            workspace, self.tables, True,
         )
         keep_first_errors(errors, fit.errors)
         self.beta[lo:hi] = fit.theta[:, self.spec.q :]
-        self.cov[lo:hi] = fit.cov_beta
+        self.m[lo:hi], self.sigma[lo:hi] = fit.cov_beta
         self.errors[lo:hi] = errors
 
     def finish(self) -> None:
-        """Test and bound every replicate that has fitted, as one stack."""
-        keep_first_errors(self.errors, self.wald_error)
+        """Form the covariance of every replicate that has fitted, then
+        test and bound those whose covariance solves pass, each step as
+        one stack.  The solves are the last step of fit_wcls, so their
+        errors come before the shared Wald check."""
         fitted = np.flatnonzero([exc is None for exc in self.errors])
-        if not fitted.size:  # a shared check failed, or every fit did
+        if not fitted.size:  # every fit failed
             return
-        beta, cov = self.beta[fitted], self.cov[fitted]
+        cov, cov_errors = covariance_stack(self.m[fitted], self.sigma[fitted])
+        for r, exc in zip(fitted, cov_errors):
+            self.errors[r] = exc
+        keep_first_errors(self.errors, self.wald_error)
+        solved = np.array([self.errors[r] is None for r in fitted], dtype=bool)
+        if not solved.any():  # the shared check failed, or every solve did
+            return
+        fitted, cov = fitted[solved], cov[solved]
+        beta = self.beta[fitted]
         statistic, wald_errors = wald_stack(beta, cov, self.reduced)
         for r, exc in zip(fitted, wald_errors):
             self.errors[r] = exc

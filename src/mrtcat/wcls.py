@@ -19,6 +19,7 @@ hat-matrix small-sample residual adjustment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -180,15 +181,23 @@ def design_stack(
     probs_used = probs[..., :t_used, :]
 
     # ptilde_t(A_t) / p_t(A_t), divided per table entry and then looked up:
-    # entry A_t of the point's row of the flattened quotient table
+    # entry A_t of the point's row of the flattened quotient table, which
+    # starts after one zero.  An unavailable point's index is multiplied
+    # by I_t = 0 and reads that zero, so its weight is an exact 0 even
+    # where its quotient overflows.
+    numerator = ptilde[:, None, :t_used, :]
+    shape = np.broadcast_shapes(numerator.shape, probs_used.shape)
+    quotients = np.empty(1 + math.prod(shape))
+    quotients[0] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        quotient = ptilde[:, None, :t_used, :] / np.where(probs_used > 0, probs_used, 1.0)
-    row_starts = np.arange(0, quotient.size, quotient.shape[-1]).reshape(quotient.shape[:-1])
+        np.divide(numerator, np.where(probs_used > 0, probs_used, 1.0),
+                  out=quotients[1:].reshape(shape))
+    row_starts = np.arange(1, quotients.size, shape[-1]).reshape(shape[:-1])
     index = scratch(workspace, "index", (count, n, t_used), np.intp)
     np.add(row_starts, trt_used, out=index)
+    index *= avail_used
     weights = scratch(workspace, "weights", (count, n, t_used))
-    np.take(quotient.reshape(-1), index, out=weights, mode="clip")
-    weights[avail_used != 1] = 0.0
+    np.take(quotients, index, out=weights, mode="clip")
     # Trailing excursion factor: reference arm held for delta - 1 points.
     # Unavailable interim points deliver arm 0 deterministically, so the
     # conditional probability there is 1, not the recorded prob_0.
@@ -259,13 +268,16 @@ class FitStack(NamedTuple):
     theta stacks (alpha, beta); resid is the unweighted residual panel
     over the usable decision points; tables are the numerator tables,
     one (1, T, K+1) table when they do not depend on the data.
+    cov_beta is the sandwich covariance, or, when fit_stack is asked for
+    the sandwich sums, the pair (M, Sigma) of (R, Kp, Kp) stacks that
+    covariance_stack turns into it.
     errors[r] is the exception fit_wcls raises on panel r, or None; the
     other entries of a failed panel are meaningless.
     """
 
     theta: np.ndarray
     resid: np.ndarray
-    cov_beta: np.ndarray
+    cov_beta: np.ndarray | tuple
     md_fallbacks: np.ndarray
     tables: np.ndarray
     errors: list
@@ -283,6 +295,7 @@ def fit_stack(
     spec: ModelSpec,
     workspace: dict | None = None,
     tables: tuple | None = None,
+    sandwich_sums: bool = False,
 ) -> FitStack:
     """fit_wcls on R panels at once, with fit_wcls's error for each panel.
 
@@ -291,7 +304,10 @@ def fit_stack(
     are passed once.  tables, when given, is the (table, error) pair of
     a numerator table that cannot depend on the panels: one (1, T, K+1)
     table from numerator_tables and the error it gives every panel, or
-    None; without it the tables are computed here.  Every panel must
+    None; without it the tables are computed here.  With sandwich_sums
+    the fit stops at each panel's (M, Sigma) and leaves the covariance
+    solves, and their errors, to a covariance_stack call of the caller's;
+    the Monte Carlo engine makes one such call per run.  Every panel must
     satisfy the MrtDataset invariants.  The checks run in fit_wcls's
     order (window, numerator table, design columns, arms observed,
     subject count, solves) and each panel keeps the first error it
@@ -329,7 +345,8 @@ def fit_stack(
     if all(exc is not None for exc in errors):
         zeros = np.zeros((count, dim - spec.q, dim - spec.q))
         return FitStack(
-            np.zeros((count, dim)), np.zeros((count, n, 0)), zeros,
+            np.zeros((count, dim)), np.zeros((count, n, 0)),
+            (zeros, zeros) if sandwich_sums else zeros,
             np.zeros(count, dtype=np.int64), tables, errors,
         )
 
@@ -352,9 +369,14 @@ def fit_stack(
     resid = scratch(workspace, "resid", y.shape)
     np.matmul(solve.solution[:, None, :], rows, out=resid.reshape(count, 1, -1))
     np.subtract(y, resid, out=resid)
-    cov_beta, md_fallbacks = _sandwich_core(
+    m_sum, sigma_sum, md_fallbacks = _sandwich_core(
         weighted, resid, per_subject, normal, solve, spec.q, spec.correction, errors
     )
+    if sandwich_sums:
+        cov_beta = (m_sum, sigma_sum)
+    else:
+        cov_beta, cov_errors = covariance_stack(m_sum, sigma_sum)
+        keep_first_errors(errors, cov_errors)
     return FitStack(solve.solution, resid, cov_beta, md_fallbacks, tables, errors)
 
 
@@ -411,8 +433,10 @@ def _sandwich_core(
     q: int,
     correction: str,
     errors: list,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Robust covariance of beta_hat from per-subject score sums.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sums of the robust covariance of beta_hat: the beta block M of
+    the normal matrix and the sum Sigma of the subjects' beta-score outer
+    products, for covariance_stack.
 
     weighted_design is the column-major (R, q + Kp, n, rows) product
     W D of the weights and the design and resid the (R, n, rows)
@@ -452,11 +476,11 @@ def _sandwich_core(
     back-transform L x are einsum passes.  The subjects the screen does
     not clear form S_i, L^{-1} g_i and L x with matmul, as the
     eigendecomposition reference in the tests does: a stack with no
-    certified subject gives bitwise that reference's covariance.
+    certified subject gives bitwise that reference's sums.
 
-    Returns (cov_beta, number of subjects with a dropped leverage), per
-    replicate; the first error of a replicate not already failed goes
-    into errors.
+    Returns (M, Sigma, number of subjects with a dropped leverage), per
+    replicate.  errors marks the replicates already failed, whose factors
+    the correction does not use; it is not changed here.
     """
     scores = np.einsum("rait,rit->ria", weighted_design, resid)
     fallbacks = np.zeros(len(errors), dtype=np.int64)
@@ -497,17 +521,27 @@ def _sandwich_core(
         scores = corrected
 
     beta_scores = scores[..., q:]
-    sigma_sum = beta_scores.transpose(0, 2, 1) @ beta_scores
-    m_sum = gram[:, q:, q:]
-    # cov = M^{-1} Sigma M^{-1}; the 1/n factors of the per-subject
-    # averages cancel when raw sums are used throughout.  The second
-    # product reuses the first solve's factor of M.
-    left = solve_spd_stack(m_sum, sigma_sum)
+    return gram[:, q:, q:], beta_scores.transpose(0, 2, 1) @ beta_scores, fallbacks
+
+
+# Score sums near the float limit overflow here; the solves report it.
+@np.errstate(over="ignore", invalid="ignore")
+def covariance_stack(m: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, list]:
+    """The sandwich covariance M^{-1} Sigma M^{-1} of (R, Kp, Kp) stacks of
+    beta-block normal matrices M and score sums Sigma, symmetrized, and
+    per slice the error of its solves, or None.
+
+    The 1/n factors of the per-subject averages cancel when raw sums are
+    used throughout.  The second product reuses the first solve's factor
+    of M.  Each slice's arithmetic is its own, so a slice gets the same
+    bits in any stack.
+    """
+    left = solve_spd_stack(m, sigma)
     right, right_errors = apply_spd_inverse(left, left.solution.transpose(0, 2, 1))
-    keep_first_errors(errors, [a or b for a, b in zip(left.errors, right_errors)])
     cov = right.transpose(0, 2, 1)
-    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-    return cov, fallbacks
+    return 0.5 * (cov + cov.transpose(0, 2, 1)), [
+        a or b for a, b in zip(left.errors, right_errors)
+    ]
 
 
 def fit_wcls(data: MrtDataset, spec: ModelSpec) -> FitResult:

@@ -232,7 +232,10 @@ def pinv_sandwich_loops(fit: dict, tol: float) -> tuple[np.ndarray, int]:
 
     Each subject's score is X_i' W_i^{1/2} (I - P_i)^+ W_i^{1/2} e_i with
     the symmetric P_i = W_i^{1/2} X_i B^{-1} X_i' W_i^{1/2}; eigenvalues
-    of I - P_i at or below tol are dropped from the inverse.  Returns
+    of I - P_i at or below tol are dropped from the inverse.  A subject
+    with none dropped solves I - P_i directly, which keeps the relative
+    error near eps / (1 - h) when a leverage h is close to one, where
+    the explicit inverse from the eigenvectors loses more.  Returns
     (cov_beta, number of subjects with a dropped eigenvalue).
     """
     x, w, resid, q = fit["x"], fit["w"], fit["resid"], fit["q"]
@@ -244,11 +247,15 @@ def pinv_sandwich_loops(fit: dict, tol: float) -> tuple[np.ndarray, int]:
     for i in range(n):
         root = np.diag(np.sqrt(w[i]))
         a = root @ x[i]
-        vals, vecs = np.linalg.eigh(np.eye(t_used) - a @ b_inv @ a.T)
+        gap = np.eye(t_used) - a @ b_inv @ a.T
+        vals, vecs = np.linalg.eigh(gap)
         keep = vals > tol
-        dropped += int(not keep.all())
-        inverse = (vecs[:, keep] / vals[keep]) @ vecs[:, keep].T
-        u = (a.T @ inverse @ root @ resid[i])[q:]
+        if keep.all():
+            adjusted = np.linalg.solve(gap, root @ resid[i])
+        else:
+            dropped += 1
+            adjusted = (vecs[:, keep] / vals[keep]) @ (vecs[:, keep].T @ (root @ resid[i]))
+        u = (a.T @ adjusted)[q:]
         sigma += np.outer(u, u)
     m_inv = np.linalg.inv(b[q:, q:])
     return m_inv @ sigma @ m_inv.T, dropped

@@ -795,6 +795,39 @@ class TestChunkedEngine:
             f"DegenerateArmError×5; first error: {errors[0]}"
         )
 
+    @pytest.mark.parametrize(
+        "n, grouped",
+        [
+            (30, "NumericalError×20"),
+            (4, "NumericalError×14, DegenerateArmError×5, DataValidationError×1"),
+        ],
+    )
+    def test_covariance_error_precedes_the_shared_wald_check(self, n, grouped):
+        # A slope of 1e160 in t leaves residuals near 1e160 that the
+        # intercept-only control cannot fit: outcomes and fit are finite,
+        # but the score sums overflow and fit_wcls fails in its covariance
+        # solve.  The engine forms every covariance after the last chunk,
+        # and a replicate still keeps that error first; at n = 4 = q + l + 1
+        # it also goes before the shared Wald check that fails the rest.
+        config = null_config(t_points=3, rand_probs=(0.2, 0.2), eo_basis="linear",
+                             eo_coeffs=(0.0, 1e160))
+        errors = []
+        for r in range(20):
+            data = simulate_trial(config, n, derive_replicate_seed(4, r))
+            try:
+                wald_test(fit_wcls(data, MARGINAL_SPEC), build_contrast(np.eye(2), 1))
+            except (DataValidationError, NumericalError) as exc:
+                errors.append(exc)
+        solves = [exc for exc in errors if type(exc) is NumericalError]
+        assert {str(exc) for exc in solves} == {"solve_spd requires finite entries"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as err:
+                run_monte_carlo(config, n, 20, MARGINAL_SPEC, np.eye(2), seed=4)
+        assert str(err.value) == (
+            f"20/20 replicates failed (budget 1%): {grouped}; first error: {errors[0]}"
+        )
+
     def test_budget_abort_counts_failures_by_class(self):
         with pytest.raises(NumericalError) as err:
             run_monte_carlo(

@@ -20,6 +20,7 @@ from mrtcat.wcls import (
     _gershgorin_certified,
     _sandwich_core,
     _solve_dominant,
+    covariance_stack,
     fit_stack,
 )
 
@@ -157,6 +158,33 @@ class TestDesignRows:
             table = numerator_table_loops(data, "match_randomization")
             np.testing.assert_allclose(weights, weight_loops(data, table, delta), atol=1e-12)
 
+    @pytest.mark.parametrize("delta", [1, 3])
+    def test_unavailable_point_weighs_zero_where_its_quotient_overflows(self, delta):
+        # prob_0 = 5e-324 at every unavailable point, where arms 1 and 2
+        # take the rest: ptilde_0 / prob_0 overflows to inf there, and
+        # the point must still weigh an exact 0 (inf * I_t would be NaN),
+        # so that the fit is bitwise the one with ordinary probabilities.
+        rng = np.random.default_rng(12)
+        n, t_points = 16, 8
+        avail = (rng.random((n, t_points)) < 0.7).astype(np.int64)
+        trt = rng.integers(0, 3, size=(n, t_points)) * avail
+        probs = np.broadcast_to([0.4, 0.3, 0.3], (n, t_points, 3)).copy()
+        tiny = probs.copy()
+        tiny[avail == 0] = (5e-324, 0.5, 0.5)
+        table = np.tile([0.4, 0.3, 0.3], (t_points, 1))
+        spec = ModelSpec(g_columns=("z",), delta=delta,
+                         numerator=NumeratorPolicy("user_supplied", table=table))
+        fields = dict(trt=trt, outcome=rng.normal(size=(n, t_points)), avail=avail,
+                      features={"z": rng.normal(size=(n, t_points))})
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.float64(0.4) / 5e-324)
+        plain = fit_wcls(make_dataset(probs=probs, **fields), spec)
+        fit = fit_wcls(make_dataset(probs=tiny, **fields), spec)
+        theta = np.concatenate([fit.alpha_hat, fit.beta_hat])
+        assert theta.tobytes() == np.concatenate([plain.alpha_hat, plain.beta_hat]).tobytes()
+        assert fit.cov_beta.tobytes() == plain.cov_beta.tobytes()
+        assert fit.md_fallbacks == plain.md_fallbacks
+
     def test_row_blocks_are_control_then_centered_arms(self):
         data = make_dataset(
             trt=[[2]], outcome=[[1.0]], probs=(0.4, 0.3, 0.3),
@@ -291,20 +319,20 @@ class TestSandwichVariance:
 
 class TestCovarianceProduct:
     """cov = M^{-1} Sigma M^{-1} from one factorization of M, as two
-    solve_spd_stack calls would give it, error for error."""
+    solve_spd_stack calls would give it, error for error: covariance_stack
+    on _sandwich_core's sums."""
 
     @staticmethod
     def core(scores, m_sum):
         # one row per subject with unit weighted residual: the design
         # entries are the scores, and q = 0 makes M the whole gram matrix
         count, n, _ = scores.shape
-        errors = [None] * count
         with np.errstate(over="ignore", invalid="ignore"):
-            cov, _ = _sandwich_core(
+            m, sigma, _ = _sandwich_core(
                 scores.transpose(0, 2, 1)[..., None], np.ones((count, n, 1)),
-                None, m_sum, None, 0, "none", errors,
+                None, m_sum, None, 0, "none", [None] * count,
             )
-        return cov, errors
+        return covariance_stack(m, sigma)
 
     @staticmethod
     def two_solves(scores, m_sum):
@@ -388,8 +416,8 @@ class TestScreenPaths:
         assert {"all": certified.all(), "none": not certified.any()}.get(
             share, certified.any() and not certified.all()
         )
-        errors = [None] * 8
-        cov, fallbacks = _sandwich_core(*args, 2, "mancl_derouen", errors)
+        m, sigma, fallbacks = _sandwich_core(*args, 2, "mancl_derouen", [None] * 8)
+        cov, errors = covariance_stack(m, sigma)
         expected, expected_fallbacks = self.eigh_everywhere(*args, 2)
         assert errors == [None] * 8
         assert np.array_equal(fallbacks, expected_fallbacks)
@@ -561,11 +589,27 @@ class TestHatMatrixCorrection:
         np.testing.assert_allclose(
             fit.cov_beta, direct, rtol=0.0, atol=1e-10 * np.abs(direct).max()
         )
-        # The pseudo-inverse oracle eigen-solves the 6 x 6 I - P_0, whose
-        # smallest eigenvalue 1 - h it resolves to about eps / (1 - h).
+        # The pseudo-inverse oracle solves the 6 x 6 I - P_0, whose smallest
+        # eigenvalue is 1 - h, to a relative error of about eps / (1 - h).
         np.testing.assert_allclose(
             fit.cov_beta, expected, rtol=0.0,
             atol=np.finfo(float).eps / gap * np.abs(expected).max(),
+        )
+
+    def test_pseudo_inverse_oracle_near_unit_leverage_in_extended_precision(self):
+        # Subject 0 keeps a leverage with 1 - h = 1.5e-8, so the oracle
+        # solves its I - P_0 directly, which a backward stable solve does
+        # to about eps / (1 - h) (measured: 4.0e-14 relative).
+        data = near_unit_leverage_panel(1.72e-5)
+        table = numerator_table_loops(data, "match_randomization")
+        oracle = wcls_fit_loops(data, table, (), ("s0",), delta=1)
+        gap = 1.0 - max_leverage_loops(oracle)
+        assert LEVERAGE_TOL < gap < 2.0 * LEVERAGE_TOL
+        got, dropped = pinv_sandwich_loops(oracle, LEVERAGE_TOL)
+        assert dropped == 0
+        expected = extended_md_covariance(data)
+        np.testing.assert_allclose(
+            got, expected, rtol=0.0, atol=np.finfo(float).eps / gap * np.abs(expected).max()
         )
 
     @pytest.mark.parametrize("scale", [1.8e-3, 1e-4, 2.6e-5])
