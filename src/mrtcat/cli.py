@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -302,7 +303,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of the three subcommands, built on the first
+    call and shared by every later call in the process.
+
+    Building it walks the whole argparse tree and looks up the locale of
+    every help string, which costs more than a design sweep's power
+    searches; so in-process callers of main (scripts, tests) parse with
+    one parser.  parse_args leaves the parser as it was, so one call
+    cannot change what the next one parses; a caller must not change the
+    returned parser either.  A shell invocation of mrtcat parses once and
+    builds the parser once either way.
+    """
     parser = argparse.ArgumentParser(
         prog="mrtcat",
         description=(

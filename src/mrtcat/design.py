@@ -283,10 +283,17 @@ def required_sample_size(
 
     The search doubles an upper bracket, bisects, then walks downward so
     the returned n is the smallest integer meeting the target even if
-    the power curve has a local flat spot.  Exceeding the cap raises
+    the power curve has a local flat spot.  The search starts at
+    max(10, q + l + 2); a cap below that start raises DataValidationError
+    before any power is computed.  Exceeding the cap raises
     NumericalError (the effect is too small to power within the cap).
     """
     start = max(10, inputs.q + inputs.rank_l + 2)
+    if cap < start:
+        raise DataValidationError(
+            f"search cap {cap} is below the search start {start} = max(10, q + l + 2) "
+            f"(q={inputs.q}, l={inputs.rank_l})"
+        )
     evals = 0
 
     def power(n: int) -> float:
@@ -308,7 +315,7 @@ def required_sample_size(
         if hi > cap:
             raise NumericalError(
                 f"effect too small: sample size exceeds cap {cap} "
-                f"(power at {cap} still below {inputs.power_target})"
+                f"(power at {hi} still below {inputs.power_target})"
             )
         hi = min(hi * 2, cap + 1)
     lo = start

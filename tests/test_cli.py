@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,38 @@ class TestSamplesize:
         assert code == 3
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("power, cap", [("0", "3"), ("0.1", "9"), ("0.8", "0"), ("0.8", "-5")])
+    def test_cap_below_search_start_exits_two(self, tmp_path, capsys, power, cap):
+        # these once exited 0 with n = 10 past the cap, or 3 quoting a power
+        # at the cap that was never computed
+        cfg = tmp_path / "design.cfg"
+        out = tmp_path / "x.json"
+        cfg.write_text(GOLDEN_CFG_TEXT.replace("power = 0.8", f"power = {power}"))
+        code = main(["samplesize", "--config", str(cfg), f"--cap={cap}", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: search cap {cap} is below the search start 10 = max(10, q + l + 2) "
+            "(q=1, l=1)\n"
+        )
+
+    def test_cap_message_names_the_evaluated_n(self, tmp_path, capsys):
+        # the doubling evaluates 10, 20, 40 and then the cap + 1, 51
+        cfg = tmp_path / "design.cfg"
+        cfg.write_text(GOLDEN_CFG_TEXT)
+        assert main(["samplesize", "--config", str(cfg), "--cap", "50", "--out", "-"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical error: effect too small: sample size exceeds cap 50 "
+            "(power at 51 still below 0.8)\n"
+        )
+
+    def test_cap_equal_to_search_start_sizes(self, tmp_path):
+        cfg = tmp_path / "design.cfg"
+        out = tmp_path / "size.json"
+        cfg.write_text(GOLDEN_CFG_TEXT.replace("power = 0.8", "power = 0"))
+        assert main(["samplesize", "--config", str(cfg), "--cap", "10", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["n"] == 10
+
     def test_bad_sweep_syntax(self, tmp_path, capsys):
         cfg = tmp_path / "design.cfg"
         cfg.write_text(GOLDEN_CFG_TEXT)
@@ -348,6 +381,114 @@ class TestSamplesize:
     def test_missing_config_file(self, tmp_path):
         code = main(["samplesize", "--config", str(tmp_path / "nope.cfg"), "--out", "-"])
         assert code == 2
+
+
+def one_parser_argvs(inputs, out_dir):
+    """The argument lists of a fixed sequence of main calls on the design
+    config and the panel in inputs, writing into out_dir: every option a
+    later call leaves at its default is set by an earlier call of the same
+    subcommand."""
+    cfg, panel = inputs / "design.cfg", inputs / "panel.csv"
+    size = ["samplesize", "--config", str(cfg)]
+    fit = ["estimate", "--data", str(panel), "--f-cols", "intercept", "--g-cols", "intercept"]
+    return {
+        "size.json": size + ["--out", str(out_dir / "size.json")],
+        "sweep.csv": size + ["--sweep", "AA=0.3:1.0:0.1", "--out", str(out_dir / "sweep.csv")],
+        "size.csv": size + ["--format", "csv", "--out", str(out_dir / "size.csv")],
+        "usage.err": ["samplesize", "--out", str(out_dir / "usage.json")],
+        "fit.csv": fit + ["--alpha", "0.1", "--correction", "none", "--format", "csv",
+                          "--out", str(out_dir / "fit.csv")],
+        "fit.json": fit + ["--out", str(out_dir / "fit.json")],
+    }
+
+
+def run_alone(argvs):
+    """Each argument list run in its own `python -m mrtcat.cli` process:
+    {name: (exit code, stdout, stderr)}.  argparse wraps its usage lines
+    to $COLUMNS, which is set to 80 here as in the caller."""
+    src = str(Path(mrtcat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    procs = {
+        name: subprocess.Popen([sys.executable, "-m", "mrtcat.cli", *argv], env=env,
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for name, argv in argvs.items()
+    }
+    results = {}
+    for name, proc in procs.items():
+        stdout, stderr = proc.communicate(timeout=120)
+        results[name] = (proc.returncode, stdout, stderr)
+    return results
+
+
+class TestOneParser:
+    """main builds its parser once per process; no call changes what a
+    later call parses or writes."""
+
+    @pytest.fixture(scope="class")
+    def alone(self, tmp_path_factory):
+        """The outputs of every command of one_parser_argvs, each run alone."""
+        inputs = tmp_path_factory.mktemp("one_parser")
+        (inputs / "design.cfg").write_text(GOLDEN_CFG_TEXT)
+        write_k2_csv(inputs / "panel.csv")
+        out_dir = inputs / "alone"
+        out_dir.mkdir()
+        argvs = one_parser_argvs(inputs, out_dir)
+        results = run_alone(argvs)
+        for name, (code, stdout, stderr) in results.items():
+            assert stdout == b""
+            if name == "usage.err":
+                assert code == 2
+                assert b"the following arguments are required: --config" in stderr
+            else:
+                assert (code, stderr) == (0, b""), name
+        files = {name: (out_dir / name).read_bytes() for name in argvs if name != "usage.err"}
+        return inputs, files, results["usage.err"][2]
+
+    def test_parser_built_once(self):
+        assert mrtcat.cli.build_parser() is mrtcat.cli.build_parser()
+
+    def test_call_sequence_matches_each_command_alone(self, alone, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        inputs, files, usage = alone
+        for name, argv in one_parser_argvs(inputs, tmp_path).items():
+            if name == "usage.err":
+                with pytest.raises(SystemExit) as err:
+                    main(argv)
+                assert err.value.code == 2
+                assert capsys.readouterr().err.encode() == usage
+            else:
+                assert main(argv) == 0
+                assert (tmp_path / name).read_bytes() == files[name], name
+        assert capsys.readouterr() == ("", "")
+
+    def test_threads_write_the_files_of_each_command_alone(self, alone, tmp_path):
+        inputs, files, _ = alone
+        failures = []
+
+        def work(index):
+            try:
+                for round_ in range(3):
+                    out_dir = tmp_path / f"{index}_{round_}"
+                    out_dir.mkdir()
+                    for name, argv in one_parser_argvs(inputs, out_dir).items():
+                        if name in files:
+                            assert main(argv) == 0
+                            assert (out_dir / name).read_bytes() == files[name], name
+            except Exception as exc:  # reported by the main thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
 
 
 LINEAR_CFG_TEXT = (

@@ -281,6 +281,63 @@ class TestSampleSize:
         with pytest.raises(NumericalError, match="cap"):
             required_sample_size(inputs, cap=500)
 
+    @staticmethod
+    def count_powers(monkeypatch) -> list[int]:
+        """The n of every power_at_n call the search makes, in order."""
+        calls: list[int] = []
+        real = mrtcat.design.power_at_n
+        monkeypatch.setattr(
+            mrtcat.design, "power_at_n", lambda inputs, n: calls.append(n) or real(inputs, n)
+        )
+        return calls
+
+    @pytest.mark.parametrize(
+        "power_target, cap", [(0.0, 3), (0.1, 9), (0.8, 0), (0.8, -5), (0.0, 9)]
+    )
+    def test_cap_below_search_start_rejected_before_any_power(
+        self, monkeypatch, power_target, cap
+    ):
+        # a zero target once returned n = 10 past any cap, and a cap below
+        # the start was reported as a power at the cap, never computed
+        calls = self.count_powers(monkeypatch)
+        inputs = golden_inputs(power_target=power_target)
+        with pytest.raises(DataValidationError) as err:
+            required_sample_size(inputs, cap=cap)
+        assert str(err.value) == (
+            f"search cap {cap} is below the search start 10 = max(10, q + l + 2) (q=1, l=1)"
+        )
+        assert calls == []
+
+    def test_search_start_follows_q_and_l(self):
+        # q + l + 2 = 15 here, so 14 is below the start and 15 sizes
+        inputs = golden_inputs(q=12, power_target=0.0)
+        with pytest.raises(DataValidationError, match="search start 15 .*q=12, l=1"):
+            required_sample_size(inputs, cap=14)
+        assert required_sample_size(inputs, cap=15).n == 15
+
+    @pytest.mark.parametrize("power_target", [0.0, 0.1])
+    def test_cap_equal_to_search_start_still_sizes(self, power_target):
+        result = required_sample_size(golden_inputs(power_target=power_target), cap=10)
+        assert result.n == 10
+        assert result.achieved_power == power_at_n(golden_inputs(), 10)
+
+    @pytest.mark.parametrize(
+        "cap, last, message",
+        [
+            (50, 51, "sample size exceeds cap 50 (power at 51 still below 0.8)"),
+            (10, 11, "sample size exceeds cap 10 (power at 11 still below 0.8)"),
+            # power(93) meets the target, so the bisection ends past the cap
+            (92, 93, "required sample size exceeds cap 92"),
+        ],
+    )
+    def test_cap_message_names_the_evaluated_n(self, monkeypatch, cap, last, message):
+        # the golden config needs n = 93; the doubling stops at cap + 1
+        calls = self.count_powers(monkeypatch)
+        with pytest.raises(NumericalError) as err:
+            required_sample_size(golden_inputs(), cap=cap)
+        assert str(err.value) == f"effect too small: {message}"
+        assert max(calls) == last
+
     def test_minimality_walk_down(self):
         # returned n is the smallest integer meeting the target
         inputs = golden_inputs(power_target=0.6)
@@ -502,6 +559,32 @@ def extended_power(inputs: DesignInputs, n: int, digits: int = 40):
         return power
 
 
+@st.composite
+def sized_designs(draw):
+    """DesignInputs with 1 to 4 active arms, 1 to 300 decision points, a
+    constant or linear availability curve, random allocation and eta in
+    [0.01, 0.1], tested on every arm against the reference (l = K).  The
+    drawn per-arm effects are scaled so that lambda / n lies in [0.05,
+    1.5], which keeps the sized n below 400 and the extended-precision
+    mixture short."""
+    k_arms, t_points = draw(st.integers(1, 4)), draw(st.integers(1, 300))
+    aa = draw(st.floats(0.3, 1.0))
+    theta = draw(st.floats(0.0, 0.99)) * min(aa, 1.0 - aa) if t_points > 1 else 0.0
+    arms = st.lists(st.floats(0.2, 1.0), min_size=k_arms + 1, max_size=k_arms + 1)
+    weights = np.array(draw(arms))
+    effect = st.floats(0.1, 1.0) | st.floats(-1.0, -0.1)
+    effects = np.array(draw(st.lists(effect, min_size=k_arms, max_size=k_arms)))
+    rate = draw(st.floats(np.log(0.05), np.log(1.5)).map(np.exp))
+    fields = dict(
+        k_arms=k_arms, t_points=t_points, rand_probs=(weights / weights.sum())[1:],
+        tau=tau_pattern("linear" if t_points > 1 else "constant", aa, theta, t_points),
+        f=np.ones((t_points, 1)), q=1, l_matrix=np.eye(k_arms),
+        eta=draw(st.floats(0.01, 0.1)), power_target=0.8,
+    )
+    unit_rate = DesignInputs(gamma=effects, **fields).lambda_rate
+    return DesignInputs(gamma=effects * np.sqrt(rate / unit_rate), **fields)
+
+
 class TestInputsFromConfig:
     def test_golden_config_reproduces_answer(self):
         inputs = inputs_from_config(GOLDEN_CFG)
@@ -515,6 +598,20 @@ class TestInputsFromConfig:
         for n, value in ref.items():
             assert abs(power_at_n(inputs, n) - value) <= 1e-13
         assert ref[92] < 0.8 <= ref[93]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(sized_designs())
+    def test_sizing_boundary_holds_in_extended_precision(self, inputs):
+        # the float64 search returns the n that the 40-digit power picks;
+        # below the search start there is no n - 1 to check
+        n = required_sample_size(inputs).n
+        assert n < 400
+        start = max(10, inputs.q + inputs.rank_l + 2)
+        ref = {m: extended_power(inputs, m) for m in (n - 1, n) if m >= start}
+        for m, value in ref.items():
+            assert abs(power_at_n(inputs, m) - value) <= 1e-13
+        assert ref[n] >= inputs.power_target
+        assert n == start or ref[n - 1] < inputs.power_target
 
     def test_missing_required_key(self):
         cfg = dict(GOLDEN_CFG)
