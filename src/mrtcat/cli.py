@@ -21,6 +21,7 @@ from .data import NumeratorPolicy, load_csv
 from .design import (
     SEARCH_CAP_DEFAULT,
     _inputs_from_configs,
+    _size_stack,
     inputs_from_config,
     required_sample_size,
 )
@@ -216,9 +217,18 @@ def _parse_sweep(raw: str) -> tuple[str, list[float]]:
     return key.strip(), values
 
 
-#: Sweep points built as one stack: a block holds every point's arrays
-#: until its search has run.
+#: Sweep points built and sized as one stack: a block holds every
+#: point's arrays until its search has run.
 _SWEEP_BLOCK = 256
+
+
+def _sweep_key(value: float) -> str:
+    """A grid value as its sweep CSV cell: 12 significant digits where
+    they read back as the value, else repr(value).  Six digits (the :g
+    format) merged neighbouring points such as 0.9500001 and 0.9500002,
+    and wrote 1e+06 for a T that the config reader rejects."""
+    key = format(value, ".12g")
+    return key if float(key) == value else repr(value)
 
 
 def cmd_samplesize(args: argparse.Namespace) -> int:
@@ -229,10 +239,10 @@ def cmd_samplesize(args: argparse.Namespace) -> int:
         for start in range(0, len(values), _SWEEP_BLOCK):
             block = values[start : start + _SWEEP_BLOCK]
             points = _inputs_from_configs([{**cfg, key: repr(value)} for value in block])
-            for value, point in zip(block, points):
-                if isinstance(point, Exception):
-                    raise point
-                rows.append([f"{value:g}", required_sample_size(point, cap=args.cap).n])
+            for value, result in zip(block, _size_stack(points, args.cap)):
+                if isinstance(result, Exception):
+                    raise result
+                rows.append([_sweep_key(value), result.n])
         _write_csv_rows(args.out, [key, "n"], rows)
         return EXIT_OK
     result = required_sample_size(inputs_from_config(cfg), cap=args.cap)

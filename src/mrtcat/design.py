@@ -25,6 +25,11 @@ size sweep share one contrast and solve V and the contrast gram in two
 stacked solves, and a single DesignInputs is that build on a stack of
 one, so a sweep point is bitwise the point built alone.
 
+The search for n (_size_stack) also works on a stack: it seeds each
+point by inverting the power in the noncentrality, then computes the
+powers every unfinished point asks for in rounds of one fdtri and one
+ncfdtr call.  required_sample_size is that search on a stack of one.
+
 The pattern builders translate interpretable knobs (time-averaged
 levels plus a shape parameter) into availability, expected-outcome, and
 effect curves.  Each shape constraint is an endpoint or midpoint ratio;
@@ -34,11 +39,14 @@ they are solved in cross-multiplied linear form so flat shapes
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import chdtri, chndtrinc, fdtri, ncfdtr, ncfdtrinc
 
 from .errors import (
+    ConvergenceError,
     DataValidationError,
     NullContrastError,
     NumericalError,
@@ -198,13 +206,8 @@ def _prepare(points: list[DesignInputs]) -> list:
                 errors[i] = exc
             continue
         reduced = contrast.row_basis
-        vs = [
-            _v_matrix(checked[i]["rand_probs"], checked[i]["tau"], checked[i]["f"])
-            for i in members
-        ]
-        solved = solve_spd_stack(
-            np.stack(vs), np.broadcast_to(reduced.T, (len(vs), *reduced.T.shape))
-        )
+        vs = _v_stack([checked[i] for i in members])
+        solved = solve_spd_stack(vs, np.broadcast_to(reduced.T, (len(vs), *reduced.T.shape)))
         ready, lgs = [], []
         for j, i in enumerate(members):
             gamma = checked[i]["gamma"]
@@ -251,14 +254,38 @@ class SampleSizeResult:
 
 
 def _v_matrix(probs: np.ndarray, tau: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """V = sum_t tau(t) kron(P_t, f_t f_t') for (T, K) probs and (T, p) f.
+    """V = sum_t tau(t) kron(P_t, f_t f_t') for (..., T, K) probs,
+    (..., T) tau and (..., T, p) f, over any leading stack axes.
 
     Without einsum's optimize, the sum over t runs in the order of a loop
-    over t, so V is bitwise the loop's when f is all ones.
+    over t, so V is bitwise the loop's when f is all ones, and each slice
+    of a stack is bitwise V of that slice alone.
     """
-    k_arms, p = probs.shape[1], f.shape[1]
-    pt = np.eye(k_arms) * probs[:, None, :] - probs[:, :, None] * probs[:, None, :]
-    return np.einsum("t,tkl,ti,tj->kilj", tau, pt, f, f).reshape(k_arms * p, k_arms * p)
+    k_arms, p = probs.shape[-1], f.shape[-1]
+    # P_t = diag(p_t) - p_t p_t' with the bits of eye(K) * p_t - p_t p_t':
+    # 0 - x is -x off the diagonal and 1 * p is p on it
+    pt = probs[..., :, None] * -probs[..., None, :]
+    arms = np.arange(k_arms)
+    pt[..., arms, arms] = probs - probs * probs
+    v = np.einsum("...t,...tkl,...ti,...tj->...kilj", tau, pt, f, f)
+    return v.reshape(*v.shape[:-4], k_arms * p, k_arms * p)
+
+
+def _v_stack(arrays: list[dict]) -> np.ndarray:
+    """V of every point in arrays (_checked_arrays dicts of one K and p) as
+    an (S, Kp, Kp) stack, with one _v_matrix call per number of decision
+    points."""
+    if len(arrays) == 1:
+        return _v_matrix(arrays[0]["rand_probs"], arrays[0]["tau"], arrays[0]["f"])[None]
+    by_t: dict[int, list[int]] = {}
+    for j, point in enumerate(arrays):
+        by_t.setdefault(len(point["tau"]), []).append(j)
+    kp = arrays[0]["rand_probs"].shape[1] * arrays[0]["f"].shape[1]
+    vs = np.empty((len(arrays), kp, kp))
+    for js in by_t.values():
+        stacked = (np.stack([arrays[j][name] for j in js]) for name in ("rand_probs", "tau", "f"))
+        vs[js] = _v_matrix(*stacked)
+    return vs
 
 
 def build_v(inputs: DesignInputs) -> np.ndarray:
@@ -273,7 +300,187 @@ def power_at_n(inputs: DesignInputs, n: int) -> float:
         raise DataValidationError(f"need n > q + l + 1 (n={n}, q={q}, l={l})")
     df2 = n - q - l
     critical = f_quantile(l, df2, 1.0 - inputs.eta)
-    return 1.0 - noncentral_f_cdf(l, df2, df2 * inputs.lambda_rate, critical)
+    lam = df2 * inputs.lambda_rate
+    try:
+        return 1.0 - noncentral_f_cdf(l, df2, lam, critical)
+    except ConvergenceError:
+        if _cdf_negligible(l, df2, lam, critical):
+            return 1.0
+        raise
+
+
+def _cdf_negligible(l: float, df2: float, lam: float, critical: float) -> bool:
+    """Whether the noncentral F CDF at critical is below 2^-54, so that
+    the power 1 - CDF rounds to exactly 1.0.
+
+    This is for a noncentrality at which ncfdtr returned no finite value:
+    scipy 1.17's returns NaN for lam in roughly (1390, 1550), and a CDF
+    of 0 or about 1e-291 either side.  The CDF does not increase in lam,
+    so its value at the first of lam / 2, lam / 4, ... where ncfdtr is
+    finite bounds it from above.
+    """
+    while lam > 0.0:
+        lam /= 2.0
+        cdf = float(ncfdtr(l, df2, lam, critical))
+        if math.isfinite(cdf):
+            return cdf < 2.0**-54
+    return False
+
+
+def _powers(points: list[DesignInputs], ns: list[int]) -> list:
+    """power_at_n(points[i], ns[i]) for every i, with one fdtri and one
+    ncfdtr call over all of them.
+
+    Item i is bitwise the float power_at_n returns, or the
+    ConvergenceError it raises; every ns[i] must exceed q + l + 1.  An
+    element the two calls leave without a finite positive critical value
+    or a finite CDF is computed again by power_at_n itself.
+    """
+    l, df2, level, rate = np.array([
+        (point.rank_l, n - point.q - point.rank_l, 1.0 - point.eta, point.lambda_rate)
+        for point, n in zip(points, ns)
+    ]).T
+    critical = fdtri(l, df2, level)
+    cdf = ncfdtr(l, df2, df2 * rate, critical)
+    powers = (1.0 - cdf).tolist()
+    good = np.isfinite(cdf) & (critical > 0.0) & (critical < np.inf)
+    if not good.all():
+        for i in np.flatnonzero(~good).tolist():
+            try:
+                powers[i] = power_at_n(points[i], ns[i])
+            except ConvergenceError as exc:
+                powers[i] = exc
+    return powers
+
+
+def _seeds(points: list[DesignInputs], starts: list[int], cap: int) -> list[int]:
+    """Where the search for each point's n starts looking.
+
+    The chi-square approximation gives the noncentrality lam0 at which
+    the power reaches the target; the noncentral F then gives lam1 at the
+    denominator degrees of freedom lam0 implies, and the seed is the
+    smallest n with (n - q - l) * lambda_rate >= lam1, clamped to
+    [start, cap + 1].  A seed that does not come out finite is the start.
+    lam0 depends only on (l, eta, power_target), which the points of a
+    sweep mostly share, so it is computed once per distinct triple.
+    """
+    keys = [(point.rank_l, point.eta, point.power_target) for point in points]
+    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    l, eta, target, ql, rate, low = np.array([
+        (*key, point.q + point.rank_l, point.lambda_rate, start)
+        for key, point, start in zip(keys, points, starts)
+    ]).T
+    with np.errstate(all="ignore"):
+        distinct_l, distinct_eta, distinct_target = np.array(list(index)).T
+        lam0 = chndtrinc(chdtri(distinct_l, distinct_eta), distinct_l, 1.0 - distinct_target)
+        if len(index) > 1:
+            lam0 = lam0[[index[key] for key in keys]]
+        df2 = np.minimum(np.maximum(np.ceil(lam0 / rate), low - ql), cap + 1 - ql)
+        lam1 = ncfdtrinc(l, df2, 1.0 - target, fdtri(l, df2, 1.0 - eta))
+        raw = np.ceil(lam1 / rate) + ql
+    return [
+        int(min(seed, cap + 1)) if seed > start else start
+        for seed, start in zip(raw.tolist(), starts)
+    ]
+
+
+def _search(start: int, cap: int, target: float, seed: int):
+    """The search for one point's n, as a generator.
+
+    It yields a tuple of the n whose powers it needs next and is sent
+    their powers (a float, or the exception computing it raised); it
+    returns (n, power at n) or raises.  It keeps lo < hi, the power below
+    the target at lo (lo = start - 1 before any is seen) and reaching it
+    at hi (hi = None before any is seen).  From the seed it gallops down
+    while the power reaches the target, or up while it does not, then
+    bisects, and returns the hi where hi - lo = 1.  The first tuple holds
+    the seed and, above the start, seed - 1; the rest hold one n.
+    """
+    if target == 0.0:
+        (power,) = yield (start,)
+        if isinstance(power, Exception):
+            raise power
+        return start, power
+    lo, hi, hi_power = start - 1, None, None
+    probe = (seed, seed - 1) if seed > start else (seed,)
+    step = 1
+    while True:
+        powers = yield probe
+        for n, power in zip(probe, powers):
+            if isinstance(power, Exception):
+                raise power
+            if power < target:
+                lo = n
+                break
+            hi, hi_power = n, power
+        if hi is not None and hi - lo == 1:
+            break
+        if hi is None:
+            if lo > cap:
+                raise NumericalError(
+                    f"effect too small: sample size exceeds cap {cap} "
+                    f"(power at {lo} still below {target})"
+                )
+            probe = (min(lo + step, cap + 1),)
+        elif lo < start:
+            probe = (max(hi - step, start),)
+        else:
+            probe = ((lo + hi) // 2,)
+        step *= 2
+    if hi > cap:
+        raise NumericalError(f"effect too small: required sample size exceeds cap {cap}")
+    return hi, hi_power
+
+
+def _size_stack(points: list, cap: int) -> list:
+    """required_sample_size(points[i], cap) for every i, searched in lockstep.
+
+    Item i is the SampleSizeResult, or the exception that call raises; an
+    item of points that is an exception is passed through.  Each round
+    computes the powers every unfinished search asks for with one
+    _powers call, so each point gets the n, the powers and the errors it
+    gets alone.
+    """
+    results = list(points)
+    ready, starts = [], []
+    for i, point in enumerate(points):
+        if isinstance(point, Exception):
+            continue
+        start = max(10, point.q + point.rank_l + 2)
+        if cap < start:
+            results[i] = DataValidationError(
+                f"search cap {cap} is below the search start {start} = max(10, q + l + 2) "
+                f"(q={point.q}, l={point.rank_l})"
+            )
+        else:
+            ready.append(i)
+            starts.append(start)
+    if not ready:
+        return results
+    seeds = _seeds([points[i] for i in ready], starts, cap)
+    evals = dict.fromkeys(ready, 0)
+    searches = {}
+    for i, start, seed in zip(ready, starts, seeds):
+        search = _search(start, cap, points[i].power_target, seed)
+        searches[i] = (search, next(search))
+    while searches:
+        asked = [(i, n) for i, (_, probe) in searches.items() for n in probe]
+        powers = iter(_powers([points[i] for i, _ in asked], [n for _, n in asked]))
+        for i, (search, probe) in list(searches.items()):
+            evals[i] += len(probe)
+            try:
+                searches[i] = (search, search.send([next(powers) for _ in probe]))
+            except StopIteration as done:
+                n, power = done.value
+                point = points[i]
+                results[i] = SampleSizeResult(
+                    n, power, point.lambda_rate, point.v_matrix, point.v_condition, evals[i]
+                )
+                del searches[i]
+            except NumericalError as exc:
+                results[i] = exc
+                del searches[i]
+    return results
 
 
 def required_sample_size(
@@ -281,56 +488,25 @@ def required_sample_size(
 ) -> SampleSizeResult:
     """Smallest n whose power reaches the target.
 
-    The search doubles an upper bracket, bisects, then walks downward so
-    the returned n is the smallest integer meeting the target even if
-    the power curve has a local flat spot.  The search starts at
-    max(10, q + l + 2); a cap below that start raises DataValidationError
-    before any power is computed.  Exceeding the cap raises
-    NumericalError (the effect is too small to power within the cap).
+    The search starts at max(10, q + l + 2); a cap below that start
+    raises DataValidationError before any power is computed.  It looks
+    first at a seed that inverts the power in the noncentrality (see
+    _seeds), which is usually the answer or a few above it, and confirms
+    it by the powers at the seed and one below.  Otherwise it gallops
+    down from the seed while the power reaches the target, or up while it
+    does not, and bisects; n is the smallest integer at the boundary it
+    finds, whose power reaches the target and whose predecessor's does
+    not (or the start).  achieved_power is the power computed at n and
+    power_evals counts every power the search computed.  A design needing
+    more than cap subjects raises NumericalError (the effect is too small
+    to power within the cap), which names cap + 1 when the power there is
+    still below the target.  A sweep sizes its points with the same
+    search, in lockstep (_size_stack).
     """
-    start = max(10, inputs.q + inputs.rank_l + 2)
-    if cap < start:
-        raise DataValidationError(
-            f"search cap {cap} is below the search start {start} = max(10, q + l + 2) "
-            f"(q={inputs.q}, l={inputs.rank_l})"
-        )
-    evals = 0
-
-    def power(n: int) -> float:
-        nonlocal evals
-        evals += 1
-        return power_at_n(inputs, n)
-
-    def result(n: int) -> SampleSizeResult:
-        achieved = power(n)
-        return SampleSizeResult(
-            n, achieved, inputs.lambda_rate, inputs.v_matrix, inputs.v_condition, evals
-        )
-
-    if inputs.power_target == 0.0:
-        return result(start)
-
-    hi = start
-    while power(hi) < inputs.power_target:
-        if hi > cap:
-            raise NumericalError(
-                f"effect too small: sample size exceeds cap {cap} "
-                f"(power at {hi} still below {inputs.power_target})"
-            )
-        hi = min(hi * 2, cap + 1)
-    lo = start
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if power(mid) >= inputs.power_target:
-            hi = mid
-        else:
-            lo = mid
-    n = hi
-    while n - 1 >= start and power(n - 1) >= inputs.power_target:
-        n -= 1
-    if n > cap:
-        raise NumericalError(f"effect too small: required sample size exceeds cap {cap}")
-    return result(n)
+    result = _size_stack([inputs], cap)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def tau_pattern(kind: str, aa: float, theta_tau: float, t_points: int) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 Everything here is deliberately written the slow, obvious way: explicit
 loops, textbook formulas, numpy.linalg solves.  None of it shares code
-with the package under test, except design_arrays at the end, which
-only unpacks the package's own design arrays for one panel so that
-tests can hold them to the loops.
+with the package under test, except two functions at the end:
+design_arrays only unpacks the package's own design arrays for one panel
+so that tests can hold them to the loops, and sample_size_bisection
+searches with the package's power_at_n, so that tests can hold the
+seeded search to the plain one.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import math
 import numpy as np
 
 from mrtcat.data import numerator_tables
+from mrtcat.design import SampleSizeResult, power_at_n
+from mrtcat.errors import DataValidationError, NumericalError
 from mrtcat.wcls import design_stack
 
 
@@ -373,3 +377,55 @@ def design_arrays(data, spec):
         {name: arr[None] for name, arr in data.features.items()}, data.k_arms, spec, tables,
     )
     return weights[0], np.moveaxis(d_full[0], 0, -1), outcome[0], t_used
+
+
+def sample_size_bisection(inputs, cap: int):
+    """required_sample_size by doubling an upper bracket from the search
+    start, bisecting and walking down, one power_at_n call per power.
+
+    This is the package's search before it was seeded, with the same cap
+    rules and messages.  power_evals counts its own evaluations, including
+    the power at n, which it computes again for the result.
+    """
+    start = max(10, inputs.q + inputs.rank_l + 2)
+    if cap < start:
+        raise DataValidationError(
+            f"search cap {cap} is below the search start {start} = max(10, q + l + 2) "
+            f"(q={inputs.q}, l={inputs.rank_l})"
+        )
+    evals = 0
+
+    def power(n: int) -> float:
+        nonlocal evals
+        evals += 1
+        return power_at_n(inputs, n)
+
+    def result(n: int) -> SampleSizeResult:
+        achieved = power(n)
+        return SampleSizeResult(
+            n, achieved, inputs.lambda_rate, inputs.v_matrix, inputs.v_condition, evals
+        )
+
+    if inputs.power_target == 0.0:
+        return result(start)
+    hi = start
+    while power(hi) < inputs.power_target:
+        if hi > cap:
+            raise NumericalError(
+                f"effect too small: sample size exceeds cap {cap} "
+                f"(power at {hi} still below {inputs.power_target})"
+            )
+        hi = min(hi * 2, cap + 1)
+    lo = start
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if power(mid) >= inputs.power_target:
+            hi = mid
+        else:
+            lo = mid
+    n = hi
+    while n - 1 >= start and power(n - 1) >= inputs.power_target:
+        n -= 1
+    if n > cap:
+        raise NumericalError(f"effect too small: required sample size exceeds cap {cap}")
+    return result(n)

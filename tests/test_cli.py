@@ -529,8 +529,27 @@ class TestSweepStack:
         lines = [f"{key},n"]
         for value in values:
             inputs = mrtcat.inputs_from_config(dict(cfg, **{key: repr(value)}))
-            lines.append(f"{value:g},{mrtcat.required_sample_size(inputs).n}")
+            lines.append(f"{value:.12g},{mrtcat.required_sample_size(inputs).n}")
         assert csv_text == "\n".join(lines) + "\n"
+
+    def test_keys_keep_the_digits_of_the_grid(self, tmp_path):
+        # six significant digits once wrote these four points as 0.95
+        code, csv_text = run_sweep(tmp_path, GOLDEN_CFG_TEXT, "AA=0.9500001:0.9500004:0.0000001")
+        assert code == 0
+        keys = [line.split(",")[0] for line in csv_text.splitlines()[1:]]
+        assert keys == ["0.9500001", "0.9500002", "0.9500003", "0.9500004"]
+
+    @pytest.mark.parametrize(
+        "value, key",
+        [(1e6, "1000000"), (100.0, "100"), (0.3, "0.3"), (123456.1234567, "123456.1234567")],
+    )
+    def test_key_reads_back_as_the_value(self, value, key):
+        # :g wrote 1e+06 for T = 10^6, which get_int rejects; 13 significant
+        # digits do not fit in 12, so that key is repr(value)
+        assert mrtcat.cli._sweep_key(value) == key
+        assert float(key) == value
+        if value == int(value):
+            assert mrtcat._kvconfig.get_int({"T": key}, "T") == value
 
     def test_middle_point_out_of_range_exits_two(self, tmp_path, capsys):
         # AA = 1.1 is the first point outside (0, 1]; 1.2 fails too

@@ -1,4 +1,5 @@
 import copy
+import unittest.mock
 
 import mpmath
 import numpy as np
@@ -21,10 +22,11 @@ from mrtcat import (
     required_sample_size,
     tau_pattern,
 )
-from mrtcat.design import _inputs_from_configs, _v_matrix
+from mrtcat.design import _inputs_from_configs, _size_stack, _v_matrix
+from mrtcat.errors import ConvergenceError
 from mrtcat.numerics import f_quantile, noncentral_f_cdf
 
-from _oracles import design_v_loops
+from _oracles import design_v_loops, sample_size_bisection
 
 
 def golden_inputs(**overrides):
@@ -146,6 +148,20 @@ class TestBuildV:
         else:
             np.testing.assert_allclose(v, expected, rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_stack_slices_bitwise_equal_to_single_points(self, seed):
+        # _prepare builds V for the points of one (T, K, p) with one call
+        rng = np.random.default_rng(seed)
+        count, t_points = rng.integers(1, 9), rng.integers(1, 300)
+        k_arms, p = rng.integers(1, 4), rng.integers(1, 3)
+        probs = rng.dirichlet(np.ones(k_arms + 1), size=(count, t_points))[..., 1:]
+        tau = rng.uniform(0.01, 1.0, (count, t_points))
+        f = rng.normal(size=(count, t_points, p))
+        stacked = _v_matrix(probs, tau, f)
+        assert stacked.shape == (count, k_arms * p, k_arms * p)
+        for s in range(count):
+            assert stacked[s].tobytes() == _v_matrix(probs[s], tau[s], f[s]).tobytes()
+
     def test_built_once_per_inputs(self, monkeypatch):
         calls = []
         monkeypatch.setattr(
@@ -230,17 +246,16 @@ class TestSampleSize:
         )
 
     def test_diagnostics(self, monkeypatch):
-        evals = []
-        monkeypatch.setattr(
-            mrtcat.design, "noncentral_f_cdf",
-            lambda *args: evals.append(1) or noncentral_f_cdf(*args),
-        )
+        evals = self.count_powers(monkeypatch)
         inputs = golden_inputs()
         result = required_sample_size(inputs)
         # ||V||_1 ||V^-1||_1 with V = [[44.1, -18.9], [-18.9, 44.1]]
         assert result.v_condition == pytest.approx(63.0**2 / (44.1**2 - 18.9**2), rel=1e-12)
         assert result.v_condition == inputs.v_condition
         assert result.power_evals == len(evals) > 0
+        # the seed is the answer: the search computes the powers at 93 and
+        # 92; the doubling-and-bisection search it replaced computed 15
+        assert result.power_evals <= 4
 
     def test_power_boundary(self):
         inputs = golden_inputs()
@@ -283,11 +298,12 @@ class TestSampleSize:
 
     @staticmethod
     def count_powers(monkeypatch) -> list[int]:
-        """The n of every power_at_n call the search makes, in order."""
+        """The n of every power the search computes, in order: the search
+        computes them in rounds of _powers calls."""
         calls: list[int] = []
-        real = mrtcat.design.power_at_n
+        real = mrtcat.design._powers
         monkeypatch.setattr(
-            mrtcat.design, "power_at_n", lambda inputs, n: calls.append(n) or real(inputs, n)
+            mrtcat.design, "_powers", lambda points, ns: calls.extend(ns) or real(points, ns)
         )
         return calls
 
@@ -348,6 +364,157 @@ class TestSampleSize:
     def test_power_at_n_requires_headroom(self):
         with pytest.raises(DataValidationError, match="q \\+ l"):
             power_at_n(golden_inputs(), 3)
+
+
+@st.composite
+def search_designs(draw):
+    """DesignInputs over the range the sample-size search meets: 1 to 3
+    active arms, 1 to 40 decision points, an intercept or (1, t) f basis,
+    random availability and allocation, q up to 30, eta log-uniform down
+    to 5e-4, power targets from 0 to 0.999 (0 itself one time in ten) and
+    a contrast of every arm against the reference or of one random row.
+    The effect size is log-uniform over eight decades, so the answers run
+    from the search start to past the default cap.  Hypothesis draws only
+    the seed of the generator, which keeps each example cheap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k_arms, t_points, q = rng.integers(1, 4), rng.integers(1, 41), rng.integers(1, 31)
+    f = np.ones((t_points, 1))
+    if t_points > 1 and rng.random() < 0.5:
+        f = np.column_stack([f, np.arange(1.0, t_points + 1)])
+    weights = rng.uniform(0.2, 1.0, k_arms + 1)
+    tau = rng.uniform(0.2, 1.0, t_points)
+    scale = np.exp(rng.uniform(np.log(1e-5), np.log(3.0)) / 2) / np.sqrt(tau.sum())
+    return DesignInputs(
+        k_arms=int(k_arms), t_points=int(t_points), rand_probs=(weights / weights.sum())[1:],
+        tau=tau, f=f, gamma=scale * rng.normal(size=k_arms * f.shape[1]), q=int(q),
+        l_matrix=np.eye(k_arms) if rng.random() < 0.5 else rng.normal(size=(1, k_arms)),
+        eta=float(np.exp(rng.uniform(np.log(5e-4), np.log(0.2)))),
+        power_target=0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 0.999)),
+    )
+
+
+def search_outcome(search, inputs, cap):
+    """What search(inputs, cap) gives: (n, bits of achieved_power), or
+    (exception class, message)."""
+    try:
+        result = search(inputs, cap)
+    except (DataValidationError, NumericalError) as exc:
+        return type(exc), str(exc)
+    return result.n, np.float64(result.achieved_power).tobytes()
+
+
+#: Caps relative to the answer n of the default cap: below the start, the
+#: default, and n - 2 to n + 1.
+CAP_OFFSETS = st.sampled_from(["below start", "default", -2, -1, 0, 1])
+
+
+def drawn_cap(inputs, offset) -> int:
+    if offset == "default":
+        return mrtcat.design.SEARCH_CAP_DEFAULT
+    start = max(10, inputs.q + inputs.rank_l + 2)
+    if offset == "below start":
+        return start - 1
+    n = sample_size_bisection(inputs, mrtcat.design.SEARCH_CAP_DEFAULT).n
+    return n + offset
+
+
+class TestSeededSearch:
+    """The seeded lockstep search against the doubling-and-bisection
+    search it replaced (_oracles.sample_size_bisection): the same n, the
+    same bits of achieved_power and the same errors."""
+
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(search_designs(), CAP_OFFSETS)
+    def test_matches_bisection_search(self, inputs, offset):
+        try:
+            cap = drawn_cap(inputs, offset)
+        except NumericalError:
+            cap = mrtcat.design.SEARCH_CAP_DEFAULT
+        assert search_outcome(required_sample_size, inputs, cap) == search_outcome(
+            sample_size_bisection, inputs, cap
+        )
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(search_designs(), CAP_OFFSETS, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_any_seed_gives_the_same_answer(self, inputs, offset, u, v):
+        # the seed only picks where to look: a seed anywhere in
+        # [start, cap + 1], near the start or spread over the range
+        try:
+            cap = drawn_cap(inputs, offset)
+        except NumericalError:
+            cap = mrtcat.design.SEARCH_CAP_DEFAULT
+        want = search_outcome(sample_size_bisection, inputs, cap)
+
+        def seeds(points, starts, cap):
+            return [start + int(u * v * (cap + 1 - start)) for start in starts]
+
+        with unittest.mock.patch.object(mrtcat.design, "_seeds", seeds):
+            assert search_outcome(required_sample_size, inputs, cap) == want
+
+    def test_seeds_of_the_golden_config_and_sweep_are_the_answers(self):
+        cfgs = [dict(GOLDEN_CFG, AA=f"{aa / 10}") for aa in range(3, 11)]
+        points = [inputs_from_config(GOLDEN_CFG), *_inputs_from_configs(cfgs)]
+        seeds = mrtcat.design._seeds(points, [10] * len(points), 10**6)
+        assert seeds == [required_sample_size(point).n for point in points]
+        assert seeds[0] == 93
+
+    def test_sweep_block_sizes_each_point_as_alone(self):
+        cfgs = [dict(GOLDEN_CFG, sate1=repr(0.03 + 0.01 * k), q=str(1 + k % 3)) for k in range(40)]
+        cfgs[5]["AA"] = "1.5"          # fails its build
+        cfgs[7]["sate1"] = "0.0001"    # past the cap
+        points = _inputs_from_configs(cfgs)
+        for point, result in zip(points, _size_stack(points, 5000)):
+            if isinstance(point, Exception):
+                assert result is point
+                continue
+            want = search_outcome(required_sample_size, point, 5000)
+            if isinstance(result, Exception):
+                assert (type(result), str(result)) == want
+            else:
+                assert (result.n, np.float64(result.achieved_power).tobytes()) == want
+                assert result.power_evals == required_sample_size(point, 5000).power_evals
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(search_designs(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    def test_powers_bitwise_equal_to_power_at_n(self, inputs, us):
+        start = max(10, inputs.q + inputs.rank_l + 2)
+        ns = [start + int(u * u * 10**6) for u in us]
+        assert mrtcat.design._powers([inputs] * len(ns), ns) == [
+            power_at_n(inputs, n) for n in ns
+        ]
+
+
+class TestPowerWhereNcfdtrFails:
+    """scipy 1.17's ncfdtr returns NaN for noncentralities in about
+    (1390, 1550), where the power is 1 in float64."""
+
+    #: n of the golden config at which ncfdtr returns NaN
+    NAN_N = [16277, 16281, 16282, 17500, 17502]
+
+    def test_power_is_one(self):
+        inputs = golden_inputs()
+        for n in self.NAN_N:
+            df2 = n - 2
+            critical = f_quantile(1, df2, 0.95)
+            with pytest.raises(ConvergenceError, match="ncfdtr.* returned nan"):
+                noncentral_f_cdf(1, df2, df2 * inputs.lambda_rate, critical)
+            assert power_at_n(inputs, n) == 1.0
+        assert mrtcat.design._powers([inputs] * 5, self.NAN_N) == [1.0] * 5
+
+    def test_non_negligible_cdf_still_raises(self, monkeypatch):
+        # a CDF that is still 0.3 at half the noncentrality says nothing
+        # about the power, so the kernel's failure stands
+        inputs = golden_inputs()
+        monkeypatch.setattr(mrtcat.numerics, "ncfdtr", lambda *args: float("nan"))
+        monkeypatch.setattr(mrtcat.design, "ncfdtr", lambda *args: np.full(np.shape(args[0]), 0.3))
+        with pytest.raises(ConvergenceError) as single:
+            power_at_n(inputs, 93)
+        assert str(single.value).startswith("scipy.special.ncfdtr(1.0, 91.0, ")
+        assert str(single.value).endswith(" returned nan; no accurate value available")
+        monkeypatch.setattr(mrtcat.design, "ncfdtr", lambda *args: np.full(np.shape(args[0]), np.nan))
+        [stacked] = mrtcat.design._powers([inputs], [93])
+        assert isinstance(stacked, ConvergenceError)
+        assert str(stacked) == str(single.value)
 
 
 class TestDesignInputsValidation:
