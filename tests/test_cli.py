@@ -337,6 +337,28 @@ class TestSamplesize:
         assert code == 3
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "sate1=1e153:2e153:1e153"]])
+    def test_infinite_noncentrality_exits_three(self, tmp_path, capsys, monkeypatch, sweep):
+        # (n - q - l) * lambda_rate overflows to inf at the search start,
+        # where ncfdtr returns NaN: the numerical error ends the command.
+        # The counted ncfdtr turns a search that never ends into a failure.
+        calls = []
+        real = mrtcat.design.ncfdtr
+
+        def counted(*args):
+            calls.append(args)
+            assert len(calls) < 100, "ncfdtr called without end"
+            return real(*args)
+
+        monkeypatch.setattr(mrtcat.design, "ncfdtr", counted)
+        cfg = tmp_path / "design.cfg"
+        cfg.write_text(GOLDEN_CFG_TEXT.replace("sate1 = 0.053", "sate1 = 1e153"))
+        assert main(["samplesize", "--config", str(cfg), *sweep, "--out", "-"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical error: scipy.special.ncfdtr(1.0, 8.0, inf, 5.317655071578713) "
+            "returned nan; no accurate value available\n"
+        )
+
     @pytest.mark.parametrize("power, cap", [("0", "3"), ("0.1", "9"), ("0.8", "0"), ("0.8", "-5")])
     def test_cap_below_search_start_exits_two(self, tmp_path, capsys, power, cap):
         # these once exited 0 with n = 10 past the cap, or 3 quoting a power

@@ -419,7 +419,7 @@ def drawn_cap(inputs, offset) -> int:
 
 
 class TestSeededSearch:
-    """The seeded lockstep search against the doubling-and-bisection
+    """The seeded search against the doubling-and-bisection
     search it replaced (_oracles.sample_size_bisection): the same n, the
     same bits of achieved_power and the same errors."""
 
@@ -500,6 +500,35 @@ class TestPowerWhereNcfdtrFails:
                 noncentral_f_cdf(1, df2, df2 * inputs.lambda_rate, critical)
             assert power_at_n(inputs, n) == 1.0
         assert mrtcat.design._powers([inputs] * 5, self.NAN_N) == [1.0] * 5
+
+    @pytest.mark.parametrize("size", [
+        pytest.param(1e153, id="rate finite"),
+        # the build warns that lambda_rate overflows
+        pytest.param(3e153, id="rate inf", marks=pytest.mark.filterwarnings(
+            "ignore:overflow encountered in matmul:RuntimeWarning"
+        )),
+    ])
+    def test_infinite_noncentrality_still_raises(self, monkeypatch, size):
+        # (n - q - l) * lambda_rate overflows to inf; halving inf never
+        # gives a finite noncentrality, so the kernel's failure stands.
+        # The counted ncfdtr turns a search that never ends into a failure.
+        calls = []
+        real = mrtcat.design.ncfdtr
+
+        def counted(*args):
+            calls.append(args)
+            assert len(calls) < 100, "ncfdtr called without end"
+            return real(*args)
+
+        monkeypatch.setattr(mrtcat.design, "ncfdtr", counted)
+        inputs = golden_inputs(gamma=np.array([size, 0.0]))
+        message = r"^scipy\.special\.ncfdtr\(1\.0, {}, inf, .*\) returned nan; no accurate"
+        with pytest.raises(ConvergenceError, match=message.format(r"91\.0")):
+            power_at_n(inputs, 93)
+        with pytest.raises(ConvergenceError, match=message.format(r"8\.0")):
+            required_sample_size(inputs)
+        [stacked] = mrtcat.design._powers([inputs], [93])
+        assert isinstance(stacked, ConvergenceError)
 
     def test_non_negligible_cdf_still_raises(self, monkeypatch):
         # a CDF that is still 0.3 at half the noncentrality says nothing
