@@ -20,10 +20,13 @@ calibrated to.
 DesignInputs builds V (one einsum over t), checks it and computes
 lambda(n) / n once, on construction, so a singular V or a null contrast
 fails there; the functions below read the stored values.  The build
-(_prepare) works on a stack of design points: the points of a sample
-size sweep share one contrast and solve V and the contrast gram in two
-stacked solves, and a single DesignInputs is that build on a stack of
-one, so a sweep point is bitwise the point built alone.
+(_prepare) works on a stack of design points: it copies the arrays of
+the points with one K, T and p into one stack per field, runs each range
+check as one reduction over its stack, builds V with one einsum per T,
+and the points that also share L share one contrast and solve V and the
+contrast gram in two stacked solves.  A single DesignInputs is that
+build on a stack of one, so a sweep point is bitwise the point built
+alone and fails with the error it gets alone.
 
 The search for n (_size_stack) also works on a stack: it seeds each
 point by inverting the power in the noncentrality and computes the
@@ -41,6 +44,7 @@ they are solved in cross-multiplied linear form so flat shapes
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,56 +121,8 @@ class DesignInputs:
         or None."""
         points = [object.__new__(cls) for _ in fields]
         for point, kwargs in zip(points, fields):
-            for name, value in kwargs.items():
-                object.__setattr__(point, name, value)
+            vars(point).update(kwargs)
         return points, _prepare(points)
-
-    def _checked_arrays(self) -> dict[str, np.ndarray]:
-        """Copies of rand_probs (as a (T, K) array), tau, f, gamma and
-        l_matrix by name; raises DataValidationError for the first field
-        out of range.  Every range test is written so that NaN fails it."""
-        if self.k_arms < 1:
-            raise DataValidationError("k_arms must be >= 1")
-        if self.t_points < 1:
-            raise DataValidationError("t_points must be >= 1")
-        probs = np.array(self.rand_probs, dtype=float)
-        if probs.ndim == 1:
-            probs = np.tile(probs, (self.t_points, 1))
-        if probs.shape != (self.t_points, self.k_arms):
-            raise DataValidationError(
-                f"rand_probs must be (T, K) = {(self.t_points, self.k_arms)}, got {probs.shape}"
-            )
-        if not ((probs > 0).all() and (probs.sum(axis=1) < 1.0).all()):
-            raise DataValidationError(
-                "active-arm probabilities must be positive with row sums < 1"
-            )
-        tau = np.array(self.tau, dtype=float)
-        if tau.shape != (self.t_points,):
-            raise DataValidationError(f"tau must have length T={self.t_points}")
-        if not ((tau > 0) & (tau <= 1)).all():
-            raise DataValidationError("tau values must lie in (0, 1]")
-        f = np.array(self.f, dtype=float, ndmin=2)
-        if f.shape[0] != self.t_points:
-            raise DataValidationError(f"f must be (T, p) with T={self.t_points}")
-        if not np.isfinite(f).all():
-            raise DataValidationError("f must be finite")
-        gamma = np.array(self.gamma, dtype=float)
-        if gamma.shape != (self.k_arms * f.shape[1],):
-            raise DataValidationError(
-                f"gamma must have length K*p = {self.k_arms * f.shape[1]}"
-            )
-        if not np.isfinite(gamma).all():
-            raise DataValidationError("gamma must be finite")
-        l_matrix = np.array(self.l_matrix, dtype=float, ndmin=2)
-        if l_matrix.shape[1] != self.k_arms:
-            raise DataValidationError(f"l_matrix must have K={self.k_arms} columns")
-        if self.q < 1:
-            raise DataValidationError("q must be >= 1")
-        if not (0.0 < self.eta < 1.0):
-            raise DataValidationError("eta must lie in (0, 1)")
-        if not (0.0 <= self.power_target < 1.0):
-            raise DataValidationError("power_target must lie in [0, 1)")
-        return dict(rand_probs=probs, tau=tau, f=f, gamma=gamma, l_matrix=l_matrix)
 
     @property
     def p(self) -> int:
@@ -177,69 +133,230 @@ class DesignInputs:
         return self.contrast.rank_l
 
 
+def _shaped(point: DesignInputs) -> tuple[list[np.ndarray], Exception | None]:
+    """The scalar and shape checks of one point.
+
+    Returns rand_probs, tau, f, gamma and l_matrix as float arrays, in
+    that order up to the first whose shape is wrong, and the exception of
+    the first failing scalar or shape check, or None.  rand_probs comes
+    back (T, K), or (1, K) for a K-vector, which broadcasts over t; the
+    other arrays may be the caller's.
+    """
+    arrays: list[np.ndarray] = []
+    try:
+        k_arms, t_points = point.k_arms, point.t_points
+        if k_arms < 1:
+            raise DataValidationError("k_arms must be >= 1")
+        if t_points < 1:
+            raise DataValidationError("t_points must be >= 1")
+        probs = np.asarray(point.rand_probs, dtype=float)
+        shape = probs.shape
+        if probs.ndim == 1:
+            # the shape np.tile(probs, (t_points, 1)) has, or its TypeError
+            probs, shape = probs[None], (operator.index(t_points), len(probs))
+        if shape != (t_points, k_arms):
+            raise DataValidationError(
+                f"rand_probs must be (T, K) = {(t_points, k_arms)}, got {shape}"
+            )
+        arrays.append(probs)
+        tau = np.asarray(point.tau, dtype=float)
+        if tau.shape != (t_points,):
+            raise DataValidationError(f"tau must have length T={t_points}")
+        arrays.append(tau)
+        f = np.atleast_2d(np.asarray(point.f, dtype=float))
+        if f.shape[0] != t_points:
+            raise DataValidationError(f"f must be (T, p) with T={t_points}")
+        arrays.append(f)
+        gamma = np.asarray(point.gamma, dtype=float)
+        if gamma.shape != (k_arms * f.shape[1],):
+            raise DataValidationError(f"gamma must have length K*p = {k_arms * f.shape[1]}")
+        arrays.append(gamma)
+        l_matrix = np.array(point.l_matrix, dtype=float, ndmin=2)
+        if l_matrix.shape[1] != k_arms:
+            raise DataValidationError(f"l_matrix must have K={k_arms} columns")
+        arrays.append(l_matrix)
+        if point.q < 1:
+            raise DataValidationError("q must be >= 1")
+        if not (0.0 < point.eta < 1.0):
+            raise DataValidationError("eta must lie in (0, 1)")
+        if not (0.0 <= point.power_target < 1.0):
+            raise DataValidationError("power_target must lie in [0, 1)")
+    except (TypeError, ValueError) as exc:
+        return arrays, exc
+    return arrays, None
+
+
+#: The range check of rand_probs, tau, f and gamma, in that order: its
+#: message, and a reduction over an (S, ...) stack of the field that is
+#: True where a point's field is in range.  Each test is written so that
+#: NaN fails it (min, max and sum carry a NaN through).
+_RANGE_CHECKS = (
+    (
+        "active-arm probabilities must be positive with row sums < 1",
+        lambda probs: (probs.min(axis=(1, 2)) > 0) & (probs.sum(axis=2).max(axis=1) < 1.0),
+    ),
+    ("tau values must lie in (0, 1]", lambda tau: (tau.min(axis=1) > 0) & (tau.max(axis=1) <= 1)),
+    ("f must be finite", lambda f: np.isfinite(f).reshape(len(f), -1).all(axis=1)),
+    ("gamma must be finite", lambda gamma: np.isfinite(gamma).all(axis=1)),
+)
+
+
+def _range_errors(stacks: list[np.ndarray]) -> list:
+    """The DataValidationError of the first range check each of S points
+    fails, or None; stacks holds the (S, ...) stacks of the points' first
+    len(stacks) fields."""
+    passed = np.array([check(stack) for (_, check), stack in zip(_RANGE_CHECKS, stacks)])
+    errors: list = [None] * len(stacks[0])
+    if not passed.all():
+        for j in np.flatnonzero(~passed.all(axis=0)).tolist():
+            errors[j] = DataValidationError(_RANGE_CHECKS[passed[:, j].argmin()][0])
+    return errors
+
+
+def _null_contrasts(lg: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Whether each row's contrast lg = Lt gamma is null:
+    |lg| <= 1e-12 * max(1, |gamma|), with the norms np.linalg.norm takes.
+
+    Where |gamma| overflows, both rows are first scaled by the power of two
+    that brings the largest |gamma| entry below 1; scaling is exact, so
+    the decision is the one the exact norms give.  Call under
+    np.errstate(over="ignore").
+    """
+    gamma_norm = _row_norms(gamma)
+    null = _row_norms(lg) <= 1e-12 * np.maximum(1.0, gamma_norm)
+    huge = np.isinf(gamma_norm)
+    if huge.any():
+        scale = np.ldexp(1.0, -np.frexp(np.abs(gamma[huge]).max(axis=1))[1])[:, None]
+        null[huge] = _row_norms(lg[huge] * scale) <= 1e-12 * _row_norms(gamma[huge] * scale)
+    return null
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of x: the square root of its dot product."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
 def _prepare(points: list[DesignInputs]) -> list:
     """Check and build DesignInputs in place, as one stack.
 
     Returns errors, where errors[i] is the exception that building
     points[i] alone raises, or None (then its copies and derived fields
-    are set).  The field checks, V and the null-contrast test run per
-    point.  Points with the same L and basis dimension p share one
+    are set).  The scalar and shape checks run per point (_shaped).  The
+    points whose fields all have their shapes are grouped by K, p and L,
+    and within that by T: rand_probs, tau, f and gamma are copied into one
+    stack per T, each range check is one reduction over its stack, V is
+    one _v_matrix call, and a point's arrays are rows of those stacks.  A
+    point gets the error of its first failing check in the order _shaped
+    and _RANGE_CHECKS list them.  The points of one K, p and L share one
     ContrastSpec, one solve_spd_stack over their V matrices and one over
-    their contrast grams; every slice of a stack solves as a stack of
-    one, so each value is bitwise the one the point gets alone.
+    their contrast grams (_solve_group).  Every slice of a stack computes
+    as a stack of one, so each value is bitwise the one the point gets
+    alone.
     """
     errors: list = [None] * len(points)
-    checked: dict[int, dict] = {}
-    groups: dict[tuple, list[int]] = {}
+    arrays: list[list[np.ndarray]] = []
+    families: dict[tuple, dict[tuple, list[int]]] = {}
     for i, point in enumerate(points):
-        try:
-            arrays = checked[i] = point._checked_arrays()
-        except DataValidationError as exc:
-            errors[i] = exc
+        shaped, errors[i] = _shaped(point)
+        arrays.append(shaped)
+        if len(shaped) < 4:
+            # a field failed its shape check: the range checks of the
+            # fields before it still come first
+            if shaped:
+                errors[i] = _range_errors([a[None] for a in shaped])[0] or errors[i]
             continue
-        l_matrix, p = arrays["l_matrix"], arrays["f"].shape[1]
-        groups.setdefault((l_matrix.shape, l_matrix.tobytes(), p), []).append(i)
-    for (_, _, p), members in groups.items():
-        try:
-            contrast = build_contrast(checked[members[0]]["l_matrix"], p)
-        except DataValidationError as exc:
-            for i in members:
-                errors[i] = exc
-            continue
-        reduced = contrast.row_basis
-        vs = _v_stack([checked[i] for i in members])
-        solved = solve_spd_stack(vs, np.broadcast_to(reduced.T, (len(vs), *reduced.T.shape)))
-        ready, lgs = [], []
-        for j, i in enumerate(members):
-            gamma = checked[i]["gamma"]
-            lg = reduced @ gamma
-            error = solved.errors[j]
-            if isinstance(error, SingularSystemError):
-                errors[i] = SingularSystemError(
-                    f"design matrix V is singular; the f basis is likely rank deficient: {error}"
-                )
-                errors[i].__cause__ = error
-            elif error is not None:
-                errors[i] = error
-            elif float(np.linalg.norm(lg)) <= 1e-12 * max(1.0, float(np.linalg.norm(gamma))):
-                errors[i] = NullContrastError("contrast of target alternative is null")
-            else:
-                ready.append(j)
-                lgs.append(lg)
-        if not ready:
-            continue
-        rates = solve_spd_stack(reduced @ solved.solution[ready], np.stack(lgs))
-        for j, lg, x, error in zip(ready, lgs, rates.solution, rates.errors):
-            i = members[j]
-            errors[i] = error
-            if error is None:
-                for name, value in (
-                    *checked[i].items(), ("contrast", contrast), ("v_matrix", vs[j]),
-                    ("v_condition", float(solved.condition[j])),
-                    ("lambda_rate", float(lg @ x)),
-                ):
-                    object.__setattr__(points[i], name, value)
+        probs, _, f, _, *l_matrix = shaped
+        l_key = (l_matrix[0].shape, l_matrix[0].tobytes()) if l_matrix else None
+        family = families.setdefault((probs.shape[1], f.shape[1:], l_key), {})
+        family.setdefault(f.shape, []).append(i)
+    for (k_arms, p_shape, _), by_shape in families.items():
+        kept: list[tuple] = []
+        v_parts, gamma_parts = [], []
+        for f_shape, group in by_shape.items():
+            count = len(group)
+            stacks = (
+                np.empty((count, f_shape[0], k_arms)), np.empty((count, f_shape[0])),
+                np.empty((count, *f_shape)), np.empty((count, k_arms * f_shape[1])),
+            )
+            probs, tau, f, gamma = stacks
+            for j, i in enumerate(group):
+                probs[j], tau[j], f[j], gamma[j] = arrays[i][:4]
+            ok = []
+            for j, (i, error) in enumerate(zip(group, _range_errors(stacks))):
+                if error is not None:
+                    errors[i] = error
+                elif errors[i] is None:
+                    ok.append(j)
+            if not ok:
+                continue
+            if len(ok) < count:
+                probs, tau, f, gamma = (stack[ok] for stack in stacks)
+            v_parts.append(_v_matrix(probs, tau, f))
+            gamma_parts.append(gamma)
+            kept += [
+                (group[j], probs[r], tau[r], f[r], arrays[group[j]][4]) for r, j in enumerate(ok)
+            ]
+        if kept:
+            _solve_group(
+                points, errors, kept, p_shape[0],
+                v_parts[0] if len(v_parts) == 1 else np.concatenate(v_parts),
+                gamma_parts[0] if len(gamma_parts) == 1 else np.concatenate(gamma_parts),
+            )
     return errors
+
+
+def _solve_group(
+    points: list, errors: list, kept: list[tuple], p: int, vs: np.ndarray, gammas: np.ndarray
+) -> None:
+    """The contrast, V solves, null-contrast test and lambda_rate of
+    points that share one K, p and L, for _prepare.
+
+    kept holds (i, rand_probs, tau, f, l_matrix) of each point, and vs
+    and gammas stack their V matrices and gammas; Lt gamma, the test and
+    lambda_rate are computed as stacks.  Sets errors[i], or the fields
+    of points[i].
+    """
+    try:
+        contrast = build_contrast(kept[0][4], p)
+    except DataValidationError as exc:
+        for i, *_ in kept:
+            errors[i] = exc
+        return
+    reduced = contrast.row_basis
+    # a huge gamma overflows Lt gamma, the contrast solve or lambda_rate
+    # without a numpy warning; the solve or the search then fails with
+    # one error
+    with np.errstate(over="ignore", invalid="ignore"):
+        solved = solve_spd_stack(vs, np.broadcast_to(reduced.T, (len(vs), *reduced.T.shape)))
+        lgs = (reduced @ gammas[:, :, None])[:, :, 0]
+        null = _null_contrasts(lgs, gammas).tolist()
+        ready = [j for j, error in enumerate(solved.errors) if error is None and not null[j]]
+        if ready:
+            lgs = lgs[ready]
+            rates = solve_spd_stack(reduced @ solved.solution[ready], lgs)
+            lambda_rates = (lgs[:, None, :] @ rates.solution[:, :, None])[:, 0, 0].tolist()
+    for j, (i, *_) in enumerate(kept):
+        error = solved.errors[j]
+        if isinstance(error, SingularSystemError):
+            errors[i] = SingularSystemError(
+                f"design matrix V is singular; the f basis is likely rank deficient: {error}"
+            )
+            errors[i].__cause__ = error
+        elif error is not None:
+            errors[i] = error
+        elif null[j]:
+            errors[i] = NullContrastError("contrast of target alternative is null")
+    if not ready:
+        return
+    conditions = solved.condition.tolist()
+    for j, error, rate in zip(ready, rates.errors, lambda_rates):
+        i, probs, tau, f, l_matrix = kept[j]
+        errors[i] = error
+        if error is None:
+            vars(points[i]).update(
+                rand_probs=probs, tau=tau, f=f, gamma=gammas[j], l_matrix=l_matrix,
+                contrast=contrast, v_matrix=vs[j], v_condition=conditions[j], lambda_rate=rate,
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,25 +387,6 @@ def _v_matrix(probs: np.ndarray, tau: np.ndarray, f: np.ndarray) -> np.ndarray:
     pt[..., arms, arms] = probs - probs * probs
     v = np.einsum("...t,...tkl,...ti,...tj->...kilj", tau, pt, f, f)
     return v.reshape(*v.shape[:-4], k_arms * p, k_arms * p)
-
-
-def _v_stack(arrays: list[dict]) -> np.ndarray:
-    """V of every point in arrays (_checked_arrays dicts of one K and p) as
-    an (S, Kp, Kp) stack, with one _v_matrix call per number of decision
-    points."""
-    if len(arrays) == 1:
-        # a single DesignInputs: skips the stacking and the scattered
-        # write, about 25 µs of a 400 µs build
-        return _v_matrix(arrays[0]["rand_probs"], arrays[0]["tau"], arrays[0]["f"])[None]
-    by_t: dict[int, list[int]] = {}
-    for j, point in enumerate(arrays):
-        by_t.setdefault(len(point["tau"]), []).append(j)
-    kp = arrays[0]["rand_probs"].shape[1] * arrays[0]["f"].shape[1]
-    vs = np.empty((len(arrays), kp, kp))
-    for js in by_t.values():
-        stacked = (np.stack([arrays[j][name] for j in js]) for name in ("rand_probs", "tau", "f"))
-        vs[js] = _v_matrix(*stacked)
-    return vs
 
 
 def build_v(inputs: DesignInputs) -> np.ndarray:
@@ -607,25 +705,35 @@ def mee_pattern(
     """
     tau = np.asarray(tau, dtype=float)
     t_points = tau.shape[0]
-    t = np.arange(1, t_points + 1, dtype=float)
-    s0 = float(tau.sum())
-    s1 = float((tau * t).sum())
+    gamma, lines = _mee_gamma(kind, theta_f1, theta_f2, sate, tau)
+    if lines is None:
+        return gamma, np.column_stack([np.full(t_points, gamma[0]), np.full(t_points, gamma[1])])
+    b12, b34, t = lines
+    curve1 = b12[0] + b12[1] * t
+    return gamma, np.column_stack([curve1, curve1 + b34[0] + b34[1] * t])
+
+
+def _mee_gamma(
+    kind: str, theta_f1: float, theta_f2: float, sate: tuple[float, float], tau: np.ndarray
+) -> tuple[np.ndarray, tuple | None]:
+    """gamma of mee_pattern, and for a linear kind its two lines and the
+    times t = 1..T (None for constant, which does not read tau)."""
     sate1, sate2 = float(sate[0]), float(sate[1])
     if kind == "constant":
-        gamma = np.array([sate1, sate2])
-        curves = np.column_stack([np.full(t_points, sate1), np.full(t_points, sate2)])
-        return gamma, curves
+        return np.array([sate1, sate2]), None
     if kind != "linear":
         raise DataValidationError(f"unknown effect pattern kind {kind!r}")
     for name, theta in (("theta_f1", theta_f1), ("theta_f2", theta_f2)):
         if not (-1.0 < theta < 1.0):
             raise DataValidationError(f"{name} must lie in (-1, 1)")
+    t_points = tau.shape[0]
+    t = np.arange(1, t_points + 1, dtype=float)
+    s0 = float(tau.sum())
+    s1 = float((tau * t).sum())
     b12 = _ratio_line(theta_f1, sate1, s0, s1, t_points, "effect")
     b34 = _ratio_line(theta_f2, sate2 - sate1, s0, s1, t_points, "effect")
-    curve1 = b12[0] + b12[1] * t
-    curve2 = curve1 + b34[0] + b34[1] * t
     gamma = np.array([b12[0], b12[1], b12[0] + b34[0], b12[1] + b34[1]])
-    return gamma, np.column_stack([curve1, curve2])
+    return gamma, (b12, b34, t)
 
 
 def inputs_from_config(cfg: dict[str, str]) -> DesignInputs:
@@ -637,7 +745,7 @@ def inputs_from_config(cfg: dict[str, str]) -> DesignInputs:
     power.  The effect curves come from the two-arm pattern builder, so
     K must be 2.
     """
-    return DesignInputs(**_config_fields(cfg))
+    return DesignInputs(**_config_fields(cfg, {}))
 
 
 def _inputs_from_configs(cfgs: list[dict[str, str]]) -> list:
@@ -647,9 +755,10 @@ def _inputs_from_configs(cfgs: list[dict[str, str]]) -> list:
     NumericalError that call raises.
     """
     built: list = []
+    contrasts: dict[str, np.ndarray] = {}
     for cfg in cfgs:
         try:
-            built.append(_config_fields(cfg))
+            built.append(_config_fields(cfg, contrasts))
         except (DataValidationError, NumericalError) as exc:
             built.append(exc)
     parsed = [i for i, item in enumerate(built) if isinstance(item, dict)]
@@ -662,8 +771,10 @@ def _inputs_from_configs(cfgs: list[dict[str, str]]) -> list:
 # The parts of a config that sample sizing and n = auto simulation share.
 
 
-def _config_fields(cfg: dict[str, str]) -> dict:
-    """The DesignInputs fields of inputs_from_config(cfg)."""
+def _config_fields(cfg: dict[str, str], contrasts: dict[str, np.ndarray]) -> dict:
+    """The DesignInputs fields of inputs_from_config(cfg).  contrasts maps
+    each key 'L' text parsed so far to its matrix, which the configs of a
+    sweep share (DesignInputs copies it), and gains cfg's."""
     k_arms = get_int(cfg, "K", 2)
     if k_arms != 2:
         raise DataValidationError(
@@ -675,9 +786,12 @@ def _config_fields(cfg: dict[str, str]) -> dict:
     )
     f_kind = cfg.get("f_kind", "constant")
     gamma = _config_gamma(cfg, f_kind, tau)
-    l_matrix = parse_contrast_text(cfg.get("L", "pairwise(1,2)"), k_arms)
+    text = cfg.get("L", "pairwise(1,2)")
+    if text not in contrasts:
+        contrasts[text] = parse_contrast_text(text, k_arms)
     return _design_fields(
-        cfg, probs, tau, f_kind, gamma, get_int(cfg, "q", 1), l_matrix, get_float(cfg, "eta", 0.05)
+        cfg, probs, tau, f_kind, gamma, get_int(cfg, "q", 1), contrasts[text],
+        get_float(cfg, "eta", 0.05),
     )
 
 
@@ -704,7 +818,7 @@ def _config_gamma(cfg: dict[str, str], f_kind: str, tau: np.ndarray) -> np.ndarr
     """gamma of the two-arm effect pattern f_kind, from keys theta_f1,
     theta_f2, sate1 and sate2."""
     thetas = get_float(cfg, "theta_f1", 0.0), get_float(cfg, "theta_f2", 0.0)
-    return mee_pattern(f_kind, *thetas, (get_float(cfg, "sate1"), get_float(cfg, "sate2")), tau)[0]
+    return _mee_gamma(f_kind, *thetas, (get_float(cfg, "sate1"), get_float(cfg, "sate2")), tau)[0]
 
 
 def _design_fields(

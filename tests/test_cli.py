@@ -616,6 +616,24 @@ class TestSweepStack:
         assert sorted(calls) == ["build_contrast", "solve_spd_stack", "solve_spd_stack"]
 
     @pytest.mark.parametrize(
+        "text, sweep, count",
+        [(GOLDEN_CFG_TEXT, "AA=0.3:1.0:0.1", 1), (LINEAR_CFG_TEXT, "T=10:60:10", 6)],
+        ids=["AA", "T"],
+    )
+    def test_one_range_check_and_one_v_per_t(self, tmp_path, monkeypatch, text, sweep, count):
+        # a block's range checks and V run once per number of decision
+        # points, not once per point
+        calls = []
+        for name in ("_range_errors", "_v_matrix"):
+            fn = getattr(mrtcat.design, name)
+            monkeypatch.setattr(
+                mrtcat.design, name, lambda *a, name=name, fn=fn: calls.append(name) or fn(*a)
+            )
+        code, _ = run_sweep(tmp_path, text, sweep)
+        assert code == 0
+        assert sorted(calls) == ["_range_errors"] * count + ["_v_matrix"] * count
+
+    @pytest.mark.parametrize(
         "replace, named",
         [
             (("AA = 1.0", "AA = nan"), "tau pattern"),

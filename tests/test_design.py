@@ -1,4 +1,5 @@
 import copy
+import math
 import unittest.mock
 
 import mpmath
@@ -174,6 +175,10 @@ class TestBuildV:
         assert calls == [1]
 
     def test_caller_arrays_neither_mutated_nor_shared(self):
+        for build in ("single", "stack"):
+            self.assert_caller_arrays_kept(build)
+
+    def assert_caller_arrays_kept(self, build):
         t_points = 12
         arrays = dict(
             rand_probs=np.array([0.3, 0.2]),
@@ -183,14 +188,58 @@ class TestBuildV:
             l_matrix=np.array([[1.0, -1.0]]),
         )
         before = {name: a.copy() for name, a in arrays.items()}
-        inputs = DesignInputs(k_arms=2, t_points=t_points, q=1, **arrays)
-        v, rate = inputs.v_matrix.copy(), inputs.lambda_rate
+        kwargs = dict(k_arms=2, t_points=t_points, q=1, eta=0.05, power_target=0.8, **arrays)
+        if build == "single":
+            points = [DesignInputs(**kwargs)]
+        else:
+            # every point names the caller's arrays
+            points, errors = DesignInputs._stack([kwargs, dict(kwargs, q=2), kwargs])
+            assert errors == [None] * 3
+        saved = [(point.v_matrix.copy(), point.lambda_rate) for point in points]
         for name, a in arrays.items():
             np.testing.assert_array_equal(a, before[name])
-            assert not np.shares_memory(a, getattr(inputs, name))
+            for point in points:
+                assert not np.shares_memory(a, getattr(point, name))
             a *= 0.5
-        assert inputs.v_matrix.tobytes() == v.tobytes()
-        assert inputs.lambda_rate == rate
+        for point, (v, rate) in zip(points, saved):
+            assert point.v_matrix.tobytes() == v.tobytes()
+            assert point.lambda_rate == rate
+
+    @pytest.mark.parametrize("build", ["stack", "configs"])
+    def test_points_of_a_stack_share_no_arrays(self, build):
+        # the points hold rows of shared stacks; writing into one point's
+        # arrays changes no other point
+        if build == "stack":
+            base = dict(
+                k_arms=2, t_points=6, rand_probs=np.array([0.3, 0.2]), tau=np.full(6, 0.7),
+                f=np.ones((6, 1)), gamma=np.array([0.1, 0.0]), q=1,
+                l_matrix=np.array([[1.0, -1.0]]), eta=0.05, power_target=0.8,
+            )
+            longer = dict(base, t_points=8, tau=np.full(8, 0.7), f=np.ones((8, 1)))
+            fields = [base, dict(base, tau=np.full(6, 0.9)), longer, dict(base, q=2)]
+        else:
+            cfgs = [dict(GOLDEN_CFG, **{key: value}) for key, value in
+                    [("AA", "0.5"), ("AA", "0.7"), ("T", "30"), ("sate1", "0.1")]]
+        names = ("rand_probs", "tau", "f", "gamma", "l_matrix", "v_matrix")
+        for mutated in range(4):
+            if build == "stack":
+                points, errors = DesignInputs._stack(fields)
+                assert errors == [None] * 4
+            else:
+                points = _inputs_from_configs(cfgs)
+            saved = [({name: getattr(point, name).copy() for name in names}, point.lambda_rate)
+                     for point in points]
+            for a, b in ((a, b) for a in points for b in points if a is not b):
+                for name in names:
+                    assert not np.shares_memory(getattr(a, name), getattr(b, name))
+            for name in ("tau", "gamma", "rand_probs"):
+                getattr(points[mutated], name)[...] = 0.25
+            for j, (point, (arrays, rate)) in enumerate(zip(points, saved)):
+                if j == mutated:
+                    continue
+                for name in names:
+                    assert getattr(point, name).tobytes() == arrays[name].tobytes()
+                assert point.lambda_rate == rate
 
 
 class TestNoncentrality:
@@ -219,6 +268,32 @@ class TestNoncentrality:
     def test_null_alternative_rejected(self):
         with pytest.raises(NullContrastError):
             golden_inputs(gamma=np.array([0.05, 0.05]))
+
+    def test_null_test_does_not_overflow(self):
+        # past |gamma| of about 1.3e154 both norms overflowed, and inf <= inf
+        # called this contrast null; its noncentrality overflows instead,
+        # and the search fails
+        huge = golden_inputs(gamma=np.array([1e155, 0.0]))
+        assert huge.lambda_rate == math.inf
+        with pytest.raises(ConvergenceError):
+            required_sample_size(huge)
+        with pytest.raises(NullContrastError):
+            golden_inputs(gamma=np.array([1e155, 1e155]))
+
+    @pytest.mark.parametrize("size", [0.75, 1.0, 1.5, 3e7, 2.0**100, 1e150])
+    def test_null_decision_is_the_unscaled_one(self, size):
+        # gamma = (a, a (1 + r)) straddles |Lt gamma| = 1e-12 |gamma| at
+        # r = sqrt(2) * 1e-12; the scaled test decides as the plain norms do
+        reduced = golden_inputs().contrast.row_basis
+        for r in np.linspace(1.40e-12, 1.43e-12, 31):
+            gamma = np.array([size, size * (1.0 + r)])
+            null = np.linalg.norm(reduced @ gamma) <= 1e-12 * max(1.0, np.linalg.norm(gamma))
+            try:
+                golden_inputs(gamma=gamma)
+            except NullContrastError:
+                assert null
+            else:
+                assert not null
 
     def test_invariant_to_contrast_row_scaling(self):
         a = golden_inputs().lambda_rate
@@ -503,10 +578,8 @@ class TestPowerWhereNcfdtrFails:
 
     @pytest.mark.parametrize("size", [
         pytest.param(1e153, id="rate finite"),
-        # the build warns that lambda_rate overflows
-        pytest.param(3e153, id="rate inf", marks=pytest.mark.filterwarnings(
-            "ignore:overflow encountered in matmul:RuntimeWarning"
-        )),
+        # lambda_rate overflows in the build, which does not warn
+        pytest.param(3e153, id="rate inf"),
     ])
     def test_infinite_noncentrality_still_raises(self, monkeypatch, size):
         # (n - q - l) * lambda_rate overflows to inf; halving inf never
@@ -956,6 +1029,136 @@ class TestConfigStack:
         assert str(errors[1]) == str(single.value)
         assert "design matrix V is singular" in str(errors[1])
         assert points[0].lambda_rate == DesignInputs(**good).lambda_rate
+
+
+#: The field checks of DesignInputs that a break below fails, in the order
+#: it makes them, with their messages for K arms, T points and basis size p.
+FIELD_CHECKS = [
+    ("probs range", lambda k, t, p: "active-arm probabilities must be positive with row sums < 1"),
+    ("tau length", lambda k, t, p: f"tau must have length T={t}"),
+    ("tau range", lambda k, t, p: "tau values must lie in (0, 1]"),
+    ("f rows", lambda k, t, p: f"f must be (T, p) with T={t}"),
+    ("f finite", lambda k, t, p: "f must be finite"),
+    ("gamma length", lambda k, t, p: f"gamma must have length K*p = {k * p}"),
+    ("gamma finite", lambda k, t, p: "gamma must be finite"),
+    ("L columns", lambda k, t, p: f"l_matrix must have K={k} columns"),
+    ("q", lambda k, t, p: "q must be >= 1"),
+    ("eta", lambda k, t, p: "eta must lie in (0, 1)"),
+    ("power", lambda k, t, p: "power_target must lie in [0, 1)"),
+]
+
+#: Each way a point is broken, and the check it fails.
+BREAKS = {
+    "probs nan": "probs range", "probs zero": "probs range", "probs negative": "probs range",
+    "probs row sum": "probs range", "tau zero": "tau range", "tau above one": "tau range",
+    "tau length": "tau length", "f nonfinite": "f finite", "f rows": "f rows",
+    "gamma length": "gamma length", "gamma nonfinite": "gamma finite", "L columns": "L columns",
+    "q": "q", "eta": "eta", "power": "power",
+}
+
+
+def checked_point(rng, k_arms: int, t_points: int, p: int) -> dict:
+    """DesignInputs fields that pass every field check: rand_probs a
+    K-vector or (T, K), an intercept or (1, t) f basis."""
+    weights = rng.uniform(0.2, 1.0, (t_points, k_arms + 1))
+    probs = (weights / weights.sum(axis=1, keepdims=True))[:, 1:]
+    f = np.ones((t_points, 1))
+    if p == 2:
+        f = np.column_stack([f, np.arange(1.0, t_points + 1)])
+    return dict(
+        k_arms=k_arms, t_points=t_points, rand_probs=probs[0] if rng.random() < 0.5 else probs,
+        tau=rng.uniform(0.2, 1.0, t_points), f=f, gamma=rng.normal(size=k_arms * p),
+        q=int(rng.integers(1, 4)), l_matrix=np.eye(k_arms)[: rng.integers(1, k_arms + 1)],
+        eta=0.05, power_target=0.8,
+    )
+
+
+def broken(fields: dict, name: str, rng) -> dict:
+    """fields with one more break, the one BREAKS names."""
+    probs, tau, f, gamma = (
+        np.array(fields[key], dtype=float) for key in ("rand_probs", "tau", "f", "gamma")
+    )
+    if name.startswith("probs"):
+        if name == "probs row sum":
+            row = probs if probs.ndim == 1 else probs[rng.integers(len(probs))]
+            row[:] = (1.0 + rng.uniform(0.0, 0.5)) / len(row)
+        else:
+            value = {"probs nan": np.nan, "probs zero": 0.0, "probs negative": -0.1}[name]
+            probs.flat[rng.integers(probs.size)] = value
+        return dict(fields, rand_probs=probs)
+    if name in ("tau zero", "tau above one"):
+        tau[rng.integers(len(tau))] = 0.0 if name == "tau zero" else 1.0 + rng.uniform(1e-9, 1.0)
+        return dict(fields, tau=tau)
+    if name == "tau length":
+        return dict(fields, tau=np.append(tau, 0.5))
+    if name == "f nonfinite":
+        f.flat[rng.integers(f.size)] = rng.choice([np.nan, np.inf, -np.inf])
+        return dict(fields, f=f)
+    if name == "f rows":
+        return dict(fields, f=np.vstack([f, f[:1]]))
+    if name == "gamma length":
+        return dict(fields, gamma=np.append(gamma, 0.1))
+    if name == "gamma nonfinite":
+        gamma[rng.integers(len(gamma))] = rng.choice([np.nan, np.inf])
+        return dict(fields, gamma=gamma)
+    if name == "L columns":
+        return dict(fields, l_matrix=np.ones((1, fields["k_arms"] + 1)))
+    if name == "q":
+        return dict(fields, q=int(rng.integers(-1, 1)))
+    if name == "eta":
+        return dict(fields, eta=float(rng.choice([0.0, 1.0, -0.1, np.nan])))
+    return dict(fields, power_target=float(rng.choice([1.0, 1.5, -0.1, np.nan])))
+
+
+def assert_same_build(stacked, single) -> None:
+    """stacked is bitwise the DesignInputs single."""
+    for name in ("rand_probs", "tau", "f", "gamma", "l_matrix", "v_matrix"):
+        assert getattr(stacked, name).tobytes() == getattr(single, name).tobytes(), name
+    assert stacked.contrast.row_basis.tobytes() == single.contrast.row_basis.tobytes()
+    assert (stacked.v_condition, stacked.lambda_rate, stacked.rank_l) == (
+        single.v_condition, single.lambda_rate, single.rank_l
+    )
+
+
+class TestStackedChecks:
+    """The field checks run once over a stack of points; every point gets
+    the error of its first failing check, which is the error it gets
+    alone, and a point that passes is bitwise its single build."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 2),
+        st.lists(
+            st.tuples(
+                st.integers(1, 4), st.integers(0, 2**32 - 1),
+                st.lists(st.sampled_from(sorted(BREAKS)), max_size=3),
+            ),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_each_point_fails_or_builds_as_alone(self, k_arms, p, drawn):
+        order = [check for check, _ in FIELD_CHECKS]
+        fields, wants = [], []
+        for t_points, seed, breaks in drawn:
+            rng = np.random.default_rng(seed)
+            point = checked_point(rng, k_arms, t_points, p)
+            for name in breaks:
+                point = broken(point, name, rng)
+            fields.append(point)
+            first = min((order.index(BREAKS[name]) for name in breaks), default=None)
+            wants.append(None if first is None else FIELD_CHECKS[first][1](k_arms, t_points, p))
+        points, errors = DesignInputs._stack(fields)
+        for point, error, kwargs, want in zip(points, errors, fields, wants):
+            try:
+                single = DesignInputs(**kwargs)
+            except (DataValidationError, NumericalError) as exc:
+                assert (type(error), str(error)) == (type(exc), str(exc))
+            else:
+                assert error is None
+                assert_same_build(point, single)
+            if want is not None:
+                assert (type(error), str(error)) == (DataValidationError, want)
 
 
 class TestArrayDataclassesCompareByIdentity:
