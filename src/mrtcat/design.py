@@ -418,8 +418,14 @@ def _cdf_negligible(l: float, df2: float, lam: float, critical: float) -> bool:
     scipy 1.17's returns NaN for lam in roughly (1390, 1550), and a CDF
     of 0 or about 1e-291 either side.  The CDF does not increase in lam,
     so its value at the first of lam / 2, lam / 4, ... where ncfdtr is
-    finite bounds it from above.  An infinite lam has no such bound.
+    finite bounds it from above.  ncfdtr also returns NaN for every lam
+    above about 1e19, at the cost of a full call each, so a lam above
+    2^63 starts from its largest lam * 2^-j below 2^62 instead of
+    halving once per call: at most about 62 calls, not up to 1,000.  An
+    infinite lam has no such bound.
     """
+    if 0.0 < lam < math.inf:
+        lam = math.ldexp(lam, min(0, 63 - math.frexp(lam)[1]))
     while 0.0 < lam < math.inf:
         lam /= 2.0
         cdf = float(ncfdtr(l, df2, lam, critical))

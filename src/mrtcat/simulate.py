@@ -539,11 +539,11 @@ class _MonteCarlo:
             features["Z"] = z
         fit = fit_stack(
             avail, trt, self.probs, outcome, features, self.config.k_arms, self.spec,
-            workspace, self.tables, True,
+            workspace, self.tables,
         )
         keep_first_errors(errors, fit.errors)
         self.beta[lo:hi] = fit.theta[:, self.spec.q :]
-        self.m[lo:hi], self.sigma[lo:hi] = fit.cov_beta
+        self.m[lo:hi], self.sigma[lo:hi] = fit.m, fit.sigma
         self.errors[lo:hi] = errors
 
     def finish(self) -> None:

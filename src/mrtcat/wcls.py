@@ -268,16 +268,16 @@ class FitStack(NamedTuple):
     theta stacks (alpha, beta); resid is the unweighted residual panel
     over the usable decision points; tables are the numerator tables,
     one (1, T, K+1) table when they do not depend on the data.
-    cov_beta is the sandwich covariance, or, when fit_stack is asked for
-    the sandwich sums, the pair (M, Sigma) of (R, Kp, Kp) stacks that
-    covariance_stack turns into it.
+    m and sigma are the (R, Kp, Kp) sandwich sums (M, Sigma) that
+    covariance_stack turns into the covariance of beta_hat.
     errors[r] is the exception fit_wcls raises on panel r, or None; the
     other entries of a failed panel are meaningless.
     """
 
     theta: np.ndarray
     resid: np.ndarray
-    cov_beta: np.ndarray | tuple
+    m: np.ndarray
+    sigma: np.ndarray
     md_fallbacks: np.ndarray
     tables: np.ndarray
     errors: list
@@ -295,7 +295,6 @@ def fit_stack(
     spec: ModelSpec,
     workspace: dict | None = None,
     tables: tuple | None = None,
-    sandwich_sums: bool = False,
 ) -> FitStack:
     """fit_wcls on R panels at once, with fit_wcls's error for each panel.
 
@@ -304,16 +303,16 @@ def fit_stack(
     are passed once.  tables, when given, is the (table, error) pair of
     a numerator table that cannot depend on the panels: one (1, T, K+1)
     table from numerator_tables and the error it gives every panel, or
-    None; without it the tables are computed here.  With sandwich_sums
-    the fit stops at each panel's (M, Sigma) and leaves the covariance
-    solves, and their errors, to a covariance_stack call of the caller's;
-    the Monte Carlo engine makes one such call per run.  Every panel must
-    satisfy the MrtDataset invariants.  The checks run in fit_wcls's
-    order (window, numerator table, design columns, arms observed,
-    subject count, solves) and each panel keeps the first error it
-    meets.  A failed panel is still fitted, but its values stay in its
-    own slices: the solves and the sandwich set aside a slice that is
-    not finite or not positive definite.  The design arrays and resid
+    None; without it the tables are computed here.  The fit stops at
+    each panel's sandwich sums (M, Sigma): the covariance solves, the
+    last step of fit_wcls, and their errors are left to the caller's
+    covariance_stack call, which the Monte Carlo engine makes once per
+    run.  Every panel must satisfy the MrtDataset invariants.  The
+    checks run in fit_wcls's order (window, numerator table, design
+    columns, arms observed, subject count, normal solve) and each panel
+    keeps the first error it meets.  A failed panel is still fitted,
+    but its values stay in its own slices: the solves and the sandwich
+    set aside a slice that is not finite or not positive definite.  The design arrays and resid
     are scratch arrays of the workspace (see scratch), so a caller that
     passes one must not keep resid past its next call.
 
@@ -345,8 +344,7 @@ def fit_stack(
     if all(exc is not None for exc in errors):
         zeros = np.zeros((count, dim - spec.q, dim - spec.q))
         return FitStack(
-            np.zeros((count, dim)), np.zeros((count, n, 0)),
-            (zeros, zeros) if sandwich_sums else zeros,
+            np.zeros((count, dim)), np.zeros((count, n, 0)), zeros, zeros,
             np.zeros(count, dtype=np.int64), tables, errors,
         )
 
@@ -372,56 +370,46 @@ def fit_stack(
     m_sum, sigma_sum, md_fallbacks = _sandwich_core(
         weighted, resid, per_subject, normal, solve, spec.q, spec.correction, errors
     )
-    if sandwich_sums:
-        cov_beta = (m_sum, sigma_sum)
-    else:
-        cov_beta, cov_errors = covariance_stack(m_sum, sigma_sum)
-        keep_first_errors(errors, cov_errors)
-    return FitStack(solve.solution, resid, cov_beta, md_fallbacks, tables, errors)
+    return FitStack(solve.solution, resid, m_sum, sigma_sum, md_fallbacks, tables, errors)
 
 
-def _gershgorin_certified(hat: np.ndarray) -> np.ndarray:
-    """Flags over the leading axes of a (..., d, d) stack S: Gershgorin's
-    theorem puts every eigenvalue of I - S above 2 * LEVERAGE_TOL.
+def _solve_certified(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a x = b over the leading axes of a (..., d, d) stack a and a
+    (..., d) stack b by Gaussian elimination without pivoting, and flag
+    the blocks with lambda_min(a) > 2 * LEVERAGE_TOL.
 
-    Each eigenvalue of I - S lies in a disc around some 1 - s_jj with
-    radius sum_{k != j} |s_jk|, so min_j (1 - s_jj - radius_j) bounds
-    them all from below.  A matrix with a non-finite entry is never
-    certified.
-    """
-    diag = np.diagonal(hat, axis1=-2, axis2=-1)
-    radius = np.abs(hat).sum(axis=-1) - np.abs(diag)
-    return (1.0 - diag - radius).min(axis=-1) > 2.0 * LEVERAGE_TOL
-
-
-def _solve_dominant(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b over the leading axes of a (..., d, d) stack a that is
-    strictly diagonally dominant by rows and a (..., d) stack b, by
-    Gaussian elimination without pivoting.
-
-    On such a matrix the elimination needs no pivoting: every pivot is
-    nonzero and the growth factor is at most 2, so it is backward stable
-    like a pivoted LU.  np.linalg.solve makes one LAPACK call per slice;
-    here each step is one numpy call over the whole stack, which is
-    moved to the last axis so that the step runs over contiguous rows.
+    a is meant to be I - S_i, symmetric up to rounding.  The same steps
+    eliminate a - 2 * LEVERAGE_TOL * I, concatenated to a along the
+    stack axis, which is moved last so that each step runs over
+    contiguous rows.  By Sylvester's law of inertia the pivots of an
+    unpivoted symmetric elimination have the signs of the eigenvalues,
+    so a block is certified when every pivot of its shifted copy is
+    positive and finite.  Finite pivots mean a finite block: a
+    non-finite entry reaches a pivot, since the steps only multiply,
+    subtract and divide by pivots.  Elimination without pivoting is
+    backward stable on a certified, hence positive definite, block; the
+    x of any other block is meaningless.
     """
     shape, dim = b.shape, b.shape[-1]
-    a = np.moveaxis(a.reshape(-1, dim, dim), 0, -1).copy()
+    count = math.prod(shape[:-1])
+    work = np.empty((dim, dim, 2 * count))
+    work[..., :count] = np.moveaxis(a.reshape(count, dim, dim), 0, -1)
+    work[..., count:] = work[..., :count]
+    # the diagonal rows of the (dim * dim, 2 * count) view, shifted half
+    work.reshape(dim * dim, -1)[:: dim + 1, count:] -= 2.0 * LEVERAGE_TOL
     x = b.reshape(-1, dim).T.copy()
-    for k in range(dim - 1):
-        factor = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k + 1 :] -= factor[:, None] * a[k, k + 1 :]
-        x[k + 1 :] -= factor * x[k]
-    for k in reversed(range(dim)):
-        x[k] -= (a[k, k + 1 :] * x[k + 1 :]).sum(axis=0)
-        x[k] /= a[k, k]
-    return x.T.reshape(shape)
-
-
-def _subset(mask: np.ndarray):
-    """mask as an index, or Ellipsis when it selects everything, so that
-    a whole stack is used in place instead of gathered and scattered."""
-    return ... if mask.all() else mask
+    # zero pivots of blocks that are not certified
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(dim - 1):
+            factor = work[k + 1 :, k] / work[k, k]
+            work[k + 1 :, k + 1 :] -= factor[:, None] * work[k, k + 1 :]
+            x[k + 1 :] -= factor[:, :count] * x[k]
+        for k in reversed(range(dim)):
+            x[k] -= (work[k, k + 1 :, :count] * x[k + 1 :]).sum(axis=0)
+            x[k] /= work[k, k, :count]
+    pivots = np.diagonal(work[..., count:])
+    certified = ((pivots > 0.0) & (pivots < math.inf)).all(axis=1)
+    return x.T.reshape(shape), certified.reshape(shape[:-1])
 
 
 def _sandwich_core(
@@ -457,24 +445,23 @@ def _sandwich_core(
     the pseudo-inverse of the symmetric I - W_i^{1/2} D_i B^{-1} D_i'
     W_i^{1/2} on that subspace.
 
-    When Gershgorin's theorem proves every eigenvalue of I - S_i above
-    2 * LEVERAGE_TOL, no leverage of the subject can reach the
-    tolerance, and (I - S_i)^{-1} L^{-1} g_i is solved for all such
-    subjects at once by _solve_dominant: the screen's bound is the
-    strict diagonal dominance by rows of I - S_i, on which elimination
-    without pivoting is stable.  The margin of two covers the rounding
-    of the bound and of eigh, so the subjects the screen cannot clear,
-    which include every one with a non-finite entry, take the
-    eigendecomposition above and every fallback decision is the one
-    eigh makes.  A path that takes every subject works on the stack in
-    place, so a stack with no certified subject costs the screen and
-    nothing else.
+    One _solve_certified call over the whole stack certifies the
+    subjects with lambda_min(I - S_i) > 2 * LEVERAGE_TOL and solves
+    (I - S_i)^{-1} L^{-1} g_i for them.  Rounding cannot move a decision
+    across the tolerance: the elimination's backward error is about
+    d * eps * ||I - S_i||, with ||I - S_i|| <= 1, and S_i is symmetric
+    only up to rounding of that size, both far below the margin
+    LEVERAGE_TOL between the certificate's bound and the tolerance.  So
+    no certified subject holds a leverage that eigh would drop.  The
+    other subjects, including any with a non-finite entry, take the
+    eigendecomposition, and every fallback decision is the one eigh
+    makes.
 
     Kernels: numpy's matmul on stacked float64 operands calls BLAS once
     per d x d slice, one call per subject, while einsum makes one pass
     over the whole (R, n) stack.  So S_i, L^{-1} g_i and the
-    back-transform L x are einsum passes.  The subjects the screen does
-    not clear form S_i, L^{-1} g_i and L x with matmul, as the
+    back-transform L x are einsum passes.  The subjects that are not
+    certified form S_i, L^{-1} g_i and L x with matmul, as the
     eigendecomposition reference in the tests does: a stack with no
     certified subject gives bitwise that reference's sums.
 
@@ -494,15 +481,11 @@ def _sandwich_core(
             per_subject = np.where(failed[:, None, None, None], 0.0, per_subject)
         hat = np.einsum("rax,rixb->riab", lower_inv, per_subject)
         hat = np.einsum("riab,rdb->riad", hat, lower_inv)
-        certified = _gershgorin_certified(hat)
-        corrected = np.empty_like(scores)
-        if certified.any():
-            pick = _subset(certified)
-            coords = np.einsum("rab,rib->ria", lower_inv, scores)
-            coords[pick] = _solve_dominant(np.eye(gram.shape[1]) - hat[pick], coords[pick])
-            np.einsum("rab,rib->ria", lower, coords, out=corrected)
+        coords = np.einsum("rab,rib->ria", lower_inv, scores)
+        coords, certified = _solve_certified(np.eye(gram.shape[1]) - hat, coords)
+        corrected = np.einsum("rab,rib->ria", lower, coords)
         if not certified.all():
-            pick = _subset(~certified)
+            pick = ~certified
             lower, lower_inv = (
                 np.broadcast_to(factor[:, None], per_subject.shape)[pick]
                 for factor in (lower, lower_inv)
@@ -552,7 +535,8 @@ def fit_wcls(data: MrtDataset, spec: ModelSpec) -> FitResult:
     Raises DegenerateArmError when a declared arm is never observed,
     SingularSystemError when the normal matrix is singular anyway, and
     DataValidationError when there are too few subjects for the
-    covariance to make sense.  The work is fit_stack on a stack of one.
+    covariance to make sense.  The work is fit_stack on a stack of one,
+    then covariance_stack on its sums.
     """
     fit = fit_stack(
         data.avail[None],
@@ -563,13 +547,16 @@ def fit_wcls(data: MrtDataset, spec: ModelSpec) -> FitResult:
         data.k_arms,
         spec,
     )
-    if fit.errors[0] is not None:
-        raise fit.errors[0]
+    error = fit.errors[0]
+    if error is None:
+        cov_beta, (error,) = covariance_stack(fit.m, fit.sigma)
+    if error is not None:
+        raise error
     theta = fit.theta[0]
     return FitResult(
         alpha_hat=theta[: spec.q].copy(),
         beta_hat=theta[spec.q :].copy(),
-        cov_beta=fit.cov_beta[0],
+        cov_beta=cov_beta[0],
         n=data.n,
         t_points=data.t_points,
         k_arms=data.k_arms,

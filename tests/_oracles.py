@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import ncfdtr
 
 from mrtcat.data import numerator_tables
 from mrtcat.design import SampleSizeResult, power_at_n
@@ -429,3 +430,16 @@ def sample_size_bisection(inputs, cap: int):
     if n > cap:
         raise NumericalError(f"effect too small: required sample size exceeds cap {cap}")
     return result(n)
+
+
+def cdf_negligible_halving(l: float, df2: float, lam: float, critical: float) -> bool:
+    """Whether the noncentral F CDF at critical is below 2^-54, bounded by
+    its value at the first of lam / 2, lam / 4, ... where ncfdtr is
+    finite: one halving per ncfdtr call, as design._cdf_negligible did
+    before it skipped the noncentralities where ncfdtr is always NaN."""
+    while 0.0 < lam < math.inf:
+        lam /= 2.0
+        cdf = float(ncfdtr(l, df2, lam, critical))
+        if math.isfinite(cdf):
+            return cdf < 2.0**-54
+    return False

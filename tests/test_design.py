@@ -27,7 +27,7 @@ from mrtcat.design import _inputs_from_configs, _size_stack, _v_matrix
 from mrtcat.errors import ConvergenceError
 from mrtcat.numerics import f_quantile, noncentral_f_cdf
 
-from _oracles import design_v_loops, sample_size_bisection
+from _oracles import cdf_negligible_halving, design_v_loops, sample_size_bisection
 
 
 def golden_inputs(**overrides):
@@ -602,6 +602,39 @@ class TestPowerWhereNcfdtrFails:
             required_sample_size(inputs)
         [stacked] = mrtcat.design._powers([inputs], [93])
         assert isinstance(stacked, ConvergenceError)
+
+    def test_huge_noncentrality_decides_as_halving_one_step_at_a_time(self):
+        # Above about 1e19 ncfdtr is NaN, so the one-step halving reaches
+        # 2^62 only after up to 1,000 calls; skipping there decides alike.
+        # Critical values of 1e10 keep the CDF finite up to lam ~ 1e12.
+        lams = [1e3, 1e6, 1e12, 6e18, 1e19, 3e19, 1e25, 1e60, 1e300]
+        differ, decided = [], set()
+        for l in (1, 2, 3):
+            for df2 in (2.0, 10.0, 1e3, 1e5):
+                for critical in (f_quantile(l, df2, 0.95), 1e10):
+                    for lam in lams:
+                        got = mrtcat.design._cdf_negligible(l, df2, lam, critical)
+                        decided.add(got)
+                        if got != cdf_negligible_halving(l, df2, lam, critical):
+                            differ.append((l, df2, critical, lam, got))
+        assert differ == []
+        assert decided == {False, True}
+
+    def test_huge_noncentrality_sizes_in_few_calls(self, monkeypatch):
+        # gamma = (1e140, 0) gives lam ~ 1e282 at the search start: the
+        # batched power call, then one ncfdtr call at lam * 2^-j < 2^62
+        calls = []
+        real = mrtcat.design.ncfdtr
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mrtcat.design, "ncfdtr", counted)
+        result = required_sample_size(golden_inputs(gamma=np.array([1e140, 0.0])))
+        assert (result.n, result.achieved_power) == (10, 1.0)
+        assert len(calls) <= 3
+        assert 2.0**61 <= calls[-1][2] < 2.0**62
 
     def test_non_negligible_cdf_still_raises(self, monkeypatch):
         # a CDF that is still 0.3 at half the noncentrality says nothing

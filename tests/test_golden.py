@@ -4,7 +4,9 @@ Each directory under tests/golden holds a manifest.json of invocations and
 the files they wrote when the manifest was last regenerated.  A case runs
 main(argv + ["--out", path]) and must exit with the recorded code; a
 successful case must write its recorded output and nothing to stderr, a
-failing one must write its recorded stderr and no output file.
+failing one must write its recorded stderr and no output file.  A case's
+"also" maps further output options (such as simulate's --per-replicate)
+to the files they write next to the --out file.
 
 Outputs are compared field by field: JSON structure, keys, integers,
 strings and every CSV cell that is not a float exactly, and floats within
@@ -48,13 +50,47 @@ def versions() -> dict[str, str]:
     }
 
 
-def run_case(case: dict, folder: Path, out: Path) -> tuple[int, str]:
-    """Run one manifest case, writing to out: (exit code, stderr)."""
+def output_names(case: dict) -> list[str]:
+    """The files a case writes: its --out file first, then its "also" files."""
+    return [case.get("out") or "out", *case.get("also", {}).values()]
+
+
+def case_argv(case: dict, folder: Path, out_dir: Path) -> list[str]:
+    """A case's command line, with every output file in out_dir."""
     argv = [arg.replace("{dir}", str(folder)) for arg in case["argv"]]
+    options = ["--out", *case.get("also", {})]
+    for option, name in zip(options, output_names(case)):
+        argv += [option, str(out_dir / name)]
+    return argv
+
+
+def run_case(case: dict, folder: Path, out_dir: Path) -> tuple[int, str]:
+    """Run one manifest case through main: (exit code, stderr)."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main(argv + ["--out", str(out)])
+        code = main(case_argv(case, folder, out_dir))
     return code, err.getvalue()
+
+
+def check_case(
+    folder: Path, manifest: dict, case: dict, code: int, err: str, out_dir: Path
+) -> None:
+    """Assert that a run of case, which wrote into out_dir, gave the
+    committed exit code, files and stderr: every byte where the library
+    versions are the manifest's, else within its max_ulps."""
+    names = output_names(case)
+    assert code == case["exit"], err
+    exact = versions() == manifest["versions"]
+    if "out" in case:
+        assert err == ""
+        for name in names:
+            got = (out_dir / name).read_text(encoding="utf-8")
+            want = (folder / name).read_text(encoding="utf-8")
+            assert_output_close(got, want, name, manifest["max_ulps"])
+            assert got == want or not exact, f"{name} differs from the committed bytes"
+    else:
+        assert not any((out_dir / name).exists() for name in names)
+        assert err == (folder / case["stderr"]).read_text(encoding="utf-8") or not exact
 
 
 def same_float(a: float, b: float, max_ulps: int) -> bool:
@@ -111,19 +147,8 @@ def cases():
 
 @pytest.mark.parametrize("folder, manifest, case", cases())
 def test_output_matches_golden_file(folder, manifest, case, tmp_path):
-    out = tmp_path / (case.get("out") or "out")
-    code, err = run_case(case, folder, out)
-    assert code == case["exit"], err
-    if "out" in case:
-        assert err == ""
-        got = out.read_text(encoding="utf-8")
-        want = (folder / case["out"]).read_text(encoding="utf-8")
-        assert_output_close(got, want, case["out"], manifest["max_ulps"])
-    else:
-        assert not out.exists()
-        got, want = err, (folder / case["stderr"]).read_text(encoding="utf-8")
-    if versions() == manifest["versions"]:
-        assert got == want
+    code, err = run_case(case, folder, tmp_path)
+    check_case(folder, manifest, case, code, err, tmp_path)
 
 
 def test_float_comparison_is_bounded_in_ulps():
@@ -141,8 +166,7 @@ def regenerate() -> None:
         folder = path.parent
         manifest = json.loads(path.read_text(encoding="utf-8"))
         for case in manifest["cases"]:
-            out = folder / (case.get("out") or "unused.out")
-            code, err = run_case(case, folder, out)
+            code, err = run_case(case, folder, folder)
             if code != case["exit"]:
                 raise SystemExit(f"{case['argv']} exited {code}, not {case['exit']}: {err}")
             if "stderr" in case:

@@ -949,7 +949,7 @@ class TestWorkspace:
                 _assert_bytes_equal(a, b)
             assert got[3] == want[3]
             got, want = fit_stack(*args, workspace), fit_stack(*args)
-            for name in ("theta", "resid", "cov_beta", "md_fallbacks", "tables"):
+            for name in ("theta", "resid", "m", "sigma", "md_fallbacks", "tables"):
                 _assert_bytes_equal(getattr(got, name), getattr(want, name))
             assert [(type(e), str(e)) for e in got.errors] == [
                 (type(e), str(e)) for e in want.errors

@@ -17,9 +17,8 @@ from mrtcat.numerics import solve_spd_stack
 from mrtcat.wcls import (
     CORRECTIONS,
     LEVERAGE_TOL,
-    _gershgorin_certified,
     _sandwich_core,
-    _solve_dominant,
+    _solve_certified,
     covariance_stack,
     fit_stack,
 )
@@ -284,6 +283,37 @@ class TestInvariants:
         gap = np.abs(fits["match_randomization"] - fits["empirical_per_t"]).max()
         assert gap < 0.05
 
+    @staticmethod
+    def numerator_gap(seed, g_columns, ptilde):
+        """Relative change of beta_hat on a gm_ev panel (n = 60, T = 12,
+        constant p) when match_randomization's numerator is replaced by a
+        user_supplied table constant over t."""
+        from mrtcat import GenerativeConfig, simulate_trial
+
+        config = GenerativeConfig(
+            family="gm_ev", t_points=12, rand_probs=(0.3, 0.25), tau_curve=np.full(12, 0.8),
+            mee_coeffs=((0.2,), (0.1,)), theta_r=0.3, theta_s=0.2,
+        )
+        data = simulate_trial(config, n=60, seed=seed)
+        table = np.tile([1.0 - sum(ptilde), *ptilde], (12, 1))
+        betas = [
+            fit_wcls(data, ModelSpec(f_columns=("time",), g_columns=g_columns,
+                                     numerator=numerator)).beta_hat
+            for numerator in (NumeratorPolicy(), NumeratorPolicy("user_supplied", table))
+        ]
+        return np.abs(betas[0] - betas[1]).max() / np.abs(betas[0]).max()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.floats(0.05, 0.45), st.floats(0.05, 0.45))
+    def test_constant_numerator_leaves_beta_alone_when_f_and_g_span_alike(self, seed, a, b):
+        # Paper Step 5: with span(f) = span(g) = (1, time) and p and ptilde
+        # constant over t, beta_hat does not depend on ptilde.
+        assert self.numerator_gap(seed, ("time",), (a, b)) <= 1e-12
+
+    def test_constant_numerator_moves_beta_when_g_is_wider(self):
+        # the relation needs span(g) = span(f): with time2 in g it fails
+        assert self.numerator_gap(3, ("time", "time2"), (0.2, 0.35)) > 1e-6
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
     def test_cov_beta_symmetric_psd_and_root_exact(self, seed):
@@ -368,22 +398,37 @@ class TestCovarianceProduct:
         assert np.array_equal(cov, expected)
 
 
-def screen_flags(oracle):
-    """_gershgorin_certified for every subject of a loop-oracle fit."""
+def certified_flags(hat):
+    """_solve_certified's flags for a (..., d, d) stack of S_i."""
+    eye = np.eye(hat.shape[-1])
+    return _solve_certified(eye - hat, np.zeros(hat.shape[:-1]))[1]
+
+
+def oracle_hat(oracle):
+    """S_i = L^{-1} M_i L^{-T} for every subject of a loop-oracle fit."""
     x, w = oracle["x"], oracle["w"]
     per_subject = np.einsum("ita,it,itb->iab", x, w, x)
     lower_inv = np.linalg.inv(np.linalg.cholesky(per_subject.sum(axis=0)))
-    return _gershgorin_certified(lower_inv @ per_subject @ lower_inv.T)
+    return lower_inv @ per_subject @ lower_inv.T
+
+
+def screen_flags(oracle):
+    """The certificate for every subject of a loop-oracle fit."""
+    return certified_flags(oracle_hat(oracle))
 
 
 class TestScreenPaths:
     """_sandwich_core against the eigendecomposition of every subject, on
-    stacks the screen certifies whole, not at all, and in part."""
+    stacks the certificate clears whole, not at all, and in part."""
 
     @staticmethod
-    def stack(replicates, n, dim, rows):
+    def stack(replicates, n, dim, rows, share):
         rng = np.random.default_rng(11)
         design = rng.normal(size=(replicates, dim, n, rows))
+        if share == "some":
+            # in the even replicates subject 0 alone has the last column,
+            # which puts one of its leverages at one
+            design[::2, -1, 1:] = 0.0
         per_subject = np.einsum("rait,rbit->riab", design, design)
         gram = per_subject.sum(axis=1)
         normal_solve = solve_spd_stack(gram, np.zeros((replicates, dim)))
@@ -410,12 +455,15 @@ class TestScreenPaths:
     )
     def test_matches_eigh_everywhere(self, n, dim, rows, share):
         # one row per subject and n = dim puts every leverage at one
-        args = self.stack(8, n, dim, rows)
+        args = self.stack(8, n, dim, rows, share)
         lower_inv = args[4].factor_inv[:, None]
-        certified = _gershgorin_certified(lower_inv @ args[2] @ lower_inv.swapaxes(-1, -2))
+        hat = lower_inv @ args[2] @ lower_inv.swapaxes(-1, -2)
+        certified = certified_flags(hat)
         assert {"all": certified.all(), "none": not certified.any()}.get(
             share, certified.any() and not certified.all()
         )
+        gaps = np.linalg.eigvalsh(np.eye(dim) - hat).min(axis=-1)
+        assert np.array_equal(certified, gaps > 2.0 * LEVERAGE_TOL)
         m, sigma, fallbacks = _sandwich_core(*args, 2, "mancl_derouen", [None] * 8)
         cov, errors = covariance_stack(m, sigma)
         expected, expected_fallbacks = self.eigh_everywhere(*args, 2)
@@ -423,37 +471,32 @@ class TestScreenPaths:
         assert np.array_equal(fallbacks, expected_fallbacks)
         if share == "none":
             assert np.array_equal(cov, expected)
-        else:
-            np.testing.assert_allclose(cov, expected, rtol=1e-12, atol=0.0)
+        # a certified subject's solve and eigh differ by rounding of about
+        # eps / lambda_min(I - S_i)
+        for r in range(8):
+            gap = gaps[r][certified[r]].min(initial=1.0)
+            rtol = max(1e-12, 16 * np.finfo(float).eps / gap)
+            np.testing.assert_allclose(cov[r], expected[r], rtol=rtol, atol=0.0)
 
 
 class TestSolveDominant:
-    """_solve_dominant, the certified subjects' solve, against a pivoted
-    LU on stacks the Gershgorin screen certifies."""
+    """_solve_certified's solve against a pivoted LU on symmetric positive
+    definite stacks whose smallest eigenvalue is just above the margin
+    or far from it."""
 
     @pytest.mark.parametrize("dim", range(1, 7))
     @pytest.mark.parametrize("margin", [0.5, 1e-2, 1e-4, 1e-6, 2.2 * LEVERAGE_TOL])
     def test_matches_pivoted_solve(self, dim, margin):
-        # I - S with symmetric off-diagonals and every row's Gershgorin
-        # margin at least margin, the first row's exactly; 1 - s_jj <= 1.
-        # The first row and column are scaled by margin as well, so that
-        # the smallest eigenvalue is of order margin and cond ~ 1 / margin.
+        # I - S = Q diag(gaps) Q' with gaps in [margin, 1], the first one
+        # margin, so that cond = 1 / margin up to the spread of the rest
         rng = np.random.default_rng(dim)
-        off = rng.normal(size=(4, 5, dim, dim))
-        off = np.triu(off, 1) + np.triu(off, 1).swapaxes(-1, -2)
-        off[..., 0, :] *= margin
-        off[..., :, 0] *= margin
-        radius = np.abs(off).sum(axis=-1)
-        off *= (1.0 - margin) * rng.uniform(0.0, 1.0, (4, 5, 1, 1)) / np.maximum(
-            radius.max(axis=-1), 1e-300
-        )[..., None, None]
-        radius = np.abs(off).sum(axis=-1)
-        spare = (1.0 - margin - radius) * rng.uniform(0.0, 1.0, radius.shape)
-        spare[..., 0] = 0.0
-        gap = -off + (radius + margin + spare)[..., None] * np.eye(dim)
-        assert _gershgorin_certified(np.eye(dim) - gap).all()
+        basis = np.linalg.qr(rng.normal(size=(4, 5, dim, dim)))[0]
+        gaps = rng.uniform(margin, 1.0, (4, 5, dim))
+        gaps[..., 0] = margin
+        gap = (basis * gaps[..., None, :]) @ basis.swapaxes(-1, -2)
         rhs = rng.normal(size=(4, 5, dim))
-        got = _solve_dominant(gap.copy(), rhs.copy())
+        got, certified = _solve_certified(gap.copy(), rhs.copy())
+        assert certified.all()
         want = np.linalg.solve(gap, rhs[..., None])[..., 0]
         cond = np.linalg.cond(gap, np.inf)
         error = np.abs(got - want).max(axis=-1) / np.abs(want).max(axis=-1)
@@ -468,12 +511,12 @@ def near_unit_leverage_panel(scale, decoupled=False):
     beta scores and the covariance well conditioned.
 
     Without decoupled, the s0 row of subject 0's S_0 holds entries of
-    order scale against a margin of order scale^2, so the Gershgorin
-    screen certifies that subject at 1 - h = 2.0e-2 (scale 0.02) but not
-    at 5.0e-3 (scale 0.01).  With it, every subject's s0 is
-    W-orthogonal to its own intercept and arm columns: the s0 direction
-    is then apart from the others in B and in every S_i, and the screen
-    certifies subject 0 down to 1 - h of about 2.1e-8."""
+    order scale against a margin of order scale^2: a Gershgorin bound
+    would refuse that subject from 1 - h = 5.0e-3 (scale 0.01) down,
+    while the exact certificate clears it to 1 - h of about 2e-8, as it
+    does with decoupled.  With it, every subject's s0 is W-orthogonal to
+    its own intercept and arm columns, so the s0 direction is apart from
+    the others in B and in every S_i."""
     rng = np.random.default_rng(2)
     n, t_points = 12, 6
     trt = rng.integers(0, 3, size=(n, t_points))
@@ -549,29 +592,48 @@ class TestHatMatrixCorrection:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.floats(0.0, 5.0))
     def test_screen_certifies_no_leverage_near_one(self, seed, dim, spread):
-        # subjects whose blocks differ in scale by up to 1e10 have
-        # leverages from about 0 to within 1e-10 of one
+        # Subjects whose blocks differ in scale by up to 1e10 have
+        # leverages from about 0 to within 1e-10 of one.  A subject is
+        # certified exactly when lambda_min(I - S_i) > 2 * LEVERAGE_TOL,
+        # except within a band of 100 * eps around the margin, where the
+        # rounding of S_i and of eigvalsh may decide either way.
         rng = np.random.default_rng(seed)
         n = dim + 2
         blocks = rng.normal(size=(n, 3, dim)) * 10.0 ** rng.uniform(-spread, spread, (n, 1, 1))
         per_subject = blocks.transpose(0, 2, 1) @ blocks
         lower_inv = np.linalg.inv(np.linalg.cholesky(per_subject.sum(axis=0)))
         hat = lower_inv @ per_subject @ lower_inv.T
-        for certified, matrix in zip(_gershgorin_certified(hat), hat):
-            if certified:
-                assert np.linalg.eigvalsh(np.eye(dim) - matrix).min() > LEVERAGE_TOL
+        gaps = np.linalg.eigvalsh(np.eye(dim) - hat).min(axis=-1)
+        clear = np.abs(gaps - 2.0 * LEVERAGE_TOL) > 100 * np.finfo(float).eps
+        assert np.array_equal(certified_flags(hat)[clear], gaps[clear] > 2.0 * LEVERAGE_TOL)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("entry", [(0, 0), (2, 2), (0, 1), (2, 0)])
+    @pytest.mark.parametrize(
+        "entry", [(0, 0), (2, 2), (0, 1), (2, 0), (1, 1), (1, 0), (0, 2), (1, 2), (2, 1)]
+    )
     def test_screen_never_certifies_a_non_finite_block(self, value, entry):
         # An (R, n) stack of certified blocks 0.1 I with one non-finite
-        # entry in subject (1, 1): that subject alone is not certified.
+        # entry in subject (1, 1): that subject alone is not certified,
+        # although an infinite diagonal entry can leave its pivots positive.
         hat = np.tile(0.1 * np.eye(3), (2, 3, 1, 1))
         hat[1, 1][entry] = value
         expected = np.ones((2, 3), dtype=bool)
         expected[1, 1] = False
         with np.errstate(invalid="ignore"):  # inf - inf, as inside fit_stack
-            assert np.array_equal(_gershgorin_certified(hat), expected)
+            assert np.array_equal(certified_flags(hat), expected)
+
+    @pytest.mark.parametrize("decoupled", [False, True])
+    @pytest.mark.parametrize("scale", [0.02, 0.01, 1e-3, 1e-4, 2.6e-5, 1.8e-5, 1e-5])
+    def test_certificate_is_the_eigenvalue_condition(self, scale, decoupled):
+        # every subject is certified exactly when lambda_min(I - S_i) >
+        # 2 * LEVERAGE_TOL, coupled to the others or not
+        data = near_unit_leverage_panel(scale, decoupled)
+        table = numerator_table_loops(data, "match_randomization")
+        hat = oracle_hat(wcls_fit_loops(data, table, (), ("s0",), delta=1))
+        gaps = np.linalg.eigvalsh(np.eye(hat.shape[-1]) - hat).min(axis=-1)
+        flags = certified_flags(hat)
+        assert np.array_equal(flags, gaps > 2.0 * LEVERAGE_TOL)
+        assert flags[0] == (scale >= 2.6e-5)
 
     def test_leverage_just_below_tolerance_margin_takes_eigh(self):
         data = near_unit_leverage_panel(1.72e-5)
@@ -614,10 +676,11 @@ class TestHatMatrixCorrection:
 
     @pytest.mark.parametrize("scale", [1.8e-3, 1e-4, 2.6e-5])
     def test_certified_subject_near_unit_leverage_in_extended_precision(self, scale):
-        # 1 - h is about 1e-4, 3.2e-7 and 2.1e-8; at scale 2.5e-5 (1 - h =
-        # 2.0e-8) the screen no longer certifies subject 0.  The amplified
-        # s0 direction leaves the beta scores in exact arithmetic, so what
-        # remains of it is rounding of relative size eps / (1 - h) at most.
+        # 1 - h is about 1e-4, 3.2e-7 and 2.1e-8, the last just above the
+        # margin 2 * LEVERAGE_TOL below which subject 0 is not certified.
+        # The amplified s0 direction leaves the beta scores in exact
+        # arithmetic, so what remains of it is rounding of relative size
+        # eps / (1 - h) at most.
         data = near_unit_leverage_panel(scale, decoupled=True)
         table = numerator_table_loops(data, "match_randomization")
         oracle = wcls_fit_loops(data, table, (), ("s0",), delta=1)
@@ -691,7 +754,9 @@ class TestFitStack:
         alone = fit_wcls(data, spec)
         assert fit.errors[r] is None
         np.testing.assert_allclose(fit.theta[r, spec.q :], alone.beta_hat, rtol=1e-12)
-        np.testing.assert_allclose(fit.cov_beta[r], alone.cov_beta, rtol=1e-12)
+        cov, (error,) = covariance_stack(fit.m[r : r + 1], fit.sigma[r : r + 1])
+        assert error is None
+        np.testing.assert_allclose(cov[0], alone.cov_beta, rtol=1e-12)
         assert fit.md_fallbacks[r] == alone.md_fallbacks
 
     @pytest.mark.parametrize("correction", CORRECTIONS)
