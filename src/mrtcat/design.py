@@ -179,6 +179,8 @@ def _shaped(point: DesignInputs) -> tuple[list[np.ndarray], Exception | None]:
             raise DataValidationError("q must be >= 1")
         if not (0.0 < point.eta < 1.0):
             raise DataValidationError("eta must lie in (0, 1)")
+        if 1.0 - point.eta == 1.0:
+            raise DataValidationError("eta is too small: 1 - eta rounds to 1")
         if not (0.0 <= point.power_target < 1.0):
             raise DataValidationError("power_target must lie in [0, 1)")
     except (TypeError, ValueError) as exc:

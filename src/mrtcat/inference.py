@@ -10,6 +10,14 @@ is compared, after the small-sample scaling, against an F distribution
 with (l, n - q - l) degrees of freedom, where l = rank(L).  The scaling
 factor (n - q - l) / (l (n - q - l)) reduces to 1/l, but the code keeps
 the paper's expression, which fixes every statistic's rounding.
+Intervals use the t-like quantile, the square root of the (1, n - q - 1)
+F quantile.
+
+wald_stack and interval_stack decide this reference for a stack of R
+fits of n subjects: they raise what every fit shares (the level, the
+widths, too few subjects, the F quantile's error) and return one error
+slot per fit.  wald_test and confidence_intervals are stacks of one, and
+the Monte Carlo engine calls the two on a whole run's replicates.
 """
 
 from __future__ import annotations
@@ -139,40 +147,36 @@ def _row_space_basis(l_tilde: np.ndarray) -> np.ndarray:
     return s[:rank, None] * vt[:rank]
 
 
-def check_wald(n: int, q: int, contrast: ContrastSpec, n_coeffs: int, eta: float) -> None:
-    """Raise unless wald_test can run: eta in (0, 1), matching
-    dimensions and enough subjects for the F reference."""
+def wald_stack(
+    beta: np.ndarray, cov_beta: np.ndarray, contrast: ContrastSpec, n: int, q: int, eta: float
+) -> tuple[np.ndarray, np.ndarray, float, list]:
+    """Scaled-F Wald statistics of R fits of n subjects against one contrast.
+
+    beta is (R, Kp) and cov_beta (R, Kp, Kp).  Raises what every fit
+    shares: an eta outside (0, 1) or whose 1 - eta rounds to 1, a
+    contrast of another width, n <= q + l + 1, or the critical value's
+    error.  Returns the (R,) statistics and scaled statistics, the
+    (l, n - q - l) critical value at level eta, and, per fit, the
+    exception wald_test raises or None.
+    """
     if not (0.0 < eta < 1.0):
         raise DataValidationError("eta must lie in (0, 1)")
-    if contrast.l_tilde.shape[1] != n_coeffs:
+    if 1.0 - eta == 1.0:
+        raise DataValidationError("eta is too small: 1 - eta rounds to 1")
+    if contrast.l_tilde.shape[1] != beta.shape[1]:
         raise DataValidationError(
             f"contrast expects {contrast.l_tilde.shape[1]} coefficients, "
-            f"fit has {n_coeffs}"
+            f"fit has {beta.shape[1]}"
         )
     l = contrast.rank_l
     if n <= q + l + 1:
         raise DataValidationError(
             f"need n > q + l + 1 for the scaled-F test (n={n}, q={q}, l={l})"
         )
-
-
-def scale_statistic(statistic, n: int, q: int, l: int):
-    """The small-sample scaling of the Wald statistic (scalar or array)."""
-    return statistic * (n - q - l) / (l * (n - q - l))
-
-
-def wald_stack(
-    beta: np.ndarray, cov_beta: np.ndarray, reduced: np.ndarray
-) -> tuple[np.ndarray, list]:
-    """Wald statistics of R fits against one full-row-rank contrast.
-
-    beta is (R, Kp), cov_beta (R, Kp, Kp) and reduced the contrast's
-    row_basis.  Returns the (R,) statistics and, per fit, the exception
-    wald_test raises or None.
-    """
+    critical = f_quantile(l, n - q - l, 1.0 - eta)
+    reduced = contrast.row_basis
     v = beta @ reduced.T
-    gram = reduced @ cov_beta @ reduced.T
-    solve = solve_spd_stack(gram, v)
+    solve = solve_spd_stack(reduced @ cov_beta @ reduced.T, v)
     statistic = np.maximum(np.einsum("rl,rl->r", v, solve.solution), 0.0)
     errors = [
         SingularSystemError(f"contrasted covariance is singular: {exc}")
@@ -180,57 +184,53 @@ def wald_stack(
         else exc
         for exc in solve.errors
     ]
-    return statistic, errors
+    return statistic, statistic * (n - q - l) / (l * (n - q - l)), critical, errors
 
 
 def wald_test(fit: FitResult, contrast: ContrastSpec, eta: float = 0.05) -> TestResult:
     """Scaled-F Wald test of H0: L_tilde beta = 0 at level eta, against
     an F reference with (l, n - q - l) degrees of freedom."""
-    check_wald(fit.n, fit.q, contrast, fit.beta_hat.shape[0], eta)
     n, q, l = fit.n, fit.q, contrast.rank_l
-    statistics, errors = wald_stack(fit.beta_hat[None], fit.cov_beta[None], contrast.row_basis)
+    statistics, scaled, critical, errors = wald_stack(
+        fit.beta_hat[None], fit.cov_beta[None], contrast, n, q, eta
+    )
     if errors[0] is not None:
         raise errors[0]
-    statistic = float(statistics[0])
-    scaled = scale_statistic(statistic, n, q, l)
-    df2 = n - q - l
-    critical = f_quantile(l, df2, 1.0 - eta)
-    p_value = 1.0 - f_cdf(l, df2, scaled)
+    scaled = float(scaled[0])
     return TestResult(
-        statistic=statistic,
+        statistic=float(statistics[0]),
         scaled_statistic=scaled,
         df1=l,
-        df2=df2,
-        p_value=p_value,
+        df2=n - q - l,
+        p_value=1.0 - f_cdf(l, n - q - l, scaled),
         reject=bool(scaled > critical),
         critical_value=critical,
     )
 
 
-def check_intervals(n: int, q: int, rows: np.ndarray, n_coeffs: int, level: float) -> None:
-    """Raise unless confidence_intervals can run on these rows."""
-    if rows.shape[1] != n_coeffs:
-        raise DataValidationError(f"contrast rows must have {n_coeffs} entries")
+def interval_stack(
+    beta: np.ndarray, cov_beta: np.ndarray, rows: np.ndarray, n: int, q: int, level: float
+) -> tuple[np.ndarray, ...]:
+    """(estimate, se, lower, upper) of every row c' beta for R fits of n
+    subjects, each (R, rows), at the given confidence level.
+
+    Raises what every fit shares: rows of another width, a level outside
+    (0, 1), n <= q + 2, a zero row, or the quantile's error.  The
+    half-width is se times the t-like quantile, the square root of the
+    (1, n - q - 1) F quantile.
+    """
+    if rows.shape[1] != beta.shape[1]:
+        raise DataValidationError(f"contrast rows must have {beta.shape[1]} entries")
     if not (0.0 < level < 1.0):
         raise DataValidationError("confidence level must lie in (0, 1)")
     if n <= q + 2:
         raise DataValidationError(f"need n > q + 2 for intervals (n={n}, q={q})")
     if not rows.any(axis=1).all():
         raise NullContrastError("zero contrast row")
-
-
-def interval_stack(
-    beta: np.ndarray, cov_beta: np.ndarray, rows: np.ndarray, quant: float
-) -> tuple[np.ndarray, ...]:
-    """(estimate, se, lower, upper) of every row c' beta for R fits, each (R, rows)."""
+    quant = float(np.sqrt(f_quantile(1, n - q - 1, level)))
     estimate = beta @ rows.T
     se = np.sqrt(np.maximum(np.einsum("mi,rij,mj->rm", rows, cov_beta, rows), 0.0))
     return estimate, se, estimate - quant * se, estimate + quant * se
-
-
-def interval_quantile(n: int, q: int, level: float) -> float:
-    """The t-like interval quantile: sqrt of the (1, n - q - 1) F quantile."""
-    return float(np.sqrt(f_quantile(1, n - q - 1, level)))
 
 
 def confidence_intervals(
@@ -244,10 +244,8 @@ def confidence_intervals(
     is a plain float.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    check_intervals(fit.n, fit.q, rows, fit.beta_hat.shape[0], level)
+    stacked = interval_stack(fit.beta_hat[None], fit.cov_beta[None], rows, fit.n, fit.q, level)
     df2 = fit.n - fit.q - 1
-    quant = interval_quantile(fit.n, fit.q, level)
-    stacked = interval_stack(fit.beta_hat[None], fit.cov_beta[None], rows, quant)
     out = []
     for estimate, se, lower, upper in zip(*(a[0].tolist() for a in stacked)):
         if se > 0.0:

@@ -49,15 +49,10 @@ from .errors import DataValidationError, NumericalError
 from .inference import (
     ContrastSpec,
     build_contrast,
-    check_intervals,
-    check_wald,
-    interval_quantile,
     interval_stack,
     parse_contrast_text,
-    scale_statistic,
     wald_stack,
 )
-from .numerics import f_quantile
 from .wcls import ModelSpec, covariance_stack, fit_stack, keep_first_errors, scratch
 from ._kvconfig import get_float, get_int, get_floats, parse_rows
 
@@ -458,9 +453,10 @@ class _MonteCarlo:
 
     Each replicate ends with the values, or the first error, of
     simulate_trial -> fit_wcls -> wald_test -> confidence_intervals on
-    its own seed: fit_stack is fit_wcls's own routine, and the checks
-    that every replicate shares are made once here, in those calls'
-    order.  So is the numerator table when it cannot depend on the draws
+    its own seed: fit_stack is fit_wcls's own routine, and wald_stack and
+    interval_stack (wald_test and confidence_intervals on a stack of
+    replicates) check the contrast, eta and n once for the whole table.
+    The numerator table is built once when it cannot depend on the draws
     (match_randomization on the shared probabilities, or user_supplied).
     Row r of the table (beta, m, sigma, se, lower, upper, reject,
     clipped, errors) is replicate r; errors[r] is the exception its
@@ -485,8 +481,7 @@ class _MonteCarlo:
         self.eye = np.eye(self.kp)
         self.probs = config.probs_full[None, None]
         self.time_features = {"time": config.t_grid, "time2": config.t_grid * config.t_grid}
-        self.reduced = contrast.row_basis
-        self.rank = contrast.rank_l
+        self.contrast, self.eta = contrast, eta
         self.workspaces = threading.local()
         self.beta, self.se, self.lower, self.upper = np.zeros((4, replicates, self.kp))
         self.m, self.sigma = np.zeros((2, replicates, self.kp, self.kp))
@@ -502,17 +497,6 @@ class _MonteCarlo:
             )
             self.tables = (table, error)
         self.n_error = DataValidationError("n must be >= 1") if n < 1 else None
-        self.wald_error = self.interval_error = None
-        try:
-            check_wald(n, spec.q, contrast, self.kp, eta)
-            self.critical = f_quantile(self.rank, n - spec.q - self.rank, 1.0 - eta)
-        except (DataValidationError, NumericalError) as exc:
-            self.wald_error = exc
-        try:
-            check_intervals(n, spec.q, self.eye, self.kp, 1.0 - eta)
-            self.quant = interval_quantile(n, spec.q, 1.0 - eta)
-        except (DataValidationError, NumericalError) as exc:
-            self.interval_error = exc
 
     def run_chunk(self, bounds: tuple[int, int]) -> None:
         lo, hi = bounds
@@ -550,29 +534,29 @@ class _MonteCarlo:
         """Form the covariance of every replicate that has fitted, then
         test and bound those whose covariance solves pass, each step as
         one stack.  The solves are the last step of fit_wcls, so their
-        errors come before the shared Wald check."""
+        errors come first; an error that wald_stack or interval_stack
+        raises for every fit then fills each slot still empty."""
         fitted = np.flatnonzero([exc is None for exc in self.errors])
         if not fitted.size:  # every fit failed
             return
         cov, cov_errors = covariance_stack(self.m[fitted], self.sigma[fitted])
         for r, exc in zip(fitted, cov_errors):
             self.errors[r] = exc
-        keep_first_errors(self.errors, self.wald_error)
-        solved = np.array([self.errors[r] is None for r in fitted], dtype=bool)
-        if not solved.any():  # the shared check failed, or every solve did
+        solved = np.array([exc is None for exc in cov_errors], dtype=bool)
+        if not solved.any():  # every covariance solve failed
             return
         fitted, cov = fitted[solved], cov[solved]
-        beta = self.beta[fitted]
-        statistic, wald_errors = wald_stack(beta, cov, self.reduced)
-        for r, exc in zip(fitted, wald_errors):
-            self.errors[r] = exc
-        scaled = scale_statistic(statistic, self.n, self.spec.q, self.rank)
-        self.reject[fitted] = scaled > self.critical
-        keep_first_errors(self.errors, self.interval_error)
-        if self.interval_error is None:
+        beta, n, q = self.beta[fitted], self.n, self.spec.q
+        try:
+            _, scaled, critical, wald_errors = wald_stack(beta, cov, self.contrast, n, q, self.eta)
+            for r, exc in zip(fitted, wald_errors):
+                self.errors[r] = exc
+            self.reject[fitted] = scaled > critical
             _, self.se[fitted], self.lower[fitted], self.upper[fitted] = interval_stack(
-                beta, cov, self.eye, self.quant
+                beta, cov, self.eye, n, q, 1.0 - self.eta
             )
+        except (DataValidationError, NumericalError) as exc:
+            keep_first_errors(self.errors, exc)
 
 
 def run_monte_carlo(
@@ -600,7 +584,11 @@ def run_monte_carlo(
     Replicates run in fixed chunks of consecutive indices, each
     simulated and fitted as one stack of arrays; the threads map over
     chunks.  Replicate r always draws from derive_replicate_seed(seed,
-    r), so results are independent of the thread count.
+    r), so results are independent of the thread count.  Once every
+    chunk is done, the covariances, Wald tests and intervals of all the
+    replicates are each one stack, and an invalid eta, contrast width
+    or n fails every replicate that got that far with the error
+    wald_test or confidence_intervals raises.
     """
     if replicates < 1:
         raise DataValidationError("replicates must be >= 1")

@@ -11,8 +11,10 @@ to the files they write next to the --out file.
 Outputs are compared field by field: JSON structure, keys, integers,
 strings and every CSV cell that is not a float exactly, and floats within
 the manifest's max_ulps, because another CPU or library build need not
-reproduce the last bit.  Where numpy, scipy and their BLAS builds match
-the versions the manifest records, the bytes must match as well.
+reproduce the last bit.  A rejected input's stderr is compared the same
+way: its text exactly, the decimal floats in it within max_ulps.  Where
+numpy, scipy and their BLAS builds match the versions the manifest
+records, the bytes must match as well.
 
 After an intended change of output, regenerate the files and the recorded
 versions from a source checkout with
@@ -27,6 +29,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -90,7 +93,9 @@ def check_case(
             assert got == want or not exact, f"{name} differs from the committed bytes"
     else:
         assert not any((out_dir / name).exists() for name in names)
-        assert err == (folder / case["stderr"]).read_text(encoding="utf-8") or not exact
+        want = (folder / case["stderr"]).read_text(encoding="utf-8")
+        assert_message_close(err, want, manifest["max_ulps"], case["stderr"])
+        assert err == want or not exact, f"{case['stderr']} differs from the committed bytes"
 
 
 def same_float(a: float, b: float, max_ulps: int) -> bool:
@@ -106,6 +111,17 @@ def assert_cells_close(got: str, want: str, max_ulps: int, where: str) -> None:
         return
     assert not (is_int(got) or is_int(want)), f"{where}: {got!r} != {want!r}"
     assert same_float(float(got), float(want), max_ulps), f"{where}: {got!r} != {want!r}"
+
+
+#: A decimal float as repr writes it: digits with a point or an exponent.
+FLOAT_TOKEN = re.compile(r"[-+]?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)")
+
+
+def assert_message_close(got: str, want: str, max_ulps: int, where: str) -> None:
+    """The text around the floats exactly, each float within max_ulps."""
+    assert FLOAT_TOKEN.split(got) == FLOAT_TOKEN.split(want), f"{where}: {got!r} != {want!r}"
+    for a, b in zip(FLOAT_TOKEN.findall(got), FLOAT_TOKEN.findall(want)):
+        assert same_float(float(a), float(b), max_ulps), f"{where}: {got!r} != {want!r}"
 
 
 def assert_json_close(got, want, max_ulps: int, where: str = "$") -> None:
@@ -158,6 +174,25 @@ def test_float_comparison_is_bounded_in_ulps():
         assert_cells_close("93", "94", 4, "n")
     with pytest.raises(AssertionError):
         assert_json_close({"n": 93}, {"n": 93.0}, 4)
+
+
+def test_stderr_text_is_compared_on_every_build(tmp_path):
+    # a manifest from other library builds: a float of the message may
+    # move by a few ulps, any other change of its text still fails
+    want = "numerical error: ncfdtr(1.0, 8.0, inf, 5.317655071578713) returned nan\n"
+    (tmp_path / "case.err").write_text(want, encoding="utf-8")
+    manifest = {"max_ulps": 4, "versions": {"numpy": "0"}}
+    case = {"argv": [], "exit": 3, "stderr": "case.err"}
+    nudged = want.replace("5.317655071578713", repr(5.317655071578713 + 2 * math.ulp(5.3)))
+    check_case(tmp_path, manifest, case, 3, nudged, tmp_path)
+    for got in (
+        want.replace("returned", "gave"),
+        want.replace("5.317655071578713", "5.3176550715787"),
+        want.replace("1.0, 8.0", "1.0, 9.0"),
+        want.replace("5.317655071578713)", "5.317655071578713, 1.0)"),
+    ):
+        with pytest.raises(AssertionError):
+            check_case(tmp_path, manifest, case, 3, got, tmp_path)
 
 
 def regenerate() -> None:

@@ -848,6 +848,40 @@ class TestChunkedEngine:
             "first error: n must be >= 1"
         )
 
+    @pytest.mark.parametrize(
+        "n, contrast, eta",
+        [
+            (4, np.eye(2), 0.05),  # n = q + l + 1: every replicate fits, no test runs
+            (20, np.eye(3), 0.05),  # a contrast for three coefficients, the fit has two
+            (20, np.eye(2), 1.5),
+            (20, np.eye(2), 1e-17),  # in (0, 1), but 1 - eta rounds to 1
+        ],
+        ids=["n_at_wald_bound", "wrong_width", "eta_above_one", "eta_below_rounding"],
+    )
+    def test_shared_check_fails_every_replicate_like_public_calls(self, n, contrast, eta):
+        # The engine makes the checks that every replicate shares once,
+        # after the last chunk; each replicate still gets the error its
+        # own public calls raise.
+        replicates, config, spec = 12, null_config(), MARGINAL_SPEC
+        errors = []
+        for r in range(replicates):
+            with pytest.raises(DataValidationError) as err:
+                per_replicate_values(config, n, spec, contrast, 8, r, eta)
+            errors.append(err.value)
+        engine = simulate._MonteCarlo(
+            config, n, replicates, spec, build_contrast(contrast, spec.p), eta, 8
+        )
+        engine.run_chunk((0, replicates))
+        engine.finish()
+        describe = lambda excs: [(type(exc), str(exc)) for exc in excs]  # noqa: E731
+        assert describe(engine.errors) == describe(errors)
+        with pytest.raises(NumericalError) as err:
+            run_monte_carlo(config, n, replicates, spec, contrast, eta=eta, seed=8)
+        assert str(err.value) == (
+            f"{replicates}/{replicates} replicates failed (budget 1%): "
+            f"DataValidationError×{replicates}; first error: {errors[0]}"
+        )
+
     TABLE_CASES = [
         # the seed-6 case above: replicate 12 fails, its neighbours do not
         (
