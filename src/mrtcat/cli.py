@@ -99,6 +99,11 @@ def _csv_cells(row: dict) -> list[str]:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    # checked before the panel is read, so that a bad level fails fast
+    if not 0.0 < args.alpha < 1.0:
+        raise DataValidationError(f"--alpha must lie in (0, 1), got {args.alpha!r}")
+    if 1.0 - args.alpha == 1.0:
+        raise DataValidationError(f"--alpha {args.alpha!r} is too small: 1 - alpha rounds to 1")
     data = load_csv(args.data)
     if args.numerator == "user_supplied":
         if not args.numerator_table:

@@ -105,9 +105,7 @@ def solve_spd_stack(a: np.ndarray, rhs: np.ndarray) -> SpdStack:
     the slices are factored one by one to find the failures.
     """
     count, dim = a.shape[0], a.shape[-1]
-    finite, rhs, errors = _set_aside_nonfinite(rhs, np.isfinite(a).all(axis=(1, 2)))
-    if not finite.all():
-        a = np.where(finite[:, None, None], a, np.eye(dim))
+    a, rhs, errors = _set_aside_nonfinite(rhs, a)
     try:
         factor = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -127,11 +125,13 @@ def solve_spd_stack(a: np.ndarray, rhs: np.ndarray) -> SpdStack:
         factor_inv_t = factor_inv.transpose(0, 2, 1)
         a_inv = factor_inv_t @ factor_inv
         condition = _norm_1(a) * _norm_1(a_inv)
-    for i in np.flatnonzero(~(condition <= CONDITION_LIMIT)):
-        if errors[i] is None:
-            errors[i] = SingularSystemError(
-                f"matrix condition number {condition[i]:.3e} exceeds {CONDITION_LIMIT:.1e}"
-            )
+    conditioned = condition <= CONDITION_LIMIT
+    if not conditioned.all():
+        for i in np.flatnonzero(~conditioned):
+            if errors[i] is None:
+                errors[i] = SingularSystemError(
+                    f"matrix condition number {condition[i]:.3e} exceeds {CONDITION_LIMIT:.1e}"
+                )
     return SpdStack(_apply(factor_inv, rhs), factor, factor_inv, a_inv, condition, errors)
 
 
@@ -154,15 +154,21 @@ def _norm_1(a: np.ndarray) -> np.ndarray:
     return np.abs(a).sum(axis=-2).max(axis=-1)
 
 
-def _set_aside_nonfinite(rhs: np.ndarray, finite=True) -> tuple[np.ndarray, np.ndarray, list]:
-    """solve_spd's rule for a slice with a non-finite entry in rhs (or
-    one where finite is False): it gets a NumericalError and its
-    right-hand side is zeroed.  Returns (finite, rhs, errors)."""
-    finite = finite & np.isfinite(rhs.reshape(len(rhs), -1)).all(axis=1)
+def _set_aside_nonfinite(rhs: np.ndarray, a: np.ndarray | None = None) -> tuple:
+    """solve_spd's rule for a slice with a non-finite entry in rhs (or in
+    the (R, d, d) stack a, when given): it gets a NumericalError, its
+    right-hand side is zeroed and its matrix is the identity.  Returns
+    (a, rhs, errors)."""
+    count = len(rhs)
+    if np.isfinite(rhs).all() and (a is None or np.isfinite(a).all()):
+        return a, rhs, [None] * count
+    finite = np.isfinite(rhs.reshape(count, -1)).all(axis=1)
+    if a is not None:
+        finite &= np.isfinite(a).all(axis=(1, 2))
+        a = np.where(finite[:, None, None], a, np.eye(a.shape[-1]))
     errors = [None if ok else NumericalError("solve_spd requires finite entries") for ok in finite]
-    if not finite.all():
-        rhs = np.where(finite.reshape((len(finite),) + (1,) * (rhs.ndim - 1)), rhs, 0.0)
-    return finite, rhs, errors
+    rhs = np.where(finite.reshape((count,) + (1,) * (rhs.ndim - 1)), rhs, 0.0)
+    return a, rhs, errors
 
 
 def _apply(factor_inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:

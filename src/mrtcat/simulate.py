@@ -18,11 +18,12 @@ polynomial in t, or the categorical covariate Z_t).
 
 Monte Carlo replicates are embarrassingly parallel: every replicate
 derives its own seed from (master seed, index) with an avalanche mix.
-The engine simulates and fits fixed chunks of consecutive replicates
-as stacked arrays, one chunk per task, so summaries are byte-identical
-for any thread count.  The generator draws each replicate's random
-numbers in a fixed order and is elementwise over decision points except
-for gm_ea's availability recursion.
+The engine simulates and fits chunks of consecutive replicates as
+stacked arrays, one chunk per task, and no replicate's bits depend on
+its chunk, so summaries are byte-identical for any thread count.  The
+generator draws each replicate's random numbers in a fixed order and is
+elementwise over decision points except for gm_ea's availability
+recursion.
 """
 
 from __future__ import annotations
@@ -53,7 +54,14 @@ from .inference import (
     parse_contrast_text,
     wald_stack,
 )
-from .wcls import ModelSpec, covariance_stack, fit_stack, keep_first_errors, scratch
+from .wcls import (
+    ModelSpec,
+    covariance_stack,
+    fit_stack,
+    keep_first_errors,
+    scratch,
+    weight_lookup,
+)
 from ._kvconfig import get_float, get_int, get_floats, parse_rows
 
 __all__ = [
@@ -89,8 +97,10 @@ class GenerativeConfig:
 
     The arrays are read-only copies.  Construction also builds the
     generator's per-t tables: probs_full (T, 3) with the reference arm
-    first, its row-wise cumsum cum, t_grid = 1..T as floats, and the
-    gm_ev_scales factors noise_r (T,) and noise_s (T, 3) (None unless gm_ev).
+    first, its row-wise cumsum cum, t_grid = 1..T as floats, the
+    gm_ev_scales factors noise_r (T,) and noise_s (T, 3) (None unless
+    gm_ev), and mean_terms, the outcome level and the two arm effects
+    evaluated at t_grid, each (T,), or None where its basis reads Z.
     """
 
     family: str
@@ -112,6 +122,7 @@ class GenerativeConfig:
     t_grid: np.ndarray = field(init=False, repr=False)
     noise_r: np.ndarray | None = field(init=False, repr=False)
     noise_s: np.ndarray | None = field(init=False, repr=False)
+    mean_terms: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -167,15 +178,25 @@ class GenerativeConfig:
             ))
             noise_r, noise_s = np.array(r), np.array(s)
         probs_full = np.column_stack([1.0 - probs.sum(axis=1), probs])
+        t_grid = np.arange(1, self.t_points + 1, dtype=float)
+        mean_terms = tuple(
+            None if kind in ("z", "zcat") else _basis_values(kind, coeffs, t_grid, None)
+            for kind, coeffs in (
+                (self.eo_basis, eo), (self.mee_basis, mee[0]), (self.mee_basis, mee[1])
+            )
+        )
         for name, value in (
             ("rand_probs", probs), ("tau_curve", tau), ("eo_coeffs", eo), ("mee_coeffs", mee),
             ("probs_full", probs_full), ("cum", np.cumsum(probs_full, axis=1)),
-            ("t_grid", np.arange(1, self.t_points + 1, dtype=float)),
-            ("noise_r", noise_r), ("noise_s", noise_s),
+            ("t_grid", t_grid), ("noise_r", noise_r), ("noise_s", noise_s),
         ):
             if value is not None:
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
+        for value in mean_terms:
+            if value is not None:
+                value.flags.writeable = False
+        object.__setattr__(self, "mean_terms", mean_terms)
 
     @property
     def k_arms(self) -> int:
@@ -361,10 +382,14 @@ def _generate(config: GenerativeConfig, eps, z, u, workspace: dict | None = None
         np.less(u_avail, config.tau_curve, out=avail.view(bool))
         np.multiply(arm, avail, out=trt)
 
-    t = config.t_grid
-    base = _basis_values(config.eo_basis, config.eo_coeffs, t, z)
-    eff1 = _basis_values(config.mee_basis, config.mee_coeffs[0], t, z)
-    eff2 = _basis_values(config.mee_basis, config.mee_coeffs[1], t, z)
+    base, eff1, eff2 = (
+        _basis_values(kind, coeffs, config.t_grid, z) if values is None else values
+        for values, kind, coeffs in zip(
+            config.mean_terms,
+            (config.eo_basis, config.mee_basis, config.mee_basis),
+            (config.eo_coeffs, *config.mee_coeffs),
+        )
+    )
     # outcome = ((base + 1(A=1) e1) + 1(A=2) e2) + noise, in that order
     outcome = scratch(workspace, "outcome", shape)
     term = scratch(workspace, "term", shape)
@@ -433,15 +458,26 @@ def _resolve_threads(threads: int | None) -> int:
     return threads
 
 
-#: Replicates are fitted in chunks of about this many decision points
-#: (R * n * T): enough to amortize numpy's per-call cost over several
-#: replicates, few enough that a chunk's arrays stay a few MB.  Those
-#: arrays (the draws, the generated panels, the weights, design, W D and
-#: residuals) live in one workspace per worker thread, sized for a full
-#: chunk and reused by every chunk of the run: freed after each chunk,
-#: they would be handed back to the OS and page-faulted in again by the
-#: next one.
+#: Replicates are fitted in chunks of consecutive indices, enough decision
+#: points (R * n * T) to amortize numpy's per-call cost over several
+#: replicates.  A chunk's arrays (the draws, the generated panels, the
+#: weights, design, W D and residuals: 13 arrays, 116 bytes per decision
+#: point) live in one workspace per worker thread, sized for a full chunk
+#: and reused by every chunk of the run: freed after each chunk, they
+#: would be handed back to the OS and page-faulted in again by the next
+#: one.  A run's budget is two chunks of about this many points: a run
+#: with two or more workers gives each worker a chunk of that size, and a
+#: run with one worker takes the whole budget as one chunk of twice as
+#: many replicates, so it holds no more chunk memory than a two-worker
+#: run and pays the fixed work of each chunk half as often.
 _CHUNK_POINTS = 20_000
+
+
+def _chunk_replicates(points: int, workers: int) -> int:
+    """Replicates per chunk for replicates of this many decision points
+    (see _CHUNK_POINTS)."""
+    size = max(1, round(_CHUNK_POINTS / max(1, points)))
+    return 2 * size if workers == 1 else size
 
 
 class _MonteCarlo:
@@ -456,8 +492,9 @@ class _MonteCarlo:
     its own seed: fit_stack is fit_wcls's own routine, and wald_stack and
     interval_stack (wald_test and confidence_intervals on a stack of
     replicates) check the contrast, eta and n once for the whole table.
-    The numerator table is built once when it cannot depend on the draws
-    (match_randomization on the shared probabilities, or user_supplied).
+    The numerator table and its weight lookup are built once when they
+    cannot depend on the draws (match_randomization on the shared
+    probabilities, or user_supplied).
     Row r of the table (beta, m, sigma, se, lower, upper, reject,
     clipped, errors) is replicate r; errors[r] is the exception its
     public calls raise, or None, and the rest of a failed row is
@@ -495,7 +532,7 @@ class _MonteCarlo:
             table, (error,) = numerator_tables(
                 empty, empty, self.probs, spec.numerator, config.k_arms
             )
-            self.tables = (table, error)
+            self.tables = (table, error, weight_lookup(table, self.probs))
         self.n_error = DataValidationError("n must be >= 1") if n < 1 else None
 
     def run_chunk(self, bounds: tuple[int, int]) -> None:
@@ -512,11 +549,12 @@ class _MonteCarlo:
         # A generated panel meets every dataset invariant unless its
         # outcome overflows, which is what simulate_trial then rejects.
         # Zeroed, such a replicate cannot spread non-finite values.
-        finite = np.isfinite(outcome).all(axis=(1, 2))
-        outcome[~finite] = 0.0
+        finite = np.isfinite(outcome.reshape(hi - lo, -1)).all(axis=1)
+        if not finite.all():
+            outcome[~finite] = 0.0
         errors = [
             None if ok else DataValidationError("missing or non-finite outcome value")
-            for ok in finite
+            for ok in finite.tolist()
         ]
         features = dict(self.time_features)
         if z is not None:
@@ -581,11 +619,12 @@ def run_monte_carlo(
     With collect_replicates, per-replicate estimates are kept on the
     summary's records field (they do not enter to_dict()).
 
-    Replicates run in fixed chunks of consecutive indices, each
-    simulated and fitted as one stack of arrays; the threads map over
-    chunks.  Replicate r always draws from derive_replicate_seed(seed,
-    r), so results are independent of the thread count.  Once every
-    chunk is done, the covariances, Wald tests and intervals of all the
+    Replicates run in chunks of consecutive indices, each simulated and
+    fitted as one stack of arrays; the threads map over chunks, and a
+    single thread takes chunks twice as long (see _CHUNK_POINTS).
+    Replicate r always draws from derive_replicate_seed(seed, r), so
+    results are independent of the thread count.  Once every chunk is
+    done, the covariances, Wald tests and intervals of all the
     replicates are each one stack, and an invalid eta, contrast width
     or n fails every replicate that got that far with the error
     wald_test or confidence_intervals raises.
@@ -603,9 +642,9 @@ def run_monte_carlo(
             raise DataValidationError(f"true_beta must have length K*p = {kp}")
 
     engine = _MonteCarlo(config, n, replicates, spec, contrast_spec, eta, seed)
-    size = max(1, round(_CHUNK_POINTS / max(1, n * config.t_points)))
-    bounds = [(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
     workers = _resolve_threads(threads)
+    size = _chunk_replicates(n * config.t_points, workers)
+    bounds = [(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
     if workers == 1:
         for chunk in bounds:
             engine.run_chunk(chunk)

@@ -150,6 +150,27 @@ def scratch(workspace: dict | None, name: str, shape: tuple, dtype=float) -> np.
     return array[: shape[0]]
 
 
+def weight_lookup(ptilde: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The quotient table ptilde_t(a) / p_t(a) that design_stack looks the
+    weights up in, as (quotients, row_starts).
+
+    ptilde is (R, T, K+1) and probs broadcasts to (R, n, T, K+1), so the
+    table has one row of K+1 quotients per decision point of that
+    broadcast shape.  quotients holds the rows flattened after one zero,
+    and row_starts (of the broadcast shape without the arm axis) the
+    index of each row's first entry.  A table every panel shares, such as
+    a match_randomization table with the probabilities, is built once
+    and passed to every call.
+    """
+    numerator = ptilde[:, None]
+    shape = np.broadcast_shapes(numerator.shape, probs.shape)
+    quotients = np.empty(1 + math.prod(shape))
+    quotients[0] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(numerator, np.where(probs > 0, probs, 1.0), out=quotients[1:].reshape(shape))
+    return quotients, np.arange(1, quotients.size, shape[-1]).reshape(shape[:-1])
+
+
 def design_stack(
     avail: np.ndarray,
     trt: np.ndarray,
@@ -160,42 +181,35 @@ def design_stack(
     spec: ModelSpec,
     ptilde: np.ndarray,
     workspace: dict | None = None,
+    lookup: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Weights, centered indicators and stacked design blocks of R panels,
     with the numerator tables given.
 
     avail, trt and outcome are (R, n, T); probs broadcasts to (R, n, T,
-    K+1), each feature to (R, n, T) and ptilde to (R, T, K+1).  Returns
-    (W, Dfull, Y, t_used) with W and Y (R, n, t_used) and Dfull
-    column-major, (R, q + Kp, n, t_used), so that each design column is
-    one contiguous panel, and W is C-ordered like those panels, whatever
-    the layout of trt, so that products of the two run at unit stride.
-    W and Dfull are scratch arrays of the workspace (see scratch).
-    Decision points with t + delta - 1 > T are dropped because their
-    proximal outcome window extends past the panel.
+    K+1), each feature to (R, n, T) and ptilde to (R, T, K+1); lookup,
+    when given, is weight_lookup(ptilde, probs).  Returns (W, Dfull, Y,
+    t_used) with W and Y (R, n, t_used) and Dfull column-major, (R,
+    q + Kp, n, t_used), so that each design column is one contiguous
+    panel, and W is C-ordered like those panels, whatever the layout of
+    trt, so that products of the two run at unit stride.  W and Dfull are
+    scratch arrays of the workspace (see scratch).  Decision points with
+    t + delta - 1 > T are dropped because their proximal outcome window
+    extends past the panel.
     """
     count, n, big_t = avail.shape
     t_used = usable_points(big_t, spec.delta)
     trt_used = trt[..., :t_used]
-    avail_used = avail[..., :t_used]
-    probs_used = probs[..., :t_used, :]
 
     # ptilde_t(A_t) / p_t(A_t), divided per table entry and then looked up:
-    # entry A_t of the point's row of the flattened quotient table, which
-    # starts after one zero.  An unavailable point's index is multiplied
-    # by I_t = 0 and reads that zero, so its weight is an exact 0 even
-    # where its quotient overflows.
-    numerator = ptilde[:, None, :t_used, :]
-    shape = np.broadcast_shapes(numerator.shape, probs_used.shape)
-    quotients = np.empty(1 + math.prod(shape))
-    quotients[0] = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(numerator, np.where(probs_used > 0, probs_used, 1.0),
-                  out=quotients[1:].reshape(shape))
-    row_starts = np.arange(1, quotients.size, shape[-1]).reshape(shape[:-1])
+    # entry A_t of the point's row of the quotient table, which starts
+    # after one zero.  An unavailable point's index is multiplied by
+    # I_t = 0 and reads that zero, so its weight is an exact 0 even where
+    # its quotient overflows.
+    quotients, row_starts = weight_lookup(ptilde, probs) if lookup is None else lookup
     index = scratch(workspace, "index", (count, n, t_used), np.intp)
-    np.add(row_starts, trt_used, out=index)
-    index *= avail_used
+    np.add(row_starts[..., :t_used], trt_used, out=index)
+    index *= avail[..., :t_used]
     weights = scratch(workspace, "weights", (count, n, t_used))
     np.take(quotients, index, out=weights, mode="clip")
     # Trailing excursion factor: reference arm held for delta - 1 points.
@@ -224,34 +238,39 @@ def design_stack(
     d_full = scratch(workspace, "d_full", (count, spec.q + k_arms * spec.p, n, t_used))
     for j, part in enumerate(g_parts):
         d_full[:, j] = part
-    for arm in range(k_arms):
-        lo = spec.q + arm * spec.p
-        # column lo is the centered indicator itself: its f part is the intercept
-        centered = d_full[:, lo]
-        np.subtract(trt_used == arm + 1, ptilde[:, None, :t_used, arm + 1], out=centered)
-        for j, part in enumerate(f_parts[1:], start=1):
-            np.multiply(centered, part, out=d_full[:, lo + j])
+    # Arm k's block starts with the centered indicator itself, whose f
+    # part is the intercept: the (R, K, n, t_used) columns q, q + p, ...
+    centered = d_full[:, spec.q :: spec.p]
+    arms = np.arange(1, k_arms + 1, dtype=trt.dtype)[:, None, None]
+    np.subtract(
+        trt_used[:, None] == arms, ptilde[:, None, :t_used, 1:].transpose(0, 3, 1, 2),
+        out=centered,
+    )
+    for j, part in enumerate(f_parts[1:], start=1):
+        part = part[:, None] if part.ndim == 3 else part  # a panel axis, then arms
+        np.multiply(centered, part, out=d_full[:, spec.q + j :: spec.p])
 
     return weights, d_full, outcome[..., :t_used], t_used
 
 
-def missing_arms(avail: np.ndarray, trt: np.ndarray, t_used: int, k_arms: int) -> np.ndarray:
-    """(R, K) flags: arm k + 1 is never observed at an available point of panel r."""
-    available = avail[..., :t_used] == 1
-    trt_used = trt[..., :t_used]
-    return np.column_stack(
-        [~((trt_used == k) & available).any(axis=(1, 2)) for k in range(1, k_arms + 1)]
-    )
-
-
-def _degenerate_arms(missing: np.ndarray) -> DegenerateArmError | None:
-    if not missing.any():
-        return None
-    return DegenerateArmError(
-        f"declared arm(s) {[int(k) + 1 for k in np.flatnonzero(missing)]} never observed "
-        f"among available decision points; the design is singular (reduce k_arms or "
-        f"supply data covering every arm)"
-    )
+def _degenerate_arms(trt: np.ndarray, t_used: int, k_arms: int) -> list:
+    """Per panel of the (R, n, T) trt, the DegenerateArmError for the arms
+    it never gives at a usable point, or None.  An unavailable point
+    carries arm 0 (an MrtDataset invariant), so a point that gives an
+    active arm is available."""
+    arms = np.arange(1, k_arms + 1, dtype=trt.dtype)[:, None, None]
+    # (K, R) flags, each arm's points one contiguous run per panel
+    given = (trt[..., :t_used].reshape(len(trt), -1) == arms).any(axis=2)
+    errors: list = [None] * len(trt)
+    if given.all():
+        return errors
+    for r in np.flatnonzero(~given.all(axis=0)):
+        missing = [int(k) + 1 for k in np.flatnonzero(~given[:, r])]
+        errors[r] = DegenerateArmError(
+            f"declared arm(s) {missing} never observed among available decision points; "
+            f"the design is singular (reduce k_arms or supply data covering every arm)"
+        )
+    return errors
 
 
 def keep_first_errors(errors: list, new) -> None:
@@ -300,14 +319,14 @@ def fit_stack(
 
     avail, trt and outcome are (R, n, T); probs broadcasts to (R, n, T,
     K+1) and each feature to (R, n, T), so arrays every panel shares
-    are passed once.  tables, when given, is the (table, error) pair of
-    a numerator table that cannot depend on the panels: one (1, T, K+1)
-    table from numerator_tables and the error it gives every panel, or
-    None; without it the tables are computed here.  The fit stops at
-    each panel's sandwich sums (M, Sigma): the covariance solves, the
-    last step of fit_wcls, and their errors are left to the caller's
-    covariance_stack call, which the Monte Carlo engine makes once per
-    run.  Every panel must satisfy the MrtDataset invariants.  The
+    are passed once.  tables, when given, is the (table, error, lookup)
+    triple of a numerator table that cannot depend on the panels: one
+    (1, T, K+1) table from numerator_tables, the error it gives every
+    panel, or None, and its weight_lookup with probs; without it the
+    tables are computed here.  The fit stops at each panel's sandwich
+    sums (M, Sigma): the covariance solves, the last step of fit_wcls,
+    and their errors are left to the caller's covariance_stack call,
+    which the Monte Carlo engine makes once per run.  Every panel must satisfy the MrtDataset invariants.  The
     checks run in fit_wcls's order (window, numerator table, design
     columns, arms observed, subject count, normal solve) and each panel
     keeps the first error it meets.  A failed panel is still fitted,
@@ -326,18 +345,17 @@ def fit_stack(
     dim = spec.q + k_arms * spec.p
     if tables is None:
         tables, table_errors = numerator_tables(avail, trt, probs, spec.numerator, k_arms)
+        lookup = None
     else:
-        tables, table_errors = tables
+        tables, table_errors, lookup = tables
     errors: list = [None] * count
     try:
         usable_points(big_t, spec.delta)  # its error precedes the tables
         keep_first_errors(errors, table_errors)
         weights, d_full, y, t_used = design_stack(
-            avail, trt, probs, outcome, features, k_arms, spec, tables, workspace
+            avail, trt, probs, outcome, features, k_arms, spec, tables, workspace, lookup
         )
-        keep_first_errors(
-            errors, [_degenerate_arms(m) for m in missing_arms(avail, trt, t_used, k_arms)]
-        )
+        keep_first_errors(errors, _degenerate_arms(trt, t_used, k_arms))
         check_dims(n, spec, k_arms)
     except DataValidationError as exc:  # a check every panel shares
         keep_first_errors(errors, exc)
@@ -381,7 +399,8 @@ def _solve_certified(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     a is meant to be I - S_i, symmetric up to rounding.  The same steps
     eliminate a - 2 * LEVERAGE_TOL * I, concatenated to a along the
     stack axis, which is moved last so that each step runs over
-    contiguous rows.  By Sylvester's law of inertia the pivots of an
+    contiguous rows; b rides along as one more column, so each step
+    updates both.  By Sylvester's law of inertia the pivots of an
     unpivoted symmetric elimination have the signs of the eigenvalues,
     so a block is certified when every pivot of its shifted copy is
     positive and finite.  Finite pivots mean a finite block: a
@@ -392,23 +411,24 @@ def _solve_certified(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """
     shape, dim = b.shape, b.shape[-1]
     count = math.prod(shape[:-1])
-    work = np.empty((dim, dim, 2 * count))
-    work[..., :count] = np.moveaxis(a.reshape(count, dim, dim), 0, -1)
+    work = np.empty((dim, dim + 1, 2 * count))
+    work[:, :dim, :count] = a.reshape(count, dim, dim).transpose(1, 2, 0)
+    work[:, dim, :count] = b.reshape(count, dim).T
     work[..., count:] = work[..., :count]
-    # the diagonal rows of the (dim * dim, 2 * count) view, shifted half
-    work.reshape(dim * dim, -1)[:: dim + 1, count:] -= 2.0 * LEVERAGE_TOL
-    x = b.reshape(-1, dim).T.copy()
+    # the diagonal rows of the (dim * (dim + 1), 2 * count) view, shifted half
+    work.reshape(dim * (dim + 1), -1)[:: dim + 2, count:] -= 2.0 * LEVERAGE_TOL
+    x = work[:, dim, :count]
     # zero pivots of blocks that are not certified
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(dim - 1):
             factor = work[k + 1 :, k] / work[k, k]
             work[k + 1 :, k + 1 :] -= factor[:, None] * work[k, k + 1 :]
-            x[k + 1 :] -= factor[:, :count] * x[k]
-        for k in reversed(range(dim)):
-            x[k] -= (work[k, k + 1 :, :count] * x[k + 1 :]).sum(axis=0)
+        x[dim - 1] /= work[dim - 1, dim - 1, :count]
+        for k in reversed(range(dim - 1)):
+            x[k] -= (work[k, k + 1 : dim, :count] * x[k + 1 :]).sum(axis=0)
             x[k] /= work[k, k, :count]
-    pivots = np.diagonal(work[..., count:])
-    certified = ((pivots > 0.0) & (pivots < math.inf)).all(axis=1)
+    pivots = work.reshape(dim * (dim + 1), -1)[:: dim + 2, count:]
+    certified = ((pivots > 0.0) & (pivots < math.inf)).all(axis=0)
     return x.T.reshape(shape), certified.reshape(shape[:-1])
 
 
@@ -473,8 +493,9 @@ def _sandwich_core(
     fallbacks = np.zeros(len(errors), dtype=np.int64)
     if correction == "mancl_derouen":
         lower, lower_inv = normal_solve.factor, normal_solve.factor_inv
-        failed = np.array([exc is not None for exc in errors])
-        if failed.any():  # a failed replicate's factors need not be finite
+        failed = [exc is not None for exc in errors]
+        if any(failed):  # a failed replicate's factors need not be finite
+            failed = np.array(failed)
             eye = np.eye(gram.shape[1])
             lower = np.where(failed[:, None, None], eye, lower)
             lower_inv = np.where(failed[:, None, None], eye, lower_inv)

@@ -288,6 +288,35 @@ class TestEstimate:
         assert code == 3
         assert capsys.readouterr().err.startswith("numerical error")
 
+    @pytest.mark.parametrize("alpha", ["2", "0", "nan", "1e-17"])
+    def test_invalid_alpha_exits_two_before_reading_the_panel(
+        self, tmp_path, capsys, monkeypatch, alpha
+    ):
+        loads = []
+
+        def counted(*args, **kwargs):
+            loads.append(args)
+            return mrtcat.data.load_csv(*args, **kwargs)
+
+        monkeypatch.setattr(mrtcat.cli, "load_csv", counted)
+        data = tmp_path / "toy.csv"
+        write_k1_csv(data)
+        code = main(
+            [
+                "estimate",
+                "--data", str(data),
+                "--f-cols", "intercept",
+                "--g-cols", "intercept",
+                "--alpha", alpha,
+                "--out", str(tmp_path / "x.json"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: --alpha ")
+        assert loads == []
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestSamplesize:
     def test_golden_config(self, tmp_path):

@@ -1,4 +1,5 @@
 import sys
+import threading
 import warnings
 import weakref
 
@@ -259,6 +260,21 @@ class TestGenerativeConfigTables:
             assert config.noise_r[t - 1] == r
             np.testing.assert_array_equal(config.noise_s[t - 1], s)
 
+    def test_mean_terms_match_their_bases(self):
+        t = np.arange(1.0, 5.0)
+        config = null_config(t_points=4, eo_basis="quadratic", eo_coeffs=(0.2, 0.1, -0.01),
+                             mee_basis="linear", mee_coeffs=((0.3, 0.02), (0.1, -0.05)))
+        base, eff1, eff2 = config.mean_terms
+        assert base.tobytes() == (0.2 + 0.1 * t + -0.01 * t * t).tobytes()
+        assert eff1.tobytes() == (0.3 + 0.02 * t).tobytes()
+        assert eff2.tobytes() == (0.1 + -0.05 * t).tobytes()
+        constant = null_config(t_points=4, eo_coeffs=(0.7,))
+        np.testing.assert_array_equal(constant.mean_terms[0], np.full(4, 0.7))
+        # a Z basis is evaluated per draw
+        z = null_config(eo_basis="zcat", eo_coeffs=(0.1, 0.2, 0.3), mee_basis="z",
+                        mee_coeffs=((0.1, 0.2), (0.0, 0.1)))
+        assert z.mean_terms == (None, None, None)
+
     def test_noise_tables_only_for_gm_ev(self):
         config = null_config(family="gm_sc", nu1=0.3)
         assert config.noise_r is None and config.noise_s is None
@@ -283,6 +299,8 @@ class TestGenerativeConfigTables:
                      "probs_full", "cum", "t_grid", "noise_r", "noise_s"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(config, name)[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            config.mean_terms[0][0] = 0.5
 
 
 MARGINAL_SPEC = ModelSpec(numerator=NumeratorPolicy("match_randomization"))
@@ -616,7 +634,7 @@ class TestChunkedEngine:
 
     CASES = [
         # gm_ea with a two-point window and a per-t empirical numerator;
-        # 37 replicates of 30 x 12 points fill part of one 56-replicate chunk
+        # 37 replicates of 30 x 12 points fill part of one 112-replicate chunk
         (
             null_config(family="gm_ea", t_points=12, tau=0.9, nu2=0.15, nu3=0.15,
                         eo_basis="linear", eo_coeffs=(0.2, 0.01)),
@@ -625,7 +643,7 @@ class TestChunkedEngine:
                       numerator=NumeratorPolicy("empirical_per_t")),
             np.array([[1.0, -1.0]]),
         ),
-        # 250 replicates at n=168, T=30: chunks of 4, the last one partial
+        # 250 replicates at n=168, T=30: chunks of 8, the last one partial
         (
             GenerativeConfig(family="gm0", t_points=30, rand_probs=np.array([0.3, 0.3]),
                              tau_curve=np.full(30, 0.8), eo_coeffs=(0.2,),
@@ -663,7 +681,8 @@ class TestChunkedEngine:
             assert rec["reject"] == reject
 
     def test_threads_give_identical_results(self):
-        # 60 x 20 points: chunks of 17, so 200 replicates make 12 chunks
+        # 60 x 20 points: 200 replicates make 6 chunks of up to 34 on one
+        # thread and 12 chunks of up to 17 on two or three
         config = null_config(family="gm_ea", t_points=20, tau=0.9, nu2=0.15, nu3=0.15)
         runs = [
             run_monte_carlo(
@@ -895,7 +914,7 @@ class TestChunkedEngine:
         ),
     ]
 
-    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("per_chunk", [1, 7, None], ids=["one", "partial", "all"])
     @pytest.mark.parametrize("case", range(len(TABLE_CASES)))
     def test_results_do_not_depend_on_chunk_size(self, monkeypatch, case, per_chunk, threads):
@@ -913,8 +932,9 @@ class TestChunkedEngine:
 
         want = run()
         assert want.failures == failures
-        points = 10**9 if per_chunk is None else per_chunk * n * config.t_points
-        monkeypatch.setattr(simulate, "_CHUNK_POINTS", points)
+        monkeypatch.setattr(
+            simulate, "_chunk_replicates", lambda points, workers: per_chunk or replicates
+        )
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -923,6 +943,50 @@ class TestChunkedEngine:
             sys.setswitchinterval(interval)
         assert got.to_dict() == want.to_dict()
         assert got.records == want.records
+
+    def test_one_worker_spends_the_two_worker_budget_on_one_chunk(self, monkeypatch):
+        # 100 x 20 points: a chunk of _CHUNK_POINTS holds 10 replicates
+        n, config = 100, null_config(t_points=20)
+        lock = threading.Lock()
+        sizes: dict = {}
+        live = {"points": 0, "peak": 0}
+
+        def spy(*args):
+            points = args[0].size  # avail: R * n * T decision points
+            with lock:
+                sizes.setdefault(threading.get_ident(), []).append(len(args[0]))
+                live["points"] += points
+                live["peak"] = max(live["peak"], live["points"])
+            try:
+                return fit_stack(*args)
+            finally:
+                with lock:
+                    live["points"] -= points
+
+        monkeypatch.setattr(simulate, "fit_stack", spy)
+        runs = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # pool threads interleave often
+        try:
+            for threads in (1, 2, 3):
+                sizes.clear()
+                live["peak"] = 0
+                summary = run_monte_carlo(config, n, 70, MARGINAL_SPEC,
+                                          np.array([[1.0, -1.0]]), threads=threads)
+                assert summary.completed == 70
+                runs[threads] = (dict(sizes), live["peak"])
+        finally:
+            sys.setswitchinterval(interval)
+        base = round(simulate._CHUNK_POINTS / (n * config.t_points))
+        assert base == 10
+        for threads, (by_thread, _) in runs.items():
+            chunks = sorted(size for calls in by_thread.values() for size in calls)
+            size = 2 * base if threads == 1 else base
+            full, rest = divmod(70, size)
+            assert chunks == [rest] * (rest > 0) + [size] * full
+            assert len(by_thread) <= threads
+        assert runs[1][1] <= 2 * base * n * config.t_points
+        assert runs[2][1] <= 2 * base * n * config.t_points
 
 
 def _poison(workspace):
@@ -990,8 +1054,9 @@ class TestWorkspace:
             ]
 
     def test_failing_chunk_before_clean_ones(self):
-        # 60 x 30 points: chunks of 11, so 150 replicates make 14 chunks,
-        # the last one of 7.  Arms 1 and 2 are rare at t = 1, and with
+        # 60 x 30 points: 150 replicates make 7 chunks of 22, the last one
+        # of 18, on one thread and 14 chunks of 11, the last one of 7, on
+        # two or three.  Arms 1 and 2 are rare at t = 1, and with
         # seed 393 replicate 1, in the first chunk, never observes arm 1
         # there, so the first worker meets a failing chunk first.
         t_points = 30
@@ -1038,7 +1103,8 @@ class TestWorkspace:
             return fit
 
         monkeypatch.setattr(simulate, "fit_stack", spy)
-        # 100 x 20 points: six chunks of 10 replicates
+        # 100 x 20 points: three chunks of 20 replicates on one thread, six
+        # of 10 on two
         summary = run_monte_carlo(null_config(t_points=20), 100, 60, MARGINAL_SPEC,
                                   np.array([[1.0, -1.0]]), threads=threads)
         assert summary.completed == 60
