@@ -561,6 +561,11 @@ def _size_stack(points: list, cap: int) -> list:
                 f"search cap {cap} is below the search start {start} = max(10, q + l + 2) "
                 f"(q={point.q}, l={point.rank_l})"
             )
+        elif not math.isfinite((start - point.q - point.rank_l) * point.lambda_rate):
+            results[i] = NumericalError(
+                f"effect too large to size: the noncentrality at the search start "
+                f"n={start} is not finite"
+            )
         else:
             ready.append(i)
             starts.append(start)
@@ -587,7 +592,9 @@ def required_sample_size(
     """Smallest n whose power reaches the target.
 
     The search starts at max(10, q + l + 2); a cap below that start
-    raises DataValidationError before any power is computed.  It looks
+    raises DataValidationError before any power is computed, and so does
+    a noncentrality (n - q - l) * lambda_rate that is not finite at the
+    start, as NumericalError (the effect is too large to size).  It looks
     first at a seed that inverts the power in the noncentrality (see
     _seeds), which is usually the answer or a few above it, and confirms
     it by the powers at the seed and one below.  Otherwise it gallops

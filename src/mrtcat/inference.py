@@ -17,7 +17,8 @@ wald_stack and interval_stack decide this reference for a stack of R
 fits of n subjects: they raise what every fit shares (the level, the
 widths, too few subjects, the F quantile's error) and return one error
 slot per fit.  wald_test and confidence_intervals are stacks of one, and
-the Monte Carlo engine calls the two on a whole run's replicates.
+the Monte Carlo engine calls the two on a whole run's replicates, after
+raising check_wald's errors before its first replicate.
 """
 
 from __future__ import annotations
@@ -147,32 +148,38 @@ def _row_space_basis(l_tilde: np.ndarray) -> np.ndarray:
     return s[:rank, None] * vt[:rank]
 
 
-def wald_stack(
-    beta: np.ndarray, cov_beta: np.ndarray, contrast: ContrastSpec, n: int, q: int, eta: float
-) -> tuple[np.ndarray, np.ndarray, float, list]:
-    """Scaled-F Wald statistics of R fits of n subjects against one contrast.
-
-    beta is (R, Kp) and cov_beta (R, Kp, Kp).  Raises what every fit
-    shares: an eta outside (0, 1) or whose 1 - eta rounds to 1, a
-    contrast of another width, n <= q + l + 1, or the critical value's
-    error.  Returns the (R,) statistics and scaled statistics, the
-    (l, n - q - l) critical value at level eta, and, per fit, the
-    exception wald_test raises or None.
-    """
+def check_wald(contrast: ContrastSpec, width: int, n: int, q: int, eta: float) -> None:
+    """Raise what wald_test rejects in its arguments for every fit of
+    width coefficients and n subjects: an eta outside (0, 1) or whose
+    1 - eta rounds to 1, a contrast of another width, or n <= q + l + 1."""
     if not (0.0 < eta < 1.0):
         raise DataValidationError("eta must lie in (0, 1)")
     if 1.0 - eta == 1.0:
         raise DataValidationError("eta is too small: 1 - eta rounds to 1")
-    if contrast.l_tilde.shape[1] != beta.shape[1]:
+    if contrast.l_tilde.shape[1] != width:
         raise DataValidationError(
-            f"contrast expects {contrast.l_tilde.shape[1]} coefficients, "
-            f"fit has {beta.shape[1]}"
+            f"contrast expects {contrast.l_tilde.shape[1]} coefficients, fit has {width}"
         )
     l = contrast.rank_l
     if n <= q + l + 1:
         raise DataValidationError(
             f"need n > q + l + 1 for the scaled-F test (n={n}, q={q}, l={l})"
         )
+
+
+def wald_stack(
+    beta: np.ndarray, cov_beta: np.ndarray, contrast: ContrastSpec, n: int, q: int, eta: float
+) -> tuple[np.ndarray, np.ndarray, float, list]:
+    """Scaled-F Wald statistics of R fits of n subjects against one contrast.
+
+    beta is (R, Kp) and cov_beta (R, Kp, Kp).  Raises what every fit
+    shares: check_wald's errors, then the critical value's.  Returns the
+    (R,) statistics and scaled statistics, the (l, n - q - l) critical
+    value at level eta, and, per fit, the exception wald_test raises or
+    None.
+    """
+    check_wald(contrast, beta.shape[1], n, q, eta)
+    l = contrast.rank_l
     critical = f_quantile(l, n - q - l, 1.0 - eta)
     reduced = contrast.row_basis
     v = beta @ reduced.T

@@ -50,12 +50,14 @@ from .errors import DataValidationError, NumericalError
 from .inference import (
     ContrastSpec,
     build_contrast,
+    check_wald,
     interval_stack,
     parse_contrast_text,
     wald_stack,
 )
 from .wcls import (
     ModelSpec,
+    check_model,
     covariance_stack,
     fit_stack,
     keep_first_errors,
@@ -411,6 +413,12 @@ def _generate(config: GenerativeConfig, eps, z, u, workspace: dict | None = None
     return avail, trt, outcome, clipped
 
 
+def check_subjects(n: int) -> None:
+    """Raise unless simulate_trial can draw a trial of n subjects."""
+    if n < 1:
+        raise DataValidationError("n must be >= 1")
+
+
 def simulate_trial(config: GenerativeConfig, n: int, seed: int) -> MrtDataset:
     """Generate one synthetic trial of n subjects.
 
@@ -422,8 +430,7 @@ def simulate_trial(config: GenerativeConfig, n: int, seed: int) -> MrtDataset:
     probabilities clipped into [0, 1] (possible under gm_ea) is exposed
     as the dataset's clipped_availability attribute.
     """
-    if n < 1:
-        raise DataValidationError("n must be >= 1")
+    check_subjects(n)
     if not (0 <= int(seed) < 2**64):
         raise DataValidationError("seed must be a 64-bit unsigned integer")
     eps, z, u = _draws(config, [int(seed)], n)
@@ -487,14 +494,16 @@ class _MonteCarlo:
     (M, Sigma), and the covariance solves, Wald tests and intervals of
     the whole table once every chunk is done.
 
-    Each replicate ends with the values, or the first error, of
-    simulate_trial -> fit_wcls -> wald_test -> confidence_intervals on
-    its own seed: fit_stack is fit_wcls's own routine, and wald_stack and
-    interval_stack (wald_test and confidence_intervals on a stack of
-    replicates) check the contrast, eta and n once for the whole table.
-    The numerator table and its weight lookup are built once when they
-    cannot depend on the draws (match_randomization on the shared
-    probabilities, or user_supplied).
+    Construction raises, as DataValidationError, every error that all
+    the replicates share, in the order of simulate_trial -> fit_wcls ->
+    wald_test: check_subjects's, then check_model's, then the shared
+    numerator table's, then check_wald's.  A replicate then fails only
+    for what its own draws cause, with the first error of those public
+    calls on its own seed: fit_stack is fit_wcls's own routine, and
+    wald_stack and interval_stack are wald_test and confidence_intervals
+    on a stack of replicates.  The numerator table and its weight lookup
+    are built once when they cannot depend on the draws
+    (match_randomization on the shared probabilities, or user_supplied).
     Row r of the table (beta, m, sigma, se, lower, upper, reject,
     clipped, errors) is replicate r; errors[r] is the exception its
     public calls raise, or None, and the rest of a failed row is
@@ -513,18 +522,11 @@ class _MonteCarlo:
         eta: float,
         seed: int,
     ) -> None:
-        self.config, self.n, self.spec, self.seed = config, n, spec, seed
-        self.kp = config.k_arms * spec.p
-        self.eye = np.eye(self.kp)
-        self.probs = config.probs_full[None, None]
+        check_subjects(n)
         self.time_features = {"time": config.t_grid, "time2": config.t_grid * config.t_grid}
-        self.contrast, self.eta = contrast, eta
-        self.workspaces = threading.local()
-        self.beta, self.se, self.lower, self.upper = np.zeros((4, replicates, self.kp))
-        self.m, self.sigma = np.zeros((2, replicates, self.kp, self.kp))
-        self.reject = np.zeros(replicates, dtype=bool)
-        self.clipped = np.zeros(replicates, dtype=np.int64)
-        self.errors: list = [None] * replicates
+        features = [*self.time_features, "Z"] if config.needs_z else [*self.time_features]
+        check_model(n, config.t_points, features, spec, config.k_arms)
+        self.probs = config.probs_full[None, None]
         self.tables = None
         if spec.numerator.kind in ("match_randomization", "user_supplied"):
             # one panel without subjects: these kinds read only the probabilities
@@ -532,14 +534,23 @@ class _MonteCarlo:
             table, (error,) = numerator_tables(
                 empty, empty, self.probs, spec.numerator, config.k_arms
             )
-            self.tables = (table, error, weight_lookup(table, self.probs))
-        self.n_error = DataValidationError("n must be >= 1") if n < 1 else None
+            if error is not None:
+                raise error
+            self.tables = (table, weight_lookup(table, self.probs))
+        self.kp = config.k_arms * spec.p
+        check_wald(contrast, self.kp, n, spec.q, eta)
+        self.config, self.n, self.spec, self.seed = config, n, spec, seed
+        self.eye = np.eye(self.kp)
+        self.contrast, self.eta = contrast, eta
+        self.workspaces = threading.local()
+        self.beta, self.se, self.lower, self.upper = np.zeros((4, replicates, self.kp))
+        self.m, self.sigma = np.zeros((2, replicates, self.kp, self.kp))
+        self.reject = np.zeros(replicates, dtype=bool)
+        self.clipped = np.zeros(replicates, dtype=np.int64)
+        self.errors: list = [None] * replicates
 
     def run_chunk(self, bounds: tuple[int, int]) -> None:
         lo, hi = bounds
-        if self.n_error is not None:
-            self.errors[lo:hi] = [self.n_error] * (hi - lo)
-            return
         seeds = [derive_replicate_seed(self.seed, r) for r in range(lo, hi)]
         # a threading.local's attributes are per thread: this worker's arrays,
         # overwritten by every chunk before they are read
@@ -572,29 +583,22 @@ class _MonteCarlo:
         """Form the covariance of every replicate that has fitted, then
         test and bound those whose covariance solves pass, each step as
         one stack.  The solves are the last step of fit_wcls, so their
-        errors come first; an error that wald_stack or interval_stack
-        raises for every fit then fills each slot still empty."""
+        errors come first; a critical value's error, which every
+        replicate would share, raises."""
         fitted = np.flatnonzero([exc is None for exc in self.errors])
-        if not fitted.size:  # every fit failed
-            return
         cov, cov_errors = covariance_stack(self.m[fitted], self.sigma[fitted])
         for r, exc in zip(fitted, cov_errors):
             self.errors[r] = exc
         solved = np.array([exc is None for exc in cov_errors], dtype=bool)
-        if not solved.any():  # every covariance solve failed
-            return
         fitted, cov = fitted[solved], cov[solved]
         beta, n, q = self.beta[fitted], self.n, self.spec.q
-        try:
-            _, scaled, critical, wald_errors = wald_stack(beta, cov, self.contrast, n, q, self.eta)
-            for r, exc in zip(fitted, wald_errors):
-                self.errors[r] = exc
-            self.reject[fitted] = scaled > critical
-            _, self.se[fitted], self.lower[fitted], self.upper[fitted] = interval_stack(
-                beta, cov, self.eye, n, q, 1.0 - self.eta
-            )
-        except (DataValidationError, NumericalError) as exc:
-            keep_first_errors(self.errors, exc)
+        _, scaled, critical, wald_errors = wald_stack(beta, cov, self.contrast, n, q, self.eta)
+        for r, exc in zip(fitted, wald_errors):
+            self.errors[r] = exc
+        self.reject[fitted] = scaled > critical
+        _, self.se[fitted], self.lower[fitted], self.upper[fitted] = interval_stack(
+            beta, cov, self.eye, n, q, 1.0 - self.eta
+        )
 
 
 def run_monte_carlo(
@@ -625,24 +629,21 @@ def run_monte_carlo(
     Replicate r always draws from derive_replicate_seed(seed, r), so
     results are independent of the thread count.  Once every chunk is
     done, the covariances, Wald tests and intervals of all the
-    replicates are each one stack, and an invalid eta, contrast width
-    or n fails every replicate that got that far with the error
-    wald_test or confidence_intervals raises.
+    replicates are each one stack.  An error that every replicate would
+    share raises before the first chunk (see _MonteCarlo).
     """
     if replicates < 1:
         raise DataValidationError("replicates must be >= 1")
-    if isinstance(contrast, ContrastSpec):
-        contrast_spec = contrast
-    else:
-        contrast_spec = build_contrast(contrast, spec.p)
+    if not isinstance(contrast, ContrastSpec):
+        contrast = build_contrast(contrast, spec.p)
     kp = config.k_arms * spec.p
     if true_beta is not None:
         true_beta = np.asarray(true_beta, dtype=float)
         if true_beta.shape != (kp,):
             raise DataValidationError(f"true_beta must have length K*p = {kp}")
 
-    engine = _MonteCarlo(config, n, replicates, spec, contrast_spec, eta, seed)
     workers = _resolve_threads(threads)
+    engine = _MonteCarlo(config, n, replicates, spec, contrast, eta, seed)
     size = _chunk_replicates(n * config.t_points, workers)
     bounds = [(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
     if workers == 1:

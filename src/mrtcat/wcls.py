@@ -110,18 +110,22 @@ class FitResult:
         )
 
 
-def usable_points(t_points: int, delta: int) -> int:
-    """Decision points whose excursion window of length delta fits in T."""
-    t_used = t_points - delta + 1
-    if t_used < 1:
+def check_model(n: int, t_points: int, feature_names, spec: ModelSpec, k_arms: int) -> None:
+    """Raise what fit_wcls rejects in every panel of n subjects, t_points
+    decision points and these feature columns, whatever its values: a
+    window of length delta that leaves no usable decision point, a model
+    column not among the features, or too few subjects for a sandwich
+    covariance."""
+    if spec.delta > t_points:
         raise DataValidationError(
-            f"delta={delta} leaves no usable decision points in a panel with T={t_points}"
+            f"delta={spec.delta} leaves no usable decision points in a panel with T={t_points}"
         )
-    return t_used
-
-
-def check_dims(n: int, spec: ModelSpec, k_arms: int) -> None:
-    """Raise unless n subjects can support a sandwich covariance."""
+    for columns, label in ((spec.f_columns, "moderator"), (spec.g_columns, "control")):
+        for name in columns:
+            if name not in feature_names:
+                raise DataValidationError(
+                    f"{label} column {name!r} not in dataset features {sorted(feature_names)}"
+                )
     dim = spec.q + k_arms * spec.p
     if n <= dim:
         raise DataValidationError(
@@ -195,10 +199,11 @@ def design_stack(
     trt, so that products of the two run at unit stride.  W and Dfull are
     scratch arrays of the workspace (see scratch).  Decision points with
     t + delta - 1 > T are dropped because their proximal outcome window
-    extends past the panel.
+    extends past the panel.  The window and the model columns must pass
+    check_model.
     """
     count, n, big_t = avail.shape
-    t_used = usable_points(big_t, spec.delta)
+    t_used = big_t - spec.delta + 1
     trt_used = trt[..., :t_used]
 
     # ptilde_t(A_t) / p_t(A_t), divided per table entry and then looked up:
@@ -223,18 +228,8 @@ def design_stack(
         factor = np.where(a_j == 0, np.where(i_j == 1, 1.0 / np.maximum(p0_j, 1e-300), 1.0), 0.0)
         weights *= factor
 
-    def basis(columns: tuple[str, ...], label: str) -> list:
-        parts: list = [1.0]
-        for name in columns:
-            if name not in features:
-                raise DataValidationError(
-                    f"{label} column {name!r} not in dataset features {sorted(features)}"
-                )
-            parts.append(features[name][..., :t_used])
-        return parts
-
-    f_parts = basis(spec.f_columns, "moderator")
-    g_parts = basis(spec.g_columns, "control")
+    f_parts = [1.0, *(features[name][..., :t_used] for name in spec.f_columns)]
+    g_parts = [1.0, *(features[name][..., :t_used] for name in spec.g_columns)]
     d_full = scratch(workspace, "d_full", (count, spec.q + k_arms * spec.p, n, t_used))
     for j, part in enumerate(g_parts):
         d_full[:, j] = part
@@ -273,10 +268,10 @@ def _degenerate_arms(trt: np.ndarray, t_used: int, k_arms: int) -> list:
     return errors
 
 
-def keep_first_errors(errors: list, new) -> None:
-    """Fill the empty slots of errors from new: a list with one entry per
-    slot, or one exception (or None) that every slot shares."""
-    for r, exc in enumerate(new if isinstance(new, list) else [new] * len(errors)):
+def keep_first_errors(errors: list, new: list) -> None:
+    """Fill the empty slots of errors from new, which has one entry (an
+    exception or None) per slot."""
+    for r, exc in enumerate(new):
         if errors[r] is None:
             errors[r] = exc
 
@@ -319,21 +314,21 @@ def fit_stack(
 
     avail, trt and outcome are (R, n, T); probs broadcasts to (R, n, T,
     K+1) and each feature to (R, n, T), so arrays every panel shares
-    are passed once.  tables, when given, is the (table, error, lookup)
-    triple of a numerator table that cannot depend on the panels: one
-    (1, T, K+1) table from numerator_tables, the error it gives every
-    panel, or None, and its weight_lookup with probs; without it the
-    tables are computed here.  The fit stops at each panel's sandwich
-    sums (M, Sigma): the covariance solves, the last step of fit_wcls,
-    and their errors are left to the caller's covariance_stack call,
-    which the Monte Carlo engine makes once per run.  Every panel must satisfy the MrtDataset invariants.  The
-    checks run in fit_wcls's order (window, numerator table, design
-    columns, arms observed, subject count, normal solve) and each panel
-    keeps the first error it meets.  A failed panel is still fitted,
-    but its values stay in its own slices: the solves and the sandwich
-    set aside a slice that is not finite or not positive definite.  The design arrays and resid
-    are scratch arrays of the workspace (see scratch), so a caller that
-    passes one must not keep resid past its next call.
+    are passed once.  tables, when given, is the (table, lookup) pair of
+    a valid (1, T, K+1) numerator table that cannot depend on the panels
+    and its weight_lookup with probs; without it the tables are computed
+    here.  Every panel must satisfy the MrtDataset invariants.
+
+    check_model raises what the panels share, before any other work.
+    The other checks run in fit_wcls's order (numerator table, arms
+    observed, normal solve), and each panel keeps the first error it
+    meets.  A failed panel is still fitted, but its values stay in its
+    own slices: the solves and the sandwich set aside a slice that is
+    not finite or not positive definite.  The fit stops at each panel's
+    sandwich sums (M, Sigma), leaving the covariance solves, the last
+    step of fit_wcls, to the caller's covariance_stack call.  The design
+    arrays and resid are scratch arrays of the workspace (see scratch),
+    so a caller that passes one must not keep resid past its next call.
 
     The normal matrix of each panel is the sum of its subjects' blocks
     D_i' W_i D_i, which the hat-matrix correction needs too.  They are
@@ -343,28 +338,16 @@ def fit_stack(
     """
     count, n, big_t = avail.shape
     dim = spec.q + k_arms * spec.p
+    check_model(n, big_t, features, spec, k_arms)
     if tables is None:
-        tables, table_errors = numerator_tables(avail, trt, probs, spec.numerator, k_arms)
+        tables, errors = numerator_tables(avail, trt, probs, spec.numerator, k_arms)
         lookup = None
     else:
-        tables, table_errors, lookup = tables
-    errors: list = [None] * count
-    try:
-        usable_points(big_t, spec.delta)  # its error precedes the tables
-        keep_first_errors(errors, table_errors)
-        weights, d_full, y, t_used = design_stack(
-            avail, trt, probs, outcome, features, k_arms, spec, tables, workspace, lookup
-        )
-        keep_first_errors(errors, _degenerate_arms(trt, t_used, k_arms))
-        check_dims(n, spec, k_arms)
-    except DataValidationError as exc:  # a check every panel shares
-        keep_first_errors(errors, exc)
-    if all(exc is not None for exc in errors):
-        zeros = np.zeros((count, dim - spec.q, dim - spec.q))
-        return FitStack(
-            np.zeros((count, dim)), np.zeros((count, n, 0)), zeros, zeros,
-            np.zeros(count, dtype=np.int64), tables, errors,
-        )
+        (tables, lookup), errors = tables, [None] * count
+    weights, d_full, y, t_used = design_stack(
+        avail, trt, probs, outcome, features, k_arms, spec, tables, workspace, lookup
+    )
+    keep_first_errors(errors, _degenerate_arms(trt, t_used, k_arms))
 
     weighted = scratch(workspace, "weighted", d_full.shape)
     np.multiply(d_full, weights[:, None], out=weighted)

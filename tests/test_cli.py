@@ -368,25 +368,18 @@ class TestSamplesize:
 
     @pytest.mark.parametrize("sweep", [[], ["--sweep", "sate1=1e153:2e153:1e153"]])
     def test_infinite_noncentrality_exits_three(self, tmp_path, capsys, monkeypatch, sweep):
-        # (n - q - l) * lambda_rate overflows to inf at the search start,
-        # where ncfdtr returns NaN: the numerical error ends the command.
-        # The counted ncfdtr turns a search that never ends into a failure.
+        # (n - q - l) * lambda_rate overflows to inf at the search start:
+        # the point fails before any power is computed, naming that n.
         calls = []
-        real = mrtcat.design.ncfdtr
-
-        def counted(*args):
-            calls.append(args)
-            assert len(calls) < 100, "ncfdtr called without end"
-            return real(*args)
-
-        monkeypatch.setattr(mrtcat.design, "ncfdtr", counted)
+        monkeypatch.setattr(mrtcat.design, "ncfdtr", lambda *args: calls.append(args))
         cfg = tmp_path / "design.cfg"
         cfg.write_text(GOLDEN_CFG_TEXT.replace("sate1 = 0.053", "sate1 = 1e153"))
         assert main(["samplesize", "--config", str(cfg), *sweep, "--out", "-"]) == 3
         assert capsys.readouterr().err == (
-            "numerical error: scipy.special.ncfdtr(1.0, 8.0, inf, 5.317655071578713) "
-            "returned nan; no accurate value available\n"
+            "numerical error: effect too large to size: the noncentrality at the search "
+            "start n=10 is not finite\n"
         )
+        assert calls == []
 
     @pytest.mark.parametrize("power, cap", [("0", "3"), ("0.1", "9"), ("0.8", "0"), ("0.8", "-5")])
     def test_cap_below_search_start_exits_two(self, tmp_path, capsys, power, cap):
@@ -813,13 +806,18 @@ class TestSimulate:
         assert "family" in capsys.readouterr().err
 
     def test_failure_budget_exits_three(self, tmp_path, capsys):
+        # every treated point's outcome 1e308 + 1e308 overflows, so each
+        # replicate fails on its own draws
         scn = tmp_path / "scenario.cfg"
-        scn.write_text(NULL_SCENARIO_TEXT.replace("n = 40", "n = 3"))
+        scn.write_text(NULL_SCENARIO_TEXT + "eo_coeffs = 1e308, 0\nmee_coeffs = 1e308; 1e308\n")
         code = main(
             ["simulate", "--scenario", str(scn), "--replicates", "5", "--out", "-"]
         )
         assert code == 3
-        assert "failed" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "numerical error: 5/5 replicates failed (budget 1%): DataValidationError×5; "
+            "first error: missing or non-finite outcome value\n"
+        )
 
 
 @pytest.mark.parametrize(

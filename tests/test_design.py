@@ -272,10 +272,10 @@ class TestNoncentrality:
     def test_null_test_does_not_overflow(self):
         # past |gamma| of about 1.3e154 both norms overflowed, and inf <= inf
         # called this contrast null; its noncentrality overflows instead,
-        # and the search fails
+        # and the search fails as too large to size
         huge = golden_inputs(gamma=np.array([1e155, 0.0]))
         assert huge.lambda_rate == math.inf
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(NumericalError, match="^effect too large to size"):
             required_sample_size(huge)
         with pytest.raises(NullContrastError):
             golden_inputs(gamma=np.array([1e155, 1e155]))
@@ -598,10 +598,13 @@ class TestPowerWhereNcfdtrFails:
         message = r"^scipy\.special\.ncfdtr\(1\.0, {}, inf, .*\) returned nan; no accurate"
         with pytest.raises(ConvergenceError, match=message.format(r"91\.0")):
             power_at_n(inputs, 93)
-        with pytest.raises(ConvergenceError, match=message.format(r"8\.0")):
-            required_sample_size(inputs)
         [stacked] = mrtcat.design._powers([inputs], [93])
         assert isinstance(stacked, ConvergenceError)
+        # the search sees the overflow at its start and computes no power
+        calls.clear()
+        with pytest.raises(NumericalError, match="^effect too large to size: .* n=10 is not"):
+            required_sample_size(inputs)
+        assert calls == []
 
     def test_huge_noncentrality_decides_as_halving_one_step_at_a_time(self):
         # Above about 1e19 ncfdtr is NaN, so the one-step halving reaches

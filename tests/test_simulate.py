@@ -2,6 +2,7 @@ import sys
 import threading
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrtcat import (
+    ContrastSpec,
     DataValidationError,
     DegenerateArmError,
     GenerativeConfig,
@@ -28,6 +30,8 @@ from mrtcat import (
     wald_test,
 )
 from mrtcat import simulate
+from mrtcat._kvconfig import parse_kv_file
+from mrtcat.cli import main
 from mrtcat.data import numerator_tables
 from mrtcat.simulate import _draws, _generate, _resolve_threads
 from mrtcat.wcls import design_stack, fit_stack
@@ -375,16 +379,20 @@ class TestRunMonteCarlo:
         assert first["seed"] == derive_replicate_seed(5, 0)
 
     def test_failure_budget_aborts(self):
-        # n = 3 subjects cannot support q + K*p = 3 coefficients
-        with pytest.raises(NumericalError, match="failed"):
-            run_monte_carlo(
-                null_config(),
-                n=3,
-                replicates=10,
-                spec=MARGINAL_SPEC,
-                contrast=np.array([[1.0, -1.0]]),
-                seed=1,
-            )
+        # With seed 6, replicate 12 alone never observes an arm at some t
+        # (see TestChunkedEngine): one failure is within the 1% budget of
+        # 100 replicates and beyond that of 50.
+        config = null_config(t_points=2, tau=1.0, rand_probs=np.array([0.15, 0.15]))
+        spec = ModelSpec(numerator=NumeratorPolicy("empirical_per_t"))
+        contrast = np.array([[1.0, -1.0]])
+        assert run_monte_carlo(config, 30, 100, spec, contrast, seed=6).failures == 1
+        with pytest.raises(DegenerateArmError) as alone:
+            per_replicate_values(config, 30, spec, contrast, 6, 12)
+        with pytest.raises(NumericalError) as err:
+            run_monte_carlo(config, 30, 50, spec, contrast, seed=6)
+        assert str(err.value) == (
+            f"1/50 replicates failed (budget 1%): DegenerateArmError×1; first error: {alone.value}"
+        )
 
     def test_caller_contrast_changes_after_construction_do_not_matter(self):
         l_matrix = np.array([[1.0, -1.0]])
@@ -620,12 +628,19 @@ class TestGeneratorMatchesLoops:
 
 
 def per_replicate_values(config, n, spec, contrast, seed, index, eta=0.05):
-    """One replicate through the public calls: (beta, se, reject)."""
+    """One replicate through the public calls: (beta, se, reject).  The
+    contrast is an L matrix or, as run_monte_carlo takes it, a ContrastSpec."""
     data = simulate_trial(config, n, derive_replicate_seed(seed, index))
     fit = fit_wcls(data, spec)
-    test = wald_test(fit, build_contrast(contrast, spec.p), eta)
+    if not isinstance(contrast, ContrastSpec):
+        contrast = build_contrast(contrast, spec.p)
+    test = wald_test(fit, contrast, eta)
     cis = confidence_intervals(fit, np.eye(len(fit.beta_hat)), 1.0 - eta)
     return fit.beta_hat, np.array([c.se for c in cis]), test.reject
+
+
+COVARIANCE_OVERFLOW = null_config(t_points=3, rand_probs=(0.2, 0.2), eo_basis="linear",
+                                  eo_coeffs=(0.0, 1e160))
 
 
 class TestChunkedEngine:
@@ -772,8 +787,8 @@ class TestChunkedEngine:
         )
 
     def test_user_supplied_table_built_once_per_run(self):
-        # the engine builds this table once, and its error, if any, is
-        # every replicate's error as fit_wcls raises it
+        # the engine builds this table once (an invalid one raises before
+        # the first chunk; see TestRunWideErrors)
         config, contrast = null_config(), np.array([[1.0, -1.0]])
         table = np.tile([0.4, 0.35, 0.25], (8, 1))
         spec = ModelSpec(g_columns=("time",), numerator=NumeratorPolicy("user_supplied", table=table))
@@ -784,52 +799,16 @@ class TestChunkedEngine:
             np.testing.assert_allclose(rec["beta"], beta, rtol=1e-12, atol=0)
             np.testing.assert_allclose(rec["se"], se, rtol=1e-12, atol=0)
             assert rec["reject"] == reject
-        bad = ModelSpec(numerator=NumeratorPolicy("user_supplied", table=table[:7]))
-        with pytest.raises(DataValidationError) as alone:
-            fit_wcls(simulate_trial(config, 30, derive_replicate_seed(2, 0)), bad)
-        with pytest.raises(NumericalError) as err:
-            run_monte_carlo(config, 30, 12, bad, contrast, seed=2)
-        assert str(err.value) == (
-            f"12/12 replicates failed (budget 1%): DataValidationError×12; first error: {alone.value}"
-        )
 
-    def test_fit_error_precedes_the_shared_wald_check(self):
-        # n = 4 = q + l + 1 fails wald_test's check on every replicate that
-        # fits; with seed 4, replicate 0 and four others never observe an
-        # arm and fail in fit_wcls first, and keep that error
-        config = null_config(t_points=3, rand_probs=(0.2, 0.2))
-        errors = []
-        for r in range(20):
-            data = simulate_trial(config, 4, derive_replicate_seed(4, r))
-            try:
-                wald_test(fit_wcls(data, MARGINAL_SPEC), build_contrast(np.eye(2), 1))
-            except (DataValidationError, NumericalError) as exc:
-                errors.append(exc)
-        assert isinstance(errors[0], DegenerateArmError)
-        assert [type(exc).__name__ for exc in errors].count("DegenerateArmError") == 5
-        with pytest.raises(NumericalError) as err:
-            run_monte_carlo(config, 4, 20, MARGINAL_SPEC, np.eye(2), seed=4)
-        assert str(err.value) == (
-            "20/20 replicates failed (budget 1%): DataValidationError×15, "
-            f"DegenerateArmError×5; first error: {errors[0]}"
-        )
-
-    @pytest.mark.parametrize(
-        "n, grouped",
-        [
-            (30, "NumericalError×20"),
-            (4, "NumericalError×14, DegenerateArmError×5, DataValidationError×1"),
-        ],
-    )
+    @pytest.mark.parametrize("n, grouped", [(30, "NumericalError×20")])
     def test_covariance_error_precedes_the_shared_wald_check(self, n, grouped):
         # A slope of 1e160 in t leaves residuals near 1e160 that the
         # intercept-only control cannot fit: outcomes and fit are finite,
         # but the score sums overflow and fit_wcls fails in its covariance
         # solve.  The engine forms every covariance after the last chunk,
-        # and a replicate still keeps that error first; at n = 4 = q + l + 1
-        # it also goes before the shared Wald check that fails the rest.
-        config = null_config(t_points=3, rand_probs=(0.2, 0.2), eo_basis="linear",
-                             eo_coeffs=(0.0, 1e160))
+        # and a replicate still keeps that error, before anything of
+        # wald_test.
+        config = COVARIANCE_OVERFLOW
         errors = []
         for r in range(20):
             data = simulate_trial(config, n, derive_replicate_seed(4, r))
@@ -848,57 +827,17 @@ class TestChunkedEngine:
         )
 
     def test_budget_abort_counts_failures_by_class(self):
+        # At n = 5 the config of the test above gives two classes: the
+        # replicates that never observe an arm fail in fit_wcls, the others
+        # in their covariance solve.  The classes are listed by count, then
+        # name, and the first error is replicate 0's.
+        with pytest.raises(DegenerateArmError) as alone:
+            per_replicate_values(COVARIANCE_OVERFLOW, 5, MARGINAL_SPEC, np.eye(2), 4, 0)
         with pytest.raises(NumericalError) as err:
-            run_monte_carlo(
-                null_config(), n=3, replicates=10, spec=MARGINAL_SPEC,
-                contrast=np.array([[1.0, -1.0]]), seed=1,
-            )
-        assert str(err.value).startswith(
-            "10/10 replicates failed (budget 1%): DataValidationError×10; "
-            "first error: n=3 subjects cannot support"
-        )
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_n_below_one_fails_every_replicate(self, n):
-        with pytest.raises(NumericalError) as err:
-            run_monte_carlo(null_config(), n, 7, MARGINAL_SPEC, np.array([[1.0, -1.0]]), seed=1)
+            run_monte_carlo(COVARIANCE_OVERFLOW, 5, 20, MARGINAL_SPEC, np.eye(2), seed=4)
         assert str(err.value) == (
-            "7/7 replicates failed (budget 1%): DataValidationError×7; "
-            "first error: n must be >= 1"
-        )
-
-    @pytest.mark.parametrize(
-        "n, contrast, eta",
-        [
-            (4, np.eye(2), 0.05),  # n = q + l + 1: every replicate fits, no test runs
-            (20, np.eye(3), 0.05),  # a contrast for three coefficients, the fit has two
-            (20, np.eye(2), 1.5),
-            (20, np.eye(2), 1e-17),  # in (0, 1), but 1 - eta rounds to 1
-        ],
-        ids=["n_at_wald_bound", "wrong_width", "eta_above_one", "eta_below_rounding"],
-    )
-    def test_shared_check_fails_every_replicate_like_public_calls(self, n, contrast, eta):
-        # The engine makes the checks that every replicate shares once,
-        # after the last chunk; each replicate still gets the error its
-        # own public calls raise.
-        replicates, config, spec = 12, null_config(), MARGINAL_SPEC
-        errors = []
-        for r in range(replicates):
-            with pytest.raises(DataValidationError) as err:
-                per_replicate_values(config, n, spec, contrast, 8, r, eta)
-            errors.append(err.value)
-        engine = simulate._MonteCarlo(
-            config, n, replicates, spec, build_contrast(contrast, spec.p), eta, 8
-        )
-        engine.run_chunk((0, replicates))
-        engine.finish()
-        describe = lambda excs: [(type(exc), str(exc)) for exc in excs]  # noqa: E731
-        assert describe(engine.errors) == describe(errors)
-        with pytest.raises(NumericalError) as err:
-            run_monte_carlo(config, n, replicates, spec, contrast, eta=eta, seed=8)
-        assert str(err.value) == (
-            f"{replicates}/{replicates} replicates failed (budget 1%): "
-            f"DataValidationError×{replicates}; first error: {errors[0]}"
+            "20/20 replicates failed (budget 1%): NumericalError×16, DegenerateArmError×4; "
+            f"first error: {alone.value}"
         )
 
     TABLE_CASES = [
@@ -987,6 +926,79 @@ class TestChunkedEngine:
             assert len(by_thread) <= threads
         assert runs[1][1] <= 2 * base * n * config.t_points
         assert runs[2][1] <= 2 * base * n * config.t_points
+
+
+GOLDEN_SCENARIO = Path(__file__).resolve().parent / "golden" / "simulate" / "scenario.cfg"
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("a chunk ran")
+
+
+class TestRunWideErrors:
+    """An error that every replicate of a run shares raises once, before
+    the first chunk, as the DataValidationError that replicate 0's own
+    public calls raise."""
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"eta": "2"},
+            {"eta": "1e-17"},  # in (0, 1), but 1 - eta rounds to 1
+            {"n": "0"},
+            {"n": "3"},  # n <= q + K*p = 4
+            {"n": "5", "L": "all-null"},  # n = q + l + 1
+            {"fit_f": "z"},  # no Z basis, so no Z column
+        ],
+        ids=["eta_above_one", "eta_below_rounding", "n_zero", "n_at_fit_bound",
+             "n_at_wald_bound", "moderator_not_simulated"],
+    )
+    def test_simulate_exits_two_before_any_chunk(self, monkeypatch, capsys, tmp_path, changes):
+        cfg = parse_kv_file(GOLDEN_SCENARIO) | changes
+        scenario_path = tmp_path / "scenario.cfg"
+        scenario_path.write_text("".join(f"{key} = {value}\n" for key, value in cfg.items()))
+        scenario = scenario_from_config(cfg)
+        args = (scenario.config, scenario.n, scenario.model_spec, scenario.l_matrix)
+        with pytest.raises(DataValidationError) as public:
+            per_replicate_values(*args, scenario.seed, 0, scenario.eta)
+        monkeypatch.setattr(simulate, "_draws", _never)
+        monkeypatch.setattr(simulate, "fit_stack", _never)
+        out = tmp_path / "mc.json"
+        code = main(["simulate", "--scenario", str(scenario_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {public.value}\n"
+        assert not out.exists()
+        with pytest.raises(DataValidationError) as raised:
+            run_monte_carlo(scenario.config, scenario.n, 20, scenario.model_spec,
+                            scenario.l_matrix, scenario.eta, scenario.seed)
+        assert (type(raised.value), str(raised.value)) == (type(public.value), str(public.value))
+
+    TABLE = np.tile([0.4, 0.35, 0.25], (8, 1))
+
+    @pytest.mark.parametrize(
+        "n, spec, contrast",
+        [
+            (-1, MARGINAL_SPEC, np.array([[1.0, -1.0]])),
+            # a contrast lifted for p = 2, the fit has p = 1
+            (20, MARGINAL_SPEC, build_contrast(np.array([[1.0, -1.0]]), 2)),
+            # a user_supplied table with 7 rows for T = 8
+            (20, ModelSpec(numerator=NumeratorPolicy("user_supplied", table=TABLE[:7])),
+             np.array([[1.0, -1.0]])),
+            (20, ModelSpec(numerator=NumeratorPolicy("user_supplied", table=-TABLE)),
+             np.array([[1.0, -1.0]])),
+            (20, ModelSpec(delta=9), np.array([[1.0, -1.0]])),
+        ],
+        ids=["n_negative", "contrast_width", "table_shape", "table_negative", "window"],
+    )
+    def test_run_monte_carlo_raises_before_any_chunk(self, monkeypatch, n, spec, contrast):
+        config = null_config()
+        with pytest.raises(DataValidationError) as public:
+            per_replicate_values(config, n, spec, contrast, 8, 0)
+        monkeypatch.setattr(simulate, "_draws", _never)
+        monkeypatch.setattr(simulate, "fit_stack", _never)
+        with pytest.raises(DataValidationError) as raised:
+            run_monte_carlo(config, n, 12, spec, contrast, seed=8)
+        assert (type(raised.value), str(raised.value)) == (type(public.value), str(public.value))
 
 
 def _poison(workspace):
