@@ -89,6 +89,8 @@ def build_contrast(l_matrix: np.ndarray, p: int) -> ContrastSpec:
     if not np.isfinite(l_matrix).all():
         raise DataValidationError("contrast matrix must be finite")
     svals = np.linalg.svd(l_matrix, compute_uv=False)
+    if not np.isfinite(svals).all():
+        raise DataValidationError("contrast matrix entries are too large: its norm overflows")
     scale = svals[0] if svals.size else 0.0
     if scale == 0.0:
         raise NullContrastError("contrast matrix is zero")

@@ -18,7 +18,7 @@ polynomial in t, or the categorical covariate Z_t).
 
 Monte Carlo replicates are embarrassingly parallel: every replicate
 derives its own seed from (master seed, index) with an avalanche mix.
-The engine simulates and fits chunks of consecutive replicates as
+run_monte_carlo simulates and fits chunks of consecutive replicates as
 stacked arrays, one chunk per task, and no replicate's bits depend on
 its chunk, so summaries are byte-identical for any thread count.  The
 generator draws each replicate's random numbers in a fixed order and is
@@ -487,120 +487,6 @@ def _chunk_replicates(points: int, workers: int) -> int:
     return 2 * size if workers == 1 else size
 
 
-class _MonteCarlo:
-    """One run_monte_carlo call: its replicate-invariant pieces and its
-    result table, built once, the stacked simulate-and-fit pass over one
-    chunk of replicates, which stops at each replicate's sandwich sums
-    (M, Sigma), and the covariance solves, Wald tests and intervals of
-    the whole table once every chunk is done.
-
-    Construction raises, as DataValidationError, every error that all
-    the replicates share, in the order of simulate_trial -> fit_wcls ->
-    wald_test: check_subjects's, then check_model's, then the shared
-    numerator table's, then check_wald's.  A replicate then fails only
-    for what its own draws cause, with the first error of those public
-    calls on its own seed: fit_stack is fit_wcls's own routine, and
-    wald_stack and interval_stack are wald_test and confidence_intervals
-    on a stack of replicates.  The numerator table and its weight lookup
-    are built once when they cannot depend on the draws
-    (match_randomization on the shared probabilities, or user_supplied).
-    Row r of the table (beta, m, sigma, se, lower, upper, reject,
-    clipped, errors) is replicate r; errors[r] is the exception its
-    public calls raise, or None, and the rest of a failed row is
-    meaningless.  Chunks write disjoint rows, so pool threads share the
-    table with no lock.  workspaces holds each worker thread's scratch
-    arrays (see wcls.scratch); they go with the engine when the run ends.
-    """
-
-    def __init__(
-        self,
-        config: GenerativeConfig,
-        n: int,
-        replicates: int,
-        spec: ModelSpec,
-        contrast: ContrastSpec,
-        eta: float,
-        seed: int,
-    ) -> None:
-        check_subjects(n)
-        self.time_features = {"time": config.t_grid, "time2": config.t_grid * config.t_grid}
-        features = [*self.time_features, "Z"] if config.needs_z else [*self.time_features]
-        check_model(n, config.t_points, features, spec, config.k_arms)
-        self.probs = config.probs_full[None, None]
-        self.tables = None
-        if spec.numerator.kind in ("match_randomization", "user_supplied"):
-            # one panel without subjects: these kinds read only the probabilities
-            empty = np.zeros((1, 0, config.t_points), dtype=np.int64)
-            table, (error,) = numerator_tables(
-                empty, empty, self.probs, spec.numerator, config.k_arms
-            )
-            if error is not None:
-                raise error
-            self.tables = (table, weight_lookup(table, self.probs))
-        self.kp = config.k_arms * spec.p
-        check_wald(contrast, self.kp, n, spec.q, eta)
-        self.config, self.n, self.spec, self.seed = config, n, spec, seed
-        self.eye = np.eye(self.kp)
-        self.contrast, self.eta = contrast, eta
-        self.workspaces = threading.local()
-        self.beta, self.se, self.lower, self.upper = np.zeros((4, replicates, self.kp))
-        self.m, self.sigma = np.zeros((2, replicates, self.kp, self.kp))
-        self.reject = np.zeros(replicates, dtype=bool)
-        self.clipped = np.zeros(replicates, dtype=np.int64)
-        self.errors: list = [None] * replicates
-
-    def run_chunk(self, bounds: tuple[int, int]) -> None:
-        lo, hi = bounds
-        seeds = [derive_replicate_seed(self.seed, r) for r in range(lo, hi)]
-        # a threading.local's attributes are per thread: this worker's arrays,
-        # overwritten by every chunk before they are read
-        workspace = vars(self.workspaces)
-        eps, z, u = _draws(self.config, seeds, self.n, workspace)
-        avail, trt, outcome, self.clipped[lo:hi] = _generate(self.config, eps, z, u, workspace)
-        # A generated panel meets every dataset invariant unless its
-        # outcome overflows, which is what simulate_trial then rejects.
-        # Zeroed, such a replicate cannot spread non-finite values.
-        finite = np.isfinite(outcome.reshape(hi - lo, -1)).all(axis=1)
-        if not finite.all():
-            outcome[~finite] = 0.0
-        errors = [
-            None if ok else DataValidationError("missing or non-finite outcome value")
-            for ok in finite.tolist()
-        ]
-        features = dict(self.time_features)
-        if z is not None:
-            features["Z"] = z
-        fit = fit_stack(
-            avail, trt, self.probs, outcome, features, self.config.k_arms, self.spec,
-            workspace, self.tables,
-        )
-        keep_first_errors(errors, fit.errors)
-        self.beta[lo:hi] = fit.theta[:, self.spec.q :]
-        self.m[lo:hi], self.sigma[lo:hi] = fit.m, fit.sigma
-        self.errors[lo:hi] = errors
-
-    def finish(self) -> None:
-        """Form the covariance of every replicate that has fitted, then
-        test and bound those whose covariance solves pass, each step as
-        one stack.  The solves are the last step of fit_wcls, so their
-        errors come first; a critical value's error, which every
-        replicate would share, raises."""
-        fitted = np.flatnonzero([exc is None for exc in self.errors])
-        cov, cov_errors = covariance_stack(self.m[fitted], self.sigma[fitted])
-        for r, exc in zip(fitted, cov_errors):
-            self.errors[r] = exc
-        solved = np.array([exc is None for exc in cov_errors], dtype=bool)
-        fitted, cov = fitted[solved], cov[solved]
-        beta, n, q = self.beta[fitted], self.n, self.spec.q
-        _, scaled, critical, wald_errors = wald_stack(beta, cov, self.contrast, n, q, self.eta)
-        for r, exc in zip(fitted, wald_errors):
-            self.errors[r] = exc
-        self.reject[fitted] = scaled > critical
-        _, self.se[fitted], self.lower[fitted], self.upper[fitted] = interval_stack(
-            beta, cov, self.eye, n, q, 1.0 - self.eta
-        )
-
-
 def run_monte_carlo(
     config: GenerativeConfig,
     n: int,
@@ -623,14 +509,31 @@ def run_monte_carlo(
     With collect_replicates, per-replicate estimates are kept on the
     summary's records field (they do not enter to_dict()).
 
+    Before the first chunk, every error that all the replicates share
+    raises, as DataValidationError, in the order of simulate_trial ->
+    fit_wcls -> wald_test: check_subjects's, then check_model's, then
+    the shared numerator table's, then check_wald's.  A replicate then
+    fails only for what its own draws cause, with the first error of
+    those public calls on its own seed: fit_stack is fit_wcls's own
+    routine, and wald_stack and interval_stack are wald_test and
+    confidence_intervals on a stack of replicates.  The numerator table
+    and its weight lookup are built once when they cannot depend on the
+    draws (match_randomization on the shared probabilities, or
+    user_supplied).
+
     Replicates run in chunks of consecutive indices, each simulated and
     fitted as one stack of arrays; the threads map over chunks, and a
     single thread takes chunks twice as long (see _CHUNK_POINTS).
     Replicate r always draws from derive_replicate_seed(seed, r), so
-    results are independent of the thread count.  Once every chunk is
-    done, the covariances, Wald tests and intervals of all the
-    replicates are each one stack.  An error that every replicate would
-    share raises before the first chunk (see _MonteCarlo).
+    results are independent of the thread count.  Row r of the result
+    table (beta, m, sigma, se, lower, upper, reject, clipped, errors) is
+    replicate r; errors[r] is the exception its public calls raise, or
+    None, and the rest of a failed row is meaningless.  Chunks write
+    disjoint rows, so pool threads share the table with no lock; each
+    worker thread keeps its scratch arrays in its own workspace (see
+    wcls.scratch) for the length of the run.  Once every chunk is done,
+    the covariances, Wald tests and intervals of all the replicates are
+    each one stack.
     """
     if replicates < 1:
         raise DataValidationError("replicates must be >= 1")
@@ -641,41 +544,104 @@ def run_monte_carlo(
         true_beta = np.asarray(true_beta, dtype=float)
         if true_beta.shape != (kp,):
             raise DataValidationError(f"true_beta must have length K*p = {kp}")
-
     workers = _resolve_threads(threads)
-    engine = _MonteCarlo(config, n, replicates, spec, contrast, eta, seed)
+
+    check_subjects(n)
+    time_features = {"time": config.t_grid, "time2": config.t_grid * config.t_grid}
+    features = [*time_features, "Z"] if config.needs_z else [*time_features]
+    check_model(n, config.t_points, features, spec, config.k_arms)
+    probs = config.probs_full[None, None]
+    tables = None
+    if spec.numerator.kind in ("match_randomization", "user_supplied"):
+        # one panel without subjects: these kinds read only the probabilities
+        empty = np.zeros((1, 0, config.t_points), dtype=np.int64)
+        table, (error,) = numerator_tables(empty, empty, probs, spec.numerator, config.k_arms)
+        if error is not None:
+            raise error
+        tables = (table, weight_lookup(table, probs))
+    check_wald(contrast, kp, n, spec.q, eta)
+
+    beta, se, lower, upper = np.zeros((4, replicates, kp))
+    m, sigma = np.zeros((2, replicates, kp, kp))
+    reject = np.zeros(replicates, dtype=bool)
+    clipped = np.zeros(replicates, dtype=np.int64)
+    errors: list = [None] * replicates
+    workspaces = threading.local()
+
+    def run_chunk(bounds: tuple[int, int]) -> None:
+        lo, hi = bounds
+        seeds = [derive_replicate_seed(seed, r) for r in range(lo, hi)]
+        # a threading.local's attributes are per thread: this worker's arrays,
+        # overwritten by every chunk before they are read
+        workspace = vars(workspaces)
+        eps, z, u = _draws(config, seeds, n, workspace)
+        avail, trt, outcome, clipped[lo:hi] = _generate(config, eps, z, u, workspace)
+        # A generated panel meets every dataset invariant unless its
+        # outcome overflows, which is what simulate_trial then rejects.
+        # Zeroed, such a replicate cannot spread non-finite values.
+        finite = np.isfinite(outcome.reshape(hi - lo, -1)).all(axis=1)
+        if not finite.all():
+            outcome[~finite] = 0.0
+        chunk_errors = [
+            None if ok else DataValidationError("missing or non-finite outcome value")
+            for ok in finite.tolist()
+        ]
+        chunk_features = dict(time_features)
+        if z is not None:
+            chunk_features["Z"] = z
+        fit = fit_stack(
+            avail, trt, probs, outcome, chunk_features, config.k_arms, spec, workspace, tables
+        )
+        keep_first_errors(chunk_errors, fit.errors)
+        beta[lo:hi] = fit.theta[:, spec.q :]
+        m[lo:hi], sigma[lo:hi] = fit.m, fit.sigma
+        errors[lo:hi] = chunk_errors
+
     size = _chunk_replicates(n * config.t_points, workers)
     bounds = [(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
     if workers == 1:
         for chunk in bounds:
-            engine.run_chunk(chunk)
+            run_chunk(chunk)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(engine.run_chunk, bounds))
-    engine.finish()
+            list(pool.map(run_chunk, bounds))
 
-    ok = np.array([exc is None for exc in engine.errors])
-    errors = [exc for exc in engine.errors if exc is not None]
-    failures = replicates - int(ok.sum())
+    # The covariance solves are the last step of fit_wcls, so their errors
+    # come before the Wald test's; only replicates whose solves pass are
+    # tested and bounded.
+    fitted = np.flatnonzero([exc is None for exc in errors])
+    cov, cov_errors = covariance_stack(m[fitted], sigma[fitted])
+    for r, exc in zip(fitted, cov_errors):
+        errors[r] = exc
+    solved = np.array([exc is None for exc in cov_errors], dtype=bool)
+    fitted, cov = fitted[solved], cov[solved]
+    _, scaled, critical, wald_errors = wald_stack(beta[fitted], cov, contrast, n, spec.q, eta)
+    for r, exc in zip(fitted, wald_errors):
+        errors[r] = exc
+    reject[fitted] = scaled > critical
+    _, se[fitted], lower[fitted], upper[fitted] = interval_stack(
+        beta[fitted], cov, np.eye(kp), n, spec.q, 1.0 - eta
+    )
+
+    ok = np.array([exc is None for exc in errors])
+    failed = [exc for exc in errors if exc is not None]
+    failures = len(failed)
     if failures > 0.01 * replicates:
-        counts = Counter(type(exc).__name__ for exc in errors)
+        counts = Counter(type(exc).__name__ for exc in failed)
         grouped = ", ".join(
             f"{name}×{count}"
             for name, count in sorted(counts.items(), key=lambda item: (-item[1], item[0]))
         )
         raise NumericalError(
             f"{failures}/{replicates} replicates failed (budget 1%): {grouped}; "
-            f"first error: {errors[0]}"
+            f"first error: {failed[0]}"
         )
-    if not ok.any():
-        raise NumericalError("all replicates failed")
 
-    betas = engine.beta[ok]
+    betas = beta[ok]
     if true_beta is not None:
         bias = betas.mean(axis=0) - true_beta
         rmse = np.sqrt(((betas - true_beta) ** 2).mean(axis=0))
-        lower, upper = engine.lower[ok], engine.upper[ok]
-        coverage = ((lower <= true_beta) & (true_beta <= upper)).mean(axis=0)
+        coverage = ((lower[ok] <= true_beta) & (true_beta <= upper[ok])).mean(axis=0)
     else:
         bias = np.full(kp, np.nan)
         rmse = np.full(kp, np.nan)
@@ -689,10 +655,10 @@ def run_monte_carlo(
                 "replicate": r,
                 "seed": derive_replicate_seed(seed, r),
                 "ok": bool(ok[r]),
-                "beta": engine.beta[r].tolist() if ok[r] else None,
-                "se": engine.se[r].tolist() if ok[r] else None,
-                "reject": bool(engine.reject[r]) if ok[r] else None,
-                "error": None if ok[r] else str(engine.errors[r]),
+                "beta": beta[r].tolist() if ok[r] else None,
+                "se": se[r].tolist() if ok[r] else None,
+                "reject": bool(reject[r]) if ok[r] else None,
+                "error": None if ok[r] else str(errors[r]),
             }
             for r in range(replicates)
         )
@@ -704,10 +670,10 @@ def run_monte_carlo(
         param_names=names,
         bias=tuple(float(b) for b in bias),
         rmse=tuple(float(v) for v in rmse),
-        mean_se=tuple(float(v) for v in engine.se[ok].mean(axis=0)),
+        mean_se=tuple(float(v) for v in se[ok].mean(axis=0)),
         coverage=tuple(float(c) for c in coverage),
-        rejection_rate=float(engine.reject[ok].astype(float).mean()),
-        clipped_availability=int(engine.clipped[ok].sum()),
+        rejection_rate=float(reject[ok].astype(float).mean()),
+        clipped_availability=int(clipped[ok].sum()),
         records=records,
     )
 

@@ -779,6 +779,36 @@ class TestSimulate:
         assert len(rows) == 9
         assert [r[0] for r in rows[1:]] == [str(i) for i in range(8)]
 
+    def test_failed_replicate_row(self, tmp_path):
+        # test_failure_budget_aborts's case: replicate 12 alone never observes
+        # an arm at some t, one failure within the 1% budget of 100
+        scn = tmp_path / "scenario.cfg"
+        scn.write_text(
+            "family = gm0\nn = 30\nT = 2\np = 0.7, 0.15, 0.15\nAA = 1.0\nsate1 = 0.0\n"
+            "sate2 = 0.0\nnumerator = empirical_per_t\nreplicates = 100\nseed = 6\n"
+        )
+        outputs = []
+        for threads in ("1", "2", "3"):
+            out, per = tmp_path / f"mc{threads}.json", tmp_path / f"reps{threads}.csv"
+            code = main(
+                [
+                    "simulate",
+                    "--scenario", str(scn),
+                    "--threads", threads,
+                    "--per-replicate", str(per),
+                    "--out", str(out),
+                ]
+            )
+            assert code == 0
+            outputs.append((out.read_bytes(), per.read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+        payload = json.loads(outputs[0][0])
+        assert (payload["replicates"], payload["completed"], payload["failures"]) == (100, 99, 1)
+        lines = outputs[0][1].decode().splitlines()
+        assert len(lines) == 101
+        assert lines[13] == "12,9187981958480619105,0,,,,,"
+        assert [line.split(",")[2] for line in lines[1:]].count("0") == 1
+
     def test_csv_summary_format(self, tmp_path):
         scn = tmp_path / "scenario.cfg"
         out = tmp_path / "mc.csv"
@@ -824,6 +854,8 @@ class TestSimulate:
     "kind, text, named",
     [
         ("contrast", "1,0;1", "contrast '1,0;1': row 2 has 1 entries, expected 2"),
+        # finite entries, but the norm overflows: too large, not a zero contrast
+        ("contrast", "1.5e308,-1.5e308", "contrast matrix entries are too large"),
         # the row of a file is its line, comments and blank lines included
         ("contrast_file", "# arm 1 vs arm 2\n\n1,-1\n1,x\n", "row 4: could not convert"),
         ("numerator_table", "0.4,0.3,0.3\n1,x\n", "row 2: could not convert"),
@@ -846,7 +878,7 @@ class TestSimulate:
         ("scenario", NULL_SCENARIO_TEXT + "true_beta = , 0.1\n",
          "config key 'true_beta': cell 1 is empty"),
     ],
-    ids=["inline-ragged", "contrast-file-cell", "numerator-table-cell", "mee-cell", "mee-ragged",
+    ids=["inline-ragged", "inline-overflow", "contrast-file-cell", "numerator-table-cell", "mee-cell", "mee-ragged",
          "n-inf", "replicates-nan", "T-overflow", "design-p-empty", "p-trailing-comma",
          "eo-empty", "true-beta-empty"],
 )

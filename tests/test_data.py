@@ -1021,6 +1021,27 @@ class TestDatasetArrays:
         with pytest.raises(ValueError):
             data.features["z"][0, 0] = np.nan
 
+    @pytest.mark.parametrize(
+        "name, shape, message",
+        [
+            ("trt", (1, 3), "treatment array shape mismatch"),
+            ("outcome", (2, 2), "outcome array shape mismatch"),
+            ("probs", (1, 2, 3), "probability array shape mismatch"),
+            ("features", (1, 3), "feature 'z' shape mismatch"),
+        ],
+    )
+    def test_shape_mismatch_rejected(self, name, shape, message):
+        arrays = dict(
+            avail=np.ones((1, 2)), trt=np.zeros((1, 2)), probs=np.full((1, 2, 2), 0.5),
+            outcome=np.zeros((1, 2)), features={"z": np.zeros((1, 2))},
+        )
+        if name == "features":
+            arrays["features"] = {"z": np.zeros(shape)}
+        else:
+            arrays[name] = np.zeros(shape)
+        with pytest.raises(DataValidationError, match=exactly(message)):
+            MrtDataset(subject_ids=("s1",), k_arms=1, **arrays)
+
     def test_callers_arrays_stay_writable(self):
         trt = np.array([[0, 1]], dtype=np.int64)
         outcome = np.array([[0.0, 1.0]])

@@ -371,6 +371,26 @@ class TestSampleSize:
         with pytest.raises(NumericalError, match="cap"):
             required_sample_size(inputs, cap=500)
 
+    def test_later_probe_error_raises(self, monkeypatch):
+        # seeds 40 above the answer make the search gallop down past its
+        # first round; the ConvergenceError of that probe's power is raised
+        calls = []
+        real_seeds, real_powers = mrtcat.design._seeds, mrtcat.design._powers
+
+        def powers(points, ns):
+            calls.append(ns)
+            if len(calls) == 1:
+                return real_powers(points, ns)
+            return [ConvergenceError(f"power at n={n} failed") for n in ns]
+
+        monkeypatch.setattr(
+            mrtcat.design, "_seeds", lambda *args: [s + 40 for s in real_seeds(*args)]
+        )
+        monkeypatch.setattr(mrtcat.design, "_powers", powers)
+        with pytest.raises(ConvergenceError, match="^power at n=131 failed$"):
+            required_sample_size(golden_inputs())
+        assert calls == [[133, 132], [131]]
+
     @staticmethod
     def count_powers(monkeypatch) -> list[int]:
         """The n of every power the search computes, in order: the search

@@ -9,6 +9,7 @@ from mrtcat import (
     FitResult,
     ModelSpec,
     NullContrastError,
+    SingularSystemError,
     build_contrast,
     confidence_intervals,
     contrast_preset,
@@ -83,6 +84,13 @@ class TestBuildContrast:
     def test_non_finite_rejected(self):
         with pytest.raises(DataValidationError):
             build_contrast(np.array([[np.inf, 0.0]]), p=1)
+
+    def test_overflowing_norm_rejected_as_too_large_not_zero(self):
+        # finite entries whose singular values overflow to inf
+        with pytest.raises(DataValidationError) as err:
+            build_contrast(np.array([[1.5e308, -1.5e308]]), p=1)
+        assert type(err.value) is DataValidationError
+        assert str(err.value) == "contrast matrix entries are too large: its norm overflows"
 
 
 class TestPresets:
@@ -167,6 +175,11 @@ class TestWaldTest:
         assert (res.df1, res.df2) == (2, n - q - 2)
         expected = float(scipy.stats.f.sf(res.scaled_statistic, 2, n - q - 2))
         assert res.p_value == pytest.approx(expected, rel=1e-10)
+
+    def test_singular_contrasted_covariance_raises(self):
+        fit = fake_fit([1.0, 0.4], np.zeros((2, 2)))
+        with pytest.raises(SingularSystemError, match="^contrasted covariance is singular: "):
+            wald_test(fit, build_contrast(np.array([[1.0, -1.0]]), p=1))
 
     def test_reject_agrees_with_p_value(self):
         for shift in (0.1, 0.5, 0.9, 1.4):

@@ -34,7 +34,7 @@ RETIRED = (
     "ValidationReport",  # MrtDataset checks itself on construction
     "validate",  # mrtcat.data.validate, the constructor's checker
     "build_pt",  # DesignInputs.v_matrix of a one-point design
-    "noncentrality",  # n * DesignInputs.lambda_rate
+    "noncentrality",  # (n - q - l) * DesignInputs.lambda_rate
     "summarize_effects",
     "EffectSummary",
 )

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import warnings
@@ -234,6 +235,25 @@ class TestGenerativeConfigValidation:
         with pytest.raises(DataValidationError, match="tau_curve"):
             null_config(tau=np.nan)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(t_points=0), "t_points must be >= 1"),
+            (dict(rand_probs=(0.3, 0.3, 0.2)), "rand_probs must be (T, 2) active-arm probabilities"),
+            (dict(tau_curve=np.full(7, 0.8)), "tau_curve must have length T=8"),
+            (dict(eo_basis="cubic"), "unknown eo_basis 'cubic'"),
+            (dict(mee_basis="quadratic"), "unknown mee_basis 'quadratic'"),
+            (dict(z_levels=1), "z_levels must be >= 2"),
+        ],
+        ids=["t_points", "rand_probs", "tau_curve", "eo_basis", "mee_basis", "z_levels"],
+    )
+    def test_shape_and_basis_rejected(self, kwargs, message):
+        fields = dict(
+            family="gm0", t_points=8, rand_probs=(0.5, 0.3), tau_curve=np.full(8, 0.8)
+        )
+        with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
+            GenerativeConfig(**{**fields, **kwargs})
+
     def test_gm_ev_scale_probe_at_construction(self):
         with pytest.raises(DataValidationError, match="radicand"):
             null_config(family="gm_ev", theta_s=1.5)
@@ -404,6 +424,13 @@ class TestRunMonteCarlo:
         after = run_monte_carlo(null_config(), contrast=contrast, **kwargs)
         assert after.to_dict() == before.to_dict()
         assert after.records == before.records
+
+    def test_true_beta_length_validated(self):
+        with pytest.raises(DataValidationError, match=r"^true_beta must have length K\*p = 2$"):
+            run_monte_carlo(
+                null_config(), 10, 5, MARGINAL_SPEC, np.array([[1.0, -1.0]]),
+                true_beta=np.zeros(3),
+            )
 
     def test_replicate_count_validated(self):
         with pytest.raises(DataValidationError):
