@@ -139,6 +139,10 @@ class MrtDataset:
             {k: np.array(v, dtype=float) for k, v in features.items()}
         )
         self.k_arms = int(k_arms)
+        if self.avail.ndim != 2:
+            raise DataValidationError(
+                f"availability array shape mismatch: expected (n, T), got {self.avail.shape}"
+            )
         self.n, self.t_points = self.avail.shape
         if self.trt.shape != (self.n, self.t_points):
             raise DataValidationError("treatment array shape mismatch")

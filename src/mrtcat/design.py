@@ -20,13 +20,21 @@ calibrated to.
 DesignInputs builds V (one einsum over t), checks it and computes
 lambda(n) / n once, on construction, so a singular V or a null contrast
 fails there; the functions below read the stored values.  The build
-(_prepare) works on a stack of design points: it copies the arrays of
-the points with one K, T and p into one stack per field, runs each range
-check as one reduction over its stack, builds V with one einsum per T,
-and the points that also share L share one contrast and solve V and the
-contrast gram in two stacked solves.  A single DesignInputs is that
-build on a stack of one, so a sweep point is bitwise the point built
-alone and fails with the error it gets alone.
+(_prepare) works on a stack of design points.  The points with one K, T
+and p that hold the same rand_probs, tau and f arrays share one row of
+a stack per field (the points of a sweep share the arrays its key does
+not enter): each range check is one reduction over the rows, V is one
+einsum per T over the rows, and the points that also share L share one
+contrast, one stacked solve of their distinct V matrices and one of
+their contrast grams.  Each point gets its own copies of its row and of
+V.  A single DesignInputs is that build on a stack of one, so a sweep
+point is bitwise the point built alone and fails with the error it gets
+alone.
+
+A sweep's configs are read as one list (_inputs_from_configs): each step
+of reading a config (T and p, tau, f, gamma, L, and q, eta and power)
+runs once per distinct raw text of the keys it reads, so a sweep
+re-reads only the steps its key enters.
 
 The search for n (_size_stack) also works on a stack: it seeds each
 point by inverting the power in the noncentrality and computes the
@@ -163,7 +171,10 @@ def _shaped(point: DesignInputs) -> tuple[list[np.ndarray], Exception | None]:
         if tau.shape != (t_points,):
             raise DataValidationError(f"tau must have length T={t_points}")
         arrays.append(tau)
-        f = np.atleast_2d(np.asarray(point.f, dtype=float))
+        f = np.asarray(point.f, dtype=float)
+        if f.ndim < 2:
+            # np.atleast_2d: a row
+            f = f.reshape(1, -1)
         if f.shape[0] != t_points:
             raise DataValidationError(f"f must be (T, p) with T={t_points}")
         arrays.append(f)
@@ -203,12 +214,16 @@ _RANGE_CHECKS = (
 )
 
 
-def _range_errors(stacks: list[np.ndarray]) -> list:
+def _range_errors(stacks: list[np.ndarray], rows: list[int]) -> list:
     """The DataValidationError of the first range check each of S points
-    fails, or None; stacks holds the (S, ...) stacks of the points' first
-    len(stacks) fields."""
-    passed = np.array([check(stack) for (_, check), stack in zip(_RANGE_CHECKS, stacks)])
-    errors: list = [None] * len(stacks[0])
+    fails, or None.  stacks holds the points' first len(stacks) fields:
+    rand_probs, tau and f as (D, ...) stacks of their distinct values, of
+    which point j holds row rows[j], and gamma as an (S, ...) stack."""
+    passed = [check(stack) for (_, check), stack in zip(_RANGE_CHECKS, stacks)]
+    if len(stacks[0]) < len(rows):
+        passed[:3] = (ok[rows] for ok in passed[:3])
+    passed = np.array(passed)
+    errors: list = [None] * len(rows)
     if not passed.all():
         for j in np.flatnonzero(~passed.all(axis=0)).tolist():
             errors[j] = DataValidationError(_RANGE_CHECKS[passed[:, j].argmin()][0])
@@ -245,15 +260,18 @@ def _prepare(points: list[DesignInputs]) -> list:
     points[i] alone raises, or None (then its copies and derived fields
     are set).  The scalar and shape checks run per point (_shaped).  The
     points whose fields all have their shapes are grouped by K, p and L,
-    and within that by T: rand_probs, tau, f and gamma are copied into one
-    stack per T, each range check is one reduction over its stack, V is
-    one _v_matrix call, and a point's arrays are rows of those stacks.  A
-    point gets the error of its first failing check in the order _shaped
-    and _RANGE_CHECKS list them.  The points of one K, p and L share one
-    ContrastSpec, one solve_spd_stack over their V matrices and one over
-    their contrast grams (_solve_group).  Every slice of a stack computes
-    as a stack of one, so each value is bitwise the one the point gets
-    alone.
+    and within that by T.  In a T group, the points that hold the same
+    rand_probs, tau and f objects (the points of a sweep share those its
+    key does not enter) share one row of a stack of their values: each
+    range check of those fields is one reduction over the rows, and V is
+    one _v_matrix call over the rows that some point passing its checks
+    holds.  gamma is stacked per point.  A point gets the error of its
+    first failing check in the order _shaped and _RANGE_CHECKS list them.
+    The points of one K, p and L share one ContrastSpec, one
+    solve_spd_stack over their distinct V matrices and one over their
+    contrast grams (_solve_group), and each gets its own copy of its row.
+    Every slice of a stack computes as a stack of one, so each value is
+    bitwise the one the point gets alone.
     """
     errors: list = [None] * len(points)
     arrays: list[list[np.ndarray]] = []
@@ -265,7 +283,7 @@ def _prepare(points: list[DesignInputs]) -> list:
             # a field failed its shape check: the range checks of the
             # fields before it still come first
             if shaped:
-                errors[i] = _range_errors([a[None] for a in shaped])[0] or errors[i]
+                errors[i] = _range_errors([a[None] for a in shaped], [0])[0] or errors[i]
             continue
         probs, _, f, _, *l_matrix = shaped
         l_key = (l_matrix[0].shape, l_matrix[0].tobytes()) if l_matrix else None
@@ -275,28 +293,49 @@ def _prepare(points: list[DesignInputs]) -> list:
         kept: list[tuple] = []
         v_parts, gamma_parts = [], []
         for f_shape, group in by_shape.items():
-            count = len(group)
-            stacks = (
-                np.empty((count, f_shape[0], k_arms)), np.empty((count, f_shape[0])),
-                np.empty((count, *f_shape)), np.empty((count, k_arms * f_shape[1])),
+            # a row per distinct (rand_probs, tau, f) objects, with its
+            # first point
+            distinct: dict[tuple, tuple[int, int]] = {}
+            rows = [
+                distinct.setdefault(
+                    (id(points[i].rand_probs), id(points[i].tau), id(points[i].f)),
+                    (len(distinct), i),
+                )[0]
+                for i in group
+            ]
+            # rand_probs given as K-vectors, (1, K), stay one row over t:
+            # their range check and P_t run on the row, not T copies
+            t_probs = max(arrays[i][0].shape[0] for _, i in distinct.values())
+            probs, tau, f = stacks = (
+                np.empty((len(distinct), t_probs, k_arms)),
+                np.empty((len(distinct), f_shape[0])),
+                np.empty((len(distinct), *f_shape)),
             )
-            probs, tau, f, gamma = stacks
-            for j, i in enumerate(group):
-                probs[j], tau[j], f[j], gamma[j] = arrays[i][:4]
+            for d, (_, i) in enumerate(distinct.values()):
+                probs[d], tau[d], f[d] = arrays[i][:3]
+            gamma = np.array([arrays[i][3] for i in group])
             ok = []
-            for j, (i, error) in enumerate(zip(group, _range_errors(stacks))):
+            for j, (i, error) in enumerate(zip(group, _range_errors([*stacks, gamma], rows))):
                 if error is not None:
                     errors[i] = error
                 elif errors[i] is None:
                     ok.append(j)
             if not ok:
                 continue
-            if len(ok) < count:
-                probs, tau, f, gamma = (stack[ok] for stack in stacks)
+            if len(ok) < len(group):
+                # V only of the rows that a point passing its checks holds
+                rows = [rows[j] for j in ok]
+                used = sorted(set(rows))
+                if len(used) < len(distinct):
+                    probs, tau, f = (stack[used] for stack in stacks)
+                    position = {row: r for r, row in enumerate(used)}
+                    rows = [position[row] for row in rows]
+            offset = sum(map(len, v_parts))
             v_parts.append(_v_matrix(probs, tau, f))
-            gamma_parts.append(gamma)
+            gamma_parts.append(gamma[ok])
             kept += [
-                (group[j], probs[r], tau[r], f[r], arrays[group[j]][4]) for r, j in enumerate(ok)
+                (group[j], offset + r, probs[r], tau[r], f[r], arrays[group[j]][4])
+                for j, r in zip(ok, rows)
             ]
         if kept:
             _solve_group(
@@ -313,13 +352,16 @@ def _solve_group(
     """The contrast, V solves, null-contrast test and lambda_rate of
     points that share one K, p and L, for _prepare.
 
-    kept holds (i, rand_probs, tau, f, l_matrix) of each point, and vs
-    and gammas stack their V matrices and gammas; Lt gamma, the test and
-    lambda_rate are computed as stacks.  Sets errors[i], or the fields
-    of points[i].
+    kept holds (i, row, rand_probs, tau, f, l_matrix) of each point, where
+    vs[row] is its V among the group's distinct V matrices, and gammas
+    stacks the points' gammas.  V's solve and contrast gram are computed
+    once per distinct V; Lt gamma, the null test and lambda_rate per
+    point, as stacks.  Sets errors[i], or the fields of points[i]; points
+    that share a V get their own copies of it and of its rand_probs, tau
+    and f.
     """
     try:
-        contrast = build_contrast(kept[0][4], p)
+        contrast = build_contrast(kept[0][5], p)
     except DataValidationError as exc:
         for i, *_ in kept:
             errors[i] = exc
@@ -330,15 +372,20 @@ def _solve_group(
     # one error
     with np.errstate(over="ignore", invalid="ignore"):
         solved = solve_spd_stack(vs, np.broadcast_to(reduced.T, (len(vs), *reduced.T.shape)))
+        grams, conditions, v_errors = reduced @ solved.solution, solved.condition, solved.errors
+        shared = len(vs) < len(kept)
+        if shared:
+            rows = [row for _, row, *_ in kept]
+            vs, grams, conditions = vs[rows], grams[rows], conditions[rows]
+            v_errors = [v_errors[row] for row in rows]
         lgs = (reduced @ gammas[:, :, None])[:, :, 0]
         null = _null_contrasts(lgs, gammas).tolist()
-        ready = [j for j, error in enumerate(solved.errors) if error is None and not null[j]]
+        ready = [j for j, error in enumerate(v_errors) if error is None and not null[j]]
         if ready:
             lgs = lgs[ready]
-            rates = solve_spd_stack(reduced @ solved.solution[ready], lgs)
+            rates = solve_spd_stack(grams[ready], lgs)
             lambda_rates = (lgs[:, None, :] @ rates.solution[:, :, None])[:, 0, 0].tolist()
-    for j, (i, *_) in enumerate(kept):
-        error = solved.errors[j]
+    for (i, *_), error, is_null in zip(kept, v_errors, null):
         if isinstance(error, SingularSystemError):
             errors[i] = SingularSystemError(
                 f"design matrix V is singular; the f basis is likely rank deficient: {error}"
@@ -346,17 +393,21 @@ def _solve_group(
             errors[i].__cause__ = error
         elif error is not None:
             errors[i] = error
-        elif null[j]:
+        elif is_null:
             errors[i] = NullContrastError("contrast of target alternative is null")
     if not ready:
         return
-    conditions = solved.condition.tolist()
+    conditions = conditions.tolist()
     for j, error, rate in zip(ready, rates.errors, lambda_rates):
-        i, probs, tau, f, l_matrix = kept[j]
+        i, _, probs, tau, f, l_matrix = kept[j]
         errors[i] = error
         if error is None:
+            if shared:
+                tau, f = tau.copy(), f.copy()
+            rand_probs = np.empty((len(tau), probs.shape[1]))
+            rand_probs[...] = probs
             vars(points[i]).update(
-                rand_probs=probs, tau=tau, f=f, gamma=gammas[j], l_matrix=l_matrix,
+                rand_probs=rand_probs, tau=tau, f=f, gamma=gammas[j], l_matrix=l_matrix,
                 contrast=contrast, v_matrix=vs[j], v_condition=conditions[j], lambda_rate=rate,
             )
 
@@ -374,20 +425,24 @@ class SampleSizeResult:
 
 
 def _v_matrix(probs: np.ndarray, tau: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """V = sum_t tau(t) kron(P_t, f_t f_t') for (..., T, K) probs,
-    (..., T) tau and (..., T, p) f, over any leading stack axes.
+    """V = sum_t tau(t) kron(P_t, f_t f_t') for (..., T, K) probs (or
+    (..., 1, K), the same p_t at every t), (..., T) tau and (..., T, p) f,
+    over any leading stack axes.
 
-    Without einsum's optimize, the sum over t runs in the order of a loop
-    over t, so V is bitwise the loop's when f is all ones, and each slice
-    of a stack is bitwise V of that slice alone.
+    Without einsum's optimize, each term is the product of the operands
+    from left to right, ((tau(t) P_t[k, l]) f_t[i]) f_t[j], and the sum
+    over t runs in the order of a loop over t.  So V is bitwise the
+    loop's when f is all ones, each slice of a stack is bitwise V of that
+    slice alone, and forming tau(t) P_t first, as here, gives the bits of
+    the four-operand einsum with three operands, which is faster.
     """
     k_arms, p = probs.shape[-1], f.shape[-1]
     # P_t = diag(p_t) - p_t p_t' with the bits of eye(K) * p_t - p_t p_t':
-    # 0 - x is -x off the diagonal and 1 * p is p on it
+    # 0 - x is -x off the diagonal and 1 * p is p on it (written through
+    # einsum's strided view of the diagonal)
     pt = probs[..., :, None] * -probs[..., None, :]
-    arms = np.arange(k_arms)
-    pt[..., arms, arms] = probs - probs * probs
-    v = np.einsum("...t,...tkl,...ti,...tj->...kilj", tau, pt, f, f)
+    np.einsum("...ii->...i", pt)[...] = probs - probs * probs
+    v = np.einsum("...tkl,...ti,...tj->...kilj", tau[..., None, None] * pt, f, f)
     return v.reshape(*v.shape[:-4], k_arms * p, k_arms * p)
 
 
@@ -767,13 +822,17 @@ def _inputs_from_configs(cfgs: list[dict[str, str]]) -> list:
     """inputs_from_config over a list of configs, built as one stack.
 
     Item i is inputs_from_config(cfgs[i]), or the DataValidationError or
-    NumericalError that call raises.
+    NumericalError that call raises.  The configs share one memo of
+    _config_fields' steps, which lives for this call only: a step runs
+    once per distinct raw text of the keys it reads, so a sweep re-runs
+    only the steps its key enters, and each point still fails with its
+    first error in _config_fields' order.
     """
     built: list = []
-    contrasts: dict[str, np.ndarray] = {}
+    memo: dict[tuple, object] = {}
     for cfg in cfgs:
         try:
-            built.append(_config_fields(cfg, contrasts))
+            built.append(_config_fields(cfg, memo))
         except (DataValidationError, NumericalError) as exc:
             built.append(exc)
     parsed = [i for i, item in enumerate(built) if isinstance(item, dict)]
@@ -785,68 +844,116 @@ def _inputs_from_configs(cfgs: list[dict[str, str]]) -> list:
 
 # The parts of a config that sample sizing and n = auto simulation share.
 
+#: The keys that the tau and gamma steps of _config_fields read (T and
+#: p, f, L and the scalars list theirs where they run).  Of the keys a
+#: sweep can vary, sate1, sate2, theta_f1 and theta_f2 enter gamma only;
+#: AA and theta_tau tau, and through tau V and a linear gamma; q, eta and
+#: power the scalars only; T everything but L and the scalars.
+_TAU_KEYS = ("T", "tau_kind", "AA", "theta_tau")
+_EFFECT_KEYS = ("f_kind", "theta_f1", "theta_f2", "sate1", "sate2")
 
-def _config_fields(cfg: dict[str, str], contrasts: dict[str, np.ndarray]) -> dict:
-    """The DesignInputs fields of inputs_from_config(cfg).  contrasts maps
-    each key 'L' text parsed so far to its matrix, which the configs of a
-    sweep share (DesignInputs copies it), and gains cfg's."""
-    k_arms = get_int(cfg, "K", 2)
-    if k_arms != 2:
+_UNSET = object()
+
+
+def _once(memo: dict, cfg: dict[str, str], keys: tuple, step, *args):
+    """step(cfg, *args), run once per raw text of cfg's keys (None where
+    a key is missing), which are those step reads.  memo holds the value,
+    or the DataValidationError or NumericalError the step raised, which
+    is raised again with a fresh traceback."""
+    key = (step, *map(cfg.get, keys))
+    value = memo.get(key, _UNSET)
+    if value is _UNSET:
+        try:
+            value = step(cfg, *args)
+        except (DataValidationError, NumericalError) as exc:
+            value = exc
+        memo[key] = value
+    if isinstance(value, Exception):
+        raise value.with_traceback(None)
+    return value
+
+
+def _config_fields(cfg: dict[str, str], memo: dict) -> dict:
+    """The DesignInputs fields of inputs_from_config(cfg), checked in the
+    order K, T, p, tau, gamma, L, q, eta, power.  memo is _once's: the
+    configs of a sweep share its arrays (DesignInputs copies them)."""
+    if get_int(cfg, "K", 2) != 2:
         raise DataValidationError(
             "config-driven sample sizing supports K=2 (the pattern builders are two-arm); "
             "build DesignInputs directly for other K"
         )
-    probs, tau = _config_probs_tau(
-        cfg, f"key 'p' must list K+1={k_arms + 1} probabilities including the reference arm"
+    t_points, probs = _once(
+        memo, cfg, ("T", "p"), _config_probs,
+        "key 'p' must list K+1=3 probabilities including the reference arm",
     )
-    f_kind = cfg.get("f_kind", "constant")
-    gamma = _config_gamma(cfg, f_kind, tau)
-    text = cfg.get("L", "pairwise(1,2)")
-    if text not in contrasts:
-        contrasts[text] = parse_contrast_text(text, k_arms)
-    return _design_fields(
-        cfg, probs, tau, f_kind, gamma, get_int(cfg, "q", 1), contrasts[text],
-        get_float(cfg, "eta", 0.05),
+    tau = _once(memo, cfg, _TAU_KEYS, _config_tau, t_points)
+    f = _once(memo, cfg, ("T", "f_kind"), _f_basis, t_points)
+    # a linear effect reads tau; a constant one does not
+    effect_keys = _EFFECT_KEYS + _TAU_KEYS if cfg.get("f_kind") == "linear" else _EFFECT_KEYS
+    gamma = _once(memo, cfg, effect_keys, _config_gamma, tau)
+    l_matrix = _once(memo, cfg, ("L",), _config_contrast)
+    q, eta, power = _once(memo, cfg, ("q", "eta", "power"), _config_scalars)
+    return dict(
+        k_arms=2, t_points=t_points, rand_probs=probs, tau=tau, f=f, gamma=gamma, q=q,
+        l_matrix=l_matrix, eta=eta, power_target=power,
     )
 
 
-def _config_probs_tau(cfg: dict[str, str], count_message: str) -> tuple[np.ndarray, np.ndarray]:
-    """The active-arm probabilities of key 'p' (three, reference arm first;
-    count_message words any other count) and the curve of keys T, tau_kind,
-    AA and theta_tau."""
+def _config_contrast(cfg: dict[str, str]) -> np.ndarray:
+    return parse_contrast_text(cfg.get("L", "pairwise(1,2)"), 2)
+
+
+def _config_scalars(cfg: dict[str, str]) -> tuple[int, float, float]:
+    """Keys q, eta and power."""
+    return get_int(cfg, "q", 1), get_float(cfg, "eta", 0.05), get_float(cfg, "power", 0.8)
+
+
+def _config_probs(cfg: dict[str, str], count_message: str) -> tuple[int, np.ndarray]:
+    """Key T, and the active-arm probabilities of key 'p' (three, reference
+    arm first; count_message words any other count)."""
     t_points = get_int(cfg, "T")
     probs_full = get_floats(cfg, "p")
     if len(probs_full) != 3:
         raise DataValidationError(count_message)
     if not abs(sum(probs_full) - 1.0) <= 1e-8:
         raise DataValidationError("key 'p' probabilities must sum to 1")
-    tau = tau_pattern(
+    return t_points, np.array(probs_full[1:])
+
+
+def _config_tau(cfg: dict[str, str], t_points: int) -> np.ndarray:
+    """The availability curve of keys tau_kind, AA and theta_tau."""
+    return tau_pattern(
         cfg.get("tau_kind", "constant"),
         get_float(cfg, "AA"),
         get_float(cfg, "theta_tau", 0.0),
         t_points,
     )
-    return np.array(probs_full[1:]), tau
 
 
-def _config_gamma(cfg: dict[str, str], f_kind: str, tau: np.ndarray) -> np.ndarray:
-    """gamma of the two-arm effect pattern f_kind, from keys theta_f1,
-    theta_f2, sate1 and sate2."""
+def _config_gamma(cfg: dict[str, str], tau: np.ndarray) -> np.ndarray:
+    """gamma of the two-arm effect pattern of key f_kind, from keys
+    theta_f1, theta_f2, sate1 and sate2."""
     thetas = get_float(cfg, "theta_f1", 0.0), get_float(cfg, "theta_f2", 0.0)
-    return _mee_gamma(f_kind, *thetas, (get_float(cfg, "sate1"), get_float(cfg, "sate2")), tau)[0]
+    sate = get_float(cfg, "sate1"), get_float(cfg, "sate2")
+    return _mee_gamma(cfg.get("f_kind", "constant"), *thetas, sate, tau)[0]
+
+
+def _f_basis(cfg: dict[str, str], t_points: int) -> np.ndarray:
+    """The f basis of key f_kind at T = t_points, constant or linear: (1)
+    or (1, t)."""
+    f = np.ones((t_points, 1))
+    if cfg.get("f_kind", "constant") == "linear":
+        f = np.column_stack([f, np.arange(1, t_points + 1, dtype=float)])
+    return f
 
 
 def _design_fields(
-    cfg: dict[str, str], probs: np.ndarray, tau: np.ndarray, f_kind: str,
+    cfg: dict[str, str], probs: np.ndarray, tau: np.ndarray,
     gamma: np.ndarray, q: int, l_matrix: np.ndarray, eta: float,
 ) -> dict:
-    """The fields of a two-arm DesignInputs in the f basis of a constant
-    or linear f_kind, (1) or (1, t), with the power target of key 'power'."""
-    t_points = tau.shape[0]
-    f = np.ones((t_points, 1))
-    if f_kind == "linear":
-        f = np.column_stack([f, np.arange(1, t_points + 1, dtype=float)])
+    """The fields of a two-arm DesignInputs in the f basis of key f_kind,
+    with the power target of key 'power'."""
     return dict(
-        k_arms=2, t_points=t_points, rand_probs=probs, tau=tau, f=f, gamma=gamma, q=q,
-        l_matrix=l_matrix, eta=eta, power_target=get_float(cfg, "power", 0.8),
+        k_arms=2, t_points=tau.shape[0], rand_probs=probs, tau=tau, f=_f_basis(cfg, tau.shape[0]),
+        gamma=gamma, q=q, l_matrix=l_matrix, eta=eta, power_target=get_float(cfg, "power", 0.8),
     )

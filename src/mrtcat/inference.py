@@ -82,28 +82,36 @@ class CiRow:
 
 
 def build_contrast(l_matrix: np.ndarray, p: int) -> ContrastSpec:
-    """Lift an arm-level contrast L to coefficient space via L kron I_p."""
+    """Lift an arm-level contrast L to coefficient space via L kron I_p.
+
+    L_tilde is the broadcast product L[i, j] * I_p[k, l], bitwise
+    np.kron(L, I_p).  Its singular values are L's, each repeated p times,
+    so one SVD of L_tilde gives rank(L) and the row basis.
+    """
     l_matrix = np.array(l_matrix, dtype=float, ndmin=2)
     if p < 1:
         raise DataValidationError("moderator dimension p must be >= 1")
     if not np.isfinite(l_matrix).all():
         raise DataValidationError("contrast matrix must be finite")
-    svals = np.linalg.svd(l_matrix, compute_uv=False)
+    eye = np.eye(p)
+    l_tilde = (l_matrix[:, None, :, None] * eye[:, None, :]).reshape(
+        len(l_matrix) * len(eye), l_matrix.shape[1] * len(eye)
+    )
+    _, svals, vt = np.linalg.svd(l_tilde, full_matrices=False)
     if not np.isfinite(svals).all():
         raise DataValidationError("contrast matrix entries are too large: its norm overflows")
     scale = svals[0] if svals.size else 0.0
     if scale == 0.0:
         raise NullContrastError("contrast matrix is zero")
     rank = int(np.sum(svals > _RANK_TOL * scale))
-    l_tilde = np.kron(l_matrix, np.eye(p))
-    row_basis = _row_space_basis(l_tilde)
+    row_basis = svals[:rank, None] * vt[:rank]
     for array in (l_matrix, l_tilde, row_basis):
         array.flags.writeable = False
     return ContrastSpec(
         l_matrix=l_matrix,
         p=int(p),
         l_tilde=l_tilde,
-        rank_l=rank,
+        rank_l=rank // len(eye),
         row_basis=row_basis,
     )
 
@@ -139,15 +147,6 @@ def parse_contrast_text(text: str, k_arms: int) -> np.ndarray:
             f"contrast rows must have {k_arms} entries, got shape {mat.shape}"
         )
     return mat
-
-
-def _row_space_basis(l_tilde: np.ndarray) -> np.ndarray:
-    """Full-row-rank matrix with the same row space (and same statistic)."""
-    u, s, vt = np.linalg.svd(l_tilde, full_matrices=False)
-    rank = int(np.sum(s > _RANK_TOL * s[0]))
-    if rank == 0:
-        raise NullContrastError("contrast matrix is zero")
-    return s[:rank, None] * vt[:rank]
 
 
 def check_wald(contrast: ContrastSpec, width: int, n: int, q: int, eta: float) -> None:

@@ -41,7 +41,8 @@ from .data import MrtDataset, NumeratorPolicy, numerator_tables
 from .design import (
     DesignInputs,
     _config_gamma,
-    _config_probs_tau,
+    _config_probs,
+    _config_tau,
     _design_fields,
     eo_pattern,
     required_sample_size,
@@ -729,10 +730,10 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
     Bookkeeping: replicates, seed, true_beta, power (for n = 'auto').
     """
     family = cfg.get("family", "gm0")
-    probs_active, tau = _config_probs_tau(
+    t_points, probs_active = _config_probs(
         cfg, "key 'p' must list 3 probabilities (reference arm first)"
     )
-    t_points = tau.shape[0]
+    tau = _config_tau(cfg, t_points)
 
     eo_kind = cfg.get("eo_kind", "constant")
     if "eo_coeffs" in cfg:
@@ -748,7 +749,7 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
     if "mee_coeffs" in cfg:
         mee_coeffs = np.array(parse_rows(cfg["mee_coeffs"].split(";"), "config key 'mee_coeffs'"))
     elif mee_kind in ("constant", "linear"):
-        mee_coeffs = _config_gamma(cfg, mee_kind, tau).reshape(2, -1)
+        mee_coeffs = _config_gamma(cfg, tau).reshape(2, -1)
     else:
         raise DataValidationError(f"f_kind {mee_kind!r} requires explicit mee_coeffs")
 
@@ -790,7 +791,7 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
         if mee_kind not in ("constant", "linear"):
             raise DataValidationError("n='auto' requires a constant or linear effect basis")
         inputs = DesignInputs(**_design_fields(
-            cfg, probs_active, tau, mee_kind, mee_coeffs.ravel(), spec.q, l_matrix, eta
+            cfg, probs_active, tau, mee_coeffs.ravel(), spec.q, l_matrix, eta
         ))
         n = required_sample_size(inputs).n
     else:

@@ -18,7 +18,7 @@ from scipy.special import ncfdtr
 
 from mrtcat.data import numerator_tables
 from mrtcat.design import SampleSizeResult, power_at_n
-from mrtcat.errors import DataValidationError, NumericalError
+from mrtcat.errors import DataValidationError, NullContrastError, NumericalError
 from mrtcat.wcls import design_stack
 
 
@@ -36,6 +36,31 @@ def kron_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def contrast_two_svds(l_matrix, p: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """(L kron I_p, rank(L), row basis) as build_contrast computed them
+    with np.kron and two SVDs: rank(L) from L's singular values, and the
+    row basis, s[:r, None] * vt[:r], from the SVD of L kron I_p with its
+    own rank r.  Raises build_contrast's errors, with its messages."""
+    l_matrix = np.array(l_matrix, dtype=float, ndmin=2)
+    if p < 1:
+        raise DataValidationError("moderator dimension p must be >= 1")
+    if not np.isfinite(l_matrix).all():
+        raise DataValidationError("contrast matrix must be finite")
+    svals = np.linalg.svd(l_matrix, compute_uv=False)
+    if not np.isfinite(svals).all():
+        raise DataValidationError("contrast matrix entries are too large: its norm overflows")
+    scale = svals[0] if svals.size else 0.0
+    if scale == 0.0:
+        raise NullContrastError("contrast matrix is zero")
+    rank = int(np.sum(svals > 1e-10 * scale))
+    l_tilde = np.kron(l_matrix, np.eye(p))
+    _, s, vt = np.linalg.svd(l_tilde, full_matrices=False)
+    rank_tilde = int(np.sum(s > 1e-10 * s[0]))
+    if rank_tilde == 0:
+        raise NullContrastError("contrast matrix is zero")
+    return l_tilde, rank, s[:rank_tilde, None] * vt[:rank_tilde]
+
+
 def design_v_loops(probs: np.ndarray, tau: np.ndarray, f: np.ndarray) -> np.ndarray:
     """V = sum_t tau(t) kron(diag(p_t) - p_t p_t', f_t f_t'), one t at a time."""
     kp = probs.shape[1] * f.shape[1]
@@ -45,6 +70,18 @@ def design_v_loops(probs: np.ndarray, tau: np.ndarray, f: np.ndarray) -> np.ndar
         ft = f[t][:, None]
         v += tau[t] * np.kron(pt, ft @ ft.T)
     return v
+
+
+def design_v_einsum(probs: np.ndarray, tau: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """V as design._v_matrix formed it with one four-operand einsum over
+    (T, K) probs, P_t's diagonal written by fancy indexing: the bits that
+    the sizing's golden files record."""
+    k_arms, p = probs.shape[-1], f.shape[-1]
+    pt = probs[..., :, None] * -probs[..., None, :]
+    arms = np.arange(k_arms)
+    pt[..., arms, arms] = probs - probs * probs
+    v = np.einsum("...t,...tkl,...ti,...tj->...kilj", tau, pt, f, f)
+    return v.reshape(*v.shape[:-4], k_arms * p, k_arms * p)
 
 
 def _simpson(f, lo, hi):

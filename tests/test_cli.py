@@ -638,22 +638,32 @@ class TestSweepStack:
         assert sorted(calls) == ["build_contrast", "solve_spd_stack", "solve_spd_stack"]
 
     @pytest.mark.parametrize(
-        "text, sweep, count",
-        [(GOLDEN_CFG_TEXT, "AA=0.3:1.0:0.1", 1), (LINEAR_CFG_TEXT, "T=10:60:10", 6)],
-        ids=["AA", "T"],
+        "text, sweep, count, rows",
+        [
+            (GOLDEN_CFG_TEXT, "AA=0.3:1.0:0.1", 1, 8),
+            (LINEAR_CFG_TEXT, "T=10:60:10", 6, 1),
+            (GOLDEN_CFG_TEXT, "sate1=0.03:0.3:0.001", 2, 1),
+        ],
+        ids=["AA", "T", "sate1"],
     )
-    def test_one_range_check_and_one_v_per_t(self, tmp_path, monkeypatch, text, sweep, count):
+    def test_one_range_check_and_one_v_per_t(
+        self, tmp_path, monkeypatch, text, sweep, count, rows
+    ):
         # a block's range checks and V run once per number of decision
-        # points, not once per point
+        # points, not once per point, and V once per distinct availability
+        # curve: each AA point has its own, and the 256 points of a sate1
+        # block share one
         calls = []
         for name in ("_range_errors", "_v_matrix"):
             fn = getattr(mrtcat.design, name)
             monkeypatch.setattr(
-                mrtcat.design, name, lambda *a, name=name, fn=fn: calls.append(name) or fn(*a)
+                mrtcat.design, name,
+                lambda *a, name=name, fn=fn: calls.append((name, len(a[0]))) or fn(*a),
             )
         code, _ = run_sweep(tmp_path, text, sweep)
         assert code == 0
-        assert sorted(calls) == ["_range_errors"] * count + ["_v_matrix"] * count
+        assert sorted(name for name, _ in calls) == ["_range_errors"] * count + ["_v_matrix"] * count
+        assert [size for name, size in calls if name == "_v_matrix"] == [rows] * count
 
     @pytest.mark.parametrize(
         "replace, named",

@@ -1042,6 +1042,17 @@ class TestDatasetArrays:
         with pytest.raises(DataValidationError, match=exactly(message)):
             MrtDataset(subject_ids=("s1",), k_arms=1, **arrays)
 
+    @pytest.mark.parametrize("shape", [(), (2,), (1, 2, 1)], ids=["0-D", "1-D", "3-D"])
+    def test_availability_of_wrong_rank_rejected(self, shape):
+        # checked before its shape is unpacked into n and T
+        arrays = dict(
+            avail=np.ones(shape), trt=np.zeros((1, 2)), probs=np.full((1, 2, 2), 0.5),
+            outcome=np.zeros((1, 2)), features={},
+        )
+        message = f"availability array shape mismatch: expected (n, T), got {shape}"
+        with pytest.raises(DataValidationError, match=exactly(message)):
+            MrtDataset(subject_ids=("s1",), k_arms=1, **arrays)
+
     def test_callers_arrays_stay_writable(self):
         trt = np.array([[0, 1]], dtype=np.int64)
         outcome = np.array([[0.0, 1.0]])

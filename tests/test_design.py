@@ -27,7 +27,9 @@ from mrtcat.design import _inputs_from_configs, _size_stack, _v_matrix
 from mrtcat.errors import ConvergenceError
 from mrtcat.numerics import f_quantile, noncentral_f_cdf
 
-from _oracles import cdf_negligible_halving, design_v_loops, sample_size_bisection
+from _oracles import (
+    cdf_negligible_halving, design_v_einsum, design_v_loops, sample_size_bisection,
+)
 
 
 def golden_inputs(**overrides):
@@ -148,6 +150,28 @@ class TestBuildV:
             assert v.tobytes() == expected.tobytes()
         else:
             np.testing.assert_allclose(v, expected, rtol=1e-13, atol=0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.integers(1, 300),
+        st.booleans(), st.booleans(), st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_four_operand_einsum(
+        self, count, k_arms, p, t_points, one_row, zeros, seed
+    ):
+        # tau(t) P_t formed first, a K-vector of probabilities kept as one
+        # row over t, and signed zeros in f leave every bit of V as it was
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(k_arms + 1), size=(count, 1 if one_row else t_points))
+        probs = probs[..., 1:]
+        tau = rng.uniform(0.01, 1.0, (count, t_points))
+        f = rng.normal(size=(count, t_points, p)) * 10.0 ** rng.integers(-5, 6, p)
+        if zeros:
+            f[rng.random(f.shape) < 0.3] = -0.0
+        expected = design_v_einsum(
+            np.broadcast_to(probs, (count, t_points, k_arms)).copy(), tau, f
+        )
+        assert _v_matrix(probs, tau, f).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed", range(40))
     def test_stack_slices_bitwise_equal_to_single_points(self, seed):
@@ -1041,6 +1065,9 @@ class TestConfigStack:
             ("q", ["1", "3"]),
             ("eta", ["0.01", "0.1"]),
             ("power", ["0.0", "0.9"]),
+            ("theta_f1", ["-0.5", "0.0", "0.3"]),
+            ("theta_f2", ["-0.4", "0.0", "0.6"]),
+            ("sate2", ["0.0", "0.02", "0.1"]),
         ],
     )
     def test_points_bitwise_equal_to_single_builds(self, base, key, values):
@@ -1049,6 +1076,25 @@ class TestConfigStack:
         cfgs = [dict(base, **{key: value}) for value in values]
         for stacked, cfg in zip(_inputs_from_configs(cfgs), cfgs):
             self.assert_same(stacked, inputs_from_config(cfg))
+
+    @pytest.mark.parametrize("base", [GOLDEN_CFG, LINEAR_CFG], ids=["constant", "linear"])
+    def test_ignored_key_leaves_every_point_the_base_build(self, base):
+        cfgs = [dict(base, notes=value) for value in ("a", "b", "1.5")]
+        single = inputs_from_config(base)
+        for stacked in _inputs_from_configs(cfgs):
+            self.assert_same(stacked, single)
+
+    def test_point_keeps_its_first_error_in_config_order(self):
+        # AA = 1.5 fails its tau pattern, a config step before the q check
+        # of the build, which the other points then fail
+        cfgs = [dict(GOLDEN_CFG, q="0", AA=value) for value in ("0.5", "1.5", "0.7")]
+        built = _inputs_from_configs(cfgs)
+        assert [str(item) for item in built] == [
+            "q must be >= 1", "tau pattern leaves (0, 1]: range [1.5, 1.5]", "q must be >= 1",
+        ]
+        assert all(type(item) is DataValidationError for item in built)
+        for stacked, cfg in zip(built, cfgs):
+            self.assert_same(stacked, single_or_error(cfg))
 
     def test_each_point_keeps_its_own_error(self):
         cfgs = [

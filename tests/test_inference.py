@@ -19,6 +19,7 @@ from mrtcat import (
 )
 
 from _factories import make_dataset
+from _oracles import contrast_two_svds
 
 
 def fake_fit(beta, cov, n=20, q=1, p=1, k_arms=None):
@@ -91,6 +92,59 @@ class TestBuildContrast:
             build_contrast(np.array([[1.5e308, -1.5e308]]), p=1)
         assert type(err.value) is DataValidationError
         assert str(err.value) == "contrast matrix entries are too large: its norm overflows"
+
+
+#: A contrast entry: signed zeros, magnitudes from 1e-300 to 1e300, and
+#: entries whose norm overflows.
+CONTRAST_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.5e308, -1.5e308, 1e308]),
+    st.builds(
+        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+        st.sampled_from([1.0, -1.0]), st.floats(1.0, 9.99), st.integers(-300, 299),
+    ),
+)
+
+
+@st.composite
+def contrasts(draw):
+    """An L of 1-3 rows and 1-4 columns, where a row may be a multiple of
+    an earlier row (zero rows included), and p from 1 to 4."""
+    cols = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        if rows and draw(st.booleans()):
+            scale = draw(CONTRAST_ENTRIES)
+            with np.errstate(all="ignore"):
+                rows.append([scale * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(CONTRAST_ENTRIES, min_size=cols, max_size=cols)))
+    return np.array(rows), draw(st.integers(1, 4))
+
+
+class TestContrastOracle:
+    """build_contrast takes rank(L) and the row basis from one SVD of
+    L kron I_p; it gives the bytes, rank and errors of the np.kron and
+    two-SVD reference."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(contrasts())
+    def test_matches_two_svds(self, drawn):
+        l_matrix, p = drawn
+        try:
+            expected = contrast_two_svds(l_matrix, p)
+        except DataValidationError as exc:
+            with pytest.raises(type(exc)) as err:
+                build_contrast(l_matrix, p)
+            assert type(err.value) is type(exc)
+            assert str(err.value) == str(exc)
+            return
+        spec = build_contrast(l_matrix, p)
+        l_tilde, rank, row_basis = expected
+        assert spec.l_tilde.tobytes() == l_tilde.tobytes()
+        assert spec.l_tilde.shape == l_tilde.shape
+        assert spec.rank_l == rank
+        assert spec.row_basis.shape == row_basis.shape
+        assert spec.row_basis.tobytes() == row_basis.tobytes()
 
 
 class TestPresets:
