@@ -470,14 +470,22 @@ def _resolve_threads(threads: int | None) -> int:
 #: points (R * n * T) to amortize numpy's per-call cost over several
 #: replicates.  A chunk's arrays (the draws, the generated panels, the
 #: weights, design, W D and residuals: 13 arrays, 116 bytes per decision
-#: point) live in one workspace per worker thread, sized for a full chunk
-#: and reused by every chunk of the run: freed after each chunk, they
-#: would be handed back to the OS and page-faulted in again by the next
-#: one.  A run's budget is two chunks of about this many points: a run
-#: with two or more workers gives each worker a chunk of that size, and a
-#: run with one worker takes the whole budget as one chunk of twice as
-#: many replicates, so it holds no more chunk memory than a two-worker
-#: run and pays the fixed work of each chunk half as often.
+#: point) live in one workspace per thread, sized for a full chunk and
+#: reused by every chunk: freed after each chunk, they would be handed
+#: back to the OS and page-faulted in again by the next one.  A run's
+#: budget is two chunks of about this many points: a run with two or more
+#: workers gives each worker a chunk of that size, and a run with one
+#: worker takes the whole budget as one chunk of twice as many
+#: replicates, so it holds no more chunk memory than a two-worker run and
+#: pays the fixed work of each chunk half as often.  The calling thread
+#: keeps its workspace from one one-worker run to the next, which saves
+#: the faults once per run, not per replicate.  It keeps at most one
+#: one-worker chunk, the budget as _chunk_replicates rounds it to whole
+#: replicates, and nothing when one replicate is larger than the budget.
+#: A run of another (n, T, Z) shape drops what was kept before it
+#: allocates anything, and so does a run with two or more workers, whose
+#: pool threads' workspaces end with them; a dropped array goes back to
+#: the OS at once (see wcls.scratch).
 _CHUNK_POINTS = 20_000
 
 
@@ -486,6 +494,11 @@ def _chunk_replicates(points: int, workers: int) -> int:
     (see _CHUNK_POINTS)."""
     size = max(1, round(_CHUNK_POINTS / max(1, points)))
     return 2 * size if workers == 1 else size
+
+
+# Each thread's workspace (see _CHUNK_POINTS): a threading.local's
+# attributes are per thread.
+_workspaces = threading.local()
 
 
 def run_monte_carlo(
@@ -508,7 +521,8 @@ def run_monte_carlo(
     that fail to fit are excluded and counted; more than 1% failures
     aborts the run, with the failures counted by exception class.
     With collect_replicates, per-replicate estimates are kept on the
-    summary's records field (they do not enter to_dict()).
+    summary's records field (they do not enter to_dict()).  The master
+    seed must lie in [0, 2**64), as simulate_trial's does.
 
     Before the first chunk, every error that all the replicates share
     raises, as DataValidationError, in the order of simulate_trial ->
@@ -531,13 +545,31 @@ def run_monte_carlo(
     replicate r; errors[r] is the exception its public calls raise, or
     None, and the rest of a failed row is meaningless.  Chunks write
     disjoint rows, so pool threads share the table with no lock; each
-    worker thread keeps its scratch arrays in its own workspace (see
-    wcls.scratch) for the length of the run.  Once every chunk is done,
+    thread keeps its scratch arrays in its own workspace (see
+    wcls.scratch).  A one-worker run leaves the calling thread's
+    workspace to its next run, which then does not fault the same memory
+    in again: the saving is per run, not per replicate.  A thread keeps
+    at most one one-worker chunk's arrays, and none after a run whose
+    replicate alone is larger than the budget (see _CHUNK_POINTS).  A
+    run of another (n, T, Z) shape, or with two or more workers, first
+    drops what the calling thread kept; pool threads' workspaces end
+    with the pool.  Once every chunk is done,
     the covariances, Wald tests and intervals of all the replicates are
     each one stack.
     """
+    # This thread's kept arrays go, unless this run can reuse them, before the
+    # run allocates anything, so that they never add to its peak memory.
+    workers = _resolve_threads(threads)
+    kept = vars(_workspaces)
+    keep = workers == 1 and n * config.t_points < 2 * _CHUNK_POINTS
+    if not keep or "eps" in kept and (
+        kept["eps"].shape[1:] != (n, config.t_points + 1) or ("z" in kept) != config.needs_z
+    ):
+        kept.clear()
     if replicates < 1:
         raise DataValidationError("replicates must be >= 1")
+    if not (0 <= int(seed) < 2**64):
+        raise DataValidationError("seed must be a 64-bit unsigned integer")
     if not isinstance(contrast, ContrastSpec):
         contrast = build_contrast(contrast, spec.p)
     kp = config.k_arms * spec.p
@@ -545,7 +577,6 @@ def run_monte_carlo(
         true_beta = np.asarray(true_beta, dtype=float)
         if true_beta.shape != (kp,):
             raise DataValidationError(f"true_beta must have length K*p = {kp}")
-    workers = _resolve_threads(threads)
 
     check_subjects(n)
     time_features = {"time": config.t_grid, "time2": config.t_grid * config.t_grid}
@@ -567,14 +598,12 @@ def run_monte_carlo(
     reject = np.zeros(replicates, dtype=bool)
     clipped = np.zeros(replicates, dtype=np.int64)
     errors: list = [None] * replicates
-    workspaces = threading.local()
 
     def run_chunk(bounds: tuple[int, int]) -> None:
         lo, hi = bounds
         seeds = [derive_replicate_seed(seed, r) for r in range(lo, hi)]
-        # a threading.local's attributes are per thread: this worker's arrays,
-        # overwritten by every chunk before they are read
-        workspace = vars(workspaces)
+        # this thread's arrays, overwritten by every chunk before they are read
+        workspace = vars(_workspaces)
         eps, z, u = _draws(config, seeds, n, workspace)
         avail, trt, outcome, clipped[lo:hi] = _generate(config, eps, z, u, workspace)
         # A generated panel meets every dataset invariant unless its
@@ -600,12 +629,16 @@ def run_monte_carlo(
 
     size = _chunk_replicates(n * config.t_points, workers)
     bounds = [(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
-    if workers == 1:
-        for chunk in bounds:
-            run_chunk(chunk)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, bounds))
+    try:
+        if workers == 1:
+            for chunk in bounds:
+                run_chunk(chunk)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(run_chunk, bounds))
+    finally:
+        if not keep:
+            kept.clear()
 
     # The covariance solves are the last step of fit_wcls, so their errors
     # come before the Wald test's; only replicates whose solves pass are

@@ -20,6 +20,7 @@ hat-matrix small-sample residual adjustment.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -145,12 +146,19 @@ def scratch(workspace: dict | None, name: str, shape: tuple, dtype=float) -> np.
     same memory instead of freeing it and faulting it in again.  A
     caller overwrites every element before reading it and keeps no
     scratch array past its chunk.
+
+    A workspace's arrays are anonymous memory maps, so an array that is
+    dropped from a workspace gives its pages back to the OS at once; a
+    heap block would stay resident while anything allocated after it
+    lives.
     """
     if workspace is None:
         return np.empty(shape, dtype)
     array = workspace.get(name)
     if array is None or array.shape[1:] != shape[1:] or len(array) < shape[0]:
-        array = workspace[name] = np.empty(shape, dtype)
+        count = math.prod(shape)
+        pages = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
+        array = workspace[name] = np.frombuffer(pages, dtype, count).reshape(shape)
     return array[: shape[0]]
 
 

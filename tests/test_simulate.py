@@ -1000,6 +1000,32 @@ class TestRunWideErrors:
                             scenario.l_matrix, scenario.eta, scenario.seed)
         assert (type(raised.value), str(raised.value)) == (type(public.value), str(public.value))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "two_to_the_64"])
+    def test_master_seed_out_of_range(self, monkeypatch, capsys, tmp_path, seed):
+        scenario = scenario_from_config(parse_kv_file(GOLDEN_SCENARIO))
+        with pytest.raises(DataValidationError) as public:
+            simulate_trial(scenario.config, scenario.n, seed)
+        monkeypatch.setattr(simulate, "_draws", _never)
+        monkeypatch.setattr(simulate, "fit_stack", _never)
+        with pytest.raises(DataValidationError) as raised:
+            run_monte_carlo(scenario.config, scenario.n, 20, scenario.model_spec,
+                            scenario.l_matrix, scenario.eta, seed)
+        assert str(raised.value) == str(public.value)
+        out = tmp_path / "mc.json"
+        code = main(["simulate", "--scenario", str(GOLDEN_SCENARIO), "--seed", str(seed),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {public.value}\n"
+        assert not out.exists()
+
+    def test_largest_master_seed_runs(self):
+        summary = run_monte_carlo(null_config(), 20, 2, MARGINAL_SPEC, np.array([[1.0, -1.0]]),
+                                  seed=2**64 - 1, collect_replicates=True)
+        assert summary.seed == 2**64 - 1
+        assert [rec["seed"] for rec in summary.records] == [
+            derive_replicate_seed(2**64 - 1, r) for r in range(2)
+        ]
+
     TABLE = np.tile([0.4, 0.35, 0.25], (8, 1))
 
     @pytest.mark.parametrize(
@@ -1132,7 +1158,7 @@ class TestWorkspace:
                 assert rec["reject"] == reject
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_no_workspace_array_outlives_the_run(self, monkeypatch, threads):
+    def test_only_the_callers_kept_arrays_outlive_the_run(self, monkeypatch, threads):
         refs = []
 
         def spy(*args):
@@ -1141,10 +1167,110 @@ class TestWorkspace:
             refs.extend(weakref.ref(array) for array in workspace.values())
             return fit
 
-        monkeypatch.setattr(simulate, "fit_stack", spy)
         # 100 x 20 points: three chunks of 20 replicates on one thread, six
-        # of 10 on two
-        summary = run_monte_carlo(null_config(t_points=20), 100, 60, MARGINAL_SPEC,
-                                  np.array([[1.0, -1.0]]), threads=threads)
-        assert summary.completed == 60
-        assert refs and all(ref() is None for ref in refs)
+        # of 10 on two; a one-worker chunk is the whole budget
+        n, config = 100, null_config(t_points=20)
+
+        def run(threads):
+            summary = run_monte_carlo(config, n, 60, MARGINAL_SPEC, np.array([[1.0, -1.0]]),
+                                      threads=threads)
+            assert summary.completed == 60
+
+        kept = vars(simulate._workspaces)
+        run(1)
+        before = {name: weakref.ref(array) for name, array in kept.items()}
+        assert before
+        monkeypatch.setattr(simulate, "fit_stack", spy)
+        run(threads)
+        assert refs
+        if threads == 1:
+            # the same array objects, reused, and nothing else
+            assert kept.keys() == before.keys()
+            assert all(kept[name] is ref() for name, ref in before.items())
+            survivors = {id(array) for array in (ref() for ref in refs) if array is not None}
+            assert survivors == {id(array) for array in kept.values()}
+            budget = 2 * simulate._CHUNK_POINTS
+            assert all(len(array) * n * config.t_points <= budget for array in kept.values())
+            # 116 bytes per decision point, and the noise's extra column
+            assert sum(array.nbytes for array in kept.values()) <= budget * 117
+        else:
+            assert not kept
+            assert all(ref() is None for ref in [*refs, *before.values()])
+
+    # per case, a seed whose 20 replicates all fit: at n = 30 some seeds
+    # fail more than the 1% budget allows, and the run then has no records
+    SEEDS = (11, 17, 17, 4)
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_poisoned_kept_arrays_change_no_bit(self, case):
+        config, n, spec, contrast = self.CASES[case]
+
+        def run():
+            summary = run_monte_carlo(config, n, 20, spec, contrast, seed=self.SEEDS[case],
+                                      collect_replicates=True)
+            return repr((summary.to_dict(), summary.records))
+
+        first = run()
+        kept = vars(simulate._workspaces)
+        assert kept
+        _poison(kept)
+        assert run() == first
+
+    def test_another_shape_drops_the_kept_arrays(self):
+        t_points, contrast = 20, np.array([[1.0, -1.0]])
+        plain = null_config(t_points=t_points)
+        with_z = null_config(t_points=t_points, mee_basis="z", mee_coeffs=((0.1, 0.2), (0.0, 0.1)))
+        kept = vars(simulate._workspaces)
+
+        def run(config, n):
+            summary = run_monte_carlo(config, n, 30, MARGINAL_SPEC, contrast, seed=5,
+                                      collect_replicates=True)
+            assert kept["eps"].shape[1:] == (n, t_points + 1)
+            assert ("z" in kept) == config.needs_z
+            return repr((summary.to_dict(), summary.records))
+
+        first = run(plain, 100)
+        run(with_z, 60)
+        assert run(plain, 100) == first
+
+    def test_concurrent_callers_keep_their_own_arrays(self):
+        contrast = np.array([[1.0, -1.0]])
+        cases = [
+            (null_config(t_points=20), 100, 3),
+            (null_config(t_points=20, mee_basis="z", mee_coeffs=((0.1, 0.2), (0.0, 0.1))), 60, 4),
+        ]
+
+        def run(config, n, seed):
+            summary = run_monte_carlo(config, n, 50, MARGINAL_SPEC, contrast, seed=seed,
+                                      collect_replicates=True)
+            return repr((summary.to_dict(), summary.records))
+
+        want = [run(*case) for case in cases]
+        got: list = [[], []]
+
+        def caller(i):
+            for _ in range(3):
+                got[i].append(run(*cases[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # callers that shared arrays would interleave often
+        try:
+            callers = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[want[0]] * 3, [want[1]] * 3]
+
+    @pytest.mark.parametrize("n", [2000, 2001])
+    def test_a_replicate_of_the_whole_budget_keeps_nothing(self, n):
+        # 2000 x 20 points are the whole budget: a chunk holds two replicates
+        config, contrast = null_config(t_points=20), np.array([[1.0, -1.0]])
+        kept = vars(simulate._workspaces)
+        run_monte_carlo(config, 100, 20, MARGINAL_SPEC, contrast)
+        assert kept
+        summary = run_monte_carlo(config, n, 3, MARGINAL_SPEC, contrast)
+        assert summary.completed == 3
+        assert not kept
