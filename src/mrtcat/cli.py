@@ -20,7 +20,8 @@ import numpy as np
 from .data import NumeratorPolicy, load_csv
 from .design import (
     SEARCH_CAP_DEFAULT,
-    _inputs_from_configs,
+    _CONFIG_STEPS,
+    _inputs_from_sweep,
     _size_stack,
     inputs_from_config,
     required_sample_size,
@@ -240,10 +241,16 @@ def cmd_samplesize(args: argparse.Namespace) -> int:
     cfg = parse_kv_file(args.config)
     if args.sweep:
         key, values = _parse_sweep(args.sweep)
+        design_keys = dict.fromkeys(name for keys, _ in _CONFIG_STEPS for name in keys)
+        if key not in design_keys:
+            raise DataValidationError(
+                f"--sweep key {key!r} is not a design key; the design keys are "
+                + ", ".join(design_keys)
+            )
         rows = []
         for start in range(0, len(values), _SWEEP_BLOCK):
             block = values[start : start + _SWEEP_BLOCK]
-            points = _inputs_from_configs([{**cfg, key: repr(value)} for value in block])
+            points = _inputs_from_sweep(cfg, key, [repr(value) for value in block])
             for value, result in zip(block, _size_stack(points, args.cap)):
                 if isinstance(result, Exception):
                     raise result

@@ -31,10 +31,11 @@ V.  A single DesignInputs is that build on a stack of one, so a sweep
 point is bitwise the point built alone and fails with the error it gets
 alone.
 
-A sweep's configs are read as one list (_inputs_from_configs): each step
-of reading a config (T and p, tau, f, gamma, L, and q, eta and power)
-runs once per distinct raw text of the keys it reads, so a sweep
-re-reads only the steps its key enters.
+A config is read by a table of steps (_CONFIG_STEPS: K, T and p, tau,
+f, gamma, L, and q, eta and power), each with the keys it reads.  A
+sweep is its base config plus one key (_inputs_from_sweep): its points
+are read whole until one reads without error, and every later point
+runs only the steps that read the key.
 
 The search for n (_size_stack) also works on a stack: it seeds each
 point by inverting the power in the noncentrality and computes the
@@ -815,26 +816,29 @@ def inputs_from_config(cfg: dict[str, str]) -> DesignInputs:
     power.  The effect curves come from the two-arm pattern builder, so
     K must be 2.
     """
-    return DesignInputs(**_config_fields(cfg, {}))
+    return DesignInputs(**_config_fields(cfg))
 
 
-def _inputs_from_configs(cfgs: list[dict[str, str]]) -> list:
-    """inputs_from_config over a list of configs, built as one stack.
+def _inputs_from_sweep(cfg: dict[str, str], key: str, texts: list[str]) -> list:
+    """inputs_from_config({**cfg, key: text}) for every text, built as one
+    stack.
 
-    Item i is inputs_from_config(cfgs[i]), or the DataValidationError or
-    NumericalError that call raises.  The configs share one memo of
-    _config_fields' steps, which lives for this call only: a step runs
-    once per distinct raw text of the keys it reads, so a sweep re-runs
-    only the steps its key enters, and each point still fails with its
-    first error in _config_fields' order.
+    Item i is that DesignInputs, or the DataValidationError or
+    NumericalError that call raises.  The points are read whole until one
+    reads without error.  That point is the base of every later one,
+    which runs only the _CONFIG_STEPS that read key (_config_fields): so
+    a point still fails with its first error in step order, and holds
+    the base's rand_probs, tau and f wherever key does not enter them.
     """
     built: list = []
-    memo: dict[tuple, object] = {}
-    for cfg in cfgs:
+    base = None
+    for text in texts:
         try:
-            built.append(_config_fields(cfg, memo))
+            built.append(_config_fields({**cfg, key: text}, base, key))
         except (DataValidationError, NumericalError) as exc:
             built.append(exc)
+        else:
+            base = base or built[-1]
     parsed = [i for i, item in enumerate(built) if isinstance(item, dict)]
     points, errors = DesignInputs._stack([built[i] for i in parsed])
     for i, point, error in zip(parsed, points, errors):
@@ -842,73 +846,59 @@ def _inputs_from_configs(cfgs: list[dict[str, str]]) -> list:
     return built
 
 
-# The parts of a config that sample sizing and n = auto simulation share.
-
-#: The keys that the tau and gamma steps of _config_fields read (T and
-#: p, f, L and the scalars list theirs where they run).  Of the keys a
-#: sweep can vary, sate1, sate2, theta_f1 and theta_f2 enter gamma only;
-#: AA and theta_tau tau, and through tau V and a linear gamma; q, eta and
-#: power the scalars only; T everything but L and the scalars.
-_TAU_KEYS = ("T", "tau_kind", "AA", "theta_tau")
-_EFFECT_KEYS = ("f_kind", "theta_f1", "theta_f2", "sate1", "sate2")
-
-_UNSET = object()
-
-
-def _once(memo: dict, cfg: dict[str, str], keys: tuple, step, *args):
-    """step(cfg, *args), run once per raw text of cfg's keys (None where
-    a key is missing), which are those step reads.  memo holds the value,
-    or the DataValidationError or NumericalError the step raised, which
-    is raised again with a fresh traceback."""
-    key = (step, *map(cfg.get, keys))
-    value = memo.get(key, _UNSET)
-    if value is _UNSET:
-        try:
-            value = step(cfg, *args)
-        except (DataValidationError, NumericalError) as exc:
-            value = exc
-        memo[key] = value
-    if isinstance(value, Exception):
-        raise value.with_traceback(None)
-    return value
-
-
-def _config_fields(cfg: dict[str, str], memo: dict) -> dict:
-    """The DesignInputs fields of inputs_from_config(cfg), checked in the
-    order K, T, p, tau, gamma, L, q, eta, power.  memo is _once's: the
-    configs of a sweep share its arrays (DesignInputs copies them)."""
+def _two_arms(cfg: dict[str, str], fields: dict) -> dict:
+    """Key K, which must be 2."""
     if get_int(cfg, "K", 2) != 2:
         raise DataValidationError(
             "config-driven sample sizing supports K=2 (the pattern builders are two-arm); "
             "build DesignInputs directly for other K"
         )
-    t_points, probs = _once(
-        memo, cfg, ("T", "p"), _config_probs,
-        "key 'p' must list K+1=3 probabilities including the reference arm",
-    )
-    tau = _once(memo, cfg, _TAU_KEYS, _config_tau, t_points)
-    f = _once(memo, cfg, ("T", "f_kind"), _f_basis, t_points)
-    # a linear effect reads tau; a constant one does not
-    effect_keys = _EFFECT_KEYS + _TAU_KEYS if cfg.get("f_kind") == "linear" else _EFFECT_KEYS
-    gamma = _once(memo, cfg, effect_keys, _config_gamma, tau)
-    l_matrix = _once(memo, cfg, ("L",), _config_contrast)
-    q, eta, power = _once(memo, cfg, ("q", "eta", "power"), _config_scalars)
-    return dict(
-        k_arms=2, t_points=t_points, rand_probs=probs, tau=tau, f=f, gamma=gamma, q=q,
-        l_matrix=l_matrix, eta=eta, power_target=power,
-    )
+    return {"k_arms": 2}
 
 
-def _config_contrast(cfg: dict[str, str]) -> np.ndarray:
-    return parse_contrast_text(cfg.get("L", "pairwise(1,2)"), 2)
+#: The steps of reading a design config, in the order a config reports
+#: its first error.  Each row names the keys its step reads, directly or
+#: through an earlier step's fields, and the step, which returns its
+#: fields from the config and the fields before it.  gamma's row names
+#: every tau key, which only a linear gamma reads, so that no row
+#: depends on f_kind.
+_CONFIG_STEPS: tuple = (
+    (("K",), _two_arms),
+    (("T", "p"), lambda cfg, _: dict(zip(("t_points", "rand_probs"), _config_probs(cfg)))),
+    (("T", "tau_kind", "AA", "theta_tau"), lambda cfg, fields: {
+        "tau": _config_tau(cfg, fields["t_points"]),
+    }),
+    (("T", "f_kind"), lambda cfg, fields: {"f": _f_basis(cfg, fields["t_points"])}),
+    (("f_kind", "theta_f1", "theta_f2", "sate1", "sate2", "T", "tau_kind", "AA", "theta_tau"),
+     lambda cfg, fields: {"gamma": _config_gamma(cfg, fields["tau"])}),
+    (("L",), lambda cfg, _: {"l_matrix": parse_contrast_text(cfg.get("L", "pairwise(1,2)"), 2)}),
+    (("q", "eta", "power"), lambda cfg, _: {
+        "q": get_int(cfg, "q", 1), "eta": get_float(cfg, "eta", 0.05),
+        "power_target": get_float(cfg, "power", 0.8),
+    }),
+)
 
 
-def _config_scalars(cfg: dict[str, str]) -> tuple[int, float, float]:
-    """Keys q, eta and power."""
-    return get_int(cfg, "q", 1), get_float(cfg, "eta", 0.05), get_float(cfg, "power", 0.8)
+def _config_fields(cfg: dict[str, str], base: dict | None = None, key: str = "") -> dict:
+    """The DesignInputs fields of inputs_from_config(cfg), read by the
+    _CONFIG_STEPS in order.  Given base, the fields of a config that
+    differs from cfg at key only, it runs only the steps that read key
+    and keeps base's other fields, the same objects (DesignInputs copies
+    them)."""
+    fields = {} if base is None else dict(base)
+    for keys, step in _CONFIG_STEPS:
+        if base is None or key in keys:
+            fields.update(step(cfg, fields))
+    return fields
 
 
-def _config_probs(cfg: dict[str, str], count_message: str) -> tuple[int, np.ndarray]:
+# The parts of a config that sample sizing and n = auto simulation share.
+
+
+def _config_probs(
+    cfg: dict[str, str],
+    count_message: str = "key 'p' must list K+1=3 probabilities including the reference arm",
+) -> tuple[int, np.ndarray]:
     """Key T, and the active-arm probabilities of key 'p' (three, reference
     arm first; count_message words any other count)."""
     t_points = get_int(cfg, "T")

@@ -620,6 +620,19 @@ class TestSweepStack:
         assert code == 2
         assert capsys.readouterr().err == "error: contrast of target alternative is null\n"
 
+    @pytest.mark.parametrize("key", ["AAA", "aa", "notes"])
+    def test_key_that_no_step_reads_exits_two(self, tmp_path, capsys, monkeypatch, key):
+        # such a key once wrote a flat CSV of the base n; it is now
+        # rejected before any point is built
+        monkeypatch.setattr(mrtcat.cli, "_inputs_from_sweep", None)
+        code, csv_text = run_sweep(tmp_path, GOLDEN_CFG_TEXT, f"{key}=0.3:0.6:0.1")
+        assert (code, csv_text) == (2, None)
+        assert capsys.readouterr().err == (
+            f"error: --sweep key {key!r} is not a design key; the design keys are "
+            "K, T, p, tau_kind, AA, theta_tau, f_kind, theta_f1, theta_f2, sate1, sate2, L, q, "
+            "eta, power\n"
+        )
+
     def test_blocks_keep_grid_order(self, tmp_path, monkeypatch):
         code, whole = run_sweep(tmp_path, GOLDEN_CFG_TEXT, "AA=0.3:1.0:0.1")
         assert code == 0

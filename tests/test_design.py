@@ -23,7 +23,7 @@ from mrtcat import (
     required_sample_size,
     tau_pattern,
 )
-from mrtcat.design import _inputs_from_configs, _size_stack, _v_matrix
+from mrtcat.design import _inputs_from_sweep, _size_stack, _v_matrix
 from mrtcat.errors import ConvergenceError
 from mrtcat.numerics import f_quantile, noncentral_f_cdf
 
@@ -241,29 +241,35 @@ class TestBuildV:
             )
             longer = dict(base, t_points=8, tau=np.full(8, 0.7), f=np.ones((8, 1)))
             fields = [base, dict(base, tau=np.full(6, 0.9)), longer, dict(base, q=2)]
-        else:
-            cfgs = [dict(GOLDEN_CFG, **{key: value}) for key, value in
-                    [("AA", "0.5"), ("AA", "0.7"), ("T", "30"), ("sate1", "0.1")]]
-        names = ("rand_probs", "tau", "f", "gamma", "l_matrix", "v_matrix")
+        # one sweep per key: each AA point has its own tau, each T point
+        # its own tau and f, and the sate1 points share both
+        sweeps = [("AA", ["0.5", "0.6", "0.7", "0.8"]), ("T", ["30", "31", "32", "210"]),
+                  ("sate1", ["0.05", "0.1", "0.2", "0.3"])]
         for mutated in range(4):
             if build == "stack":
                 points, errors = DesignInputs._stack(fields)
                 assert errors == [None] * 4
+                self.assert_no_point_writes_another(points, mutated)
             else:
-                points = _inputs_from_configs(cfgs)
-            saved = [({name: getattr(point, name).copy() for name in names}, point.lambda_rate)
-                     for point in points]
-            for a, b in ((a, b) for a in points for b in points if a is not b):
-                for name in names:
-                    assert not np.shares_memory(getattr(a, name), getattr(b, name))
-            for name in ("tau", "gamma", "rand_probs"):
-                getattr(points[mutated], name)[...] = 0.25
-            for j, (point, (arrays, rate)) in enumerate(zip(points, saved)):
-                if j == mutated:
-                    continue
-                for name in names:
-                    assert getattr(point, name).tobytes() == arrays[name].tobytes()
-                assert point.lambda_rate == rate
+                for key, texts in sweeps:
+                    points = _inputs_from_sweep(GOLDEN_CFG, key, texts)
+                    self.assert_no_point_writes_another(points, mutated)
+
+    def assert_no_point_writes_another(self, points, mutated):
+        names = ("rand_probs", "tau", "f", "gamma", "l_matrix", "v_matrix")
+        saved = [({name: getattr(point, name).copy() for name in names}, point.lambda_rate)
+                 for point in points]
+        for a, b in ((a, b) for a in points for b in points if a is not b):
+            for name in names:
+                assert not np.shares_memory(getattr(a, name), getattr(b, name))
+        for name in ("tau", "gamma", "rand_probs"):
+            getattr(points[mutated], name)[...] = 0.25
+        for j, (point, (arrays, rate)) in enumerate(zip(points, saved)):
+            if j == mutated:
+                continue
+            for name in names:
+                assert getattr(point, name).tobytes() == arrays[name].tobytes()
+            assert point.lambda_rate == rate
 
 
 class TestNoncentrality:
@@ -571,8 +577,8 @@ class TestSeededSearch:
             assert search_outcome(required_sample_size, inputs, cap) == want
 
     def test_seeds_of_the_golden_config_and_sweep_are_the_answers(self):
-        cfgs = [dict(GOLDEN_CFG, AA=f"{aa / 10}") for aa in range(3, 11)]
-        points = [inputs_from_config(GOLDEN_CFG), *_inputs_from_configs(cfgs)]
+        cfgs = [GOLDEN_CFG, *(dict(GOLDEN_CFG, AA=f"{aa / 10}") for aa in range(3, 11))]
+        points = [inputs_from_config(cfg) for cfg in cfgs]
         seeds = mrtcat.design._seeds(points, [10] * len(points), 10**6)
         assert seeds == [required_sample_size(point).n for point in points]
         assert seeds[0] == 93
@@ -581,7 +587,7 @@ class TestSeededSearch:
         cfgs = [dict(GOLDEN_CFG, sate1=repr(0.03 + 0.01 * k), q=str(1 + k % 3)) for k in range(40)]
         cfgs[5]["AA"] = "1.5"          # fails its build
         cfgs[7]["sate1"] = "0.0001"    # past the cap
-        points = _inputs_from_configs(cfgs)
+        points = [single_or_error(cfg) for cfg in cfgs]
         for point, result in zip(points, _size_stack(points, 5000)):
             if isinstance(point, Exception):
                 assert result is point
@@ -1036,8 +1042,8 @@ def single_or_error(cfg):
 
 
 class TestConfigStack:
-    """_inputs_from_configs builds many configs as one stack; every point
-    is bitwise the single construction, or fails as it does."""
+    """_inputs_from_sweep builds the points of a sweep as one stack; every
+    point is bitwise the single construction, or fails as it does."""
 
     def assert_same(self, stacked, single):
         if isinstance(single, Exception):
@@ -1054,7 +1060,18 @@ class TestConfigStack:
             single.q, single.eta, single.power_target, single.rank_l
         )
 
-    @pytest.mark.parametrize("base", [GOLDEN_CFG, LINEAR_CFG], ids=["constant", "linear"])
+    def assert_sweep(self, base, key, texts) -> list:
+        """The points of the sweep of key over texts on base, each checked
+        against its single build."""
+        built = _inputs_from_sweep(base, key, texts)
+        assert len(built) == len(texts)
+        for stacked, text in zip(built, texts):
+            self.assert_same(stacked, single_or_error(dict(base, **{key: text})))
+        return built
+
+    @pytest.mark.parametrize(
+        "base", [GOLDEN_CFG, LINEAR_CFG, dict(GOLDEN_CFG, q="0")], ids=["constant", "linear", "q0"]
+    )
     @pytest.mark.parametrize(
         "key, values",
         [
@@ -1068,54 +1085,75 @@ class TestConfigStack:
             ("theta_f1", ["-0.5", "0.0", "0.3"]),
             ("theta_f2", ["-0.4", "0.0", "0.6"]),
             ("sate2", ["0.0", "0.02", "0.1"]),
+            ("K", ["2", "2.0", "3", "x"]),
+            ("p", ["0.4, 0.3, 0.3", "0.2, 0.5, 0.3", "0.5, 0.5", "0.4, 0.3, 0.2", "0.6,0.2,0.2"]),
+            ("f_kind", ["constant", "linear", "quadratic", "linear"]),
+            ("L", ["pairwise(1,2)", "1,0", "0,0", "1,0;0,1", "1,0,0", "pairwise(1,2)"]),
         ],
     )
     def test_points_bitwise_equal_to_single_builds(self, base, key, values):
         if key == "theta_tau":
             base = dict(base, tau_kind="linear", AA="0.7")
-        cfgs = [dict(base, **{key: value}) for value in values]
-        for stacked, cfg in zip(_inputs_from_configs(cfgs), cfgs):
-            self.assert_same(stacked, inputs_from_config(cfg))
+        self.assert_sweep(base, key, values)
+
+    @pytest.mark.parametrize(
+        "key, values",
+        [("sate1", ["0.02", "0.1"]), ("theta_tau", ["0.0", "0.2"]), ("q", ["2", "0", "1"]),
+         ("f_kind", ["linear", "constant"])],
+    )
+    def test_key_absent_from_base(self, key, values):
+        # without sate1 the base itself does not read; the others default
+        base = dict(LINEAR_CFG)
+        del base[key]
+        self.assert_sweep(base, key, values)
+
+    @pytest.mark.parametrize("base", [GOLDEN_CFG, LINEAR_CFG], ids=["constant", "linear"])
+    def test_first_point_fails_and_later_points_build(self, base):
+        # the first point that reads without error is the base of the rest
+        built = self.assert_sweep(base, "AA", ["1.5", "0.5", "2.0", "0.7"])
+        assert [type(item).__name__ for item in built] == [
+            "DataValidationError", "DesignInputs", "DataValidationError", "DesignInputs",
+        ]
+        built = self.assert_sweep(base, "T", ["x", "0", "30", "-1", "12"])
+        assert [type(item).__name__ for item in built] == [
+            "DataValidationError", "DataValidationError", "DesignInputs", "DataValidationError",
+            "DesignInputs",
+        ]
 
     @pytest.mark.parametrize("base", [GOLDEN_CFG, LINEAR_CFG], ids=["constant", "linear"])
     def test_ignored_key_leaves_every_point_the_base_build(self, base):
-        cfgs = [dict(base, notes=value) for value in ("a", "b", "1.5")]
         single = inputs_from_config(base)
-        for stacked in _inputs_from_configs(cfgs):
+        for stacked in _inputs_from_sweep(base, "notes", ["a", "b", "1.5"]):
             self.assert_same(stacked, single)
 
     def test_point_keeps_its_first_error_in_config_order(self):
         # AA = 1.5 fails its tau pattern, a config step before the q check
         # of the build, which the other points then fail
-        cfgs = [dict(GOLDEN_CFG, q="0", AA=value) for value in ("0.5", "1.5", "0.7")]
-        built = _inputs_from_configs(cfgs)
+        built = self.assert_sweep(dict(GOLDEN_CFG, q="0"), "AA", ["0.5", "1.5", "0.7"])
         assert [str(item) for item in built] == [
             "q must be >= 1", "tau pattern leaves (0, 1]: range [1.5, 1.5]", "q must be >= 1",
         ]
         assert all(type(item) is DataValidationError for item in built)
-        for stacked, cfg in zip(built, cfgs):
-            self.assert_same(stacked, single_or_error(cfg))
 
     def test_each_point_keeps_its_own_error(self):
-        cfgs = [
-            GOLDEN_CFG,
-            dict(GOLDEN_CFG, AA="1.5"),                   # tau pattern out of range
-            dict(GOLDEN_CFG, sate1="0.0"),                # null contrast
-            dict(GOLDEN_CFG, sate1="nan"),                # gamma not finite
-            dict(GOLDEN_CFG, T="x"),                      # config parse error
-            dict(GOLDEN_CFG, L="0,0"),                    # zero contrast matrix
-            dict(LINEAR_CFG, T="2"),                      # fine, p = 2
-            dict(GOLDEN_CFG, L="1,0"),                    # second contrast group
-            dict(GOLDEN_CFG, AA="0.5"),
+        sweeps = [
+            # a tau pattern out of range between two builds
+            (GOLDEN_CFG, "AA", ["1.0", "1.5", "0.5"],
+             ["DesignInputs", "DataValidationError", "DesignInputs"]),
+            # a null contrast, a gamma that is not finite
+            (GOLDEN_CFG, "sate1", ["0.0", "nan", "0.053"],
+             ["NullContrastError", "DataValidationError", "DesignInputs"]),
+            # a config parse error
+            (GOLDEN_CFG, "T", ["x", "210"], ["DataValidationError", "DesignInputs"]),
+            # a zero contrast matrix, and a second contrast group
+            (GOLDEN_CFG, "L", ["0,0", "1,0", "pairwise(1,2)"],
+             ["NullContrastError", "DesignInputs", "DesignInputs"]),
+            # fine, p = 2
+            (LINEAR_CFG, "T", ["2", "30"], ["DesignInputs", "DesignInputs"]),
         ]
-        built = _inputs_from_configs(cfgs)
-        assert [type(item).__name__ for item in built] == [
-            "DesignInputs", "DataValidationError", "NullContrastError", "DataValidationError",
-            "DataValidationError", "NullContrastError", "DesignInputs", "DesignInputs",
-            "DesignInputs",
-        ]
-        for stacked, cfg in zip(built, cfgs):
-            self.assert_same(stacked, single_or_error(cfg))
+        for base, key, texts, kinds in sweeps:
+            built = self.assert_sweep(base, key, texts)
+            assert [type(item).__name__ for item in built] == kinds
 
     def test_singular_v_fails_only_its_point(self):
         ok = dict(k_arms=2, t_points=4, rand_probs=np.array([0.3, 0.3]), tau=np.ones(4),

@@ -1,6 +1,16 @@
 """The paper's proof steps, checked as exact identities where a finite
 panel allows it.
 
+Step 1 is the unbiasedness of the estimating function, whatever the
+control model g.  On a panel whose realized counts match the design
+(below), a term of the outcome that depends on t alone is orthogonal to
+every weighted centered column: the points available at t on arm a add
+ptilde_t(a) c(a) in total, and sum_a ptilde_t(a) c(a) = 0.  That covers
+a control curve h(t) that g does not span and the ptilde_t(k) f_t'beta_k
+part of the effect, and for the same reason the g-beta block of the
+normal matrix vanishes.  So with the outcome h(t) + sum_k 1(A = k)
+f_t'beta_k, beta_hat = M^-1 M beta = beta, up to rounding.
+
 Step 3 derives the asymptotic variance of beta_hat from the beta block
 of the normal matrix, whose expectation per subject is
 
@@ -16,12 +26,12 @@ counts turn the sum over points into sum_a ptilde_t(a) c(a) c(a)' = P_t.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mrtcat import DataValidationError, ModelSpec, MrtDataset, NumeratorPolicy
 from mrtcat.design import _v_matrix
-from mrtcat.wcls import fit_stack
+from mrtcat.wcls import fit_stack, fit_wcls
 
 #: f from (1, time, time2) and g from (1, time)
 F_COLUMNS = [(), ("time",), ("time2",), ("time", "time2")]
@@ -61,13 +71,27 @@ def exact_panels(draw):
     return k_arms, avail, trt, probs, units / big_j, rng.normal(size=(n, t_points))
 
 
-def m_over_n(k_arms, avail, trt, probs, outcome, spec):
+def panel_dataset(k_arms, avail, trt, probs, outcome):
+    """The panel as an MrtDataset with the features time and time2."""
     n, t_points = avail.shape
     time = np.broadcast_to(np.arange(1.0, t_points + 1), (n, t_points))
-    data = MrtDataset(
+    return MrtDataset(
         subject_ids=tuple(range(n)), avail=avail, trt=trt, probs=probs, outcome=outcome,
         features={"time": time, "time2": time * time}, k_arms=k_arms,
     )
+
+
+def f_basis(f_columns, t_points):
+    """The (T, p) values of the f basis: the intercept, then f_columns."""
+    grid = np.arange(1.0, t_points + 1)
+    return np.column_stack([np.ones(t_points)] + [
+        {"time": grid, "time2": grid * grid}[name] for name in f_columns
+    ])
+
+
+def m_over_n(k_arms, avail, trt, probs, outcome, spec):
+    n = avail.shape[0]
+    data = panel_dataset(k_arms, avail, trt, probs, outcome)
     fit = fit_stack(
         data.avail[None], data.trt[None], data.probs[None], data.outcome[None],
         {name: arr[None] for name, arr in data.features.items()}, k_arms, spec,
@@ -80,6 +104,48 @@ def m_over_n(k_arms, avail, trt, probs, outcome, spec):
 
 def relative_gap(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestStep1:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        panel=exact_panels(),
+        f_columns=st.sampled_from(F_COLUMNS),
+        g_columns=st.sampled_from(G_COLUMNS),
+        user_probs=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_beta_hat_is_beta_under_a_control_curve_g_does_not_span(
+        self, panel, f_columns, g_columns, user_probs, seed
+    ):
+        k_arms, avail, trt, probs, _, _ = panel
+        n, t_points = avail.shape
+        # a normal matrix that is nonsingular: more decision points than
+        # columns in f and in g
+        assume(len(f_columns) < t_points and len(g_columns) < t_points)
+        rng = np.random.default_rng(seed)
+        f = f_basis(f_columns, t_points)
+        beta = rng.normal(size=(k_arms, f.shape[1]))
+        # the effect of arm A at (i, t), 0 on the reference arm
+        effect = np.concatenate([np.zeros((1, t_points)), beta @ f.T])[trt, np.arange(t_points)]
+        curve = 10.0 * rng.normal(size=t_points)
+        user = np.array(user_probs[: k_arms + 1]) / sum(user_probs[: k_arms + 1])
+        policies = [
+            NumeratorPolicy("match_randomization"),
+            NumeratorPolicy("empirical_per_t"),
+            NumeratorPolicy("user_supplied", table=np.tile(user, (t_points, 1))),
+        ]
+        # rounding, relative to the largest outcome: with time2 in f and
+        # T = 12, an effect reaches 144 |beta|
+        scale = max(1.0, np.abs(curve + effect).max())
+        for policy in policies:
+            spec = ModelSpec(f_columns=f_columns, g_columns=g_columns, numerator=policy)
+            fit = fit_wcls(panel_dataset(k_arms, avail, trt, probs, curve + effect), spec)
+            assert np.abs(fit.beta_hat - beta.ravel()).max() <= 1e-12 * scale
+            # the control: a curve that varies by subject moves beta_hat
+            varying = 10.0 * rng.normal(size=(n, t_points))
+            fit = fit_wcls(panel_dataset(k_arms, avail, trt, probs, varying + effect), spec)
+            assert np.abs(fit.beta_hat - beta.ravel()).max() > 1e-6
 
 
 class TestStep3:
@@ -96,21 +162,24 @@ class TestStep3:
     ):
         k_arms, avail, trt, probs, tau, outcome = panel
         t_points = avail.shape[1]
-        grid = np.arange(1.0, t_points + 1)
-        f = np.column_stack([np.ones(t_points)] + [
-            {"time": grid, "time2": grid * grid}[name] for name in f_columns
-        ])
+        f = f_basis(f_columns, t_points)
         user = np.array(user_probs[: k_arms + 1]) / sum(user_probs[: k_arms + 1])
         policies = [
             (NumeratorPolicy("match_randomization"), probs[0, :, 1:]),
+            # the counts make the empirical table p itself
+            (NumeratorPolicy("empirical_per_t"), probs[0, :, 1:]),
             (NumeratorPolicy("user_supplied", table=np.tile(user, (t_points, 1))),
              np.tile(user[1:], (t_points, 1))),
         ]
         # the control: one available point moves to another arm, from an
-        # arm given at least twice, so that every arm stays observed
+        # arm given at least twice at its t, so that every arm stays
+        # observed at every t (as empirical_per_t requires)
         rng = np.random.default_rng(move)
-        arm_counts = np.bincount(trt[avail == 1], minlength=k_arms + 1)
-        i, t = rng.choice(np.argwhere((avail == 1) & (arm_counts[trt] >= 2)))
+        arm_counts = np.array([
+            np.bincount(trt[avail[:, t] == 1, t], minlength=k_arms + 1) for t in range(t_points)
+        ])
+        given_twice = arm_counts[np.arange(t_points), trt] >= 2
+        i, t = rng.choice(np.argwhere((avail == 1) & given_twice))
         moved = trt.copy()
         moved[i, t] = (trt[i, t] + rng.integers(1, k_arms + 1)) % (k_arms + 1)
         for policy, ptilde in policies:
