@@ -100,15 +100,21 @@ def _csv_cells(row: dict) -> list[str]:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    # checked before the panel is read, so that a bad level fails fast
+    # checked before the panel is read, so that a bad level or numerator fails fast
     if not 0.0 < args.alpha < 1.0:
         raise DataValidationError(f"--alpha must lie in (0, 1), got {args.alpha!r}")
     if 1.0 - args.alpha == 1.0:
         raise DataValidationError(f"--alpha {args.alpha!r} is too small: 1 - alpha rounds to 1")
+    user_supplied = args.numerator == "user_supplied"
+    if user_supplied and not args.numerator_table:
+        raise DataValidationError("--numerator user_supplied requires --numerator-table")
+    if args.numerator_table is not None and not user_supplied:
+        raise DataValidationError(
+            "--numerator-table is read only with --numerator user_supplied, "
+            f"not with --numerator {args.numerator}"
+        )
     data = load_csv(args.data)
-    if args.numerator == "user_supplied":
-        if not args.numerator_table:
-            raise DataValidationError("--numerator user_supplied requires --numerator-table")
+    if user_supplied:
         table = _read_rows(args.numerator_table, "numerator table")
         policy = NumeratorPolicy(kind="user_supplied", table=table)
     else:

@@ -113,7 +113,11 @@ class MrtDataset:
         active treatment arms; arm 0 is the reference).
     avail : (n, T) int array of availability indicators.
     trt : (n, T) int array of treatment categories in {0..K}.
-    probs : (n, T, K+1) array of randomization probabilities.
+    probs : (n, T, K+1) array of randomization probabilities.  When
+        every subject's (T, K+1) table is bitwise the same, the dataset
+        keeps one copy of it and probs is a read-only np.broadcast_to
+        view of that copy, still (n, T, K+1); otherwise probs is a full
+        copy.  Either way it holds the same values and bytes.
     outcome : (n, T) float array of proximal outcomes.
     features : read-only mapping of name -> (n, T) float array.
     subject_ids : tuple of n identifiers, in file order.
@@ -133,7 +137,7 @@ class MrtDataset:
         # Copies, so that freezing below leaves the caller's arrays writable.
         self.avail = np.array(avail, dtype=np.int64)
         self.trt = np.array(trt, dtype=np.int64)
-        self.probs = np.array(probs, dtype=float)
+        probs = np.asarray(probs, dtype=float)
         self.outcome = np.array(outcome, dtype=float)
         self.features = MappingProxyType(
             {k: np.array(v, dtype=float) for k, v in features.items()}
@@ -148,8 +152,9 @@ class MrtDataset:
             raise DataValidationError("treatment array shape mismatch")
         if self.outcome.shape != (self.n, self.t_points):
             raise DataValidationError("outcome array shape mismatch")
-        if self.probs.shape != (self.n, self.t_points, self.k_arms + 1):
+        if probs.shape != (self.n, self.t_points, self.k_arms + 1):
             raise DataValidationError("probability array shape mismatch")
+        self.probs = _copy_probs(probs)
         for name, arr in self.features.items():
             if arr.shape != (self.n, self.t_points):
                 raise DataValidationError(f"feature {name!r} shape mismatch")
@@ -162,6 +167,26 @@ class MrtDataset:
     @property
     def feature_names(self) -> tuple[str, ...]:
         return tuple(self.features.keys())
+
+
+def _copy_probs(probs: np.ndarray) -> np.ndarray:
+    """A copy of the (n, T, K+1) probs for a dataset to keep: a read-only
+    broadcast of a copy of the first subject's table when every subject's
+    is bitwise that table, else a copy of the whole array.  An array with
+    a zero subject stride, a broadcast, is taken as shared unchecked."""
+    if len(probs) and (
+        probs.strides[0] == 0
+        or (probs.view(np.uint64) == probs[:1].view(np.uint64)).all()
+    ):
+        return np.broadcast_to(probs[0].copy(), probs.shape)
+    return np.array(probs)
+
+
+def stored_probs(data: MrtDataset) -> np.ndarray:
+    """data.probs as the dataset stores them: the (1, T, K+1) table that
+    every subject shares, or the whole (n, T, K+1) array.  Either
+    broadcasts to data.probs."""
+    return data.probs[:1] if data.probs.strides[0] == 0 else data.probs
 
 
 def _integral(values: np.ndarray) -> np.ndarray:
@@ -290,9 +315,13 @@ def load_csv(path: str) -> MrtDataset:
     subject block by subject block, and only the first id of each block
     is decoded, unless the rows are out of panel order.  When every cell
     of a bytes probability column is byte for byte the first subject's
-    cell at the same t, only those T cells are converted, with float(),
-    and spread by t; otherwise each cell is.  float() and numpy's parser
-    round alike, so the values are the same either way.  When the bytes
+    cell at the same t, only those T cells are converted, with float();
+    otherwise each cell is.  float() and numpy's parser round alike, so
+    the values are the same either way.  When every probability column
+    takes the first route, the dataset is given those T rows as one
+    (T, K+1) table broadcast over the subjects and stores it once, so no
+    (n, T, K+1) array is built; data.probs is still a read-only
+    (n, T, K+1) array (see MrtDataset).  When the bytes
     cannot decide (a cell that fills its field or that float() rejects,
     a NUL in the file, or a cell numpy cannot store as bytes, such as an
     id outside Latin-1 past the first rows), the rows are read again
@@ -332,7 +361,7 @@ def load_csv(path: str) -> MrtDataset:
 
 def _read_panel(
     path: str, handle: TextIO, start: int, header_lines: int, columns: _Columns
-) -> tuple[tuple[str, ...], np.ndarray, dict[str, np.ndarray]] | None:
+) -> tuple[tuple[str, ...], np.ndarray, dict[str, np.ndarray], np.ndarray | None] | None:
     """The rows after the header, which spans header_lines lines and
     ends at file position start, read by np.loadtxt from path or handle.
 
@@ -429,12 +458,16 @@ def _byte_rows(cells: np.ndarray) -> np.ndarray:
 
 def _parse_rows(
     path: str, source, skiprows: int, columns: _Columns, as_bytes: dict[str, int]
-) -> tuple[tuple[str, ...], np.ndarray, dict[str, np.ndarray]] | None:
+) -> tuple[tuple[str, ...], np.ndarray, dict[str, np.ndarray], np.ndarray | None] | None:
     """Every data row from source in one np.loadtxt call, grouped into
     subjects by _subjects, which raises on a row set that is no panel.
 
     Returns (subject ids, panel order, {value column: values in file
-    order}), or None when the cells cannot decide: see load_csv.
+    order}, table), or None when the cells cannot decide: see load_csv.
+    table is the (T, K+1) probabilities every subject shares when each
+    probability column was read as bytes that repeat at each t, and the
+    value columns then leave the probability columns out; else it is
+    None.
     """
     try:
         cells = _loadtxt(source, columns, as_bytes, skiprows)
@@ -454,31 +487,30 @@ def _parse_rows(
     subject_ids, order = _subjects(path, cells["id"], t_values)
     t_index = t_values.astype(np.intp) - 1  # _subjects checked that t is 1..T
     first = order[: len(order) // len(subject_ids)]  # the first subject's rows, t = 1..T
+    per_t = {}  # column -> its T floats, when its cells repeat at each t
     for name in columns.prob:
         if name in as_bytes:
-            floats = _prob_values(cells[name], first, t_index)
+            repeats = _repeats_by_t(cells[name], first, t_index)
+            column = cells[name][first] if repeats else cells[name]
+            floats = None if _fills(column) else _floats(column)
             if floats is None:
                 return None
-            values[name] = floats
-    return subject_ids, order, values
+            (per_t if repeats else values)[name] = floats
+    if len(per_t) == len(columns.prob):
+        return subject_ids, order, values, np.column_stack(list(per_t.values()))
+    values.update((name, floats[t_index]) for name, floats in per_t.items())
+    return subject_ids, order, values, None
 
 
-def _prob_values(cells: np.ndarray, first: np.ndarray, t_index: np.ndarray) -> np.ndarray | None:
-    """float() of each cell of a probability column read as bytes, or
-    None when a cell may have been cut or float() rejects one.
-
-    When every cell is byte for byte the cell of row first[t] at its t,
-    only those T cells are converted.
-    """
+def _repeats_by_t(cells: np.ndarray, first: np.ndarray, t_index: np.ndarray) -> bool:
+    """Whether every bytes cell is byte for byte the cell of row
+    first[t] at its t."""
     rows, head = _byte_rows(cells), cells[first]
     step = 1 << 14
-    if all(
+    return all(
         (rows[s : s + step] == _byte_rows(head[t_index[s : s + step]])).all()
         for s in range(0, len(cells), step)
-    ):
-        floats = None if _fills(head) else _floats(head)
-        return None if floats is None else floats[t_index]
-    return None if _fills(cells) else _floats(cells)
+    )
 
 
 def _floats(cells: np.ndarray) -> np.ndarray | None:
@@ -654,18 +686,25 @@ def _to_dataset(
     subject_ids: tuple[str, ...],
     order: np.ndarray,
     values: dict[str, np.ndarray],
+    table: np.ndarray | None = None,
 ) -> MrtDataset:
-    """Arrange the value columns, in file row order, into the validated panel."""
+    """Arrange the value columns, in file row order, into the validated
+    panel.  table, when given, is the (T, K+1) probabilities every
+    subject shares, and values then has no probability column."""
     shape = (len(subject_ids), len(order) // len(subject_ids))
     if not np.array_equal(order, np.arange(len(order))):
-        values = {name: values[name][order] for name in columns.values}
-    panel = {name: values[name].reshape(shape) for name in columns.values}
+        values = {name: column[order] for name, column in values.items()}
+    panel = {name: column.reshape(shape) for name, column in values.items()}
+    if table is None:
+        probs = np.stack([panel[name] for name in columns.prob], axis=2)
+    else:
+        probs = np.broadcast_to(table, (*shape, len(columns.prob)))
     try:
         return MrtDataset(
             subject_ids=subject_ids,
             avail=panel["avail"],
             trt=panel["trt"],
-            probs=np.stack([panel[name] for name in columns.prob], axis=2),
+            probs=probs,
             outcome=panel["outcome"],
             features={name: panel[name] for name in columns.features},
             k_arms=len(columns.prob) - 1,
@@ -704,7 +743,9 @@ def validate(data: MrtDataset) -> tuple[str, ...]:
     and all outcomes and features are finite.  The benchmark's traced
     mode times it under this name.
     """
-    avail, trt, probs, k_arms = data.avail, data.trt, data.probs, data.k_arms
+    avail, trt, k_arms = data.avail, data.trt, data.k_arms
+    # probabilities every subject shares are checked once, as subject 0's
+    probs = stored_probs(data)
 
     def first(mask: np.ndarray) -> tuple[int, str, int]:
         """Subject index, subject id and 1-based t of the first hit."""
@@ -768,7 +809,7 @@ def fit_numerator_probs(data: MrtDataset, policy: NumeratorPolicy) -> np.ndarray
     stay finite even when empirical frequencies hit the boundary.
     """
     tables, errors = numerator_tables(
-        data.avail[None], data.trt[None], data.probs[None], policy, data.k_arms
+        data.avail[None], data.trt[None], stored_probs(data)[None], policy, data.k_arms
     )
     if errors[0] is not None:
         raise errors[0]

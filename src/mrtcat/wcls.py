@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import MrtDataset, NumeratorPolicy, numerator_tables
+from .data import MrtDataset, NumeratorPolicy, numerator_tables, stored_probs
 from .errors import DataValidationError, DegenerateArmError, SingularSystemError
 from .numerics import SpdStack, apply_spd_inverse, solve_spd_stack
 
@@ -548,12 +548,15 @@ def fit_wcls(data: MrtDataset, spec: ModelSpec) -> FitResult:
     SingularSystemError when the normal matrix is singular anyway, and
     DataValidationError when there are too few subjects for the
     covariance to make sense.  The work is fit_stack on a stack of one,
-    then covariance_stack on its sums.
+    then covariance_stack on its sums.  Probabilities that every subject
+    shares, which the dataset stores once, go to fit_stack as one
+    (1, 1, T, K+1) table, so the numerator table and the weight quotients
+    are computed on T rows, not n * T.
     """
     fit = fit_stack(
         data.avail[None],
         data.trt[None],
-        data.probs[None],
+        stored_probs(data)[None],
         data.outcome[None],
         {name: arr[None] for name, arr in data.features.items()},
         data.k_arms,

@@ -317,6 +317,59 @@ class TestEstimate:
         assert loads == []
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize(
+        "numerator", [None, "match_randomization", "empirical_per_t", "empirical_pooled"]
+    )
+    @pytest.mark.parametrize("table", ["missing.csv", "table.csv"])
+    def test_numerator_table_without_user_supplied_exits_two_before_reading_the_panel(
+        self, tmp_path, capsys, monkeypatch, numerator, table
+    ):
+        loads = []
+
+        def counted(*args, **kwargs):
+            loads.append(args)
+            return mrtcat.data.load_csv(*args, **kwargs)
+
+        monkeypatch.setattr(mrtcat.cli, "load_csv", counted)
+        data = tmp_path / "toy.csv"
+        write_k1_csv(data)
+        (tmp_path / "table.csv").write_text("0.5,0.5\n0.5,0.5\n")
+        argv = [
+            "estimate",
+            "--data", str(data),
+            "--f-cols", "intercept",
+            "--g-cols", "intercept",
+            "--numerator-table", str(tmp_path / table),
+            "--out", str(tmp_path / "x.json"),
+        ]
+        if numerator is not None:
+            argv += ["--numerator", numerator]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: --numerator-table ")
+        assert "--numerator user_supplied" in err
+        assert loads == []
+        assert not (tmp_path / "x.json").exists()
+
+    def test_user_supplied_without_table_exits_two_before_reading_the_panel(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(mrtcat.cli, "load_csv", None)  # a call would raise TypeError
+        code = main(
+            [
+                "estimate",
+                "--data", str(tmp_path / "missing.csv"),
+                "--f-cols", "intercept",
+                "--g-cols", "intercept",
+                "--numerator", "user_supplied",
+                "--out", str(tmp_path / "x.json"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --numerator user_supplied requires --numerator-table\n"
+        )
+
 
 class TestSamplesize:
     def test_golden_config(self, tmp_path):

@@ -1071,6 +1071,139 @@ class TestDatasetArrays:
         assert data.outcome[0, 0] == 0.0
 
 
+def shared_storage(probs) -> bool:
+    """Whether a dataset's probs are one table broadcast over the subjects."""
+    return probs.strides[0] == 0
+
+
+class TestStoredProbs:
+    """Probabilities every subject shares bitwise are stored once, as a
+    read-only (n, T, K+1) broadcast of the dataset's own table; others
+    are stored in full.  Both hold the caller's values, byte for byte."""
+
+    TABLE = np.array([[0.5, 0.25, 0.25], [0.4, 0.3, 0.3], [0.7, 0.2, 0.1]])
+
+    @staticmethod
+    def dataset(probs) -> MrtDataset:
+        n = len(probs)
+        return MrtDataset(
+            subject_ids=tuple(f"s{i}" for i in range(n)),
+            avail=np.ones((n, 3), dtype=np.int64),
+            trt=np.tile([0, 1, 2], (n, 1)),
+            probs=probs,
+            outcome=np.zeros((n, 3)),
+            features={},
+            k_arms=2,
+        )
+
+    @pytest.mark.parametrize("source", ["broadcast", "copy", "list"])
+    def test_shared_table_is_stored_once(self, source):
+        probs = np.broadcast_to(self.TABLE, (4, 3, 3))
+        given = {"broadcast": probs, "copy": probs.copy(), "list": probs.tolist()}[source]
+        data = self.dataset(given)
+        assert shared_storage(data.probs)
+        assert (data.probs.shape, data.probs.dtype) == ((4, 3, 3), np.dtype(float))
+        assert data.probs.tobytes() == probs.tobytes()
+        assert not np.shares_memory(data.probs, self.TABLE)
+
+    @pytest.mark.parametrize("change", ["ulp", "negative_zero"])
+    def test_subject_that_differs_bitwise_keeps_full_storage(self, change):
+        table = self.TABLE.copy()
+        table[1] = [0.5, 0.5, 0.0]
+        probs = np.broadcast_to(table, (4, 3, 3)).copy()
+        if change == "ulp":
+            probs[2, 0, 1] = np.nextafter(0.25, 1.0)
+        else:
+            probs[3, 1, 2] = -0.0
+        data = self.dataset(probs)
+        assert not shared_storage(data.probs)
+        assert data.probs.tobytes() == probs.tobytes()
+        negative = [False, False, False, change == "negative_zero"]
+        assert np.signbit(data.probs[:, 1, 2]).tolist() == negative
+
+    @pytest.mark.parametrize("source", ["broadcast", "copy", "varying"])
+    def test_callers_array_change_leaves_probs_alone(self, source):
+        table = self.TABLE.copy()
+        if source == "broadcast":
+            given, caller = np.broadcast_to(table, (4, 3, 3)), table
+        else:
+            given = caller = np.broadcast_to(table, (4, 3, 3)).copy()
+            if source == "varying":
+                caller[3, 2] = [0.6, 0.3, 0.1]
+        data = self.dataset(given)
+        before = data.probs.tobytes()
+        caller[...] = 0.0
+        assert data.probs.tobytes() == before
+        assert not data.probs.flags.writeable
+        with pytest.raises(ValueError):
+            data.probs[0, 0, 0] = 1.0
+        # freezing the dataset's arrays leaves the caller's array writable
+        assert given.flags.writeable == (source != "broadcast")
+
+    def test_validate_checks_a_shared_table_once(self):
+        table = self.TABLE.copy()
+        table[2] = [0.7, 0.3, 0.0]
+        message = "realized arm has zero probability (subject 's0', t=3, arm 2)"
+        with pytest.raises(DataValidationError, match=exactly(message)):
+            self.dataset(np.broadcast_to(table, (4, 3, 3)))
+        table = self.TABLE.copy()
+        table[1] = [0.4, 0.3, 0.4]
+        message = "probabilities do not sum to 1 (subject 's0', t=2, sum=1.1)"
+        with pytest.raises(DataValidationError, match=exactly(message)):
+            self.dataset(np.broadcast_to(table, (4, 3, 3)))
+
+    @staticmethod
+    def panel_file(path, respell=None):
+        """A simulated panel written by write_csv, with respell applied to
+        the probability cells of the fourth subject at t = 2."""
+        config = GenerativeConfig(
+            family="gm0", t_points=5, rand_probs=np.array([0.4, 0.3]), tau_curve=np.ones(5)
+        )
+        write_csv(simulate_trial(config, 7, seed=3), str(path))
+        header, *rows = path.read_text().splitlines()
+        if respell is not None:
+            fields = rows[3 * 5 + 1].split(",")
+            assert fields[:2] == ["4", "2"]
+            fields[4:7] = respell(fields[4:7])
+            rows[3 * 5 + 1] = ",".join(fields)
+        path.write_text("\n".join([header, *rows]) + "\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "respell,passed,stored",
+        [
+            (None, True, True),
+            # the same floats in other bytes: found by value
+            (lambda cells: [f"{float(c):.18e}" for c in cells], False, True),
+            # prob_1 one ulp up: kept in full
+            (lambda cells: [cells[0], repr(np.nextafter(float(cells[1]), 1.0).item()), cells[2]],
+             False, False),
+        ],
+        ids=["repeated", "respelled", "one_ulp_off"],
+    )
+    def test_load_csv_passes_a_repeated_table_as_a_broadcast(
+        self, tmp_path, monkeypatch, respell, passed, stored
+    ):
+        plain = load_csv(str(self.panel_file(tmp_path / "plain.csv")))
+        path = self.panel_file(tmp_path / "panel.csv", respell)
+        given = []
+        copy_probs = mrtcat.data._copy_probs
+
+        def spy(probs):
+            given.append(shared_storage(probs))
+            return copy_probs(probs)
+
+        monkeypatch.setattr(mrtcat.data, "_copy_probs", spy)
+        data = load_csv(str(path))
+        assert given == [passed]
+        assert shared_storage(data.probs) == stored
+        assert agree(path)[2] == [
+            (a.dtype.str, a.shape, a.tobytes())
+            for a in (data.avail, data.trt, data.probs, data.outcome, *data.features.values())
+        ]
+        assert (data.probs.tobytes() == plain.probs.tobytes()) == stored
+
+
 class TestNumeratorProbs:
     def test_match_randomization_copies_constant_probs(self):
         data = make_dataset(trt=[[0, 1], [2, 0]], outcome=np.zeros((2, 2)), probs=(0.4, 0.3, 0.3))

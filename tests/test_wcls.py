@@ -1,13 +1,17 @@
+from unittest import mock
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import mrtcat.data
 from mrtcat import (
     DataValidationError,
     DegenerateArmError,
     ModelSpec,
+    MrtDataset,
     NumeratorPolicy,
     NumericalError,
     SingularSystemError,
@@ -860,3 +864,141 @@ class TestErrors:
             make_dataset(
                 trt=[[1], [0], [1], [0]], outcome=[[np.inf], [0.0], [0.0], [0.0]], probs=(0.5, 0.5)
             )
+
+
+def full_storage(**arrays) -> MrtDataset:
+    """An MrtDataset that keeps its probabilities as a full (n, T, K+1)
+    copy, as it did before shared tables were stored once."""
+    with mock.patch.object(mrtcat.data, "_copy_probs", np.array):
+        return MrtDataset(**arrays)
+
+
+def built(make, arrays):
+    """make(**arrays), or the message of the DataValidationError it raises."""
+    try:
+        return make(**arrays)
+    except DataValidationError as exc:
+        return str(exc)
+
+
+def fit_bytes(data, spec):
+    """fit_wcls's result as bytes, or the type and message of its error."""
+    try:
+        fit = fit_wcls(data, spec)
+    except (DataValidationError, NumericalError) as exc:
+        return type(exc), str(exc)
+    arrays = (fit.alpha_hat, fit.beta_hat, fit.cov_beta, fit.residuals, fit.numerator_table)
+    return [a.tobytes() for a in arrays], fit.md_fallbacks
+
+
+@st.composite
+def shared_prob_panels(draw):
+    """MrtDataset arguments of a small panel whose probabilities are one
+    (T, K+1) table broadcast over the subjects, sometimes with a flaw
+    that validate reports."""
+    k_arms, t_points = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    n = draw(st.integers(k_arms + 3, k_arms + 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.uniform(0.05, 1.0, (t_points, k_arms + 1))
+    table /= table.sum(axis=1, keepdims=True)
+    t, k = rng.integers(t_points), rng.integers(k_arms + 1)
+    flaw = draw(st.sampled_from([None] * 6 + ["zero", "negative", "sum", "nan"]))
+    if flaw == "zero":
+        table[t, k] = 0.0
+        table[t] /= table[t].sum()
+    elif flaw == "negative":
+        table[t, k] = -table[t, k]
+    elif flaw == "sum":
+        table[t, k] += 1e-6
+    elif flaw == "nan":
+        table[t, k] = np.nan
+    avail = (rng.random((n, t_points)) < 0.8).astype(np.int64)
+    return dict(
+        subject_ids=tuple(f"s{i}" for i in range(n)),
+        avail=avail,
+        trt=rng.integers(0, k_arms + 1, (n, t_points)) * avail,
+        probs=np.broadcast_to(table, (n, t_points, k_arms + 1)),
+        outcome=rng.normal(size=(n, t_points)),
+        features={"z": rng.normal(size=(n, t_points))},
+        k_arms=k_arms,
+    )
+
+
+class TestStoredProbs:
+    """A dataset that stores its shared probabilities once validates and
+    fits bitwise as one that stores all n copies."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(shared_prob_panels(), st.sampled_from((1, 2)), st.sampled_from(CORRECTIONS))
+    def test_shared_and_full_storage_agree_bitwise(self, arrays, delta, correction):
+        shared, full = built(MrtDataset, arrays), built(full_storage, arrays)
+        if isinstance(shared, str):
+            assert shared == full
+            return
+        assert shared.probs.strides[0] == 0 and full.probs.strides[0] != 0
+        assert (shared.probs.shape, shared.probs.dtype, shared.probs.tobytes()) == (
+            full.probs.shape, full.probs.dtype, full.probs.tobytes()
+        )
+        assert mrtcat.data.validate(shared) == mrtcat.data.validate(full) == ()
+        width = shared.k_arms + 1
+        user = np.full((shared.t_points, width), 1.0 / width)
+        for policy in (
+            NumeratorPolicy("match_randomization"),
+            NumeratorPolicy("empirical_per_t"),
+            NumeratorPolicy("empirical_pooled"),
+            NumeratorPolicy("user_supplied", table=user),
+        ):
+            spec = ModelSpec(g_columns=("z",), delta=delta, numerator=policy,
+                             correction=correction)
+            assert fit_bytes(shared, spec) == fit_bytes(full, spec)
+
+    @pytest.mark.parametrize(
+        "change,kind",
+        [
+            ("ulp", "match_randomization"),
+            ("negative_zero", "match_randomization"),
+            ("ulp", "user_supplied"),
+            ("negative_zero", "user_supplied"),
+            ("varies", "user_supplied"),
+        ],
+    )
+    @pytest.mark.parametrize("correction", CORRECTIONS)
+    def test_subject_that_differs_bitwise_matches_loop_oracle(self, change, kind, correction):
+        rng = np.random.default_rng(29)
+        n, t_points = 12, 4
+        avail = (rng.random((n, t_points)) < 0.85).astype(np.int64)
+        avail[:3] = 1
+        trt = rng.integers(0, 3, size=(n, t_points)) * avail
+        trt[:3] = np.arange(3)[:, None]
+        probs = np.broadcast_to([0.5, 0.25, 0.25], (n, t_points, 3)).copy()
+        # arm 2 has probability zero at t = 2, where no subject takes it
+        probs[:, 1] = [0.5, 0.5, 0.0]
+        trt[:, 1] = np.minimum(trt[:, 1], 1)
+        if change == "ulp":
+            probs[5, 2, 1] = np.nextafter(0.25, 1.0)
+        elif change == "negative_zero":
+            probs[5, 1, 2] = -0.0
+        else:
+            probs[5, [0, 2, 3]] = [0.6, 0.2, 0.2]
+        data = make_dataset(
+            trt=trt, outcome=rng.normal(size=(n, t_points)), avail=avail, probs=probs,
+            features={"z": rng.normal(size=(n, t_points))},
+        )
+        assert data.probs.strides[0] != 0
+        assert data.probs.tobytes() == probs.tobytes()
+        if kind == "user_supplied":
+            ptilde = np.tile([0.5, 0.3, 0.2], (t_points, 1))  # sums to 1 exactly
+            policy = NumeratorPolicy(kind, table=ptilde)
+        else:
+            ptilde = numerator_table_loops(data, kind)
+            policy = NumeratorPolicy(kind)
+        spec = ModelSpec(f_columns=("z",), g_columns=("z",), numerator=policy,
+                         correction=correction)
+        fit = fit_wcls(data, spec)
+        np.testing.assert_array_equal(fit.numerator_table, ptilde)
+        oracle = wcls_fit_loops(data, ptilde, ("z",), ("z",), 1)
+        weights, _, _, _ = design_arrays(data, spec)
+        np.testing.assert_array_equal(weights, oracle["w"])
+        np.testing.assert_allclose(fit.alpha_hat, oracle["alpha"], atol=1e-10)
+        np.testing.assert_allclose(fit.beta_hat, oracle["beta"], atol=1e-10)
+        np.testing.assert_allclose(fit.cov_beta, sandwich_loops(oracle, correction), atol=1e-10)
