@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .data import NumeratorPolicy, load_csv
+from .data import NumeratorPolicy, _read_columns, load_csv
 from .design import (
     SEARCH_CAP_DEFAULT,
     _CONFIG_STEPS,
@@ -29,7 +29,7 @@ from .design import (
 from .errors import DataValidationError, NumericalError
 from .inference import CiRow, build_contrast, confidence_intervals, parse_contrast_text, wald_test
 from .simulate import THREADS_ENV, run_monte_carlo, scenario_from_config
-from .wcls import ModelSpec, fit_wcls
+from .wcls import ModelSpec, _check_columns, fit_wcls
 from ._kvconfig import parse_kv_file, parse_rows
 
 EXIT_OK = 0
@@ -113,6 +113,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "--numerator-table is read only with --numerator user_supplied, "
             f"not with --numerator {args.numerator}"
         )
+    # the header names the features and K, so that a misspelled column or a
+    # bad contrast fails before the rows are parsed
+    columns = _read_columns(args.data)
+    f_columns, g_columns = _parse_columns(args.f_cols), _parse_columns(args.g_cols)
+    _check_columns(columns.features, f_columns, g_columns)
+    if args.contrast:
+        l_matrix = _load_contrast(args.contrast, len(columns.prob) - 1)
     data = load_csv(args.data)
     if user_supplied:
         table = _read_rows(args.numerator_table, "numerator table")
@@ -120,8 +127,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     else:
         policy = NumeratorPolicy(kind=args.numerator)
     spec = ModelSpec(
-        f_columns=_parse_columns(args.f_cols),
-        g_columns=_parse_columns(args.g_cols),
+        f_columns=f_columns,
+        g_columns=g_columns,
         delta=args.delta,
         numerator=policy,
         correction=args.correction,
@@ -150,7 +157,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     }
 
     if args.contrast:
-        l_matrix = _load_contrast(args.contrast, fit.k_arms)
         contrast = build_contrast(l_matrix, fit.p)
         test = wald_test(fit, contrast, args.alpha)
         contrast_rows = [

@@ -47,8 +47,16 @@ _PROB_WIDTH = 25
 # this, in a field twice as wide as the longest of them, plus 8 (80 for
 # 36-character UUIDs).  An id that fills the field may have been cut.
 _ID_LENGTH = 64
-# The rows load_csv reads first to guess which columns to read as bytes.
+# The rows load_csv reads first to guess which columns to read as bytes
+# or as integers.
 _SAMPLE_ROWS = 4096
+# The columns that hold integers, and the magnitude up to which f8 holds
+# every integer exactly: a file with a larger one is read as f8, so that
+# its messages quote the value as f8 rounds it.
+_INTEGER_COLUMNS = ("t", "avail", "trt")
+_EXACT_INT = 2**53
+# The most bytes _blocks_repeat copies out of the record at a time.
+_COMPARE_BYTES = 1 << 18
 # Suffixes np.loadtxt decompresses when it opens a path.  A file named so
 # is handed to it open, so that its bytes are read as they are.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
@@ -308,41 +316,52 @@ def load_csv(path: str) -> MrtDataset:
     and a double quote (numpy opens a path with universal newlines,
     which would turn a CR inside a quoted cell into LF) or its name ends
     in a suffix numpy decompresses (.gz, .bz2, .xz, .lzma); such a file
-    is handed to it open.  The call reads as bytes the probability
-    columns whose cells repeat at each t in the first rows of the file,
-    and the ids when the ids there are Latin-1 text of at most 64
-    characters; it parses the other columns.  Bytes ids are compared
-    subject block by subject block, and only the first id of each block
-    is decoded, unless the rows are out of panel order.  When every cell
-    of a bytes probability column is byte for byte the first subject's
-    cell at the same t, only those T cells are converted, with float();
+    is handed to it open.  What the first rows of the file show decides
+    how the call reads each column:
+
+    - t, avail and trt are parsed as int64 when numpy's integer parser
+      takes every such cell there, and as f8 otherwise.
+    - A probability column whose cells repeat at each t there is read
+      as bytes, and so are the ids when they are Latin-1 text of at
+      most 64 characters there.
+    - Every other column is parsed as f8.
+
+    Bytes ids are compared subject block by subject block, and only the
+    first id of each block is decoded, unless the rows are out of panel
+    order.  When the rows are in panel order and every probability
+    column is read as bytes, in adjacent fields, one pass over those
+    bytes checks that each subject's block is the first subject's;
+    otherwise, or when that pass finds a difference, each column is
+    checked alone against the first subject's cell at each t.  When a
+    column repeats, only its T cells are converted, with float();
     otherwise each cell is.  float() and numpy's parser round alike, so
     the values are the same either way.  When every probability column
-    takes the first route, the dataset is given those T rows as one
-    (T, K+1) table broadcast over the subjects and stores it once, so no
-    (n, T, K+1) array is built; data.probs is still a read-only
-    (n, T, K+1) array (see MrtDataset).  When the bytes
-    cannot decide (a cell that fills its field or that float() rejects,
-    a NUL in the file, or a cell numpy cannot store as bytes, such as an
-    id outside Latin-1 past the first rows), the rows are read again
-    with the ids as str and every value column parsed by numpy.  When
-    that cannot decide either (a cell its parser rejects, a row of the
-    wrong width, a whitespace-only line, no data rows, or a
-    t/avail/trt value that is not an integer in the int64 range), the
-    rows are read again by a csv.reader scanner that converts each cell
-    with float() and words the error.  Every route gives the same
-    dataset or the same message: the scanner also loads what float()
-    accepts and numpy does not, such as digit separators (1_0).  A UTF-8
-    byte order mark at the start of the file is skipped.
+    repeats, the dataset is given those T rows as one (T, K+1) table
+    broadcast over the subjects and stores it once, so no (n, T, K+1)
+    array is built; data.probs is still a read-only (n, T, K+1) array
+    (see MrtDataset).
+
+    When that read cannot decide, the rows are read again with the ids
+    as str and every value column parsed as f8.  It cannot decide on a
+    cell the integer parser rejects past the first rows (such as 1.0,
+    1e0 or nan), an integer beyond 2**53 in magnitude (f8 rounds it, and
+    a message quotes the rounded value), a bytes cell that fills its
+    field or that float() rejects, a NUL in the file, or a cell numpy
+    cannot store as bytes, such as an id outside Latin-1 past the first
+    rows.  When the f8 read cannot decide either (a cell its parser
+    rejects, a row of the wrong width, a whitespace-only line, no data
+    rows, or a t/avail/trt value that is not an integer in the int64
+    range), the rows are read again by a csv.reader scanner that
+    converts each cell with float() and words the error.  Every route
+    gives the same dataset or the same message: the scanner also loads
+    what float() accepts and numpy does not, such as digit separators
+    (1_0).  A UTF-8 byte order mark at the start of the file is skipped.
 
     The path must name a regular file, since the loader reads it more
     than once: a pipe, a FIFO or a directory raises DataValidationError
     before anything is opened, so a FIFO with no writer cannot block.
     """
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        raise DataValidationError(
-            f"{path}: not a regular file; the input must be written to a file first"
-        )
+    _check_regular(path)
     with open(path, newline="", encoding="utf-8-sig") as handle:
         # readline, not iteration, so that tell() can mark where the rows start
         lines = iter(handle.readline, "")
@@ -359,47 +378,62 @@ def load_csv(path: str) -> MrtDataset:
     return _to_dataset(path, columns, *panel)
 
 
+def _check_regular(path: str) -> None:
+    """Raise unless path names a regular file, before anything opens it."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise DataValidationError(
+            f"{path}: not a regular file; the input must be written to a file first"
+        )
+
+
+def _read_columns(path: str) -> _Columns:
+    """The columns of path's header, which load_csv would read: raises
+    what load_csv raises on the path or the header, and reads no row,
+    so that a caller can check names against them first."""
+    _check_regular(path)
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        return _read_header(path, csv.reader(handle))
+
+
 def _read_panel(
     path: str, handle: TextIO, start: int, header_lines: int, columns: _Columns
 ) -> tuple[tuple[str, ...], np.ndarray, dict[str, np.ndarray], np.ndarray | None] | None:
     """The rows after the header, which spans header_lines lines and
     ends at file position start, read by np.loadtxt from path or handle.
 
-    Returns what _parse_rows returns, reading as bytes the columns that
-    look worth it, and reading again without bytes when they cannot
-    decide.
+    Returns what _parse_rows returns, reading as bytes or as integers
+    the columns that look worth it, and reading again with every value
+    column as f8 when they cannot decide.
     """
     handle.seek(start)
-    as_bytes = _repeating_columns(handle, columns)
+    dtypes = _repeating_columns(handle, columns)
     found = _special_bytes(path)
     if b"\0" in found:
-        as_bytes = {}  # a bytes cell would lose a NUL at its end
+        dtypes = {}  # a bytes cell would lose a NUL at its end: read as f8
     if {b"\r", b'"'} <= found or os.path.splitext(path)[1] in _COMPRESSED:
         source, skiprows = handle, 0
     else:
         # "./" before a relative path: numpy's opener never takes it for a URL
         source, skiprows = os.path.join(os.curdir, path), header_lines
     handle.seek(start)
-    panel = _parse_rows(path, source, skiprows, columns, as_bytes)
-    if panel is None and as_bytes:
+    panel = _parse_rows(path, source, skiprows, columns, dtypes)
+    if panel is None and dtypes:
         handle.seek(start)
         panel = _parse_rows(path, source, skiprows, columns, {})
     return panel
 
 
 def _loadtxt(
-    source, columns: _Columns, as_bytes: dict[str, int], skiprows: int = 0
+    source, columns: _Columns, dtypes: dict[str, str], skiprows: int = 0
 ) -> dict[str, np.ndarray]:
     """The cells of source (a path, a file handle or a list of lines) by
     header column, from one np.loadtxt call that skips the first skiprows
-    lines: the columns in as_bytes as bytes fields of the width it gives,
-    the id otherwise as str objects, every other column as f8.  The
-    columns are fields of one record array."""
+    lines: the columns in dtypes with the numpy dtype it gives (bytes
+    fields "S<width>" or "i8"), the id otherwise as str objects, every
+    other column as f8.  The columns are fields of one record array."""
 
     def cell(name: str):
-        if name in as_bytes:
-            return f"S{as_bytes[name]}"
-        return object if name == "id" else "f8"
+        return dtypes.get(name, object if name == "id" else "f8")
 
     dtype = np.dtype([(f"f{j}", cell(name)) for j, name in enumerate(columns.header)])
     rows = np.loadtxt(
@@ -409,31 +443,40 @@ def _loadtxt(
     return {name: rows[f"f{j}"] for j, name in enumerate(columns.header)}
 
 
-def _repeating_columns(handle: TextIO, columns: _Columns) -> dict[str, int]:
-    """The columns to read as bytes, with their field widths: the
-    probability columns whose cells, in the first rows from handle, are
-    the same at each t and none fills the field, and the id when every
-    id there is Latin-1 text of at most _ID_LENGTH characters.
+def _repeating_columns(handle: TextIO, columns: _Columns) -> dict[str, str]:
+    """The columns to read other than as _loadtxt's default, with their
+    dtypes: t, avail and trt as i8 when numpy's integer parser takes
+    every such cell in the first rows from handle; the probability
+    columns whose cells there are the same at each t, and none fills
+    the field, as bytes; and the id as bytes when every id there is
+    Latin-1 text of at most _ID_LENGTH characters.
 
     A guess that only speed depends on: reading a column whose cells
-    vary as bytes costs more than parsing it.  _parse_rows checks every
-    cell.
+    vary as bytes costs more than parsing it, and a cell the integer
+    parser rejects past these rows (such as 1.0) costs a second full
+    read.  _parse_rows checks every cell.
     """
+    probs = dict.fromkeys(columns.prob, f"S{_PROB_WIDTH}")
+    ints = dict.fromkeys(_INTEGER_COLUMNS, "i8")
     try:
         sample = list(islice(filter(str.strip, iter(handle.readline, "")), _SAMPLE_ROWS))
-        cells = _loadtxt(sample, columns, dict.fromkeys(columns.prob, _PROB_WIDTH))
+        try:
+            cells = _loadtxt(sample, columns, {**probs, **ints})
+        except ValueError:
+            ints = {}
+            cells = _loadtxt(sample, columns, probs)
     except ValueError:  # including UnicodeDecodeError: the scanner words it
         return {}
     _, first, group = np.unique(cells["t"], return_index=True, return_inverse=True)
-    as_bytes = {
-        name: _PROB_WIDTH
-        for name in columns.prob
+    dtypes = {
+        name: dtype
+        for name, dtype in probs.items()
         if not _fills(cells[name]) and (cells[name] == cells[name][first][group]).all()
     }
     longest = max(map(len, cells["id"]), default=0)
     if longest <= _ID_LENGTH and max("".join(cells["id"]), default="") <= "\xff":
-        as_bytes["id"] = 2 * longest + 8
-    return as_bytes
+        dtypes["id"] = f"S{2 * longest + 8}"
+    return {**dtypes, **ints}
 
 
 def _special_bytes(path: str) -> set[bytes]:
@@ -446,8 +489,9 @@ def _special_bytes(path: str) -> set[bytes]:
 
 
 def _fills(cells: np.ndarray) -> bool:
-    """Whether a cell of a bytes column fills its field."""
-    return bool((np.char.str_len(cells) >= cells.dtype.itemsize).any())
+    """Whether a cell of a bytes column fills its field: numpy pads a
+    shorter cell with NULs, so its last byte is not NUL."""
+    return bool(_byte_rows(cells)[:, -1].any())
 
 
 def _byte_rows(cells: np.ndarray) -> np.ndarray:
@@ -457,7 +501,7 @@ def _byte_rows(cells: np.ndarray) -> np.ndarray:
 
 
 def _parse_rows(
-    path: str, source, skiprows: int, columns: _Columns, as_bytes: dict[str, int]
+    path: str, source, skiprows: int, columns: _Columns, dtypes: dict[str, str]
 ) -> tuple[tuple[str, ...], np.ndarray, dict[str, np.ndarray], np.ndarray | None] | None:
     """Every data row from source in one np.loadtxt call, grouped into
     subjects by _subjects, which raises on a row set that is no panel.
@@ -470,27 +514,29 @@ def _parse_rows(
     None.
     """
     try:
-        cells = _loadtxt(source, columns, as_bytes, skiprows)
+        cells = _loadtxt(source, columns, dtypes, skiprows)
     except ValueError:
         return None
+    as_bytes = {name for name, dtype in dtypes.items() if dtype.startswith("S")}
     # Copies, so that the record array is freed on return.
     values = {
         name: np.ascontiguousarray(cells[name])
         for name in ("t", *columns.values)
         if name not in as_bytes
     }
-    if not all(_integral(values[name]).all() for name in ("t", "avail", "trt")):
+    if not all(_exact_integers(values[name]) for name in _INTEGER_COLUMNS):
         return None
     if "id" in as_bytes and _fills(cells["id"]):
         return None
     t_values = values.pop("t")
     subject_ids, order = _subjects(path, cells["id"], t_values)
-    t_index = t_values.astype(np.intp) - 1  # _subjects checked that t is 1..T
+    t_index = t_values.astype(np.intp, copy=False) - 1  # _subjects checked that t is 1..T
     first = order[: len(order) // len(subject_ids)]  # the first subject's rows, t = 1..T
+    shared = as_bytes >= set(columns.prob) and _blocks_repeat(cells, columns, order, len(first))
     per_t = {}  # column -> its T floats, when its cells repeat at each t
     for name in columns.prob:
         if name in as_bytes:
-            repeats = _repeats_by_t(cells[name], first, t_index)
+            repeats = shared or _repeats_by_t(cells[name], first, t_index)
             column = cells[name][first] if repeats else cells[name]
             floats = None if _fills(column) else _floats(column)
             if floats is None:
@@ -500,6 +546,44 @@ def _parse_rows(
         return subject_ids, order, values, np.column_stack(list(per_t.values()))
     values.update((name, floats[t_index]) for name, floats in per_t.items())
     return subject_ids, order, values, None
+
+
+def _exact_integers(values: np.ndarray) -> bool:
+    """Whether a t, avail or trt column holds what every route reads
+    alike: read as i8, integers of magnitude at most 2**53, which f8
+    holds exactly; read as f8, integers in the int64 range."""
+    if values.dtype.kind == "i":
+        return bool(((values >= -_EXACT_INT) & (values <= _EXACT_INT)).all())
+    return bool(_integral(values).all())
+
+
+def _blocks_repeat(
+    cells: dict[str, np.ndarray], columns: _Columns, order: np.ndarray, t_points: int
+) -> bool:
+    """Whether the rows are in panel order, the probability columns are
+    adjacent bytes fields of the record, and every subject's T rows of
+    those fields are byte for byte the first subject's.
+
+    One pass over the bytes of the fields, with no gather: each chunk of
+    subjects is copied out (at most _COMPARE_BYTES at a time) and
+    compared with as many copies of the first subject's bytes.
+    """
+    positions = [columns.header.index(name) for name in columns.prob]
+    if positions[-1] - positions[0] != len(positions) - 1:
+        return False
+    if not np.array_equal(order, np.arange(len(order))):
+        return False
+    head = _byte_rows(cells[columns.prob[0]])
+    width = sum(cells[name].dtype.itemsize for name in columns.prob)
+    # Rows of the adjacent fields' bytes, a view that reads past the
+    # first field into the next ones of the same record.
+    rows = np.lib.stride_tricks.as_strided(
+        head, (len(head), width), head.strides, writeable=False
+    )
+    step = max(1, _COMPARE_BYTES // (t_points * width)) * t_points
+    expected = rows[:t_points].tobytes() * (step // t_points)
+    chunks = (rows[s : s + step].tobytes() for s in range(0, len(rows), step))
+    return all(chunk == expected[: len(chunk)] for chunk in chunks)
 
 
 def _repeats_by_t(cells: np.ndarray, first: np.ndarray, t_index: np.ndarray) -> bool:

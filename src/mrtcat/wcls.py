@@ -121,18 +121,24 @@ def check_model(n: int, t_points: int, feature_names, spec: ModelSpec, k_arms: i
         raise DataValidationError(
             f"delta={spec.delta} leaves no usable decision points in a panel with T={t_points}"
         )
-    for columns, label in ((spec.f_columns, "moderator"), (spec.g_columns, "control")):
-        for name in columns:
-            if name not in feature_names:
-                raise DataValidationError(
-                    f"{label} column {name!r} not in dataset features {sorted(feature_names)}"
-                )
+    _check_columns(feature_names, spec.f_columns, spec.g_columns)
     dim = spec.q + k_arms * spec.p
     if n <= dim:
         raise DataValidationError(
             f"n={n} subjects cannot support a sandwich covariance for "
             f"q + K*p = {dim} coefficients; need n > {dim}"
         )
+
+
+def _check_columns(feature_names, f_columns, g_columns) -> None:
+    """Raise when a moderator or control column is not among the
+    feature_names."""
+    for columns, label in ((f_columns, "moderator"), (g_columns, "control")):
+        for name in columns:
+            if name not in feature_names:
+                raise DataValidationError(
+                    f"{label} column {name!r} not in dataset features {sorted(feature_names)}"
+                )
 
 
 def scratch(workspace: dict | None, name: str, shape: tuple, dtype=float) -> np.ndarray:

@@ -351,6 +351,53 @@ class TestEstimate:
         assert loads == []
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (
+                ["--g-cols", "moood"],
+                "control column 'moood' not in dataset features ['mood']",
+            ),
+            (
+                ["--f-cols", "mood, intercept,stress"],
+                "moderator column 'stress' not in dataset features ['mood']",
+            ),
+            (["--contrast", "1,0;1"], "contrast '1,0;1': row 2 has 1 entries, expected 2"),
+            (
+                ["--contrast", "{dir}/contrast.csv"],
+                "contrast file '{dir}/contrast.csv' must have 2 columns, got 3",
+            ),
+        ],
+        ids=["control", "moderator", "contrast_text", "contrast_file"],
+    )
+    def test_names_and_contrast_exit_two_before_the_rows_are_parsed(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        # The rows hold a bad cell too: the header decides first.
+        reads = []
+        loadtxt = mrtcat.data._loadtxt
+
+        def counted(*args, **kwargs):
+            reads.append(args)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(mrtcat.data, "_loadtxt", counted)
+        data = tmp_path / "toy.csv"
+        write_k2_csv(data)
+        text = data.read_text().splitlines()
+        header = text[0] + ",mood"
+        rows = [line + ",0.5" for line in text[1:]]
+        rows[3] = rows[3][: -len("0.5")] + "oops"
+        data.write_text("\n".join([header, *rows]) + "\n")
+        (tmp_path / "contrast.csv").write_text("1,0,0\n")
+        argv = ["estimate", "--data", str(data), "--f-cols", "intercept", "--g-cols", "mood"]
+        argv += ["--out", str(tmp_path / "x.json")]
+        argv += [flag.replace("{dir}", str(tmp_path)) for flag in flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message.replace('{dir}', str(tmp_path))}\n"
+        assert reads == []
+        assert not (tmp_path / "x.json").exists()
+
     def test_user_supplied_without_table_exits_two_before_reading_the_panel(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -371,16 +371,18 @@ def scans(monkeypatch):
 @pytest.fixture
 def reads(monkeypatch):
     """The full reads load_csv makes during a test, not its sample reads:
-    what np.loadtxt is given ("path" or "handle"), the lines it skips and
-    the columns it reads as bytes."""
+    what np.loadtxt is given ("path" or "handle"), the lines it skips,
+    the columns it reads as bytes and the columns it reads as int64."""
     calls = []
     loadtxt = mrtcat.data._loadtxt
 
-    def spy(source, columns, as_bytes, skiprows=0):
+    def spy(source, columns, dtypes, skiprows=0):
         if not isinstance(source, list):
             kind = "path" if isinstance(source, str) else "handle"
-            calls.append((kind, skiprows, sorted(as_bytes)))
-        return loadtxt(source, columns, as_bytes, skiprows)
+            as_bytes = sorted(name for name, dtype in dtypes.items() if dtype.startswith("S"))
+            ints = sorted(name for name, dtype in dtypes.items() if dtype == "i8")
+            calls.append((kind, skiprows, as_bytes, ints))
+        return loadtxt(source, columns, dtypes, skiprows)
 
     monkeypatch.setattr(mrtcat.data, "_loadtxt", spy)
     return calls
@@ -647,6 +649,62 @@ class TestFastPath:
         agree(path)
         assert scans == []
 
+    @pytest.fixture
+    def column_compares(self, monkeypatch):
+        """How many probability columns load_csv compares one by one with
+        the first subject's cells at each t."""
+        calls = []
+        repeats = mrtcat.data._repeats_by_t
+
+        def spy(*args):
+            calls.append(repeats(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(mrtcat.data, "_repeats_by_t", spy)
+        return calls
+
+    @pytest.mark.parametrize("respelled", [False, True], ids=["shared", "respelled"])
+    def test_probabilities_in_panel_order_are_compared_jointly(
+        self, tmp_path, scans, conversions, column_compares, respelled
+    ):
+        # In panel order, one pass over the adjacent probability fields
+        # decides that every subject shares the first subject's bytes;
+        # when it does not, each column is compared alone, and only the
+        # one that changes is converted cell by cell.  Rows out of panel
+        # order take the column by column route, to the same dataset.
+        rows = self.long_panel()
+        cell = (len(rows) // 100 - 1, 7, 5, "0.30") if respelled else None
+        ordered, shuffled = tmp_path / "ordered.csv", tmp_path / "shuffled.csv"
+        ordered.write_text(toy_text(self.long_panel(cell)))
+        swapped = self.long_panel(cell)
+        swapped[:2] = swapped[1::-1]  # the first subject's t = 2 before its t = 1
+        shuffled.write_text(toy_text(swapped))
+        expected = ["T", "all", "T"] if respelled else ["T", "T", "T"]
+        for path, compares in ((ordered, 3 if respelled else 0), (shuffled, 3)):
+            conversions.clear()
+            column_compares.clear()
+            result = load_result(load_csv, path)
+            assert conversions == [{"T": 100, "all": len(rows)}[c] for c in expected]
+            assert len(column_compares) == compares
+        assert result == agree(ordered)
+        assert scans == []
+
+    def test_probability_columns_apart_are_compared_one_by_one(
+        self, tmp_path, scans, column_compares
+    ):
+        # A feature between prob_1 and prob_2: one pass over 75 bytes from
+        # prob_0 on would cover the feature and only part of prob_2.
+        rows = [r[:6] + [repr(float(r[1]))] + r[6:] for r in self.long_panel()]
+        for row in rows:
+            row[7] = "0.30000000000000000"
+        rows[-1][7] = "0.30000000000000004"  # another value, from its 19th byte on
+        path = tmp_path / "apart.csv"
+        path.write_text(toy_text(rows, header="id,t,avail,trt,prob_0,prob_1,x,prob_2,outcome"))
+        agree(path)
+        assert len(column_compares) == 3
+        assert load_csv(str(path)).probs[-1, -1, 2] == 0.30000000000000004
+        assert scans == []
+
     @pytest.mark.parametrize("text", ["0.3\x00", "0.3\u2003", "\u2003"])
     def test_cells_bytes_cannot_hold(self, tmp_path, scans, text):
         # A NUL would be lost at the end of a bytes cell, and a character
@@ -704,7 +762,31 @@ class TestFastPath:
 
 
 ALL_BYTES = ["id", "prob_0", "prob_1", "prob_2"]
+INTS = ["avail", "t", "trt"]
 BOM = b"\xef\xbb\xbf"
+
+
+def bench_like_rows(n: int = 25, t_points: int = 210) -> list[list[str]]:
+    """A panel's rows as the benchmark writes them: integer ids, t, avail
+    and trt, every float with 17 significant digits, probabilities that
+    vary over t but not across subjects, and more rows than load_csv
+    samples."""
+    rng = np.random.default_rng(7)
+    active = rng.uniform(0.2, 0.35, size=(t_points, 2))
+    probs = [[f"{x:.17g}" for x in (1.0 - a.sum(), *a)] for a in active]
+    rows = []
+    for i in range(1, n + 1):
+        for t in range(1, t_points + 1):
+            avail = int(rng.random() < 0.8)
+            trt = avail * int(rng.integers(0, 3))
+            noise = [f"{x:.17g}" for x in rng.standard_normal(2)]
+            rows.append([str(i), str(t), str(avail), str(trt), *probs[t - 1], *noise])
+    return rows
+
+
+def bench_like_text(rows=None) -> str:
+    rows = bench_like_rows() if rows is None else rows
+    return toy_text(rows, header=TOY_HEADER + ",mood")
 
 
 def with_id(sid: str, rows=TOY_ROWS, subject: str = "a") -> list[list]:
@@ -721,7 +803,7 @@ class TestReadRoutes:
         path = tmp_path / "toy.csv"
         path.write_text(toy_text())
         assert agree(path)[0] == ("a", "b")
-        assert reads == [("path", 1, ALL_BYTES)]
+        assert reads == [("path", 1, ALL_BYTES, INTS)]
 
     def test_header_over_two_lines(self, tmp_path, reads):
         rows = [list(r) + [float(i)] for i, r in enumerate(TOY_ROWS)]
@@ -729,7 +811,7 @@ class TestReadRoutes:
         path.write_text(toy_text(rows, header=TOY_HEADER + ',"mo\nod"'))
         ids, names, _ = agree(path)
         assert (ids, names) == (("a", "b"), ("mo\nod",))
-        assert reads == [("path", 2, ALL_BYTES)]
+        assert reads == [("path", 2, ALL_BYTES, INTS)]
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_compressed_suffix_is_read_as_it_is(self, tmp_path, reads, suffix):
@@ -739,7 +821,7 @@ class TestReadRoutes:
         named = tmp_path / f"panel.csv{suffix}"
         named.write_bytes(plain.read_bytes())
         assert agree(named) == load_result(load_csv, plain)
-        assert reads[0] == ("handle", 0, ALL_BYTES)
+        assert reads[0] == ("handle", 0, ALL_BYTES, INTS)
 
     def test_relative_path_shaped_like_a_url_is_a_file(self, tmp_path, monkeypatch, reads):
         # numpy's opener downloads a path it takes for a URL
@@ -752,14 +834,14 @@ class TestReadRoutes:
         local.parent.mkdir(parents=True)
         local.write_text(toy_text())
         assert agree("http://host/panel.csv")[0] == ("a", "b")
-        assert reads == [("path", 1, ALL_BYTES)]
+        assert reads == [("path", 1, ALL_BYTES, INTS)]
 
     @pytest.mark.parametrize("sid", ["é", "a\xa0é ", "0b3c9f1e-6a5d-4c2b-9e8f-7a6b5c4d3e2f"])
     def test_latin1_ids_are_read_as_bytes(self, tmp_path, reads, sid):
         path = tmp_path / "latin1.csv"
         path.write_text(toy_text(with_id(sid)), encoding="utf-8")
         assert agree(path)[0] == (sid.strip(), "b")
-        assert reads == [("path", 1, ALL_BYTES)]
+        assert reads == [("path", 1, ALL_BYTES, INTS)]
 
     @pytest.mark.parametrize("sample_rows", [mrtcat.data._SAMPLE_ROWS, 3])
     def test_id_outside_latin1(self, tmp_path, reads, sample_rows):
@@ -770,9 +852,9 @@ class TestReadRoutes:
         with mock.patch.object(mrtcat.data, "_SAMPLE_ROWS", sample_rows):
             assert agree(path)[0] == ("a", "Ā")
         if sample_rows > len(TOY_ROWS):
-            assert reads == [("path", 1, ALL_BYTES[1:])]
+            assert reads == [("path", 1, ALL_BYTES[1:], INTS)]
         else:
-            assert reads == [("path", 1, ALL_BYTES), ("path", 1, [])]
+            assert reads == [("path", 1, ALL_BYTES, INTS), ("path", 1, [], [])]
 
     @pytest.mark.parametrize("extra,fallback", [(0, False), (1, True)])
     def test_id_that_fills_the_field_past_the_sample(self, tmp_path, reads, extra, fallback):
@@ -782,14 +864,66 @@ class TestReadRoutes:
         path.write_text(toy_text(with_id(sid, subject="b")))
         with mock.patch.object(mrtcat.data, "_SAMPLE_ROWS", 3):
             assert agree(path)[0] == ("a", sid)
-        assert reads[0] == ("path", 1, ALL_BYTES)
-        assert reads[1:] == ([("path", 1, [])] if fallback else [])
+        assert reads[0] == ("path", 1, ALL_BYTES, INTS)
+        assert reads[1:] == ([("path", 1, [], [])] if fallback else [])
+
+    @pytest.mark.parametrize("extra,fallback", [(0, False), (1, True)])
+    def test_probability_that_fills_the_field_past_the_sample(
+        self, tmp_path, reads, extra, fallback
+    ):
+        # A cell one byte short of the field loads in the one read; a cell
+        # that fills it may have been cut, so the rows are read again.
+        rows = [list(r) for r in TOY_ROWS]
+        rows[-1][5] = "0.3".ljust(mrtcat.data._PROB_WIDTH - 1 + extra, "0")
+        path = tmp_path / "long_prob.csv"
+        path.write_text(toy_text(rows))
+        with mock.patch.object(mrtcat.data, "_SAMPLE_ROWS", 3):
+            assert agree(path)[0] == ("a", "b")
+        assert reads[0] == ("path", 1, ALL_BYTES, INTS)
+        assert reads[1:] == ([("path", 1, [], [])] if fallback else [])
+
+    def test_bench_like_panel_is_one_int64_read(self, tmp_path, reads):
+        path = tmp_path / "panel.csv"
+        path.write_text(bench_like_text())
+        ids, names, arrays = agree(path)
+        assert (len(ids), names) == (25, ("mood",))
+        assert reads == [("path", 1, ALL_BYTES, INTS)]
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1.0", None),
+            ("+1", None),
+            ("01", None),
+            ("9007199254740992", "treatment 9007199254740992 outside 0..2"),
+            # beyond 2**53, so read again as f8, which words it as f8 rounds it
+            ("9007199254740993", "treatment 9007199254740992 outside 0..2"),
+        ],
+    )
+    def test_integer_cell_past_the_sample(self, tmp_path, reads, text, message):
+        rows = bench_like_rows()
+        row = next(r for r in reversed(rows) if r[3] == "1")  # the last subject's
+        plain, path = tmp_path / "plain.csv", tmp_path / "late.csv"
+        plain.write_text(bench_like_text(rows))
+        row[3] = text
+        path.write_text(bench_like_text(rows))
+        expected = load_result(load_csv, plain)
+        reads.clear()
+        result = agree(path)
+        if message is None:
+            assert result == expected
+        else:
+            assert result == f"{path}: {message} (subject {row[0]!r}, t={row[1]})"
+        # numpy's integer parser takes +1, 01 and 2**53 in the one read
+        fallback = text in ("1.0", "9007199254740993")
+        assert reads[0] == ("path", 1, ALL_BYTES, INTS)
+        assert reads[1:] == ([("path", 1, [], [])] if fallback else [])
 
     def test_ids_that_differ_in_padding_alone_are_one_subject(self, tmp_path, reads):
         path = tmp_path / "padded.csv"
         path.write_text(toy_text(with_id(" a ", subject="b")))
         assert agree(path) == f"{path}: duplicate (id, t) = ('a', 1)"
-        assert reads == [("path", 1, ALL_BYTES)]
+        assert reads == [("path", 1, ALL_BYTES, INTS)]
 
     @pytest.mark.parametrize(
         "cell,eol", [("a", "\n"), ('"a"', "\r\n")], ids=["path", "handle"]
@@ -816,9 +950,16 @@ class TestReadRoutes:
 
 
 ID_CHARS = "ab ,\"\n\r\téĀ"
+# Cells numpy's integer parser takes or rejects, and integers at the
+# edges of the range f8 holds exactly and of int64.
+INTEGER_SPELLINGS = (
+    "+1", "01", "1.0", "9007199254740993", "9223372036854775807", "9223372036854775808",
+    "-9223372036854775808",
+)
 ODD_CELLS = (
     "", "  ", "oops", "1_0", "+Infinity", "nan", "-inf", "1e300", "2.5", " 0.5 ",
     "-0", "1e0", "\u0661", "\xa01", '"1"', "0x1", "\x1c1", "0\x1d", " \x1e0.5", "1e0\x1f",
+    *INTEGER_SPELLINGS,
 )
 
 
@@ -904,7 +1045,7 @@ def csv_texts(draw):
         elif kind == "gap":
             rows[row][1] = str(t_points + 1)
         else:
-            cell = draw(st.sampled_from(["1.5", "0.5", "2.0", "1e0"]))
+            cell = draw(st.sampled_from(["1.5", "0.5", "2.0", "1e0", *INTEGER_SPELLINGS]))
             rows[row][1 if kind == "t" else 3] = cell
     lines = [",".join(row) for row in rows]
     for _ in range(draw(st.integers(0, 2))):
