@@ -18,6 +18,7 @@ import csv
 import os
 import stat
 import threading
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
@@ -55,7 +56,7 @@ _SAMPLE_ROWS = 4096
 # its messages quote the value as f8 rounds it.
 _INTEGER_COLUMNS = ("t", "avail", "trt")
 _EXACT_INT = 2**53
-# The most bytes _blocks_repeat copies out of the record at a time.
+# The most bytes _repeats_by_t copies out of the record at a time.
 _COMPARE_BYTES = 1 << 18
 # Suffixes np.loadtxt decompresses when it opens a path.  A file named so
 # is handed to it open, so that its bytes are read as they are.
@@ -65,6 +66,26 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 # restored under the lock, which header reads also take.
 _SCAN_FIELD_LIMIT = 2**31 - 1
 _field_limit_lock = threading.Lock()
+
+
+def _rejects_decimal_integers() -> bool:
+    """Whether numpy's integer parser rejects an integer cell written
+    as a decimal, such as 1.5.  Older numpy versions parse such a cell
+    as a float and truncate it, with a DeprecationWarning that Python's
+    default filters hide; load_csv then reads t, avail and trt as f8,
+    whose values it checks."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            np.loadtxt(["1.5"], dtype="i8")
+        except ValueError:
+            return True
+    return False
+
+
+# Whether load_csv may read t, avail and trt as int64: numpy then
+# rejects every cell that is not an integer, and the rows are read again.
+_INT64_READS = _rejects_decimal_integers()
 
 NUMERATOR_KINDS = (
     "match_randomization",
@@ -320,7 +341,9 @@ def load_csv(path: str) -> MrtDataset:
     how the call reads each column:
 
     - t, avail and trt are parsed as int64 when numpy's integer parser
-      takes every such cell there, and as f8 otherwise.
+      takes every such cell there, and as f8 otherwise.  They are
+      always parsed as f8 with a numpy whose integer parser truncates a
+      decimal such as 1.5 instead of rejecting it.
     - A probability column whose cells repeat at each t there is read
       as bytes, and so are the ids when they are Latin-1 text of at
       most 64 characters there.
@@ -328,18 +351,15 @@ def load_csv(path: str) -> MrtDataset:
 
     Bytes ids are compared subject block by subject block, and only the
     first id of each block is decoded, unless the rows are out of panel
-    order.  When the rows are in panel order and every probability
-    column is read as bytes, in adjacent fields, one pass over those
-    bytes checks that each subject's block is the first subject's;
-    otherwise, or when that pass finds a difference, each column is
-    checked alone against the first subject's cell at each t.  When a
-    column repeats, only its T cells are converted, with float();
-    otherwise each cell is.  float() and numpy's parser round alike, so
-    the values are the same either way.  When every probability column
-    repeats, the dataset is given those T rows as one (T, K+1) table
-    broadcast over the subjects and stores it once, so no (n, T, K+1)
-    array is built; data.probs is still a read-only (n, T, K+1) array
-    (see MrtDataset).
+    order.  Each bytes probability column is checked against the first
+    subject's cell at each t: in panel order, subject block by subject
+    block, with no gather.  When a column repeats, only its T cells are
+    converted, with float(); otherwise each cell is.  float() and
+    numpy's parser round alike, so the values are the same either way.
+    When every probability column repeats, the dataset is given those T
+    rows as one (T, K+1) table broadcast over the subjects and stores it
+    once, so no (n, T, K+1) array is built; data.probs is still a
+    read-only (n, T, K+1) array (see MrtDataset).
 
     When that read cannot decide, the rows are read again with the ids
     as str and every value column parsed as f8.  It cannot decide on a
@@ -446,7 +466,8 @@ def _loadtxt(
 def _repeating_columns(handle: TextIO, columns: _Columns) -> dict[str, str]:
     """The columns to read other than as _loadtxt's default, with their
     dtypes: t, avail and trt as i8 when numpy's integer parser takes
-    every such cell in the first rows from handle; the probability
+    every such cell in the first rows from handle and rejects every
+    cell that is not an integer (_INT64_READS); the probability
     columns whose cells there are the same at each t, and none fills
     the field, as bytes; and the id as bytes when every id there is
     Latin-1 text of at most _ID_LENGTH characters.
@@ -457,7 +478,7 @@ def _repeating_columns(handle: TextIO, columns: _Columns) -> dict[str, str]:
     read.  _parse_rows checks every cell.
     """
     probs = dict.fromkeys(columns.prob, f"S{_PROB_WIDTH}")
-    ints = dict.fromkeys(_INTEGER_COLUMNS, "i8")
+    ints = dict.fromkeys(_INTEGER_COLUMNS, "i8") if _INT64_READS else {}
     try:
         sample = list(islice(filter(str.strip, iter(handle.readline, "")), _SAMPLE_ROWS))
         try:
@@ -532,11 +553,11 @@ def _parse_rows(
     subject_ids, order = _subjects(path, cells["id"], t_values)
     t_index = t_values.astype(np.intp, copy=False) - 1  # _subjects checked that t is 1..T
     first = order[: len(order) // len(subject_ids)]  # the first subject's rows, t = 1..T
-    shared = as_bytes >= set(columns.prob) and _blocks_repeat(cells, columns, order, len(first))
+    in_order = np.array_equal(order, np.arange(len(order)))
     per_t = {}  # column -> its T floats, when its cells repeat at each t
     for name in columns.prob:
         if name in as_bytes:
-            repeats = shared or _repeats_by_t(cells[name], first, t_index)
+            repeats = _repeats_by_t(cells[name], first, t_index, in_order)
             column = cells[name][first] if repeats else cells[name]
             floats = None if _fills(column) else _floats(column)
             if floats is None:
@@ -557,38 +578,22 @@ def _exact_integers(values: np.ndarray) -> bool:
     return bool(_integral(values).all())
 
 
-def _blocks_repeat(
-    cells: dict[str, np.ndarray], columns: _Columns, order: np.ndarray, t_points: int
+def _repeats_by_t(
+    cells: np.ndarray, first: np.ndarray, t_index: np.ndarray, in_order: bool
 ) -> bool:
-    """Whether the rows are in panel order, the probability columns are
-    adjacent bytes fields of the record, and every subject's T rows of
-    those fields are byte for byte the first subject's.
-
-    One pass over the bytes of the fields, with no gather: each chunk of
-    subjects is copied out (at most _COMPARE_BYTES at a time) and
-    compared with as many copies of the first subject's bytes.
-    """
-    positions = [columns.header.index(name) for name in columns.prob]
-    if positions[-1] - positions[0] != len(positions) - 1:
-        return False
-    if not np.array_equal(order, np.arange(len(order))):
-        return False
-    head = _byte_rows(cells[columns.prob[0]])
-    width = sum(cells[name].dtype.itemsize for name in columns.prob)
-    # Rows of the adjacent fields' bytes, a view that reads past the
-    # first field into the next ones of the same record.
-    rows = np.lib.stride_tricks.as_strided(
-        head, (len(head), width), head.strides, writeable=False
-    )
-    step = max(1, _COMPARE_BYTES // (t_points * width)) * t_points
-    expected = rows[:t_points].tobytes() * (step // t_points)
-    chunks = (rows[s : s + step].tobytes() for s in range(0, len(rows), step))
-    return all(chunk == expected[: len(chunk)] for chunk in chunks)
-
-
-def _repeats_by_t(cells: np.ndarray, first: np.ndarray, t_index: np.ndarray) -> bool:
     """Whether every bytes cell is byte for byte the cell of row
-    first[t] at its t."""
+    first[t] at its t.
+
+    Rows in panel order are compared with no gather: each chunk of
+    whole subjects is copied out (at most _COMPARE_BYTES at a time) and
+    compared with as many copies of the first subject's cells.
+    """
+    if in_order:
+        t_points = len(first)
+        step = max(1, _COMPARE_BYTES // (t_points * cells.dtype.itemsize)) * t_points
+        expected = cells[:t_points].tobytes() * (step // t_points)
+        chunks = (cells[s : s + step].tobytes() for s in range(0, len(cells), step))
+        return all(chunk == expected[: len(chunk)] for chunk in chunks)
     rows, head = _byte_rows(cells), cells[first]
     step = 1 << 14
     return all(

@@ -1,7 +1,10 @@
 import csv
 import os
 import re
+import subprocess
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -649,29 +652,15 @@ class TestFastPath:
         agree(path)
         assert scans == []
 
-    @pytest.fixture
-    def column_compares(self, monkeypatch):
-        """How many probability columns load_csv compares one by one with
-        the first subject's cells at each t."""
-        calls = []
-        repeats = mrtcat.data._repeats_by_t
-
-        def spy(*args):
-            calls.append(repeats(*args))
-            return calls[-1]
-
-        monkeypatch.setattr(mrtcat.data, "_repeats_by_t", spy)
-        return calls
-
     @pytest.mark.parametrize("respelled", [False, True], ids=["shared", "respelled"])
-    def test_probabilities_in_panel_order_are_compared_jointly(
-        self, tmp_path, scans, conversions, column_compares, respelled
+    def test_probabilities_repeat_in_and_out_of_panel_order(
+        self, tmp_path, scans, conversions, respelled
     ):
-        # In panel order, one pass over the adjacent probability fields
-        # decides that every subject shares the first subject's bytes;
-        # when it does not, each column is compared alone, and only the
-        # one that changes is converted cell by cell.  Rows out of panel
-        # order take the column by column route, to the same dataset.
+        # In panel order, each probability column is compared subject
+        # block by subject block with the first subject's cells; only a
+        # column that changes bytes past the sample is converted cell by
+        # cell.  Rows out of panel order are compared through a gather,
+        # to the same dataset.
         rows = self.long_panel()
         cell = (len(rows) // 100 - 1, 7, 5, "0.30") if respelled else None
         ordered, shuffled = tmp_path / "ordered.csv", tmp_path / "shuffled.csv"
@@ -680,28 +669,23 @@ class TestFastPath:
         swapped[:2] = swapped[1::-1]  # the first subject's t = 2 before its t = 1
         shuffled.write_text(toy_text(swapped))
         expected = ["T", "all", "T"] if respelled else ["T", "T", "T"]
-        for path, compares in ((ordered, 3 if respelled else 0), (shuffled, 3)):
+        for path in (ordered, shuffled):
             conversions.clear()
-            column_compares.clear()
             result = load_result(load_csv, path)
             assert conversions == [{"T": 100, "all": len(rows)}[c] for c in expected]
-            assert len(column_compares) == compares
         assert result == agree(ordered)
         assert scans == []
 
-    def test_probability_columns_apart_are_compared_one_by_one(
-        self, tmp_path, scans, column_compares
-    ):
-        # A feature between prob_1 and prob_2: one pass over 75 bytes from
-        # prob_0 on would cover the feature and only part of prob_2.
+    def test_probability_that_differs_late_in_the_last_subject(self, tmp_path, scans):
+        # The last cell of a column apart from the others differs from its
+        # 19th byte on: the last, partial chunk of subjects is compared too.
         rows = [r[:6] + [repr(float(r[1]))] + r[6:] for r in self.long_panel()]
         for row in rows:
             row[7] = "0.30000000000000000"
-        rows[-1][7] = "0.30000000000000004"  # another value, from its 19th byte on
+        rows[-1][7] = "0.30000000000000004"
         path = tmp_path / "apart.csv"
         path.write_text(toy_text(rows, header="id,t,avail,trt,prob_0,prob_1,x,prob_2,outcome"))
         agree(path)
-        assert len(column_compares) == 3
         assert load_csv(str(path)).probs[-1, -1, 2] == 0.30000000000000004
         assert scans == []
 
@@ -918,6 +902,70 @@ class TestReadRoutes:
         fallback = text in ("1.0", "9007199254740993")
         assert reads[0] == ("path", 1, ALL_BYTES, INTS)
         assert reads[1:] == ([("path", 1, [], [])] if fallback else [])
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize("past_the_sample", [False, True], ids=["sample", "past"])
+    @pytest.mark.parametrize("column,text", [(3, "1.5"), (2, "0.5"), (1, "2.5"), (3, "nan")])
+    def test_decimal_integer_cell_with_deprecations_ignored(
+        self, tmp_path, reads, past_the_sample, column, text
+    ):
+        # With Python's default warning filters an integer parser that
+        # truncates 1.5 with a DeprecationWarning would load the file;
+        # load_csv rejects the cell as the scanner does.
+        rows = bench_like_rows()
+        rows[-1 if past_the_sample else 0][column] = text
+        path = tmp_path / "decimal.csv"
+        path.write_text(bench_like_text(rows))
+        line = len(rows) + 1 if past_the_sample else 2
+        name = ["t", "avail", "trt"][column - 1]
+        assert agree(path) == f"{path}: line {line}: column {name!r} must be an integer"
+        assert reads[0][3] == (INTS if past_the_sample else [])
+
+    def test_decimal_integer_cell_from_the_command_line(self, tmp_path):
+        # A child process runs with Python's default warning filters, not
+        # with the test run's.
+        rows = bench_like_rows()
+        rows[-1][3] = "1.5"
+        path = tmp_path / "decimal.csv"
+        path.write_text(bench_like_text(rows))
+        src = str(Path(mrtcat.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        argv = ["estimate", "--data", str(path), "--f-cols", "intercept", "--g-cols", "mood"]
+        result = subprocess.run(
+            [sys.executable, "-m", "mrtcat.cli", *argv, "--out", str(tmp_path / "x.json")],
+            capture_output=True, text=True, env=dict(env, PYTHONPATH=src), timeout=120,
+        )
+        assert result.returncode == 2
+        message = f"{path}: line {len(rows) + 1}: column 'trt' must be an integer"
+        assert result.stderr == f"error: {message}\n"
+        assert not (tmp_path / "x.json").exists()
+
+    def test_integer_parser_that_truncates_decimals_is_not_used(self, tmp_path, reads, monkeypatch):
+        # numpy versions whose integer parser reads 1.5 as 1, with a
+        # DeprecationWarning, leave every file's t, avail and trt to f8.
+        loadtxt = np.loadtxt
+
+        def truncating(lines, dtype):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated",
+                          DeprecationWarning, stacklevel=2)
+            return np.array([int(float(lines[0]))], dtype=dtype)
+
+        monkeypatch.setattr(np, "loadtxt", truncating)
+        assert not mrtcat.data._rejects_decimal_integers()
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        assert mrtcat.data._rejects_decimal_integers() == mrtcat.data._INT64_READS
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            for text in ("1.5", "1.0", "nan", "1e0") if mrtcat.data._INT64_READS else ():
+                with pytest.raises(ValueError):
+                    np.loadtxt([text], dtype="i8")
+        path = tmp_path / "panel.csv"
+        path.write_text(bench_like_text())
+        expected = agree(path)
+        monkeypatch.setattr(mrtcat.data, "_INT64_READS", False)
+        reads.clear()
+        assert agree(path) == expected
+        assert reads == [("path", 1, ALL_BYTES, [])]
 
     def test_ids_that_differ_in_padding_alone_are_one_subject(self, tmp_path, reads):
         path = tmp_path / "padded.csv"
