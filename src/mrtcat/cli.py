@@ -27,9 +27,16 @@ from .design import (
     required_sample_size,
 )
 from .errors import DataValidationError, NumericalError
-from .inference import CiRow, build_contrast, confidence_intervals, parse_contrast_text, wald_test
+from .inference import (
+    CiRow,
+    ContrastSpec,
+    build_contrast,
+    confidence_intervals,
+    parse_contrast_text,
+    wald_test,
+)
 from .simulate import THREADS_ENV, run_monte_carlo, scenario_from_config
-from .wcls import ModelSpec, _check_columns, fit_wcls
+from .wcls import FitResult, ModelSpec, _check_columns, fit_wcls
 from ._kvconfig import parse_kv_file, parse_rows
 
 EXIT_OK = 0
@@ -73,8 +80,32 @@ def _parse_columns(raw: str) -> tuple[str, ...]:
 
 def _read_rows(path: str, what: str) -> np.ndarray:
     """The numeric rows of a CSV file (see parse_rows) as a 2-D array."""
-    with open(path, encoding="utf-8") as handle:
-        return np.array(parse_rows(handle, f"{what} {path!r}"), dtype=float, ndmin=2)
+    what = f"{what} {path!r}"
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return np.array(parse_rows(handle, what), dtype=float, ndmin=2)
+    except OSError as exc:
+        raise DataValidationError(f"{what}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"{what}: not UTF-8 text ({exc.reason})") from None
+
+
+def _check_out(path: str) -> None:
+    """Raise unless --out is - (standard output) or a file path in an
+    existing directory, so that no work is done that cannot be written."""
+    parent = os.path.dirname(path) or os.curdir
+    if path != "-" and (not path or os.path.isdir(path) or not os.path.isdir(parent)):
+        raise DataValidationError(f"--out {path!r} is not a file path in an existing directory")
+
+
+def _check_contrast_scale(raw: str, contrast: ContrastSpec, fit: FitResult) -> None:
+    """Raise when L cov(beta) L', which the test and the intervals form,
+    could overflow: when a bound on its entries and on the products that
+    form it, from the largest entries of L and cov(beta), is not finite."""
+    largest = float(np.abs(contrast.l_tilde).max())
+    size = len(contrast.l_tilde) * len(fit.beta_hat) ** 3
+    if not largest * largest * float(np.abs(fit.cov_beta).max()) * size < np.finfo(float).max:
+        raise DataValidationError(f"--contrast {raw!r} is too large: L cov(beta) L' overflows")
 
 
 def _load_contrast(raw: str, k_arms: int) -> np.ndarray:
@@ -113,14 +144,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "--numerator-table is read only with --numerator user_supplied, "
             f"not with --numerator {args.numerator}"
         )
+    _check_out(args.out)
     # the header names the features and K, so that a misspelled column or a
-    # bad contrast fails before the rows are parsed
+    # bad contrast fails before the rows are parsed; so do the numerator
+    # table's entries, delta and the contrast's values
     columns = _read_columns(args.data)
     f_columns, g_columns = _parse_columns(args.f_cols), _parse_columns(args.g_cols)
     _check_columns(columns.features, f_columns, g_columns)
-    if args.contrast:
-        l_matrix = _load_contrast(args.contrast, len(columns.prob) - 1)
-    data = load_csv(args.data)
     if user_supplied:
         table = _read_rows(args.numerator_table, "numerator table")
         policy = NumeratorPolicy(kind="user_supplied", table=table)
@@ -133,6 +163,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         numerator=policy,
         correction=args.correction,
     )
+    if args.contrast:
+        contrast = build_contrast(_load_contrast(args.contrast, len(columns.prob) - 1), spec.p)
+    data = load_csv(args.data)
     fit = fit_wcls(data, spec)
     level = 1.0 - args.alpha
     cis = confidence_intervals(fit, np.eye(len(fit.beta_hat)), level)
@@ -157,14 +190,14 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     }
 
     if args.contrast:
-        contrast = build_contrast(l_matrix, fit.p)
+        _check_contrast_scale(args.contrast, contrast, fit)
         test = wald_test(fit, contrast, args.alpha)
         contrast_rows = [
             _ci_row(f"contrast[{i + 1}]", ci)
             for i, ci in enumerate(confidence_intervals(fit, contrast.l_tilde, level))
         ]
         payload["contrast"] = {
-            "l_matrix": l_matrix.tolist(),
+            "l_matrix": contrast.l_matrix.tolist(),
             "rows": contrast_rows,
             "test": {
                 "statistic": test.statistic,

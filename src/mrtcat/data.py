@@ -14,6 +14,7 @@ panel, so a dataset that exists satisfies every invariant.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import stat
@@ -52,8 +53,8 @@ _ID_LENGTH = 64
 # or as integers.
 _SAMPLE_ROWS = 4096
 # The columns that hold integers, and the magnitude up to which f8 holds
-# every integer exactly: a file with a larger one is read as f8, so that
-# its messages quote the value as f8 rounds it.
+# every integer exactly: a file with a larger one is left to the scanner,
+# which reads an integer cell from its text.
 _INTEGER_COLUMNS = ("t", "avail", "trt")
 _EXACT_INT = 2**53
 # The most bytes _repeats_by_t copies out of the record at a time.
@@ -105,8 +106,9 @@ class NumeratorPolicy:
     records at each t), empirical_pooled (arm frequencies pooled over
     all t), or user_supplied (an explicit T x (K+1) table).
 
-    table may be given as any array-like.  It is stored as nested tuples
-    of floats, a copy, so that policies compare and hash by value.
+    table may be given as any array-like of finite positive entries.  It
+    is stored as nested tuples of floats, a copy, so that policies
+    compare and hash by value.
     """
 
     kind: str = "match_randomization"
@@ -120,8 +122,10 @@ class NumeratorPolicy:
         if self.kind == "user_supplied" and self.table is None:
             raise DataValidationError("user_supplied numerator policy requires a table")
         if self.table is not None:
-            table = np.asarray(self.table, dtype=float).tolist()
-            object.__setattr__(self, "table", _tuples(table))
+            table = np.asarray(self.table, dtype=float)
+            if not np.isfinite(table).all() or (table <= 0).any():
+                raise PositivityError("numerator table entries must be finite and positive")
+            object.__setattr__(self, "table", _tuples(table.tolist()))
 
 
 def _tuples(value):
@@ -218,29 +222,35 @@ def stored_probs(data: MrtDataset) -> np.ndarray:
     return data.probs[:1] if data.probs.strides[0] == 0 else data.probs
 
 
-def _integral(values: np.ndarray) -> np.ndarray:
-    """Which values are integers in the int64 range."""
-    return (values == np.trunc(values)) & (values >= -(2.0**63)) & (values < 2.0**63)
+def _integer(text: str) -> int:
+    """A t, avail or trt cell's integer: an integer literal exactly, else
+    float()'s value; ValueError when that is no integer."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+        if not value.is_integer():
+            raise
+        return int(value)
 
 
 def _column(cells: list[str], integer: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Convert one CSV column with float(); return (values, indices of bad cells).
+    """Convert one CSV column; return (values, indices of bad cells).
 
     Each cell is stripped with str.strip first, which, like numpy's
-    parser and unlike float(), also strips U+001C..U+001F.  A cell is
-    bad when float() rejects it or, in an integer column, when its value
-    is not an integer in the int64 range.  Cells float() rejects read as
-    NaN.
+    parser and unlike float(), also strips U+001C..U+001F.  An integer
+    column is converted with _integer into int64, any other with
+    float().  A cell is bad when the conversion rejects it or int64
+    cannot hold its value.
     """
-    values = np.full(len(cells), np.nan)
+    convert, dtype = (_integer, np.int64) if integer else (float, np.float64)
+    values = np.zeros(len(cells), dtype=dtype)
     bad = np.zeros(len(cells), dtype=bool)
     for index, raw in enumerate(cells):
         try:
-            values[index] = float(raw.strip())
-        except ValueError:
+            values[index] = convert(raw.strip())
+        except (ValueError, OverflowError):
             bad[index] = True
-    if integer:
-        bad |= ~_integral(values)
     return values, np.flatnonzero(bad)
 
 
@@ -277,11 +287,14 @@ class _Columns:
 
 def _csv_rows(path: str, reader) -> Iterator[list[str]]:
     """The rows of a csv.reader, with csv's own errors (such as a cell over
-    its field size limit) raised as DataValidationError naming the line."""
+    its field size limit) raised as DataValidationError naming the line,
+    and a byte that is not UTF-8 as one naming the file."""
     try:
         yield from reader
     except csv.Error as exc:
         raise DataValidationError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _read_header(path: str, reader) -> _Columns:
@@ -349,33 +362,34 @@ def load_csv(path: str) -> MrtDataset:
       most 64 characters there.
     - Every other column is parsed as f8.
 
-    Bytes ids are compared subject block by subject block, and only the
-    first id of each block is decoded, unless the rows are out of panel
-    order.  Each bytes probability column is checked against the first
-    subject's cell at each t: in panel order, subject block by subject
-    block, with no gather.  When a column repeats, only its T cells are
-    converted, with float(); otherwise each cell is.  float() and
-    numpy's parser round alike, so the values are the same either way.
-    When every probability column repeats, the dataset is given those T
-    rows as one (T, K+1) table broadcast over the subjects and stores it
-    once, so no (n, T, K+1) array is built; data.probs is still a
-    read-only (n, T, K+1) array (see MrtDataset).
+    Rows in panel order are found by comparing the ids subject block by
+    subject block, decoding only each block's first id; other rows are
+    sorted by subject, then t, and every column is gathered into that
+    order once.  Each bytes probability column is then compared, block
+    by block, with the first subject's T cells: when it repeats them,
+    only those are converted, with float(), else each cell is.  float()
+    and numpy's parser round alike, so the values are the same either
+    way.  When every probability column repeats, the dataset is given
+    those T rows as one (T, K+1) table broadcast over the subjects and
+    stores it once, so no (n, T, K+1) array is built; data.probs is
+    still a read-only (n, T, K+1) array (see MrtDataset).
 
     When that read cannot decide, the rows are read again with the ids
     as str and every value column parsed as f8.  It cannot decide on a
     cell the integer parser rejects past the first rows (such as 1.0,
-    1e0 or nan), an integer beyond 2**53 in magnitude (f8 rounds it, and
-    a message quotes the rounded value), a bytes cell that fills its
-    field or that float() rejects, a NUL in the file, or a cell numpy
-    cannot store as bytes, such as an id outside Latin-1 past the first
-    rows.  When the f8 read cannot decide either (a cell its parser
-    rejects, a row of the wrong width, a whitespace-only line, no data
-    rows, or a t/avail/trt value that is not an integer in the int64
-    range), the rows are read again by a csv.reader scanner that
-    converts each cell with float() and words the error.  Every route
-    gives the same dataset or the same message: the scanner also loads
-    what float() accepts and numpy does not, such as digit separators
-    (1_0).  A UTF-8 byte order mark at the start of the file is skipped.
+    1e0 or nan), an integer beyond 2**53 in magnitude, a bytes cell that
+    fills its field or that float() rejects, a NUL in the file, or a
+    cell numpy cannot store as bytes, such as an id outside Latin-1 past
+    the first rows.  When the f8 read cannot decide either (a cell its
+    parser rejects, a row of the wrong width, a whitespace-only line, no
+    data rows, or a t/avail/trt value that is not an integer below 2**53
+    in magnitude, which f8 may have rounded), a csv.reader scanner reads
+    the rows again and words the error.  It converts each cell with
+    float(), but an integer literal in t, avail or trt exactly, with
+    int().  Every route gives the same dataset or the same message: the
+    scanner also loads what float() accepts and numpy does not, such as
+    digit separators (1_0).  The file must be UTF-8 text; a byte order
+    mark at its start is skipped.
 
     The path must name a regular file, since the loader reads it more
     than once: a pipe, a FIFO or a directory raises DataValidationError
@@ -390,9 +404,10 @@ def load_csv(path: str) -> MrtDataset:
         start = handle.tell()
         panel = None
         # loadtxt warns on a file without data rows; the scanner words that
-        # case.  Lines, not csv rows: csv has a limit on the size of a cell.
-        if any(map(str.strip, lines)):
-            panel = _read_panel(path, handle, start, reader.line_num, columns)
+        # case and non-UTF-8 bytes.  Lines, not csv rows: csv limits a cell.
+        with contextlib.suppress(UnicodeDecodeError):
+            if any(map(str.strip, lines)):
+                panel = _read_panel(path, handle, start, reader.line_num, columns)
     if panel is None:
         return _scan_csv(path)
     return _to_dataset(path, columns, *panel)
@@ -417,7 +432,7 @@ def _read_columns(path: str) -> _Columns:
 
 def _read_panel(
     path: str, handle: TextIO, start: int, header_lines: int, columns: _Columns
-) -> tuple[tuple[str, ...], np.ndarray, dict[str, np.ndarray], np.ndarray | None] | None:
+) -> tuple[tuple[str, ...], dict[str, np.ndarray], np.ndarray | None] | None:
     """The rows after the header, which spans header_lines lines and
     ends at file position start, read by np.loadtxt from path or handle.
 
@@ -523,16 +538,15 @@ def _byte_rows(cells: np.ndarray) -> np.ndarray:
 
 def _parse_rows(
     path: str, source, skiprows: int, columns: _Columns, dtypes: dict[str, str]
-) -> tuple[tuple[str, ...], np.ndarray, dict[str, np.ndarray], np.ndarray | None] | None:
+) -> tuple[tuple[str, ...], dict[str, np.ndarray], np.ndarray | None] | None:
     """Every data row from source in one np.loadtxt call, grouped into
     subjects by _subjects, which raises on a row set that is no panel.
 
-    Returns (subject ids, panel order, {value column: values in file
-    order}, table), or None when the cells cannot decide: see load_csv.
-    table is the (T, K+1) probabilities every subject shares when each
-    probability column was read as bytes that repeat at each t, and the
-    value columns then leave the probability columns out; else it is
-    None.
+    Returns (subject ids, {value column: values in panel order}, table),
+    or None when the cells cannot decide: see load_csv.  table is the
+    (T, K+1) probabilities every subject shares when each probability
+    column was read as bytes that repeat at each t, and the value
+    columns then leave the probability columns out; else it is None.
     """
     try:
         cells = _loadtxt(source, columns, dtypes, skiprows)
@@ -549,57 +563,48 @@ def _parse_rows(
         return None
     if "id" in as_bytes and _fills(cells["id"]):
         return None
-    t_values = values.pop("t")
-    subject_ids, order = _subjects(path, cells["id"], t_values)
-    t_index = t_values.astype(np.intp, copy=False) - 1  # _subjects checked that t is 1..T
-    first = order[: len(order) // len(subject_ids)]  # the first subject's rows, t = 1..T
-    in_order = np.array_equal(order, np.arange(len(order)))
+    subject_ids, order = _subjects(path, cells["id"], values.pop("t"))
+    prob_cells = {name: cells[name] for name in columns.prob if name in as_bytes}
+    if order is not None:
+        values = {name: column[order] for name, column in values.items()}
+        prob_cells = {name: column[order] for name, column in prob_cells.items()}
+    t_points = len(cells["t"]) // len(subject_ids)
     per_t = {}  # column -> its T floats, when its cells repeat at each t
-    for name in columns.prob:
-        if name in as_bytes:
-            repeats = _repeats_by_t(cells[name], first, t_index, in_order)
-            column = cells[name][first] if repeats else cells[name]
-            floats = None if _fills(column) else _floats(column)
-            if floats is None:
-                return None
-            (per_t if repeats else values)[name] = floats
+    for name, column in prob_cells.items():
+        repeats = _repeats_by_t(column, t_points)
+        if repeats:
+            column = column[:t_points]
+        floats = None if _fills(column) else _floats(column)
+        if floats is None:
+            return None
+        (per_t if repeats else values)[name] = floats
     if len(per_t) == len(columns.prob):
-        return subject_ids, order, values, np.column_stack(list(per_t.values()))
-    values.update((name, floats[t_index]) for name, floats in per_t.items())
-    return subject_ids, order, values, None
+        return subject_ids, values, np.column_stack(list(per_t.values()))
+    values.update((name, np.tile(floats, len(subject_ids))) for name, floats in per_t.items())
+    return subject_ids, values, None
 
 
 def _exact_integers(values: np.ndarray) -> bool:
     """Whether a t, avail or trt column holds what every route reads
-    alike: read as i8, integers of magnitude at most 2**53, which f8
-    holds exactly; read as f8, integers in the int64 range."""
+    alike, integers f8 holds exactly: of magnitude at most 2**53 read as
+    i8, and below it read as f8, which may have rounded a larger one."""
     if values.dtype.kind == "i":
         return bool(((values >= -_EXACT_INT) & (values <= _EXACT_INT)).all())
-    return bool(_integral(values).all())
+    return bool(((values == np.trunc(values)) & (np.abs(values) < _EXACT_INT)).all())
 
 
-def _repeats_by_t(
-    cells: np.ndarray, first: np.ndarray, t_index: np.ndarray, in_order: bool
-) -> bool:
-    """Whether every bytes cell is byte for byte the cell of row
-    first[t] at its t.
+def _repeats_by_t(cells: np.ndarray, t_points: int) -> bool:
+    """Whether the bytes cells, in panel order, repeat the first
+    subject's T cells byte for byte in every subject.
 
-    Rows in panel order are compared with no gather: each chunk of
-    whole subjects is copied out (at most _COMPARE_BYTES at a time) and
-    compared with as many copies of the first subject's cells.
+    Each chunk of whole subjects is copied out (at most _COMPARE_BYTES
+    at a time) and compared with as many copies of the first subject's
+    cells, with no gather.
     """
-    if in_order:
-        t_points = len(first)
-        step = max(1, _COMPARE_BYTES // (t_points * cells.dtype.itemsize)) * t_points
-        expected = cells[:t_points].tobytes() * (step // t_points)
-        chunks = (cells[s : s + step].tobytes() for s in range(0, len(cells), step))
-        return all(chunk == expected[: len(chunk)] for chunk in chunks)
-    rows, head = _byte_rows(cells), cells[first]
-    step = 1 << 14
-    return all(
-        (rows[s : s + step] == _byte_rows(head[t_index[s : s + step]])).all()
-        for s in range(0, len(cells), step)
-    )
+    step = max(1, _COMPARE_BYTES // (t_points * cells.dtype.itemsize)) * t_points
+    expected = cells[:t_points].tobytes() * (step // t_points)
+    chunks = (cells[s : s + step].tobytes() for s in range(0, len(cells), step))
+    return all(chunk == expected[: len(chunk)] for chunk in chunks)
 
 
 def _floats(cells: np.ndarray) -> np.ndarray | None:
@@ -662,39 +667,40 @@ def _scan_csv(path: str) -> MrtDataset:
     id_cells = np.array(text["id"][:stop], dtype=object)
     subject_ids, order = _subjects(path, id_cells, t_values[:stop], error)
 
-    # No error so far, so every row is in the panel: convert the value
-    # columns and report the bad cell a reader going subject by subject,
-    # t by t and column by column would meet first.
-    position = np.empty(stop, dtype=np.int64)
-    position[order] = np.arange(stop)
-    values = {}
-    failures = []
+    # Every row is in the panel: put them in panel order, convert the
+    # value columns and report the bad cell a reader going subject by
+    # subject, t by t and column by column would meet first.
+    if order is not None:
+        order = order.tolist()
+        lines = [lines[i] for i in order]
+        text = {name: [text[name][i] for i in order] for name in columns.values}
+    values, failures = {}, []
     for rank, name in enumerate(columns.values):
         values[name], bad = _column(text[name], integer=name in ("avail", "trt"))
         if bad.size:
-            row = int(bad[np.argmin(position[bad])])
-            message = _cell_message(path, text[name][row], name, lines[row])
-            failures.append((position[row], rank, message))
+            failures.append((int(bad[0]), rank, name))
     if failures:
-        raise DataValidationError(min(failures)[2])
-    return _to_dataset(path, columns, subject_ids, order, values)
+        row, _, name = min(failures)
+        raise DataValidationError(_cell_message(path, text[name][row], name, lines[row]))
+    return _to_dataset(path, columns, subject_ids, values)
 
 
 def _subjects(
     path: str, cells: np.ndarray, t_values: np.ndarray, error: str | None = None
-) -> tuple[tuple[str, ...], np.ndarray]:
+) -> tuple[tuple[str, ...], np.ndarray | None]:
     """Group rows by subject and check that they form a complete panel.
 
-    cells holds each row's id cell as read: see _id_text.  Returns the subject ids in order of first appearance and the row
-    order that sorts the rows by subject, then t.  error, a message
-    about the row just past the ones given, is raised unless one of
-    them repeats an earlier (id, t).
+    cells holds each row's id cell as read: see _id_text.  Returns the
+    subject ids in order of first appearance and the row order that
+    sorts the rows by subject, then t, or None for rows in that order
+    already.  error, a message about the row just past the ones given,
+    is raised unless one of them repeats an earlier (id, t).
     """
     subject_ids = _ordered_subjects(cells, t_values)
     if subject_ids is not None:  # a panel already, and no (id, t) repeats
         if error is not None:
             raise DataValidationError(error)
-        return subject_ids, np.arange(len(cells))
+        return subject_ids, None
 
     id_cells = _id_text(cells)
     # id -> subject index, in order of first appearance
@@ -773,16 +779,13 @@ def _to_dataset(
     path: str,
     columns: _Columns,
     subject_ids: tuple[str, ...],
-    order: np.ndarray,
     values: dict[str, np.ndarray],
     table: np.ndarray | None = None,
 ) -> MrtDataset:
-    """Arrange the value columns, in file row order, into the validated
+    """Arrange the value columns, in panel order, into the validated
     panel.  table, when given, is the (T, K+1) probabilities every
     subject shares, and values then has no probability column."""
-    shape = (len(subject_ids), len(order) // len(subject_ids))
-    if not np.array_equal(order, np.arange(len(order))):
-        values = {name: column[order] for name, column in values.items()}
+    shape = (len(subject_ids), len(values["avail"]) // len(subject_ids))
     panel = {name: column.reshape(shape) for name, column in values.items()}
     if table is None:
         probs = np.stack([panel[name] for name in columns.prob], axis=2)
@@ -956,16 +959,12 @@ def numerator_tables(
                 )
         with np.errstate(invalid="ignore", divide="ignore"):
             table = np.broadcast_to(counts / totals, (count, t_points, width))
-    else:  # user_supplied; kind already validated by NumeratorPolicy
+    else:  # user_supplied; kind and entries already validated by NumeratorPolicy
         table = np.asarray(policy.table, dtype=float)
-        error = None
         if table.shape != (t_points, width):
             error = DataValidationError(
                 f"numerator table shape {table.shape} does not match (T, K+1) = {(t_points, width)}"
             )
-        elif not np.isfinite(table).all() or (table <= 0).any():
-            error = PositivityError("numerator table entries must be finite and positive")
-        if error is not None:
             return np.ones((1, t_points, width)) / width, [error] * count
         table = table[None]
 

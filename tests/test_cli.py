@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import mrtcat
-from mrtcat.cli import main
+from mrtcat.cli import build_parser, main
 
 from _factories import write_toy_csv
 
@@ -416,6 +417,193 @@ class TestEstimate:
         assert capsys.readouterr().err == (
             "error: --numerator user_supplied requires --numerator-table\n"
         )
+
+
+#: Every option of estimate, with invalid values: (option, value, the
+#: error line, whether its check needs the rows, other flags).  "{dir}"
+#: stands for the directory of the inputs that invalid_inputs writes.
+USER = ["--numerator", "user_supplied"]
+INVALID_ESTIMATE = [
+    ("--data", "", "error: [Errno 2] No such file or directory: ''", False, []),
+    ("--data", "{dir}/missing.csv",
+     "error: [Errno 2] No such file or directory: '{dir}/missing.csv'", False, []),
+    ("--data", "{dir}",
+     "error: {dir}: not a regular file; the input must be written to a file first", False, []),
+    ("--data", "{dir}/text.csv", "error: {dir}/text.csv: missing required column 'id'", False, []),
+    ("--data", "{dir}/latin1_header.csv",
+     "error: {dir}/latin1_header.csv: not UTF-8 text (invalid continuation byte)", False, []),
+    ("--data", "{dir}/latin1_row.csv",
+     "error: {dir}/latin1_row.csv: not UTF-8 text (invalid continuation byte)", True, []),
+    ("--data", "{dir}/bad_cell.csv",
+     "error: {dir}/bad_cell.csv: line 299: non-numeric value 'oops' in column 'outcome'", True, []),
+    ("--f-cols", "zzz",
+     "error: moderator column 'zzz' not in dataset features ['time', 'time2']", False, []),
+    ("--f-cols", "nan",
+     "error: moderator column 'nan' not in dataset features ['time', 'time2']", False, []),
+    ("--f-cols", "-1",
+     "error: moderator column '-1' not in dataset features ['time', 'time2']", False, []),
+    ("--f-cols", "time, 0",
+     "error: moderator column '0' not in dataset features ['time', 'time2']", False, []),
+    ("--g-cols", "zzz",
+     "error: control column 'zzz' not in dataset features ['time', 'time2']", False, []),
+    ("--g-cols", "inf",
+     "error: control column 'inf' not in dataset features ['time', 'time2']", False, []),
+    ("--delta", "x", "mrtcat estimate: error: argument --delta: invalid int value: 'x'", False, []),
+    ("--delta", "nan", "mrtcat estimate: error: argument --delta: invalid int value: 'nan'", False,
+     []),
+    ("--delta", "inf", "mrtcat estimate: error: argument --delta: invalid int value: 'inf'", False,
+     []),
+    ("--delta", "1.5", "mrtcat estimate: error: argument --delta: invalid int value: '1.5'", False,
+     []),
+    ("--delta", "", "mrtcat estimate: error: argument --delta: invalid int value: ''", False, []),
+    ("--delta", "-1", "error: delta must be >= 1", False, []),
+    ("--delta", "0", "error: delta must be >= 1", False, []),
+    ("--delta", str(10**20),
+     f"error: delta={10**20} leaves no usable decision points in a panel with T=10", True, []),
+    ("--numerator", "x", "mrtcat estimate: error: argument --numerator: invalid choice: 'x' "
+     "(choose from 'match_randomization', 'empirical_per_t', 'empirical_pooled', "
+     "'user_supplied')", False, []),
+    ("--numerator", "", "mrtcat estimate: error: argument --numerator: invalid choice: '' "
+     "(choose from 'match_randomization', 'empirical_per_t', 'empirical_pooled', "
+     "'user_supplied')", False, []),
+    ("--numerator-table", "", "error: --numerator user_supplied requires --numerator-table",
+     False, USER),
+    ("--numerator-table", "{dir}/table.csv",
+     "error: --numerator-table is read only with --numerator user_supplied, "
+     "not with --numerator match_randomization", False, []),
+    ("--numerator-table", "{dir}/missing.csv",
+     "error: numerator table '{dir}/missing.csv': No such file or directory", False, USER),
+    ("--numerator-table", "{dir}", "error: numerator table '{dir}': Is a directory", False, USER),
+    ("--numerator-table", "{dir}/latin1_header.csv",
+     "error: numerator table '{dir}/latin1_header.csv': not UTF-8 text (invalid continuation "
+     "byte)", False, USER),
+    ("--numerator-table", "{dir}/text.csv",
+     "error: numerator table '{dir}/text.csv': row 1: could not convert string to float: "
+     "'hello\\n'",
+     False, USER),
+    *[
+        ("--numerator-table", f"{{dir}}/{name}_table.csv",
+         "error: numerator table entries must be finite and positive", False, USER)
+        for name in ("nan", "inf", "negative", "zero")
+    ],
+    ("--numerator-table", "{dir}/short_table.csv",
+     "error: numerator table shape (1, 3) does not match (T, K+1) = (10, 3)", True, USER),
+    ("--contrast", "x", "error: contrast 'x': row 1: could not convert string to float: 'x'",
+     False, []),
+    ("--contrast", "nan", "error: contrast rows must have 2 entries, got shape (1, 1)", False, []),
+    ("--contrast", "1,nan", "error: contrast matrix must be finite", False, []),
+    ("--contrast", "1,inf", "error: contrast matrix must be finite", False, []),
+    ("--contrast", "-inf,1", "mrtcat estimate: error: argument --contrast: expected one argument",
+     False, []),
+    ("--contrast", "0,0", "error: contrast matrix is zero", False, []),
+    ("--contrast", "1,0;1", "error: contrast '1,0;1': row 2 has 1 entries, expected 2", False, []),
+    ("--contrast", "{dir}/table.csv",
+     "error: contrast file '{dir}/table.csv' must have 2 columns, got 3", False, []),
+    ("--contrast", "{dir}", "error: contrast file '{dir}': Is a directory", False, []),
+    ("--contrast", "1e308,1e308",
+     "error: --contrast '1e308,1e308' is too large: L cov(beta) L' overflows", True, []),
+    ("--alpha", "x", "mrtcat estimate: error: argument --alpha: invalid float value: 'x'", False,
+     []),
+    ("--alpha", "", "mrtcat estimate: error: argument --alpha: invalid float value: ''", False, []),
+    ("--alpha", "-inf", "mrtcat estimate: error: argument --alpha: expected one argument", False,
+     []),
+    *[
+        ("--alpha", value, f"error: --alpha must lie in (0, 1), got {shown}", False, [])
+        for value, shown in [("nan", "nan"), ("inf", "inf"), ("-0.1", "-0.1"), ("0", "0.0"),
+                             ("1", "1.0"), ("2", "2.0"), ("1e308", "1e+308")]
+    ],
+    ("--alpha", "1e-17", "error: --alpha 1e-17 is too small: 1 - alpha rounds to 1", False, []),
+    ("--correction", "x", "mrtcat estimate: error: argument --correction: invalid choice: 'x' "
+     "(choose from 'none', 'mancl_derouen')", False, []),
+    ("--correction", "", "mrtcat estimate: error: argument --correction: invalid choice: '' "
+     "(choose from 'none', 'mancl_derouen')", False, []),
+    ("--out", "", "error: --out '' is not a file path in an existing directory", False, []),
+    ("--out", "{dir}", "error: --out '{dir}' is not a file path in an existing directory", False,
+     []),
+    ("--out", "{dir}/missing/fit.json",
+     "error: --out '{dir}/missing/fit.json' is not a file path in an existing directory", False,
+     []),
+    ("--format", "x", "mrtcat estimate: error: argument --format: invalid choice: 'x' "
+     "(choose from 'json', 'csv')", False, []),
+    ("--format", "", "mrtcat estimate: error: argument --format: invalid choice: '' "
+     "(choose from 'json', 'csv')", False, []),
+]
+
+
+@pytest.fixture(scope="module")
+def invalid_inputs(tmp_path_factory):
+    """The directory of a valid 30 x 10 panel, with features time and
+    time2, and of the invalid files INVALID_ESTIMATE names."""
+    directory = tmp_path_factory.mktemp("invalid")
+    config = mrtcat.GenerativeConfig(
+        family="gm0", t_points=10, rand_probs=np.array([0.3, 0.3]), tau_curve=np.full(10, 0.8)
+    )
+    mrtcat.write_csv(mrtcat.simulate_trial(config, n=30, seed=4), str(directory / "panel.csv"))
+    lines = (directory / "panel.csv").read_bytes().splitlines(keepends=True)
+    (directory / "text.csv").write_text("hello\n")
+    (directory / "latin1_header.csv").write_bytes(lines[0].replace(b"time2", b"t\xe9") + b"".join(lines[1:]))
+    (directory / "latin1_row.csv").write_bytes(b"".join(lines[:-1]) + b"\xe9" + lines[-1])
+    cells = lines[298].split(b",")
+    cells[7] = b"oops"
+    (directory / "bad_cell.csv").write_bytes(b"".join(lines[:298]) + b",".join(cells) + b"".join(lines[299:]))
+    (directory / "table.csv").write_text("0.4,0.3,0.3\n" * 10)
+    for name, cell in [("nan", "nan"), ("inf", "inf"), ("negative", "-0.3"), ("zero", "0")]:
+        (directory / f"{name}_table.csv").write_text(f"0.4,{cell},0.3\n" * 10)
+    (directory / "short_table.csv").write_text("0.4,0.3,0.3\n")
+    return directory
+
+
+def estimate_options() -> set[str]:
+    """The options of estimate in build_parser(), apart from --help."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        action.option_strings[-1]
+        for action in commands.choices["estimate"]._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    }
+
+
+def test_every_estimate_option_has_invalid_values():
+    assert {case[0] for case in INVALID_ESTIMATE} == estimate_options()
+
+
+@pytest.mark.parametrize(
+    "option,value,message,needs_rows,flags",
+    INVALID_ESTIMATE,
+    ids=[f"{case[0]}={case[1]}" for case in INVALID_ESTIMATE],
+)
+def test_invalid_estimate_input_exits_two_naming_it(
+    invalid_inputs, capsys, monkeypatch, option, value, message, needs_rows, flags
+):
+    # np.loadtxt reads the rows only for a check that needs them; the
+    # header is read with csv, without it.
+    reads = []
+    loadtxt = mrtcat.data._loadtxt
+
+    def counted(*args, **kwargs):
+        reads.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(mrtcat.data, "_loadtxt", counted)
+    directory = str(invalid_inputs)
+    out = invalid_inputs / "fit.json"
+    argv = {"--data": f"{directory}/panel.csv", "--f-cols": "intercept", "--g-cols": "time",
+            "--out": str(out)}
+    argv[option] = value.replace("{dir}", directory)
+    args = ["estimate", *flags, *(cell for pair in argv.items() for cell in pair)]
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse's own errors
+        code = exc.code
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert lines[-1] == message.replace("{dir}", directory)
+    # one line, after argparse's usage lines for an error argparse finds
+    assert len(lines) == 1 or (lines[0].startswith("usage: mrtcat estimate ")
+                               and lines[-1].startswith("mrtcat estimate: error: "))
+    assert bool(reads) == needs_rows
+    assert not out.exists()
 
 
 class TestSamplesize:

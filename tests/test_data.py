@@ -234,6 +234,38 @@ class TestLoadCsvMessages:
         write_toy_csv(path, rows)
         assert load_error(path) == f"{path}: {message}"
 
+    @pytest.mark.parametrize(
+        "row,col,raw,message",
+        [
+            (1, 3, "9007199254740993", "treatment 9007199254740993 outside 0..2 (subject 'a', t=2)"),
+            (4, 3, "9223372036854775807",
+             "treatment 9223372036854775807 outside 0..2 (subject 'b', t=2)"),
+            (2, 1, "9007199254740995",
+             "subject 'a' decision points are not 1..T (got [1, 2, 9007199254740995]...)"),
+            (2, 1, "9007199254740995.0",  # not an integer literal: float() rounds it
+             "subject 'a' decision points are not 1..T (got [1, 2, 9007199254740996]...)"),
+        ],
+    )
+    def test_integer_beyond_two_to_the_53_is_read_exactly(
+        self, tmp_path, row, col, raw, message
+    ):
+        rows = [list(r) for r in TOY_ROWS]
+        rows[row][col] = raw
+        path = tmp_path / "exact.csv"
+        write_toy_csv(path, rows)
+        assert load_error(path) == f"{path}: {message}"
+        assert load_result(scan_csv, path) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("line", [0, 1, -1], ids=["header", "first_row", "last_row"])
+    def test_bytes_that_are_not_utf8(self, tmp_path, line):
+        # The last row lies past the sample and past the first block of
+        # text the header read decodes; every route words it alike.
+        lines = bench_like_text().encode().splitlines(keepends=True)
+        lines[line] = b"\xe9" + lines[line]
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"".join(lines))
+        assert agree(path) == f"{path}: not UTF-8 text (invalid continuation byte)"
+
     def test_short_row(self, tmp_path):
         rows = [list(r) for r in TOY_ROWS]
         rows[2] = rows[2][:-1]
@@ -389,6 +421,20 @@ def reads(monkeypatch):
 
     monkeypatch.setattr(mrtcat.data, "_loadtxt", spy)
     return calls
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """The lengths of the bytes columns load_csv converts with float()."""
+    lengths = []
+    floats = mrtcat.data._floats
+
+    def spy(cells):
+        lengths.append(len(cells))
+        return floats(cells)
+
+    monkeypatch.setattr(mrtcat.data, "_floats", spy)
+    return lengths
 
 
 TOY_HEADER = "id,t,avail,trt,prob_0,prob_1,prob_2,outcome"
@@ -548,19 +594,6 @@ class TestFastPath:
             assert result == f"{path}: {message}"
         assert result == sorted_result(path)
 
-    @pytest.fixture
-    def conversions(self, monkeypatch):
-        """The lengths of the bytes columns load_csv converts with float()."""
-        lengths = []
-        floats = mrtcat.data._floats
-
-        def spy(cells):
-            lengths.append(len(cells))
-            return floats(cells)
-
-        monkeypatch.setattr(mrtcat.data, "_floats", spy)
-        return lengths
-
     def test_repeated_probability_cells_are_converted_once(self, tmp_path, scans, conversions):
         path = tmp_path / "toy.csv"
         path.write_text(toy_text())
@@ -656,11 +689,10 @@ class TestFastPath:
     def test_probabilities_repeat_in_and_out_of_panel_order(
         self, tmp_path, scans, conversions, respelled
     ):
-        # In panel order, each probability column is compared subject
-        # block by subject block with the first subject's cells; only a
-        # column that changes bytes past the sample is converted cell by
-        # cell.  Rows out of panel order are compared through a gather,
-        # to the same dataset.
+        # Each probability column is compared subject block by subject
+        # block with the first subject's cells; only a column that changes
+        # bytes past the sample is converted cell by cell.  Rows out of
+        # panel order are put in it first, to the same dataset.
         rows = self.long_panel()
         cell = (len(rows) // 100 - 1, 7, 5, "0.30") if respelled else None
         ordered, shuffled = tmp_path / "ordered.csv", tmp_path / "shuffled.csv"
@@ -880,11 +912,12 @@ class TestReadRoutes:
             ("+1", None),
             ("01", None),
             ("9007199254740992", "treatment 9007199254740992 outside 0..2"),
-            # beyond 2**53, so read again as f8, which words it as f8 rounds it
-            ("9007199254740993", "treatment 9007199254740992 outside 0..2"),
+            # beyond 2**53, so read again as f8, which may have rounded it,
+            # and then by the scanner, which reads it exactly
+            ("9007199254740993", "treatment 9007199254740993 outside 0..2"),
         ],
     )
-    def test_integer_cell_past_the_sample(self, tmp_path, reads, text, message):
+    def test_integer_cell_past_the_sample(self, tmp_path, reads, scans, text, message):
         rows = bench_like_rows()
         row = next(r for r in reversed(rows) if r[3] == "1")  # the last subject's
         plain, path = tmp_path / "plain.csv", tmp_path / "late.csv"
@@ -902,6 +935,7 @@ class TestReadRoutes:
         fallback = text in ("1.0", "9007199254740993")
         assert reads[0] == ("path", 1, ALL_BYTES, INTS)
         assert reads[1:] == ([("path", 1, [], [])] if fallback else [])
+        assert scans == ([str(path)] if text == "9007199254740993" else [])
 
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     @pytest.mark.parametrize("past_the_sample", [False, True], ids=["sample", "past"])
@@ -995,6 +1029,75 @@ class TestReadRoutes:
             )
         path.write_bytes(BOM + BOM + toy_text().encode())
         assert agree(path) == f"{path}: missing required column 'id'"
+
+
+def shuffled_and_ordered(rows: list[list[str]]) -> tuple[list[list[str]], list[list[str]]]:
+    """rows shuffled, and the same rows in the panel order the shuffle
+    gives: subjects in order of first appearance, then t."""
+    shuffled = [rows[i] for i in np.random.default_rng(3).permutation(len(rows))]
+    rank = {sid: r for r, sid in enumerate(dict.fromkeys(row[0] for row in shuffled))}
+    return shuffled, sorted(shuffled, key=lambda row: (rank[row[0]], int(row[1])))
+
+
+class TestOneOrderingStep:
+    """A shuffled bench-like panel, of more rows than load_csv samples, is
+    put in panel order once, right after grouping; from there it takes
+    the in-order copy's path."""
+
+    def load_both(self, tmp_path, reads, conversions, shuffled, ordered):
+        """For the shuffled rows, then the ordered ones: what load_csv makes
+        of them (checked against the scanner), its full reads and the
+        lengths of the columns it converts with float()."""
+        results = []
+        for name, rows in (("shuffled", shuffled), ("ordered", ordered)):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(bench_like_text(rows))
+            reads.clear()
+            conversions.clear()
+            results.append((load_result(load_csv, path), list(reads), list(conversions)))
+            assert results[-1][0] == load_result(scan_csv, path)
+        return results
+
+    def test_loads_bitwise_as_the_in_order_copy(self, tmp_path, reads, conversions):
+        rows = bench_like_rows()
+        assert len(rows) > mrtcat.data._SAMPLE_ROWS
+        shuffled, ordered = self.load_both(tmp_path, reads, conversions, *shuffled_and_ordered(rows))
+        assert shuffled == ordered
+        result, full_reads, converted = ordered
+        assert isinstance(result, tuple) and len(result[0]) == 25
+        assert full_reads == [("path", 1, ALL_BYTES, INTS)]
+        assert converted == [210, 210, 210]  # T cells per repeating column
+
+    def test_probability_respelled_past_the_sample(self, tmp_path, reads, conversions):
+        shuffled, ordered = shuffled_and_ordered(bench_like_rows())
+        sample = mrtcat.data._SAMPLE_ROWS
+        # a row of the last subject that both files hold past the sample
+        position = {id(row): index for index, row in enumerate(shuffled)}
+        row = next(r for r in ordered[:sample:-1] if position[id(r)] >= sample)
+        row[5] += "0"
+        results = self.load_both(tmp_path, reads, conversions, shuffled, ordered)
+        assert results[0] == results[1]
+        assert results[1][1] == [("path", 1, ALL_BYTES, INTS)]
+        assert results[1][2] == [210, len(ordered), 210]
+
+    def test_first_bad_cell_in_panel_order_past_a_digit_separator(self, tmp_path):
+        # 1_0, which numpy rejects and float() takes, sends the file to the
+        # scanner.  Of the bad cells, the earliest in file order comes last
+        # in (subject, t, column) order; the outcome cell of `first` comes
+        # before its mood cell.
+        shuffled, ordered = shuffled_and_ordered(bench_like_rows())
+        position = {id(row): index for index, row in enumerate(shuffled)}
+        ordered[0][8] = "1_0"
+        first = max(ordered[:420], key=lambda row: position[id(row)])
+        last = min(ordered[-210:], key=lambda row: position[id(row)])
+        first[7], first[8], last[2] = "bad outcome", "bad mood", "bad avail"
+        assert position[id(last)] < position[id(first)]
+        path = tmp_path / "shuffled.csv"
+        path.write_text(bench_like_text(shuffled))
+        line = position[id(first)] + 2
+        message = f"{path}: line {line}: non-numeric value 'bad outcome' in column 'outcome'"
+        assert load_error(path) == message
+        assert load_result(scan_csv, path) == message
 
 
 ID_CHARS = "ab ,\"\n\r\téĀ"
@@ -1487,6 +1590,14 @@ class TestNumeratorProbs:
         bad[0, 1] = 0.0
         with pytest.raises(PositivityError):
             fit_numerator_probs(data, NumeratorPolicy("user_supplied", table=bad))
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -0.25, 0.0])
+    def test_user_supplied_table_entries_checked_when_the_policy_is_made(self, cell):
+        # before any data is read: the check needs neither T nor K
+        table = np.array([[0.5, 0.25, 0.25], [0.4, 0.3, 0.3]])
+        table[1, 2] = cell
+        with pytest.raises(PositivityError, match="^numerator table entries must be finite"):
+            NumeratorPolicy("user_supplied", table=table)
 
     def test_table_policy_compares_and_hashes_by_value(self):
         table = np.array([[0.5, 0.25, 0.25], [0.4, 0.3, 0.3]])

@@ -59,8 +59,18 @@ def exact_panels(draw):
                                    max_size=t_points)))
     # tau(t) = J_t / J varies over t and is 1 at one t at least
     units[draw(st.integers(0, t_points - 1))] = big_j
+    return exact_panel(counts, units, draw(st.integers(0, 2**32 - 1)))
+
+
+def exact_panel(counts, units, seed):
+    """The panel of exact_panels with the (T, K+1) arm counts c_t, which
+    sum to d at every t, and the units J_t; seed draws which subjects are
+    available at t and on which arm, and the outcomes."""
+    counts, units = np.asarray(counts), np.asarray(units)
+    t_points, k_arms = counts.shape[0], counts.shape[1] - 1
+    d, big_j = counts[0].sum(), units.max()
     n = big_j * d
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(seed)
     avail = np.zeros((n, t_points), dtype=np.int64)
     trt = np.zeros((n, t_points), dtype=np.int64)
     for t in range(t_points):
@@ -104,6 +114,65 @@ def m_over_n(k_arms, avail, trt, probs, outcome, spec):
 
 def relative_gap(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
+
+
+def point_moves(k_arms, avail, trt):
+    """The moves (i, t, arm) of one available point to another arm, from
+    an arm given at least twice at its t, so that every arm stays
+    observed at every t (as empirical_per_t requires).  M / n depends on
+    t and the two arms alone, so one move is kept for each."""
+    arm_counts = np.array([
+        np.bincount(trt[avail[:, t] == 1, t], minlength=k_arms + 1)
+        for t in range(avail.shape[1])
+    ])
+    given_twice = arm_counts[np.arange(avail.shape[1]), trt] >= 2
+    moves = {}
+    for i, t in np.argwhere((avail == 1) & given_twice):
+        for arm in set(range(k_arms + 1)) - {trt[i, t]}:
+            moves.setdefault((t, trt[i, t], arm), (i, t, arm))
+    return list(moves.values())
+
+
+def moved_m_over_n(k_arms, avail, trt, probs, outcome, spec, moves):
+    """m_over_n of the panel after each move (i, t, arm), in one stacked fit."""
+    data = panel_dataset(k_arms, avail, trt, probs, outcome)
+    shape = (len(moves), *trt.shape)
+    moved = np.repeat(trt[None], len(moves), axis=0)
+    for r, (i, t, arm) in enumerate(moves):
+        moved[r, i, t] = arm
+    fit = fit_stack(
+        np.broadcast_to(data.avail, shape), moved, data.probs[None],
+        np.broadcast_to(data.outcome, shape),
+        {name: arr[None] for name, arr in data.features.items()}, k_arms, spec,
+    )
+    assert not any(isinstance(error, DataValidationError) for error in fit.errors)
+    return fit.m / avail.shape[0]
+
+
+def step3_gaps(panel, f_columns, g_columns, user_probs, moves=None):
+    """Check that M / n is V under each numerator policy; return, for each
+    move (by default every one of point_moves), the smallest relative
+    gap between V and M / n after the move over the policies."""
+    k_arms, avail, trt, probs, tau, outcome = panel
+    t_points = avail.shape[1]
+    f = f_basis(f_columns, t_points)
+    user = np.array(user_probs[: k_arms + 1]) / sum(user_probs[: k_arms + 1])
+    policies = [
+        (NumeratorPolicy("match_randomization"), probs[0, :, 1:]),
+        # the counts make the empirical table p itself
+        (NumeratorPolicy("empirical_per_t"), probs[0, :, 1:]),
+        (NumeratorPolicy("user_supplied", table=np.tile(user, (t_points, 1))),
+         np.tile(user[1:], (t_points, 1))),
+    ]
+    moves = point_moves(k_arms, avail, trt) if moves is None else moves
+    gaps = []
+    for policy, ptilde in policies:
+        spec = ModelSpec(f_columns=f_columns, g_columns=g_columns, numerator=policy)
+        v = _v_matrix(ptilde, tau, f)
+        assert relative_gap(m_over_n(k_arms, avail, trt, probs, outcome, spec), v) <= 1e-13
+        moved = moved_m_over_n(k_arms, avail, trt, probs, outcome, spec, moves)
+        gaps.append([relative_gap(m, v) for m in moved])
+    return np.min(gaps, axis=0)
 
 
 class TestStep1:
@@ -155,35 +224,27 @@ class TestStep3:
         f_columns=st.sampled_from(F_COLUMNS),
         g_columns=st.sampled_from(G_COLUMNS),
         user_probs=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
-        move=st.integers(0, 2**32 - 1),
     )
     def test_m_over_n_is_v_on_a_panel_with_the_design_counts(
-        self, panel, f_columns, g_columns, user_probs, move
+        self, panel, f_columns, g_columns, user_probs
     ):
-        k_arms, avail, trt, probs, tau, outcome = panel
-        t_points = avail.shape[1]
-        f = f_basis(f_columns, t_points)
-        user = np.array(user_probs[: k_arms + 1]) / sum(user_probs[: k_arms + 1])
-        policies = [
-            (NumeratorPolicy("match_randomization"), probs[0, :, 1:]),
-            # the counts make the empirical table p itself
-            (NumeratorPolicy("empirical_per_t"), probs[0, :, 1:]),
-            (NumeratorPolicy("user_supplied", table=np.tile(user, (t_points, 1))),
-             np.tile(user[1:], (t_points, 1))),
-        ]
-        # the control: one available point moves to another arm, from an
-        # arm given at least twice at its t, so that every arm stays
-        # observed at every t (as empirical_per_t requires)
-        rng = np.random.default_rng(move)
-        arm_counts = np.array([
-            np.bincount(trt[avail[:, t] == 1, t], minlength=k_arms + 1) for t in range(t_points)
-        ])
-        given_twice = arm_counts[np.arange(t_points), trt] >= 2
-        i, t = rng.choice(np.argwhere((avail == 1) & given_twice))
-        moved = trt.copy()
-        moved[i, t] = (trt[i, t] + rng.integers(1, k_arms + 1)) % (k_arms + 1)
-        for policy, ptilde in policies:
-            spec = ModelSpec(f_columns=f_columns, g_columns=g_columns, numerator=policy)
-            v = _v_matrix(ptilde, tau, f)
-            assert relative_gap(m_over_n(k_arms, avail, trt, probs, outcome, spec), v) <= 1e-13
-            assert relative_gap(m_over_n(k_arms, avail, moved, probs, outcome, spec), v) > 1e-6
+        # the control: the move of one point that moves M / n furthest
+        # from V under every policy moves it by more than rounding
+        assert step3_gaps(panel, f_columns, g_columns, user_probs).max() > 1e-6
+
+    def test_control_clears_its_bound_where_a_random_move_did_not(self):
+        # Built like a draw that once failed the test above, when it moved
+        # a point picked at random: with time2 in f, moving subject 27 at
+        # t = 1 from arm 3 to arm 1 changes M / n by 8.1e-7 of V's largest
+        # entry, under user_supplied.
+        panel = exact_panel(
+            [[1, 2, 1, 4], [3, 3, 1, 1], [4, 2, 1, 1], [1, 1, 1, 5], [2, 2, 1, 3],
+             [3, 2, 2, 1], [4, 1, 1, 2], [4, 2, 1, 1], [1, 1, 2, 4], [1, 2, 4, 1],
+             [1, 3, 3, 1], [2, 4, 1, 1]],
+            [3, 1, 4, 1, 2, 4, 3, 3, 3, 4, 3, 3],
+            seed=3318228465,
+        )
+        args = (panel, ("time2",), (), [1.0, 0.25, 1.0, 1.0])
+        assert panel[2][27, 0] == 3
+        assert step3_gaps(*args, moves=[(27, 0, 1)])[0] < 1e-6
+        assert step3_gaps(*args).max() > 1e-6
