@@ -76,10 +76,11 @@ def parse_rows(lines: Iterable[str], what: str) -> list[list[float]]:
     """Comma-separated numeric rows, one per line; '#' starts a comment and
     blank rows are skipped.  A bad cell or a row whose length differs from
     the first row's raises DataValidationError naming `what` and the
-    1-based row (the line of a file)."""
+    1-based row (the line of a file), and quoting a bad cell without the
+    line's end."""
     rows: list[list[float]] = []
     for number, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0]
+        line = raw.rstrip("\r\n").split("#", 1)[0]
         if not line.strip():
             continue
         try:

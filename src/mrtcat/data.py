@@ -59,6 +59,8 @@ _INTEGER_COLUMNS = ("t", "avail", "trt")
 _EXACT_INT = 2**53
 # The most bytes _repeats_by_t copies out of the record at a time.
 _COMPARE_BYTES = 1 << 18
+# The bytes _special_bytes reads from the file at a time.
+_SCAN_BLOCK = 1 << 20
 # Suffixes np.loadtxt decompresses when it opens a path.  A file named so
 # is handed to it open, so that its bytes are read as they are.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
@@ -350,8 +352,12 @@ def load_csv(path: str) -> MrtDataset:
     and a double quote (numpy opens a path with universal newlines,
     which would turn a CR inside a quoted cell into LF) or its name ends
     in a suffix numpy decompresses (.gz, .bz2, .xz, .lzma); such a file
-    is handed to it open.  What the first rows of the file show decides
-    how the call reads each column:
+    is handed to it open.  Given the path, it is also given a bound on
+    the rows, the file's LF count + 1, so that numpy allocates the
+    record once instead of growing it as it reads, unless the file holds
+    a CR (numpy would end a row at a lone CR too) or an empty line
+    (numpy warns on one when given a bound).  What the first rows of the
+    file show decides how the call reads each column:
 
     - t, avail and trt are parsed as int64 when numpy's integer parser
       takes every such cell there, and as f8 otherwise.  They are
@@ -442,30 +448,40 @@ def _read_panel(
     """
     handle.seek(start)
     dtypes = _repeating_columns(handle, columns)
-    found = _special_bytes(path)
+    found, line_feeds, empty_line = _special_bytes(path)
     if b"\0" in found:
         dtypes = {}  # a bytes cell would lose a NUL at its end: read as f8
     if {b"\r", b'"'} <= found or os.path.splitext(path)[1] in _COMPRESSED:
-        source, skiprows = handle, 0
+        source, skiprows, max_rows = handle, 0, None
     else:
         # "./" before a relative path: numpy's opener never takes it for a URL
         source, skiprows = os.path.join(os.curdir, path), header_lines
+        # a row bound, so that numpy allocates the record once: see _special_bytes
+        max_rows = None if b"\r" in found or empty_line else line_feeds + 1
     handle.seek(start)
-    panel = _parse_rows(path, source, skiprows, columns, dtypes)
+    panel = _parse_rows(path, source, skiprows, columns, dtypes, max_rows)
     if panel is None and dtypes:
         handle.seek(start)
-        panel = _parse_rows(path, source, skiprows, columns, {})
+        panel = _parse_rows(path, source, skiprows, columns, {}, max_rows)
     return panel
 
 
 def _loadtxt(
-    source, columns: _Columns, dtypes: dict[str, str], skiprows: int = 0
+    source,
+    columns: _Columns,
+    dtypes: dict[str, str],
+    skiprows: int = 0,
+    max_rows: int | None = None,
 ) -> dict[str, np.ndarray]:
     """The cells of source (a path, a file handle or a list of lines) by
     header column, from one np.loadtxt call that skips the first skiprows
     lines: the columns in dtypes with the numpy dtype it gives (bytes
     fields "S<width>" or "i8"), the id otherwise as str objects, every
-    other column as f8.  The columns are fields of one record array."""
+    other column as f8.  The columns are fields of one record array.
+
+    max_rows, when given, must be at least the number of rows: numpy
+    then allocates the record at that size once, instead of growing it
+    as it reads."""
 
     def cell(name: str):
         return dtypes.get(name, object if name == "id" else "f8")
@@ -473,7 +489,7 @@ def _loadtxt(
     dtype = np.dtype([(f"f{j}", cell(name)) for j, name in enumerate(columns.header)])
     rows = np.loadtxt(
         source, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-        skiprows=skiprows, encoding="utf-8-sig", ndmin=1,
+        skiprows=skiprows, max_rows=max_rows, encoding="utf-8-sig", ndmin=1,
     )
     return {name: rows[f"f{j}"] for j, name in enumerate(columns.header)}
 
@@ -515,13 +531,27 @@ def _repeating_columns(handle: TextIO, columns: _Columns) -> dict[str, str]:
     return {**dtypes, **ints}
 
 
-def _special_bytes(path: str) -> set[bytes]:
-    """Which of NUL, CR and the double quote the file holds."""
-    found = set()
+def _special_bytes(path: str) -> tuple[set[bytes], int, bool]:
+    """Which of NUL, CR and the double quote the file holds, how many
+    LFs it holds, and whether it holds an empty line: an LF at its start
+    or right after another LF.
+
+    The LF count + 1 bounds the rows np.loadtxt reads from the path
+    when the file holds no CR and no empty line.  numpy opens a path
+    with universal newlines, so a lone CR also ends a row there; and
+    given a bound, it warns on each call that meets an empty line,
+    which it skips either way.
+    """
+    found, line_feeds, empty_line, last = set(), 0, False, b"\n"
     with open(path, "rb") as raw:
-        for block in iter(lambda: raw.read(1 << 20), b""):
+        for block in iter(lambda: raw.read(_SCAN_BLOCK), b""):
             found.update(byte for byte in (b"\0", b"\r", b'"') if byte in block)
-    return found
+            lf = np.frombuffer(block, np.uint8) == ord("\n")
+            line_feeds += int(np.count_nonzero(lf))
+            pairs = last + block[:1] == b"\n\n" or (lf[1:] & lf[:-1]).any()
+            empty_line = empty_line or bool(pairs)
+            last = block[-1:]
+    return found, line_feeds, empty_line
 
 
 def _fills(cells: np.ndarray) -> bool:
@@ -537,10 +567,16 @@ def _byte_rows(cells: np.ndarray) -> np.ndarray:
 
 
 def _parse_rows(
-    path: str, source, skiprows: int, columns: _Columns, dtypes: dict[str, str]
+    path: str,
+    source,
+    skiprows: int,
+    columns: _Columns,
+    dtypes: dict[str, str],
+    max_rows: int | None,
 ) -> tuple[tuple[str, ...], dict[str, np.ndarray], np.ndarray | None] | None:
-    """Every data row from source in one np.loadtxt call, grouped into
-    subjects by _subjects, which raises on a row set that is no panel.
+    """Every data row from source in one np.loadtxt call, given the row
+    bound max_rows, grouped into subjects by _subjects, which raises on
+    a row set that is no panel.
 
     Returns (subject ids, {value column: values in panel order}, table),
     or None when the cells cannot decide: see load_csv.  table is the
@@ -549,7 +585,7 @@ def _parse_rows(
     columns then leave the probability columns out; else it is None.
     """
     try:
-        cells = _loadtxt(source, columns, dtypes, skiprows)
+        cells = _loadtxt(source, columns, dtypes, skiprows, max_rows)
     except ValueError:
         return None
     as_bytes = {name for name, dtype in dtypes.items() if dtype.startswith("S")}

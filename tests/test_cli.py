@@ -479,7 +479,7 @@ INVALID_ESTIMATE = [
      "byte)", False, USER),
     ("--numerator-table", "{dir}/text.csv",
      "error: numerator table '{dir}/text.csv': row 1: could not convert string to float: "
-     "'hello\\n'",
+     "'hello'",
      False, USER),
     *[
         ("--numerator-table", f"{{dir}}/{name}_table.csv",
@@ -1220,6 +1220,15 @@ def test_malformed_rows_and_integers_exit_two(tmp_path, capsys, kind, text, name
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert named in err
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_parse_rows_quotes_a_bad_last_cell_without_its_line_end(eol):
+    parse_rows = mrtcat._kvconfig.parse_rows
+    assert parse_rows([f"1,2.5{eol}", f"3, 4 {eol}", eol], "table") == [[1.0, 2.5], [3.0, 4.0]]
+    with pytest.raises(mrtcat.DataValidationError) as info:
+        parse_rows([f"1,2{eol}", f"3,hello{eol}"], "table")
+    assert str(info.value) == "table: row 2: could not convert string to float: 'hello'"
 
 
 def test_cli_import_loads_only_scipy_special():

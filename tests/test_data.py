@@ -403,21 +403,31 @@ def scans(monkeypatch):
     return calls
 
 
+class FullReads(list):
+    """The full reads of a test, and in bounds the row bound each was given."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.bounds: list[int | None] = []
+
+
 @pytest.fixture
 def reads(monkeypatch):
     """The full reads load_csv makes during a test, not its sample reads:
     what np.loadtxt is given ("path" or "handle"), the lines it skips,
-    the columns it reads as bytes and the columns it reads as int64."""
-    calls = []
+    the columns it reads as bytes and the columns it reads as int64.
+    reads.bounds holds the max_rows of each."""
+    calls = FullReads()
     loadtxt = mrtcat.data._loadtxt
 
-    def spy(source, columns, dtypes, skiprows=0):
+    def spy(source, columns, dtypes, skiprows=0, max_rows=None):
         if not isinstance(source, list):
             kind = "path" if isinstance(source, str) else "handle"
             as_bytes = sorted(name for name, dtype in dtypes.items() if dtype.startswith("S"))
             ints = sorted(name for name, dtype in dtypes.items() if dtype == "i8")
             calls.append((kind, skiprows, as_bytes, ints))
-        return loadtxt(source, columns, dtypes, skiprows)
+            calls.bounds.append(max_rows)
+        return loadtxt(source, columns, dtypes, skiprows, max_rows)
 
     monkeypatch.setattr(mrtcat.data, "_loadtxt", spy)
     return calls
@@ -1029,6 +1039,110 @@ class TestReadRoutes:
             )
         path.write_bytes(BOM + BOM + toy_text().encode())
         assert agree(path) == f"{path}: missing required column 'id'"
+
+    @pytest.mark.parametrize("case", ["lf", "no_final_lf", "quoted_lf_in_id"])
+    def test_row_bound_from_the_line_feeds(self, tmp_path, reads, case):
+        # numpy allocates the record at the bound once, so it must not be
+        # below the rows; a quoted LF makes more lines than rows.
+        plain, path = tmp_path / "plain.csv", tmp_path / f"{case}.csv"
+        sid = "x\ny" if case == "quoted_lf_in_id" else "a"
+        rows = with_id(f'"{sid}"' if case == "quoted_lf_in_id" else sid)
+        plain.write_text(toy_text())
+        text = toy_text(rows)
+        path.write_text(text[:-1] if case == "no_final_lf" else text)
+        ids, *arrays = agree(path)
+        assert (ids, tuple(arrays)) == ((sid, "b"), load_result(scan_csv, plain)[1:])
+        assert [kind for kind, *_ in reads] == ["path"] * len(reads)
+        assert all(bound is not None and bound >= len(rows) for bound in reads.bounds)
+        rows[4][7] = "oops"  # subject b, t = 2
+        bad_text = toy_text(rows)
+        path.write_text(bad_text[:-1] if case == "no_final_lf" else bad_text)
+        line = 9 if case == "quoted_lf_in_id" else 6  # each of subject a's ids spans two lines
+        assert agree(path) == f"{path}: line {line}: non-numeric value 'oops' in column 'outcome'"
+        assert all(bound is not None and bound >= len(rows) for bound in reads.bounds)
+
+    @pytest.mark.parametrize(
+        "eol,empty_at,line",
+        [
+            # numpy ends a row at a lone CR too, so the LFs do not bound the rows
+            ("\r\n", None, 6),
+            ("\r", None, 6),
+            # given a bound, numpy warns on an empty line, which it skips
+            ("\n", 1, 7),
+            ("\n", 4, 7),
+            ("\n", 7, 6),
+        ],
+        ids=["crlf", "cr", "empty_after_header", "empty_mid_file", "empty_at_the_end"],
+    )
+    def test_no_row_bound_for_cr_or_an_empty_line(self, tmp_path, reads, eol, empty_at, line):
+        plain, path = tmp_path / "plain.csv", tmp_path / "odd.csv"
+        rows = [list(r) for r in TOY_ROWS]
+
+        def write(rows) -> None:
+            lines = toy_text(rows).split("\n")[:-1]
+            if empty_at is not None:
+                lines.insert(empty_at, "")
+            path.write_bytes((eol.join(lines) + eol).encode())
+
+        plain.write_text(toy_text(rows))
+        write(rows)
+        assert agree(path) == load_result(scan_csv, plain)
+        rows[4][7] = "oops"  # subject b, t = 2, on line 6 of the plain file
+        write(rows)
+        assert agree(path) == f"{path}: line {line}: non-numeric value 'oops' in column 'outcome'"
+        assert reads and [kind for kind, *_ in reads] == ["path"] * len(reads)
+        assert reads.bounds == [None] * len(reads)
+
+    def test_no_row_bound_for_an_empty_line_across_a_block_edge(self, tmp_path, reads):
+        # The empty line's two LFs fall in two blocks of the pass over the file.
+        block = mrtcat.data._SCAN_BLOCK
+        rows = bench_like_rows(n=110)
+        plain, path = tmp_path / "plain.csv", tmp_path / "edge.csv"
+        text = bench_like_text(rows).encode()
+        end = text.rindex(b"\n", 0, block - 1)
+        # pad the row that ends at end with spaces, so that its LF ends block 1
+        text = text[:end] + b" " * (block - 1 - end) + text[end:]
+        assert text[block - 1 : block] == b"\n" and b"\n\n" not in text
+        plain.write_bytes(text)
+        path.write_bytes(text[:block] + b"\n" + text[block:])
+        expected = agree(plain)
+        assert reads.bounds == [len(rows) + 2]
+        reads.clear()
+        reads.bounds.clear()
+        assert agree(path) == expected
+        assert reads == [("path", 1, ALL_BYTES, INTS)]
+        assert reads.bounds == [None]
+
+    @pytest.mark.parametrize("name,eol", [("panel.csv.gz", "\n"), ("panel.csv", "\r\n")])
+    def test_no_row_bound_for_an_open_handle(self, tmp_path, reads, name, eol):
+        # a compressed suffix, or a CR with a double quote, takes the handle route
+        plain, path = tmp_path / "plain.csv", tmp_path / name
+        plain.write_text(toy_text(with_id('"a"')))
+        path.write_bytes(toy_text(with_id('"a"'), eol=eol).encode())
+        assert agree(path) == load_result(scan_csv, plain)
+        assert [kind for kind, *_ in reads] == ["handle"]
+        assert reads.bounds == [None]
+
+
+class TestSpecialBytes:
+    """The pass over the file's bytes that decides the route and the row bound."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet='a,\n\r"', max_size=24), st.integers(1, 4))
+    def test_pass_agrees_with_a_scan_of_the_bytes(self, text, block):
+        # blocks of a few bytes, so that pairs of LFs fall across their edges
+        data = text.encode()
+        with (
+            tempfile.TemporaryDirectory() as tmp,
+            mock.patch.object(mrtcat.data, "_SCAN_BLOCK", block),
+        ):
+            path = Path(tmp) / "bytes.csv"
+            path.write_bytes(data)
+            found, line_feeds, empty_line = mrtcat.data._special_bytes(str(path))
+        assert found == {byte for byte in (b"\0", b"\r", b'"') if byte in data}
+        assert line_feeds == data.count(b"\n")
+        # an empty line is one of the lines an LF ends with nothing before it
+        assert empty_line == (b"" in data.split(b"\n")[:-1])
 
 
 def shuffled_and_ordered(rows: list[list[str]]) -> tuple[list[list[str]], list[list[str]]]:
