@@ -90,12 +90,15 @@ def _read_rows(path: str, what: str) -> np.ndarray:
         raise DataValidationError(f"{what}: not UTF-8 text ({exc.reason})") from None
 
 
-def _check_out(path: str) -> None:
-    """Raise unless --out is - (standard output) or a file path in an
-    existing directory, so that no work is done that cannot be written."""
+def _check_out(path: str, option: str = "--out") -> None:
+    """Raise unless the output option's path is - (standard output) or a
+    file path in an existing directory, so that no work is done that
+    cannot be written."""
     parent = os.path.dirname(path) or os.curdir
     if path != "-" and (not path or os.path.isdir(path) or not os.path.isdir(parent)):
-        raise DataValidationError(f"--out {path!r} is not a file path in an existing directory")
+        raise DataValidationError(
+            f"{option} {path!r} is not a file path in an existing directory"
+        )
 
 
 def _check_contrast_scale(raw: str, contrast: ContrastSpec, fit: FitResult) -> None:
@@ -283,6 +286,7 @@ def _sweep_key(value: float) -> str:
 
 
 def cmd_samplesize(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     cfg = parse_kv_file(args.config)
     if args.sweep:
         key, values = _parse_sweep(args.sweep)
@@ -321,6 +325,9 @@ def cmd_samplesize(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_out(args.out)
+    if args.per_replicate is not None:
+        _check_out(args.per_replicate, "--per-replicate")
     cfg = parse_kv_file(args.scenario)
     scenario = scenario_from_config(cfg)
     replicates = args.replicates if args.replicates is not None else scenario.replicates

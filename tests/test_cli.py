@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -606,6 +607,147 @@ def test_invalid_estimate_input_exits_two_naming_it(
     assert not out.exists()
 
 
+#: The output options of samplesize and simulate, with the arguments of
+#: a run that would otherwise size or simulate.
+OUTPUT_OPTIONS = [
+    ("samplesize", ["--config", "{dir}/design.cfg"], "--out"),
+    ("samplesize", ["--config", "{dir}/design.cfg", "--sweep", "AA=0.3:1.0:0.1"], "--out"),
+    ("simulate", ["--scenario", "{dir}/scenario.cfg"], "--out"),
+    ("simulate", ["--scenario", "{dir}/scenario.cfg"], "--per-replicate"),
+]
+
+
+@pytest.mark.parametrize(
+    "path", ["{dir}/missing/out", "{dir}", ""], ids=["missing", "dir", "empty"]
+)
+@pytest.mark.parametrize(
+    "command,flags,option",
+    OUTPUT_OPTIONS,
+    ids=["samplesize", "samplesize-sweep", "simulate", "simulate-per-replicate"],
+)
+def test_invalid_output_path_exits_two_before_the_work(
+    tmp_path, capsys, monkeypatch, command, flags, option, path
+):
+    # the path is checked before any point is built or sized and before
+    # any replicate is drawn
+    calls = []
+    for module, name in [(mrtcat.cli, "_inputs_from_sweep"), (mrtcat.cli, "_size_stack"),
+                         (mrtcat.design, "_size_stack"), (mrtcat.cli, "run_monte_carlo")]:
+        fn = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, name=name, fn=fn, **k: calls.append(name) or fn(*a, **k)
+        )
+    (tmp_path / "design.cfg").write_text(GOLDEN_CFG_TEXT)
+    (tmp_path / "scenario.cfg").write_text(NULL_SCENARIO_TEXT)
+    before = sorted(tmp_path.iterdir())
+    argv = {"--out": str(tmp_path / "out.json"), option: path.replace("{dir}", str(tmp_path))}
+    args = [command, *(flag.replace("{dir}", str(tmp_path)) for flag in flags)]
+    code = main(args + [cell for pair in argv.items() for cell in pair])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {option} {argv[option]!r} is not a file path in an existing directory\n"
+    )
+    assert calls == []
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.fixture(scope="module")
+def loader_variants(tmp_path_factory):
+    """The directory of a 150 x 30 panel, its fit.json, and the variants
+    of the panel that test_loader_variant_fits_like_the_panel reads.  Its
+    4,500 rows are more than load_csv samples, so the variants change
+    cells that only the full read meets: the last subject's
+    probabilities, its last trt cell, shuffled rows."""
+    directory = tmp_path_factory.mktemp("loader")
+    config = mrtcat.GenerativeConfig(
+        family="gm0", t_points=30, rand_probs=np.array([0.4, 0.3]), tau_curve=np.full(30, 0.8)
+    )
+    mrtcat.write_csv(mrtcat.simulate_trial(config, n=150, seed=11), str(directory / "panel.csv"))
+    with open(directory / "panel.csv", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert len(rows) > mrtcat.data._SAMPLE_ROWS
+    probs = [j for j, name in enumerate(header) if name.startswith("prob_")]
+    ints = [header.index(name) for name in ("t", "avail", "trt")]
+
+    def write(name, rows):
+        with open(directory / name, "w", newline="") as handle:
+            csv.writer(handle).writerows([header, *rows])
+
+    # probabilities in np.savetxt's default format, %.18e
+    write("panel_e18.csv", [[f"{float(c):.18e}" if j in probs else c for j, c in enumerate(row)]
+                            for row in rows])
+    # the probabilities of the last subject alone in %.18e: the same floats
+    # in other bytes, so load_csv converts every cell and the dataset finds
+    # the table that every subject shares by value
+    last = rows[-1][0]
+    write("panel_mixed.csv", [[f"{float(c):.18e}" if j in probs and row[0] == last else c
+                               for j, c in enumerate(row)] for row in rows])
+    # every subject first appears in the same order, so the fit sums alike
+    rest = [row for row in rows if row[1] != "1"]
+    random.Random(3).shuffle(rest)
+    write("panel_shuffled.csv", [row for row in rows if row[1] == "1"] + rest)
+    # every id quoted, CRLF line ends: the loader reads this file through
+    # an open handle, not its path
+    quoted = [",".join(header)] + [",".join([f'"{row[0]}"', *row[1:]]) for row in rows]
+    (directory / "panel_crlf_quoted.csv").write_bytes("\r\n".join(quoted).encode() + b"\r\n")
+    # t, avail and trt as decimals (1.0): integers all the same
+    write("panel_int_decimal.csv", [[f"{c}.0" if j in ints else c for j, c in enumerate(row)]
+                                    for row in rows])
+    # one trt cell that is not an integer
+    write("panel_int_fraction.csv", [*rows[:-1], [f"{c}.5" if j == ints[2] else c
+                                                  for j, c in enumerate(rows[-1])]])
+    # a sign (+1) and a leading zero (01), which numpy's integer parser takes
+    write("panel_int_signed.csv", [[("+" if j == ints[0] else "0") + c if j in ints else c
+                                    for j, c in enumerate(row)] for row in rows])
+    plain = (directory / "panel.csv").read_bytes()
+    # a UTF-8 byte order mark, as spreadsheet "CSV UTF-8" exports write it
+    (directory / "panel_bom.csv").write_bytes(b"\xef\xbb\xbf" + plain)
+    # plain text under a suffix numpy would decompress
+    (directory / "panel.csv.gz").write_bytes(plain)
+    # LF line ends: with an empty line past the sample, which numpy skips,
+    # and with no LF after the last row
+    lines = plain.replace(b"\r\n", b"\n").split(b"\n")
+    (directory / "panel_gap.csv").write_bytes(b"\n".join([*lines[:4300], b"", *lines[4300:]]))
+    (directory / "panel_no_final_lf.csv").write_bytes(b"\n".join(lines).rstrip(b"\n"))
+    assert main(estimate_panel_argv(directory / "panel.csv", directory / "fit.json")) == 0
+    assert json.loads((directory / "fit.json").read_text())["n"] == 150
+    return directory
+
+
+def estimate_panel_argv(data, out):
+    return ["estimate", "--data", str(data), "--f-cols", "intercept", "--g-cols", "time",
+            "--contrast", "pairwise(1,2)", "--out", str(out)]
+
+
+LOADER_VARIANTS = [
+    *((name, None) for name in (
+        "panel_e18.csv", "panel_mixed.csv", "panel_shuffled.csv", "panel_crlf_quoted.csv",
+        "panel_bom.csv", "panel.csv.gz", "panel_int_decimal.csv", "panel_int_signed.csv",
+        "panel_gap.csv", "panel_no_final_lf.csv",
+    )),
+    ("panel_int_fraction.csv", "error: {path}: line 4501: column 'trt' must be an integer\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "variant, error", LOADER_VARIANTS, ids=[variant for variant, _ in LOADER_VARIANTS]
+)
+def test_loader_variant_fits_like_the_panel(loader_variants, tmp_path, capsys, variant, error):
+    # the same panel in other bytes writes the bytes of the panel's fit,
+    # with no warning (the suite turns any warning into an error) and an
+    # empty stderr; a trt cell that is not an integer is named by its line
+    path, out = loader_variants / variant, tmp_path / "fit.json"
+    code = main(estimate_panel_argv(path, out))
+    if error is None:
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_bytes() == (loader_variants / "fit.json").read_bytes()
+    else:
+        assert code == 2
+        assert capsys.readouterr().err == error.format(path=path)
+        assert not out.exists()
+
+
 class TestSamplesize:
     def test_golden_config(self, tmp_path):
         cfg = tmp_path / "design.cfg"
@@ -848,7 +990,8 @@ class TestSweepStack:
     @pytest.mark.parametrize(
         "sweep",
         ["AA=0.3:0.9:0.2", "T=10:40:10", "sate1=0.1:0.35:0.125", "theta_tau=0:0.2:0.1",
-         "q=1:3:2", "eta=0.01:0.11:0.05", "power=0.5:0.9:0.2"],
+         "q=1:3:2", "eta=0.01:0.11:0.05", "power=0.5:0.9:0.2", "theta_f2=0:0.5:0.25",
+         "sate2=0:0.1:0.05"],
     )
     def test_csv_matches_point_by_point_loop(self, tmp_path, text, sweep):
         if sweep.startswith("theta_tau"):

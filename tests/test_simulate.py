@@ -734,6 +734,8 @@ class TestChunkedEngine:
             for threads in (1, 2, 3)
         ]
         assert runs[0].failures == 0
+        # tau + nu2 + nu3 > 1, so some availability probabilities are clipped
+        assert runs[0].clipped_availability > 0
         for other in runs[1:]:
             assert other.to_dict() == runs[0].to_dict()
             assert other.records == runs[0].records
@@ -878,6 +880,13 @@ class TestChunkedEngine:
             null_config(family="gm_ea", t_points=20, tau=0.9, nu2=0.15, nu3=0.15),
             60, 50, ModelSpec(g_columns=("time",)), np.eye(2), 3, 0,
         ),
+        # a Z basis for the outcome, the effects and both fitted bases: the
+        # draws of Z are chunk arrays too
+        (
+            null_config(t_points=20, rand_probs=(0.3, 0.3), eo_basis="z", eo_coeffs=(0.1, 0.05),
+                        mee_basis="z", mee_coeffs=((0.1, 0.05), (0.05, 0.0))),
+            40, 30, ModelSpec(f_columns=("Z",), g_columns=("Z",)), np.eye(2), 9, 0,
+        ),
     ]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -892,7 +901,7 @@ class TestChunkedEngine:
 
         def run(**kwargs):
             return run_monte_carlo(
-                config, n, replicates, spec, contrast, seed=seed, true_beta=np.zeros(2),
+                config, n, replicates, spec, contrast, seed=seed, true_beta=np.zeros(2 * spec.p),
                 collect_replicates=True, **kwargs,
             )
 
